@@ -1,10 +1,17 @@
-"""Warehouse-style analytics and dataset-maintenance operators.
+"""Corpus statistics and span/media analytics for the LLM-corpus pipeline.
 
-Round-5 additions beyond `corpus_ops`: the relational / product-analytics
-shapes a training-data platform runs next to its curation pipelines —
-anti joins (orphan detection), CDC compaction (keep-latest per key),
-hopping windows, cohort retention, per-group percentile ranks, equi-width
-histograms, inverted-index builds and data-quality audits.
+Operators over the ``documents``/``embeddings`` tables that `corpus_ops`
+builds on: per-group ranks and outliers, inverted-index builds,
+data-quality and dedup audits, sampling, drift and rank statistics. The
+span-structure operators at the end of the module (span-kind
+transitions, media density, caption mining, span packing, ...) run on the
+interleaved ``(doc_id, spans)`` payload itself.
+
+The module also holds relational and event-stream operators (anti/semi
+joins, CDC compaction, hopping windows, cohort retention, sessions,
+funnels, rollups, ...) over ``events``-shaped and TPC-H-shaped inputs.
+No ``__ray_entry__`` query runs them; they stay as library code covered
+by their unit tests in ``tests/test_analytics.py``.
 
 Scale design notes (same rules as `corpus_ops`):
 * Per-record work is a task-mode ``map_batches`` with a per-batch Arrow /

@@ -2182,279 +2182,7 @@ def broadcast_join_ds(
     return ds.map_batches(join, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def tumbling_window_ds(
-    events: Dataset,
-    width_s: int = 3600,
-    ts_col: str = "ts",
-    key_col: str = "event_type",
-    value_col: str = "value",
-) -> Dataset:
-    """Tumbling time-window aggregate: (key, window_start_epoch_s) ->
-    event count + integer-quantized value sum. The window assignment is a
-    vectorized epoch floor inside ``map_batches``; per-batch combiner
-    pre-sums before the global groupby (the shuffle moves one row per
-    distinct (key, window) per block). Values are quantized to e6 BEFORE
-    summing so Ray and SQL sums are the same integers regardless of float
-    addition order."""
-    width_us = int(width_s) * 1_000_000
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        win = (ts // width_us) * int(width_s)
-        vals = batch.column(value_col).to_numpy(zero_copy_only=False)
-        v_e6 = np.floor(vals * 1e6).astype(np.int64)
-        t = pa.table(
-            {
-                key_col: batch.column(key_col),
-                "window_start_s": pa.array(win),
-                "n": pa.array(np.ones(len(ts), np.int64)),
-                "v": pa.array(v_e6),
-            }
-        )
-        g = t.group_by([key_col, "window_start_s"]).aggregate(
-            [("n", "sum"), ("v", "sum")]
-        )
-        return pa.table(
-            {
-                key_col: g.column(key_col),
-                "window_start_s": g.column("window_start_s"),
-                "n": g.column("n_sum"),
-                "v": g.column("v_sum"),
-            }
-        )
-
-    agg = (
-        events.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([key_col, "window_start_s"])
-        .aggregate(Sum("n"), Sum("v"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                key_col: batch.column(key_col),
-                "window_start_s": batch.column("window_start_s").cast(pa.int64()),
-                "n_events": batch.column("sum(n)").cast(pa.int64()),
-                "value_sum_e6": batch.column("sum(v)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def asof_join_ds(
-    events: Dataset,
-    mark_type: str = "click",
-    ts_col: str = "ts",
-    key_col: str = "user_id",
-    type_col: str = "event_type",
-    id_col: str = "event_id",
-    time_bucket_us: Optional[int] = None,
-) -> Dataset:
-    """Per-key AS-OF self-join: every event gains the timestamp of the
-    same user's latest ``mark_type`` event at-or-before it (an as-of /
-    merge-asof join — one of the operators Ray Data lacks natively).
-
-    Partitioning assumption (documented per the custom-operator rule):
-    both sides co-locate on the join key, so ONE hash-by-key shuffle
-    (``groupby(key).map_groups``) suffices; within a group the marks are
-    sorted once and every event probes with ``searchsorted`` — no sort of
-    the full event stream, no per-row Python loop.
-
-    **Skew fallback** (``time_bucket_us``): a viral key would otherwise
-    deliver one unbounded group to a single worker. With a bucket width
-    set, the group key becomes ``(key, ts // time_bucket_us)`` so no group
-    exceeds one key's events per time bucket; the as-of answer for events
-    whose bucket holds no earlier mark comes from a per-(key, bucket)
-    carry-in boundary — the strictly-earlier prefix max of per-bucket
-    mark maxima, computed from a tiny (key, bucket) summary table (one
-    row per bucket per key) and co-grouped back with the events in the
-    SAME composite-key shuffle. Identical output to the unbucketed path."""
-    if time_bucket_us is None:
-        def per_user(group: pa.Table) -> pa.Table:
-            ts = group.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-            types = group.column(type_col).to_numpy(zero_copy_only=False)
-            mark_ts = np.sort(ts[types == mark_type], kind="stable")
-            if mark_ts.size == 0:
-                asof = np.full(len(ts), -1, dtype=np.int64)
-            else:
-                idx = np.searchsorted(mark_ts, ts, side="right") - 1
-                asof = np.where(idx >= 0, mark_ts[np.maximum(idx, 0)], np.int64(-1))
-            return pa.table(
-                {
-                    id_col: group.column(id_col),
-                    key_col: group.column(key_col),
-                    "asof_ts_us": pa.array(asof.astype(np.int64)),
-                }
-            )
-
-        return events.groupby(key_col).map_groups(per_user, batch_format="pyarrow")
-
-    width = np.int64(time_bucket_us)
-    sch = events.schema()
-    id_type = dict(zip(sch.names, sch.types))[id_col]
-
-    def with_bucket(batch: pa.Table) -> pa.Table:
-        ts = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                key_col: batch.column(key_col),
-                "bucket": pa.array(ts // width),
-                ts_col: pa.array(ts),
-                type_col: batch.column(type_col),
-                id_col: batch.column(id_col),
-                "carry": pa.array(np.full(batch.num_rows, -1, dtype=np.int64)),
-                "is_event": pa.array(np.ones(batch.num_rows, dtype=bool)),
-            }
-        )
-
-    def bucket_mark_max(batch: pa.Table) -> pa.Table:
-        # per-batch combiner: one row per (key, bucket) — max mark ts
-        # (-1 when the bucket holds no mark), so the global summary
-        # aggregate shuffles a tiny table, never the event stream
-        ts = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        is_mark = pc.equal(batch.column(type_col), pa.scalar(mark_type))
-        mts = np.where(
-            is_mark.to_numpy(zero_copy_only=False), ts, np.int64(-1)
-        )
-        t = pa.table(
-            {
-                key_col: batch.column(key_col),
-                "bucket": pa.array(ts // width),
-                "mts": pa.array(mts),
-            }
-        )
-        return t.group_by([key_col, "bucket"]).aggregate([("mts", "max")])
-
-    summary = (
-        events.map_batches(
-            bucket_mark_max, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby([key_col, "bucket"])
-        .aggregate(Max("mts_max"))
-    )
-
-    def carry_rows(group: pa.Table) -> pa.Table:
-        # strictly-earlier prefix max over this key's buckets (sorted)
-        b = group.column("bucket").to_numpy(zero_copy_only=False)
-        m = group.column("max(mts_max)").to_numpy(zero_copy_only=False)
-        order = np.argsort(b, kind="stable")
-        b, m = b[order], m[order]
-        carry = np.concatenate(([np.int64(-1)], np.maximum.accumulate(m)[:-1]))
-        n = len(b)
-        return pa.table(
-            {
-                key_col: pa.array([group.column(key_col)[0].as_py()] * n,
-                                  group.column(key_col).type),
-                "bucket": pa.array(b),
-                ts_col: pa.array(np.full(n, -1, dtype=np.int64)),
-                type_col: pa.array([""] * n, pa.string()),
-                id_col: pa.nulls(n, id_type),
-                "carry": pa.array(carry),
-                "is_event": pa.array(np.zeros(n, dtype=bool)),
-            }
-        )
-
-    carries = summary.groupby(key_col).map_groups(
-        carry_rows, batch_format="pyarrow"
-    )
-    tagged = events.map_batches(
-        with_bucket, batch_format="pyarrow", zero_copy_batch=True
-    ).union(carries)
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        is_ev = group.column("is_event").to_numpy(zero_copy_only=False)
-        ts_all = group.column(ts_col).to_numpy(zero_copy_only=False)
-        carry_vals = group.column("carry").to_numpy(zero_copy_only=False)
-        carry = np.int64(carry_vals[~is_ev].max()) if (~is_ev).any() else np.int64(-1)
-        ev = group.filter(pa.array(is_ev))
-        ts = ts_all[is_ev]
-        types = ev.column(type_col).to_numpy(zero_copy_only=False)
-        mark_ts = np.sort(ts[types == mark_type], kind="stable")
-        if mark_ts.size == 0:
-            asof = np.full(len(ts), carry, dtype=np.int64)
-        else:
-            idx = np.searchsorted(mark_ts, ts, side="right") - 1
-            asof = np.where(idx >= 0, mark_ts[np.maximum(idx, 0)], carry)
-        return pa.table(
-            {
-                id_col: ev.column(id_col),
-                key_col: ev.column(key_col),
-                "asof_ts_us": pa.array(asof.astype(np.int64)),
-            }
-        )
-
-    return tagged.groupby([key_col, "bucket"]).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
-
-
 # ---------- windowed / sessionized aggregates ----------
-
-
-def sessionize_ds(
-    events: Dataset,
-    gap_sec: float = 1800.0,
-    user_col: str = "user_id",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
-) -> Dataset:
-    """Per-user gap sessionization: a new session starts when the time
-    since the previous event (ordered by ``(ts, order_col)``) exceeds
-    ``gap_sec``. Partitioning assumption: one user's events co-locate via
-    the ``groupby(user_col)`` shuffle; within a group the window scan is a
-    vectorized diff. Returns (user_id, n_sessions, n_events)."""
-
-    def per_user(group: pa.Table) -> pa.Table:
-        ts = group.column(ts_col).to_numpy()  # datetime64[us]
-        oid = group.column(order_col).to_numpy()
-        order = np.lexsort((oid, ts))
-        ts_sorted = ts[order].astype("datetime64[us]").astype(np.int64)
-        if ts_sorted.shape[0] == 0:
-            return pa.table(
-                {user_col: pa.array([], group.column(user_col).type),
-                 "n_sessions": pa.array([], pa.int64()),
-                 "n_events": pa.array([], pa.int64())}
-            )
-        gaps = np.diff(ts_sorted) > gap_sec * 1_000_000
-        n_sessions = 1 + int(gaps.sum())
-        return pa.table(
-            {
-                user_col: group.column(user_col).slice(0, 1),
-                "n_sessions": pa.array([n_sessions], pa.int64()),
-                "n_events": pa.array([group.num_rows], pa.int64()),
-            }
-        )
-
-    return events.groupby(user_col).map_groups(per_user, batch_format="pyarrow")
-
-
-def grouped_topk_ds(
-    ds: Dataset,
-    key_col: str,
-    value_col: str,
-    k: int,
-    tie_col: Optional[str] = None,
-) -> Dataset:
-    """Top-k rows per key by ``value_col`` (desc; ties broken ascending on
-    ``tie_col``) — grouped top-k WITHOUT a global sort: the groupby
-    shuffle co-locates each key, then a vectorized argsort+slice per
-    group. The k*|keys| result is small by construction."""
-
-    def per_key(group: pa.Table) -> pa.Table:
-        v = group.column(value_col).to_numpy()
-        if tie_col is not None:
-            t = group.column(tie_col).to_numpy()
-            order = np.lexsort((t, -v))
-        else:
-            order = np.argsort(-v, kind="stable")
-        take = order[:k]
-        out = group.take(pa.array(take))
-        return out.append_column(
-            "rank_in_group", pa.array(np.arange(1, len(take) + 1, dtype=np.int64))
-        )
-
-    return ds.groupby(key_col).map_groups(per_key, batch_format="pyarrow")
 
 
 def pack_sequences_ds(
@@ -3076,35 +2804,6 @@ def distinct_ds(ds: Dataset, cols: List[str]) -> Dataset:
         return batch.select(cols)
 
     return agg.map_batches(drop_count, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def window_rank_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
-) -> Dataset:
-    """Windowed rank: ROW_NUMBER() per key ordered by (ts, order_col) —
-    the windowed-aggregate shape Ray Data lacks natively, expressed as
-    ``groupby(key).map_groups`` with a vectorized argsort per group.
-    Partitioning assumption: one key's rows co-locate via the groupby
-    shuffle (salt heavy keys upstream if a single key exceeds a block)."""
-
-    def per_key(group: pa.Table) -> pa.Table:
-        ts = group.column(ts_col).to_numpy()
-        oid = group.column(order_col).to_numpy()
-        order = np.lexsort((oid, ts))
-        rank = np.empty(order.shape[0], dtype=np.int64)
-        rank[order] = np.arange(1, order.shape[0] + 1)
-        return pa.table(
-            {
-                key_col: group.column(key_col),
-                order_col: group.column(order_col),
-                "rn": pa.array(rank),
-            }
-        )
-
-    return events.groupby(key_col).map_groups(per_key, batch_format="pyarrow")
 
 
 # ---------- similarity search ----------
@@ -4086,109 +3785,6 @@ def length_rank_ds(
     )
 
 
-def funnel_steps_ds(
-    events: Dataset,
-    steps: Tuple[str, ...] = ("view", "click", "purchase"),
-    ts_col: str = "ts",
-    user_col: str = "user_id",
-    type_col: str = "event_type",
-) -> Dataset:
-    """Ordered conversion funnel: for each step i, the number of users
-    whose FIRST occurrences satisfy ``first(step_1) < first(step_2) < ...
-    < first(step_i)`` (strict, by event timestamp). The standard product /
-    curation analytics query, shaped for scale: per-batch pivot combiner
-    (one Arrow ``group_by`` + a vectorized scatter into one WIDE row per
-    user with +inf sentinels) -> ONE ``groupby(user)`` of per-user wide
-    rows with ``Min`` per step column -> vectorized chain compare ->
-    per-batch partial sums -> a k-scalar aggregate. No event-ordered
-    sort, no per-user ``map_groups`` (millions of near-singleton user
-    groups would drown in per-group overhead), no per-user Python.
-
-    Emits one row per step: ``(step, event_type, n_users)``."""
-    step_list = list(steps)
-    k = len(step_list)
-    INF = np.int64(2**62)  # sentinel: "user never did this step"
-
-    def pivot_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                user_col: pa.array([], batch.column(user_col).type),
-                **{f"t{i}": pa.array([], pa.int64()) for i in range(k)},
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        mask = pc.is_in(batch.column(type_col), value_set=pa.array(step_list))
-        t = batch.filter(mask)
-        if t.num_rows == 0:
-            return empty
-        g = (
-            pa.table(
-                {
-                    "u": t.column(user_col),
-                    "ty": t.column(type_col),
-                    "ts_us": t.column(ts_col).cast(pa.int64()),
-                }
-            )
-            .group_by(["u", "ty"])
-            .aggregate([("ts_us", "min")])
-        )
-        users = g.column("u").to_numpy(zero_copy_only=False)
-        types = g.column("ty").to_numpy(zero_copy_only=False).astype(str)
-        mins = g.column("ts_us_min").to_numpy(zero_copy_only=False)
-        ssteps = np.sort(np.asarray(step_list, dtype=str))
-        back = np.asarray(
-            sorted(range(k), key=lambda i: step_list[i]), dtype=np.int64
-        )
-        sidx = back[np.searchsorted(ssteps, types)]
-        uu, uidx = np.unique(users, return_inverse=True)
-        mat = np.full((len(uu), k), INF, dtype=np.int64)
-        mat[uidx, sidx] = mins
-        return pa.table(
-            {
-                user_col: pa.array(uu, batch.column(user_col).type),
-                **{f"t{i}": pa.array(mat[:, i], pa.int64()) for i in range(k)},
-            }
-        )
-
-    firsts = (
-        events.select_columns([user_col, type_col, ts_col])
-        .map_batches(pivot_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(user_col)
-        .aggregate(*[Min(f"t{i}") for i in range(k)])
-    )
-
-    def flag_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({f"s{i}": pa.array([0], pa.int64()) for i in range(k)})
-        cols = [
-            batch.column(f"min(t{i})").to_numpy(zero_copy_only=False)
-            for i in range(k)
-        ]
-        ok = cols[0] < INF
-        sums = [int(ok.sum())]
-        for i in range(1, k):
-            ok = ok & (cols[i] < INF) & (cols[i - 1] < cols[i])
-            sums.append(int(ok.sum()))
-        return pa.table({f"s{i}": pa.array([sums[i]], pa.int64()) for i in range(k)})
-
-    partials = firsts.map_batches(
-        flag_partial, batch_format="pyarrow", zero_copy_batch=True
-    )
-    sums = partials.aggregate(*[Sum(f"s{i}") for i in range(k)])
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "step": pa.array(range(1, k + 1), pa.int64()),
-                "event_type": pa.array(step_list, pa.string()),
-                "n_users": pa.array(
-                    [int(sums[f"sum(s{i})"] or 0) for i in range(k)], pa.int64()
-                ),
-            }
-        )
-    )
-
-
 def collocations_ds(
     docs: Dataset,
     min_count: int = 5,
@@ -4416,83 +4012,6 @@ def centroids_ds(
         )
 
     return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------- HyperLogLog distinct-cardinality sketch ----------
-
-
-def hll_distinct_ds(
-    ds: Dataset,
-    col: str,
-    p: int = 12,
-) -> "pa.Table":
-    """Approximate COUNT(DISTINCT col) via a HyperLogLog sketch
-    (Flajolet et al. 2007): deterministic splitmix64 hashing, ``2**p``
-    registers, the standard bias-corrected estimate with the small- and
-    large-range corrections. Returns a one-row Arrow table
-    ``(distinct_est, n_registers)``.
-
-    Scale shape: the sketch is the whole point — each block folds into
-    its own 2^p-byte register vector inside ``map_batches`` (vectorized
-    ``np.maximum.at``), ONE row per block leaves the workers, and the
-    driver merges block sketches with an elementwise max (register
-    merge is associative/commutative, so block partitioning never
-    changes the answer). Exact distinct at this scale would shuffle
-    every row; the sketch ships kilobytes. Non-SQL-expressible
-    bit-exactly (DuckDB's approx_count_distinct uses its own hash), so
-    this op carries a rows-only driver check plus an error-bound test
-    against the exact count (expected rel. error ~1.04/sqrt(2^p) ≈ 1.6%
-    at p=12)."""
-    from .analytics import _mix64
-
-    m = 1 << p
-    shift = np.uint64(64 - p)
-    wmask = np.uint64((1 << (64 - p)) - 1)
-
-    def sketch(batch: pa.Table) -> pa.Table:
-        reg = np.zeros(m, dtype=np.int8)
-        if batch.num_rows:
-            v = batch.column(col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-            h = _mix64(v)
-            idx = (h >> shift).astype(np.int64)
-            w = h & wmask
-            # rank of the first 1-bit in the low 64-p bits (1-based);
-            # all-zero tail scores the maximum 64-p+1
-            nbits = 64 - p
-            rho = np.full(len(w), nbits + 1, dtype=np.int8)
-            nz = w != 0
-            # position of highest set bit via log2 on uint64->float64 is
-            # unsafe near 2^53; use bit_length via np.frexp on float is
-            # also lossy — do it with a vectorized shift loop (6 steps)
-            wl = w[nz]
-            msb = np.zeros(len(wl), dtype=np.int64)
-            for s in (32, 16, 8, 4, 2, 1):
-                big = wl >= (np.uint64(1) << np.uint64(s))
-                msb[big] += s
-                wl = np.where(big, wl >> np.uint64(s), wl)
-            rho[nz] = (nbits - msb).astype(np.int8)
-            np.maximum.at(reg, idx, rho)
-        return pa.table({"reg": pa.array([reg.tolist()], pa.list_(pa.int8()))})
-
-    parts = ds.select_columns([col]).map_batches(
-        sketch, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()  # one row per block
-    reg = np.zeros(m, dtype=np.int64)
-    for r in parts:
-        np.maximum(reg, np.asarray(r["reg"], dtype=np.int64), out=reg)
-    alpha = 0.7213 / (1.0 + 1.079 / m)
-    est = alpha * m * m / np.sum(np.power(2.0, -reg.astype(np.float64)))
-    zeros = int((reg == 0).sum())
-    if est <= 2.5 * m and zeros:
-        est = m * np.log(m / zeros)  # linear counting, small range
-    elif est > (1 << 32) / 30.0:
-        est = -(1 << 32) * np.log(1.0 - est / (1 << 32))
-    return pa.table(
-        {
-            "distinct_est": pa.array([int(est)], pa.int64()),
-            "n_registers": pa.array([m], pa.int64()),
-        }
-    )
 
 
 # ---------- deterministic k-means (integer-exact Lloyd iterations) ----------
@@ -7854,7 +7373,7 @@ def mutual_knn_ds(
     Exactness inherits from ``knn_graph_ds`` (quantized integer dot
     products, bit-identical doubles, id tie-breaks). Requires ids below
     2^31 for the composite key."""
-    from .graph import _mix64
+    from .analytics import _mix64
 
     knn = knn_graph_ds(embeddings, k=k, id_col=id_col, vec_col=vec_col)
 
@@ -7956,8 +7475,6 @@ def grid_cores_ds(
     cell emits its 8 neighbor claims and occupancy sums by target cell.
     No broadcast, no driver collect, both shuffles are cell-count-sized
     (orders of magnitude below the point count)."""
-    from .graph import _mix64  # noqa: F401  (parity with sibling ops)
-
     off_units = np.int64(1) << np.int64(24)
     off = np.int64(cell_e6) * off_units
 
@@ -9499,8 +9016,7 @@ def semantic_families_ds(
     Scale shape inherits from the parts: bounded bucket shuffles
     throughout, nothing node-count-sized on the driver (family sizes
     broadcast under ``max_broadcast_families``; above it, attach through
-    the generic bucketed hash join as ``connected_components_ds``
-    does)."""
+    the generic bucketed ``hash_join_ds``)."""
     from .analytics import hash_join_ds
 
     empty = pa.table(

@@ -1,5 +1,6 @@
-"""Warehouse-style analytics operators: crafted-input semantics (skew,
-ties, empty inputs, band boundaries) beyond the sf0.01 oracle sweep."""
+"""Corpus-statistics, span analytics and relational/event-stream
+operators: crafted-input semantics (skew, ties, empty inputs, band
+boundaries) beyond the sf0.01 oracle sweep."""
 
 import numpy as np
 import pyarrow as pa

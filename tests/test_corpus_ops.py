@@ -595,38 +595,6 @@ def test_semantic_dedup_recalls_planted_pairs(ray_session):
     assert len(capped) == len(mat) - 1  # star around the minimum id
 
 
-def test_asof_join_semantics(ray_session):
-    import datetime as dt
-
-    base = dt.datetime(2024, 1, 1)
-    rows = [
-        # user 1: view@0, click@10, view@20, click@30, view@40
-        (1, 1, 0, "view"), (2, 1, 10, "click"), (3, 1, 20, "view"),
-        (4, 1, 30, "click"), (5, 1, 40, "view"),
-        # user 2: never clicks
-        (6, 2, 5, "view"),
-    ]
-    t = pa.table(
-        {
-            "event_id": pa.array([r[0] for r in rows], pa.int64()),
-            "user_id": pa.array([r[1] for r in rows], pa.int64()),
-            "ts": pa.array(
-                [base + dt.timedelta(seconds=r[2]) for r in rows],
-                pa.timestamp("us"),
-            ),
-            "event_type": pa.array([r[3] for r in rows], pa.string()),
-        }
-    )
-    out = co.asof_join_ds(ray.data.from_arrow(t), mark_type="click").to_pandas()
-    got = dict(zip(out.event_id, out.asof_ts_us))
-    epoch = int(base.timestamp()) * 1_000_000
-    assert got[1] == -1                      # before any click
-    assert got[2] == epoch + 10_000_000      # a click matches itself (<=)
-    assert got[3] == epoch + 10_000_000
-    assert got[5] == epoch + 30_000_000      # latest preceding click
-    assert got[6] == -1                      # user with no marks
-
-
 def test_tfidf_topk_rank_semantics(ray_session):
     """Hand-computable fixture: ranking is tf DESC, then df ASC (rarer
     term wins the tie), then term ASC; every doc emits <= k rows."""
@@ -827,66 +795,6 @@ def test_substring_runs_measures_longest_run(ray_session):
     assert (out.doc_a[0], out.doc_b[0], out.max_run_tokens[0]) == (0, 1, 20)
 
 
-def test_asof_join_skew_bucketed_matches_unbucketed(ray_session):
-    """One viral key holding 100k events: the time-bucketed fallback must
-    (a) bound every (key, bucket) sub-group well below the key's total and
-    (b) produce output identical to the unbucketed per-key path — carry-in
-    boundaries included (events in buckets with no mark must reach back to
-    the latest mark in any earlier bucket)."""
-    rng = np.random.default_rng(7)
-    n = 100_000
-    ts = np.sort(rng.integers(0, 10_000_000, size=n)).astype(np.int64)
-    # sparse marks: ~1 in 500, so many buckets hold no mark at all
-    types = np.where(rng.random(n) < 0.002, "click", "view")
-    t = pa.table(
-        {
-            "event_id": pa.array(np.arange(n, dtype=np.int64)),
-            "user_id": pa.array(np.full(n, 42, dtype=np.int64)),
-            "ts": pa.array(ts, pa.timestamp("us")),
-            "event_type": pa.array(types.tolist(), pa.string()),
-        }
-    )
-    width = 100_000  # ~100 buckets over the 10^7us span
-    buckets = ts // width
-    per_bucket = np.bincount((buckets - buckets.min()).astype(np.int64))
-    assert per_bucket.max() < n // 10  # sub-split genuinely bounds groups
-    plain = (
-        co.asof_join_ds(ray.data.from_arrow(t), mark_type="click")
-        .to_pandas().sort_values("event_id").reset_index(drop=True)
-    )
-    bucketed = (
-        co.asof_join_ds(
-            ray.data.from_arrow(t), mark_type="click", time_bucket_us=width
-        )
-        .to_pandas().sort_values("event_id").reset_index(drop=True)
-    )
-    assert plain.equals(bucketed)
-    # sanity: the pre-first-mark region really is exercised
-    assert (plain.asof_ts_us == -1).any()
-
-
-def test_tumbling_window_quantized_sums(ray_session):
-    import datetime as dt
-
-    base = dt.datetime(2024, 1, 1)
-    t = pa.table(
-        {
-            "ts": pa.array(
-                [base, base + dt.timedelta(seconds=3599),
-                 base + dt.timedelta(seconds=3600)],
-                pa.timestamp("us"),
-            ),
-            "event_type": pa.array(["a", "a", "a"], pa.string()),
-            "value": pa.array([1.25, 2.5, 4.0], pa.float64()),
-        }
-    )
-    out = co.tumbling_window_ds(ray.data.from_arrow(t), width_s=3600).to_pandas()
-    out = out.sort_values("window_start_s").reset_index(drop=True)
-    assert out.n_events.tolist() == [2, 1]
-    assert out.value_sum_e6.tolist() == [3_750_000, 4_000_000]
-    assert out.window_start_s[1] - out.window_start_s[0] == 3600
-
-
 def test_ngram_verify_empty_candidates(ray_session):
     """Zero candidate pairs must yield an empty result, not an ArrowTypeError
     from pc.is_in over a null-typed empty value set."""
@@ -1053,45 +961,6 @@ def test_length_rank_domain_guard(ray_session):
         co.length_rank_ds(ray.data.from_arrow(t), max_domain_broadcast=10)
 
 
-def test_funnel_steps_ordering_semantics(ray_session):
-    """Strict first-occurrence ordering: a user who clicked BEFORE first
-    viewing does not convert at step 2; later re-clicks don't rescue the
-    funnel (first occurrence only)."""
-    rows = [
-        # user 1: clean view < click < purchase
-        (1, "view", 100), (1, "click", 200), (1, "purchase", 300),
-        # user 2: click precedes first view -> stops at step 1
-        (2, "click", 50), (2, "view", 100), (2, "click", 150),
-        # user 3: view only
-        (3, "view", 10),
-        # user 4: view < click, purchase BEFORE click -> stops at step 2
-        (4, "view", 10), (4, "purchase", 15), (4, "click", 20),
-        # user 5: no funnel events at all
-        (5, "error", 1),
-    ]
-    t = pa.table(
-        {
-            "user_id": pa.array([r[0] for r in rows], pa.int64()),
-            "event_type": pa.array([r[1] for r in rows]),
-            "ts": pa.array([r[2] for r in rows], pa.timestamp("us")),
-        }
-    )
-    out = co.funnel_steps_ds(ray.data.from_arrow(t)).to_pandas()
-    assert out.n_users.tolist() == [4, 2, 1]
-
-
-def test_funnel_steps_empty_events(ray_session):
-    t = pa.table(
-        {
-            "user_id": pa.array([], pa.int64()),
-            "event_type": pa.array([], pa.string()),
-            "ts": pa.array([], pa.timestamp("us")),
-        }
-    )
-    out = co.funnel_steps_ds(ray.data.from_arrow(t)).to_pandas()
-    assert out.n_users.tolist() == [0, 0, 0]
-
-
 def test_knn_graph_known_neighbors(ray_session):
     # 4 unit-ish vectors: 0 and 1 nearly parallel, 2 orthogonal, 3 opposite
     vecs = [
@@ -1206,20 +1075,6 @@ def test_centroids_exact_negative_components(ray_session):
     assert rows[(0, 1)]["sum_e6"] == 1_000_000 and rows[(0, 1)]["n_vecs"] == 2
     assert rows[(0, 2)]["sum_e6"] == -250_000 + 750_000
     assert rows[(1, 1)]["sum_e6"] == -1_000_000 and rows[(1, 1)]["n_vecs"] == 1
-
-
-def test_hll_distinct_error_bound_and_partition_invariance(ray_session):
-    import pyarrow as pa
-
-    n = 5000
-    ids = pa.table({"u": pa.array(list(range(n)) * 2, pa.int64())})
-    a = co.hll_distinct_ds(ray.data.from_arrow(ids).repartition(2), "u")
-    b = co.hll_distinct_ds(ray.data.from_arrow(ids).repartition(16), "u")
-    ea = a.column("distinct_est")[0].as_py()
-    eb = b.column("distinct_est")[0].as_py()
-    assert ea == eb  # register merge is partition-invariant
-    assert abs(ea - n) / n < 0.05
-    assert a.column("n_registers")[0].as_py() == 4096
 
 
 def _emb_table(rows):
@@ -2188,41 +2043,6 @@ def test_mutual_knn_empty(ray_session):
     assert co.mutual_knn_ds(embs, k=3).count() == 0
 
 
-def test_label_prop_two_triangles_bridge(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import graph as gr
-
-    # co-purchase graph via orders: triangle {1,2,3} + triangle {7,8,9},
-    # every edge supported by 2 orders
-    orders = []
-    ok = 0
-    for tri in ([1, 2, 3], [7, 8, 9]):
-        for rep in range(2):
-            ok += 1
-            orders.extend((ok, p) for p in tri)
-    li = ray.data.from_arrow(
-        pa.table(
-            {
-                "l_orderkey": pa.array([o for o, _ in orders], pa.int64()),
-                "l_partkey": pa.array([p for _, p in orders], pa.int64()),
-            }
-        )
-    )
-    rows = {r["node"]: (r["label"], r["votes"]) for r in
-            gr.label_prop_step_ds(li, min_support=2).take_all()}
-    # round 1: l1 = min neighbor -> {1:2, 2:1, 3:1, 7:8, 8:7, 9:7}
-    # round 2 mode over neighbors' l1:
-    #   node 1 sees {l1(2)=1, l1(3)=1} -> label 1, votes 2
-    #   node 2 sees {l1(1)=2, l1(3)=1} -> tie, min label 1, votes 1
-    #   node 3 sees {l1(1)=2, l1(2)=1} -> tie, min label 1, votes 1
-    assert rows[1] == (1, 2)
-    assert rows[2] == (1, 1)
-    assert rows[3] == (1, 1)
-    assert rows[7] == (7, 2)
-    assert rows[8] == (7, 1) and rows[9] == (7, 1)
-
-
 def test_grid_cores_counts_and_neighbors(ray_session):
     import pyarrow as pa
     import ray.data
@@ -2312,33 +2132,6 @@ def test_entity_graph_support_filter(ray_session):
     rows = {(r["e1"], r["e2"]): r["n"] for r in
             co.entity_graph_ds(docs, min_support=2).take_all()}
     assert rows == {("aaaaaa bbbbbb", "cccccc dddddd"): 2}
-
-
-def test_hits_path_graph_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import graph as gr
-
-    # path 1-2-3 (each edge via 2 shared orders => support 2)
-    rows = []
-    ok = 0
-    for pair in ([1, 2], [2, 3]):
-        for rep in range(2):
-            ok += 1
-            rows.extend((ok, p) for p in pair)
-    li = ray.data.from_arrow(
-        pa.table(
-            {
-                "l_orderkey": pa.array([o for o, _ in rows], pa.int64()),
-                "l_partkey": pa.array([p for _, p in rows], pa.int64()),
-            }
-        )
-    )
-    out = {r["node"]: (r["degree"], r["hub1"], r["auth2"]) for r in
-           gr.hits_step_ds(li, min_support=2).take_all()}
-    # deg: 1->1, 2->2, 3->1 ; hub1(v)=sum deg(N(v)): 1->2, 2->2, 3->2
-    # auth2(v)=sum hub1(N(v)): 1->2, 2->4, 3->2
-    assert out == {1: (1, 2, 2), 2: (2, 2, 4), 3: (1, 2, 2)}
 
 
 def test_cluster_inertia_hand_computed(ray_session):
@@ -2513,36 +2306,6 @@ def test_int8_quant_error_hand_computed(ray_session):
     assert out[1]["max_err"] == max(errs)
     # dim2 max|q| = 10000 -> k = 14 - 7 = 7
     assert out[2]["k"] == (10_000).bit_length() - 7
-
-
-def test_assortativity_path_graph(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import graph as gr
-
-    # path 1-2-3: directed edges (1,2),(2,1),(2,3),(3,2); deg 1,2,1
-    rows = []
-    ok = 0
-    for pair in ([1, 2], [2, 3]):
-        for rep in range(2):
-            ok += 1
-            rows.extend((ok, p) for p in pair)
-    li = ray.data.from_arrow(
-        pa.table(
-            {
-                "l_orderkey": pa.array([o for o, _ in rows], pa.int64()),
-                "l_partkey": pa.array([p for _, p in rows], pa.int64()),
-            }
-        )
-    )
-    out = gr.assortativity_ds(li, min_support=2).take_all()
-    assert len(out) == 1
-    r = out[0]
-    # per directed edge (u,v): deg(u) in [1,2,2,1], deg(v) in [2,1,1,2]
-    assert r["n_dir_edges"] == 4
-    assert r["s_d"] == 6
-    assert r["s_dd"] == 2 + 2 + 2 + 2
-    assert r["s_d2"] == 1 + 4 + 4 + 1
 
 
 def test_blocklist_hits_flagging(ray_session):

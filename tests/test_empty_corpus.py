@@ -5,7 +5,7 @@ zero-row corpus with the real table schemas — never raise.  The ADVICE
 rounds kept surfacing this class (null-typed ``pa.array([])`` in a
 semi-join, ``np.repeat`` shape mismatch, schema-less aggregates whose
 ``to_pandas()`` loses columns).  ``scripts/empty_corpus_sweep.py`` runs
-the full 253-query sweep; this test pins the 38 entries that actually
+the full registry sweep; this test pins the registered entries that
 crashed in the round-5 sweep (the regression surface) so the guards
 can't rot.
 """
@@ -17,63 +17,44 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 
-# every query that crashed in the round-5 empty-corpus sweep, spanning
-# all six root-cause classes (schema-less aggregate collects, schema-None
-# join/rename inputs, empty query-vector selection, float64 np.char.add,
-# empty np.stack, int(None) aggregate scalars)
+# every registered query that crashed in the round-5 empty-corpus sweep
+# (schema-less aggregate collects, empty query-vector selection, float64
+# np.char.add, empty np.stack, int(None) aggregate scalars)
 CRASHED_R5 = [
     "ann_brute",
     "ann_ivf",
     "apportion_quota",
     "backoff_surprisal",
-    "benford_audit",
     "bigram_surprisal",
-    "changepoint",
     "chi2_assoc",
-    "cube",
     "fold_leakage",
-    "full_join",
     "gini_concentration",
-    "hash_join",
-    "kendall_pairs",
     "keyness",
-    "label_prop",
-    "left_join",
     "length_buckets",
     "novelty_score",
-    "periodicity",
     "pq_search",
     "prefix_filter_pairs",
     "prefix_filter_verified",
     "quality_audit",
     "quota_sample",
-    "region_share",
-    "revenue_by_nation",
     "robust_scale",
-    "rollup",
     "semantic_dedup",
-    "snapshot_diff",
     "spearman_corr",
-    "symbolize",
     "temperature_mix",
     "term_coverage",
     "token_budget_select",
-    "type_cross_corr",
     "weighted_median",
 ]
 
-# every query that crashed in the round-5 SINGLE-ROW sweep (n=1): the
-# n<k PQ codebook init, eval-split-empties-the-train-side embedding
-# staging, schema-carrying zero-row object-store blocks, and dangling
-# foreign keys against one-row dimension tables
+# every registered query that crashed in the round-5 SINGLE-ROW sweep
+# (n=1): the n<k PQ codebook init, eval-split-empties-the-train-side
+# embedding staging, and schema-carrying zero-row object-store blocks
 CRASHED_R5_ONE_ROW = [
     "embedding_near_dup",
     "knn_graph",
     "mutual_knn",
-    "parts_by_brand",
     "pq_encode",
     "pq_search",
-    "revenue_by_region",
     "semantic_decontaminate",
     "semantic_families",
 ]
