@@ -21,7 +21,8 @@ Scale design notes (same rules as `corpus_ops`):
   unbounded (millions of near-singleton groups drown in per-group Python
   overhead — measured in round 5, CLAUDE.md): rows shuffle by
   ``mix64(key) % n_buckets`` (a BOUNDED group count) and segment inside
-  the bucket with one lexsort, all vectorized.
+  the bucket with one lexsort, all vectorized; candidate-pair emitters
+  use the shared kernel in `exchange`.
 * Broadcast sides (per-group CDFs) go through ``ray.put`` once with an
   explicit size guard, never re-shipped per batch.
 """
@@ -38,6 +39,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..functions import textstats as ts
+from .exchange import _hash_bucket_column, _mix64, run_pairs, segment_runs
 
 Dataset = ray.data.Dataset
 
@@ -75,21 +77,6 @@ def _ensure_cols(df, cols: "dict[str, object]"):
     if df.shape[1] == 0:
         return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
     return df
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over an int64/uint64 array — the
-    deterministic cross-worker bucket hash for integer keys (Python's
-    ``hash()`` is per-process-salted; md5 per row is a Python loop)."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x += np.uint64(0x9E3779B97F4A7C15)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-    return x
 
 
 # ---------- per-group percentile rank (windowed CDF) ----------
@@ -3228,8 +3215,6 @@ def grouped_percentiles_ds(
     group segment in a single vectorized pass. Rank arithmetic is pure
     integer (``(q·n + 99) // 100``), so both engines select the
     identical element."""
-    from .corpus_ops import _hash_bucket_column
-
     out_schema = pa.schema(
         [
             (key_col, pa.string()),
@@ -10769,31 +10754,18 @@ def dup_edit_audit_ds(
         )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
-        h = group.column("h").to_numpy(zero_copy_only=False)
         d = group.column("d").to_numpy(zero_copy_only=False)
-        txt = group.column("txt").to_pylist()
-        order = np.lexsort((d, h))
-        h, d = h[order], d[order]
-        txt = [txt[i] for i in order]
-        starts = np.flatnonzero(np.concatenate(([True], h[1:] != h[:-1])))
-        ends = np.concatenate((starts[1:], [h.size]))
-        da: List[int] = []
-        db: List[int] = []
-        lv: List[int] = []
-        for s, e in zip(starts, ends):
-            m = min(e - s, max_block)
-            for i in range(s, s + m):
-                for j in range(i + 1, s + m):
-                    da.append(int(d[i]))
-                    db.append(int(d[j]))
-                    lv.append(_levenshtein(txt[i], txt[j]))
+        order, starts, lengths = segment_runs(
+            group.column("h").to_numpy(zero_copy_only=False), d
+        )
+        i, j = run_pairs(starts, np.minimum(lengths, max_block))
+        d = d[order]
+        txt = np.asarray(group.column("txt").to_pylist(), dtype=object)[order]
+        lv = [_levenshtein(txt[a], txt[b]) for a, b in zip(i, j)]
         return pa.table(
             {
-                "doc_a": pa.array(da, pa.int64()),
-                "doc_b": pa.array(db, pa.int64()),
+                "doc_a": pa.array(d[i], pa.int64()),
+                "doc_b": pa.array(d[j], pa.int64()),
                 "lev": pa.array(lv, pa.int64()),
             }
         )
@@ -11531,26 +11503,11 @@ def dedup_modality_agreement_ds(
             }
         )
 
-    def _group_pairs(
-        h: np.ndarray, d: np.ndarray, lo_ok: int, which: str
-    ) -> pa.Table:
-        order = np.lexsort((d, h))
-        h, d = h[order], d[order]
-        starts = np.flatnonzero(np.concatenate(([True], h[1:] != h[:-1])))
-        ends = np.concatenate((starts[1:], [h.size]))
-        a_: List[np.ndarray] = []
-        b_: List[np.ndarray] = []
-        for s, e in zip(starts, ends):
-            m = min(int(e - s), max_block)
-            if m < lo_ok:
-                continue
-            dd = d[s : s + m]
-            ii, jj = np.triu_indices(m, k=1)
-            a_.append(dd[ii])
-            b_.append(dd[jj])
-        if not a_:
-            return pa.table({f.name: pa.array([], f.type) for f in pair_schema})
-        return _flag_table(np.concatenate(a_), np.concatenate(b_), which)
+    def _group_pairs(h: np.ndarray, d: np.ndarray, which: str) -> pa.Table:
+        order, starts, lengths = segment_runs(h, d)
+        i, j = run_pairs(starts, np.minimum(lengths, max_block))
+        d = d[order]
+        return _flag_table(d[i], d[j], which)
 
     # (1) exact-dup pairs
     def exact_project(batch: pa.Table) -> pa.Table:
@@ -11590,7 +11547,6 @@ def dedup_modality_agreement_ds(
         return _group_pairs(
             group.column("h").to_numpy(zero_copy_only=False),
             group.column("d").to_numpy(zero_copy_only=False),
-            2,
             "e",
         )
 
@@ -11630,7 +11586,6 @@ def dedup_modality_agreement_ds(
         return _group_pairs(
             group.column("h").to_numpy(zero_copy_only=False),
             group.column("d").to_numpy(zero_copy_only=False),
-            2,
             "c",
         )
 
@@ -11989,33 +11944,15 @@ def rare_token_pairs_ds(
         )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}
-        )
-        if group.num_rows == 0:
-            return empty
-        h = group.column("h").to_numpy(zero_copy_only=False)
         d = group.column("d").to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, h))
-        h, d = h[order], d[order]
-        starts = np.flatnonzero(np.concatenate(([True], h[1:] != h[:-1])))
-        ends = np.concatenate((starts[1:], [h.size]))
-        sizes = ends - starts
-        ok = (sizes >= min_df) & (sizes <= max_df)
-        a_: List[np.ndarray] = []
-        b_: List[np.ndarray] = []
-        for s, e in zip(starts[ok], ends[ok]):
-            m = int(e - s)
-            ii, jj = np.triu_indices(m, k=1)
-            a_.append(d[s:e][ii])
-            b_.append(d[s:e][jj])
-        if not a_:
-            return empty
+        order, starts, lengths = segment_runs(
+            group.column("h").to_numpy(zero_copy_only=False), d
+        )
+        ok = (lengths >= min_df) & (lengths <= max_df)
+        i, j = run_pairs(starts[ok], lengths[ok])
+        d = d[order]
         return pa.table(
-            {
-                "a": pa.array(np.concatenate(a_), pa.int64()),
-                "b": pa.array(np.concatenate(b_), pa.int64()),
-            }
+            {"a": pa.array(d[i], pa.int64()), "b": pa.array(d[j], pa.int64())}
         )
 
     pairs = (

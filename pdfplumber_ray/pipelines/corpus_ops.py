@@ -11,9 +11,11 @@ Scale design notes:
 * Dedup aggregations pre-combine inside the batch (pyarrow ``group_by``)
   before the global ``groupby`` — the shuffle moves one row per distinct
   key per block, not one per document.
-* LSH banding turns near-dup search into a ``groupby`` on band keys whose
-  groups are tiny; candidate pairs are verified with signature agreement
-  (optionally exact shingle Jaccard) inside the group.
+* Candidate-pair search (LSH bands, SimHash chunks, shared grams, prefix
+  tokens) shuffles rows by ``hash(key) % n_buckets``, a bounded group
+  count, then segments each bucket by key and emits id pairs inside each
+  key run, star-capping hot keys: the one exchange in `exchange.py`.
+  Candidates are then verified (signature agreement, exact Jaccard).
 * ANN broadcasts the small side (query matrix / centroid index) via
   ``ray.put`` once; each task reads it from the object store — never a
   shuffle join, never re-shipped per batch.
@@ -32,29 +34,21 @@ import ray.data
 from ray.data.aggregate import Max, Min, Sum
 
 from ..functions import textstats as ts
+from .exchange import (
+    DEFAULT_MAX_BUCKET,
+    N_EXCHANGE_BUCKETS,
+    _hash_bucket_column,
+    _log_star_fallback,
+    _mix64,
+    capped_pairs,
+    run_pairs,
+    segment_runs,
+    star_pairs,
+)
 
 Dataset = ray.data.Dataset
 
 _LOG = logging.getLogger(__name__)
-
-# LSH bucket-size guard: a hot bucket (mass-duplicated boilerplate) makes
-# quadratic pair emission blow up; past this size a bucket degrades to STAR
-# pairs around its minimum id — linear in bucket size, preserving the
-# connected component (what dedup-cluster resolution consumes) while
-# sacrificing direct pair edges between non-representative members. Never
-# a silent cap: each degraded bucket logs its size and the pair reduction.
-DEFAULT_MAX_BUCKET = 256
-
-
-def _log_star_fallback(kind: str, n: int, max_bucket: int) -> None:
-    _LOG.warning(
-        "%s bucket with %d ids exceeds max_bucket=%d: emitting %d star "
-        "pairs around the minimum id instead of %d quadratic pairs "
-        "(component connectivity preserved; run exact-dedup upstream to "
-        "collapse identical documents)",
-        kind, n, max_bucket, n - 1, n * (n - 1) // 2,
-    )
-
 
 # ---------- text analysis ----------
 
@@ -625,7 +619,8 @@ def exact_dedup_ds(docs: Dataset, text_col: str = "text", id_col: str = "doc_id"
 
 
 class _MinHashBandStage:
-    """Per-worker MinHasher: emits one ``(band_key, doc_id)`` row per band.
+    """Per-worker MinHasher: emits one ``(band_key, doc_id, bkt)`` row per
+    band, ``bkt`` being the band key's exchange bucket.
 
     The full signature is deliberately NOT carried into the band rows — that
     would multiply shuffle bytes by the band count (16 bands x 512-byte
@@ -652,10 +647,12 @@ class _MinHashBandStage:
             for key in self.mh.band_keys(sig, self.bands):
                 out_band.append(key)
                 out_id.append(i)
+        band = pa.array(out_band, pa.string())
         return pa.table(
             {
-                "band_key": pa.array(out_band, pa.string()),
+                "band_key": band,
                 "doc_id": pa.array(out_id),
+                "bkt": _hash_bucket_column(band, N_EXCHANGE_BUCKETS),
             }
         )
 
@@ -716,9 +713,11 @@ def minhash_pairs_ds(
     Jaccard (signature agreement) >= threshold. Scale shape:
 
     1. Banding pass — streaming ``map_batches``; the only shuffle moves
-       ``(band_key: 16-char md5, doc_id)`` rows (no signatures).
-    2. Bucket groupby emits candidate id pairs; a pair sharing several
-       bands is deduped by a groupby over the (tiny) pair set.
+       ``(band_key: 16-char md5, doc_id)`` rows (no signatures) into
+       ``N_EXCHANGE_BUCKETS`` hash buckets of band keys.
+    2. Each bucket segments by band key and emits candidate id pairs
+       (star-capped above ``max_bucket`` ids per band key); a pair sharing
+       several bands is deduped by a groupby over the (tiny) pair set.
     3. Verification pass — signatures are recomputed ONLY for candidate
        docs (semi-join against the broadcast candidate id set), collected
        (bounded by the candidate count), and the pair estimate is a
@@ -739,23 +738,21 @@ def minhash_pairs_ds(
     )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        ids = sorted(set(group.column("doc_id").to_pylist()))
-        n = len(ids)
-        if max_bucket is not None and n > max_bucket:  # hot bucket: star pairs
-            _log_star_fallback("minhash band", n, max_bucket)
-            return pa.table(
-                {"doc_a": pa.array([ids[0]] * (n - 1)), "doc_b": pa.array(ids[1:])}
-            )
-        a_out: List = []
-        b_out: List = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                a_out.append(ids[i])
-                b_out.append(ids[j])
-        return pa.table({"doc_a": pa.array(a_out), "doc_b": pa.array(b_out)})
+        # distinct ids per band key, then pairs inside each band-key run
+        t = group.group_by(["band_key", "doc_id"]).aggregate([])
+        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
+        order, starts, lengths = segment_runs(
+            t.column("band_key").to_numpy(zero_copy_only=False), ids
+        )
+        i, j = capped_pairs(starts, lengths, max_bucket, "minhash band")
+        ids = ids[order]
+        id_type = t.column("doc_id").type
+        return pa.table(
+            {"doc_a": pa.array(ids[i], id_type), "doc_b": pa.array(ids[j], id_type)}
+        )
 
     cand = (
-        banded.groupby("band_key")
+        banded.groupby("bkt")
         .map_groups(bucket_pairs, batch_format="pyarrow")
         .groupby(["doc_a", "doc_b"])
         .count()
@@ -803,6 +800,36 @@ def minhash_pairs_ds(
     return cand.map_batches(estimate, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _simhash_chunk_rows(batch: pa.Table, text_col: str, id_col: str) -> pa.Table:
+    """One ``(bucket, doc_id, sig, bkt)`` row per 16-bit chunk of each
+    doc's 64-bit SimHash: ``bucket`` is the chunk key ``(c << 16) |
+    chunk``, ``bkt`` its exchange bucket."""
+    ids = batch.column(id_col).to_pylist()
+    texts = batch.column(text_col).to_pylist()
+    sh = ts.simhash64(texts)
+    out_key: List[int] = []
+    out_id: List = []
+    out_sig: List[int] = []
+    for idx, i in enumerate(ids):
+        if not texts[idx]:
+            continue  # token-less docs can't be near-dups (SQL twin filters text <> '')
+        v = int(sh[idx])
+        for c in range(4):
+            chunk = (v >> (16 * c)) & 0xFFFF
+            out_key.append((c << 16) | chunk)
+            out_id.append(i)
+            out_sig.append(v)
+    key = pa.array(out_key, pa.int64())
+    return pa.table(
+        {
+            "bucket": key,
+            "doc_id": pa.array(out_id),
+            "sig": pa.array(np.array(out_sig, dtype=np.uint64)),
+            "bkt": _hash_bucket_column(key, N_EXCHANGE_BUCKETS),
+        }
+    )
+
+
 def simhash_pairs_ds(
     docs: Dataset,
     text_col: str = "text",
@@ -812,76 +839,38 @@ def simhash_pairs_ds(
 ) -> Dataset:
     """SimHash near-dup pairs: 64-bit fingerprints, bucketing by each of 4
     16-bit chunks (pigeonhole: any pair within Hamming distance 3 shares at
-    least one chunk), verify exact Hamming distance within buckets."""
-
-    def sign(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_pylist()
-        texts = batch.column(text_col).to_pylist()
-        sh = ts.simhash64(texts)
-        out_key: List[int] = []
-        out_id: List = []
-        out_sig: List[int] = []
-        for idx, i in enumerate(ids):
-            if not texts[idx]:
-                continue  # token-less docs can't be near-dups (SQL twin filters text <> '')
-            v = int(sh[idx])
-            for c in range(4):
-                chunk = (v >> (16 * c)) & 0xFFFF
-                out_key.append((c << 16) | chunk)
-                out_id.append(i)
-                out_sig.append(v)
-        return pa.table(
-            {
-                "bucket": pa.array(out_key, pa.int64()),
-                "doc_id": pa.array(out_id),
-                "sig": pa.array(np.array(out_sig, dtype=np.uint64)),
-            }
-        )
-
-    banded = docs.map_batches(sign, batch_format="pyarrow", zero_copy_batch=True)
+    least one chunk), verify exact Hamming distance within chunk runs.
+    Chunk rows shuffle into ``N_EXCHANGE_BUCKETS`` hash buckets and segment
+    by chunk key there; chunks above ``max_bucket`` rows star-cap."""
+    banded = docs.map_batches(
+        _simhash_chunk_rows,
+        fn_kwargs=dict(text_col=text_col, id_col=id_col),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        ids = group.column("doc_id").to_pylist()
-        sigs = np.asarray(group.column("sig").to_numpy(zero_copy_only=False), dtype=np.uint64)
-        a_out: List = []
-        b_out: List = []
-        d_out: List[int] = []
-        n = len(ids)
-        if max_bucket is not None and n > max_bucket:  # hot bucket: star pairs
-            _log_star_fallback("simhash chunk", n, max_bucket)
-            i0 = int(np.argmin(np.asarray(ids)))
-            d = ts.hamming64(np.full(n, sigs[i0], dtype=np.uint64), sigs)
-            for j, dist in enumerate(d):
-                if j != i0 and ids[j] != ids[i0] and dist <= max_hamming:
-                    a, b = sorted((ids[i0], ids[j]))
-                    a_out.append(a)
-                    b_out.append(b)
-                    d_out.append(int(dist))
-            return pa.table(
-                {
-                    "doc_a": pa.array(a_out),
-                    "doc_b": pa.array(b_out),
-                    "hamming": pa.array(d_out, pa.int64()),
-                }
-            )
-        for i in range(n):
-            d = ts.hamming64(np.full(n - i - 1, sigs[i], dtype=np.uint64), sigs[i + 1 :])
-            for off, dist in enumerate(d):
-                j = i + 1 + off
-                if ids[i] != ids[j] and dist <= max_hamming:
-                    a, b = sorted((ids[i], ids[j]))
-                    a_out.append(a)
-                    b_out.append(b)
-                    d_out.append(int(dist))
+        ids = group.column("doc_id").to_numpy(zero_copy_only=False)
+        order, starts, lengths = segment_runs(
+            group.column("bucket").to_numpy(zero_copy_only=False), ids
+        )
+        i, j = capped_pairs(starts, lengths, max_bucket, "simhash chunk")
+        ids = ids[order]
+        sigs = np.asarray(
+            group.column("sig").to_numpy(zero_copy_only=False), dtype=np.uint64
+        )[order]
+        d = ts.hamming64(sigs[i], sigs[j]).astype(np.int64)
+        keep = (ids[i] != ids[j]) & (d <= max_hamming)
+        id_type = group.column("doc_id").type
         return pa.table(
             {
-                "doc_a": pa.array(a_out),
-                "doc_b": pa.array(b_out),
-                "hamming": pa.array(d_out, pa.int64()),
+                "doc_a": pa.array(ids[i][keep], id_type),
+                "doc_b": pa.array(ids[j][keep], id_type),
+                "hamming": pa.array(d[keep], pa.int64()),
             }
         )
 
-    pairs = banded.groupby("bucket").map_groups(bucket_pairs, batch_format="pyarrow")
+    pairs = banded.groupby("bkt").map_groups(bucket_pairs, batch_format="pyarrow")
     dedup = pairs.groupby(["doc_a", "doc_b"]).aggregate(Min("hamming"))
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -1198,38 +1187,15 @@ def substring_dedup_ds(
     )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        id_type = group.column(id_col).type
-        empty = pa.table(
-            {"doc_a": pa.array([], id_type), "doc_b": pa.array([], id_type)}
+        ids = group.column(id_col).to_numpy(zero_copy_only=False)
+        order, starts, lengths = segment_runs(
+            group.column("gram").to_numpy(zero_copy_only=False), ids
         )
-        g = group.column("gram").to_numpy(zero_copy_only=False)
-        if len(g) < 2:
-            return empty
-        ids_np = group.column(id_col).to_numpy(zero_copy_only=False)
-        codes = np.unique(g, return_inverse=True)[1]
-        order = np.lexsort((ids_np, codes))
-        codes_s, ids_s = codes[order], ids_np[order]
-        first = np.concatenate(([True], codes_s[1:] != codes_s[:-1]))
-        seg_start = np.flatnonzero(first)
-        seg_len = np.diff(np.concatenate((seg_start, [len(codes_s)])))
-        shared = seg_len >= 2  # singleton grams (the vast majority) drop here
-        if not shared.any():
-            return empty
-        a_out: List = []
-        b_out: List = []
-        for s, n in zip(seg_start[shared], seg_len[shared]):
-            ids_g = ids_s[s : s + n]
-            if max_bucket is not None and n > max_bucket:  # hot gram: star
-                _log_star_fallback("substring gram", int(n), max_bucket)
-                a_out.extend([ids_g[0]] * (int(n) - 1))
-                b_out.extend(ids_g[1:].tolist())
-                continue
-            for i in range(int(n)):
-                for j in range(i + 1, int(n)):
-                    a_out.append(ids_g[i])
-                    b_out.append(ids_g[j])
+        i, j = capped_pairs(starts, lengths, max_bucket, "substring gram")
+        ids = ids[order]
+        id_type = group.column(id_col).type
         return pa.table(
-            {"doc_a": pa.array(a_out, id_type), "doc_b": pa.array(b_out, id_type)}
+            {"doc_a": pa.array(ids[i], id_type), "doc_b": pa.array(ids[j], id_type)}
         )
 
     counted = (
@@ -1704,55 +1670,26 @@ def substring_runs_ds(
     )
 
     def bucket_matches(group: pa.Table) -> pa.Table:
-        id_type = group.column(id_col).type
-        empty = pa.table(
-            {
-                "doc_a": pa.array([], id_type),
-                "doc_b": pa.array([], id_type),
-                "pa_pos": pa.array([], pa.int64()),
-                "delta": pa.array([], pa.int64()),
-            }
+        ids = group.column(id_col).to_numpy(zero_copy_only=False)
+        pos = group.column("pos").to_numpy(zero_copy_only=False)
+        order, starts, lengths = segment_runs(
+            group.column("gram").to_numpy(zero_copy_only=False), ids, pos
         )
-        g = group.column("gram").to_numpy(zero_copy_only=False)
-        if len(g) < 2:
-            return empty
-        ids_np = group.column(id_col).to_numpy(zero_copy_only=False)
-        pos_np = group.column("pos").to_numpy(zero_copy_only=False)
-        codes = np.unique(g, return_inverse=True)[1]
-        order = np.lexsort((pos_np, ids_np, codes))
-        codes_s = codes[order]
-        ids_s, pos_s = ids_np[order], pos_np[order]
-        first = np.concatenate(([True], codes_s[1:] != codes_s[:-1]))
-        seg_start = np.flatnonzero(first)
-        seg_len = np.diff(np.concatenate((seg_start, [len(codes_s)])))
-        a_out: List = []
-        b_out: List = []
-        pa_out: List[int] = []
-        d_out: List[int] = []
-        for s, n in zip(seg_start, seg_len):
-            if n < 2:
-                continue
-            ids_g = ids_s[s : s + n]
-            if ids_g[0] == ids_g[-1]:  # single doc repeats the gram
-                continue
-            if max_bucket is not None and n > max_bucket:
+        if max_bucket is not None:  # hot gram: keep its first max_bucket rows
+            for n in lengths[lengths > max_bucket]:
                 _log_star_fallback("substring-run gram", int(n), max_bucket)
-                ids_g = ids_g[:max_bucket]
-            pos_g = pos_s[s : s + len(ids_g)]
-            for i in range(len(ids_g)):
-                for j in range(i + 1, len(ids_g)):
-                    if ids_g[i] == ids_g[j]:
-                        continue
-                    a_out.append(ids_g[i])
-                    b_out.append(ids_g[j])
-                    pa_out.append(int(pos_g[i]))
-                    d_out.append(int(pos_g[i]) - int(pos_g[j]))
+            lengths = np.minimum(lengths, max_bucket)
+        i, j = run_pairs(starts, lengths)
+        ids, pos = ids[order], pos[order]
+        keep = ids[i] != ids[j]  # a doc repeating a gram pairs with no one
+        i, j = i[keep], j[keep]
+        id_type = group.column(id_col).type
         return pa.table(
             {
-                "doc_a": pa.array(a_out, id_type),
-                "doc_b": pa.array(b_out, id_type),
-                "pa_pos": pa.array(pa_out, pa.int64()),
-                "delta": pa.array(d_out, pa.int64()),
+                "doc_a": pa.array(ids[i], id_type),
+                "doc_b": pa.array(ids[j], id_type),
+                "pa_pos": pa.array(pos[i], pa.int64()),
+                "delta": pa.array(pos[i] - pos[j], pa.int64()),
             }
         )
 
@@ -2233,42 +2170,6 @@ def pack_sequences_ds(
         return group.append_column("bin_id", pa.array(out_bin))
 
     return tok.groupby("bucket").map_groups(pack, batch_format="pyarrow")
-
-
-def _hash_bucket_column(key_col: pa.ChunkedArray, n_buckets: int) -> pa.Array:
-    """Deterministic cross-worker bucket assignment for a key column:
-    vectorized splitmix64 for integer ids (the scale path); for
-    non-integer ids, md5 per DISTINCT value via dictionary encoding —
-    one hash per unique key per batch, gathered back vectorized (a
-    batch's distinct-key count is what bounds the Python work, never
-    its row count)."""
-    if pa.types.is_integer(key_col.type):
-        from .analytics import _mix64
-
-        k = key_col.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.array(
-            (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-        )
-    import hashlib
-
-    if isinstance(key_col, pa.ChunkedArray):
-        arr = key_col.combine_chunks()
-    else:
-        arr = key_col
-    enc = pc.dictionary_encode(arr)
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    dict_buckets = np.fromiter(
-        (
-            int.from_bytes(hashlib.md5(str(v).encode()).digest()[:8], "big")
-            % n_buckets
-            for v in enc.dictionary.to_pylist()
-        ),
-        dtype=np.int64,
-        count=len(enc.dictionary),
-    )
-    idx = enc.indices.to_numpy(zero_copy_only=False)
-    return pa.array(dict_buckets[idx], pa.int64())
 
 
 def _segment_min_lab(
@@ -3611,44 +3512,26 @@ def jaccard_join_ds(
     )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        id_type = group.column(id_col).type
-        empty = pa.table(
-            {"doc_a": pa.array([], id_type), "doc_b": pa.array([], id_type)}
+        ids = group.column(id_col).to_numpy(zero_copy_only=False)
+        order, starts, lengths = segment_runs(
+            group.column("token").to_numpy(zero_copy_only=False), ids
         )
-        tok = group.column("token").to_numpy(zero_copy_only=False)
-        if len(tok) < 2:
-            return empty
-        ids_np = group.column(id_col).to_numpy(zero_copy_only=False)
-        sz_np = group.column("sz").to_numpy(zero_copy_only=False)
-        codes = np.unique(tok, return_inverse=True)[1]
-        order = np.lexsort((ids_np, codes))
-        codes_s, ids_s, sz_s = codes[order], ids_np[order], sz_np[order]
-        first = np.concatenate(([True], codes_s[1:] != codes_s[:-1]))
-        seg_start = np.flatnonzero(first)
-        seg_len = np.diff(np.concatenate((seg_start, [len(codes_s)])))
-        shared = seg_len >= 2  # singleton prefix tokens drop vectorized
-        if not shared.any():
-            return empty
-        a_out: List = []
-        b_out: List = []
-        for s, m in zip(seg_start[shared], seg_len[shared]):
-            ids_g = ids_s[s : s + m]
-            sz_g = sz_s[s : s + m]
-            if max_bucket is not None and m > max_bucket:  # hot prefix: star
-                _log_star_fallback("jaccard prefix token", int(m), max_bucket)
-                a_out.extend([ids_g[0]] * (int(m) - 1))
-                b_out.extend(ids_g[1:].tolist())
-                continue
-            for i in range(int(m)):
-                for j in range(i + 1, int(m)):
-                    lo, hi = sz_g[i], sz_g[j]
-                    if lo > hi:
-                        lo, hi = hi, lo
-                    if lo * den >= num * hi:  # size filter: necessary for J>=t
-                        a_out.append(ids_g[i])
-                        b_out.append(ids_g[j])
+        # hot prefix tokens star-cap; the size filter applies to the rest
+        hot = np.zeros(len(lengths), bool) if max_bucket is None else lengths > max_bucket
+        i, j = run_pairs(starts[~hot], lengths[~hot])
+        sz = group.column("sz").to_numpy(zero_copy_only=False)[order]
+        lo, hi = np.minimum(sz[i], sz[j]), np.maximum(sz[i], sz[j])
+        keep = lo * den >= num * hi  # size filter: necessary for J>=t
+        si, sj = star_pairs(
+            starts[hot], lengths[hot], "jaccard prefix token", max_bucket
+        )
+        ids = ids[order]
+        id_type = group.column(id_col).type
         return pa.table(
-            {"doc_a": pa.array(a_out, id_type), "doc_b": pa.array(b_out, id_type)}
+            {
+                "doc_a": pa.array(np.concatenate((ids[i[keep]], ids[si])), id_type),
+                "doc_b": pa.array(np.concatenate((ids[j[keep]], ids[sj])), id_type),
+            }
         )
 
     cand_pairs = distinct_ds(
@@ -4416,11 +4299,11 @@ def source_overlap_ds(
     Scale shape: per-block combiner emits DISTINCT ``(gram_hash,
     source)`` rows only; ONE shuffle by ``h % n_buckets`` (the hash is
     already uniform) co-locates each gram's source set; in-bucket global
-    dedup + per-gram pair expansion uses size-grouped ``triu_indices``
-    templates (a loop over DISTINCT source-set sizes <= n_sources, never
-    over grams); only tiny ``(src_a, src_b, count)`` partials plus
-    per-source totals leave the bucket, and the final groupby is over
-    the sources² domain (guarded by ``max_sources``)."""
+    dedup, then every gram's source run expands to its pairs through the
+    vectorized `exchange` kernel (no loop over grams); only tiny
+    ``(src_a, src_b, count)`` partials plus per-source totals leave the
+    bucket, and the final groupby is over the sources² domain (guarded by
+    ``max_sources``)."""
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -4463,34 +4346,22 @@ def source_overlap_ds(
     )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        h = group.column("h").to_numpy(zero_copy_only=False)
-        s = np.asarray(group.column("src").to_pylist(), dtype=object).astype(str)
+        # global distinct (gram, source) inside the bucket
+        t = group.select(["h", "src"]).group_by(["h", "src"]).aggregate([])
+        s = np.asarray(t.column("src").to_pylist(), dtype=object).astype(str)
         svals, sc = np.unique(s, return_inverse=True)
-        order = np.lexsort((sc, h))
-        h, sc = h[order], sc[order]
-        keep = np.concatenate(([True], (h[1:] != h[:-1]) | (sc[1:] != sc[:-1])))
-        h, sc = h[keep], sc[keep]
         # per-source distinct-gram totals in this bucket ("" sentinel rows)
         tot = np.bincount(sc, minlength=len(svals)).astype(np.int64)
         out_a = [svals, ]
         out_b = [np.full(len(svals), "", dtype=object)]
         out_n = [tot]
-        # per-gram source-set pair expansion, grouped by segment size
-        seg = np.concatenate(([True], h[1:] != h[:-1]))
-        seg_id = np.cumsum(seg) - 1
-        sizes = np.bincount(seg_id)
-        starts = np.flatnonzero(seg)
-        pair_a, pair_b = [], []
-        for sz in np.unique(sizes):
-            if sz < 2:
-                continue
-            idx = starts[sizes == sz]
-            iu, ju = np.triu_indices(int(sz), k=1)
-            pair_a.append(sc[(idx[:, None] + iu[None, :]).ravel()])
-            pair_b.append(sc[(idx[:, None] + ju[None, :]).ravel()])
-        if pair_a:
-            a = np.concatenate(pair_a)
-            b = np.concatenate(pair_b)
+        # per-gram source-set pair expansion
+        order, starts, lengths = segment_runs(
+            t.column("h").to_numpy(zero_copy_only=False), sc
+        )
+        i, j = run_pairs(starts, lengths)
+        if len(i):
+            a, b = sc[order[i]], sc[order[j]]
             comp = a.astype(np.int64) * len(svals) + b
             uc, cnt = np.unique(comp, return_counts=True)
             out_a.append(svals[uc // len(svals)])
@@ -5330,8 +5201,6 @@ def dedup_keep_best_ds(
     lexsort per bucket) and the per-cluster argmax + keep flag are pure
     vector ops. Cluster skew is naturally bounded by near-dup cluster
     size; both stages move one row per doc, never per pair."""
-    from .analytics import _mix64
-
     labels = dedup_resolution_ds(
         pairs, docs.select_columns([id_col]), a_col=a_col, b_col=b_col,
         id_col=id_col,
@@ -5593,8 +5462,6 @@ def token_budget_select_ds(
     cumsum attaches ``cum_words = offset[score] + intra-class prefix`` —
     the budget filter is then a vectorized compare. Only the selected
     prefix (plus the boundary class's tail) ever crosses the exchange."""
-    from .analytics import _mix64
-
     def project(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col)
         nw = pc.add(pc.count_substring(texts, " "), 1).cast(pa.int64())
@@ -6658,7 +6525,7 @@ def snm_pairs_ds(
     bucket count, and pairs emit via per-offset searchsorted probes —
     each qualifying pair exactly once (claimed by the lower element's
     home chunk)."""
-    from .analytics import _anchor_schema, _mix64, row_number_ds
+    from .analytics import _anchor_schema, row_number_ds
 
     pow8 = (np.uint64(256) ** np.arange(7, -1, -1, dtype=np.uint64)).astype(
         np.uint64
@@ -7062,14 +6929,8 @@ def prefix_filter_pairs_ds(
     vocab_ref = ray.put((vocab, dfs))
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        d = batch.column("doc").to_numpy(zero_copy_only=False)
-        from .analytics import _mix64
-
         return batch.append_column(
-            "bkt",
-            pa.array(
-                (_mix64(d) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-            ),
+            "bkt", _hash_bucket_column(batch.column("doc"), n_buckets)
         )
 
     prefix_schema = pa.schema(
@@ -7118,32 +6979,18 @@ def prefix_filter_pairs_ds(
     )
 
     def token_pairs(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in pair_schema})
         tk = np.asarray(group.column("token").to_pylist(), dtype=object).astype(str)
         d = group.column("doc").to_numpy(zero_copy_only=False)
-        order2 = np.lexsort((d, tk))
-        tks, ds_ = tk[order2], d[order2]
-        seg = np.concatenate(([True], tks[1:] != tks[:-1]))
-        seg_id = np.cumsum(seg) - 1
-        sizes = np.bincount(seg_id)
-        starts = np.flatnonzero(seg)
-        pair_a, pair_b = [], []
-        for sz in np.unique(sizes):
-            if sz < 2 or (max_token_df is not None and sz > max_token_df):
-                continue
-            idx = starts[sizes == sz]
-            iu, ju = np.triu_indices(int(sz), k=1)
-            pair_a.append(ds_[(idx[:, None] + iu[None, :]).ravel()])
-            pair_b.append(ds_[(idx[:, None] + ju[None, :]).ravel()])
-        if not pair_a:
-            return pa.table({f.name: pa.array([], f.type) for f in pair_schema})
-        a = np.concatenate(pair_a)
-        b = np.concatenate(pair_b)
+        order, starts, lengths = segment_runs(tk, d)
+        if max_token_df is not None:  # hot prefix tokens drop
+            ok = lengths <= max_token_df
+            starts, lengths = starts[ok], lengths[ok]
+        i, j = run_pairs(starts, lengths)
+        d = d[order]
         return pa.table(
             {
-                "doc_a": pa.array(np.minimum(a, b), pa.int64()),
-                "doc_b": pa.array(np.maximum(a, b), pa.int64()),
+                "doc_a": pa.array(d[i], pa.int64()),
+                "doc_b": pa.array(d[j], pa.int64()),
             }
         )
 
@@ -7373,8 +7220,6 @@ def mutual_knn_ds(
     Exactness inherits from ``knn_graph_ds`` (quantized integer dot
     products, bit-identical doubles, id tie-breaks). Requires ids below
     2^31 for the composite key."""
-    from .analytics import _mix64
-
     knn = knn_graph_ds(embeddings, k=k, id_col=id_col, vec_col=vec_col)
 
     def tag(batch: pa.Table) -> pa.Table:

@@ -1,0 +1,168 @@
+"""Bounded hash-bucket pair exchange: the one place that decides how rows
+reach a bucket and how candidate pairs leave one.
+
+Every near-dup and similarity-join operator in `corpus_ops` and
+`analytics` has the same shape (the hash-partitioned co-group of
+*Streaming HyperCube*, EDBT 2019):
+
+1. Rows shuffle by ``hash(key) % n_buckets`` (:func:`_hash_bucket_column`,
+   :func:`_mix64`): a BOUNDED group count, never ``groupby(key)`` over
+   millions of near-singleton keys, whose per-group Python overhead
+   dominates the whole operator.
+2. Inside a bucket, :func:`segment_runs` sorts rows by key, then id, and
+   returns each key run's start and length.
+3. :func:`run_pairs` expands every ``i < j`` pair inside the runs the
+   caller passes, vectorized; :func:`star_pairs` links a hot run's first
+   row (its minimum id) to every other row, and :func:`capped_pairs`
+   combines the two around a ``max_bucket`` cap.
+
+Callers choose the run lengths they pass (star-capped, truncated to the
+first ``cap`` rows, or dropped outside bounds), so each operator keeps
+its own cap policy. Operator semantics (Hamming checks, size filters,
+same-doc skips) are filters on the returned index pairs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import logging
+from typing import Optional, Tuple
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+_LOG = logging.getLogger(__name__)
+
+# LSH bucket-size guard: a hot bucket (mass-duplicated boilerplate) makes
+# quadratic pair emission blow up; past this size a bucket degrades to STAR
+# pairs around its minimum id — linear in bucket size, preserving the
+# connected component (what dedup-cluster resolution consumes) while
+# sacrificing direct pair edges between non-representative members. Never
+# a silent cap: each degraded bucket logs its size and the pair reduction.
+DEFAULT_MAX_BUCKET = 256
+
+# Group count of the MinHash band and SimHash chunk exchanges.
+N_EXCHANGE_BUCKETS = 1024
+
+Pairs = Tuple[np.ndarray, np.ndarray]
+
+
+def _log_star_fallback(kind: str, n: int, max_bucket: int) -> None:
+    _LOG.warning(
+        "%s bucket with %d ids exceeds max_bucket=%d: emitting %d star "
+        "pairs around the minimum id instead of %d quadratic pairs "
+        "(component connectivity preserved; run exact-dedup upstream to "
+        "collapse identical documents)",
+        kind, n, max_bucket, n - 1, n * (n - 1) // 2,
+    )
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer over an int64/uint64 array — the
+    deterministic cross-worker bucket hash for integer keys (Python's
+    ``hash()`` is per-process-salted; md5 per row is a Python loop)."""
+    x = x.astype(np.uint64, copy=True)
+    with np.errstate(over="ignore"):
+        x += np.uint64(0x9E3779B97F4A7C15)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+    return x
+
+
+def _hash_bucket_column(key_col: pa.ChunkedArray, n_buckets: int) -> pa.Array:
+    """Deterministic cross-worker bucket assignment for a key column:
+    vectorized splitmix64 for integer ids (the scale path); for
+    non-integer ids, md5 per DISTINCT value via dictionary encoding —
+    one hash per unique key per batch, gathered back vectorized (a
+    batch's distinct-key count is what bounds the Python work, never
+    its row count)."""
+    if pa.types.is_integer(key_col.type):
+        k = key_col.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        return pa.array(
+            (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
+        )
+    if isinstance(key_col, pa.ChunkedArray):
+        arr = key_col.combine_chunks()
+    else:
+        arr = key_col
+    enc = pc.dictionary_encode(arr)
+    if isinstance(enc, pa.ChunkedArray):
+        enc = enc.combine_chunks()
+    dict_buckets = np.fromiter(
+        (
+            int.from_bytes(hashlib.md5(str(v).encode()).digest()[:8], "big")
+            % n_buckets
+            for v in enc.dictionary.to_pylist()
+        ),
+        dtype=np.int64,
+        count=len(enc.dictionary),
+    )
+    idx = enc.indices.to_numpy(zero_copy_only=False)
+    return pa.array(dict_buckets[idx], pa.int64())
+
+
+def segment_runs(
+    keys: np.ndarray, ids: np.ndarray, *ties: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort one bucket's rows by ``keys``, then ``ids``, then each of
+    ``ties`` in turn; return ``(order, starts, lengths)``: the sort
+    permutation and, over the sorted rows, each key run's first position
+    and row count."""
+    order = np.lexsort(tuple(reversed(ties)) + (ids, keys))
+    k = keys[order]
+    if not len(k):
+        empty = np.zeros(0, np.int64)
+        return order, empty, empty
+    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    lengths = np.diff(np.append(starts, len(k)))
+    return order, starts, lengths
+
+
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """``0 .. c-1`` for each count ``c``, concatenated."""
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+
+
+def run_pairs(starts: np.ndarray, lengths: np.ndarray) -> Pairs:
+    """Every ``(i, j)`` with ``i < j`` inside each run ``[start, start +
+    length)``, as positions in the sorted order; runs shorter than two
+    rows emit nothing. Row ``k`` of a run fans out to the ``length - 1 -
+    k`` rows after it, so the expansion is ``np.repeat`` over rows with
+    no per-run Python."""
+    off = _ramp(lengths)
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    fan = lengths[run] - 1 - off
+    i = np.repeat(starts[run] + off, fan)
+    return i, i + 1 + _ramp(fan)
+
+
+def star_pairs(
+    starts: np.ndarray, lengths: np.ndarray, kind: str, max_bucket: int
+) -> Pairs:
+    """Hot runs as stars: each run's first row (its minimum id after
+    :func:`segment_runs`) paired with every other row of the run. Logs
+    every run through :func:`_log_star_fallback`."""
+    for n in lengths:
+        _log_star_fallback(kind, int(n), max_bucket)
+    fan = lengths - 1
+    i = np.repeat(starts, fan)
+    return i, i + 1 + _ramp(fan)
+
+
+def capped_pairs(
+    starts: np.ndarray, lengths: np.ndarray, max_bucket: Optional[int], kind: str
+) -> Pairs:
+    """:func:`run_pairs` for runs of at most ``max_bucket`` rows and
+    :func:`star_pairs` for longer ones (``None``: no cap)."""
+    if max_bucket is None:
+        return run_pairs(starts, lengths)
+    hot = lengths > max_bucket
+    i, j = run_pairs(starts[~hot], lengths[~hot])
+    si, sj = star_pairs(starts[hot], lengths[hot], kind, max_bucket)
+    return np.concatenate((i, si)), np.concatenate((j, sj))

@@ -795,6 +795,42 @@ def test_substring_runs_measures_longest_run(ray_session):
     assert (out.doc_a[0], out.doc_b[0], out.max_run_tokens[0]) == (0, 1, 20)
 
 
+def test_substring_runs_hot_gram_keeps_first_rows(ray_session):
+    """A gram with more than ``max_bucket`` rows keeps only its first
+    ``max_bucket`` rows in (doc, pos) order. ``h1 h2 h3`` has six rows,
+    (0,2) (0,6) (1,2) (2,1) (3,2) (4,6); with max_bucket=3 the kept rows
+    (0,2) (0,6) (1,2) pair doc 0 with doc 1 only, a one-gram run of
+    k = 3 tokens. Docs 3/4 share ``r1 .. r5`` (three grams of two rows
+    each, under the cap): a 5-token run."""
+    t = pa.table(
+        {
+            "doc_id": pa.array([0, 1, 2, 3, 4], pa.int64()),
+            "text": pa.array(
+                [
+                    "a0 h1 h2 h3 b0 h1 h2 h3",
+                    "c1 h1 h2 h3 d1",
+                    "h1 h2 h3 e2",
+                    "f3 h1 h2 h3 r1 r2 r3 r4 r5",
+                    "r1 r2 r3 r4 r5 h1 h2 h3 g4",
+                ]
+            ),
+        }
+    )
+    capped = co.substring_runs_ds(
+        ray.data.from_arrow(t), k=3, min_run_tokens=3, max_bucket=3
+    ).to_pandas()
+    assert set(zip(capped.doc_a, capped.doc_b, capped.max_run_tokens)) == {
+        (0, 1, 3),
+        (3, 4, 5),
+    }
+    # uncapped, the hot gram links every doc pair
+    full = co.substring_runs_ds(
+        ray.data.from_arrow(t), k=3, min_run_tokens=3, max_bucket=None
+    ).to_pandas()
+    assert len(full) == 10
+    assert set(zip(full.doc_a, full.doc_b, full.max_run_tokens)) >= {(3, 4, 5)}
+
+
 def test_ngram_verify_empty_candidates(ray_session):
     """Zero candidate pairs must yield an empty result, not an ArrowTypeError
     from pc.is_in over a null-typed empty value set."""
