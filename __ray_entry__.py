@@ -1084,22 +1084,6 @@ def q_dedup_resolution(sf_dir: str) -> ray.data.Dataset:
     return co.dedup_resolution_ds(pairs, docs.select_columns(["doc_id"]))
 
 
-def q_dedup_resolution_cogroup(sf_dir: str) -> ray.data.Dataset:
-    """Same contract as dedup_resolution but FORCED down the 100 TB path:
-    distributed min-label propagation + hash-by-id co-group label attach
-    (max_driver_labels=0 — the driver never holds a label dict). Shares
-    the recursive-CTE oracle; identical output proves both paths."""
-    docs = _documents(sf_dir)
-    cands = co.minhash_pairs_ds(
-        docs, num_perm=64, bands=64, threshold=0.0, max_bucket=None
-    )
-    pairs = co.ngram_jaccard_verify_ds(cands, docs, threshold=0.5)
-    return co.dedup_resolution_ds(
-        pairs, docs.select_columns(["doc_id"]),
-        distributed=True, max_driver_labels=0,
-    )
-
-
 def q_curation_funnel(sf_dir: str) -> ray.data.Dataset:
     """Composed curation pipeline: quality scoring -> threshold filter
     (30 <= words <= 90 and at least one English stopword) -> broadcast
@@ -3086,7 +3070,6 @@ QUERIES: Dict[str, Callable[[str], Any]] = {
     "substring_strip": q_substring_strip,
     "dataset_split": q_dataset_split,
     "tfidf_topk": q_tfidf_topk,
-    "dedup_resolution_cogroup": q_dedup_resolution_cogroup,
     "stratified_sample": q_stratified_sample,
     "normalize_text": q_normalize_text,
     "redact_pii": q_redact_pii,
@@ -5127,7 +5110,6 @@ ORACLES: Dict[str, str] = {
 
 # Scale-path twins: identical output contract, different engine path —
 # the driver gate proves the 100 TB paths against the same oracles.
-ORACLES["dedup_resolution_cogroup"] = ORACLES["dedup_resolution"]
 ORACLES["lang_confusion"] = f"""
     WITH s AS (SELECT lang, {_LANG_SCORES} FROM documents),
     p AS (SELECT lang AS declared,

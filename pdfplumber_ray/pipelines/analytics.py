@@ -23,8 +23,9 @@ Scale design notes (same rules as `corpus_ops`):
   ``mix64(key) % n_buckets`` (a BOUNDED group count) and segment inside
   the bucket with one lexsort, all vectorized; candidate-pair emitters
   use the shared kernel in `exchange`.
-* Broadcast sides (per-group CDFs) go through ``ray.put`` once with an
-  explicit size guard, never re-shipped per batch.
+* Broadcast sides (per-group CDFs) reach the driver through
+  ``exchange.collect_small``, which holds the one row limit, and go
+  through ``ray.put`` once, never re-shipped per batch.
 """
 
 from __future__ import annotations
@@ -39,7 +40,13 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..functions import textstats as ts
-from .exchange import _hash_bucket_column, _mix64, run_pairs, segment_runs
+from .exchange import (
+    _hash_bucket_column,
+    _mix64,
+    collect_small,
+    run_pairs,
+    segment_runs,
+)
 
 Dataset = ray.data.Dataset
 
@@ -87,7 +94,6 @@ def grouped_rank_ds(
     group_col: str,
     value_col: str,
     id_col: str,
-    max_domain_broadcast: int = 5_000_000,
 ) -> Dataset:
     """``count(*) OVER (PARTITION BY g ORDER BY v)`` plus the partition
     total — the per-group percentile rank — WITHOUT a global sort: a
@@ -123,23 +129,17 @@ def grouped_rank_ds(
             }
         )
 
-    hist = (
+    hist = collect_small(
         ds.select_columns([group_col, value_col])
         .map_batches(vc_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["g", "v"])
-        .aggregate(Sum("n_partial"))
-        .materialize()
+        .aggregate(Sum("n_partial")),
+        "(group, value) domain",
+        {"g": pa.string(), "v": pa.int64(), "sum(n_partial)": pa.int64()},
     )
-    n_cells = hist.count()
-    if n_cells > max_domain_broadcast:
-        raise ValueError(
-            f"(group, value) domain ({n_cells} cells) exceeds "
-            f"max_domain_broadcast={max_domain_broadcast}"
-        )
-    rows = hist.take_all()
-    groups = np.asarray([r["g"] for r in rows], dtype=object)
-    vals = np.asarray([int(r["v"]) for r in rows], dtype=np.int64)
-    cnts = np.asarray([int(r["sum(n_partial)"]) for r in rows], dtype=np.int64)
+    groups = hist.column("g").to_numpy(zero_copy_only=False)
+    vals = hist.column("v").to_numpy()
+    cnts = hist.column("sum(n_partial)").to_numpy()
     gnames, gcodes = np.unique(groups.astype(str), return_inverse=True)
     order = np.lexsort((vals, gcodes))
     gcodes, vals, cnts = gcodes[order], vals[order], cnts[order]
@@ -1685,7 +1685,6 @@ def ntile_ds(
     id_col: str,
     k: int = 4,
     n_buckets: int = 512,
-    max_domain_broadcast: int = 5_000_000,
 ) -> Dataset:
     """``NTILE(k) OVER (ORDER BY v, id)`` — equal-frequency bucket
     assignment (deciles/quartiles for curriculum binning) WITHOUT a
@@ -1706,21 +1705,16 @@ def ntile_ds(
             {"v": g.column("v"), "n_partial": g.column("v_count").cast(pa.int64())}
         )
 
-    hist = (
+    hist = collect_small(
         ds.select_columns([value_col])
         .map_batches(vc_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("v")
-        .aggregate(Sum("n_partial"))
-        .materialize()
+        .aggregate(Sum("n_partial")),
+        "value domain",
+        {"v": pa.int64(), "sum(n_partial)": pa.int64()},
     )
-    if hist.count() > max_domain_broadcast:
-        raise ValueError(
-            f"value domain ({hist.count()}) exceeds "
-            f"max_domain_broadcast={max_domain_broadcast}"
-        )
-    rows = hist.take_all()
-    vals = np.array([r["v"] for r in rows], np.int64)
-    cnts = np.array([r["sum(n_partial)"] for r in rows], np.int64)
+    vals = hist.column("v").to_numpy()
+    cnts = hist.column("sum(n_partial)").to_numpy()
     order = np.argsort(vals, kind="stable")
     vals, cnts = vals[order], cnts[order]
     cum_below = np.concatenate(([0], np.cumsum(cnts)[:-1]))
@@ -2416,97 +2410,6 @@ def user_paths_ds(
     )
 
 
-# ---------- 2-D Pareto skyline ----------
-
-
-def _skyline_keep(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Keep mask of the 2-D Pareto frontier: a point survives iff no
-    other point has x' >= x AND y' >= y with at least one strict
-    (duplicates of a frontier point all survive). One descending
-    lexsort, group maxima, exclusive prefix max — O(n log n)."""
-    order = np.lexsort((-y, -x))
-    xs, ys = x[order], y[order]
-    gstart = np.concatenate(([True], xs[1:] != xs[:-1]))
-    starts = np.flatnonzero(gstart)
-    gmax = ys[starts]  # y sorts descending within an x group
-    pre = np.concatenate(([np.iinfo(np.int64).min], np.maximum.accumulate(gmax)[:-1]))
-    gidx = np.cumsum(gstart) - 1
-    keep_sorted = (ys > pre[gidx]) & (ys == gmax[gidx])
-    keep = np.empty(len(x), dtype=bool)
-    keep[order] = keep_sorted
-    return keep
-
-
-def skyline_ds(
-    ds: Dataset,
-    id_col: str,
-    x_col: str,
-    y_col: str,
-    max_candidates: int = 5_000_000,
-) -> Dataset:
-    """2-D Pareto frontier (skyline): rows not dominated by any other
-    row on the two int64 dimensions — the multi-objective shortlist
-    (e.g. longest AND highest-quality documents).
-
-    Scale shape: the skyline operator is DISTRIBUTIVE —
-    ``skyline(A ∪ B) = skyline(skyline(A) ∪ skyline(B))`` — so each
-    block reduces to its local frontier first (vectorized O(n log n)
-    kernel) and only local-frontier survivors leave the block. The
-    candidate union is guarded by ``max_candidates`` before the final
-    driver-side merge pass (frontiers of real 2-D data are tiny:
-    O(log n) expected for independent dims)."""
-
-    def local(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                id_col: pa.array([], pa.int64()),
-                x_col: pa.array([], pa.int64()),
-                y_col: pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        x = batch.column(x_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        y = batch.column(y_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        keep = _skyline_keep(x, y)
-        return pa.table(
-            {
-                id_col: batch.column(id_col).cast(pa.int64()).filter(
-                    pa.array(keep)
-                ),
-                x_col: pa.array(x[keep], pa.int64()),
-                y_col: pa.array(y[keep], pa.int64()),
-            }
-        )
-
-    cand = (
-        ds.select_columns([id_col, x_col, y_col])
-        .map_batches(local, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()
-    )
-    n_cand = cand.count()
-    if n_cand > max_candidates:
-        raise ValueError(
-            f"local-frontier union ({n_cand} rows) exceeds "
-            f"max_candidates={max_candidates}; re-run the local pass on "
-            "the candidate dataset to shrink it before the merge"
-        )
-    rows = cand.take_all()
-    ids = np.asarray([r[id_col] for r in rows], dtype=np.int64)
-    x = np.asarray([r[x_col] for r in rows], dtype=np.int64)
-    y = np.asarray([r[y_col] for r in rows], dtype=np.int64)
-    keep = _skyline_keep(x, y) if len(ids) else np.zeros(0, dtype=bool)
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                id_col: pa.array(ids[keep], pa.int64()),
-                x_col: pa.array(x[keep], pa.int64()),
-                y_col: pa.array(y[keep], pa.int64()),
-            }
-        )
-    )
-
-
 # ---------- grouped mode (most frequent value per key) ----------
 
 
@@ -3081,116 +2984,6 @@ def period_over_period_ds(
     return _anchor_schema(out, out_schema)
 
 
-# ---------- grouped z-score standardization ----------
-
-
-def zscore_ds(
-    events: Dataset,
-    key_col: str = "event_type",
-    id_col: str = "event_id",
-    value_col: str = "value",
-    quant: int = 100,
-) -> Dataset:
-    """Per-group standardization: each event's z-score against its
-    group's population mean/std — the feature-normalization step of any
-    model-prep pipeline. Bit-exact by construction: values quantize to
-    ``v = round(value*quant)`` int64, so the group aggregates (n, Σv,
-    Σv²) are exact integers and ``z = (n·v − Σv) / sqrt(n·Σv² − (Σv)²)``
-    is one correctly-rounded IEEE division + sqrt — identical doubles in
-    any engine that mirrors the expression (``z_e6 = floor(z · 1e6)``;
-    constant groups emit 0). Σv² can overflow int64 past ~1e18
-    quant-units-squared — at that scale raise ``quant`` granularity or
-    pre-scale upstream.
-
-    Scale shape: one per-batch combiner emits (group, n, Σv, Σv²)
-    partials; the bounded group domain reduces in a tiny ``groupby``;
-    the per-row pass then reads the aggregate table as a broadcast
-    (``ray.put`` once, binary-searched per batch) — never a shuffle of
-    the event rows themselves."""
-    out_schema = pa.schema(
-        [
-            (id_col, pa.int64()),
-            (key_col, pa.string()),
-            ("v_q", pa.int64()),
-            ("z_e6", pa.int64()),
-        ]
-    )
-
-    def combine(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "g": pa.array([], pa.string()),
-                    "n_p": pa.array([], pa.int64()),
-                    "s_p": pa.array([], pa.int64()),
-                    "ss_p": pa.array([], pa.int64()),
-                }
-            )
-        g = batch.column(key_col).to_numpy(zero_copy_only=False).astype(str)
-        v = (
-            pc.cast(pc.round(pc.multiply(batch.column(value_col), quant)), pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        order = np.argsort(g, kind="stable")
-        gs, vs = g[order], v[order]
-        starts = np.flatnonzero(np.concatenate(([True], gs[1:] != gs[:-1])))
-        return pa.table(
-            {
-                "g": pa.array(gs[starts], pa.string()),
-                "n_p": pa.array(
-                    np.diff(np.concatenate((starts, [len(gs)]))).astype(np.int64),
-                    pa.int64(),
-                ),
-                "s_p": pa.array(np.add.reduceat(vs, starts), pa.int64()),
-                "ss_p": pa.array(np.add.reduceat(vs * vs, starts), pa.int64()),
-            }
-        )
-
-    agg = (
-        events.select_columns([key_col, value_col])
-        .map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("g")
-        .aggregate(Sum("n_p"), Sum("s_p"), Sum("ss_p"))
-        .materialize()
-    )
-    rows = agg.take_all()  # bounded by the group domain (report-sized)
-    groups = np.array(sorted(r["g"] for r in rows), dtype=str)
-    by_g = {r["g"]: r for r in rows}
-    n_arr = np.array([by_g[g]["sum(n_p)"] for g in groups], dtype=np.int64)
-    s_arr = np.array([by_g[g]["sum(s_p)"] for g in groups], dtype=np.int64)
-    ss_arr = np.array([by_g[g]["sum(ss_p)"] for g in groups], dtype=np.int64)
-    stats_ref = ray.put((groups, n_arr, s_arr, ss_arr))
-
-    def attach(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        gg, nn, ss_sum, ss_sq = ray.get(stats_ref)
-        g = batch.column(key_col).to_numpy(zero_copy_only=False).astype(str)
-        v = (
-            pc.cast(pc.round(pc.multiply(batch.column(value_col), quant)), pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        pos = np.searchsorted(gg, g)
-        n, s, ss = nn[pos], ss_sum[pos], ss_sq[pos]
-        num = (n * v - s).astype(np.float64)
-        den2 = (n * ss - s * s).astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = num / np.sqrt(den2)
-        z_e6 = np.where(den2 <= 0, 0, np.floor(z * 1_000_000.0)).astype(np.int64)
-        return pa.table(
-            {
-                id_col: batch.column(id_col).cast(pa.int64()),
-                key_col: batch.column(key_col),
-                "v_q": pa.array(v, pa.int64()),
-                "z_e6": pa.array(z_e6, pa.int64()),
-            }
-        )
-
-    return events.select_columns([id_col, key_col, value_col]).map_batches(
-        attach, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
 # ---------- exact grouped percentiles (distinct-cell selection) ----------
 
 
@@ -3402,150 +3195,6 @@ def reorder_gaps_ds(
     return _anchor_schema(out, out_schema)
 
 
-# ---------- percent-of-total within region (share report) ----------
-
-
-def customer_region_share_ds(
-    orders: Dataset,
-    customer: Dataset,
-    nation_rows: List[Dict],
-    n_buckets: int = 512,
-) -> Dataset:
-    """Each customer's revenue and their integer-permille share of
-    their REGION's total revenue (``cents * 1000 // region_total``) —
-    percent-of-total, the window-over-everything report every
-    warehouse runs, composed from this engine's own primitives.
-
-    Scale shape: per-customer revenue pre-combines per block before ONE
-    ``groupby(custkey)``; the customer dimension attaches through the
-    generic bucket-hash shuffle join (:func:`hash_join_ds` — the
-    customer table is NOT broadcastable at web scale); the nation ->
-    region map (25 rows) and the region totals (a handful) ARE
-    broadcast-sized and ship via ``ray.put`` once. Totals come from a
-    second block-combined tiny groupby, never a window over the rows."""
-    n2r = {int(r["n_nationkey"]): int(r["n_regionkey"]) for r in nation_rows}
-    nat_keys = np.array(sorted(n2r), dtype=np.int64)
-    nat_regions = np.array([n2r[k] for k in nat_keys], dtype=np.int64)
-    nat_ref = ray.put((nat_keys, nat_regions))
-
-    def rev_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"c": pa.array([], pa.int64()), "c_p": pa.array([], pa.int64())}
-            )
-        k = batch.column("o_custkey").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        cents = (
-            pc.cast(pc.round(pc.multiply(batch.column("o_totalprice"), 100)), pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        order = np.argsort(k, kind="stable")
-        ks, cs = k[order], cents[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        return pa.table(
-            {
-                "c": pa.array(ks[starts], pa.int64()),
-                "c_p": pa.array(np.add.reduceat(cs, starts), pa.int64()),
-            }
-        )
-
-    custrev = (
-        orders.select_columns(["o_custkey", "o_totalprice"])
-        .map_batches(rev_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("c")
-        .aggregate(Sum("c_p"))
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "c": b.column("c").cast(pa.int64()),
-                    "cents": b.column("sum(c_p)").cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    )
-    cust_dim = customer.select_columns(["c_custkey", "c_nationkey"])
-    joined = hash_join_ds(custrev, cust_dim, "c", "c_custkey", n_buckets)
-
-    def attach_region(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "c": pa.array([], pa.int64()),
-                    "regionkey": pa.array([], pa.int64()),
-                    "cents": pa.array([], pa.int64()),
-                }
-            )
-        keys, regions = ray.get(nat_ref)
-        nk = batch.column("c_nationkey").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, nk)
-        return pa.table(
-            {
-                "c": batch.column("c").cast(pa.int64()),
-                "regionkey": pa.array(regions[pos], pa.int64()),
-                "cents": batch.column("cents").cast(pa.int64()),
-            }
-        )
-
-    regional = joined.map_batches(
-        attach_region, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    def tot_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"regionkey": pa.array([], pa.int64()), "t_p": pa.array([], pa.int64())}
-            )
-        rk = batch.column("regionkey").to_numpy(zero_copy_only=False)
-        cents = batch.column("cents").to_numpy(zero_copy_only=False)
-        order = np.argsort(rk, kind="stable")
-        rs, cs = rk[order], cents[order]
-        starts = np.flatnonzero(np.concatenate(([True], rs[1:] != rs[:-1])))
-        return pa.table(
-            {
-                "regionkey": pa.array(rs[starts], pa.int64()),
-                "t_p": pa.array(np.add.reduceat(cs, starts), pa.int64()),
-            }
-        )
-
-    tot_rows = (
-        regional.map_batches(tot_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("regionkey")
-        .aggregate(Sum("t_p"))
-        .take_all()  # bounded by the region domain (a handful of rows)
-    )
-    tkeys = np.array(sorted(int(r["regionkey"]) for r in tot_rows), dtype=np.int64)
-    by_r = {int(r["regionkey"]): int(r["sum(t_p)"]) for r in tot_rows}
-    tvals = np.array([by_r[k] for k in tkeys], dtype=np.int64)
-    tot_ref = ray.put((tkeys, tvals))
-
-    def share(batch: pa.Table) -> pa.Table:
-        out_schema = pa.schema(
-            [
-                ("custkey", pa.int64()),
-                ("regionkey", pa.int64()),
-                ("cents", pa.int64()),
-                ("share_permille", pa.int64()),
-            ]
-        )
-        if batch.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        keys, totals = ray.get(tot_ref)
-        rk = batch.column("regionkey").to_numpy(zero_copy_only=False)
-        cents = batch.column("cents").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, rk)
-        return pa.table(
-            {
-                "custkey": batch.column("c").cast(pa.int64()),
-                "regionkey": pa.array(rk, pa.int64()),
-                "cents": pa.array(cents, pa.int64()),
-                "share_permille": pa.array(cents * 1000 // totals[pos], pa.int64()),
-            }
-        )
-
-    return regional.map_batches(share, batch_format="pyarrow", zero_copy_batch=True)
-
-
 # ---------- session baskets (event-type co-occurrence) ----------
 
 
@@ -3753,245 +3402,6 @@ def group_sample_ids_ds(
     return _anchor_schema(out, out_schema)
 
 
-# ---------- Bloom-filter semi-join (sketch with an exact twin) ----------
-
-
-def bloom_semi_join_ds(
-    probe: Dataset,
-    build: Dataset,
-    probe_key: str,
-    build_key: str,
-    m_bits: int = 65536,
-    max_broadcast_keys: int = 50_000_000,
-) -> Dataset:
-    """Bloom-filter pre-join: build a 2-hash Bloom filter over the
-    build side's distinct keys, flag every probe row with
-    ``bloom_pass`` (1 = the filter admits it, INCLUDING its
-    deterministic false positives) and ``actual`` (1 = exact member) —
-    the shuffle-avoidance gate a distributed engine runs before an
-    expensive join, plus the ground truth that measures its FP rate.
-
-    Determinism is the point: both hash positions derive from the md5
-    hex of the decimal key (``digest[:4]`` and ``digest[4:8]`` mod
-    ``m_bits`` — the engine's established md5 idiom, see
-    ``weighted_sample`` / ``dataset_split``), so ANY engine reproduces
-    the SAME bit array and the SAME false positives; the SQL twin is a
-    full value oracle over a probabilistic structure. md5-per-distinct
-    (dictionary-bounded) is the oracle-parity trade documented across
-    the LSH family; swap in splitmix64 when twin parity is not needed.
-
-    Scale shape: the filter builds like the HLL sketch — each build
-    block folds its distinct keys into one ``m_bits``-wide bitmap row,
-    the driver OR-merges block bitmaps (associative, partition
-    invariant) and broadcasts 8 KB via ``ray.put``; probes test both
-    bits vectorized. The exact flag broadcasts the distinct build-key
-    set under ``max_broadcast_keys`` (the demo path; above the guard it
-    raises, pointing at :func:`semi_join_flag` machinery)."""
-    import hashlib
-
-    nbytes = m_bits // 8
-
-    def _positions(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        h1 = np.empty(len(keys), dtype=np.int64)
-        h2 = np.empty(len(keys), dtype=np.int64)
-        for i, v in enumerate(keys):  # md5 per DISTINCT key (oracle parity)
-            d = hashlib.md5(str(int(v)).encode()).digest()
-            h1[i] = int.from_bytes(d[:4], "big") % m_bits
-            h2[i] = int.from_bytes(d[4:8], "big") % m_bits
-        return h1, h2
-
-    def build_bits(batch: pa.Table) -> pa.Table:
-        bits = np.zeros(nbytes, dtype=np.uint8)
-        if batch.num_rows:
-            k = np.unique(
-                batch.column(build_key).cast(pa.int64()).to_numpy(zero_copy_only=False)
-            )
-            h1, h2 = _positions(k)
-            for h in (h1, h2):
-                np.bitwise_or.at(bits, h // 8, (1 << (h % 8)).astype(np.uint8))
-        return pa.table({"bits": pa.array([bits.tolist()], pa.list_(pa.uint8()))})
-
-    bkeys = build.select_columns([build_key]).materialize()
-    parts = bkeys.map_batches(
-        build_bits, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()  # one bitmap row per block
-    bits = np.zeros(nbytes, dtype=np.uint8)
-    for r in parts:
-        np.bitwise_or(bits, np.asarray(r["bits"], np.uint8), out=bits)
-
-    def exact_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"k": pa.array([], pa.int64())})
-        k = np.unique(
-            batch.column(build_key).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        )
-        return pa.table({"k": pa.array(k, pa.int64())})
-
-    distinct = (
-        bkeys.map_batches(exact_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("k")
-        .aggregate(Sum("k"))  # dedup via groupby; the sum is discarded
-        .materialize()
-    )
-    n_keys = distinct.count()
-    if n_keys > max_broadcast_keys:
-        raise ValueError(
-            f"{n_keys} distinct build keys exceed max_broadcast_keys="
-            f"{max_broadcast_keys}; attach the exact flag with the "
-            "bucket-hash semi-join instead of this broadcast demo path"
-        )
-    exact = np.sort(
-        np.array([r["k"] for r in distinct.take_all()], dtype=np.int64)
-    )
-    ref = ray.put((bits, exact))
-
-    def flag(batch: pa.Table) -> pa.Table:
-        out_schema = pa.schema(
-            [("custkey", pa.int64()), ("bloom_pass", pa.int64()), ("actual", pa.int64())]
-        )
-        if batch.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        bb, ex = ray.get(ref)
-        k = batch.column(probe_key).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        uk, inv = np.unique(k, return_inverse=True)
-        h1, h2 = _positions(uk)
-        t1 = (bb[h1 // 8] >> (h1 % 8)) & 1
-        t2 = (bb[h2 // 8] >> (h2 % 8)) & 1
-        passed = ((t1 & t2) == 1)[inv]
-        if len(ex):
-            pos_c = np.clip(np.searchsorted(ex, k), 0, len(ex) - 1)
-            actual = ex[pos_c] == k
-        else:
-            actual = np.zeros(len(k), dtype=bool)
-        return pa.table(
-            {
-                "custkey": pa.array(k, pa.int64()),
-                "bloom_pass": pa.array(passed.astype(np.int64), pa.int64()),
-                "actual": pa.array(np.asarray(actual).astype(np.int64), pa.int64()),
-            }
-        )
-
-    return probe.select_columns([probe_key]).map_batches(
-        flag, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
-# ---------- count-min sketch (deterministic, exact SQL twin) ----------
-
-
-def cms_counts_ds(
-    items: Dataset,
-    key_col: str,
-    width: int = 1024,
-    depth: int = 2,
-) -> Dataset:
-    """Count-min sketch frequency estimates with ground truth: build a
-    ``depth x width`` CMS over the item stream, then report every
-    distinct key's sketch estimate next to its exact count — the
-    overcount-only frequency oracle (est >= actual always) a streaming
-    pipeline uses when per-key exact counts can't fit anywhere.
-
-    Like :func:`bloom_semi_join_ds`, determinism is the point: row j's
-    counter position for a key is md5-digest bytes ``[4j, 4j+4)`` of
-    the decimal key mod ``width`` (md5 per DISTINCT key), so the
-    counters — and every collision — are identical in any engine, and
-    the SQL twin is a full value oracle over the sketch.
-
-    Scale shape: each block folds its keys into one depth·width int64
-    counter partial (vectorized ``np.add.at`` over per-block distinct
-    keys), ONE flattened-counter row per block reaches the driver, and
-    the merge is elementwise SUM — commutative, so partition-invariant.
-    The probe pass re-reads the same materialized key counts (one
-    distinct-cell combiner + groupby — the exact side) and attaches the
-    broadcast sketch estimate vectorized."""
-    import hashlib
-
-    def _positions(keys: np.ndarray) -> np.ndarray:
-        pos = np.empty((depth, len(keys)), dtype=np.int64)
-        for i, v in enumerate(keys):  # md5 per DISTINCT key (oracle parity)
-            d = hashlib.md5(str(int(v)).encode()).digest()
-            for j in range(depth):
-                pos[j, i] = int.from_bytes(d[4 * j : 4 * j + 4], "big") % width
-        return pos
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"k": pa.array([], pa.int64()), "n_p": pa.array([], pa.int64())}
-            )
-        k, cnt = np.unique(
-            batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        return pa.table(
-            {
-                "k": pa.array(k, pa.int64()),
-                "n_p": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    counts = (
-        items.select_columns([key_col])
-        .map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("k")
-        .aggregate(Sum("n_p"))
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "k": b.column("k").cast(pa.int64()),
-                    "actual": b.column("sum(n_p)").cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .materialize()
-    )
-
-    def sketch_partial(batch: pa.Table) -> pa.Table:
-        c = np.zeros((depth, width), dtype=np.int64)
-        if batch.num_rows:
-            k = batch.column("k").to_numpy(zero_copy_only=False)
-            n = batch.column("actual").to_numpy(zero_copy_only=False)
-            pos = _positions(k)
-            for j in range(depth):
-                np.add.at(c[j], pos[j], n)
-        return pa.table(
-            {"c": pa.array([c.reshape(-1).tolist()], pa.list_(pa.int64()))}
-        )
-
-    parts = counts.map_batches(
-        sketch_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()  # one counter row per block; SUM merge is order-free
-    cms = np.zeros(depth * width, dtype=np.int64)
-    for r in parts:
-        cms += np.asarray(r["c"], np.int64)
-    cms = cms.reshape(depth, width)
-    ref = ray.put(cms)
-
-    def probe(batch: pa.Table) -> pa.Table:
-        out_schema = pa.schema(
-            [("key", pa.int64()), ("est", pa.int64()), ("actual", pa.int64())]
-        )
-        if batch.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        c = ray.get(ref)
-        k = batch.column("k").to_numpy(zero_copy_only=False)
-        pos = _positions(k)
-        est = c[0][pos[0]]
-        for j in range(1, depth):
-            est = np.minimum(est, c[j][pos[j]])
-        return pa.table(
-            {
-                "key": pa.array(k, pa.int64()),
-                "est": pa.array(est.astype(np.int64), pa.int64()),
-                "actual": batch.column("actual").cast(pa.int64()),
-            }
-        )
-
-    return counts.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
-
-
 # ---------- interval merge (gaps-and-islands coalescing) ----------
 
 
@@ -4130,7 +3540,6 @@ def ks_drift_ds(
     docs: Dataset,
     group_col: str = "source",
     value_col: str = "n_chars",
-    max_cells: int = 2_000_000,
 ) -> Dataset:
     """Integer-exact two-sample Kolmogorov–Smirnov distance between every
     pair of groups over an integer value column — the distribution-drift
@@ -4141,7 +3550,7 @@ def ks_drift_ds(
 
     Scale shape: one per-batch ``(group, value)`` count combiner bounds
     the shuffle to distinct cells per block; the exact cell table (groups
-    × distinct values, size-guarded by ``max_cells``) is the ONLY thing
+    × distinct values, size-guarded by ``collect_small``) is the ONLY thing
     that leaves the aggregate, and the pairwise CDF sweep runs once on
     the driver over that bounded grid. Raw rows never shuffle. Int64
     bound: ``n_a · n_b`` must stay below 2^63 (documented; holds through
@@ -4172,19 +3581,14 @@ def ks_drift_ds(
             }
         )
 
-    cells = (
+    cells = collect_small(
         docs.select_columns([group_col, value_col])
         .map_batches(cell_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["g", "v"])
-        .aggregate(Sum("n_p"))
-        .materialize()
+        .aggregate(Sum("n_p")),
+        "(group, value) domain",
+        {"g": pa.string(), "v": pa.int64(), "sum(n_p)": pa.int64()},
     )
-    n_cells = cells.count()
-    if n_cells > max_cells:
-        raise ValueError(
-            f"(group, value) domain ({n_cells} cells) exceeds max_cells={max_cells}"
-        )
-    rows = cells.take_all()
     out_schema = pa.schema(
         [
             ("src_a", pa.string()),
@@ -4195,13 +3599,13 @@ def ks_drift_ds(
             ("ks_permille", pa.int64()),
         ]
     )
-    if not rows:
+    if not cells.num_rows:
         return ray.data.from_arrow(
             pa.table({f.name: pa.array([], f.type) for f in out_schema})
         )
-    g = np.asarray([r["g"] for r in rows], dtype=object).astype(str)
-    v = np.asarray([int(r["v"]) for r in rows], dtype=np.int64)
-    n = np.asarray([int(r["sum(n_p)"]) for r in rows], dtype=np.int64)
+    g = cells.column("g").to_numpy(zero_copy_only=False).astype(str)
+    v = cells.column("v").to_numpy()
+    n = cells.column("sum(n_p)").to_numpy()
     gnames, gcodes = np.unique(g, return_inverse=True)
     vvals, vcodes = np.unique(v, return_inverse=True)
     grid = np.zeros((len(gnames), len(vvals)), dtype=np.int64)
@@ -4276,7 +3680,6 @@ def row_number_ds(
     id_col: str,
     descending: bool = False,
     n_buckets: int = 512,
-    max_domain_broadcast: int = 5_000_000,
 ) -> Dataset:
     """``row_number() OVER (ORDER BY v [DESC], id)`` WITHOUT a global
     sort (the :func:`ntile_ds` decomposition, exposed as its own
@@ -4297,21 +3700,16 @@ def row_number_ds(
             {"v": g.column("v"), "n_partial": g.column("v_count").cast(pa.int64())}
         )
 
-    hist = (
+    hist = collect_small(
         ds.select_columns([value_col])
         .map_batches(vc_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("v")
-        .aggregate(Sum("n_partial"))
-        .materialize()
+        .aggregate(Sum("n_partial")),
+        "value domain",
+        {"v": pa.int64(), "sum(n_partial)": pa.int64()},
     )
-    if hist.count() > max_domain_broadcast:
-        raise ValueError(
-            f"value domain ({hist.count()}) exceeds "
-            f"max_domain_broadcast={max_domain_broadcast}"
-        )
-    rows = hist.take_all()
-    vals = np.array([r["v"] for r in rows], np.int64)
-    cnts = np.array([r["sum(n_partial)"] for r in rows], np.int64)
+    vals = hist.column("v").to_numpy()
+    cnts = hist.column("sum(n_partial)").to_numpy()
     order = np.argsort(vals, kind="stable")
     vals, cnts = vals[order], cnts[order]
     cum_below = np.concatenate(([0], np.cumsum(cnts)[:-1]))
@@ -4596,125 +3994,6 @@ def collapse_runs_ds(
     )
 
 
-# ---------- windowed stream-stream join ----------
-
-
-def stream_join_ds(
-    events: Dataset,
-    type_a: str,
-    type_b: str,
-    window_us: int,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    id_col: str = "event_id",
-    type_col: str = "event_type",
-    n_buckets: int = 512,
-    max_pairs_per_bucket: int = 10_000_000,
-) -> Dataset:
-    """Windowed stream-stream join: every (A, B) event pair of the same
-    key with ``0 <= ts_b - ts_a <= window_us`` — the "click followed by
-    purchase within an hour" correlation both streaming engines and
-    attribution pipelines need. Emits one row per qualifying pair with
-    both ids, both timestamps, and the gap.
-
-    Scale shape: only rows of the two types project and shuffle ONCE by
-    ``mix64(key) % n_buckets``; inside a bucket both sides sort by
-    (key, ts, id) and each A's match range is TWO ``searchsorted``
-    probes into the B side (composite key packs key-code and timestamp),
-    expanded with the same offset arithmetic as :func:`hash_join_ds` —
-    no per-key Python, row expansion bounded by the window.
-    ``max_pairs_per_bucket`` fails loud on a pathological window."""
-
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("a_id", pa.int64()),
-            ("b_id", pa.int64()),
-            ("a_ts_us", pa.int64()),
-            ("b_ts_us", pa.int64()),
-            ("gap_us", pa.int64()),
-        ]
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        tcol = batch.column(type_col)
-        keep = pc.or_(pc.equal(tcol, type_a), pc.equal(tcol, type_b))
-        sub = batch.filter(keep)
-        k = sub.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        side = pc.equal(sub.column(type_col), type_b).to_numpy(
-            zero_copy_only=False
-        )
-        return pa.table(
-            {
-                key_col: pa.array(k, pa.int64()),
-                "ts_us": sub.column(ts_col).cast(pa.int64()),
-                id_col: sub.column(id_col).cast(pa.int64()),
-                "is_b": pa.array(side),
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-                ),
-            }
-        )
-
-    def bucket_join(group: pa.Table) -> pa.Table:
-        k = group.column(key_col).to_numpy(zero_copy_only=False)
-        t = group.column("ts_us").to_numpy(zero_copy_only=False)
-        i = group.column(id_col).to_numpy(zero_copy_only=False)
-        is_b = group.column("is_b").to_numpy(zero_copy_only=False)
-        kvals, kc = np.unique(k, return_inverse=True)
-        a_m, b_m = ~is_b, is_b
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if not a_m.any() or not b_m.any():
-            return empty
-        # B side sorted by (key, ts, id); composite key-code<<42 | ts-rank
-        bo = np.lexsort((i[b_m], t[b_m], kc[b_m]))
-        bk, bt, bi = kc[b_m][bo], t[b_m][bo], i[b_m][bo]
-        # composite probe values: rank timestamps so the pack can't overflow
-        allt = np.unique(np.concatenate((t, t + window_us)))
-        btr = np.searchsorted(allt, bt)
-        shift = np.int64(len(allt) + 1)
-        bkey = bk.astype(np.int64) * shift + btr
-        ak, at_, ai = kc[a_m], t[a_m], i[a_m]
-        lo = np.searchsorted(
-            bkey, ak.astype(np.int64) * shift + np.searchsorted(allt, at_)
-        )
-        hi = np.searchsorted(
-            bkey,
-            ak.astype(np.int64) * shift + np.searchsorted(allt, at_ + window_us),
-            side="right",
-        )
-        m = (hi - lo).astype(np.int64)
-        total = int(m.sum())
-        if total > max_pairs_per_bucket:
-            raise ValueError(
-                f"stream join pairs in one bucket ({total}) exceed "
-                f"max_pairs_per_bucket={max_pairs_per_bucket}"
-            )
-        if total == 0:
-            return empty
-        a_of = np.repeat(np.arange(len(ak)), m)
-        off = np.arange(total) - np.repeat(np.concatenate(([0], np.cumsum(m)[:-1])), m)
-        b_of = lo[a_of] + off
-        return pa.table(
-            {
-                key_col: pa.array(kvals[ak[a_of]], pa.int64()),
-                "a_id": pa.array(ai[a_of], pa.int64()),
-                "b_id": pa.array(bi[b_of], pa.int64()),
-                "a_ts_us": pa.array(at_[a_of], pa.int64()),
-                "b_ts_us": pa.array(bt[b_of], pa.int64()),
-                "gap_us": pa.array(bt[b_of] - at_[a_of], pa.int64()),
-            }
-        )
-
-    proj = events.select_columns(
-        [key_col, ts_col, id_col, type_col]
-    ).map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    return _anchor_schema(
-        proj.groupby("bkt").map_groups(bucket_join, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
 # ---------- FK referential-integrity audit ----------
 
 
@@ -4924,7 +4203,6 @@ def winsorize_ds(
     value_col: str,
     id_col: str,
     pct: int = 99,
-    max_domain_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Winsorize a column at the global ``pct`` percentile — the outlier
     cap a curation pipeline applies to document lengths / token counts
@@ -4945,19 +4223,14 @@ def winsorize_ds(
             {"v": g.column("v"), "n_partial": g.column("v_count").cast(pa.int64())}
         )
 
-    hist = (
+    hist = collect_small(
         ds.select_columns([value_col])
         .map_batches(vc_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("v")
-        .aggregate(Sum("n_partial"))
-        .materialize()
+        .aggregate(Sum("n_partial")),
+        "value domain",
+        {"v": pa.int64(), "sum(n_partial)": pa.int64()},
     )
-    if hist.count() > max_domain_broadcast:
-        raise ValueError(
-            f"value domain ({hist.count()}) exceeds "
-            f"max_domain_broadcast={max_domain_broadcast}"
-        )
-    rows = hist.take_all()
     out_schema = pa.schema(
         [
             (id_col, pa.int64()),
@@ -4966,12 +4239,12 @@ def winsorize_ds(
             ("was_clipped", pa.int64()),
         ]
     )
-    if not rows:
+    if not hist.num_rows:
         return ray.data.from_arrow(
             pa.table({f.name: pa.array([], f.type) for f in out_schema})
         )
-    vals = np.array([r["v"] for r in rows], np.int64)
-    cnts = np.array([r["sum(n_partial)"] for r in rows], np.int64)
+    vals = hist.column("v").to_numpy()
+    cnts = hist.column("sum(n_partial)").to_numpy()
     order = np.argsort(vals, kind="stable")
     vals, cnts = vals[order], cnts[order]
     cum = np.cumsum(cnts)
@@ -5005,7 +4278,6 @@ def rank_sum_ds(
     value_col: str,
     group_a: str,
     group_b: str,
-    max_cells: int = 2_000_000,
 ) -> Dataset:
     """Mann-Whitney U between two groups, kept integer-exact by working
     in DOUBLED midranks (ties get the average rank — a .5 in the
@@ -5036,22 +4308,19 @@ def rank_sum_ds(
             }
         )
 
-    cells = (
+    cells = collect_small(
         ds.select_columns([group_col, value_col])
         .map_batches(cell_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["g", "v"])
-        .aggregate(Sum("n_p"))
-        .materialize()
+        .aggregate(Sum("n_p")),
+        "(group, value) domain",
+        {"g": pa.string(), "v": pa.int64(), "sum(n_p)": pa.int64()},
     )
-    if cells.count() > max_cells:
-        raise ValueError(f"distinct cells exceed max_cells={max_cells}")
-    rows = cells.take_all()
-    va, ca, vb, cb = [], [], [], []
-    for r in rows:
-        if r["g"] == group_a:
-            va.append(int(r["v"])); ca.append(int(r["sum(n_p)"]))
-        elif r["g"] == group_b:
-            vb.append(int(r["v"])); cb.append(int(r["sum(n_p)"]))
+    g = cells.column("g").to_numpy(zero_copy_only=False)
+    v = cells.column("v").to_numpy()
+    c = cells.column("sum(n_p)").to_numpy()
+    va, ca = v[g == group_a], c[g == group_a]
+    vb, cb = v[g == group_b], c[g == group_b]
     out_schema = pa.schema(
         [
             ("n_a", pa.int64()),
@@ -5061,8 +4330,6 @@ def rank_sum_ds(
             ("u2_b", pa.int64()),
         ]
     )
-    va, ca = np.asarray(va, np.int64), np.asarray(ca, np.int64)
-    vb, cb = np.asarray(vb, np.int64), np.asarray(cb, np.int64)
     allv = np.unique(np.concatenate((va, vb)))
     na_at = np.zeros(len(allv), np.int64)
     nb_at = np.zeros(len(allv), np.int64)
@@ -5651,7 +4918,6 @@ def robust_scale_ds(
     value_col: str,
     id_col: str,
     group_col: str = "source",
-    max_domain_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Per-group robust scaling — ``(v - median) / IQR`` in e6, the
     outlier-insensitive normalization feature pipelines prefer over
@@ -5678,20 +4944,16 @@ def robust_scale_ds(
             {"g": g.column("g"), "v": g.column("v"), "n": g.column("n_sum")}
         )
 
-    hist = (
-        ds.select_columns([group_col, value_col])
-        .map_batches(vc_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["g", "v"])
-        .aggregate(Sum("n"))
-        .materialize()
-    )
-    if hist.count() > max_domain_broadcast:
-        raise ValueError(
-            f"(group, value) domain ({hist.count()}) exceeds "
-            f"max_domain_broadcast={max_domain_broadcast}"
-        )
     df = (
-        _small_df(hist, {"g": object, "v": np.int64, "sum(n)": np.int64})
+        collect_small(
+            ds.select_columns([group_col, value_col])
+            .map_batches(vc_partial, batch_format="pyarrow", zero_copy_batch=True)
+            .groupby(["g", "v"])
+            .aggregate(Sum("n")),
+            "(group, value) domain",
+            {"g": pa.string(), "v": pa.int64(), "sum(n)": pa.int64()},
+        )
+        .to_pandas()
         .sort_values(["g", "v"])
         .reset_index(drop=True)
     )
@@ -5739,7 +5001,6 @@ def keyness_ds(
     k: int = 5,
     text_col: str = "text",
     group_col: str = "source",
-    max_vocab_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Per-source DISTINCTIVE terms (keyness): for every (source, term),
     the integer lift of the term's in-source rate over its
@@ -5792,25 +5053,21 @@ def keyness_ds(
         .aggregate(Sum("c"))
         .materialize()
     )
-    if st.count() > max_vocab_broadcast:
-        raise ValueError(
-            f"(source, term) domain ({st.count()}) exceeds "
-            f"max_vocab_broadcast={max_vocab_broadcast}"
-        )
 
     def term_tot_partial(batch: pa.Table) -> pa.Table:
         return pa.table(
             {"term": batch.column("term"), "ct": batch.column("sum(c)")}
         )
 
-    tt = _small_df(
+    tt = collect_small(
         st.map_batches(term_tot_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("term")
         .aggregate(Sum("ct")),
-        {"term": object, "sum(ct)": np.int64},
+        "term vocabulary",
+        {"term": pa.string(), "sum(ct)": pa.int64()},
     )
-    terms_sorted = np.asarray(tt["term"].tolist(), dtype=object).astype(str)
-    ct_sorted = tt["sum(ct)"].to_numpy(dtype=np.int64)
+    terms_sorted = tt.column("term").to_numpy(zero_copy_only=False).astype(str)
+    ct_sorted = tt.column("sum(ct)").to_numpy()
     o = np.argsort(terms_sorted, kind="stable")
     terms_sorted, ct_sorted = terms_sorted[o], ct_sorted[o]
 
@@ -5903,96 +5160,6 @@ def keyness_ds(
             }
         )
     )
-
-
-def rolling_active_ds(
-    events: Dataset,
-    window_days: int = 7,
-    ts_col: str = "ts",
-    user_col: str = "user_id",
-) -> Dataset:
-    """Trailing-``window_days`` active users per observed day (the
-    WAU/rolling-DAU report): for each day present in the data, the
-    EXACT count of distinct users active on any of the preceding
-    ``window_days`` days (inclusive).
-
-    Scale shape: per-batch distinct-(user, day) combiner -> ONE
-    ``groupby(user, day)`` dedup; each surviving pair expands to the
-    ``window_days`` window-end days it contributes to (bounded x7 row
-    growth), filtered against the broadcast observed-day set (tiny —
-    days in range), re-deduped by a second combiner-backed groupby, and
-    counted per day. Raw events shuffle never; only (user, day) pairs."""
-
-    def _dedup2(u: np.ndarray, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # distinct (u, d) pairs without bit packing (safe for any int64 id)
-        order = np.lexsort((d, u))
-        u, d = u[order], d[order]
-        first = np.concatenate(
-            ([True], (u[1:] != u[:-1]) | (d[1:] != d[:-1]))
-        ) if len(u) else np.zeros(0, bool)
-        return u[first], d[first]
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        ts_v = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        u = batch.column(user_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        d = ts_v // 86_400_000_000
-        uu, dd = _dedup2(u, d)
-        return pa.table({"u": pa.array(uu, pa.int64()), "d": pa.array(dd, pa.int64())})
-
-    pairs = (
-        events.select_columns([user_col, ts_col])
-        .map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["u", "d"])
-        .aggregate(Count())
-        .materialize()
-    )
-    days = sorted({r["d"] for r in pairs.select_columns(["d"]).take_all()})
-    days_ref = ray.put(np.asarray(days, dtype=np.int64))
-
-    def expand(batch: pa.Table) -> pa.Table:
-        obs = ray.get(days_ref)
-        u = batch.column("u").to_numpy(zero_copy_only=False)
-        d = batch.column("d").to_numpy(zero_copy_only=False)
-        n = len(u)
-        w = np.arange(window_days, dtype=np.int64)
-        wd = (d[:, None] + w[None, :]).ravel()
-        uu = np.repeat(u, window_days)
-        keep = np.isin(wd, obs)
-        wd, uu = wd[keep], uu[keep]
-        uu, wd = _dedup2(uu, wd)
-        return pa.table(
-            {"u": pa.array(uu, pa.int64()), "wd": pa.array(wd, pa.int64())}
-        )
-
-    contrib = (
-        pairs.select_columns(["u", "d"])
-        .map_batches(expand, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["u", "wd"])
-        .aggregate(Count())
-    )
-
-    def day_partial(batch: pa.Table) -> pa.Table:
-        wd = batch.column("wd").to_numpy(zero_copy_only=False)
-        uw, cnt = np.unique(wd, return_counts=True)
-        return pa.table(
-            {"day": pa.array(uw, pa.int64()), "n": pa.array(cnt.astype(np.int64))}
-        )
-
-    out = (
-        contrib.map_batches(day_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day")
-        .aggregate(Sum("n"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "day": batch.column("day").cast(pa.int64()),
-                "wau": batch.column("sum(n)").cast(pa.int64()),
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def time_to_convert_ds(
@@ -6163,116 +5330,6 @@ def changepoint_ds(
     )
 
 
-def revenue_by_nation_ds(
-    lineitem: Dataset,
-    orders: Dataset,
-    customer: Dataset,
-    nation: Dataset,
-    max_lookup_rows: int = 50_000_000,
-) -> Dataset:
-    """TPC-H-Q5-style multi-join report: revenue
-    ``sum(floor(extendedprice * (1 - discount) * 100))`` per customer
-    nation — the star-plus-one-fact-to-fact shape that exercises BOTH
-    join strategies: lineitem ⨝ orders is the big-big bucketed hash
-    join (:func:`hash_join_ds`, one exchange each side), while
-    customer -> nation attach by broadcast lookup (``ray.put`` once,
-    guarded by ``max_lookup_rows``). Revenue quantizes to cents via the
-    identical IEEE double product on both engines.
-
-    Scale shape: both fact tables pre-project to 2-3 columns before the
-    exchange; the joined stream feeds a per-batch nation combiner, so
-    the final groupby moves one row per nation per block."""
-
-    def li_proj(batch: pa.Table) -> pa.Table:
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        rev = np.floor(price * (1.0 - disc) * 100).astype(np.int64)
-        return pa.table(
-            {
-                "l_orderkey": batch.column("l_orderkey").cast(pa.int64()),
-                "rev_e2": pa.array(rev, pa.int64()),
-            }
-        )
-
-    def o_proj(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey").cast(pa.int64()),
-                "o_custkey": batch.column("o_custkey").cast(pa.int64()),
-            }
-        )
-
-    li = lineitem.select_columns(
-        ["l_orderkey", "l_extendedprice", "l_discount"]
-    ).map_batches(li_proj, batch_format="pyarrow", zero_copy_batch=True)
-    od = orders.select_columns(["o_orderkey", "o_custkey"]).map_batches(
-        o_proj, batch_format="pyarrow", zero_copy_batch=True
-    )
-    joined = hash_join_ds(li, od, "l_orderkey", "o_orderkey", how="inner")
-
-    n_cust = customer.count()
-    if n_cust > max_lookup_rows:
-        raise ValueError(
-            f"customer side ({n_cust} rows) exceeds max_lookup_rows="
-            f"{max_lookup_rows}; use a second bucketed join"
-        )
-    cdf = _ensure_cols(
-        customer.select_columns(["c_custkey", "c_nationkey"]).to_pandas(),
-        {"c_custkey": np.int64, "c_nationkey": np.int64},
-    )
-    ckeys = cdf["c_custkey"].to_numpy(dtype=np.int64)
-    cnat = cdf["c_nationkey"].to_numpy(dtype=np.int64)
-    o = np.argsort(ckeys, kind="stable")
-    ckeys, cnat = ckeys[o], cnat[o]
-    ndf = _ensure_cols(
-        nation.select_columns(["n_nationkey", "n_name"]).to_pandas(),
-        {"n_nationkey": np.int64, "n_name": object},
-    )
-    # nation keys are small ints: direct-index name table
-    nkeys = ndf["n_nationkey"].to_numpy(dtype=np.int64)
-    names_tbl = np.empty(int(nkeys.max()) + 1 if len(nkeys) else 0, dtype=object)
-    names_tbl[nkeys] = ndf["n_name"].to_numpy(dtype=object)
-    cust_ref = ray.put((ckeys, cnat, names_tbl))
-
-    def nation_partial(batch: pa.Table) -> pa.Table:
-        ck_s, cn_s, nm_tbl = ray.get(cust_ref)
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        rev = batch.column("rev_e2").to_numpy(zero_copy_only=False)
-        names = nm_tbl[cn_s[np.searchsorted(ck_s, ck)]]
-        t = pa.table(
-            {
-                "n_name": pa.array(names, pa.string()),
-                "rev": pa.array(rev, pa.int64()),
-                "n": pa.array(np.ones(len(ck), dtype=np.int64)),
-            }
-        )
-        g = t.group_by("n_name").aggregate([("rev", "sum"), ("n", "sum")])
-        return pa.table(
-            {
-                "n_name": g.column("n_name"),
-                "rev": g.column("rev_sum"),
-                "n": g.column("n_sum"),
-            }
-        )
-
-    out = (
-        joined.map_batches(nation_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("n_name")
-        .aggregate(Sum("rev"), Sum("n"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "n_name": batch.column("n_name"),
-                "revenue_e2": batch.column("sum(rev)").cast(pa.int64()),
-                "n_lineitems": batch.column("sum(n)").cast(pa.int64()),
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def symbolize_ds(
     events: Dataset,
     ts_col: str = "ts",
@@ -6353,7 +5410,6 @@ def weighted_median_ds(
     value_col: str = "n_chars",
     weight_from_text: bool = True,
     text_col: str = "text",
-    max_domain_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Token-mass-weighted median document length — "half the corpus
     TOKENS live in docs shorter than this": the curation statistic that
@@ -6395,23 +5451,15 @@ def weighted_median_ds(
         )
 
     cols = [value_col, text_col] if weight_from_text else [value_col]
-    hist = (
+    hist = collect_small(
         docs.select_columns(cols)
         .map_batches(vc_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("v")
-        .aggregate(Sum("c"), Sum("wt"))
-        .materialize()
-    )
-    if hist.count() > max_domain_broadcast:
-        raise ValueError("value domain exceeds max_domain_broadcast")
-    df = (
-        _small_df(
-            hist, {"v": np.int64, "sum(c)": np.int64, "sum(wt)": np.int64}
-        )
-        .sort_values("v")
-        .reset_index(drop=True)
-    )
-    if len(df) == 0:  # empty corpus: no median exists — zero-row report
+        .aggregate(Sum("c"), Sum("wt")),
+        "value domain",
+        {"v": pa.int64(), "sum(c)": pa.int64(), "sum(wt)": pa.int64()},
+    ).sort_by("v")
+    if not hist.num_rows:  # empty corpus: no median exists — zero-row report
         return ray.data.from_arrow(
             pa.table(
                 {
@@ -6422,9 +5470,9 @@ def weighted_median_ds(
                 }
             )
         )
-    vals = df["v"].to_numpy(dtype=np.int64)
-    cnts = df["sum(c)"].to_numpy(dtype=np.int64)
-    wts = df["sum(wt)"].to_numpy(dtype=np.int64)
+    vals = hist.column("v").to_numpy()
+    cnts = hist.column("sum(c)").to_numpy()
+    wts = hist.column("sum(wt)").to_numpy()
     cum_c = np.cumsum(cnts)
     cum_w = np.cumsum(wts)
     n = int(cum_c[-1])
@@ -6788,7 +5836,6 @@ def spearman_corr_ds(
     docs: Dataset,
     x_col: str = "n_chars",
     text_col: str = "text",
-    max_domain_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Spearman rank correlation between document length (``x_col``) and
     whitespace token count — emitted as the EXACT integer components
@@ -6817,21 +5864,17 @@ def spearman_corr_ds(
             ["x", "y", "c"]
         )
 
-    joint = (
+    joint = collect_small(
         docs.select_columns([x_col, text_col])
         .map_batches(xy_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["x", "y"])
-        .aggregate(Sum("c"))
-        .materialize()
+        .aggregate(Sum("c")),
+        "joint value domain",
+        {"x": pa.int64(), "y": pa.int64(), "sum(c)": pa.int64()},
     )
-    if joint.count() > max_domain_broadcast:
-        raise ValueError("joint value domain exceeds max_domain_broadcast")
-    df = _small_df(
-        joint, {"x": np.int64, "y": np.int64, "sum(c)": np.int64}
-    )
-    xs = df["x"].to_numpy(dtype=np.int64)
-    ys = df["y"].to_numpy(dtype=np.int64)
-    cs = df["sum(c)"].to_numpy(dtype=np.int64)
+    xs = joint.column("x").to_numpy()
+    ys = joint.column("y").to_numpy()
+    cs = joint.column("sum(c)").to_numpy()
     n = int(cs.sum())
 
     def doubled_ranks(vals: np.ndarray) -> dict:
@@ -6946,7 +5989,6 @@ def time_weighted_avg_ds(
 def gini_concentration_ds(
     docs: Dataset,
     text_col: str = "text",
-    max_domain_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Gini coefficient of token mass across documents — "how unequal is
     the corpus": one row ``(n, total, gini_num)`` where
@@ -6969,22 +6011,16 @@ def gini_concentration_ds(
         )
         return t.group_by("v").aggregate([("c", "sum")]).rename_columns(["v", "c"])
 
-    hist = (
+    hist = collect_small(
         docs.select_columns([text_col])
         .map_batches(tok_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("v")
-        .aggregate(Sum("c"))
-        .materialize()
-    )
-    if hist.count() > max_domain_broadcast:
-        raise ValueError("value domain exceeds max_domain_broadcast")
-    df = (
-        _small_df(hist, {"v": np.int64, "sum(c)": np.int64})
-        .sort_values("v")
-        .reset_index(drop=True)
-    )
-    vals = df["v"].to_numpy(dtype=np.int64)
-    cnts = df["sum(c)"].to_numpy(dtype=np.int64)
+        .aggregate(Sum("c")),
+        "value domain",
+        {"v": pa.int64(), "sum(c)": pa.int64()},
+    ).sort_by("v")
+    vals = hist.column("v").to_numpy()
+    cnts = hist.column("sum(c)").to_numpy()
     n = int(cnts.sum())
     total = int(np.sum(vals * cnts))
     before = np.concatenate(([0], np.cumsum(cnts)[:-1]))
@@ -9459,169 +8495,6 @@ def sole_source_risk_ds(
 
     return _anchor_schema(
         out.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
-        out_schema,
-    )
-
-
-def late_events_ds(
-    events: Dataset,
-    type_col: str = "event_type",
-    seq_col: str = "event_id",
-    ts_col: str = "ts",
-    budget_us: int = 3_600_000_000,
-    n_ranges: int = 4096,
-) -> Dataset:
-    """Watermark-lateness audit: replaying events in ingest order
-    (``seq_col``), the watermark is the running max event time seen
-    STRICTLY BEFORE each event; an event is late when ``ts < watermark
-    - budget``. Emits per event type ``(n_events, n_late)`` — the
-    measurement that decides whether a streaming job's allowed-lateness
-    budget would have dropped data.
-
-    Scale shape: a textbook two-phase distributed prefix scan. Phase 1
-    computes per-ingest-range maxima (``seq // range_width``, bounded
-    domain) with one aggregate-only groupby; the driver prefix-maxes
-    that tiny table into per-range carry-ins. Phase 2 re-shuffles by
-    range once, sorts each range by seq locally, and applies a shifted
-    cummax seeded with the carry-in — no global sort, no sequential
-    pass over the corpus."""
-    out_schema = pa.schema(
-        [
-            (type_col, pa.string()),
-            ("n_events", pa.int64()),
-            ("n_late", pa.int64()),
-        ]
-    )
-    bounds = (
-        events.select_columns([seq_col])
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "mn": pa.array(
-                        [b.column(seq_col).cast(pa.int64()).to_numpy(
-                            zero_copy_only=False
-                        ).min()] if b.num_rows else [],
-                        pa.int64(),
-                    ),
-                    "mx": pa.array(
-                        [b.column(seq_col).cast(pa.int64()).to_numpy(
-                            zero_copy_only=False
-                        ).max()] if b.num_rows else [],
-                        pa.int64(),
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .aggregate(Min("mn"), Max("mx"))
-    )
-    if not bounds or bounds.get("min(mn)") is None:
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        )
-    lo = int(bounds["min(mn)"])
-    hi = int(bounds["max(mx)"])
-    width = max((hi - lo) // n_ranges + 1, 1)
-
-    def project(batch: pa.Table) -> pa.Table:
-        s = batch.column(seq_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "rng": pa.array((s - lo) // width, pa.int64()),
-                "s": pa.array(s, pa.int64()),
-                "t": batch.column(ts_col).cast(pa.int64()),
-                "typ": batch.column(type_col).cast(pa.string()),
-            }
-        )
-
-    projected = events.select_columns(
-        [seq_col, ts_col, type_col]
-    ).map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    projected = projected.materialize()  # phase 1 + phase 2 both consume it
-
-    range_max = _small_df(
-        projected.select_columns(["rng", "t"]).groupby("rng").aggregate(Max("t")),
-        {"rng": np.int64, "max(t)": np.int64},
-    )
-    carry = np.full(n_ranges + 1, -(1 << 62), np.int64)
-    if len(range_max):
-        r = range_max["rng"].to_numpy(np.int64)
-        m = range_max["max(t)"].to_numpy(np.int64)
-        tmp = np.full(n_ranges + 1, -(1 << 62), np.int64)
-        tmp[r] = m
-        # carry[i] = max over ranges < i
-        carry[1:] = np.maximum.accumulate(tmp[:-1])
-    carry_ref = ray.put(carry)
-
-    def late_partial(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "typ": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-                "l": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        cr = ray.get(carry_ref)
-        s = group.column("s").to_numpy(zero_copy_only=False)
-        t = group.column("t").to_numpy(zero_copy_only=False)
-        rng = group.column("rng").to_numpy(zero_copy_only=False)
-        order = np.lexsort((s, rng))
-        t_s, rng_s = t[order], rng[order]
-        new_rng = np.concatenate(([True], rng_s[1:] != rng_s[:-1]))
-        # shifted cummax within each range, seeded with the carry-in
-        wm = np.empty(t_s.size, np.int64)
-        wm[0] = cr[rng_s[0]]
-        wm[1:] = t_s[:-1]
-        seg_id = np.cumsum(new_rng) - 1
-        starts = np.flatnonzero(new_rng)
-        wm[starts] = cr[rng_s[starts]]
-        # running max of wm within segments (pandas grouped cummax)
-        import pandas as pd
-
-        wm = pd.Series(wm).groupby(seg_id).cummax().to_numpy()
-        late = (t_s < wm - budget_us).astype(np.int64)
-        g = (
-            pa.table(
-                {
-                    "typ": group.column("typ").take(pa.array(order)),
-                    "n": pa.array(np.ones(t_s.size, np.int64)),
-                    "l": pa.array(late),
-                }
-            )
-            .group_by("typ")
-            .aggregate([("n", "sum"), ("l", "sum")])
-        )
-        return pa.table(
-            {
-                "typ": g.column("typ"),
-                "n": g.column("n_sum").cast(pa.int64()),
-                "l": g.column("l_sum").cast(pa.int64()),
-            }
-        )
-
-    agg = (
-        projected.groupby("rng")
-        .map_groups(late_partial, batch_format="pyarrow")
-        .groupby("typ")
-        .aggregate(Sum("n"), Sum("l"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "typ" not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        return pa.table(
-            {
-                type_col: batch.column("typ"),
-                "n_events": batch.column("sum(n)").cast(pa.int64()),
-                "n_late": batch.column("sum(l)").cast(pa.int64()),
-            }
-        )
-
-    return _anchor_schema(
-        agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
         out_schema,
     )
 

@@ -16,9 +16,13 @@ Scale design notes:
   count, then segments each bucket by key and emits id pairs inside each
   key run, star-capping hot keys: the one exchange in `exchange.py`.
   Candidates are then verified (signature agreement, exact Jaccard).
-* ANN broadcasts the small side (query matrix / centroid index) via
-  ``ray.put`` once; each task reads it from the object store — never a
-  shuffle join, never re-shipped per batch.
+* Small sides (a vocabulary, a value CDF, a label map; ANN's query
+  matrix / centroid index) broadcast via ``ray.put`` once; each task
+  reads them from the object store — never a shuffle join, never
+  re-shipped per batch. A side reaches the driver through
+  ``exchange.collect_small``, which holds the one row limit
+  (``MAX_BROADCAST_ROWS``); operators with a co-group path pick it with
+  ``exchange.fits_broadcast``.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from .exchange import (
     _log_star_fallback,
     _mix64,
     capped_pairs,
+    collect_small,
+    fits_broadcast,
     run_pairs,
     segment_runs,
     star_pairs,
@@ -433,7 +439,6 @@ def tfidf_topk_ds(
     k: int = 5,
     text_col: str = "text",
     id_col: str = "doc_id",
-    max_vocab_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Top-``k`` most discriminative terms per document, ranked by
     ``tf DESC, df ASC, term ASC`` — the classic tf-idf curation signal
@@ -451,10 +456,9 @@ def tfidf_topk_ds(
        shuffle before the top-k.
     2. DF — per-batch partial term counts (terms are already distinct
        per doc) -> ``groupby(term).sum`` over the vocab-sized partials;
-       collected and broadcast via ``ray.put`` under a
-       ``max_vocab_broadcast`` guard (natural-language vocab grows
-       ~O(sqrt(corpus)) [Heaps' law], so a few million entries cover
-       web scale; raise the guard or shard the vocab map if exceeded).
+       collected with ``collect_small`` and broadcast via ``ray.put``
+       (natural-language vocab grows ~O(sqrt(corpus)) [Heaps' law], so
+       a few million entries cover web scale).
     3. Top-k — streaming ``map_batches`` over the per-doc rows: flatten,
        ``searchsorted`` df lookup, ONE ``np.lexsort`` per batch
        (doc, -tf, df, term) + segment cumcount -> rank filter. No
@@ -515,23 +519,15 @@ def tfidf_topk_ds(
             }
         )
 
-    df_rows = (
+    df_rows = collect_small(
         tf.map_batches(df_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("term")
-        .aggregate(Sum("df_partial"))
-        .materialize()  # one execution: count() reads metadata, the
-        # collect below reads blocks — and the guard fires BEFORE any
-        # driver-side vocab materialization
+        .aggregate(Sum("df_partial")),
+        "vocabulary",
+        {"term": pa.string(), "sum(df_partial)": pa.int64()},
     )
-    n_vocab = df_rows.count()
-    if n_vocab > max_vocab_broadcast:
-        raise ValueError(
-            f"vocabulary ({n_vocab} terms) exceeds max_vocab_broadcast="
-            f"{max_vocab_broadcast}; raise the guard or shard the vocab map"
-        )
-    collected = df_rows.take_all()
-    vocab = np.asarray([r["term"] for r in collected], dtype=object)
-    dfs = np.asarray([int(r["sum(df_partial)"]) for r in collected], dtype=np.int64)
+    vocab = df_rows.column("term").to_numpy(zero_copy_only=False)
+    dfs = df_rows.column("sum(df_partial)").to_numpy()
     vorder = np.argsort(vocab.astype(str), kind="stable")
     vocab_sorted = vocab[vorder].astype(str)
     dfs_sorted = dfs[vorder]
@@ -1227,8 +1223,6 @@ def substring_strip_ds(
     min_df: int = 2,
     text_col: str = "text",
     id_col: str = "doc_id",
-    max_frequent_broadcast: int = 5_000_000,
-    strategy: str = "auto",
     n_hash_buckets: int = 1024,
 ) -> Dataset:
     """Remove duplicated verbatim windows from the corpus (the Lee et al.
@@ -1238,18 +1232,18 @@ def substring_strip_ds(
     appears in >= ``min_df`` documents is dropped; emits
     ``(doc_id, clean_text, n_tokens_removed)`` for every doc.
 
-    Two strategies with identical output, picked by ``strategy="auto"``
-    on the frequent-set size vs ``max_frequent_broadcast``:
+    Two strategies with identical output, picked by the frequent set's
+    row count (``exchange.fits_broadcast``):
 
-    * **broadcast** (frequent set fits the guard): the df aggregate's
+    * **broadcast** (the frequent set fits): the df aggregate's
       frequent grams collect once and broadcast via ``ray.put`` as a
       SORTED string array (object-store-shared, one copy per node); the
       strip pass is a streaming ``map_batches`` — positional grams probe
       with ``searchsorted``, coverage intervals resolve with a +1/-1
       cumsum sweep, surviving tokens re-join with ONE ``pc.binary_join``
       per batch.
-    * **cogroup** (web scale, 30-50% duplication makes the frequent set
-      billions of grams): no driver collect anywhere — positional gram
+    * **cogroup** (it does not; at web scale 30-50% duplication makes
+      the frequent set billions of grams): no driver collect anywhere — positional gram
       rows and frequent-gram rows co-locate by ``md5(gram) %
       n_hash_buckets`` (bounded group count, the substring_dedup
       pattern), matched occurrences emit ``(doc_id, start_pos)`` coverage
@@ -1311,20 +1305,12 @@ def substring_strip_ds(
         )
         .materialize()
     )
-    n_freq = freq_rows.count()
-    if strategy == "auto":
-        strategy = (
-            "broadcast" if n_freq <= max_frequent_broadcast else "cogroup"
-        )
-    if strategy not in ("broadcast", "cogroup"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "cogroup":
+    if not fits_broadcast(freq_rows):
         return _substring_strip_cogroup(
             docs, freq_rows, k, text_col, id_col, n_hash_buckets
         )
-    freq_sorted = np.sort(
-        np.asarray([r["gram"] for r in freq_rows.take_all()], dtype=str)
-    )
+    freq = collect_small(freq_rows, "frequent-gram set", {"gram": pa.string()})
+    freq_sorted = np.sort(freq.column("gram").to_numpy(zero_copy_only=False).astype(str))
     freq_ref = ray.put(freq_sorted)
 
     def strip(batch: pa.Table) -> pa.Table:
@@ -2076,7 +2062,6 @@ def broadcast_join_ds(
     lookup: Dataset,
     key_col: str,
     value_cols: List[str],
-    max_lookup_rows: int = 2_000_000,
 ) -> Dataset:
     """Hash-join against a small dimension table WITHOUT a shuffle: the
     lookup map is built once, put in the object store, and read by every
@@ -2084,28 +2069,16 @@ def broadcast_join_ds(
     cli.py:72-91 — has the same small-side shape). Rows with no match get
     nulls.
 
-    ``max_lookup_rows`` guards against misuse: a broadcast join is only
-    valid for a genuinely small dimension side, so exceeding the cap
-    raises instead of silently building an unbounded driver dict (use a
-    shuffle join / bucketed groupby for large sides)."""
-    maps: Dict[str, Dict] = {c: {} for c in value_cols}
-    n_rows = 0
-    for b in lookup.select_columns([key_col] + value_cols).iter_batches(
-        batch_format="pyarrow"
-    ):
-        n_rows += b.num_rows
-        if n_rows > max_lookup_rows:
-            raise ValueError(
-                f"broadcast_join_ds: lookup side exceeds max_lookup_rows="
-                f"{max_lookup_rows}; it is not a broadcastable small side"
-            )
-        keys = b.column(key_col).to_pylist()
-        for c in value_cols:
-            vals = b.column(c).to_pylist()
-            m = maps[c]
-            for k, v in zip(keys, vals):
-                m[k] = v
-    ref = ray.put(maps)
+    A broadcast join is only valid for a genuinely small dimension side:
+    the lookup comes to the driver through ``collect_small``, which
+    raises instead of building an unbounded driver dict (use a shuffle
+    join / bucketed groupby for large sides)."""
+    cols = collect_small(
+        lookup.select_columns([key_col] + value_cols),
+        "broadcast_join_ds lookup side",
+    ).to_pydict()
+    keys = cols.get(key_col, [])
+    ref = ray.put({c: dict(zip(keys, cols.get(c, []))) for c in value_cols})
 
     def join(batch: pa.Table) -> pa.Table:
         lk = ray.get(ref)
@@ -2461,63 +2434,60 @@ def _attach_labels_cogroup(
     docs: Dataset, labels: Dataset, id_col: str
 ) -> Dataset:
     """Attach canonical ids to ``docs`` from a ``(node, label)`` dataset by
-    ONE hash-by-id co-group — the web-scale path where the label set
-    (linear in dup-involved docs, i.e. billions of rows at a 30-50% dup
-    rate) must never collect into a driver dict. Docs rows and label rows
-    union on a shared ``node`` key; within each group the canonical id is
-    the (single) label row's label, or the doc's own id when the doc has
-    no duplicate. Emits one output row per doc-side row, preserving the
-    driver-dict path's contract exactly."""
+    ONE bounded hash-bucket co-group — the web-scale path where the label
+    set (linear in dup-involved docs, i.e. billions of rows at a 30-50%
+    dup rate) must never collect into a driver dict. Doc rows and label
+    rows shuffle on ``_hash_bucket_column(node, N_EXCHANGE_BUCKETS)``;
+    inside a bucket one :func:`segment_runs` pass sorts each node's label
+    row ahead of its doc rows, so a run's first row carries the canonical
+    id: the label, or the doc's own id when the doc has no duplicate.
+    Emits one output row per doc-side row, preserving the driver-dict
+    path's contract exactly."""
 
-    def doc_side(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col)
+    def tag(node: pa.ChunkedArray, label, n_doc: int) -> pa.Table:
         return pa.table(
             {
-                "node": ids,
-                "label": pa.nulls(batch.num_rows, ids.type),
-                "n_doc": pa.array(
-                    np.ones(batch.num_rows, dtype=np.int64)
-                ),
-            }
-        )
-
-    def label_side(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": batch.column("node"),
-                "label": batch.column("label"),
-                "n_doc": pa.array(
-                    np.zeros(batch.num_rows, dtype=np.int64)
-                ),
+                "node": node,
+                "label": label,
+                "n_doc": pa.array(np.full(len(node), n_doc, np.int64)),
+                "bkt": _hash_bucket_column(node, N_EXCHANGE_BUCKETS),
             }
         )
 
     both = docs.select_columns([id_col]).map_batches(
-        doc_side, batch_format="pyarrow", zero_copy_batch=True
+        lambda b: tag(
+            b.column(id_col), pa.nulls(b.num_rows, b.column(id_col).type), 1
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     ).union(
         labels.map_batches(
-            label_side, batch_format="pyarrow", zero_copy_batch=True
+            lambda b: tag(b.column("node"), b.column("label"), 0),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
         )
     )
 
-    def resolve(group: pa.Table) -> pa.Table:
-        n_doc = int(pc.sum(group.column("n_doc")).as_py() or 0)
-        node_t = group.column("node").type
-        if n_doc == 0:  # label row for an id absent from docs
-            return pa.table(
-                {id_col: pa.array([], node_t), "canonical_id": pa.array([], node_t)}
-            )
-        node = group.column("node")[0].as_py()
-        lab = pc.min(group.column("label")).as_py()  # null-skipping
-        canonical = node if lab is None else lab
+    def resolve(bucket: pa.Table) -> pa.Table:
+        node_t = bucket.column("node").type
+        node = bucket.column("node").to_numpy(zero_copy_only=False)
+        lab = pc.coalesce(bucket.column("label"), bucket.column("node")).to_numpy(
+            zero_copy_only=False
+        )
+        n_doc = bucket.column("n_doc").to_numpy()
+        if node.dtype == object:  # string ids
+            node, lab = node.astype(str), lab.astype(str)
+        order, starts, lengths = segment_runs(node, n_doc, lab)
+        canon = np.repeat(lab[order][starts], lengths)
+        is_doc = n_doc[order] == 1
         return pa.table(
             {
-                id_col: pa.array([node] * n_doc, node_t),
-                "canonical_id": pa.array([canonical] * n_doc, node_t),
+                id_col: pa.array(node[order][is_doc], node_t),
+                "canonical_id": pa.array(canon[is_doc], node_t),
             }
         )
 
-    return both.groupby("node").map_groups(resolve, batch_format="pyarrow")
+    return both.groupby("bkt").map_groups(resolve, batch_format="pyarrow")
 
 
 def dedup_resolution_ds(
@@ -2526,41 +2496,36 @@ def dedup_resolution_ds(
     a_col: str = "doc_a",
     b_col: str = "doc_b",
     id_col: str = "doc_id",
-    max_driver_pairs: int = 1_000_000,
-    max_driver_labels: int = 1_000_000,
-    distributed: Optional[bool] = None,
 ) -> Dataset:
     """Resolve verified duplicate pairs into canonical clusters: every doc
     maps to the smallest id in its connected component (itself when it has
     no duplicate).
 
-    Two paths with identical output contracts:
+    Two paths with identical output contracts, picked by the pair set's
+    row count (``exchange.fits_broadcast``):
 
-    * **driver union-find** (small pair sets): collect the pairs, resolve
-      locally, broadcast the label map via ``ray.put``.
-    * **distributed min-label propagation** (web-scale pair sets, where a
-      30-50% dup rate makes the pair set billions of rows): iterated
+    * **driver union-find** (the pair set fits): collect the pairs,
+      resolve locally, broadcast the label map via ``ray.put``.
+    * **distributed min-label propagation** (it does not; a 30-50% dup
+      rate makes the pair set billions of rows): iterated
       ``groupby().min()`` to fixpoint — see ``_min_label_propagation``.
       The final (dup-doc -> canonical) label set is then attached to docs
-      either via a broadcast dict (small label sets,
-      ``<= max_driver_labels``) or via a hash-by-id co-group
-      (:func:`_attach_labels_cogroup`) so the driver never holds the
-      label set at web scale.
+      via a broadcast dict when it fits, or else via a hash-bucket
+      co-group (:func:`_attach_labels_cogroup`) so the driver never
+      holds the label set at web scale.
 
-    ``distributed=None`` picks automatically by counting the pair set
-    against ``max_driver_pairs``; the pair set is materialized ONCE first
-    so the chosen path reads blocks instead of re-executing the (possibly
-    expensive) upstream lineage a second time."""
-    if distributed is None:
-        pairs = pairs.materialize()
-        distributed = pairs.count() > max_driver_pairs
-    if distributed:
+    The pair set is materialized ONCE first so the chosen path reads
+    blocks instead of re-executing the (possibly expensive) upstream
+    lineage a second time."""
+    pairs = pairs.materialize()
+    if not fits_broadcast(pairs):
         labels = _min_label_propagation(pairs, a_col, b_col)
-        if labels.count() > max_driver_labels:
-            # web scale: never collect the label set driver-side
+        if not fits_broadcast(labels):
             return _attach_labels_cogroup(docs, labels, id_col)
-        # small label set — bounded final collect
-        canon = {r["node"]: r["label"] for r in labels.iter_rows()}
+        canon = {
+            r["node"]: r["label"]
+            for r in collect_small(labels, "label set").to_pylist()
+        }
     else:
         parent: Dict = {}
 
@@ -2570,7 +2535,9 @@ def dedup_resolution_ds(
                 x = parent[x]
             return x
 
-        for row in pairs.select_columns([a_col, b_col]).take_all():
+        for row in collect_small(
+            pairs.select_columns([a_col, b_col]), "pair set"
+        ).to_pylist():
             ra, rb = find(row[a_col]), find(row[b_col])
             if ra != rb:
                 lo, hi = (ra, rb) if str(ra) <= str(rb) else (rb, ra)
@@ -3028,7 +2995,6 @@ def decontaminate_ds(
     shingle_k: int = 5,
     text_col: str = "text",
     id_col: str = "doc_id",
-    max_eval_grams: int = 20_000_000,
 ) -> Dataset:
     """Train/eval decontamination: flag training documents that share any
     word ``shingle_k``-gram with the held-out split (the classic
@@ -3036,7 +3002,7 @@ def decontaminate_ds(
 
     Split rule is deterministic (``doc_id % eval_mod == 0`` -> eval).
     Scale shape: the eval side is small by construction, so its distinct
-    md5-u64 gram hashes are collected once (``max_eval_grams`` guards the
+    md5-u64 gram hashes are collected once (``collect_small`` guards the
     driver against a misconfigured split — use a bloom filter or a
     shuffle join beyond it), sorted, broadcast via ``ray.put``, and the
     training side probes them with ``np.searchsorted`` per batch — no
@@ -3065,26 +3031,12 @@ def decontaminate_ds(
             hashes = np.empty(0, dtype=np.uint64)
         return pa.table({"h": pa.array(hashes, pa.uint64())})
 
-    collected: List[np.ndarray] = []
-    n_grams = 0
-    for b in docs.map_batches(
-        eval_grams, batch_format="pyarrow", zero_copy_batch=True
-    ).iter_batches(batch_format="pyarrow"):
-        arr = b.column("h").to_numpy(zero_copy_only=False)
-        n_grams += arr.shape[0]
-        if n_grams > max_eval_grams:
-            raise ValueError(
-                f"decontaminate_ds: eval split exceeds max_eval_grams="
-                f"{max_eval_grams}; the held-out side is not broadcastable "
-                "— use a bloom filter or a shuffle join"
-            )
-        collected.append(arr)
-    eval_hashes = (
-        np.unique(np.concatenate(collected))
-        if collected
-        else np.empty(0, dtype=np.uint64)
-    )
-    ref = ray.put(eval_hashes)
+    eval_hashes = collect_small(
+        docs.map_batches(eval_grams, batch_format="pyarrow", zero_copy_batch=True),
+        "decontaminate_ds eval split grams",
+        {"h": pa.uint64()},
+    ).column("h")
+    ref = ray.put(np.unique(eval_hashes.to_numpy()))
 
     def probe(batch: pa.Table) -> pa.Table:
         grams_sorted = ray.get(ref)
@@ -3255,7 +3207,6 @@ def rare_tokens_ds(
     min_count: int = 3,
     text_col: str = "text",
     id_col: str = "doc_id",
-    max_vocab_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Per-document out-of-vocabulary / rare-token quality signal: the
     count (with multiplicity) of tokens whose CORPUS-WIDE occurrence
@@ -3271,7 +3222,7 @@ def rare_tokens_ds(
     ``groupby``; the broadcast side is the FREQUENT set (count >=
     min_count) only — by Heaps'-law the hapax/rare tail dominates the
     vocabulary, so the broadcast is far smaller than the vocab itself and
-    guarded by ``max_vocab_broadcast``. Scoring is one streaming
+    guarded by ``collect_small``. Scoring is one streaming
     ``map_batches`` pass: flatten, ONE ``searchsorted`` membership probe,
     ``np.bincount`` segment sum. No per-doc Python, no second shuffle."""
     totals = (
@@ -3287,19 +3238,12 @@ def rare_tokens_ds(
             )
         )
 
-    freq = totals.map_batches(
-        keep_frequent, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()  # one execution: count() reads metadata, take_all reads blocks
-    n_freq = freq.count()
-    if n_freq > max_vocab_broadcast:
-        raise ValueError(
-            f"frequent-token set ({n_freq}) exceeds max_vocab_broadcast="
-            f"{max_vocab_broadcast}; raise the guard or shard the vocab map"
-        )
-    vocab_arr = pa.array(
-        sorted(r["token"] for r in freq.take_all()), pa.string()
+    freq = collect_small(
+        totals.map_batches(keep_frequent, batch_format="pyarrow", zero_copy_batch=True),
+        "frequent-token set",
+        {"token": pa.string()},
     )
-    ref = ray.put(vocab_arr)
+    ref = ray.put(freq.sort_by("token").column("token").combine_chunks())
 
     def score(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -3347,7 +3291,6 @@ def jaccard_join_ds(
     id_col: str = "doc_id",
     n_hash_buckets: int = 512,
     max_bucket: Optional[int] = DEFAULT_MAX_BUCKET,
-    max_vocab_broadcast: int = 5_000_000,
 ) -> Dataset:
     """EXACT token-set similarity self-join via prefix filtering (Bayardo
     et al. 2007 "Scaling Up All Pairs Similarity Search"; Vernica et al.
@@ -3371,7 +3314,7 @@ def jaccard_join_ds(
        batch, ONE ROW PER DOC (list column) — materialized once, reused
        for the df aggregate, the prefix emit and the verify semi-join.
     2. Token df: count combiner -> vocab-sized ``groupby`` -> broadcast
-       under ``max_vocab_broadcast`` (Heaps'-law bounded; shard the map
+       through ``collect_small`` (Heaps'-law bounded; shard the map
        above it).
     3. Prefix emit streams ``(token, doc_id, set_size)`` rows — only
        ``|d| - ceil(t|d|) + 1`` rows per doc, i.e. half the corpus tokens
@@ -3442,21 +3385,15 @@ def jaccard_join_ds(
             }
         )
 
-    df_rows = (
+    df_rows = collect_small(
         toksets.map_batches(df_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("token")
-        .aggregate(Sum("df_partial"))
-        .materialize()
+        .aggregate(Sum("df_partial")),
+        "vocabulary",
+        {"token": pa.string(), "sum(df_partial)": pa.int64()},
     )
-    n_vocab = df_rows.count()
-    if n_vocab > max_vocab_broadcast:
-        raise ValueError(
-            f"vocabulary ({n_vocab} tokens) exceeds max_vocab_broadcast="
-            f"{max_vocab_broadcast}; shard the df map above this"
-        )
-    collected = df_rows.take_all()
-    vocab = np.asarray([r["token"] for r in collected], dtype=str)
-    dfs = np.asarray([int(r["sum(df_partial)"]) for r in collected], dtype=np.int64)
+    vocab = df_rows.column("token").to_numpy(zero_copy_only=False).astype(str)
+    dfs = df_rows.column("sum(df_partial)").to_numpy()
     vorder = np.argsort(vocab, kind="stable")
     df_ref = ray.put((vocab[vorder], dfs[vorder]))
 
@@ -3589,7 +3526,6 @@ def length_rank_ds(
     docs: Dataset,
     value_col: str = "n_chars",
     id_col: str = "doc_id",
-    max_domain_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Global percentile rank of an integer column WITHOUT a global sort —
     the `count(*) OVER (ORDER BY v)` window function re-expressed as a
@@ -3618,22 +3554,16 @@ def length_rank_ds(
             {"v": g.column("v"), "n_partial": g.column("v_count").cast(pa.int64())}
         )
 
-    hist = (
+    hist = collect_small(
         docs.select_columns([value_col])
         .map_batches(vc_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("v")
-        .aggregate(Sum("n_partial"))
-        .materialize()
+        .aggregate(Sum("n_partial")),
+        "value domain",
+        {"v": pa.int64(), "sum(n_partial)": pa.int64()},
     )
-    n_vals = hist.count()
-    if n_vals > max_domain_broadcast:
-        raise ValueError(
-            f"value domain ({n_vals} distinct) exceeds max_domain_broadcast="
-            f"{max_domain_broadcast}; this rank shape needs a bounded domain"
-        )
-    rows = hist.take_all()
-    vals = np.asarray([int(r["v"]) for r in rows], dtype=np.int64)
-    cnts = np.asarray([int(r["sum(n_partial)"]) for r in rows], dtype=np.int64)
+    vals = hist.column("v").to_numpy()
+    cnts = hist.column("sum(n_partial)").to_numpy()
     order = np.argsort(vals, kind="stable")
     vals, cnts = vals[order], cnts[order]
     cum = np.cumsum(cnts)
@@ -3672,7 +3602,6 @@ def collocations_ds(
     docs: Dataset,
     min_count: int = 5,
     text_col: str = "text",
-    max_vocab_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Bigram collocation mining with an integer lift score — the
     phrase-detection / tokenizer-merge-candidate pass of a text corpus
@@ -3691,8 +3620,9 @@ def collocations_ds(
     flattened token array — no per-doc Python) -> ONE
     ``groupby(w1, w2)`` over combined rows, materialized once. The
     marginals n_x / n_y derive from the pair table itself (two more
-    combiner+groupby passes over it), broadcast via ``ray.put`` under
-    ``max_vocab_broadcast`` (vocab-sized by Heaps' law), and the final
+    combiner+groupby passes over it), come to the driver through
+    ``collect_small`` (vocab-sized by Heaps' law), broadcast via
+    ``ray.put``, and the final
     scoring is one streaming probe pass over the pair table."""
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -3767,20 +3697,15 @@ def collocations_ds(
                 {col: g.column(col), "m_partial": g.column("n_sum").cast(pa.int64())}
             )
 
-        agg = (
+        agg = collect_small(
             pairs_tot.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
             .groupby(col)
-            .aggregate(Sum("m_partial"))
-            .materialize()
+            .aggregate(Sum("m_partial")),
+            "bigram marginal vocab",
+            {col: pa.string(), "sum(m_partial)": pa.int64()},
         )
-        if agg.count() > max_vocab_broadcast:
-            raise ValueError(
-                f"bigram marginal vocab ({agg.count()}) exceeds "
-                f"max_vocab_broadcast={max_vocab_broadcast}"
-            )
-        rows = agg.take_all()
-        toks = np.array([r[col] for r in rows], dtype=str)
-        cnts = np.array([r["sum(m_partial)"] for r in rows], dtype=np.int64)
+        toks = agg.column(col).to_numpy(zero_copy_only=False).astype(str)
+        cnts = agg.column("sum(m_partial)").to_numpy()
         order = np.argsort(toks)
         return toks[order], cnts[order]
 
@@ -5334,7 +5259,6 @@ def surprisal_ds(
     docs: Dataset,
     text_col: str = "text",
     id_col: str = "doc_id",
-    max_vocab_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Per-document token-rarity surprisal, INTEGER-EXACT: each token
     contributes ``floor(log2(T / c))`` bits (``T`` corpus tokens, ``c``
@@ -5347,8 +5271,8 @@ def surprisal_ds(
     mean bits in e3.
 
     Scale shape: per-batch partial term counts -> ONE vocab-sized
-    ``groupby(term)`` -> sorted-vocab broadcast under
-    ``max_vocab_broadcast`` (Heaps'-law bounded) -> streaming scoring
+    ``groupby(term)`` -> sorted-vocab broadcast through
+    ``collect_small`` (Heaps'-law bounded) -> streaming scoring
     pass, one searchsorted + one bincount per batch."""
 
     def term_partial(batch: pa.Table) -> pa.Table:
@@ -5367,22 +5291,16 @@ def surprisal_ds(
             }
         )
 
-    vocab_rows = (
+    vocab = collect_small(
         docs.select_columns([id_col, text_col])
         .map_batches(term_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("term")
-        .aggregate(Sum("c"))
-        .materialize()
+        .aggregate(Sum("c")),
+        "vocabulary",
+        {"term": pa.string(), "sum(c)": pa.int64()},
     )
-    n_vocab = vocab_rows.count()
-    if n_vocab > max_vocab_broadcast:
-        raise ValueError(
-            f"vocabulary ({n_vocab} terms) exceeds max_vocab_broadcast="
-            f"{max_vocab_broadcast}; shard the count map"
-        )
-    collected = vocab_rows.take_all()
-    terms = np.asarray([r["term"] for r in collected], dtype=object).astype(str)
-    counts = np.asarray([int(r["sum(c)"]) for r in collected], np.int64)
+    terms = vocab.column("term").to_numpy(zero_copy_only=False).astype(str)
+    counts = vocab.column("sum(c)").to_numpy()
     order = np.argsort(terms, kind="stable")
     terms, counts = terms[order], counts[order]
     total = int(counts.sum())
@@ -5814,11 +5732,29 @@ def apportion_quota_ds(
     return ray.data.from_arrow(out)
 
 
+def _sorted_gram_counts(grams: Dataset) -> Tuple[np.ndarray, ...]:
+    """Collect tagged ``(g, k, sum(c))`` gram counts (``k`` 1 for
+    unigrams, 2 for bigrams) and split them into ``(unigrams, counts,
+    bigrams, counts)``, each gram array sorted for ``searchsorted``."""
+    vocab = collect_small(
+        grams,
+        "gram vocabulary",
+        {"g": pa.string(), "k": pa.int64(), "sum(c)": pa.int64()},
+    )
+    g = vocab.column("g").to_numpy(zero_copy_only=False).astype(str)
+    kind = vocab.column("k").to_numpy()
+    c = vocab.column("sum(c)").to_numpy()
+    out = []
+    for k in (1, 2):
+        o = np.argsort(g[kind == k], kind="stable")
+        out += [g[kind == k][o], c[kind == k][o]]
+    return tuple(out)
+
+
 def bigram_surprisal_ds(
     docs: Dataset,
     text_col: str = "text",
     id_col: str = "doc_id",
-    max_vocab_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Per-document BIGRAM-LM surprisal, INTEGER-EXACT — the conditional
     upgrade of :func:`surprisal_ds` (closer to the perplexity filters
@@ -5834,7 +5770,7 @@ def bigram_surprisal_ds(
     Scale shape: ONE tagged partial pass emits combined per-block
     unigram and bigram counts (disjoint key domains — tokens are
     space-split, bigram keys contain a space) -> one Heaps'-bounded
-    ``groupby(gram)`` -> sorted-vocab broadcast (guarded) -> streaming
+    ``groupby(gram)`` -> sorted-vocab broadcast (``collect_small``) -> streaming
     scoring pass (two searchsorted probes per batch)."""
 
     def gram_partial(batch: pa.Table) -> pa.Table:
@@ -5877,35 +5813,14 @@ def bigram_surprisal_ds(
             )
         return pa.concat_tables(parts)
 
-    vocab_rows = (
-        docs.select_columns([id_col, text_col])
-        .map_batches(gram_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["g", "k"])
-        .aggregate(Sum("c"))
-        .materialize()
-    )
-    n_vocab = vocab_rows.count()
-    if n_vocab > max_vocab_broadcast:
-        raise ValueError(
-            f"gram vocabulary ({n_vocab}) exceeds max_vocab_broadcast="
-            f"{max_vocab_broadcast}; shard the count map"
+    ref = ray.put(
+        _sorted_gram_counts(
+            docs.select_columns([id_col, text_col])
+            .map_batches(gram_partial, batch_format="pyarrow", zero_copy_batch=True)
+            .groupby(["g", "k"])
+            .aggregate(Sum("c"))
         )
-    from .analytics import _small_df
-
-    df = _small_df(
-        vocab_rows, {"g": object, "k": np.int64, "sum(c)": np.int64}
     )
-    uni_m = df[df["k"] == 1]
-    big_m = df[df["k"] == 2]
-    ut = np.asarray(uni_m["g"].tolist(), dtype=object).astype(str)
-    uc = uni_m["sum(c)"].to_numpy(dtype=np.int64)
-    o = np.argsort(ut, kind="stable")
-    ut, uc = ut[o], uc[o]
-    bt = np.asarray(big_m["g"].tolist(), dtype=object).astype(str)
-    bc = big_m["sum(c)"].to_numpy(dtype=np.int64)
-    o = np.argsort(bt, kind="stable")
-    bt, bc = bt[o], bc[o]
-    ref = ray.put((ut, uc, bt, bc))
 
     def score(batch: pa.Table) -> pa.Table:
         u_t, u_c, b_t, b_c = ray.get(ref)
@@ -6016,7 +5931,6 @@ def length_buckets_ds(
     docs: Dataset,
     n_bucket: int = 8,
     value_col: str = "n_chars",
-    max_domain_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Length-bucketing report for dynamic batching — quantile bucket
     boundaries plus the padding overhead each bucket pays when padded to
@@ -6038,26 +5952,15 @@ def length_buckets_ds(
             {"v": g.column("v"), "c": g.column("v_count").cast(pa.int64())}
         )
 
-    hist = (
+    hist = collect_small(
         docs.select_columns([value_col])
         .map_batches(vc_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("v")
-        .aggregate(Sum("c"))
-        .materialize()
-    )
-    if hist.count() > max_domain_broadcast:
-        raise ValueError(
-            f"value domain ({hist.count()}) exceeds "
-            f"max_domain_broadcast={max_domain_broadcast}"
-        )
-    from .analytics import _small_df
-
-    df = (
-        _small_df(hist, {"v": np.int64, "sum(c)": np.int64})
-        .sort_values("v")
-        .reset_index(drop=True)
-    )
-    if len(df) == 0:  # empty corpus: no buckets to report
+        .aggregate(Sum("c")),
+        "value domain",
+        {"v": pa.int64(), "sum(c)": pa.int64()},
+    ).sort_by("v")
+    if not hist.num_rows:  # empty corpus: no buckets to report
         return ray.data.from_arrow(
             pa.table(
                 {
@@ -6070,8 +5973,8 @@ def length_buckets_ds(
                 }
             )
         )
-    vals = df["v"].to_numpy(dtype=np.int64)
-    cnts = df["sum(c)"].to_numpy(dtype=np.int64)
+    vals = hist.column("v").to_numpy()
+    cnts = hist.column("sum(c)").to_numpy()
     cum = np.cumsum(cnts)
     n = int(cum[-1])
     bnd = np.asarray(
@@ -6350,7 +6253,6 @@ def backoff_surprisal_ds(
     docs: Dataset,
     text_col: str = "text",
     id_col: str = "doc_id",
-    max_vocab_broadcast: int = 5_000_000,
 ) -> Dataset:
     """HELD-OUT bigram cross-entropy with stupid backoff, INTEGER-EXACT —
     the train/score split :func:`bigram_surprisal_ds` cannot express
@@ -6365,7 +6267,7 @@ def backoff_surprisal_ds(
         unseen:        2 + floor(log2(T))
 
     Scale shape: the train pass reuses the tagged uni+bigram combiner ->
-    Heaps'-bounded groupby -> sorted-array broadcast (guarded); the
+    Heaps'-bounded groupby -> sorted-array broadcast (``collect_small``); the
     score pass streams the odd docs with searchsorted membership probes —
     no shuffle of either split."""
 
@@ -6418,29 +6320,11 @@ def backoff_surprisal_ds(
     train = docs.select_columns([id_col, text_col]).map_batches(
         is_even, batch_format="pyarrow", zero_copy_batch=True
     )
-    vocab_rows = (
+    ut, uc, bt, bc = _sorted_gram_counts(
         train.map_batches(gram_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["g", "k"])
         .aggregate(Sum("c"))
-        .materialize()
     )
-    if vocab_rows.count() > max_vocab_broadcast:
-        raise ValueError("train gram vocabulary exceeds max_vocab_broadcast")
-    from .analytics import _small_df
-
-    df = _small_df(
-        vocab_rows, {"g": object, "k": np.int64, "sum(c)": np.int64}
-    )
-    uni_m = df[df["k"] == 1]
-    big_m = df[df["k"] == 2]
-    ut = np.asarray(uni_m["g"].tolist(), dtype=object).astype(str)
-    uc = uni_m["sum(c)"].to_numpy(dtype=np.int64)
-    o = np.argsort(ut, kind="stable")
-    ut, uc = ut[o], uc[o]
-    bt = np.asarray(big_m["g"].tolist(), dtype=object).astype(str)
-    bc = big_m["sum(c)"].to_numpy(dtype=np.int64)
-    o = np.argsort(bt, kind="stable")
-    bt, bc = bt[o], bc[o]
     T = int(uc.sum())
     ref = ray.put((ut, uc, bt, bc, T))
 
@@ -6503,7 +6387,6 @@ def snm_pairs_ds(
     text_col: str = "text",
     chunk: int = 8192,
     n_buckets: int = 512,
-    max_domain_broadcast: int = 5_000_000,
 ) -> Dataset:
     """Sorted-Neighborhood Method candidate pairs (Hernandez & Stolfo
     1995) — the third classic dedup *blocking* modality next to LSH
@@ -6564,11 +6447,7 @@ def snm_pairs_ds(
         keyed, batch_format="pyarrow", zero_copy_batch=True
     )
     ranked = row_number_ds(
-        keyed_ds,
-        value_col="k_int",
-        id_col=id_col,
-        n_buckets=n_buckets,
-        max_domain_broadcast=max_domain_broadcast,
+        keyed_ds, value_col="k_int", id_col=id_col, n_buckets=n_buckets
     )
 
     def to_groups(batch: pa.Table) -> pa.Table:
@@ -6835,7 +6714,6 @@ def prefix_filter_pairs_ds(
     id_col: str = "doc_id",
     text_col: str = "text",
     n_buckets: int = 512,
-    max_vocab_broadcast: int = 20_000_000,
     max_token_df: Optional[int] = None,
     shingle_k: int = 1,
 ) -> Dataset:
@@ -6852,7 +6730,7 @@ def prefix_filter_pairs_ds(
 
     Scale shape: per-batch distinct-(doc, token) combiner (a doc's
     tokens never span batches) -> ONE Heaps'-bounded token groupby for
-    the df table (broadcast once via ``ray.put``, guarded) -> ONE
+    the df table (broadcast once via ``ray.put``, ``collect_small``) -> ONE
     ``mix64(doc)`` bucket shuffle for in-bucket prefix selection
     (lexsort + segment ranks, no per-doc Python) -> ONE token-hash
     bucket shuffle with size-grouped triu pair expansion (hot tokens
@@ -6916,17 +6794,14 @@ def prefix_filter_pairs_ds(
     )
     from ray.data.aggregate import Count as _Count
 
-    df_tbl = toks_ds.groupby("token").aggregate(_Count()).materialize()
-    if df_tbl.count() > max_vocab_broadcast:
-        raise ValueError("token vocabulary exceeds max_vocab_broadcast")
-    from .analytics import _small_df
-
-    vdf = _small_df(df_tbl, {"token": object, "count()": np.int64})
-    vocab = np.sort(vdf["token"].to_numpy(dtype=object).astype(str))
-    dfs = np.empty(len(vocab), dtype=np.int64)
-    order = np.argsort(vdf["token"].to_numpy(dtype=object).astype(str))
-    dfs[:] = vdf["count()"].to_numpy(dtype=np.int64)[order]
-    vocab_ref = ray.put((vocab, dfs))
+    df_tbl = collect_small(
+        toks_ds.groupby("token").aggregate(_Count()),
+        "token vocabulary",
+        {"token": pa.string(), "count()": pa.int64()},
+    )
+    vocab = df_tbl.column("token").to_numpy(zero_copy_only=False).astype(str)
+    order = np.argsort(vocab)
+    vocab_ref = ray.put((vocab[order], df_tbl.column("count()").to_numpy()[order]))
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -7864,7 +7739,6 @@ def centroid_outliers_ds(
     label_col: str = "label",
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-    max_labels: int = 1_000_000,
 ) -> Dataset:
     """Per-cluster centroid outliers — the mislabel / contamination audit
     of an embedding partition: for each label the top-``k`` member
@@ -7879,8 +7753,8 @@ def centroid_outliers_ds(
 
     Scale shape: pass 1 accumulates (n, S) per label with the
     ``np.add.at`` scatter combiner and ONE label-bounded groupby; the
-    tiny (labels x dims) table broadcasts via ``ray.put`` under
-    ``max_labels``; pass 2 streams the vectors once computing d2n2
+    tiny (labels x dims) table comes through ``collect_small`` and
+    broadcasts via ``ray.put``; pass 2 streams the vectors once computing d2n2
     vectorized and emits per-block top-k partials, so the final
     ``groupby(label)`` sees <= blocks * k rows per label."""
 
@@ -7912,21 +7786,15 @@ def centroid_outliers_ds(
             }
         )
 
-    stats = (
+    stats = collect_small(
         embeddings.select_columns([label_col, vec_col])
         .map_batches(sums_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["label", "dim"])
-        .aggregate(Sum("n"), Sum("sd"))
-        .materialize()
+        .aggregate(Sum("n"), Sum("sd")),
+        "label x dim table",
+        {"label": pa.int64(), "dim": pa.int64(), "sum(n)": pa.int64(), "sum(sd)": pa.int64()},
     )
-    n_cells = stats.count()
-    if n_cells > max_labels * 64:
-        raise ValueError(
-            f"label x dim table ({n_cells}) exceeds the broadcast guard; "
-            "shard labels upstream"
-        )
-    rows = stats.take_all()
-    if not rows:
+    if not stats.num_rows:
         return ray.data.from_arrow(
             pa.table(
                 {
@@ -7937,15 +7805,12 @@ def centroid_outliers_ds(
                 }
             )
         )
-    labels = sorted({r["label"] for r in rows})
-    lab_pos = {l: i for i, l in enumerate(labels)}
-    dims = 1 + max(r["dim"] for r in rows)
-    S = np.zeros((len(labels), dims), np.int64)
-    N = np.zeros(len(labels), np.int64)
-    for r in rows:
-        S[lab_pos[r["label"]], r["dim"]] = r["sum(sd)"]
-        N[lab_pos[r["label"]]] += r["sum(n)"]
-    lab_keys = np.asarray(labels, np.int64)
+    lab_keys, li = np.unique(stats.column("label").to_numpy(), return_inverse=True)
+    dim = stats.column("dim").to_numpy()
+    S = np.zeros((len(lab_keys), int(dim.max()) + 1), np.int64)
+    S[li, dim] = stats.column("sum(sd)").to_numpy()
+    N = np.zeros(len(lab_keys), np.int64)
+    np.add.at(N, li, stats.column("sum(n)").to_numpy())
     ref = ray.put((lab_keys, N, S))
 
     def score(batch: pa.Table) -> pa.Table:
@@ -8848,7 +8713,6 @@ def semantic_families_ds(
     k: int = 5,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    max_broadcast_families: int = 20_000_000,
 ) -> Dataset:
     """Semantic near-dup FAMILIES — the end-to-end composition of three
     engine primitives: reciprocal k-NN pairs (high-precision similarity
@@ -8859,9 +8723,9 @@ def semantic_families_ds(
     exactly the cluster table a SemDeDup-style keep-one policy consumes.
 
     Scale shape inherits from the parts: bounded bucket shuffles
-    throughout, nothing node-count-sized on the driver (family sizes
-    broadcast under ``max_broadcast_families``; above it, attach through
-    the generic bucketed ``hash_join_ds``)."""
+    throughout, nothing node-count-sized on the driver: family sizes
+    broadcast when their row count fits (``exchange.fits_broadcast``),
+    and otherwise attach through the generic bucketed ``hash_join_ds``."""
     from .analytics import hash_join_ds
 
     empty = pa.table(
@@ -8909,7 +8773,7 @@ def semantic_families_ds(
         )
         .materialize()
     )
-    if sizes.count() > max_broadcast_families:
+    if not fits_broadcast(sizes):
         renamed = labels.map_batches(
             lambda b: pa.table(
                 {
@@ -8926,9 +8790,11 @@ def semantic_families_ds(
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-    rows = sizes.take_all()
-    fam_ids = np.asarray([r["family"] for r in rows], np.int64)
-    fam_sz = np.asarray([r["n_members"] for r in rows], np.int64)
+    fams = collect_small(
+        sizes, "family sizes", {"family": pa.int64(), "n_members": pa.int64()}
+    )
+    fam_ids = fams.column("family").to_numpy()
+    fam_sz = fams.column("n_members").to_numpy()
     order = np.argsort(fam_ids)
     ref = ray.put((fam_ids[order], fam_sz[order]))
 

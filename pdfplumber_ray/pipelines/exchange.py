@@ -1,5 +1,5 @@
-"""Bounded hash-bucket pair exchange: the one place that decides how rows
-reach a bucket and how candidate pairs leave one.
+"""Bounded exchanges: the one place that decides how rows reach a bucket,
+how candidate pairs leave one, and whether a side may come to the driver.
 
 Every near-dup and similarity-join operator in `corpus_ops` and
 `analytics` has the same shape (the hash-partitioned co-group of
@@ -20,6 +20,13 @@ Callers choose the run lengths they pass (star-capped, truncated to the
 first ``cap`` rows, or dropped outside bounds), so each operator keeps
 its own cap policy. Operator semantics (Hamming checks, size filters,
 same-doc skips) are filters on the returned index pairs.
+
+Small sides (a vocabulary, a value CDF, a label map) come to the driver
+only through :func:`collect_small`, which refuses a side above
+``MAX_BROADCAST_ROWS``; operators that have a co-group path pick it with
+:func:`fits_broadcast`. One row budget bounds what the driver holds for
+every operator, in the spirit of *Memory Efficient Scheduling of Query
+Pipeline Execution* (CIDR 2022).
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from typing import Optional, Tuple
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray.data
 
 _LOG = logging.getLogger(__name__)
 
@@ -44,6 +52,10 @@ DEFAULT_MAX_BUCKET = 256
 
 # Group count of the MinHash band and SimHash chunk exchanges.
 N_EXCHANGE_BUCKETS = 1024
+
+# Most rows a side may have to be collected to the driver and broadcast.
+# Read at call time, so tests can lower it.
+MAX_BROADCAST_ROWS = 5_000_000
 
 Pairs = Tuple[np.ndarray, np.ndarray]
 
@@ -166,3 +178,40 @@ def capped_pairs(
     i, j = run_pairs(starts[~hot], lengths[~hot])
     si, sj = star_pairs(starts[hot], lengths[hot], kind, max_bucket)
     return np.concatenate((i, si)), np.concatenate((j, sj))
+
+
+def fits_broadcast(ds: ray.data.Dataset) -> bool:
+    """Whether ``ds`` is small enough to collect and broadcast. Pass a
+    materialized dataset: its row count then comes from block metadata,
+    and the caller's collect or co-group reuses the same blocks."""
+    return ds.count() <= MAX_BROADCAST_ROWS
+
+
+def collect_small(
+    ds: ray.data.Dataset, what: str, schema=None
+) -> pa.Table:
+    """Bring a small side to the driver as one Arrow table.
+
+    Materializes ``ds`` once, counts its rows from block metadata and
+    raises ``ValueError`` naming ``what`` when they exceed
+    ``MAX_BROADCAST_ROWS``. With ``schema`` (a ``pa.Schema`` or a name ->
+    type mapping) it returns those columns cast to their types, and an
+    empty input, including the schema-less output of
+    ``groupby().aggregate()`` over zero rows, returns them empty. Without
+    it, the blocks' own columns come back (none for a schema-less empty
+    input)."""
+    ds = ds.materialize()
+    if not fits_broadcast(ds):
+        raise ValueError(
+            f"{what} ({ds.count()} rows) exceeds "
+            f"MAX_BROADCAST_ROWS={MAX_BROADCAST_ROWS}; it is not a "
+            "broadcastable small side"
+        )
+    blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+    if schema is None:
+        if not blocks:
+            return pa.table({})
+        return pa.concat_tables(blocks, promote_options="default")
+    schema = pa.schema(schema)
+    blocks = [b.select(schema.names).cast(schema) for b in blocks]
+    return pa.concat_tables(blocks) if blocks else schema.empty_table()

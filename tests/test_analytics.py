@@ -9,6 +9,7 @@ import pytest
 import ray.data
 
 from pdfplumber_ray.pipelines import analytics as an
+from pdfplumber_ray.pipelines import exchange
 
 
 def _events(rows):
@@ -46,7 +47,7 @@ def test_grouped_rank_ties_and_groups(ray_session):
     assert out[5]["permille"] == 1000
 
 
-def test_grouped_rank_domain_guard(ray_session):
+def test_grouped_rank_domain_guard(ray_session, monkeypatch):
     docs = ray.data.from_arrow(
         pa.table(
             {
@@ -56,10 +57,9 @@ def test_grouped_rank_domain_guard(ray_session):
             }
         )
     )
-    with pytest.raises(ValueError, match="max_domain_broadcast"):
-        an.grouped_rank_ds(
-            docs, "lang", "n_chars", "doc_id", max_domain_broadcast=10
-        ).take_all()
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 10)
+    with pytest.raises(ValueError, match="MAX_BROADCAST_ROWS"):
+        an.grouped_rank_ds(docs, "lang", "n_chars", "doc_id").take_all()
 
 
 def test_histogram_bins(ray_session):
@@ -632,40 +632,6 @@ def test_user_paths_bucket_invariant(ray_session):
     assert a == b and len(a) == 7
 
 
-def test_skyline_keep_kernel():
-    x = np.array([1, 2, 3, 2, 3], dtype=np.int64)
-    y = np.array([5, 4, 3, 2, 3], dtype=np.int64)
-    # frontier: (1,5), (2,4), (3,3) twice (duplicates both survive);
-    # (2,2) is dominated by (2,4) (equal x, strictly smaller y)
-    assert an._skyline_keep(x, y).tolist() == [True, True, True, False, True]
-    # equal-y domination across x: (1,3) dominated by (3,3)
-    x2 = np.array([1, 3], dtype=np.int64)
-    y2 = np.array([3, 3], dtype=np.int64)
-    assert an._skyline_keep(x2, y2).tolist() == [False, True]
-
-
-def test_skyline_ds_merges_local_frontiers(ray_session):
-    # points that are locally non-dominated inside a block can still be
-    # dominated globally — force multiple blocks and check the merge
-    ids = np.arange(8, dtype=np.int64)
-    x = np.array([10, 9, 8, 1, 10, 2, 3, 7], dtype=np.int64)
-    y = np.array([1, 2, 3, 9, 2, 8, 7, 3], dtype=np.int64)
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "id": pa.array(ids, pa.int64()),
-                "x": pa.array(x, pa.int64()),
-                "y": pa.array(y, pa.int64()),
-            }
-        )
-    ).repartition(4)
-    out = {r["id"] for r in an.skyline_ds(ds, "id", "x", "y").take_all()}
-    keep = an._skyline_keep(x, y)
-    assert out == set(ids[keep].tolist())
-    # (10,1) id=0 is dominated by (10,2) id=4; (8,3)=2 and (7,3)=7: 7 dominated
-    assert 0 not in out and 7 not in out and 4 in out
-
-
 def test_grouped_mode_tiebreak_and_counts(ray_session):
     ev = _events(
         [
@@ -842,28 +808,6 @@ def test_hash_join_left_keeps_unmatched(ray_session):
     assert sorted((r["k"], r["rv"]) for r in inner) == [(2, 10), (2, 20)]
 
 
-def test_zscore_hand_computed_and_constant_group(ray_session):
-    import math
-
-    ev = _events(
-        [
-            (1, 1, 0, "t", 1.00),   # v_q 100
-            (2, 1, 0, "t", 2.00),   # v_q 200
-            (3, 1, 0, "t", 3.00),   # v_q 300
-            (4, 1, 0, "c", 5.00),   # constant group -> z 0
-            (5, 1, 0, "c", 5.00),
-        ]
-    )
-    rows = {r["event_id"]: r for r in an.zscore_ds(ev).take_all()}
-    # group t: n=3 s=600 ss=140000; den2 = 3*140000 - 360000 = 60000
-    den = math.sqrt(60000.0)
-    for eid, v in ((1, 100), (2, 200), (3, 300)):
-        want = int(np.floor((3 * v - 600) / den * 1e6))
-        assert rows[eid]["z_e6"] == want, eid
-    assert rows[4]["z_e6"] == 0 and rows[5]["z_e6"] == 0
-    assert rows[1]["v_q"] == 100
-
-
 def test_grouped_percentiles_disc_selection(ray_session):
     # group t: values 1..4 -> p25 = ceil(.25*4)=rank1 -> 100;
     # p50 = rank2 -> 200; p75 = rank3 -> 300
@@ -911,39 +855,6 @@ def test_reorder_gaps_sentinels_and_bounds(ray_session):
     assert (c2["n_orders"], c2["min_gap_us"], c2["max_gap_us"]) == (1, -1, -1)
 
 
-def test_customer_region_share_permille(ray_session):
-    orders = ray.data.from_arrow(
-        pa.table(
-            {
-                "o_custkey": pa.array([1, 1, 2, 3], pa.int64()),
-                "o_totalprice": pa.array([1.00, 2.00, 7.00, 5.00], pa.float64()),
-            }
-        )
-    )
-    customer = ray.data.from_arrow(
-        pa.table(
-            {
-                "c_custkey": pa.array([1, 2, 3], pa.int64()),
-                "c_nationkey": pa.array([10, 11, 20], pa.int64()),
-            }
-        )
-    )
-    nation_rows = [
-        {"n_nationkey": 10, "n_regionkey": 0},
-        {"n_nationkey": 11, "n_regionkey": 0},
-        {"n_nationkey": 20, "n_regionkey": 1},
-    ]
-    rows = {
-        r["custkey"]: r
-        for r in an.customer_region_share_ds(orders, customer, nation_rows).take_all()
-    }
-    # region 0 total 1000 cents: cust1 300 -> 300 permille, cust2 700 -> 700
-    assert (rows[1]["regionkey"], rows[1]["cents"], rows[1]["share_permille"]) == (0, 300, 300)
-    assert rows[2]["share_permille"] == 700
-    # region 1: cust3 is the whole region
-    assert (rows[3]["regionkey"], rows[3]["share_permille"]) == (1, 1000)
-
-
 def test_session_baskets_pairs_and_counts(ray_session):
     g = 1_800_000_000
     ev = _events(
@@ -979,57 +890,6 @@ def test_group_sample_ids_head_and_count(ray_session):
     rows = {r["lang"]: r for r in an.group_sample_ids_ds(docs, k=3).take_all()}
     assert rows["en"]["ids"] == "1,3,5" and rows["en"]["n_docs"] == 6
     assert rows["de"]["ids"] == "2" and rows["de"]["n_docs"] == 1
-
-
-def test_bloom_semi_join_flags_and_fp_containment(ray_session):
-    probe = ray.data.from_arrow(
-        pa.table({"k": pa.array(list(range(100)), pa.int64())})
-    )
-    build = ray.data.from_arrow(
-        pa.table({"bk": pa.array([3, 7, 7, 42], pa.int64())})
-    ).repartition(2)
-    rows = {
-        r["custkey"]: (r["bloom_pass"], r["actual"])
-        for r in an.bloom_semi_join_ds(probe, build, "k", "bk").take_all()
-    }
-    assert len(rows) == 100
-    # every true member passes the filter (no false negatives, ever)
-    for k in (3, 7, 42):
-        assert rows[k] == (1, 1)
-    # non-members are never 'actual'; bloom false positives are allowed
-    others = [rows[k] for k in rows if k not in (3, 7, 42)]
-    assert all(a == 0 for _, a in others)
-    # at 3 keys in 65536 bits the FP rate is ~0 on 97 probes
-    assert sum(b for b, _ in others) <= 1
-
-
-def test_bloom_semi_join_partition_invariant(ray_session):
-    probe = ray.data.from_arrow(
-        pa.table({"k": pa.array(list(range(500)), pa.int64())})
-    )
-    bvals = pa.table({"bk": pa.array([i * 3 for i in range(100)], pa.int64())})
-    one = an.bloom_semi_join_ds(
-        probe, ray.data.from_arrow(bvals).repartition(1), "k", "bk"
-    ).take_all()
-    many = an.bloom_semi_join_ds(
-        probe, ray.data.from_arrow(bvals).repartition(13), "k", "bk"
-    ).take_all()
-    key = lambda r: (r["custkey"], r["bloom_pass"], r["actual"])
-    assert sorted(map(key, one)) == sorted(map(key, many))
-
-
-def test_cms_counts_overcount_only_and_partition_invariance(ray_session):
-    items = ray.data.from_arrow(
-        pa.table({"k": pa.array([1] * 50 + [2] * 30 + list(range(100, 400)), pa.int64())})
-    )
-    one = {r["key"]: (r["est"], r["actual"]) for r in an.cms_counts_ds(items.repartition(1), "k").take_all()}
-    many = {r["key"]: (r["est"], r["actual"]) for r in an.cms_counts_ds(items.repartition(11), "k").take_all()}
-    assert one == many  # SUM merge of counters is partition-invariant
-    assert one[1][1] == 50 and one[2][1] == 30
-    # count-min never undercounts
-    assert all(est >= actual for est, actual in one.values())
-    # heavy keys estimate close to exact (width 1024 >> 302 keys)
-    assert one[1][0] >= 50 and one[1][0] <= 50 + 330
 
 
 def test_interval_merge_overlap_touch_and_gap(ray_session):
@@ -1237,44 +1097,6 @@ def test_collapse_runs_partition_invariant(ray_session):
          for r in an.collapse_runs_ds(ev.repartition(7), n_buckets=32).take_all()}
     assert a == b
     assert sum(dict(t)["run_len"] for t in a) == 60
-
-
-def test_stream_join_window_bounds_and_expansion(ray_session):
-    s = 1_000_000
-    ev = _events(
-        [
-            (1, 1, 0, "click", 0),
-            (2, 1, 0, "view", 0),          # gap 0 included
-            (3, 1, 10 * s, "view", 0),     # inside window
-            (4, 1, 60 * s, "view", 0),     # exactly window edge included
-            (5, 1, 61 * s, "view", 0),     # outside
-            (6, 1, 30 * s, "click", 0),    # second A: matches 4 (30s) not 3
-            (7, 2, 0, "view", 0),          # other user never matches
-        ]
-    )
-    rows = {(r["a_id"], r["b_id"]): r["gap_us"] for r in
-            an.stream_join_ds(ev, "click", "view", window_us=60 * s).take_all()}
-    assert rows == {
-        (1, 2): 0,
-        (1, 3): 10 * s,
-        (1, 4): 60 * s,
-        (6, 4): 30 * s,
-        (6, 5): 31 * s,
-    }
-
-
-def test_stream_join_partition_invariant_and_empty_side(ray_session):
-    ev = _events(
-        [(i, i % 4, i * 10_000_000, "click" if (i // 4) % 2 else "view", 0)
-         for i in range(80)]
-    )
-    a = {tuple(sorted(r.items())) for r in an.stream_join_ds(
-        ev.repartition(1), "click", "view", 120_000_000, n_buckets=2).take_all()}
-    b = {tuple(sorted(r.items())) for r in an.stream_join_ds(
-        ev.repartition(9), "click", "view", 120_000_000, n_buckets=64).take_all()}
-    assert a == b and len(a) > 0
-    none = an.stream_join_ds(ev, "click", "nope", 120_000_000).take_all()
-    assert none == []
 
 
 def test_fk_audit_detects_orphans(ray_session):
@@ -1608,26 +1430,6 @@ def test_keyness_exclusive_term_tops(ray_session):
     assert by_src["b"]["rank"] == 1
 
 
-def test_rolling_active_window(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # user 1 active day 0; user 2 active day 5; user 3 active day 20
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 2, 3], pa.int64()),
-                "ts": pa.array([0, 5 * day, 20 * day], pa.timestamp("us")),
-            }
-        )
-    )
-    out = {r["day"]: r["wau"] for r in an.rolling_active_ds(ev, window_days=7).take_all()}
-    # observed days: 0, 5, 20. day 0: {1}; day 5: {1 (0 >= 5-6), 2}; day 20: {3}
-    assert out == {0: 1, 5: 2, 20: 1}
-
-
 def test_time_to_convert_first_pair_semantics(ray_session):
     import pyarrow as pa
     import ray.data
@@ -1682,55 +1484,6 @@ def test_changepoint_level_shift(ray_session):
     assert r["change_window_us"] == 3 * day  # last quiet day
     # prefix_4 = 4, k=4, S=24, n=8 -> |8*4 - 4*24| = 64
     assert r["max_dev_scaled"] == 64
-
-
-def test_revenue_by_nation_join_chain(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    li = ray.data.from_arrow(
-        pa.table(
-            {
-                "l_orderkey": pa.array([1, 1, 2], pa.int64()),
-                "l_extendedprice": pa.array([100.0, 200.0, 50.0]),
-                "l_discount": pa.array([0.1, 0.0, 0.5]),
-            }
-        )
-    )
-    od = ray.data.from_arrow(
-        pa.table(
-            {
-                "o_orderkey": pa.array([1, 2], pa.int64()),
-                "o_custkey": pa.array([10, 20], pa.int64()),
-            }
-        )
-    )
-    cu = ray.data.from_arrow(
-        pa.table(
-            {
-                "c_custkey": pa.array([10, 20], pa.int64()),
-                "c_nationkey": pa.array([0, 1], pa.int64()),
-            }
-        )
-    )
-    na = ray.data.from_arrow(
-        pa.table(
-            {
-                "n_nationkey": pa.array([0, 1], pa.int64()),
-                "n_name": pa.array(["FRANCE", "KENYA"], pa.string()),
-            }
-        )
-    )
-    rows = {
-        r["n_name"]: r
-        for r in an.revenue_by_nation_ds(li, od, cu, na).take_all()
-    }
-    # order 1 -> cust 10 -> FRANCE: 100*0.9*100 + 200*1.0*100 = 29000
-    assert rows["FRANCE"]["revenue_e2"] == 29_000
-    assert rows["FRANCE"]["n_lineitems"] == 2
-    # order 2 -> KENYA: 50*0.5*100 = 2500
-    assert rows["KENYA"]["revenue_e2"] == 2_500
 
 
 def test_symbolize_word(ray_session):
@@ -2739,53 +2492,6 @@ def test_sole_source_risk_hand_computed(ray_session):
     rows = {r["n_suppliers"]: r for r in an.sole_source_risk_ds(li).take_all()}
     assert rows[2] == {"n_suppliers": 2, "n_parts": 1}
     assert rows[1] == {"n_suppliers": 1, "n_parts": 2}
-
-
-def test_late_events_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # ingest order (event_id): ts = 100, 250, 40, 90, 260
-    # watermark before each: -, 100, 250, 250, 250; budget 50:
-    # late when t < wm - 50: event 3 (40 < 200) and event 4 (90 < 200)
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "event_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
-                "ts": pa.array([100, 250, 40, 90, 260], pa.int64()),
-                "event_type": pa.array(["a", "a", "a", "b", "b"]),
-            }
-        )
-    )
-    rows = {
-        r["event_type"]: r
-        for r in an.late_events_ds(events, budget_us=50).take_all()
-    }
-    assert rows["a"] == {"event_type": "a", "n_events": 3, "n_late": 1}
-    assert rows["b"] == {"event_type": "b", "n_events": 2, "n_late": 1}
-
-
-def test_late_events_range_carry(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # force multiple seq ranges (n_ranges=2) so the carry-in path runs:
-    # global max lives in the first range, late event in the second
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "event_id": pa.array([1, 2, 1000, 1001], pa.int64()),
-                "ts": pa.array([500, 900, 100, 950], pa.int64()),
-                "event_type": pa.array(["x", "x", "x", "x"]),
-            }
-        )
-    )
-    rows = an.late_events_ds(events, budget_us=100, n_ranges=2).take_all()
-    # event 1000: wm=900 -> 100 < 800 late; event 1001: wm=900, 950 ok
-    assert rows == [{"event_type": "x", "n_events": 4, "n_late": 1}]
 
 
 def test_encoding_size_audit_hand_computed(ray_session):

@@ -1,6 +1,9 @@
 """Training-data corpus operators: unit kernels + DuckDB oracle parity at
 sf0.001 + planted near-duplicate recovery."""
 
+import inspect
+import itertools
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -9,6 +12,7 @@ import ray.data
 
 from pdfplumber_ray.functions import textstats as ts
 from pdfplumber_ray.pipelines import corpus_ops as co
+from pdfplumber_ray.pipelines import exchange
 
 SF = "/root/testdata/sf0.001"
 
@@ -167,13 +171,14 @@ def test_planted_near_dups_found(ray_session):
     assert sfound == truth
 
 
-def test_broadcast_join_size_guard(ray_session):
+def test_broadcast_join_size_guard(ray_session, monkeypatch):
     big = ray.data.range(1000).map_batches(
         lambda b: pa.table({"k": b["id"], "v": b["id"]}), batch_format="pyarrow"
     )
     ds = ray.data.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
-    with pytest.raises(ValueError, match="max_lookup_rows"):
-        co.broadcast_join_ds(ds, big, "k", ["v"], max_lookup_rows=10)
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 10)
+    with pytest.raises(ValueError, match="MAX_BROADCAST_ROWS"):
+        co.broadcast_join_ds(ds, big, "k", ["v"])
 
 
 def test_embedding_lsh_subset_of_exact(ray_session):
@@ -216,93 +221,130 @@ def test_serialize_scalar_reference_semantics():
     assert serialize_scalar((1, True, b"a")) == [1, 1, "a"]
 
 
-def test_dedup_resolution_distributed_matches_driver(ray_session):
-    """The min-label-propagation fixpoint (scale path) and driver
-    union-find (small-N fast path) must produce identical canonical
-    labels — including a multi-hop chain component (a-b, b-c, c-d)."""
-    pairs_t = pa.table(
-        {
-            "doc_a": pa.array([1, 2, 3, 10, 20, 21], pa.int64()),
-            "doc_b": pa.array([2, 3, 4, 11, 21, 22], pa.int64()),
-        }
-    )
-    docs_t = pa.table({"doc_id": pa.array(list(range(1, 30)), pa.int64())})
-    pairs = ray.data.from_arrow(pairs_t)
-    docs = ray.data.from_arrow(docs_t)
-    drv = (
-        co.dedup_resolution_ds(pairs, docs, distributed=False)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    dist = (
+# A chain component (1-2-3-4), a pair (10-11), a chain (20-21-22) and a
+# 5-clique (40..44): 16 pairs over 14 labelled nodes, so a limit of 15
+# sends the pairs down the distributed path and still broadcasts the
+# labels, and a limit of 13 co-groups the labels as well.
+_DUP_PAIRS = pa.table(
+    {
+        "doc_a": pa.array(
+            [1, 2, 3, 10, 20, 21] + [a for a, _ in itertools.combinations(range(40, 45), 2)],
+            pa.int64(),
+        ),
+        "doc_b": pa.array(
+            [2, 3, 4, 11, 21, 22] + [b for _, b in itertools.combinations(range(40, 45), 2)],
+            pa.int64(),
+        ),
+    }
+)
+_DUP_DOCS = pa.table({"doc_id": pa.array(list(range(1, 50)), pa.int64())})
+
+
+def _spy(monkeypatch, *names):
+    """Record each call to the named ``corpus_ops`` functions."""
+    calls = []
+    for name in names:
+        real = getattr(co, name)
+
+        def wrapped(*a, _real=real, _name=name, **k):
+            calls.append(_name)
+            return _real(*a, **k)
+
+        monkeypatch.setattr(co, name, wrapped)
+    return calls
+
+
+def _resolved(pairs_t, docs_t):
+    return (
         co.dedup_resolution_ds(
-            ray.data.from_arrow(pairs_t), ray.data.from_arrow(docs_t),
-            distributed=True,
+            ray.data.from_arrow(pairs_t), ray.data.from_arrow(docs_t)
         )
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+
+
+def test_dedup_resolution_distributed_matches_driver(ray_session, monkeypatch):
+    """The min-label-propagation fixpoint (scale path) and driver
+    union-find (small-N fast path) must produce identical canonical
+    labels — including a multi-hop chain component (a-b, b-c, c-d)."""
+    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_labels_cogroup")
+    drv = _resolved(_DUP_PAIRS, _DUP_DOCS)
+    assert calls == []
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 15)
+    dist = _resolved(_DUP_PAIRS, _DUP_DOCS)
+    assert calls == ["_min_label_propagation"]
     assert drv.equals(dist)
     got = dict(zip(drv.doc_id, drv.canonical_id))
     assert got[4] == 1 and got[3] == 1 and got[2] == 1 and got[1] == 1
     assert got[11] == 10 and got[22] == 20 and got[5] == 5
+    assert all(got[i] == 40 for i in range(40, 45))
 
 
-def test_dedup_resolution_cogroup_label_attach(ray_session):
-    """With max_driver_labels=0 the distributed path must attach canonical
-    ids via the hash-by-id co-group (driver never holds a label dict) and
-    produce output identical to the driver union-find path — including
-    docs with no duplicates and chain components."""
-    pairs_t = pa.table(
+def test_dedup_resolution_cogroup_label_attach(ray_session, monkeypatch):
+    """When neither the pairs nor the labels fit ``MAX_BROADCAST_ROWS``
+    the distributed path must attach canonical ids via the hash-bucket
+    co-group (driver never holds a label dict) and produce output
+    identical to the driver union-find path — including docs with no
+    duplicates and chain components, and buckets holding many nodes."""
+    drv = _resolved(_DUP_PAIRS, _DUP_DOCS)
+    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_labels_cogroup")
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 13)
+    cg = _resolved(_DUP_PAIRS, _DUP_DOCS)
+    assert calls == ["_min_label_propagation", "_attach_labels_cogroup"]
+    assert drv.equals(cg)
+    # 2,100 labelled nodes in 700 three-node chains, 2,500 docs: most of
+    # the 1,024 exchange buckets resolve several nodes at once
+    n_chain, n_docs = 700, 2500
+    big_pairs = pa.table(
         {
-            "doc_a": pa.array([1, 2, 3, 10, 20, 21], pa.int64()),
-            "doc_b": pa.array([2, 3, 4, 11, 21, 22], pa.int64()),
+            "doc_a": pa.array([3 * i + d for i in range(n_chain) for d in (0, 1)], pa.int64()),
+            "doc_b": pa.array([3 * i + d for i in range(n_chain) for d in (1, 2)], pa.int64()),
         }
     )
-    docs_t = pa.table({"doc_id": pa.array(list(range(1, 30)), pa.int64())})
-    drv = (
-        co.dedup_resolution_ds(
-            ray.data.from_arrow(pairs_t), ray.data.from_arrow(docs_t),
-            distributed=False,
-        )
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    cg = (
-        co.dedup_resolution_ds(
-            ray.data.from_arrow(pairs_t), ray.data.from_arrow(docs_t),
-            distributed=True, max_driver_labels=0,
-        )
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert drv.equals(cg)
+    big_docs = pa.table({"doc_id": pa.array(range(n_docs), pa.int64())})
+    out = _resolved(big_pairs, big_docs)
+    assert calls[2:] == ["_min_label_propagation", "_attach_labels_cogroup"]
+    assert out.doc_id.tolist() == list(range(n_docs))
+    assert out.canonical_id.tolist() == [
+        3 * (x // 3) if x < 3 * n_chain else x for x in range(n_docs)
+    ]
+    assert 'groupby("node")' not in inspect.getsource(co._attach_labels_cogroup)
 
 
-def test_dedup_resolution_cogroup_string_ids(ray_session):
+def test_dedup_resolution_cogroup_string_ids(ray_session, monkeypatch):
     pairs = ray.data.from_arrow(
         pa.table({"doc_a": pa.array(["b", "c"]), "doc_b": pa.array(["c", "a"])})
     )
     docs = ray.data.from_arrow(pa.table({"doc_id": pa.array(["a", "b", "c", "z"])}))
-    out = co.dedup_resolution_ds(
-        pairs, docs, distributed=True, max_driver_labels=0
-    ).to_pandas()
+    calls = _spy(monkeypatch, "_attach_labels_cogroup")
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 1)  # 2 pairs, 3 labels
+    out = co.dedup_resolution_ds(pairs, docs).to_pandas()
+    assert calls == ["_attach_labels_cogroup"]
     got = dict(zip(out.doc_id, out.canonical_id))
     assert got == {"a": "a", "b": "a", "c": "a", "z": "z"}
 
 
-def test_dedup_resolution_distributed_string_ids(ray_session):
+def test_dedup_resolution_distributed_string_ids(ray_session, monkeypatch):
+    clique = list(itertools.combinations("dbca", 2))  # 6 pairs, 4 labels
     pairs = ray.data.from_arrow(
-        pa.table({"doc_a": pa.array(["b", "c"]), "doc_b": pa.array(["c", "a"])})
+        pa.table(
+            {
+                "doc_a": pa.array([a for a, _ in clique]),
+                "doc_b": pa.array([b for _, b in clique]),
+            }
+        )
     )
-    docs = ray.data.from_arrow(pa.table({"doc_id": pa.array(["a", "b", "c", "z"])}))
-    out = co.dedup_resolution_ds(pairs, docs, distributed=True).to_pandas()
+    docs = ray.data.from_arrow(
+        pa.table({"doc_id": pa.array(["a", "b", "c", "d", "z"])})
+    )
+    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_labels_cogroup")
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 5)
+    out = co.dedup_resolution_ds(pairs, docs).to_pandas()
+    assert calls == ["_min_label_propagation"]
     got = dict(zip(out.doc_id, out.canonical_id))
-    assert got == {"a": "a", "b": "a", "c": "a", "z": "z"}
+    assert got == {"a": "a", "b": "a", "c": "a", "d": "a", "z": "z"}
 
 
 def test_min_label_long_chain_log_rounds(ray_session):
@@ -352,7 +394,7 @@ def test_hot_bucket_star_fallback(ray_session, caplog):
 
     # connectivity survives for cluster resolution
     docs = ray.data.from_arrow(table.select(["doc_id"]))
-    res = co.dedup_resolution_ds(pairs, docs, distributed=False).to_pandas()
+    res = co.dedup_resolution_ds(pairs, docs).to_pandas()
     assert (res.canonical_id == 0).all()
 
 
@@ -419,7 +461,7 @@ def test_decontaminate(ray_session):
     assert out.contaminated.tolist() == [1, 0, 1, 0]
 
 
-def test_decontaminate_eval_guard(ray_session):
+def test_decontaminate_eval_guard(ray_session, monkeypatch):
     docs = ray.data.from_arrow(
         pa.table(
             {
@@ -428,8 +470,9 @@ def test_decontaminate_eval_guard(ray_session):
             }
         )
     )
-    with pytest.raises(ValueError, match="max_eval_grams"):
-        co.decontaminate_ds(docs, eval_mod=2, shingle_k=3, max_eval_grams=2)
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 2)
+    with pytest.raises(ValueError, match="MAX_BROADCAST_ROWS"):
+        co.decontaminate_ds(docs, eval_mod=2, shingle_k=3)
 
 
 def test_grouped_quantiles(ray_session):
@@ -520,9 +563,9 @@ def test_source_mix_weights(ray_session):
 
 
 def test_dedup_resolution_auto_single_upstream_execution(ray_session):
-    """distributed=None must materialize the pair set ONCE: the upstream
-    lineage may not re-execute for the count + the resolution pass
-    (VERDICT r3 #7). Counted via a Ray actor the pair stage pings."""
+    """The pair set must be materialized ONCE: the upstream lineage may
+    not re-execute for the size check + the resolution pass (VERDICT r3
+    #7). Counted via a Ray actor the pair stage pings."""
     import ray as _ray
 
     @_ray.remote
@@ -555,7 +598,7 @@ def test_dedup_resolution_auto_single_upstream_execution(ray_session):
     docs = ray.data.from_arrow(
         pa.table({"doc_id": pa.array(list(range(1, 13)), pa.int64())})
     )
-    out = co.dedup_resolution_ds(pairs, docs, distributed=None).to_pandas()
+    out = co.dedup_resolution_ds(pairs, docs).to_pandas()
     got = dict(zip(out.doc_id, out.canonical_id))
     assert got[3] == 1 and got[11] == 10 and got[5] == 5
     # the tagged stage ran exactly once (one block in this tiny input)
@@ -625,17 +668,16 @@ def test_tfidf_topk_rank_semantics(ray_session):
     assert (out.groupby("doc_id").size() <= 2).all()
 
 
-def test_tfidf_vocab_guard(ray_session):
+def test_tfidf_vocab_guard(ray_session, monkeypatch):
     t = pa.table(
         {
             "doc_id": pa.array([1], pa.int64()),
             "text": pa.array(["a b c d e f g h"]),
         }
     )
-    with pytest.raises(ValueError, match="max_vocab_broadcast"):
-        co.tfidf_topk_ds(
-            ray.data.from_arrow(t), k=2, max_vocab_broadcast=3
-        ).to_pandas()
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 3)
+    with pytest.raises(ValueError, match="MAX_BROADCAST_ROWS"):
+        co.tfidf_topk_ds(ray.data.from_arrow(t), k=2).to_pandas()
 
 
 def test_substring_dedup_planted_runs(ray_session):
@@ -735,8 +777,9 @@ def test_substring_strip_removes_covered_tokens(ray_session):
     assert out.loc[3, "clean_text"] == "" and out.loc[3, "n_tokens_removed"] == 10
 
 
-def test_substring_strip_cogroup_matches_broadcast(ray_session):
-    """The no-driver-collect co-group strategy must produce output
+def test_substring_strip_cogroup_matches_broadcast(ray_session, monkeypatch):
+    """The no-driver-collect co-group strategy (taken when the frequent
+    set does not fit ``MAX_BROADCAST_ROWS``) must produce output
     identical to the broadcast strategy — including docs with no
     coverage, full coverage, and multi-occurrence overlap."""
     run10 = "s1 s2 s3 s4 s5 s6 s7 s8 s9 s10"
@@ -754,15 +797,12 @@ def test_substring_strip_cogroup_matches_broadcast(ray_session):
         }
     )
     bc = (
-        co.substring_strip_ds(
-            ray.data.from_arrow(t), k=8, min_df=2, strategy="broadcast"
-        )
+        co.substring_strip_ds(ray.data.from_arrow(t), k=8, min_df=2)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 0)
     cg = (
-        co.substring_strip_ds(
-            ray.data.from_arrow(t), k=8, min_df=2, strategy="cogroup"
-        )
+        co.substring_strip_ds(ray.data.from_arrow(t), k=8, min_df=2)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert bc.equals(cg)
@@ -986,15 +1026,16 @@ def test_length_rank_matches_window(ray_session):
     assert out.permille.tolist() == [333, 666, 666, 1000, 166, 1000]
 
 
-def test_length_rank_domain_guard(ray_session):
+def test_length_rank_domain_guard(ray_session, monkeypatch):
     t = pa.table(
         {
             "doc_id": pa.array(range(100), pa.int64()),
             "n_chars": pa.array(range(100), pa.int64()),
         }
     )
-    with pytest.raises(ValueError, match="max_domain_broadcast"):
-        co.length_rank_ds(ray.data.from_arrow(t), max_domain_broadcast=10)
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 10)
+    with pytest.raises(ValueError, match="MAX_BROADCAST_ROWS"):
+        co.length_rank_ds(ray.data.from_arrow(t))
 
 
 def test_knn_graph_known_neighbors(ray_session):
@@ -2477,11 +2518,7 @@ def test_log_histogram_buckets(ray_session):
     assert rows[0]["n_events"] == 1
 
 
-def test_semantic_families_two_clusters(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import corpus_ops as co
-
+def _family_embs():
     # cluster A: 0,1,2 nearly identical; cluster B: 10,11 identical;
     # vec 20 isolated (orthogonal — its mutual edges never form)
     vecs = {
@@ -2489,7 +2526,7 @@ def test_semantic_families_two_clusters(ray_session):
         10: [0.0, 1.0, 0.0], 11: [0.0, 0.999, 0.02],
         20: [0.0, 0.0, 1.0],
     }
-    embs = ray.data.from_arrow(
+    return ray.data.from_arrow(
         pa.table(
             {
                 "vec_id": pa.array(sorted(vecs), pa.int64()),
@@ -2499,12 +2536,42 @@ def test_semantic_families_two_clusters(ray_session):
             }
         )
     )
-    rows = {r["vec_id"]: r for r in co.semantic_families_ds(embs, k=1).take_all()}
+
+
+def test_semantic_families_two_clusters(ray_session):
+    rows = {
+        r["vec_id"]: r for r in co.semantic_families_ds(_family_embs(), k=1).take_all()
+    }
     # k=1 mutual edges: (0,1) [1's NN is 0, 0's NN is 1] and (10,11)
     assert rows[0]["family"] == 0 and rows[1]["family"] == 0
     assert rows[0]["n_members"] == 2
     assert rows[10]["family"] == 10 and rows[11]["family"] == 10
     assert 20 not in rows  # isolated vectors carry no family row
+
+
+def test_semantic_families_hash_join_matches_broadcast(ray_session, monkeypatch):
+    """Family sizes that do not fit ``MAX_BROADCAST_ROWS`` attach through
+    ``hash_join_ds`` with the same rows as the broadcast path."""
+    from pdfplumber_ray.pipelines import analytics as an
+
+    def families():
+        return (
+            co.semantic_families_ds(_family_embs(), k=1)
+            .to_pandas()[["vec_id", "family", "n_members"]]
+            .sort_values("vec_id")
+            .reset_index(drop=True)
+        )
+
+    bc = families()
+    joins = []
+    real_join = an.hash_join_ds
+    monkeypatch.setattr(
+        an, "hash_join_ds", lambda *a, **k: joins.append(1) or real_join(*a, **k)
+    )
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 1)  # 2 families
+    hj = families()
+    assert joins == [1]
+    assert len(bc) == 4 and bc.equals(hj)
 
 
 def test_dataset_card_hand_computed(ray_session):

@@ -1,6 +1,6 @@
-"""The bounded-bucket pair exchange: the in-bucket kernel against a
-brute-force oracle, and the bounded group count of the MinHash and
-SimHash shuffles."""
+"""The bounded exchanges: the in-bucket kernel against a brute-force
+oracle, the bounded group count of the MinHash and SimHash shuffles, and
+the guarded small collect."""
 
 import inspect
 import itertools
@@ -8,8 +8,12 @@ import itertools
 import numpy as np
 import pyarrow as pa
 import pytest
+import ray
+import ray.data
+from ray.data.aggregate import Sum
 
 from pdfplumber_ray.pipelines import corpus_ops as co
+from pdfplumber_ray.pipelines import exchange
 from pdfplumber_ray.pipelines.exchange import (
     N_EXCHANGE_BUCKETS,
     capped_pairs,
@@ -139,3 +143,60 @@ def test_minhash_and_simhash_shuffle_on_bounded_buckets():
     chunks = co._simhash_chunk_rows(docs, "text", "doc_id")
     assert len(np.unique(chunks.column("bkt").to_numpy())) <= N_EXCHANGE_BUCKETS
     assert len(np.unique(chunks.column("bucket").to_numpy())) > N_EXCHANGE_BUCKETS
+
+
+def _rows(n):
+    return ray.data.from_arrow(
+        pa.table({"k": pa.array(range(n), pa.int64()), "v": pa.array([1.5] * n)})
+    )
+
+
+def test_collect_small_under_limit(ray_session, monkeypatch):
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 5)
+    got = exchange.collect_small(_rows(5), "side", {"k": pa.int32()})
+    assert got.schema == pa.schema({"k": pa.int32()})
+    assert sorted(got.column("k").to_pylist()) == [0, 1, 2, 3, 4]
+    assert sorted(exchange.collect_small(_rows(5), "side").column("k").to_pylist()) == [
+        0, 1, 2, 3, 4
+    ]
+
+
+def test_collect_small_one_over_limit_raises(ray_session, monkeypatch):
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 5)
+    assert exchange.fits_broadcast(_rows(5).materialize())
+    assert not exchange.fits_broadcast(_rows(6).materialize())
+    with pytest.raises(ValueError, match=r"test side \(6 rows\) exceeds MAX_BROADCAST_ROWS=5"):
+        exchange.collect_small(_rows(6), "test side", {"k": pa.int64()})
+
+
+def test_collect_small_empty_aggregate_keeps_typed_columns(ray_session):
+    agg = _rows(0).groupby("k").aggregate(Sum("v"))
+    assert agg.materialize().schema() is None  # Ray derives no schema here
+    got = exchange.collect_small(agg, "side", {"k": pa.int64(), "sum(v)": pa.float64()})
+    assert got.num_rows == 0
+    assert got.schema == pa.schema({"k": pa.int64(), "sum(v)": pa.float64()})
+    assert got.column("k").to_numpy().dtype == np.int64
+
+
+def test_collect_small_runs_upstream_once(ray_session):
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def bump(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    counter = Counter.remote()
+
+    def tag(batch: pa.Table) -> pa.Table:
+        ray.get(counter.bump.remote())
+        return batch
+
+    ds = _rows(3).map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+    assert exchange.collect_small(ds, "side", {"k": pa.int64()}).num_rows == 3
+    # the tagged stage ran exactly once (one block in this tiny input)
+    assert ray.get(counter.get.remote()) == 1
