@@ -999,7 +999,7 @@ def q_words_by_font(sf_dir: str) -> ray.data.Dataset:
 
 
 def q_media_features(sf_dir: str) -> ray.data.Dataset:
-    """Batched feature extraction over binary media payloads (actor-pool
+    """Batched feature extraction over binary media payloads (batched
     model-inference shape); the deterministic 'model' reads header fields
     and a body checksum the oracle reproduces arithmetically."""
     from pdfplumber_ray.pipelines.media import media_features_ds
@@ -1015,14 +1015,10 @@ def q_media_features(sf_dir: str) -> ray.data.Dataset:
 def q_media_resize(sf_dir: str) -> ray.data.Dataset:
     """Resize stage plumbing: payloads rewritten to 64x48 then re-decoded;
     the oracle predicts the new header and byte count."""
-    from pdfplumber_ray.pipelines.media import media_resize_ds
-    from pdfplumber_ray.stages.multimodal import MediaDecode
+    from pdfplumber_ray.pipelines.media import decode_payloads_ds, media_resize_ds
 
     resized = media_resize_ds(_documents(sf_dir).select_columns(["doc_id"]), 64, 48)
-    dec = resized.map_batches(
-        MediaDecode, concurrency=(1, 8), batch_size=256,
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    dec = decode_payloads_ds(resized)
 
     def project(batch: pa.Table) -> pa.Table:
         return batch.select(["doc_id", "width", "height", "n_frames", "n_bytes"])
@@ -1509,7 +1505,7 @@ def q_page_images(sf_dir: str) -> ray.data.Dataset:
 
 def q_media_decode(sf_dir: str) -> ray.data.Dataset:
     """Multimodal plumbing: deterministic binary payload per doc ->
-    actor-stage decode -> typed metadata; the synthetic container packs
+    task-stage decode -> typed metadata; the synthetic container packs
     values the oracle predicts arithmetically from doc_id."""
     from pdfplumber_ray.pipelines.media import media_decode_ds
 
@@ -1576,16 +1572,9 @@ def q_real_layout_text(sf_dir: str) -> ray.data.Dataset:
     """Layout-preserving text of every page of the real-PDF set, through
     the full Ray pipeline (binary read -> decode_pdf_batch -> PagesToText
     layout mode with per-page dimensions)."""
-    from pdfplumber_ray.stages.decode import PagesToText
+    from pdfplumber_ray.pipelines import page_text_ds
 
-    pages = _real_pdf_pages(sf_dir)
-    return pages.map_batches(
-        PagesToText,
-        fn_constructor_kwargs={"mode": "layout", "page_box": True},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 8),
-    )
+    return page_text_ds(_real_pdf_pages(sf_dir), mode="layout", page_box=True)
 
 
 def q_real_objects(sf_dir: str) -> ray.data.Dataset:
@@ -1857,7 +1846,7 @@ def q_real_tables(sf_dir: str) -> ray.data.Dataset:
     one row per cell. Pinned by a golden parquet; the underlying chain is
     reference-anchored by tests/test_real_pdf.py (ca-warn) and
     tests/test_real_pdf_regressions.py (issue-140 lines_strict)."""
-    from pdfplumber_ray.stages.decode import PagesToTables
+    from pdfplumber_ray.pipelines import tables_ds
 
     pages = _real_pdf_pages(
         sf_dir,
@@ -1867,10 +1856,7 @@ def q_real_tables(sf_dir: str) -> ray.data.Dataset:
             "nics-background-checks-2015-11.pdf",
         ],
     )
-    tables = pages.map_batches(
-        PagesToTables, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8),
-    )
+    tables = tables_ds(pages)
 
     def flatten_cells(batch: pa.Table) -> pa.Table:
         out = {
@@ -2078,7 +2064,7 @@ def q_dsir_weights(sf_dir: str) -> ray.data.Dataset:
 
 def q_phash_dedup(sf_dir: str) -> ray.data.Dataset:
     """Perceptual-hash (dHash-56) image dedup over the synthetic media
-    payloads: actor-stage hash -> combiner -> hash groupby; one row per
+    payloads: task-stage hash -> combiner -> hash groupby; one row per
     distinct hash with keep_doc_id (min) and member count. The SYNM body
     bytes are integer arithmetic on doc_id, so the SQL twin reproduces
     every gradient bit."""

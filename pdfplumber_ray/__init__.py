@@ -3,12 +3,12 @@
 A brand-new engine with the query/data-processing capabilities of
 jsvine/pdfplumber (reference at /root/reference), re-expressed as
 ``ray.data.Dataset`` pipelines of ``map_batches`` over zero-copy Arrow
-batches, with actor pools for stateful decode/layout stages.
+batches; stage classes run as tasks over instances built on the driver.
 
 Layout:
     functions/  pure vectorized kernels (numpy / pyarrow; no Ray)
     sources/    readers + adapters (parquet now, lance in prod) + synth corpus
-    stages/     map_batches callables (stateless fns and actor-pool classes)
+    stages/     map_batches callables (plain fns and stage classes)
     pipelines/  end-to-end dataset pipelines (docs -> out_spans, tables, ...)
     state/      checkpoint manifests, lineage, metrics
 """

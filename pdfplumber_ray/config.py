@@ -3,8 +3,9 @@
 Mirrors the reference's tunables: WordExtractor kwargs
 (reference utils/text.py:423-476), TableSettings (reference table.py:462-552),
 and the synthetic interleaved-span layout used by the decode stage.
-All configs are plain frozen dataclasses resolved once per job and shipped
-to actors via constructor args (never re-serialized per batch).
+All configs are plain frozen dataclasses resolved once per job and held by
+the stage instance built on the driver, which runs as ``map_batches`` tasks
+(``pipelines/extract.py`` gives the measured reason there is no actor pool).
 """
 
 from __future__ import annotations
@@ -261,16 +262,6 @@ class PipelineConfig:
     table: TableConfig = field(default_factory=TableConfig)
     synth: SynthLayoutConfig = field(default_factory=SynthLayoutConfig)
     batch_size: int = 64           # docs per batch into the decode/extract stage
-    # Execution mode for stage classes: task-based map_batches with
-    # per-worker singleton state (default — measured ~2x faster than an
-    # actor pool at equal CPUs because the streaming executor schedules
-    # tasks freely; Ray reuses worker processes, so __init__ state is
-    # amortized exactly like an actor's) vs a bounded actor pool
-    # (use_actors=True) for stages whose state is too big to rebuild on
-    # worker churn (model weights, large indexes).
-    use_actors: bool = False
-    concurrency: Optional[Any] = None  # actor-pool size/(min,max); None -> autoscale
-    num_cpus: float = 1.0
     quarantine_errors: bool = True  # poison-pill docs -> errors rows, not task failure
 
     def with_(self, **kw: Any) -> "PipelineConfig":

@@ -51,6 +51,7 @@ from .exchange import (
     segment_runs,
     star_pairs,
 )
+from .extract import stage_map_batches
 
 Dataset = ray.data.Dataset
 
@@ -615,7 +616,7 @@ def exact_dedup_ds(docs: Dataset, text_col: str = "text", id_col: str = "doc_id"
 
 
 class _MinHashBandStage:
-    """Per-worker MinHasher: emits one ``(band_key, doc_id, bkt)`` row per
+    """MinHash banding stage: emits one ``(band_key, doc_id, bkt)`` row per
     band, ``bkt`` being the band key's exchange bucket.
 
     The full signature is deliberately NOT carried into the band rows — that
@@ -722,15 +723,10 @@ def minhash_pairs_ds(
     All hashing is md5-derived (see ``textstats``) so a DuckDB oracle can
     reproduce the pipeline bit-exactly."""
     mh = ts.MinHasher(num_perm=num_perm, shingle_k=shingle_k)
-    banded = docs.map_batches(
-        _MinHashBandStage,
-        fn_constructor_kwargs=dict(
-            num_perm=num_perm, bands=bands, shingle_k=shingle_k,
-            text_col=text_col, id_col=id_col,
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(2, 32),
+    banded = stage_map_batches(
+        docs,
+        _MinHashBandStage(num_perm, bands, shingle_k, text_col, id_col),
+        batch_size=None,
     )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
@@ -6203,19 +6199,14 @@ def lsh_bucket_stats_ds(
     bucket is, BEFORE running the pair expansion. Emits
     ``(bucket_size, n_buckets, n_entries)``.
 
-    Scale shape: the banding stage is the same actor-pool
+    Scale shape: the banding stage is the same task-mode
     ``map_batches`` the dedup path uses; ONE ``groupby(band_key)``
     count (band keys are md5 strings, groups tiny), then a per-block
     size-count partial -> tiny size-domain groupby."""
-    banded = docs.map_batches(
-        _MinHashBandStage,
-        fn_constructor_kwargs=dict(
-            num_perm=num_perm, bands=bands, shingle_k=shingle_k,
-            text_col=text_col, id_col=id_col,
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(2, 32),
+    banded = stage_map_batches(
+        docs,
+        _MinHashBandStage(num_perm, bands, shingle_k, text_col, id_col),
+        batch_size=None,
     )
     sizes = banded.groupby("band_key").count()
 

@@ -1,19 +1,17 @@
 """End-to-end ``ray.data`` pipelines (docs -> out_spans and operator tables).
 
 All stages are streaming ``map_batches`` over zero-copy Arrow; nothing here
-materializes the dataset or loops rows on the driver. Stage classes run in
-one of two modes (PipelineConfig.use_actors):
+materializes the dataset or loops rows on the driver.
 
-* **task mode (default)** — plain ``map_batches`` functions holding a
-  per-worker singleton of the stage class. Ray reuses worker processes, so
-  ``__init__`` state (configs, font metrics, compiled patterns) is built
-  once per worker — the same amortization an actor pool gives (reference
-  keeps equivalent state in its per-doc ``PDFResourceManager``,
-  pdf.py:46) — while the streaming executor schedules tasks freely.
-  Measured ~2x faster than an actor pool at equal CPUs on this workload.
-* **actor mode** — ``map_batches(Cls, concurrency=...)`` actor pool, for
-  stages whose state is too expensive to rebuild on worker churn (model
-  weights, big shared indexes).
+Every stage class runs one way: ``stage_map_batches`` takes an instance
+built once on the driver and hands it to ``map_batches`` as a plain
+callable, so it runs as tasks. There is no actor pool and no per-worker
+instance cache, because no stage holds state worth caching: building
+``ExtractSpans``, ``PagesToText``, ``MediaDecode`` or ``StripBoilerplate``
+takes under 1 µs and ``_MinHashBandStage`` 0.2–0.3 ms, against milliseconds
+per batch. Ray puts the pickled instance (under 5 KB) in the object store
+once per operator. Tasks need no pool minimum, so every stage runs on a
+1-CPU cluster.
 
 Correctness never depends on block/execution order: ordering is data
 (``page_number``, in-row span lists — SURVEY.md §4).
@@ -21,7 +19,7 @@ Correctness never depends on block/execution order: ordering is data
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 import pyarrow as pa
@@ -49,61 +47,16 @@ from ..stages.decode import (
 
 Dataset = ray.data.Dataset
 
-# default actor-pool bounds when use_actors=True and no concurrency given
-_ACTOR_POOL = (4, 32)
-
-# per-worker singletons for task-mode stage classes
-_WORKER_STATE: Dict[Tuple[str, str], Any] = {}
-
-
-def worker_singleton(cls: type, ctor_kwargs: Dict[str, Any]):
-    """Fetch-or-create the per-worker-process singleton instance for
-    ``(cls, ctor_kwargs)`` — the ONE cache shared by ``_stage_callable``
-    and wrapper stages (e.g. checkpoint resume), so the two can't drift."""
-    key = (
-        f"{cls.__module__}.{cls.__qualname__}",
-        repr(sorted(ctor_kwargs.items(), key=lambda kv: kv[0])),
-    )
-    inst = _WORKER_STATE.get(key)
-    if inst is None:
-        inst = cls(**ctor_kwargs)
-        _WORKER_STATE[key] = inst
-    return inst
-
-
-def _stage_callable(cls: type, ctor_kwargs: Dict[str, Any]):
-    """A picklable map_batches function that lazily instantiates ``cls``
-    once per worker process and reuses it across tasks."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return worker_singleton(cls, ctor_kwargs)(batch)
-
-    fn.__name__ = cls.__name__
-    return fn
-
 
 def stage_map_batches(
-    ds: Dataset,
-    cls: type,
-    ctor_kwargs: Dict[str, Any],
-    *,
-    batch_size: int,
-    use_actors: bool = False,
-    concurrency: Any = None,
-    num_cpus: float = 1.0,
+    ds: Dataset, stage: Callable[[pa.Table], pa.Table], *, batch_size: Optional[int]
 ) -> Dataset:
-    common = dict(
-        batch_size=batch_size, batch_format="pyarrow", zero_copy_batch=True
+    """Run ``stage`` (an instance built on the driver) over ``ds`` as
+    zero-copy Arrow ``map_batches`` tasks; ``batch_size=None`` gives each
+    call a whole block."""
+    return ds.map_batches(
+        stage, batch_size=batch_size, batch_format="pyarrow", zero_copy_batch=True
     )
-    if use_actors:
-        return ds.map_batches(
-            cls,
-            fn_constructor_kwargs=ctor_kwargs,
-            concurrency=concurrency or _ACTOR_POOL,
-            num_cpus=num_cpus,
-            **common,
-        )
-    return ds.map_batches(_stage_callable(cls, ctor_kwargs), **common)
 
 
 def read_docs(paths: Union[str, Sequence[str]], **kwargs: Any) -> Dataset:
@@ -130,15 +83,7 @@ def extract_spans_ds(docs: Dataset, cfg: Optional[PipelineConfig] = None) -> Dat
     """Flagship: docs -> OUT_SPANS (+ n_pages, error cols). One fused
     stage; embarrassingly parallel, shuffle-free."""
     cfg = cfg or PipelineConfig()
-    return stage_map_batches(
-        docs,
-        ExtractSpans,
-        {"cfg": cfg},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
-        num_cpus=cfg.num_cpus,
-    )
+    return stage_map_batches(docs, ExtractSpans(cfg), batch_size=cfg.batch_size)
 
 
 def extract_spans_staged_ds(
@@ -156,12 +101,7 @@ def extract_spans_staged_ds(
     cfg = cfg or PipelineConfig()
     pages = decode_pages_ds(docs, cfg)
     page_spans = stage_map_batches(
-        pages,
-        PagesToPageSpans,
-        {"cfg": cfg},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
+        pages, PagesToPageSpans(cfg), batch_size=cfg.batch_size
     )
     return page_spans.groupby("doc_id").map_groups(
         assemble_doc_spans_group, batch_format="pyarrow"
@@ -214,15 +154,7 @@ def split_errors(out_spans: Dataset) -> Dataset:
 
 def decode_pages_ds(docs: Dataset, cfg: Optional[PipelineConfig] = None) -> Dataset:
     cfg = cfg or PipelineConfig()
-    return stage_map_batches(
-        docs,
-        SynthDecodePages,
-        {"cfg": cfg},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
-        num_cpus=cfg.num_cpus,
-    )
+    return stage_map_batches(docs, SynthDecodePages(cfg), batch_size=cfg.batch_size)
 
 
 def chars_ds(pages: Dataset) -> Dataset:
@@ -274,14 +206,7 @@ def words_ds(
     cfg: Optional[PipelineConfig] = None,
 ) -> Dataset:
     cfg = cfg or PipelineConfig()
-    return stage_map_batches(
-        pages,
-        PagesToWords,
-        {"word_cfg": word_cfg},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
-    )
+    return stage_map_batches(pages, PagesToWords(word_cfg), batch_size=cfg.batch_size)
 
 
 def page_text_ds(
@@ -292,12 +217,7 @@ def page_text_ds(
 ) -> Dataset:
     cfg = cfg or PipelineConfig()
     return stage_map_batches(
-        pages,
-        PagesToText,
-        {"mode": mode, **kwargs},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
+        pages, PagesToText(mode=mode, **kwargs), batch_size=cfg.batch_size
     )
 
 
@@ -308,14 +228,7 @@ def mcid_text_ds(pages: Dataset, cfg: Optional[PipelineConfig] = None) -> Datase
     from ..stages.decode import PagesToMcidText
 
     cfg = cfg or PipelineConfig()
-    return stage_map_batches(
-        pages,
-        PagesToMcidText,
-        {},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
-    )
+    return stage_map_batches(pages, PagesToMcidText(), batch_size=cfg.batch_size)
 
 
 def filter_pages_ds(
@@ -326,14 +239,7 @@ def filter_pages_ds(
     from ..stages.decode import PagesFilter
 
     cfg = cfg or PipelineConfig()
-    return stage_map_batches(
-        pages,
-        PagesFilter,
-        {"predicate": predicate},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
-    )
+    return stage_map_batches(pages, PagesFilter(predicate), batch_size=cfg.batch_size)
 
 
 def crop_ds(
@@ -351,12 +257,7 @@ def crop_ds(
     clips silently (reference page.py:520-543, 627-644)."""
     cfg = cfg or PipelineConfig()
     return stage_map_batches(
-        pages,
-        PagesCrop,
-        {"bbox": tuple(bbox), "mode": mode, "strict": strict},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
+        pages, PagesCrop(tuple(bbox), mode, strict), batch_size=cfg.batch_size
     )
 
 
@@ -369,33 +270,21 @@ def dedupe_chars_ds(
     cfg = cfg or PipelineConfig()
     return stage_map_batches(
         pages,
-        PagesDedupeChars,
-        {"tolerance": tolerance, "extra_key_cols": tuple(extra_key_cols)},
+        PagesDedupeChars(tolerance, tuple(extra_key_cols)),
         batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
     )
 
 
 def duplicate_chars_ds(pages: Dataset, dx: float = 0.4, dy: float = 0.25) -> Dataset:
     """Test harness: inject sub-tolerance duplicate chars."""
-    return stage_map_batches(
-        pages, DuplicateChars, {"dx": dx, "dy": dy}, batch_size=64
-    )
+    return stage_map_batches(pages, DuplicateChars(dx, dy), batch_size=64)
 
 
 def text_lines_ds(
     pages: Dataset, strip: bool = True, cfg: Optional[PipelineConfig] = None
 ) -> Dataset:
     cfg = cfg or PipelineConfig()
-    return stage_map_batches(
-        pages,
-        PagesToTextLines,
-        {"strip": strip},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
-    )
+    return stage_map_batches(pages, PagesToTextLines(strip), batch_size=cfg.batch_size)
 
 
 def text_boxes_ds(
@@ -406,12 +295,7 @@ def text_boxes_ds(
     """Layout-container (laparams-analogue) text boxes per page."""
     cfg = cfg or PipelineConfig()
     return stage_map_batches(
-        pages,
-        PagesToTextBoxes,
-        {"word_cfg": word_cfg},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
+        pages, PagesToTextBoxes(word_cfg), batch_size=cfg.batch_size
     )
 
 
@@ -591,12 +475,7 @@ def search_ds(
 ) -> Dataset:
     cfg = cfg or PipelineConfig()
     return stage_map_batches(
-        pages,
-        PagesSearch,
-        {"pattern": pattern, "regex": regex, "case": case},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
+        pages, PagesSearch(pattern, regex, case), batch_size=cfg.batch_size
     )
 
 
@@ -606,11 +485,4 @@ def tables_ds(
     cfg: Optional[PipelineConfig] = None,
 ) -> Dataset:
     cfg = cfg or PipelineConfig()
-    return stage_map_batches(
-        pages,
-        PagesToTables,
-        {"table_cfg": table_cfg},
-        batch_size=cfg.batch_size,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
-    )
+    return stage_map_batches(pages, PagesToTables(table_cfg), batch_size=cfg.batch_size)

@@ -15,9 +15,10 @@ Shallow Text Features", WSDM 2010; Readability-style link-density rules):
 Scale shape: document frequency is a term-count aggregation — a per-batch
 partial combine (one row per distinct fingerprint per batch) feeds the
 distributed ``groupby(fp).sum``; only the *frequent* survivors (site
-templates — a tiny set by construction) are collected and broadcast via
-``ray.put`` into the final filter stage, so the strip itself is an
-embarrassingly parallel ``map_batches`` with a shared read-only lookup.
+templates — a tiny set by construction) are collected into the final
+filter stage, built once on the driver (Ray puts the pickled stage in the
+object store once per operator), so the strip itself is an embarrassingly
+parallel ``map_batches`` with a shared read-only lookup.
 The input dataset is consumed twice (once for counting, once for
 stripping); both passes stream.
 """
@@ -34,6 +35,7 @@ import ray.data
 
 from ..functions.textstats import rolling_fingerprint
 from ..schemas import SPAN
+from .extract import stage_map_batches
 
 Dataset = ray.data.Dataset
 
@@ -201,8 +203,8 @@ def frequent_span_fps_auto(
 
 class StripBoilerplate:
     """Final filter stage: drops nav spans and template spans, preserving
-    span order and non-text kinds. The frequent-fingerprint set arrives as
-    an object-store reference (ray.put once, shared by every task)."""
+    span order and non-text kinds. The frequent-fingerprint set is held
+    by value in the instance built on the driver."""
 
     def __init__(
         self,
@@ -211,8 +213,8 @@ class StripBoilerplate:
         max_nav_words: int = 16,
         min_nav_separators: int = 2,
     ):
-        # the frequent set is tiny (site templates) — passed BY VALUE so an
-        # actor restart never depends on an evicted object-store ref
+        # the frequent set is tiny (site templates) — held BY VALUE so a
+        # task retry never depends on an evicted object-store ref
         # (ray#53727); a huge frequent set would itself be a design bug.
         self.template_fps = np.asarray(template_fps, dtype=np.int64)
         self.max_punct_ratio = max_punct_ratio
@@ -281,17 +283,10 @@ def strip_boilerplate_ds(
     else:
         min_count = max(2, int(np.ceil(min_df_fraction * n_docs)))
         fps = frequent_span_fps(docs, min_count)
-    return docs.map_batches(
-        StripBoilerplate,
-        fn_constructor_kwargs={
-            "template_fps": fps,
-            "max_punct_ratio": max_punct_ratio,
-            "max_nav_words": max_nav_words,
-        },
-        concurrency=(2, 16),
+    return stage_map_batches(
+        docs,
+        StripBoilerplate(fps, max_punct_ratio, max_nav_words),
         batch_size=256,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
 
 

@@ -1,15 +1,14 @@
 """Multimodal dataset pipelines: payload attach -> decode / resize /
-frame-sample actor stages. Small default batch sizes: payload bytes x
-batch x concurrency must fit the worker heap (SURVEY.md §4 memory note).
+frame-sample / hash stages. Each stage is an instance built on the driver
+and run as ``map_batches`` tasks (``extract.stage_map_batches``). Small
+batch sizes: payload bytes x batch must fit the worker heap (SURVEY.md §4
+memory note).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import ray.data
 
-from ..config import PipelineConfig
 from ..stages.multimodal import (
     FrameSample,
     MediaDecode,
@@ -23,17 +22,6 @@ Dataset = ray.data.Dataset
 
 MEDIA_BATCH_SIZE = 128  # large binary rows -> smaller batches than text
 
-# Media stages default to a bounded ACTOR pool: a real decoder loads codec
-# state (models, ffmpeg contexts) too heavy to rebuild on worker churn —
-# exactly the case PipelineConfig.use_actors exists for.
-_MEDIA_CFG_DEFAULT = None
-
-
-def _media_cfg(cfg):
-    from ..config import PipelineConfig
-
-    return cfg or PipelineConfig(use_actors=True, concurrency=(2, 16))
-
 
 def with_payloads(docs: Dataset, id_col: str = "doc_id") -> Dataset:
     def fn(batch):
@@ -42,75 +30,43 @@ def with_payloads(docs: Dataset, id_col: str = "doc_id") -> Dataset:
     return docs.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def media_decode_ds(
-    docs: Dataset, cfg: Optional[PipelineConfig] = None, id_col: str = "doc_id"
-) -> Dataset:
-    cfg = _media_cfg(cfg)
-    return stage_map_batches(
-        with_payloads(docs, id_col),
-        MediaDecode,
-        {"id_col": id_col},
-        batch_size=MEDIA_BATCH_SIZE,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
-    )
+def media_decode_ds(docs: Dataset, id_col: str = "doc_id") -> Dataset:
+    return decode_payloads_ds(with_payloads(docs, id_col), id_col)
+
+
+def decode_payloads_ds(payloads: Dataset, id_col: str = "doc_id") -> Dataset:
+    """Decode rows that already carry ``media_ref`` and ``payload``."""
+    return stage_map_batches(payloads, MediaDecode(id_col), batch_size=MEDIA_BATCH_SIZE)
 
 
 def media_resize_ds(
-    docs: Dataset,
-    target_w: int,
-    target_h: int,
-    cfg: Optional[PipelineConfig] = None,
-    id_col: str = "doc_id",
+    docs: Dataset, target_w: int, target_h: int, id_col: str = "doc_id"
 ) -> Dataset:
-    cfg = _media_cfg(cfg)
     return stage_map_batches(
         with_payloads(docs, id_col),
-        MediaResize,
-        {"target_w": target_w, "target_h": target_h, "id_col": id_col},
+        MediaResize(target_w, target_h, id_col),
         batch_size=MEDIA_BATCH_SIZE,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
     )
 
 
-def frame_sample_ds(
-    docs: Dataset,
-    stride: int = 5,
-    cfg: Optional[PipelineConfig] = None,
-    id_col: str = "doc_id",
-) -> Dataset:
-    cfg = _media_cfg(cfg)
+def frame_sample_ds(docs: Dataset, stride: int = 5, id_col: str = "doc_id") -> Dataset:
     return stage_map_batches(
         with_payloads(docs, id_col),
-        FrameSample,
-        {"stride": stride, "id_col": id_col},
+        FrameSample(stride, id_col),
         batch_size=MEDIA_BATCH_SIZE,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
     )
 
 
-def media_features_ds(
-    docs: Dataset, cfg: Optional[PipelineConfig] = None, id_col: str = "doc_id"
-) -> Dataset:
+def media_features_ds(docs: Dataset, id_col: str = "doc_id") -> Dataset:
     """Batched feature extraction over the binary media column (the
-    model-inference shape: weights loaded once per actor in __init__)."""
-    cfg = _media_cfg(cfg)
+    model-inference shape: one batched call per ``MEDIA_BATCH_SIZE`` rows)."""
     return stage_map_batches(
-        with_payloads(docs, id_col),
-        MediaFeatures,
-        {"id_col": id_col},
-        batch_size=MEDIA_BATCH_SIZE,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
+        with_payloads(docs, id_col), MediaFeatures(id_col), batch_size=MEDIA_BATCH_SIZE
     )
 
 
-def phash_dedup_ds(
-    docs: Dataset, cfg: Optional[PipelineConfig] = None, id_col: str = "doc_id"
-) -> Dataset:
-    """Perceptual-hash image dedup: dHash-56 per payload (actor stage)
+def phash_dedup_ds(docs: Dataset, id_col: str = "doc_id") -> Dataset:
+    """Perceptual-hash image dedup: dHash-56 per payload (task stage)
     -> exact dedup groups over the hash — the multimodal counterpart of
     text exact-dedup (near-identical images collide on the gradient
     hash). Output: one row per distinct hash with ``keep_doc_id`` (min
@@ -122,14 +78,8 @@ def phash_dedup_ds(
 
     from ..stages.multimodal import PerceptualHash
 
-    cfg = _media_cfg(cfg)
     hashed = stage_map_batches(
-        with_payloads(docs, id_col),
-        PerceptualHash,
-        {"id_col": id_col},
-        batch_size=MEDIA_BATCH_SIZE,
-        use_actors=cfg.use_actors,
-        concurrency=cfg.concurrency,
+        with_payloads(docs, id_col), PerceptualHash(id_col), batch_size=MEDIA_BATCH_SIZE
     )
 
     def partial(batch: pa.Table) -> pa.Table:

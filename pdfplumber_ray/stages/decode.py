@@ -1,11 +1,11 @@
 """Ray Data ``map_batches`` callables (zero-copy Arrow in/out).
 
-Stage classes here are used as actor-pool UDFs
-(``ds.map_batches(Cls, fn_constructor_kwargs=..., concurrency=...)``):
-config resolution and any precomputed metric tables happen once per actor
-in ``__init__`` (the reference amortizes the same state in its per-doc
-``PDFResourceManager``, reference pdf.py:46, page.py:269-275); per-batch
-work is vectorized numpy/pyarrow.
+Stage classes here are built once on the driver and run as task-mode
+``map_batches`` callables (``pipelines.extract.stage_map_batches``): config
+resolution happens in ``__init__``, which costs under 1 µs, so no stage is
+worth an actor pool or a per-worker cache (the reference keeps comparable
+state in its per-doc ``PDFResourceManager``, reference pdf.py:46,
+page.py:269-275); per-batch work is vectorized numpy/pyarrow.
 
 A pathological document never fails a task: per-doc decode errors are
 quarantined into rows with a non-null ``error`` column (dead-letter
@@ -63,10 +63,10 @@ class ExtractSpans:
     """Fused flagship stage: interleaved docs -> ordered output spans.
 
     Decode (span layout), extraction (tables + words + media) and per-doc
-    flattening happen in one actor call, so no intermediate Arrow
+    flattening happen in one call per batch, so no intermediate Arrow
     materialization and no per-doc shuffle is needed — a document is
     processed whole, exactly like the reference's per-document pipeline
-    (reference pdf.py:130-156), but across an autoscaling actor pool.
+    (reference pdf.py:130-156), but across parallel Ray tasks.
     """
 
     def __init__(self, cfg: Optional[PipelineConfig] = None):

@@ -11,7 +11,7 @@ Codec selection is feature-flagged at import:
   metadata decode still works and pixel ops raise a clear
   ``NotImplementedError`` instead of producing garbage.
 
-Everything Ray-side — binary column schema, actor-pool stage shape, batch
+Everything Ray-side — binary column schema, task-mode stage shape, batch
 sizing for large payloads, output layout — is identical across codecs.
 
 SYNM payload layout (big-endian):
@@ -192,14 +192,13 @@ def attach_payloads(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
 
 
 class MediaDecode:
-    """Actor-pool stage: binary payload -> typed metadata columns.
+    """Task-mode stage: binary payload -> typed metadata columns.
 
-    A real decoder would load its codec state in ``__init__`` (once per
-    actor); per-batch work stays a tight loop over the binary column."""
+    Built once on the driver (``__init__`` costs under 1 µs); per-batch
+    work stays a tight loop over the binary column."""
 
     def __init__(self, id_col: str = "doc_id"):
         self.id_col = id_col
-        self.header = _HEADER  # codec state resolved once per actor
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         payloads = batch.column("payload").to_pylist()
@@ -218,16 +217,16 @@ class MediaDecode:
 
 
 class MediaFeatures:
-    """Actor-pool feature-extraction stage — the batched-model-inference
-    shape: a real extractor would load its model weights in ``__init__``
-    (once per actor) and run a batched forward pass per ``__call__``. Here
-    the "model" is a deterministic function of the payload (header fields
-    + a body checksum) so a SQL oracle can verify the plumbing end to end.
-    Emits a quantized feature vector as typed columns."""
+    """Task-mode feature-extraction stage — the batched-model-inference
+    shape: one batched forward pass per ``__call__``. A real extractor whose
+    weights are measured to be expensive to load would bring back an actor
+    pool for this stage alone. Here the "model" is a deterministic function
+    of the payload (header fields + a body checksum) so a SQL oracle can
+    verify the plumbing end to end. Emits a quantized feature vector as
+    typed columns."""
 
     def __init__(self, id_col: str = "doc_id"):
         self.id_col = id_col
-        self.header = _HEADER  # model/codec state resolved once per actor
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         payloads = batch.column("payload").to_pylist()
@@ -256,7 +255,7 @@ class MediaFeatures:
 
 
 class MediaResize:
-    """Actor-pool stage: deterministic 'resize' — header rewritten to the
+    """Task-mode stage: deterministic 'resize' — header rewritten to the
     target size, body resampled by stride (stands in for a real kernel)."""
 
     def __init__(self, target_w: int, target_h: int, id_col: str = "doc_id"):
@@ -310,7 +309,7 @@ class MediaResize:
 
 
 class FrameSample:
-    """Actor-pool stage: video payload -> one row per sampled frame index
+    """Task-mode stage: video payload -> one row per sampled frame index
     (every ``stride``-th frame)."""
 
     def __init__(self, stride: int = 5, id_col: str = "doc_id"):
@@ -339,7 +338,7 @@ class FrameSample:
 
 
 class PerceptualHash:
-    """Actor-pool stage: binary image payload -> 56-bit perceptual dHash
+    """Task-mode stage: binary image payload -> 56-bit perceptual dHash
     (8x8 grayscale grid, 7 horizontal gradient bits per row — the public
     difference-hash method used for near-duplicate image detection).
 

@@ -105,7 +105,7 @@ def run_resumable_extract(
 
     import ray.data
 
-    from ..pipelines.extract import extract_spans_ds, stage_map_batches
+    from ..stages.decode import ExtractSpans
 
     cfg = cfg or PipelineConfig()
     os.makedirs(out_dir, exist_ok=True)
@@ -133,16 +133,12 @@ def run_resumable_extract(
 
     docs = docs.map_batches(keep_path, batch_format="pyarrow", zero_copy_batch=True)
 
-    # the fused extract stage passes unknown columns through? it does not —
-    # so re-attach the path by position: run extraction per batch with the
-    # path column preserved via a wrapper stage.
-    from ..stages.decode import ExtractSpans
+    # the fused extract stage does not pass unknown columns through, so a
+    # wrapper re-attaches the path column by position
+    extract = ExtractSpans(cfg)
 
     def extract_keep_path(batch: pa.Table) -> pa.Table:
-        from ..pipelines.extract import worker_singleton
-
-        inst = worker_singleton(ExtractSpans, {"cfg": cfg})
-        out = inst(batch.drop_columns(["_input_path"]))
+        out = extract(batch.drop_columns(["_input_path"]))
         return out.append_column("_input_path", batch.column("_input_path"))
 
     out = docs.map_batches(
