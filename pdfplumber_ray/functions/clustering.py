@@ -10,29 +10,41 @@ gaps over duplicates are zero, so the vectorized form below is equivalent.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Union
 
 import numpy as np
 
 
-def cluster_ids(values: np.ndarray, tolerance: float) -> np.ndarray:
+def cluster_ids(
+    values: np.ndarray,
+    tolerance: Union[float, np.ndarray],
+    segment: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Cluster id per element, aligned with the input order.
 
     Ids are dense and ordered by cluster position (cluster 0 holds the
     smallest values). Equal values always share a cluster.
+
+    With ``segment`` (one id per element), elements cluster only within
+    their segment: ids order by (segment, value), and ``tolerance`` may be
+    an array giving each element the tolerance of its segment.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(values, kind="stable")
+    if segment is None:
+        order = np.argsort(values, kind="stable")
+    else:
+        order = np.lexsort((values, segment))
     sv = values[order]
-    ids_sorted = np.empty(n, dtype=np.int64)
-    ids_sorted[0] = 0
-    if n > 1:
-        ids_sorted[1:] = np.cumsum(np.diff(sv) > tolerance)
+    brk = sv[1:] - sv[:-1] > (tolerance[order][1:] if np.ndim(tolerance) else tolerance)
+    if segment is not None:
+        ss = segment[order]
+        brk |= ss[1:] != ss[:-1]
     out = np.empty(n, dtype=np.int64)
-    out[order] = ids_sorted
+    out[order[0]] = 0
+    out[order[1:]] = brk.cumsum()
     return out
 
 

@@ -16,21 +16,21 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from dataclasses import replace as dc_replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import LayoutConfig, TableConfig, WordConfig
+from ..config import LayoutConfig, TableConfig, WordConfig, validate_directions
 from .clustering import cluster_groups, cluster_means
 from .geometry import (
     Bbox,
     ObjArrays,
     concat_edges,
     filter_edges_mask,
-    midpoint_in_bbox_mask,
 )
-from .textmap import extract_text_page
-from .words import CharTable
+from .textmap import segment_texts, words_to_textmap
+from .words import CharTable, extract_words_page
 
 Point = Tuple[float, float]
 
@@ -365,49 +365,112 @@ class PageTable:
         return out
 
     def extract(self, chars: CharTable) -> List[List[Optional[str]]]:
-        """Per-cell text via midpoint binning + the text kernel
-        (table.py:399-435)."""
-        kwargs = dict(self.text_settings)
-        x0 = chars["x0"]
-        x1 = chars["x1"]
-        top = chars["top"]
-        bottom = chars["bottom"]
-        table_arr: List[List[Optional[str]]] = []
-        for row in self.rows:
-            rb = _row_bbox(row)
-            row_mask = midpoint_in_bbox_mask(x0, top, x1, bottom, rb)
-            row_idx = np.flatnonzero(row_mask)
-            arr: List[Optional[str]] = []
-            for cell in row:
-                if cell is None:
-                    arr.append(None)
-                    continue
-                cmask = midpoint_in_bbox_mask(
-                    x0[row_idx], top[row_idx], x1[row_idx], bottom[row_idx], cell
-                )
-                cidx = row_idx[cmask]
-                if cidx.shape[0] == 0:
-                    arr.append("")
-                    continue
-                cell_chars = {k: np.asarray(v)[cidx] for k, v in chars.items()}
-                kw = dict(kwargs)
-                if "layout" in kw:
-                    kw["layout_width"] = cell[2] - cell[0]
-                    kw["layout_height"] = cell[3] - cell[1]
-                    kw["layout_bbox"] = cell
-                arr.append(extract_text_page(cell_chars, **kw))
-            table_arr.append(arr)
-        return table_arr
+        """Rows of cell text (table.py:399-435)."""
+        return page_cell_texts(chars, [self])[0]
 
 
-def _row_bbox(row: Sequence[Optional[Bbox]]) -> Bbox:
-    present = [c for c in row if c is not None]
-    return (
-        min(c[0] for c in present),
-        min(c[1] for c in present),
-        max(c[2] for c in present),
-        max(c[3] for c in present),
+# char columns the word kernel reads (``size`` only under a tolerance ratio)
+_WORD_CHAR_COLS = ("text", "x0", "x1", "top", "bottom", "doctop", "upright", "size")
+
+
+def page_cell_texts(
+    chars: CharTable, tables: Sequence[PageTable]
+) -> List[List[List[Optional[str]]]]:
+    """Rows of cell text for every table on one page, in one pass.
+
+    Same result as the reference's ``Table.extract`` (table.py:399-435) on
+    each table: a char belongs to every cell that holds its midpoint
+    (``char_in_bbox``), absent cells are ``None``, cells without words are
+    ``""``, and the rest are ``extract_text`` of the cell's chars under the
+    tables' shared ``text_settings``. The (cell, char) pairs are gathered
+    into one char table with the cell id as its segment, so one
+    ``extract_words_page`` call assembles every cell's words and one
+    ``segment_texts`` call joins them.
+    """
+    if not tables:
+        return []
+    settings = dict(tables[0].text_settings)
+    if any(t.text_settings != settings for t in tables[1:]):
+        raise ValueError("page_cell_texts needs tables that share text_settings")
+    h_mid = (np.asarray(chars["x0"]) + np.asarray(chars["x1"])) / 2
+    v_mid = (np.asarray(chars["top"]) + np.asarray(chars["bottom"])) / 2
+
+    # cells are numbered in (table, row, column) order
+    grids: List[List[List[Optional[int]]]] = []
+    boxes: List[Bbox] = []
+    row_sizes: List[int] = []
+    for table in tables:
+        grid = []
+        for row in table.rows:
+            present = [c for c in row if c is not None]
+            ids = iter(range(len(boxes), len(boxes) + len(present)))
+            grid.append([None if c is None else next(ids) for c in row])
+            boxes.extend(present)
+            row_sizes.append(len(present))
+        grids.append(grid)
+    # membership: chars in each row's bbox, then each such (row, char) pair
+    # against every cell of its row; a char inside two cells counts in both
+    box = np.asarray(boxes, dtype=np.float64)
+    n_cells = np.asarray(row_sizes)
+    first = n_cells.cumsum() - n_cells
+    row_i, char_i = np.nonzero(
+        _midpoint_in(
+            h_mid, v_mid,
+            np.minimum.reduceat(box[:, 0], first)[:, None],
+            np.minimum.reduceat(box[:, 1], first)[:, None],
+            np.maximum.reduceat(box[:, 2], first)[:, None],
+            np.maximum.reduceat(box[:, 3], first)[:, None],
+        )
     )
+    per_pair = n_cells[row_i]
+    pair = np.repeat(np.arange(row_i.shape[0]), per_pair)
+    cell = first[row_i][pair] + np.arange(pair.shape[0]) - (per_pair.cumsum() - per_pair)[pair]
+    src = char_i[pair]
+    hit = _midpoint_in(h_mid[src], v_mid[src], *box[cell].T)
+    order = np.lexsort((src[hit], cell[hit]))
+    cell, src = cell[hit][order], src[hit][order]
+
+    texts: Dict[int, str] = {}
+    if cell.shape[0]:
+        ldr = settings.pop("line_dir_render", None)
+        cdr = settings.pop("char_dir_render", None)
+        wcfg = WordConfig.from_kwargs(**settings)
+        render_dirs = (ldr or wcfg.line_dir, cdr or wcfg.char_dir)
+        validate_directions(*render_dirs, "_render")
+        cols = dict.fromkeys([k for k in _WORD_CHAR_COLS if k in chars] + list(wcfg.extra_attrs))
+        cell_chars = {k: np.asarray(chars[k])[src] for k in cols}
+        words = extract_words_page(cell_chars, wcfg, segment=cell)
+        word_cell = cell[words["char_indices"][words["char_offsets"][:-1]]]
+        if not settings.get("layout"):
+            texts = segment_texts(words, word_cell, wcfg, *render_dirs)
+        else:
+            # words_to_textmap per cell on its slice of the word table, laid
+            # out in the cell's own box (table.py:425-432)
+            base = LayoutConfig.from_kwargs(
+                **{**settings, "line_dir_render": ldr, "char_dir_render": cdr, "presorted": True}
+            )
+            firsts = (word_cell[1:] != word_cell[:-1]).nonzero()[0] + 1
+            bounds = [0, *firsts.tolist(), len(word_cell)]
+            for s, e in zip(bounds, bounds[1:]):
+                c = int(word_cell[s])
+                x0, top, x1, bottom = boxes[c]
+                sub = {k: v[s:e] for k, v in words.items()}
+                sub["char_indices"] = words["char_indices"]
+                sub["char_offsets"] = words["char_offsets"][s : e + 1]
+                cfg = dc_replace(
+                    base, layout_width=x1 - x0, layout_height=bottom - top, layout_bbox=boxes[c]
+                )
+                texts[c] = words_to_textmap(sub, cell_chars, cfg).string
+    return [
+        [[None if i is None else texts.get(i, "") for i in ids] for ids in grid] for grid in grids
+    ]
+
+
+def _midpoint_in(h_mid, v_mid, x0, top, x1, bottom) -> np.ndarray:
+    """``char_in_bbox`` (table.py:404-410): the char's midpoint in the box,
+    right and bottom edges open; box coordinates broadcast against the
+    midpoints."""
+    return (h_mid >= x0) & (h_mid < x1) & (v_mid >= top) & (v_mid < bottom)
 
 
 def _explicit_edges(

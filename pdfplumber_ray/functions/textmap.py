@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Pattern, Tuple, Union
 import numpy as np
 
 from ..config import LIGATURES, LayoutConfig, WordConfig, validate_directions
-from .clustering import cluster_groups
+from .clustering import cluster_groups, cluster_ids
 from .words import CharTable, extract_words_page
 
 WordTable = Dict[str, np.ndarray]
@@ -242,13 +242,44 @@ def extract_text_page(
     words = extract_words_page(chars, wcfg)
     ldr = line_dir_render or wcfg.line_dir
     cdr = char_dir_render or wcfg.char_dir
-    # NB: the reference picks the clustering tolerance based on the *render*
-    # line direction (text.py:743-747) — replicated deliberately.
+    one = np.zeros(words["text"].shape[0], dtype=np.int64)
+    return segment_texts(words, one, wcfg, ldr, cdr).get(0) or render_string("", ldr, cdr)
+
+
+def segment_texts(
+    words: WordTable, segment: np.ndarray, wcfg: WordConfig, ldr: str, cdr: str
+) -> Dict[int, str]:
+    """extract_text's join (text.py:740-758) for every segment of a word
+    table at once: within each segment, words are clustered into lines by
+    their line key, joined by " " within a line and "\n" between lines, and
+    the result goes through ``render_string(base, ldr, cdr)``. Each
+    segment's words must be contiguous. Returns {segment: text} for the
+    segments that have words.
+
+    NB: the reference picks the clustering tolerance based on the *render*
+    line direction (text.py:743-747) — replicated deliberately."""
+    nw = segment.shape[0]
+    if nw == 0:
+        return {}
     tol = wcfg.y_tolerance if ldr in ("ttb", "btt") else wcfg.x_tolerance
-    groups = cluster_groups(_word_line_key(words, wcfg.line_dir), tol)
-    texts = words["text"]
-    base = "\n".join(" ".join(texts[i] for i in grp) for grp in groups)
-    return render_string(base, ldr, cdr)
+    # cluster_groups within each segment: lines keep word order
+    line = cluster_ids(_word_line_key(words, wcfg.line_dir), tol, segment=segment)
+    order = np.argsort(line, kind="stable")
+    line_o = line[order]
+    seg_o = segment[order]
+    # the separator before each word, then the word
+    tokens = np.empty(2 * nw, dtype=object)
+    tokens[0] = ""
+    tokens[2::2] = np.where(line_o[1:] != line_o[:-1], "\n", " ")
+    firsts = np.concatenate(([0], (seg_o[1:] != seg_o[:-1]).nonzero()[0] + 1))
+    tokens[2 * firsts] = ""
+    tokens[1::2] = words["text"][order]
+    tl = tokens.tolist()
+    bounds = (2 * np.concatenate((firsts, [nw]))).tolist()
+    texts = ["".join(tl[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if (ldr, cdr) != ("ttb", "ltr"):
+        texts = [render_string(t, ldr, cdr) for t in texts]
+    return dict(zip(seg_o[firsts].tolist(), texts))
 
 
 def collate_line(

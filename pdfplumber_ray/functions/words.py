@@ -9,20 +9,21 @@ Output: a word table dict plus char provenance (``char_indices`` /
 ``char_offsets``) so downstream textmap/search stages can map every emitted
 glyph back to its source char row.
 
-The scan is fully vectorized per (upright, extra_attrs) run: line ids come
-from the clustering kernel, chars are lexsorted by (line, reading order),
-and word-break flags are computed from shifted arrays. The reference's
-word-break gap is measured from the previous char *in the current word*
-(text.py:626); that equals the previous kept char in line order, because any
-intervening dropped blank or punctuation split forces a break anyway — so a
-shifted-array comparison reproduces the scalar semantics exactly, including
-the tolerance-ratio variants (text.py:629-630) which scale by the previous
-char's ``size``.
+The scan is fully vectorized across (upright, extra_attrs) runs, with no
+per-run Python: line clustering is segmented by run, directions and
+tolerances are picked per char from its run's upright flag, chars are
+lexsorted by (line, reading order), and word-break flags are computed from
+shifted arrays. The reference's word-break gap is measured from the
+previous char *in the current word* (text.py:626); that equals the previous
+kept char in line order, because any intervening dropped blank or
+punctuation split forces a break anyway — so a shifted-array comparison
+reproduces the scalar semantics exactly, including the tolerance-ratio
+variants (text.py:629-630) which scale by the previous char's ``size``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,80 +49,78 @@ def empty_words(cfg: WordConfig) -> Dict[str, np.ndarray]:
     return out
 
 
-def _line_cluster_values(chars: CharTable, idx: np.ndarray, line_dir: str) -> np.ndarray:
-    """get_line_cluster_key (text.py:45-51) as an array."""
-    if line_dir == "ttb":
-        return chars["top"][idx]
-    if line_dir == "btt":
-        return -chars["bottom"][idx]
-    if line_dir == "ltr":
-        return chars["x0"][idx]
-    return -chars["x1"][idx]  # rtl
+def _per_char(upright: np.ndarray, dirs: Tuple[str, str], fn):
+    """``fn(direction)`` for each char: ``dirs[0]`` for upright chars,
+    ``dirs[1]`` for rotated ones. ``fn`` returns a tuple of arrays over the
+    chars (or scalars)."""
+    up_dir, rot_dir = dirs
+    if up_dir == rot_dir or upright.all():
+        return fn(up_dir)
+    if not upright.any():
+        return fn(rot_dir)
+    return tuple(np.where(upright, a, b) for a, b in zip(fn(up_dir), fn(rot_dir)))
 
 
-def _char_sort_keys(chars: CharTable, idx: np.ndarray, char_dir: str):
-    """get_char_sort_key (text.py:54-60): (primary, secondary)."""
-    if char_dir == "ttb":
+def _span(chars: CharTable, d: str, idx=slice(None)):
+    """(start, end) of each char along direction ``d``. The start along the
+    line direction is the line cluster key (text.py:45-51); the char sort
+    key (text.py:54-60) is (start, end) along the char direction, except
+    (x0, x0) for ltr."""
+    if d == "ltr":
+        return chars["x0"][idx], chars["x1"][idx]
+    if d == "rtl":
+        return -chars["x1"][idx], -chars["x0"][idx]
+    if d == "ttb":
         return chars["top"][idx], chars["bottom"][idx]
-    if char_dir == "btt":
-        return -chars["bottom"][idx], -chars["top"][idx]
-    if char_dir == "ltr":
-        return chars["x0"][idx], chars["x0"][idx]
-    return -chars["x1"][idx], -chars["x0"][idx]  # rtl
+    return -chars["bottom"][idx], -chars["top"][idx]  # btt
+
+
+def _tail(a):
+    """``a`` without its first element; a scalar as it is."""
+    return a[1:] if np.ndim(a) else a
 
 
 def _gap_breaks(
     chars: CharTable,
     sorted_idx: np.ndarray,
-    direction: str,
+    upright: np.ndarray,
+    dirs: Tuple[str, str],
     cfg: WordConfig,
 ) -> np.ndarray:
     """char_begins_new_word (text.py:516-591) between each char and its
-    predecessor in sorted order. Element 0 is False (no predecessor)."""
+    predecessor in sorted order, in the char's own run direction: the char
+    starts before the predecessor, past its end plus the intraline
+    tolerance, or past its cross-line position plus the interline
+    tolerance. Element 0 is False (no predecessor); the test across a run
+    boundary is never read, since a run change always starts a word."""
     n = sorted_idx.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=bool)
-    x0 = chars["x0"][sorted_idx]
-    x1 = chars["x1"][sorted_idx]
-    top = chars["top"][sorted_idx]
-    bottom = chars["bottom"][sorted_idx]
-
-    if direction in ("ltr", "rtl"):
-        intra_tol_name, inter_tol_name = "x", "y"
-        ay_all, cy_all = top, top
-        if direction == "ltr":
-            ax_all, bx_all, cx_all = x0, x1, x0
-        else:
-            ax_all, bx_all, cx_all = -x1, -x0, -x1
-    else:
-        intra_tol_name, inter_tol_name = "y", "x"
-        ay_all, cy_all = x0, x0
-        if direction == "ttb":
-            ax_all, bx_all, cx_all = top, bottom, top
-        else:
-            ax_all, bx_all, cx_all = -bottom, -top, -bottom
-
-    # tolerances, possibly scaled by the previous char's size
+    breaks = np.zeros(n, dtype=bool)
+    if n < 2:
+        return breaks
+    # tolerances, possibly scaled by the previous char's size (element 0
+    # of a scaled tolerance is never read)
     if cfg.x_tolerance_ratio is None:
-        xt = np.float64(cfg.x_tolerance)
-        prev_xt = xt
+        prev_xt = np.float64(cfg.x_tolerance)
     else:
-        prev_xt = cfg.x_tolerance_ratio * chars["size"][sorted_idx][:-1]
+        prev_xt = cfg.x_tolerance_ratio * np.roll(chars["size"][sorted_idx], 1)
     if cfg.y_tolerance_ratio is None:
         prev_yt = np.float64(cfg.y_tolerance)
     else:
-        prev_yt = cfg.y_tolerance_ratio * chars["size"][sorted_idx][:-1]
+        prev_yt = cfg.y_tolerance_ratio * np.roll(chars["size"][sorted_idx], 1)
 
-    # In the reference, x is the intraline tolerance and y the interline
-    # tolerance *after* the upright swap (text.py:557-583).
-    intra = prev_xt if intra_tol_name == "x" else prev_yt
-    inter = prev_yt if inter_tol_name == "y" else prev_xt
+    def keys(d: str):
+        # In the reference, x is the intraline tolerance and y the
+        # interline tolerance *after* the upright swap (text.py:557-583).
+        if d in ("ltr", "rtl"):
+            return (*_span(chars, d, sorted_idx), chars["top"][sorted_idx], prev_xt, prev_yt)
+        return (*_span(chars, d, sorted_idx), chars["x0"][sorted_idx], prev_yt, prev_xt)
 
-    breaks = np.zeros(n, dtype=bool)
-    if n > 1:
-        ax, bx, cx = ax_all[:-1], bx_all[:-1], cx_all[1:]
-        ay, cy = ay_all[:-1], cy_all[1:]
-        breaks[1:] = (cx < ax) | (cx > bx + intra) | (cy > ay + inter)
+    start, end, cross, intra, inter = _per_char(upright, dirs, keys)
+    breaks[1:] = (
+        (start[1:] < start[:-1])
+        | (start[1:] > end[:-1] + _tail(intra))
+        | (cross[1:] > cross[:-1] + _tail(inter))
+    )
     return breaks
 
 
@@ -188,10 +187,16 @@ def _classify_chars(
     return is_space, is_punct, None
 
 
-def extract_words_page(chars: CharTable, cfg: WordConfig) -> Dict[str, np.ndarray]:
+def extract_words_page(
+    chars: CharTable, cfg: WordConfig, segment: Optional[np.ndarray] = None
+) -> Dict[str, np.ndarray]:
     """chars (one page) -> words with provenance. Word order matches the
     reference generator order: input runs, then line position, then reading
-    order within the line (text.py:664-678)."""
+    order within the line (text.py:664-678).
+
+    ``segment`` (one id per char; each segment's chars contiguous) is one
+    more run key, so one call assembles many independent char groups: the
+    output equals the groups' separate outputs, concatenated."""
     n = chars["text"].shape[0] if isinstance(chars["text"], np.ndarray) else len(chars["text"])
     if n == 0:
         return empty_words(cfg)
@@ -199,13 +204,12 @@ def extract_words_page(chars: CharTable, cfg: WordConfig) -> Dict[str, np.ndarra
     texts = np.asarray(chars["text"], dtype=object)
     upright = np.asarray(chars["upright"], dtype=bool)
 
-    # --- consecutive-run grouping by (upright, *extra_attrs) (text.py:667-668)
+    # --- consecutive-run ids by (upright, *extra_attrs) (text.py:667-668)
+    attr_cols = {a: _attr_column(chars[a], n) for a in cfg.extra_attrs}
     change = np.zeros(n, dtype=bool)
-    change[0] = True
-    for col in (upright, *(_attr_column(chars[a], n) for a in cfg.extra_attrs)):
+    for col in (upright, *attr_cols.values(), *([] if segment is None else [segment])):
         change[1:] |= col[1:] != col[:-1]
-    run_starts = np.flatnonzero(change)
-    run_ends = np.append(run_starts[1:], n)
+    run = change.cumsum()
 
     punct = cfg.punct_set
     expansions = cfg.expansions
@@ -216,76 +220,42 @@ def extract_words_page(chars: CharTable, cfg: WordConfig) -> Dict[str, np.ndarra
         if not any(ch in joined_page for ch in expansions):
             expansions = {}
 
-    words_parts: List[Dict[str, np.ndarray]] = []
-
-    for rs, re_ in zip(run_starts, run_ends):
-        idx = np.arange(rs, re_)
-        run_upright = bool(upright[rs])
-        # the stored word direction is always get_char_dir(upright)
-        # (text.py:478-494), even under use_text_flow where the *break*
-        # tests run with the unrotated char_dir (text.py:670-674).
-        word_direction = cfg.char_dir if run_upright else cfg.resolved_char_dir_rotated
-        if cfg.use_text_flow:
-            break_direction = cfg.char_dir
-            sorted_idx = idx
-            line_of = np.zeros(idx.shape[0], dtype=np.int64)
-        else:
-            line_dir = cfg.line_dir if run_upright else cfg.resolved_line_dir_rotated
-            break_direction = word_direction
-            line_tol = cfg.y_tolerance if line_dir in ("ttb", "btt") else cfg.x_tolerance
-            lids = cluster_ids(_line_cluster_values(chars, idx, line_dir), line_tol)
-            primary, secondary = _char_sort_keys(chars, idx, break_direction)
-            order = np.lexsort((secondary, primary, lids))
-            sorted_idx = idx[order]
-            line_of = lids[order]
-
-        part = _assemble_words(
-            chars, texts, sorted_idx, line_of, break_direction, word_direction,
-            run_upright, is_space, is_punct, expansions, cfg,
+    # the stored word direction is always get_char_dir(upright)
+    # (text.py:478-494), even under use_text_flow where the *break*
+    # tests run with the unrotated char_dir (text.py:670-674).
+    word_dirs = (cfg.char_dir, cfg.resolved_char_dir_rotated)
+    if cfg.use_text_flow:
+        break_dirs = (cfg.char_dir, cfg.char_dir)
+        sorted_idx = np.arange(n)
+        line_of = run
+    else:
+        break_dirs = word_dirs
+        line_dirs = (cfg.line_dir, cfg.resolved_line_dir_rotated)
+        # line clusters within each run, at that run's tolerance
+        values, tol = _per_char(
+            upright, line_dirs,
+            lambda d: (
+                _span(chars, d)[0],
+                cfg.y_tolerance if d in ("ttb", "btt") else cfg.x_tolerance,
+            ),
         )
-        if part is not None:
-            words_parts.append(part)
+        line = cluster_ids(values, tol, segment=run)
 
-    if not words_parts:
+        def sort_keys(d: str):
+            start, end = _span(chars, d)
+            return start, start if d == "ltr" else end
+
+        primary, secondary = _per_char(upright, break_dirs, sort_keys)
+        sorted_idx = np.lexsort((secondary, primary, line))
+        line_of = line[sorted_idx]
+
+    punct_f = is_punct[sorted_idx]
+    kp = (~(is_space[sorted_idx] & (not cfg.keep_blank_chars))).nonzero()[0]
+    if kp.shape[0] == 0:
         return empty_words(cfg)
-    out: Dict[str, np.ndarray] = {}
-    for k in words_parts[0]:
-        if k == "char_offsets":
-            # re-base offsets when concatenating
-            offs = [words_parts[0][k]]
-            base = offs[0][-1]
-            for p in words_parts[1:]:
-                offs.append(p[k][1:] + base)
-                base += p[k][-1]
-            out[k] = np.concatenate(offs)
-        else:
-            out[k] = np.concatenate([p[k] for p in words_parts])
-    return out
 
-
-def _assemble_words(
-    chars: CharTable,
-    texts: np.ndarray,
-    sorted_idx: np.ndarray,
-    line_of: np.ndarray,
-    direction: str,
-    word_direction: str,
-    run_upright: bool,
-    is_space_all: np.ndarray,
-    is_punct_all: np.ndarray,
-    expansions: Dict[str, str],
-    cfg: WordConfig,
-):
-    space = is_space_all[sorted_idx]
-    punct_f = is_punct_all[sorted_idx]
-    drop = space & (not cfg.keep_blank_chars)
-    kept_pos = np.flatnonzero(~drop)
-    if kept_pos.shape[0] == 0:
-        return None
-
-    gap_break = _gap_breaks(chars, sorted_idx, direction, cfg)
-
-    kp = kept_pos
+    # a run change always starts a word: line_of differs between runs
+    gap_break = _gap_breaks(chars, sorted_idx, upright[sorted_idx], break_dirs, cfg)
     new_word = np.ones(kp.shape[0], dtype=bool)
     if kp.shape[0] > 1:
         prev_kp = kp[:-1]
@@ -300,9 +270,8 @@ def _assemble_words(
         g = gap_break[cur_kp]
         new_word[1:] = (~same_line) | (~adjacent) | prev_punct | cur_punct | (adjacent & g)
 
-    word_ids = np.cumsum(new_word) - 1
-    starts = np.flatnonzero(new_word)
-    ends = np.append(starts[1:], kp.shape[0])
+    starts = new_word.nonzero()[0]
+    bounds = np.concatenate((starts, [kp.shape[0]]))
 
     sel = sorted_idx[kp]
     x0 = np.minimum.reduceat(chars["x0"][sel], starts)
@@ -322,10 +291,10 @@ def _assemble_words(
     # np->Arrow conversion per call dominates at this granularity)
     joined = np.empty(starts.shape[0], dtype=object)
     kt = kept_texts.tolist()
-    for w, (s, e) in enumerate(zip(starts, ends)):
+    for w, (s, e) in enumerate(zip(starts.tolist(), bounds[1:].tolist())):
         joined[w] = "".join(kt[s:e])
 
-    nwords = starts.shape[0]
+    word_upright = upright[first]
     out: Dict[str, np.ndarray] = {
         "text": joined,
         "x0": x0,
@@ -335,14 +304,13 @@ def _assemble_words(
         "doctop": doctop,
         "width": x1 - x0,
         "height": bottom - top,
-        "upright": np.full(nwords, run_upright, dtype=bool),
-        "direction": np.full(nwords, word_direction, dtype=object),
+        "upright": word_upright,
+        "direction": np.array(word_dirs, dtype=object)[(~word_upright).astype(np.intp)],
         "char_indices": sel.astype(np.int64),
-        "char_offsets": np.concatenate([starts, [kp.shape[0]]]).astype(np.int64),
+        "char_offsets": bounds.astype(np.int64),
     }
-    for a in cfg.extra_attrs:
-        out[a] = _attr_column(chars[a], len(chars[a]))[first]
-    _ = word_ids  # word ids are implicit in offsets
+    for a, col in attr_cols.items():
+        out[a] = col[first]
     return out
 
 

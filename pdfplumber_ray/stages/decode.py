@@ -887,7 +887,7 @@ class PagesToTables:
 def page_tables_full(page: PageDict, table_cfg: TableConfig):
     """Like flatten.page_tables but keeps the row/col structure."""
     from ..functions.geometry import concat_edges
-    from ..functions.tables import find_tables_page
+    from ..functions.tables import find_tables_page, page_cell_texts
     from .flatten import page_edge_union
 
     # full edge source (rects + lines + curve segments), same as the
@@ -910,4 +910,4 @@ def page_tables_full(page: PageDict, table_cfg: TableConfig):
         bbox,
         words_provider=lambda: extract_words_page(chars, WordConfig()),
     )
-    return [(t.bbox, t.extract(chars)) for t in tables]
+    return [(t.bbox, rows) for t, rows in zip(tables, page_cell_texts(chars, tables))]

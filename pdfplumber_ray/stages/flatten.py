@@ -33,122 +33,10 @@ from ..functions.geometry import (
     midpoint_in_bbox_mask,
     rects_to_edges,
 )
-from ..functions.tables import find_tables_page
+from ..functions.tables import find_tables_page, page_cell_texts
 from ..functions.words import extract_words_page
 from ..sources.synth_corpus import assign_offsets
 from .layout import PageDict
-
-
-def _cells_texts_fast(
-    chars, rows_grid: Sequence[Sequence[Optional[Tuple[float, float, float, float]]]],
-    x_tol: float, y_tol: float,
-) -> List[str]:
-    """Row-major cell texts via one grid-binning pass + line collation.
-
-    Equivalent to ``PageTable.extract`` + per-cell ``extract_text`` for the
-    monospace layouts this stage decodes (each word is a gap-separated char
-    run): rows share exact tops and columns share exact lefts after edge
-    snapping, so a single ``searchsorted`` assigns every char its (row,
-    col) cell; per-cell text is an x-ordered collation."""
-    from ..functions.clustering import cluster_groups
-    from ..functions.textmap import collate_line
-
-    row_top = np.array([min(c[1] for c in row if c) for row in rows_grid])
-    row_bot = np.array([max(c[3] for c in row if c) for row in rows_grid])
-    xs: List[float] = sorted({c[0] for row in rows_grid for c in row if c})
-    xs_arr = np.array(xs)
-    x1_of_col = np.empty(len(xs))
-    for row in rows_grid:
-        for c in row:
-            if c:
-                x1_of_col[xs.index(c[0])] = c[2]
-
-    h_mid = (chars["x0"] + chars["x1"]) / 2
-    v_mid = (chars["top"] + chars["bottom"]) / 2
-    ri = np.searchsorted(row_top, v_mid, side="right") - 1
-    ci = np.searchsorted(xs_arr, h_mid, side="right") - 1
-    valid = (ri >= 0) & (ci >= 0)
-    ri_c = np.clip(ri, 0, len(row_top) - 1)
-    ci_c = np.clip(ci, 0, len(xs) - 1)
-    valid &= (v_mid < row_bot[ri_c]) & (h_mid < x1_of_col[ci_c])
-    vidx = np.flatnonzero(valid)
-
-    buckets: dict = {}
-    keys = ri_c[vidx] * len(xs) + ci_c[vidx]
-    order = np.argsort(keys, kind="stable")
-    sv = vidx[order]
-    ks = keys[order]
-    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-    ends = np.append(starts[1:], sv.shape[0])
-    for s, e in zip(starts, ends):
-        buckets[int(ks[s])] = sv[s:e]
-
-    texts_arr = np.asarray(chars["text"], dtype=object)
-    x0 = chars["x0"]
-    x1 = chars["x1"]
-    doctop = chars["doctop"]
-
-    out: List[str] = []
-    for r, row in enumerate(rows_grid):
-        for c_i, cell in enumerate(row):
-            if cell is None:
-                continue
-            idx = buckets.get(r * len(xs) + c_i)
-            if idx is None or idx.shape[0] == 0:
-                out.append("")
-                continue
-            dt = doctop[idx]
-            if dt.max() - dt.min() <= y_tol:  # single-line fast path
-                out.append(collate_line(texts_arr[idx], x0[idx], x1[idx], x_tol))
-            else:
-                srt = idx[np.argsort(dt, kind="stable")]
-                groups = cluster_groups(doctop[srt], y_tol)
-                out.append(
-                    "\n".join(
-                        collate_line(texts_arr[srt[g]], x0[srt[g]], x1[srt[g]], x_tol)
-                        for g in groups
-                    )
-                )
-    return out
-
-
-def cells_texts_extract(
-    chars,
-    rows_grid: Sequence[Sequence[Optional[Tuple[float, float, float, float]]]],
-    x_tol: float,
-    y_tol: float,
-) -> List[Optional[str]]:
-    """Reference-exact per-cell extraction (table.py:399-435): chars
-    assigned by midpoint containment, then full ``extract_text`` per cell
-    (word assembly drops standalone space glyphs — real-PDF layouts carry
-    them; the monospace fast path above does not need to). Returns the
-    row-major flat list with ``None`` for absent cells and '' for empty
-    ones, exactly like ``Table.extract``."""
-    from ..functions.textmap import extract_text_page
-
-    h_mid = (np.asarray(chars["x0"]) + np.asarray(chars["x1"])) / 2
-    v_mid = (np.asarray(chars["top"]) + np.asarray(chars["bottom"])) / 2
-    keys = list(chars.keys())
-    out: List[Optional[str]] = []
-    for row in rows_grid:
-        for cell in row:
-            if cell is None:
-                out.append(None)
-                continue
-            m = (
-                (h_mid >= cell[0])
-                & (h_mid < cell[2])
-                & (v_mid >= cell[1])
-                & (v_mid < cell[3])
-            )
-            if not m.any():
-                out.append("")
-                continue
-            sub = {k: np.asarray(chars[k])[m] for k in keys}
-            out.append(
-                extract_text_page(sub, x_tolerance=x_tol, y_tolerance=y_tol)
-            )
-    return out
 
 
 def page_edge_union(page: PageDict):
@@ -177,7 +65,8 @@ def page_edge_union(page: PageDict):
 def page_tables(
     page: PageDict, table_cfg: TableConfig
 ) -> List[Tuple[Tuple[float, float, float, float], List[str]]]:
-    """Detected tables on one page -> [(bbox, row-major cell texts)]."""
+    """Detected tables on one page -> [(bbox, row-major texts of the present
+    cells)]."""
     edges = page_edge_union(page)
     if edges is None:
         return []
@@ -189,11 +78,10 @@ def page_tables(
         bbox,
         words_provider=lambda: extract_words_page(chars, WordConfig()),
     )
-    xt = float(table_cfg.text_settings.get("x_tolerance", 3))
-    yt = float(table_cfg.text_settings.get("y_tolerance", 3))
-    out = []
-    for t in tables:
-        out.append((t.bbox, _cells_texts_fast(chars, t.rows, xt, yt)))
+    out = [
+        (t.bbox, [text for row in rows for text in row if text is not None])
+        for t, rows in zip(tables, page_cell_texts(chars, tables))
+    ]
     # reading order: top-left first (cells_to_tables already sorts groups,
     # but order defensively by geometric position)
     out.sort(key=lambda bc: (bc[0][1], bc[0][0]))
@@ -210,10 +98,10 @@ def rotated_text_blocks(
     Rotated text stacks glyphs vertically at a fixed x (the reference's
     rotated line/char direction swap, utils/text.py:55-75): columns come
     from clustering x0, blocks within a column from vertical-gap breaks
-    (> per-glyph advance), and word assembly inside a block uses the same
-    kernel — its rotated direction resolution orders chars top-to-bottom."""
+    (> per-glyph advance). One word-kernel call assembles every block, with
+    the block id as its segment; the kernel's rotated direction resolution
+    orders chars top-to-bottom."""
     heading_cut = (synth_cfg.body_size + synth_cfg.heading_size) / 2.0
-    blocks: List[Tuple[float, str, str]] = []
     col_ids = cluster_ids(sub["x0"], float(word_cfg.x_tolerance))
     order = np.lexsort((sub["top"], col_ids))
     # between-word gap in a rotated run is 2*advance (skipped space slot);
@@ -227,20 +115,23 @@ def rotated_text_blocks(
         brk[1:] = (cid_s[1:] != cid_s[:-1]) | (
             (top_s[1:] - top_s[:-1]) > gap_cut
         )
+    by_block = {k: np.asarray(v)[order] for k, v in sub.items()}
+    block_of = np.cumsum(brk) - 1
+    words = extract_words_page(by_block, word_cfg, segment=block_of)
+    word_block = block_of[words["char_indices"][words["char_offsets"][:-1]]]
+    if word_block.shape[0] == 0:
+        return []
+    first_word = np.flatnonzero(np.r_[True, word_block[1:] != word_block[:-1]])
+    block = word_block[first_word]
     starts = np.flatnonzero(brk)
-    ends = np.append(starts[1:], order.shape[0])
-    for s, e in zip(starts, ends):
-        idx = order[s:e]
-        block = {k: np.asarray(v)[idx] for k, v in sub.items()}
-        words = extract_words_page(block, word_cfg)
-        if words["text"].shape[0] == 0:
-            continue
-        text = " ".join(words["text"].tolist())
-        heading = float(block["size"][0]) >= heading_cut
-        blocks.append(
-            (float(block["doctop"].min()), "heading" if heading else "text", text)
-        )
-    return blocks
+    doctops = np.minimum.reduceat(by_block["doctop"], starts)[block]
+    headings = by_block["size"][starts[block]] >= heading_cut
+    tl = words["text"].tolist()
+    ends = np.append(first_word[1:], len(tl))
+    return [
+        (float(d), "heading" if h else "text", " ".join(tl[s:e]))
+        for d, h, s, e in zip(doctops, headings, first_word, ends)
+    ]
 
 
 def page_text_blocks(

@@ -30,13 +30,14 @@ from pdfplumber_ray.functions.tables import (
     edges_to_intersections_arrays,
     find_tables_page,
     merge_edges_arrays,
+    page_cell_texts,
 )
 from pdfplumber_ray.functions.textmap import extract_text_page, extract_text_simple_page
 from pdfplumber_ray.functions.words import extract_words_page
 from pdfplumber_ray.functions.clustering import cluster_groups
 from pdfplumber_ray.pdfio import PDFDocument, decode_pdf_doc
 from pdfplumber_ray.pdfio.interp import PageInterpreter
-from pdfplumber_ray.stages.flatten import page_edge_union, cells_texts_extract
+from pdfplumber_ray.stages.flatten import page_edge_union
 
 REF = "/root/reference/tests"
 
@@ -230,10 +231,7 @@ def test_ca_warn_explicit_lines_table(warn_doc):
         words_provider=lambda: extract_words_page(chars, WordConfig()),
     )
     assert tables
-    t = tables[0]
-    texts = cells_texts_extract(chars, t.rows, 3.0, 3.0)
-    ncols = len(t.rows[0])
-    rows = [texts[i : i + ncols] for i in range(0, len(texts), ncols)]
+    rows = page_cell_texts(chars, tables[:1])[0]
     assert _fix_row_spaces(rows[0]) == [
         "NoticeDate", "Effective", "Received", "Company", "City",
         "No. Of", "Layoff/Closure",

@@ -12,12 +12,12 @@ import pytest
 
 from pdfplumber_ray.config import TableConfig, WordConfig
 from pdfplumber_ray.functions.dedupe import dedupe_chars_mask
-from pdfplumber_ray.functions.tables import find_tables_page
+from pdfplumber_ray.functions.tables import find_tables_page, page_cell_texts
 from pdfplumber_ray.functions.textmap import extract_text_page
 from pdfplumber_ray.functions.words import extract_words_page
 from pdfplumber_ray.pdfio import PDFDocument
 from pdfplumber_ray.pdfio.interp import PageInterpreter
-from pdfplumber_ray.stages.flatten import cells_texts_extract, page_edge_union
+from pdfplumber_ray.stages.flatten import page_edge_union
 
 REF = "/root/reference/tests"
 
@@ -82,9 +82,7 @@ def _first_table_rows(it, chars, table_cfg=None, pick_largest=False):
         t = max(tables, key=lambda tb: sum(c is not None for r in tb.rows for c in r))
     else:
         t = tables[0]
-    texts = cells_texts_extract(chars, t.rows, 3.0, 3.0)
-    ncols = len(t.rows[0])
-    return [texts[i : i + ncols] for i in range(0, len(texts), ncols)]
+    return page_cell_texts(chars, [t])[0]
 
 
 def test_issue_71_cid_font_dedupe_table():
@@ -204,9 +202,7 @@ def test_text_strategy_tolerance_senate():
             ),
         )
         t = max(tables, key=lambda tb: sum(c is not None for r in tb.rows for c in r))
-        texts = cells_texts_extract(cct, t.rows, tol, 3.0)
-        ncols = len(t.rows[0])
-        return [texts[i : i + ncols] for i in range(0, len(texts), ncols)]
+        return page_cell_texts(cct, [t])[0]
 
     assert run(3.0)[-1] == [
         "DHAW20190070", "09/09/2019", "CITIBANK-TRAVELCBACARD",
