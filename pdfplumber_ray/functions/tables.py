@@ -121,10 +121,6 @@ def merge_edges_arrays(
     return out
 
 
-def dict_row(edges: ObjArrays, i: int) -> Dict[str, Any]:
-    return {k: v[i] for k, v in edges.items()}
-
-
 def rows_to_edges(rows: List[Dict[str, Any]]) -> ObjArrays:
     keys = ("x0", "x1", "top", "bottom", "orientation", "object_type")
     out: ObjArrays = {}

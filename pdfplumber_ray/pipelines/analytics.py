@@ -7,11 +7,11 @@ span-structure operators at the end of the module (span-kind
 transitions, media density, caption mining, span packing, ...) run on the
 interleaved ``(doc_id, spans)`` payload itself.
 
-The module also holds relational and event-stream operators (anti/semi
+The module still holds relational and event-stream operators (anti/semi
 joins, CDC compaction, hopping windows, cohort retention, sessions,
-funnels, rollups, ...) over ``events``-shaped and TPC-H-shaped inputs.
-No ``__ray_entry__`` query runs them; they stay as library code covered
-by their unit tests in ``tests/test_analytics.py``.
+rollups, ...) over ``events``-shaped and TPC-H-shaped inputs that no
+``__ray_entry__`` query runs. ``tests/test_registry.py`` freezes that
+set: it may shrink, and no new operator joins it.
 
 Scale design notes (same rules as `corpus_ops`):
 * Per-record work is a task-mode ``map_batches`` with a per-batch Arrow /
@@ -801,87 +801,6 @@ def quality_audit_ds(
     )
 
 
-# ---------- per-window exact distinct users ----------
-
-
-def window_users_ds(
-    events: Dataset,
-    width_s: int = 3600,
-    ts_col: str = "ts",
-    user_col: str = "user_id",
-) -> Dataset:
-    """Exact distinct-user count per tumbling window (the DAU/HAU metric
-    with exact semantics): per-batch distinct ``(window, user)`` combiner
-    -> ``groupby(window, user)`` collapses cross-block duplicates (one
-    row per pair survives) -> per-batch window-count combiner -> a tiny
-    final ``groupby(window)``. Two shuffles, the second over one row per
-    (window x block). The classic exact-distinct dataflow; an HLL sketch
-    is the approximate drop-in when exactness stops mattering."""
-    width_us = width_s * 1_000_000
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"w": pa.array([], pa.int64()), "u": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return empty
-        ts_us = batch.column(ts_col).cast(pa.int64())
-        return (
-            pa.table(
-                {
-                    "w": pc.multiply(
-                        pc.divide(ts_us, pa.scalar(width_us, pa.int64())),
-                        pa.scalar(width_s, pa.int64()),
-                    ),
-                    "u": batch.column(user_col).cast(pa.int64()),
-                }
-            )
-            .group_by(["w", "u"])
-            .aggregate([])
-        )
-
-    pairs = (
-        events.select_columns([ts_col, user_col])
-        .map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["w", "u"])
-        .count()
-    )
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"w": pa.array([], pa.int64()), "n_partial": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return empty
-        g = (
-            pa.table({"w": batch.column("w").cast(pa.int64())})
-            .group_by("w")
-            .aggregate([("w", "count")])
-        )
-        return pa.table(
-            {
-                "w": g.column("w"),
-                "n_partial": g.column("w_count").cast(pa.int64()),
-            }
-        )
-
-    agg = (
-        pairs.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("w")
-        .aggregate(Sum("n_partial"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "window_start_s": batch.column("w").cast(pa.int64()),
-                "n_users": batch.column("sum(n_partial)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
 # ---------- grouped heavy hitters ----------
 
 
@@ -1085,89 +1004,6 @@ def length_outliers_ds(
 
     return docs.select_columns([id_col, group_col, value_col]).map_batches(
         flag, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
-# ---------- distributed running total (per-key prefix sum) ----------
-
-
-def running_total_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    value_col: str = "value",
-    quant: int = 100,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Per-key cumulative sum ordered by (``ts``, ``tie``) — the
-    ``SUM(v) OVER (PARTITION BY key ORDER BY ts, id)`` running-balance /
-    cumulative-exposure shape, computed without a global sort.
-
-    Exactness: values quantize to ``floor(v * quant)`` int64 on BOTH
-    engines (identical IEEE double product + floor), so the prefix sums
-    are order-independent integer sums.
-
-    Scale shape: each row must meet the other rows of its key, so the
-    full (key, ts, tie, v_e) projection shuffles ONCE by
-    ``mix64(key) % n_buckets`` (bounded group count, never one group per
-    key); inside a bucket one lexsort + one segmented ``np.cumsum``
-    produces every key's prefix sums vectorized. Payload columns are
-    pruned before the exchange.
-    """
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        v_e = np.floor(v * quant).astype(np.int64)
-        bkt = (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table(
-            {
-                tie_col: batch.column(tie_col).cast(pa.int64()),
-                key_col: pa.array(k, pa.int64()),
-                "ts_us": batch.column(ts_col).cast(pa.int64()),
-                "v_e": pa.array(v_e, pa.int64()),
-                "bkt": pa.array(bkt, pa.int64()),
-            }
-        )
-
-    out_schema = pa.schema(
-        [
-            pa.field(tie_col, pa.int64()),
-            pa.field(key_col, pa.int64()),
-            pa.field("run_total_e", pa.int64()),
-        ]
-    )
-
-    def bucket_cumsum(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        k = group.column(key_col).to_numpy(zero_copy_only=False)
-        t = group.column("ts_us").to_numpy(zero_copy_only=False)
-        tie = group.column(tie_col).to_numpy(zero_copy_only=False)
-        v = group.column("v_e").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tie, t, k))
-        ks, vs = k[order], v[order]
-        cs = np.cumsum(vs)
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        seg_len = np.diff(np.concatenate((starts, [len(ks)])))
-        # cumulative total just before each segment start, repeated
-        offsets = np.concatenate(([0], cs[starts[1:] - 1]))
-        run = cs - np.repeat(offsets, seg_len)
-        return pa.table(
-            {
-                tie_col: pa.array(tie[order], pa.int64()),
-                key_col: pa.array(ks, pa.int64()),
-                "run_total_e": pa.array(run, pa.int64()),
-            }
-        )
-
-    projected = events.select_columns(
-        [key_col, ts_col, tie_col, value_col]
-    ).map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    return _anchor_schema(
-        projected.groupby("bkt").map_groups(bucket_cumsum, batch_format="pyarrow"),
-        out_schema,
     )
 
 
@@ -1585,97 +1421,6 @@ def hash_join_ds(
     )
 
 
-# ---------- window frames: trailing ROWS sum + LAG delta ----------
-
-
-def window_frames_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    value_col: str = "value",
-    trail_rows: int = 3,
-    quant: int = 100,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Per-key window frames in ONE pass over one bucket shuffle: the
-    cumulative sum (``ROWS UNBOUNDED PRECEDING``), the trailing
-    ``trail_rows``-row sum (``ROWS trail_rows-1 PRECEDING``), and the
-    inter-event gap ``ts - lag(ts)`` (``-1`` for each key's first event
-    so both engines emit clean int64). Same exactness and scale shape as
-    :func:`running_total_ds` — floor-quantized int64 values, one
-    ``mix64(key) % n_buckets`` shuffle of the pruned projection, one
-    lexsort + prefix-sum arithmetic per bucket (the trailing frame is
-    ``cs[i] - cs[max(i - trail_rows, seg_start - 1)]`` — no second
-    pass)."""
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        v_e = np.floor(v * quant).astype(np.int64)
-        bkt = (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table(
-            {
-                tie_col: batch.column(tie_col).cast(pa.int64()),
-                key_col: pa.array(k, pa.int64()),
-                "ts_us": batch.column(ts_col).cast(pa.int64()),
-                "v_e": pa.array(v_e, pa.int64()),
-                "bkt": pa.array(bkt, pa.int64()),
-            }
-        )
-
-    out_schema = pa.schema(
-        [
-            pa.field(tie_col, pa.int64()),
-            pa.field(key_col, pa.int64()),
-            pa.field("run_total_e", pa.int64()),
-            pa.field("trail_e", pa.int64()),
-            pa.field("delta_us", pa.int64()),
-        ]
-    )
-
-    def bucket_frames(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        k = group.column(key_col).to_numpy(zero_copy_only=False)
-        t = group.column("ts_us").to_numpy(zero_copy_only=False)
-        tie = group.column(tie_col).to_numpy(zero_copy_only=False)
-        v = group.column("v_e").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tie, t, k))
-        ks, ts_, vs = k[order], t[order], v[order]
-        n = len(ks)
-        cs = np.cumsum(vs)
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        seg_len = np.diff(np.concatenate((starts, [n])))
-        offsets = np.concatenate(([0], cs[starts[1:] - 1]))
-        run = cs - np.repeat(offsets, seg_len)
-        pos = np.arange(n, dtype=np.int64)
-        start_pos = np.repeat(starts, seg_len)
-        lo = np.maximum(pos - trail_rows, start_pos - 1)
-        trail = cs - np.where(lo >= 0, cs[np.maximum(lo, 0)], 0)
-        delta = np.empty(n, np.int64)
-        delta[0] = -1
-        delta[1:] = ts_[1:] - ts_[:-1]
-        delta[starts] = -1
-        return pa.table(
-            {
-                tie_col: pa.array(tie[order], pa.int64()),
-                key_col: pa.array(ks, pa.int64()),
-                "run_total_e": pa.array(run, pa.int64()),
-                "trail_e": pa.array(trail, pa.int64()),
-                "delta_us": pa.array(delta, pa.int64()),
-            }
-        )
-
-    projected = events.select_columns(
-        [key_col, ts_col, tie_col, value_col]
-    ).map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    return _anchor_schema(
-        projected.groupby("bkt").map_groups(bucket_frames, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
 # ---------- NTILE (equal-frequency bucket assignment) ----------
 
 
@@ -1999,329 +1744,6 @@ def transitions_ds(
         )
 
     return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------- pivot / crosstab (in-batch pivot combiner) ----------
-
-
-def pivot_ds(
-    ds: Dataset,
-    group_col: str,
-    cat_col: str,
-    value_col: str,
-    categories: Sequence[Tuple[str, str]],
-    quant: int = 100,
-) -> Dataset:
-    """Crosstab: one output row per ``group_col`` value with a count and
-    a floor-quantized int64 value sum PER CATEGORY as columns
-    (``count(*) FILTER (WHERE cat = ...)`` in SQL). ``categories`` maps
-    each expected category value to its column suffix; rows with an
-    unlisted category are ignored (mirror the SQL FILTER semantics).
-
-    Scale shape: the pivot happens INSIDE the per-batch combiner — one
-    ``reduceat`` pass emits one already-wide row per group per block, so
-    the only shuffle is a bounded ``groupby(group)`` of ``2 * n_cat``
-    integer sums. A long-format groupby((group, cat)) would move the
-    same information as n_cat times more rows and still need a second
-    pivot pass."""
-
-    cat_values = [c for c, _ in categories]
-    suffixes = [s for _, s in categories]
-    n_cat = len(cat_values)
-    partial_names = [f"n_{s}" for s in suffixes] + [f"q_{s}" for s in suffixes]
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "g": pa.array([], pa.int64()),
-                **{nm: pa.array([], pa.int64()) for nm in partial_names},
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        g = batch.column(group_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        code_arr = pc.index_in(
-            batch.column(cat_col), value_set=pa.array(cat_values, pa.string())
-        )
-        known = pc.is_valid(code_arr).to_numpy(zero_copy_only=False)
-        if not known.any():
-            return empty
-        code = code_arr.fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
-        v = np.floor(
-            batch.column(value_col).to_numpy(zero_copy_only=False) * quant
-        ).astype(np.int64)
-        g, code, v = g[known], code[known], v[known]
-        gvals, ginv = np.unique(g, return_inverse=True)
-        comp = ginv * n_cat + code
-        order = np.argsort(comp, kind="stable")
-        comp_s, v_s = comp[order], v[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], comp_s[1:] != comp_s[:-1]))
-        )
-        seg_len = np.diff(np.concatenate((starts, [len(comp_s)])))
-        cells = comp_s[starts]
-        counts = np.zeros((len(gvals), n_cat), dtype=np.int64)
-        sums = np.zeros((len(gvals), n_cat), dtype=np.int64)
-        counts[cells // n_cat, cells % n_cat] = seg_len
-        sums[cells // n_cat, cells % n_cat] = np.add.reduceat(v_s, starts)
-        cols = {"g": pa.array(gvals, pa.int64())}
-        for j, s in enumerate(suffixes):
-            cols[f"n_{s}"] = pa.array(counts[:, j], pa.int64())
-        for j, s in enumerate(suffixes):
-            cols[f"q_{s}"] = pa.array(sums[:, j], pa.int64())
-        return pa.table(cols)
-
-    agg = (
-        ds.select_columns([group_col, cat_col, value_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("g")
-        .aggregate(*[Sum(nm) for nm in partial_names])
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        cols = {group_col: batch.column("g").cast(pa.int64())}
-        for nm in partial_names:
-            cols[nm] = batch.column(f"sum({nm})").cast(pa.int64())
-        return pa.table(cols)
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------- per-column data profiling ----------
-
-
-def profile_ds(
-    ds: Dataset,
-    columns: Sequence[Tuple[str, int]],
-) -> Dataset:
-    """Schema-profiling audit: one row per column with ``n_rows,
-    n_nulls, n_distinct, min_q, max_q`` over floor-quantized int64
-    values (``columns`` maps column name -> quantizer). The standard
-    pre-ingestion data-quality report; EXACT distinct counts (the
-    sketch shortcut deliberately isn't taken — the oracle is
-    count(DISTINCT)).
-
-    Scale shape: two column-pruned passes. Pass 1 computes counts /
-    nulls / min / max with one partial row per column per block (a
-    bounded groupby of n_columns groups). Pass 2 computes exact
-    distincts the only scale-honest way: per-batch ``np.unique``
-    DEDUPES WITHIN THE BLOCK before the shuffle, so the
-    ``groupby(col, value)`` exchange moves one row per distinct value
-    per block (not per input row); the distinct table then collapses to
-    per-column counts with a second per-batch combiner. Result is
-    n_columns rows — joined driver-side (bounded by the schema width,
-    never the data)."""
-
-    col_names = [c for c, _ in columns]
-    quants = {c: q for c, q in columns}
-
-    def stats_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "column_name": pa.array([], pa.string()),
-                "n_p": pa.array([], pa.int64()),
-                "null_p": pa.array([], pa.int64()),
-                "min_p": pa.array([], pa.int64()),
-                "max_p": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        names, ns, nulls, mins, maxs = [], [], [], [], []
-        for c in col_names:
-            col = batch.column(c)
-            v = np.floor(
-                col.drop_null().to_numpy(zero_copy_only=False) * quants[c]
-            ).astype(np.int64)
-            if len(v) == 0:
-                continue
-            names.append(c)
-            ns.append(len(col))
-            nulls.append(col.null_count)
-            mins.append(int(v.min()))
-            maxs.append(int(v.max()))
-        return pa.table(
-            {
-                "column_name": pa.array(names, pa.string()),
-                "n_p": pa.array(ns, pa.int64()),
-                "null_p": pa.array(nulls, pa.int64()),
-                "min_p": pa.array(mins, pa.int64()),
-                "max_p": pa.array(maxs, pa.int64()),
-            }
-        )
-
-    stats = (
-        ds.select_columns(col_names)
-        .map_batches(stats_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("column_name")
-        .aggregate(Sum("n_p"), Sum("null_p"), Min("min_p"), Max("max_p"))
-    )
-
-    def distinct_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "column_name": pa.array([], pa.string()),
-                "v": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        names, vals = [], []
-        for c in col_names:
-            v = np.unique(
-                np.floor(
-                    batch.column(c).drop_null().to_numpy(zero_copy_only=False)
-                    * quants[c]
-                ).astype(np.int64)
-            )
-            names.append(np.full(len(v), c, dtype=object))
-            vals.append(v)
-        return pa.table(
-            {
-                "column_name": pa.array(
-                    np.concatenate(names).astype(str), pa.string()
-                ),
-                "v": pa.array(np.concatenate(vals), pa.int64()),
-            }
-        )
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "column_name": pa.array([], pa.string()),
-                    "d_p": pa.array([], pa.int64()),
-                }
-            )
-        names, cnt = np.unique(
-            batch.column("column_name").to_numpy(zero_copy_only=False).astype(str),
-            return_counts=True,
-        )
-        return pa.table(
-            {
-                "column_name": pa.array(names, pa.string()),
-                "d_p": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    distinct = (
-        ds.select_columns(col_names)
-        .map_batches(distinct_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["column_name", "v"])
-        .aggregate(Sum("v"))  # aggregate value unused; one row per distinct pair
-        .map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("column_name")
-        .aggregate(Sum("d_p"))
-    )
-
-    # both sides are n_columns rows — a driver-side zip is bounded by
-    # schema width, not data size
-    srows = {r["column_name"]: r for r in stats.take_all()}
-    drows = {r["column_name"]: r for r in distinct.take_all()}
-    names = sorted(srows)
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "column_name": pa.array(names, pa.string()),
-                "n_rows": pa.array(
-                    [int(srows[c]["sum(n_p)"]) for c in names], pa.int64()
-                ),
-                "n_nulls": pa.array(
-                    [int(srows[c]["sum(null_p)"]) for c in names], pa.int64()
-                ),
-                "n_distinct": pa.array(
-                    [int(drows[c]["sum(d_p)"]) if c in drows else 0 for c in names],
-                    pa.int64(),
-                ),
-                "min_q": pa.array(
-                    [int(srows[c]["min(min_p)"]) for c in names], pa.int64()
-                ),
-                "max_q": pa.array(
-                    [int(srows[c]["max(max_p)"]) for c in names], pa.int64()
-                ),
-            }
-        )
-    )
-
-
-# ---------- set overlap (INTERSECT / EXCEPT classification) ----------
-
-
-def set_overlap_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    type_col: str = "event_type",
-    type_a: str = "click",
-    type_b: str = "purchase",
-    label_both: str = "both",
-    label_a: str = "a_only",
-    label_b: str = "b_only",
-) -> Dataset:
-    """Classify every key by which of two event types it has: the
-    INTERSECT / EXCEPT pair as one operator (audience-overlap /
-    conversion segmentation). Keys with neither type are dropped.
-
-    Scale shape: a per-batch combiner collapses each block to one
-    ``(key, has_a, has_b)`` row per key seen, the ``groupby(key)``
-    moves those flag rows only (two integer maxes, not the event rows),
-    and the CASE labelling is a stateless vectorized map."""
-
-    def flags_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "k": pa.array([], pa.int64()),
-                "fa": pa.array([], pa.int64()),
-                "fb": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        t = batch.column(type_col).to_numpy(zero_copy_only=False).astype(str)
-        keys, inv = np.unique(k, return_inverse=True)
-        fa = np.zeros(len(keys), dtype=np.int64)
-        fb = np.zeros(len(keys), dtype=np.int64)
-        np.maximum.at(fa, inv, (t == type_a).astype(np.int64))
-        np.maximum.at(fb, inv, (t == type_b).astype(np.int64))
-        return pa.table(
-            {
-                "k": pa.array(keys, pa.int64()),
-                "fa": pa.array(fa, pa.int64()),
-                "fb": pa.array(fb, pa.int64()),
-            }
-        )
-
-    agg = (
-        events.select_columns([key_col, type_col])
-        .map_batches(flags_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("k")
-        .aggregate(Max("fa"), Max("fb"))
-    )
-
-    def classify(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                key_col: pa.array([], pa.int64()),
-                "segment": pa.array([], pa.string()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        k = batch.column("k").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        fa = batch.column("max(fa)").to_numpy(zero_copy_only=False) > 0
-        fb = batch.column("max(fb)").to_numpy(zero_copy_only=False) > 0
-        seg = np.where(
-            fa & fb, label_both, np.where(fa, label_a, label_b)
-        ).astype(object)
-        keep = fa | fb
-        return pa.table(
-            {
-                key_col: pa.array(k[keep], pa.int64()),
-                "segment": pa.array(seg[keep].astype(str), pa.string()),
-            }
-        )
-
-    return agg.map_batches(classify, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ---------- ordered group-concat (per-key path strings) ----------
@@ -2745,245 +2167,6 @@ def sessions_ds(
     return _anchor_schema(out, out_schema)
 
 
-# ---------- OHLC bars (open/high/low/close per period) ----------
-
-
-def ohlc_bars_ds(
-    orders: Dataset,
-    date_col: str = "o_orderdate",
-    key_col: str = "o_orderkey",
-    price_col: str = "o_totalprice",
-) -> Dataset:
-    """Monthly OHLC bars over the order stream: per calendar month the
-    first order's price (open), max (high), min (low), last order's
-    price (close), order count and total — the downsampling step behind
-    any time-series dashboard. Prices quantize to integer cents
-    (``round(p*100)``) for engine-exact compares; first/last ties on the
-    date break by order key.
-
-    Scale shape: a per-batch lexsort combiner collapses each block to
-    ONE partial bar per month (open candidate, close candidate, min,
-    max, count, sum), so only months-per-block-sized partials shuffle;
-    the month domain is bounded (~a century = 1200 groups), so a plain
-    ``groupby("ym").map_groups`` finishes with one vectorized pass."""
-    part_schema = pa.schema(
-        [
-            ("ym", pa.int64()),
-            ("f_d", pa.int64()),
-            ("f_k", pa.int64()),
-            ("f_c", pa.int64()),
-            ("l_d", pa.int64()),
-            ("l_k", pa.int64()),
-            ("l_c", pa.int64()),
-            ("lo", pa.int64()),
-            ("hi", pa.int64()),
-            ("n_p", pa.int64()),
-            ("s_p", pa.int64()),
-        ]
-    )
-    out_schema = pa.schema(
-        [
-            ("ym", pa.int64()),
-            ("open_cents", pa.int64()),
-            ("high_cents", pa.int64()),
-            ("low_cents", pa.int64()),
-            ("close_cents", pa.int64()),
-            ("n_orders", pa.int64()),
-            ("total_cents", pa.int64()),
-        ]
-    )
-
-    def combine(batch: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in part_schema})
-        if batch.num_rows == 0:
-            return empty
-        dcol = batch.column(date_col)
-        ym = (
-            pc.add(
-                pc.multiply(pc.year(dcol).cast(pa.int64()), 100),
-                pc.month(dcol).cast(pa.int64()),
-            )
-        ).to_numpy(zero_copy_only=False)
-        d = dcol.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        okey = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        cents = (
-            pc.cast(pc.round(pc.multiply(batch.column(price_col), 100)), pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        order = np.lexsort((okey, d, ym))
-        yms, ds_, ks, cs = ym[order], d[order], okey[order], cents[order]
-        new = np.concatenate(([True], yms[1:] != yms[:-1]))
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [len(yms)])) - 1
-        n_p = np.diff(np.concatenate((starts, [len(yms)])))
-        lo = np.minimum.reduceat(cs, starts)
-        hi = np.maximum.reduceat(cs, starts)
-        s_p = np.add.reduceat(cs, starts)
-        return pa.table(
-            {
-                "ym": pa.array(yms[starts], pa.int64()),
-                "f_d": pa.array(ds_[starts], pa.int64()),
-                "f_k": pa.array(ks[starts], pa.int64()),
-                "f_c": pa.array(cs[starts], pa.int64()),
-                "l_d": pa.array(ds_[ends], pa.int64()),
-                "l_k": pa.array(ks[ends], pa.int64()),
-                "l_c": pa.array(cs[ends], pa.int64()),
-                "lo": pa.array(lo, pa.int64()),
-                "hi": pa.array(hi, pa.int64()),
-                "n_p": pa.array(n_p.astype(np.int64), pa.int64()),
-                "s_p": pa.array(s_p.astype(np.int64), pa.int64()),
-            }
-        )
-
-    def reduce(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
-        ym = group.column("ym").to_numpy(zero_copy_only=False)
-        f_d = group.column("f_d").to_numpy(zero_copy_only=False)
-        f_k = group.column("f_k").to_numpy(zero_copy_only=False)
-        f_c = group.column("f_c").to_numpy(zero_copy_only=False)
-        l_d = group.column("l_d").to_numpy(zero_copy_only=False)
-        l_k = group.column("l_k").to_numpy(zero_copy_only=False)
-        l_c = group.column("l_c").to_numpy(zero_copy_only=False)
-        lo = group.column("lo").to_numpy(zero_copy_only=False)
-        hi = group.column("hi").to_numpy(zero_copy_only=False)
-        n_p = group.column("n_p").to_numpy(zero_copy_only=False)
-        s_p = group.column("s_p").to_numpy(zero_copy_only=False)
-
-        fo = np.lexsort((f_k, f_d, ym))
-        fstarts = np.flatnonzero(
-            np.concatenate(([True], ym[fo][1:] != ym[fo][:-1]))
-        )
-        fidx = fo[fstarts]
-
-        lo_ = np.lexsort((l_k, l_d, ym))
-        yl = ym[lo_]
-        lstarts = np.flatnonzero(np.concatenate(([True], yl[1:] != yl[:-1])))
-        lends = np.concatenate((lstarts[1:], [len(yl)])) - 1
-        lidx = lo_[lends]
-
-        yo = np.argsort(ym, kind="stable")
-        ys = ym[yo]
-        starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
-        return pa.table(
-            {
-                "ym": pa.array(ym[fidx], pa.int64()),
-                "open_cents": pa.array(f_c[fidx], pa.int64()),
-                "high_cents": pa.array(np.maximum.reduceat(hi[yo], starts), pa.int64()),
-                "low_cents": pa.array(np.minimum.reduceat(lo[yo], starts), pa.int64()),
-                "close_cents": pa.array(l_c[lidx], pa.int64()),
-                "n_orders": pa.array(np.add.reduceat(n_p[yo], starts), pa.int64()),
-                "total_cents": pa.array(np.add.reduceat(s_p[yo], starts), pa.int64()),
-            }
-        )
-
-    out = (
-        orders.select_columns([date_col, key_col, price_col])
-        .map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ym")
-        .map_groups(reduce, batch_format="pyarrow")
-    )
-    return _anchor_schema(out, out_schema)
-
-
-# ---------- period-over-period (monthly revenue + lag delta) ----------
-
-
-def period_over_period_ds(
-    orders: Dataset,
-    date_col: str = "o_orderdate",
-    price_col: str = "o_totalprice",
-) -> Dataset:
-    """Monthly revenue with the previous month's revenue and the delta
-    (``lag() OVER (ORDER BY month)``) — the period-over-period report.
-    Months with no predecessor emit ``prev_cents = -1, delta_cents = 0``
-    so both engines produce clean int64 (no float-null laundering).
-
-    Scale shape: a per-batch Arrow combiner emits one (month, cents,
-    n) partial per block, ONE tiny ``groupby`` over the bounded month
-    domain reduces them, and the lag itself runs on the final
-    months-sized table in a single block (``repartition(1)``) — the
-    only driver-adjacent step is over a report-sized result by
-    construction."""
-    out_schema = pa.schema(
-        [
-            ("ym", pa.int64()),
-            ("cents", pa.int64()),
-            ("n_orders", pa.int64()),
-            ("prev_cents", pa.int64()),
-            ("delta_cents", pa.int64()),
-        ]
-    )
-
-    def combine(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "ym": pa.array([], pa.int64()),
-                    "c_p": pa.array([], pa.int64()),
-                    "n_p": pa.array([], pa.int64()),
-                }
-            )
-        dcol = batch.column(date_col)
-        ym = (
-            pc.add(
-                pc.multiply(pc.year(dcol).cast(pa.int64()), 100),
-                pc.month(dcol).cast(pa.int64()),
-            )
-        ).to_numpy(zero_copy_only=False)
-        cents = (
-            pc.cast(pc.round(pc.multiply(batch.column(price_col), 100)), pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        order = np.argsort(ym, kind="stable")
-        ys, cs = ym[order], cents[order]
-        starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
-        return pa.table(
-            {
-                "ym": pa.array(ys[starts], pa.int64()),
-                "c_p": pa.array(np.add.reduceat(cs, starts), pa.int64()),
-                "n_p": pa.array(
-                    np.diff(np.concatenate((starts, [len(ys)]))).astype(np.int64),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    monthly = (
-        orders.select_columns([date_col, price_col])
-        .map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ym")
-        .aggregate(Sum("c_p"), Sum("n_p"))
-    )
-
-    def lag_pass(batch: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if batch.num_rows == 0:
-            return empty
-        ym = batch.column("ym").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        c = batch.column("sum(c_p)").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        n = batch.column("sum(n_p)").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        order = np.argsort(ym, kind="stable")
-        ys, cs, ns = ym[order], c[order], n[order]
-        prev = np.concatenate(([-1], cs[:-1]))
-        delta = np.where(prev < 0, 0, cs - prev)
-        return pa.table(
-            {
-                "ym": pa.array(ys, pa.int64()),
-                "cents": pa.array(cs, pa.int64()),
-                "n_orders": pa.array(ns, pa.int64()),
-                "prev_cents": pa.array(prev, pa.int64()),
-                "delta_cents": pa.array(delta.astype(np.int64), pa.int64()),
-            }
-        )
-
-    out = monthly.repartition(1).map_batches(
-        lag_pass, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    )
-    return _anchor_schema(out, out_schema)
-
-
 # ---------- exact grouped percentiles (distinct-cell selection) ----------
 
 
@@ -3100,212 +2283,6 @@ def grouped_percentiles_ds(
         cells.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bkt")
         .map_groups(pick, batch_format="pyarrow")
-    )
-    return _anchor_schema(out, out_schema)
-
-
-# ---------- reorder gaps (per-customer inter-order intervals) ----------
-
-
-def reorder_gaps_ds(
-    orders: Dataset,
-    key_col: str = "o_custkey",
-    date_col: str = "o_orderdate",
-    tie_col: str = "o_orderkey",
-    n_buckets: int = 512,
-) -> Dataset:
-    """Per-customer reorder cadence: order count, first/last order
-    timestamps, and the min/max gap between CONSECUTIVE orders
-    (``-1`` sentinels for single-order customers) — the repeat-purchase
-    summary behind churn features.
-
-    Scale shape: gaps need each key's ordered adjacency, so the pruned
-    (key, ts, tie) projection shuffles ONCE by ``mix64(key) %
-    n_buckets``; inside the bucket one lexsort segments keys and the
-    consecutive diffs reduce per segment with masked
-    ``minimum/maximum.reduceat`` — a segment's first row carries
-    INT64_MAX / -1 filler so single-order segments fall out as
-    sentinels with no per-key Python."""
-    out_schema = pa.schema(
-        [
-            ("custkey", pa.int64()),
-            ("n_orders", pa.int64()),
-            ("first_us", pa.int64()),
-            ("last_us", pa.int64()),
-            ("min_gap_us", pa.int64()),
-            ("max_gap_us", pa.int64()),
-        ]
-    )
-    BIG = np.iinfo(np.int64).max
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": pa.array(k, pa.int64()),
-                "d": batch.column(date_col).cast(pa.int64()),
-                "t": batch.column(tie_col).cast(pa.int64()),
-            }
-        )
-
-    def gaps(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        d = group.column("d").to_numpy(zero_copy_only=False)
-        t = group.column("t").to_numpy(zero_copy_only=False)
-        order = np.lexsort((t, d, k))
-        ks, ds_ = k[order], d[order]
-        new = np.concatenate(([True], ks[1:] != ks[:-1]))
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [len(ks)])) - 1
-        within = ~new
-        gp = np.full(len(ks), BIG, dtype=np.int64)
-        gn = np.full(len(ks), -1, dtype=np.int64)
-        diffs = ds_[1:] - ds_[:-1]
-        gp[1:][within[1:]] = diffs[within[1:]]
-        gn[1:][within[1:]] = diffs[within[1:]]
-        min_gap = np.minimum.reduceat(gp, starts)
-        min_gap = np.where(min_gap == BIG, -1, min_gap)
-        max_gap = np.maximum.reduceat(gn, starts)
-        return pa.table(
-            {
-                "custkey": pa.array(ks[starts], pa.int64()),
-                "n_orders": pa.array(
-                    np.diff(np.concatenate((starts, [len(ks)]))).astype(np.int64),
-                    pa.int64(),
-                ),
-                "first_us": pa.array(ds_[starts], pa.int64()),
-                "last_us": pa.array(ds_[ends], pa.int64()),
-                "min_gap_us": pa.array(min_gap.astype(np.int64), pa.int64()),
-                "max_gap_us": pa.array(max_gap.astype(np.int64), pa.int64()),
-            }
-        )
-
-    out = (
-        orders.select_columns([key_col, date_col, tie_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(gaps, batch_format="pyarrow")
-    )
-    return _anchor_schema(out, out_schema)
-
-
-# ---------- session baskets (event-type co-occurrence) ----------
-
-
-def session_baskets_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    type_col: str = "event_type",
-    gap_us: int = 1_800_000_000,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Market-basket co-occurrence over sessions: for every unordered
-    pair of event types that appear in the SAME session (sessions per
-    :func:`sessions_ds`'s gap rule), the number of sessions containing
-    both — the association-mining input (lift/confidence follow from
-    these counts plus the marginals).
-
-    Scale shape: one ``mix64(user) % n_buckets`` shuffle of the pruned
-    event projection; inside the bucket the session segmentation, the
-    per-session DISTINCT-type reduction, and the within-session pair
-    expansion (type domain is small, so pairs-per-session is bounded)
-    are all lexsort + offset arithmetic; each bucket emits pre-combined
-    (a, b, n) partials so the final ``groupby`` moves one row per pair
-    per bucket — type-domain-squared-sized, never session-sized."""
-    out_schema = pa.schema(
-        [("type_a", pa.string()), ("type_b", pa.string()), ("n_sessions", pa.int64())]
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": pa.array(k, pa.int64()),
-                "t": batch.column(ts_col).cast(pa.int64()),
-                "e": batch.column(tie_col).cast(pa.int64()),
-                "ty": batch.column(type_col).cast(pa.string()),
-            }
-        )
-
-    def baskets(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        t = group.column("t").to_numpy(zero_copy_only=False)
-        e = group.column("e").to_numpy(zero_copy_only=False)
-        ty = group.column("ty").to_numpy(zero_copy_only=False).astype(str)
-        order = np.lexsort((e, t, k))
-        ks, ts_, tys = k[order], t[order], ty[order]
-        new_user = np.concatenate(([True], ks[1:] != ks[:-1]))
-        brk = new_user | np.concatenate(([True], (ts_[1:] - ts_[:-1]) > gap_us))
-        sess = np.cumsum(brk) - 1  # global session index within bucket
-        # distinct (session, type) rows
-        o2 = np.lexsort((tys, sess))
-        ss, tt = sess[o2], tys[o2]
-        keep = np.concatenate(([True], (ss[1:] != ss[:-1]) | (tt[1:] != tt[:-1])))
-        ss, tt = ss[keep], tt[keep]
-        # within-session all-pairs (a before b in sorted type order)
-        seg_new = np.concatenate(([True], ss[1:] != ss[:-1]))
-        starts = np.flatnonzero(seg_new)
-        lens = np.diff(np.concatenate((starts, [len(ss)])))
-        local = np.arange(len(ss)) - np.repeat(starts, lens)
-        rep = (np.repeat(lens, lens) - 1 - local).astype(np.int64)
-        total = int(rep.sum())
-        if total == 0:
-            return empty
-        a_idx = np.repeat(np.arange(len(ss)), rep)
-        base = np.cumsum(rep) - rep
-        off = np.arange(total, dtype=np.int64) - np.repeat(base, rep)
-        b_idx = a_idx + 1 + off
-        ta, tb = tt[a_idx], tt[b_idx]
-        # pre-combine pair counts inside the bucket
-        po = np.lexsort((tb, ta))
-        tas, tbs = ta[po], tb[po]
-        pnew = np.concatenate(
-            ([True], (tas[1:] != tas[:-1]) | (tbs[1:] != tbs[:-1]))
-        )
-        pstarts = np.flatnonzero(pnew)
-        return pa.table(
-            {
-                "type_a": pa.array(tas[pstarts], pa.string()),
-                "type_b": pa.array(tbs[pstarts], pa.string()),
-                "n_p": pa.array(
-                    np.diff(np.concatenate((pstarts, [total]))).astype(np.int64),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    out = (
-        events.select_columns([key_col, ts_col, tie_col, type_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(baskets, batch_format="pyarrow")
-        .groupby(["type_a", "type_b"])
-        .aggregate(Sum("n_p"))
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "type_a": b.column("type_a"),
-                    "type_b": b.column("type_b"),
-                    "n_sessions": b.column("sum(n_p)").cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
     )
     return _anchor_schema(out, out_schema)
 
@@ -4112,89 +3089,6 @@ def fk_audit_ds(
     )
 
 
-# ---------- SCD2 validity intervals (temporal table build) ----------
-
-
-def scd2_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    value_col: str = "event_type",
-    tie_col: str = "event_id",
-    open_end_us: int = 4_102_444_800_000_000,  # 2100-01-01, the open sentinel
-    n_buckets: int = 512,
-) -> Dataset:
-    """SCD-type-2 history build: each key's change rows become validity
-    intervals ``[valid_from, valid_to)`` with a 1-based version number —
-    the temporal-table construction behind as-of correctness at read
-    time. The latest row per key stays open (``valid_to`` = the fixed
-    sentinel). Deterministic order: ``ts`` ASC, ``tie_col`` ASC.
-
-    Scale shape: rows project to 4 columns and shuffle ONCE by
-    ``mix64(key) % n_buckets``; in-bucket one lexsort + shifted arrays
-    derive ``valid_to`` (next row's ts) and per-key version ordinals —
-    no per-key Python."""
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("version", pa.int64()),
-            (value_col, pa.string()),
-            ("valid_from_us", pa.int64()),
-            ("valid_to_us", pa.int64()),
-        ]
-    )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                key_col: pa.array(k, pa.int64()),
-                "ts_us": batch.column(ts_col).cast(pa.int64()),
-                tie_col: batch.column(tie_col).cast(pa.int64()),
-                value_col: batch.column(value_col).cast(pa.string()),
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-                ),
-            }
-        )
-
-    def bucket_history(group: pa.Table) -> pa.Table:
-        k = group.column(key_col).to_numpy(zero_copy_only=False)
-        t = group.column("ts_us").to_numpy(zero_copy_only=False)
-        tie = group.column(tie_col).to_numpy(zero_copy_only=False)
-        v = np.asarray(group.column(value_col).to_pylist(), dtype=object)
-        order = np.lexsort((tie, t, k))
-        k, t, v = k[order], t[order], v[order]
-        n = len(k)
-        start = np.concatenate(([True], k[1:] != k[:-1]))
-        version = np.arange(n, dtype=np.int64) - np.repeat(
-            np.flatnonzero(start),
-            np.diff(np.concatenate((np.flatnonzero(start), [n]))),
-        ) + 1
-        valid_to = np.empty(n, dtype=np.int64)
-        valid_to[:-1] = t[1:]
-        valid_to[-1] = open_end_us
-        last = np.concatenate((start[1:], [True]))
-        valid_to[last] = open_end_us
-        return pa.table(
-            {
-                key_col: pa.array(k, pa.int64()),
-                "version": pa.array(version, pa.int64()),
-                value_col: pa.array(v.astype(str), pa.string()),
-                "valid_from_us": pa.array(t, pa.int64()),
-                "valid_to_us": pa.array(valid_to, pa.int64()),
-            }
-        )
-
-    proj = events.select_columns(
-        [key_col, ts_col, tie_col, value_col]
-    ).map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    return _anchor_schema(
-        proj.groupby("bkt").map_groups(bucket_history, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
 # ---------- winsorize (percentile cap) ----------
 
 
@@ -4356,163 +3250,6 @@ def rank_sum_ds(
         )
         if n_a and n_b
         else pa.table({f.name: pa.array([], f.type) for f in out_schema})
-    )
-
-
-def assoc_rules_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    type_col: str = "event_type",
-    gap_us: int = 1_800_000_000,
-    n_buckets: int = 512,
-    min_support: int = 1,
-) -> Dataset:
-    """Association rules (Apriori level 2) over 30-min-gap sessions: for
-    every ORDERED pair of event types co-occurring in a session, the rule
-    ``antecedent -> consequent`` with its session counts and the two
-    classic integer-exact metrics — ``conf_e6 = 1e6*n_both // n_ante``
-    and ``lift_e6 = 1e6*n_both*S // (n_ante*n_cons)`` (S = total
-    sessions). The recommendation/market-basket staple next to
-    :func:`session_baskets_ds` (which stops at raw pair counts).
-
-    Scale shape: ONE ``mix64(user) % n_buckets`` shuffle; each bucket
-    emits pre-combined TAGGED partials — pair counts, per-type session
-    marginals, and a session-count row — so the global exchange moves
-    O(|types|^2) rows per bucket. The rule table itself is
-    type-domain-squared-sized: the only driver materialization."""
-    out_schema = pa.schema(
-        [
-            ("antecedent", pa.string()),
-            ("consequent", pa.string()),
-            ("n_ante", pa.int64()),
-            ("n_cons", pa.int64()),
-            ("n_both", pa.int64()),
-            ("n_sessions", pa.int64()),
-            ("conf_e6", pa.int64()),
-            ("lift_e6", pa.int64()),
-        ]
-    )
-    part_schema = pa.schema(
-        [
-            ("kind", pa.string()),
-            ("ta", pa.string()),
-            ("tb", pa.string()),
-            ("n_p", pa.int64()),
-        ]
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": pa.array(k, pa.int64()),
-                "t": batch.column(ts_col).cast(pa.int64()),
-                "e": batch.column(tie_col).cast(pa.int64()),
-                "ty": batch.column(type_col).cast(pa.string()),
-            }
-        )
-
-    def partials(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in part_schema})
-        if group.num_rows == 0:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        t = group.column("t").to_numpy(zero_copy_only=False)
-        e = group.column("e").to_numpy(zero_copy_only=False)
-        ty = group.column("ty").to_numpy(zero_copy_only=False).astype(str)
-        order = np.lexsort((e, t, k))
-        ks, ts_, tys = k[order], t[order], ty[order]
-        new_user = np.concatenate(([True], ks[1:] != ks[:-1]))
-        brk = new_user | np.concatenate(([True], (ts_[1:] - ts_[:-1]) > gap_us))
-        sess = np.cumsum(brk) - 1
-        n_sessions = int(sess[-1]) + 1
-        # distinct (session, type)
-        o2 = np.lexsort((tys, sess))
-        ss, tt = sess[o2], tys[o2]
-        keep = np.concatenate(([True], (ss[1:] != ss[:-1]) | (tt[1:] != tt[:-1])))
-        ss, tt = ss[keep], tt[keep]
-        # per-type marginals (sessions containing the type)
-        mt, mc = np.unique(tt, return_counts=True)
-        kinds = ["total"] + ["type"] * len(mt)
-        tas = [""] + list(mt)
-        tbs = [""] * (1 + len(mt))
-        nps = [n_sessions] + [int(c) for c in mc]
-        # within-session ordered pairs (a != b): expand a<b then mirror
-        seg_new = np.concatenate(([True], ss[1:] != ss[:-1]))
-        starts = np.flatnonzero(seg_new)
-        lens = np.diff(np.concatenate((starts, [len(ss)])))
-        local = np.arange(len(ss)) - np.repeat(starts, lens)
-        rep = (np.repeat(lens, lens) - 1 - local).astype(np.int64)
-        total = int(rep.sum())
-        if total:
-            a_idx = np.repeat(np.arange(len(ss)), rep)
-            base = np.cumsum(rep) - rep
-            off = np.arange(total, dtype=np.int64) - np.repeat(base, rep)
-            b_idx = a_idx + 1 + off
-            ta = np.concatenate((tt[a_idx], tt[b_idx]))
-            tb = np.concatenate((tt[b_idx], tt[a_idx]))
-            po = np.lexsort((tb, ta))
-            tas_p, tbs_p = ta[po], tb[po]
-            pnew = np.concatenate(
-                ([True], (tas_p[1:] != tas_p[:-1]) | (tbs_p[1:] != tbs_p[:-1]))
-            )
-            pstarts = np.flatnonzero(pnew)
-            kinds += ["pair"] * len(pstarts)
-            tas += list(tas_p[pstarts])
-            tbs += list(tbs_p[pstarts])
-            nps += list(
-                np.diff(np.concatenate((pstarts, [2 * total]))).astype(np.int64)
-            )
-        return pa.table(
-            {
-                "kind": pa.array(kinds, pa.string()),
-                "ta": pa.array(tas, pa.string()),
-                "tb": pa.array(tbs, pa.string()),
-                "n_p": pa.array(np.asarray(nps, np.int64), pa.int64()),
-            }
-        )
-
-    combined = (
-        events.select_columns([key_col, ts_col, tie_col, type_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(partials, batch_format="pyarrow")
-        .groupby(["kind", "ta", "tb"])
-        .aggregate(Sum("n_p"))
-        .take_all()  # O(|types|^2) rows — the rule table's own size
-    )
-    total_s = 0
-    marg: dict = {}
-    pairs: dict = {}
-    for r in combined:
-        n = int(r["sum(n_p)"])
-        if r["kind"] == "total":
-            total_s += n
-        elif r["kind"] == "type":
-            marg[r["ta"]] = marg.get(r["ta"], 0) + n
-        else:
-            key = (r["ta"], r["tb"])
-            pairs[key] = pairs.get(key, 0) + n
-    rows = {f.name: [] for f in out_schema}
-    for (a, b), n_ab in sorted(pairs.items()):
-        if n_ab < min_support:
-            continue
-        na, nb = marg[a], marg[b]
-        rows["antecedent"].append(a)
-        rows["consequent"].append(b)
-        rows["n_ante"].append(na)
-        rows["n_cons"].append(nb)
-        rows["n_both"].append(n_ab)
-        rows["n_sessions"].append(total_s)
-        rows["conf_e6"].append(1_000_000 * n_ab // na)
-        rows["lift_e6"].append(1_000_000 * n_ab * total_s // (na * nb))
-    return ray.data.from_arrow(
-        pa.table({f.name: pa.array(rows[f.name], f.type) for f in out_schema})
     )
 
 
@@ -4838,81 +3575,6 @@ def chi2_assoc_ds(
     )
 
 
-def trending_ds(
-    events: Dataset,
-    k: int = 3,
-    ts_col: str = "ts",
-    type_col: str = "event_type",
-    width_us: int = 3_600_000_000,
-) -> Dataset:
-    """Trending items: the top-``k`` event types per tumbling window
-    (count DESC, type ASC ties) — the hourly-leaderboard shape. Emits
-    ``(window_start_us, event_type, n, rank)``.
-
-    Scale shape: per-batch (window, type) count combiner -> ONE
-    groupby over the bounded (windows x types) domain -> per-window
-    top-k inside ``map_groups`` on the window key (group count =
-    windows in range, a report-style bound; the per-group table is
-    |types|-sized)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts_v = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        w = (ts_v // width_us) * width_us
-        t = pa.table(
-            {
-                "window_start_us": pa.array(w, pa.int64()),
-                type_col: batch.column(type_col),
-                "n": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-            }
-        )
-        g = t.group_by(["window_start_us", type_col]).aggregate([("n", "sum")])
-        return pa.table(
-            {
-                "window_start_us": g.column("window_start_us"),
-                type_col: g.column(type_col),
-                "n": g.column("n_sum"),
-            }
-        )
-
-    counts = (
-        events.select_columns([ts_col, type_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["window_start_us", type_col])
-        .aggregate(Sum("n"))
-    )
-
-    out_schema = pa.schema(
-        [
-            ("window_start_us", pa.int64()),
-            (type_col, pa.string()),
-            ("n", pa.int64()),
-            ("rank", pa.int64()),
-        ]
-    )
-
-    def topk(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        n = group.column("sum(n)").to_numpy(zero_copy_only=False)
-        types = np.asarray(group.column(type_col).to_pylist(), dtype=object)
-        order = np.lexsort((types, -n))[:k]
-        return pa.table(
-            {
-                "window_start_us": group.column("window_start_us").take(
-                    pa.array(order)
-                ),
-                type_col: pa.array(types[order], pa.string()),
-                "n": pa.array(n[order], pa.int64()),
-                "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
-            }
-        )
-
-    return _anchor_schema(
-        counts.groupby("window_start_us").map_groups(topk, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
 def robust_scale_ds(
     ds: Dataset,
     value_col: str,
@@ -5162,249 +3824,6 @@ def keyness_ds(
     )
 
 
-def time_to_convert_ds(
-    events: Dataset,
-    from_type: str = "view",
-    to_type: str = "purchase",
-    ts_col: str = "ts",
-    key_col: str = "user_id",
-    type_col: str = "event_type",
-    n_buckets: int = 512,
-) -> Dataset:
-    """Funnel latency: per user, the time from the FIRST ``from_type``
-    event to the first ``to_type`` event at-or-after it — the
-    time-to-convert metric product analytics medians over. Emits one row
-    per converting user: ``(user_id, t_from_us, t_to_us, delta_us)``.
-
-    Scale shape: events project to the two types only (pre-exchange
-    filter), then ONE ``mix64(user) % n_buckets`` shuffle; in-bucket one
-    lexsort + segmented first-of-type scans (vectorized min over segment
-    positions) — no per-user Python, no global sort."""
-
-    def project(batch: pa.Table) -> pa.Table:
-        t = batch.filter(
-            pc.is_in(
-                batch.column(type_col),
-                value_set=pa.array([from_type, to_type]),
-            )
-        )
-        k = t.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "k": pa.array(k, pa.int64()),
-                "ts_us": t.column(ts_col).cast(pa.int64()),
-                "is_to": pa.array(
-                    pc.equal(t.column(type_col), pa.scalar(to_type)).to_numpy(
-                        zero_copy_only=False
-                    ).astype(np.int64),
-                    pa.int64(),
-                ),
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("t_from_us", pa.int64()),
-            ("t_to_us", pa.int64()),
-            ("delta_us", pa.int64()),
-        ]
-    )
-
-    def bucket_convert(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        t = group.column("ts_us").to_numpy(zero_copy_only=False)
-        is_to = group.column("is_to").to_numpy(zero_copy_only=False)
-        order = np.lexsort((t, k))
-        k, t, is_to = k[order], t[order], is_to[order]
-        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        seg_len = np.diff(np.concatenate((starts, [len(k)])))
-        big = np.int64(1 << 62)
-        # first from-event ts per user: mask to-events to +inf, reduceat min
-        t_from = np.minimum.reduceat(np.where(is_to == 0, t, big), starts)
-        # first to-event at-or-after that: compare each row to its
-        # segment's t_from, mask the rest, reduceat min again — all
-        # vectorized, no per-user Python
-        t_from_e = np.repeat(t_from, seg_len)
-        to_ok = (is_to == 1) & (t >= t_from_e)
-        t_to = np.minimum.reduceat(np.where(to_ok, t, big), starts)
-        keep = (t_from < big) & (t_to < big)
-        ku, fa, ta = k[starts][keep], t_from[keep], t_to[keep]
-        return pa.table(
-            {
-                key_col: pa.array(ku, pa.int64()),
-                "t_from_us": pa.array(fa, pa.int64()),
-                "t_to_us": pa.array(ta, pa.int64()),
-                "delta_us": pa.array(ta - fa, pa.int64()),
-            }
-        )
-
-    projected = events.select_columns([key_col, ts_col, type_col]).map_batches(
-        project, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return _anchor_schema(
-        projected.groupby("bkt").map_groups(bucket_convert, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
-def changepoint_ds(
-    events: Dataset,
-    ts_col: str = "ts",
-    type_col: str = "event_type",
-    width_us: int = 86_400_000_000,
-) -> Dataset:
-    """CUSUM changepoint per event type over its per-window counts,
-    INTEGER-EXACT: with window counts ``x_1..x_n`` (every window in the
-    type's [min, max] span, zeros included) and total ``S``, the scaled
-    cumulative deviation ``cum_k = n * prefix_k - k * S`` (the usual
-    ``prefix_k - k*S/n`` times ``n``, so it stays integer); the
-    changepoint is the window maximizing ``|cum_k|`` (earliest wins
-    ties). Emits ``(event_type, n_windows, change_window_us,
-    max_dev_scaled)`` — the ops-monitoring "when did the rate shift"
-    primitive.
-
-    Scale shape: per-batch (type, window) count combiner -> bounded
-    (types x windows) groupby -> the per-type scan runs on the
-    materialized report-sized table."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts_v = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        w = (ts_v // width_us) * width_us
-        t = pa.table(
-            {
-                type_col: batch.column(type_col),
-                "w": pa.array(w, pa.int64()),
-                "n": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-            }
-        )
-        g = t.group_by([type_col, "w"]).aggregate([("n", "sum")])
-        return pa.table(
-            {
-                type_col: g.column(type_col),
-                "w": g.column("w"),
-                "n": g.column("n_sum"),
-            }
-        )
-
-    df = (
-        events.select_columns([ts_col, type_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([type_col, "w"])
-        .aggregate(Sum("n"))
-        .to_pandas()  # report-sized: types x windows
-    )
-    df = _ensure_cols(df, {type_col: object, "w": np.int64, "sum(n)": np.int64})
-    types_out, nw_out, cw_out, dev_out = [], [], [], []
-    for tname, sub in df.groupby(type_col, sort=True):
-        w = sub["w"].to_numpy(dtype=np.int64)
-        c = sub["sum(n)"].to_numpy(dtype=np.int64)
-        lo, hi = int(w.min()), int(w.max())
-        span = np.arange(lo, hi + width_us, width_us, dtype=np.int64)
-        x = np.zeros(len(span), dtype=np.int64)
-        x[(w - lo) // width_us] = c
-        n = len(span)
-        S = int(x.sum())
-        prefix = np.cumsum(x)
-        kk = np.arange(1, n + 1, dtype=np.int64)
-        cum = n * prefix - kk * S
-        i = int(np.argmax(np.abs(cum)))  # earliest max (argmax is first)
-        types_out.append(tname)
-        nw_out.append(n)
-        cw_out.append(int(span[i]))
-        dev_out.append(int(abs(cum[i])))
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                type_col: pa.array(types_out, pa.string()),
-                "n_windows": pa.array(nw_out, pa.int64()),
-                "change_window_us": pa.array(cw_out, pa.int64()),
-                "max_dev_scaled": pa.array(dev_out, pa.int64()),
-            }
-        )
-    )
-
-
-def symbolize_ds(
-    events: Dataset,
-    ts_col: str = "ts",
-    type_col: str = "event_type",
-    width_us: int = 86_400_000_000,
-) -> Dataset:
-    """SAX-style time-series symbolization (Lin et al. 2003, made
-    integer-exact): each event type's zero-filled daily-count series
-    maps to a word over {a,b,c,d} by QUARTILE breakpoints (the integer
-    ``percentile_disc`` ranks over the series' own value CDF) — symbol
-    ``a`` = counts <= p25, ``b`` <= p50, ``c`` <= p75, ``d`` above.
-    Emits ``(event_type, n_windows, word)``; equal-length words make
-    downstream motif mining a string problem.
-
-    Scale shape: (type, window) count combiner -> bounded report-sized
-    groupby -> per-type symbolization on the driver table (windows x
-    types, a report bound)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts_v = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        w = (ts_v // width_us) * width_us
-        t = pa.table(
-            {
-                type_col: batch.column(type_col),
-                "w": pa.array(w, pa.int64()),
-                "n": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-            }
-        )
-        g = t.group_by([type_col, "w"]).aggregate([("n", "sum")])
-        return pa.table(
-            {
-                type_col: g.column(type_col),
-                "w": g.column("w"),
-                "n": g.column("n_sum"),
-            }
-        )
-
-    df = (
-        events.select_columns([ts_col, type_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([type_col, "w"])
-        .aggregate(Sum("n"))
-        .to_pandas()
-    )
-    df = _ensure_cols(df, {type_col: object, "w": np.int64, "sum(n)": np.int64})
-    types_out, nw_out, word_out = [], [], []
-    for tname, sub in df.groupby(type_col, sort=True):
-        w = sub["w"].to_numpy(dtype=np.int64)
-        c = sub["sum(n)"].to_numpy(dtype=np.int64)
-        lo, hi = int(w.min()), int(w.max())
-        span = np.arange(lo, hi + width_us, width_us, dtype=np.int64)
-        x = np.zeros(len(span), dtype=np.int64)
-        x[(w - lo) // width_us] = c
-        n = len(x)
-        vals = np.sort(x)
-        pick = lambda p: int(vals[min((p * n + 99) // 100, n) - 1])
-        p25, p50, p75 = pick(25), pick(50), pick(75)
-        sym = np.full(n, "d", dtype=object)
-        sym[x <= p75] = "c"
-        sym[x <= p50] = "b"
-        sym[x <= p25] = "a"
-        types_out.append(tname)
-        nw_out.append(n)
-        word_out.append("".join(sym.tolist()))
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                type_col: pa.array(types_out, pa.string()),
-                "n_windows": pa.array(nw_out, pa.int64()),
-                "word": pa.array(word_out, pa.string()),
-            }
-        )
-    )
-
-
 def weighted_median_ds(
     docs: Dataset,
     value_col: str = "n_chars",
@@ -5488,276 +3907,6 @@ def weighted_median_ds(
                 "n_docs": pa.array([n], pa.int64()),
             }
         )
-    )
-
-
-def running_peak_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    value_col: str = "value",
-    quant: int = 100,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Per-key running MAXIMUM ordered by (ts, tie) — the high-watermark
-    / peak-exposure window (``MAX(v) OVER (PARTITION BY key ORDER BY
-    ts, id)``), the cummax sibling of :func:`running_total_ds`. Values
-    quantize to ``floor(v * quant)`` int64 on both engines.
-
-    Scale shape: identical to running_total — ONE ``mix64(key)``
-    bucket shuffle of the 4-column projection, in-bucket lexsort +
-    segmented ``np.maximum.accumulate``."""
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        v_e = np.floor(v * quant).astype(np.int64)
-        bkt = (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table(
-            {
-                tie_col: batch.column(tie_col).cast(pa.int64()),
-                key_col: pa.array(k, pa.int64()),
-                "ts_us": batch.column(ts_col).cast(pa.int64()),
-                "v_e": pa.array(v_e, pa.int64()),
-                "bkt": pa.array(bkt, pa.int64()),
-            }
-        )
-
-    out_schema = pa.schema(
-        [
-            pa.field(tie_col, pa.int64()),
-            pa.field(key_col, pa.int64()),
-            pa.field("run_peak_e", pa.int64()),
-        ]
-    )
-
-    def bucket_cummax(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        import pandas as pd
-
-        k = group.column(key_col).to_numpy(zero_copy_only=False)
-        t = group.column("ts_us").to_numpy(zero_copy_only=False)
-        tie = group.column(tie_col).to_numpy(zero_copy_only=False)
-        v = group.column("v_e").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tie, t, k))
-        ks, vs = k[order], v[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        seg_id = np.zeros(len(ks), dtype=np.int64)
-        seg_id[starts] = 1
-        seg_id = np.cumsum(seg_id) - 1
-        # per-segment cummax, vectorized in C via the pandas grouped
-        # cumulative kernel (segments are contiguous after the lexsort)
-        run = pd.Series(vs).groupby(seg_id).cummax().to_numpy()
-        return pa.table(
-            {
-                tie_col: pa.array(tie[order], pa.int64()),
-                key_col: pa.array(ks, pa.int64()),
-                "run_peak_e": pa.array(run.astype(np.int64), pa.int64()),
-            }
-        )
-
-    projected = events.select_columns(
-        [key_col, ts_col, tie_col, value_col]
-    ).map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    return _anchor_schema(
-        projected.groupby("bkt").map_groups(bucket_cummax, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
-def periodicity_ds(
-    events: Dataset,
-    max_lag: int = 14,
-    ts_col: str = "ts",
-    type_col: str = "event_type",
-    width_us: int = 86_400_000_000,
-) -> Dataset:
-    """Seasonality detection, INTEGER-EXACT: per event type, the lag in
-    ``[2, max_lag]`` maximizing the raw autocorrelation
-    ``ac(lag) = sum(x_t * x_{t+lag})`` over the zero-filled daily-count
-    series (raw product, not mean-centered — deterministic integers on
-    both engines; the argmax is what matters, earliest lag on ties).
-    Emits ``(event_type, n_windows, best_lag, ac_best)``.
-
-    Scale shape: (type, window) count combiner -> report-sized groupby
-    -> driver scan (windows x types x max_lag products on the tiny
-    report table)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts_v = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        w = (ts_v // width_us) * width_us
-        t = pa.table(
-            {
-                type_col: batch.column(type_col),
-                "w": pa.array(w, pa.int64()),
-                "n": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-            }
-        )
-        g = t.group_by([type_col, "w"]).aggregate([("n", "sum")])
-        return pa.table(
-            {
-                type_col: g.column(type_col),
-                "w": g.column("w"),
-                "n": g.column("n_sum"),
-            }
-        )
-
-    df = (
-        events.select_columns([ts_col, type_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([type_col, "w"])
-        .aggregate(Sum("n"))
-        .to_pandas()
-    )
-    df = _ensure_cols(df, {type_col: object, "w": np.int64, "sum(n)": np.int64})
-    types_out, nw_out, lag_out, ac_out = [], [], [], []
-    for tname, sub in df.groupby(type_col, sort=True):
-        w = sub["w"].to_numpy(dtype=np.int64)
-        c = sub["sum(n)"].to_numpy(dtype=np.int64)
-        lo, hi = int(w.min()), int(w.max())
-        span = np.arange(lo, hi + width_us, width_us, dtype=np.int64)
-        x = np.zeros(len(span), dtype=np.int64)
-        x[(w - lo) // width_us] = c
-        n = len(x)
-        best_lag, best_ac = 0, -1
-        for lag in range(2, min(max_lag, n - 1) + 1):
-            ac = int((x[:-lag] * x[lag:]).sum())
-            if ac > best_ac:
-                best_lag, best_ac = lag, ac
-        if best_ac < 0:  # series too short for any lag — no row (SQL twin)
-            continue
-        types_out.append(tname)
-        nw_out.append(n)
-        lag_out.append(best_lag)
-        ac_out.append(int(best_ac))
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                type_col: pa.array(types_out, pa.string()),
-                "n_windows": pa.array(nw_out, pa.int64()),
-                "best_lag": pa.array(lag_out, pa.int64()),
-                "ac_best": pa.array(ac_out, pa.int64()),
-            }
-        )
-    )
-
-
-def gap_fill_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    value_col: str = "value",
-    width_us: int = 86_400_000_000,
-    quant: int = 100,
-    n_buckets: int = 512,
-) -> Dataset:
-    """LOCF gap fill (time-series densification): per key, one row for
-    EVERY window in the key's [first, last] observed span, carrying the
-    last observed value forward across missing windows — the
-    feature-store densification step before windowed model features. A
-    window's observed value is the MAX of its quantized event values
-    (deterministic under ties); emitted rows carry an ``observed``
-    flag. Row growth is bounded by the per-key span, not the corpus.
-
-    Scale shape: a per-batch (key, window) max combiner cuts each block
-    to one row per (key, window) before ONE ``mix64(key)`` bucket
-    shuffle; in-bucket the span expansion + forward fill is one
-    searchsorted per key segment (vectorized via np.repeat /
-    cumulative indices, no per-key Python loop)."""
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        ts_v = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        w = (ts_v // width_us) * width_us
-        v_e = np.floor(v * quant).astype(np.int64)
-        t = pa.table(
-            {
-                "k": pa.array(k, pa.int64()),
-                "w": pa.array(w, pa.int64()),
-                "v": pa.array(v_e, pa.int64()),
-            }
-        )
-        g = t.group_by(["k", "w"]).aggregate([("v", "max")])
-        k2 = g.column("k").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "k": g.column("k"),
-                "w": g.column("w"),
-                "v": g.column("v_max"),
-                "bkt": pa.array(
-                    (_mix64(k2) % np.uint64(n_buckets)).astype(np.int64),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("window_us", pa.int64()),
-            ("value_e", pa.int64()),
-            ("observed", pa.int64()),
-        ]
-    )
-
-    def fill(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        w = group.column("w").to_numpy(zero_copy_only=False)
-        v = group.column("v").to_numpy(zero_copy_only=False)
-        order = np.lexsort((w, k))
-        k, w, v = k[order], w[order], v[order]
-        # second in-bucket max-merge across blocks (combiner already did
-        # per-block): contiguous (k, w) dups reduce to their max
-        dup = np.concatenate(([False], (k[1:] == k[:-1]) & (w[1:] == w[:-1])))
-        if dup.any():
-            import pandas as pd
-
-            seg = np.cumsum(~dup) - 1
-            v = pd.Series(v).groupby(seg).max().to_numpy()
-            keep = ~dup
-            k, w = k[keep], w[keep]
-        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        ends = np.concatenate((starts[1:], [len(k)]))
-        lo = w[starts]
-        hi = w[ends - 1]
-        n_out = ((hi - lo) // width_us + 1).astype(np.int64)
-        total = int(n_out.sum())
-        key_out = np.repeat(k[starts], n_out)
-        # window grid per key: global arange minus per-key offsets
-        idx = np.arange(total, dtype=np.int64)
-        key_base = np.repeat(np.concatenate(([0], np.cumsum(n_out)[:-1])), n_out)
-        step = idx - key_base
-        win_out = np.repeat(lo, n_out) + step * width_us
-        # forward fill: for each output window, the latest observed
-        # window <= it within the same key — observed windows are a
-        # prefix-ordered subsequence, so one global searchsorted over
-        # per-key offset-composed positions does every key at once
-        obs_pos_in_key = (w - np.repeat(lo, ends - starts)) // width_us
-        obs_global = obs_pos_in_key + np.repeat(key_base[np.cumsum(n_out) - n_out], ends - starts)
-        src = np.searchsorted(obs_global, idx, side="right") - 1
-        val_out = v[src]
-        observed = np.zeros(total, dtype=np.int64)
-        observed[obs_global] = 1
-        return pa.table(
-            {
-                key_col: pa.array(key_out, pa.int64()),
-                "window_us": pa.array(win_out, pa.int64()),
-                "value_e": pa.array(val_out, pa.int64()),
-                "observed": pa.array(observed, pa.int64()),
-            }
-        )
-
-    projected = events.select_columns([key_col, ts_col, value_col]).map_batches(
-        combiner, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return _anchor_schema(
-        projected.groupby("bkt").map_groups(fill, batch_format="pyarrow"),
-        out_schema,
     )
 
 
@@ -5907,85 +4056,6 @@ def spearman_corr_ds(
     )
 
 
-def time_weighted_avg_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    value_col: str = "value",
-    quant: int = 100,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Per-key TIME-weighted average of a step signal (LOCF between
-    events): each event's cents-quantized value weighted by the
-    microseconds until the key's next event. Emitted as the exact
-    integer pair ``(twa_num, twa_den)`` (num = sum v_e * dt_us,
-    den = span_us) plus ``n_events`` — the reader's division is the
-    only float. Single-event keys get (0, 0, 1).
-
-    Scale shape: one ``mix64(key)`` bucket shuffle of the 4-column
-    projection; in-bucket lexsort + segment-boundary diff, per-key sums
-    via one ``np.add.reduceat`` — no per-key Python."""
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                key_col: pa.array(k, pa.int64()),
-                "ts_us": batch.column(ts_col).cast(pa.int64()),
-                tie_col: batch.column(tie_col).cast(pa.int64()),
-                "v_e": pa.array(np.floor(v * quant).astype(np.int64), pa.int64()),
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    out_schema = pa.schema(
-        [
-            pa.field(key_col, pa.int64()),
-            pa.field("twa_num", pa.int64()),
-            pa.field("twa_den", pa.int64()),
-            pa.field("n_events", pa.int64()),
-        ]
-    )
-
-    def bucket_twa(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        k = group.column(key_col).to_numpy(zero_copy_only=False)
-        t = group.column("ts_us").to_numpy(zero_copy_only=False)
-        tie = group.column(tie_col).to_numpy(zero_copy_only=False)
-        v = group.column("v_e").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tie, t, k))
-        ks, ts_s, vs = k[order], t[order], v[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        # dt to the NEXT event within the key; last event of a key gets 0
-        dt = np.concatenate((ts_s[1:] - ts_s[:-1], [0]))
-        ends = np.concatenate((starts[1:], [len(ks)]))
-        dt[ends - 1] = 0
-        num = np.add.reduceat(vs * dt, starts)
-        den = ts_s[ends - 1] - ts_s[starts]
-        cnt = ends - starts
-        return pa.table(
-            {
-                key_col: pa.array(ks[starts], pa.int64()),
-                "twa_num": pa.array(num.astype(np.int64), pa.int64()),
-                "twa_den": pa.array(den.astype(np.int64), pa.int64()),
-                "n_events": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    projected = events.select_columns(
-        [key_col, ts_col, tie_col, value_col]
-    ).map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    return _anchor_schema(
-        projected.groupby("bkt").map_groups(bucket_twa, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
 def gini_concentration_ds(
     docs: Dataset,
     text_col: str = "text",
@@ -6107,280 +4177,6 @@ def sentence_stats_ds(
     )
 
 
-def type_cross_corr_ds(
-    events: Dataset,
-    ts_col: str = "ts",
-    type_col: str = "event_type",
-    width_us: int = 86_400_000_000,
-) -> Dataset:
-    """Cross-correlation matrix of the per-type DAILY count series —
-    which event types move together: for every unordered type pair
-    (a <= b, diagonal included) the raw integer dot product
-    ``sum_w n_a(w) * n_b(w)`` over the days where both are observed,
-    plus the common-day count. Zero-filled days contribute nothing to a
-    dot product, so only observed (type, window) cells matter and the
-    result is integer-exact with no span bookkeeping.
-
-    Scale shape: one (type, window) count combiner -> report-sized
-    groupby (|types| x days) -> driver pair scan over the tiny table;
-    documents-scale data never shuffles."""
-
-    def cnt_partial(batch: pa.Table) -> pa.Table:
-        w = pc.multiply(
-            pc.divide(batch.column(ts_col).cast(pa.int64()), width_us),
-            pa.scalar(width_us, pa.int64()),
-        )
-        t = pa.table(
-            {
-                "et": batch.column(type_col),
-                "w": w,
-                "n": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-            }
-        )
-        return t.group_by(["et", "w"]).aggregate([("n", "sum")]).rename_columns(
-            ["et", "w", "n"]
-        )
-
-    cells = (
-        events.select_columns([ts_col, type_col])
-        .map_batches(cnt_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["et", "w"])
-        .aggregate(Sum("n"))
-        .materialize()
-    )
-    df = _small_df(
-        cells, {"et": object, "w": np.int64, "sum(n)": np.int64}
-    )
-    ets = df["et"].to_numpy(dtype=object).astype(str)
-    ws = df["w"].to_numpy(dtype=np.int64)
-    ns = df["sum(n)"].to_numpy(dtype=np.int64)
-    types = np.unique(ets)
-    uw = np.unique(ws)
-    mat = np.zeros((len(types), len(uw)), dtype=np.int64)
-    ti = np.searchsorted(types, ets)
-    wi = np.searchsorted(uw, ws)
-    mat[ti, wi] = ns
-    rows_a, rows_b, dots, commons = [], [], [], []
-    for i in range(len(types)):
-        for j in range(i, len(types)):
-            both = (mat[i] > 0) & (mat[j] > 0)
-            if not both.any():
-                continue
-            rows_a.append(types[i])
-            rows_b.append(types[j])
-            dots.append(int(np.sum(mat[i][both] * mat[j][both])))
-            commons.append(int(both.sum()))
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "type_a": pa.array(rows_a, pa.string()),
-                "type_b": pa.array(rows_b, pa.string()),
-                "dot": pa.array(dots, pa.int64()),
-                "n_common": pa.array(commons, pa.int64()),
-            }
-        )
-    )
-
-
-def k_anonymity_ds(
-    customer: Dataset,
-    k: int = 10,
-    l_div: int = 3,
-    bucket_cents: int = 100_000,
-) -> Dataset:
-    """k-anonymity / l-diversity audit over the customer table's
-    quasi-identifier combo (nation, market segment) — the privacy gate
-    run before releasing or joining user-derived training data: a combo
-    is k-anonymous when >= ``k`` members share it, and l-diverse when
-    the sensitive attribute (account balance, bucketed to
-    ``bucket_cents``) takes >= ``l_div`` distinct values inside it.
-    Emits one row per observed combo: ``(c_nationkey, c_mktsegment,
-    n_members, n_bal_buckets, k_anonymous, l_diverse)``.
-
-    Scale shape: per-batch distinct (combo, bucket) combiner →
-    ``groupby(combo, bucket)`` count → per-combo fold (members = sum,
-    diversity = row count) in a second bounded groupby. The combo
-    domain is nations x segments — tiny by construction; raw rows never
-    shuffle."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "nat": pa.array([], pa.int64()),
-                "seg": pa.array([], pa.string()),
-                "bb": pa.array([], pa.int64()),
-                "n_p": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        cents = np.floor(
-            batch.column("c_acctbal").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        t = pa.table(
-            {
-                "nat": batch.column("c_nationkey").cast(pa.int64()),
-                "seg": batch.column("c_mktsegment"),
-                # TRUE floor division in shifted non-negative space so the
-                # SQL twin's integer `//` agrees for negative balances
-                "bb": pa.array(
-                    (cents + np.int64(bucket_cents) * np.int64(1 << 20))
-                    // np.int64(bucket_cents)
-                    - np.int64(1 << 20),
-                    pa.int64(),
-                ),
-            }
-        )
-        g = t.group_by(["nat", "seg", "bb"]).aggregate([("bb", "count")])
-        return pa.table(
-            {
-                "nat": g.column("nat"),
-                "seg": g.column("seg"),
-                "bb": g.column("bb"),
-                "n_p": g.column("bb_count").cast(pa.int64()),
-            }
-        )
-
-    cells = (
-        customer.select_columns(["c_nationkey", "c_mktsegment", "c_acctbal"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["nat", "seg", "bb"])
-        .aggregate(Sum("n_p"))
-    )
-
-    def fold(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "nat": batch.column("nat").cast(pa.int64()),
-                "seg": batch.column("seg"),
-                "n": batch.column("sum(n_p)").cast(pa.int64()),
-                "one": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-            }
-        )
-        g = t.group_by(["nat", "seg"]).aggregate([("n", "sum"), ("one", "sum")])
-        return pa.table(
-            {
-                "nat": g.column("nat"),
-                "seg": g.column("seg"),
-                "n_m": g.column("n_sum").cast(pa.int64()),
-                "n_b": g.column("one_sum").cast(pa.int64()),
-            }
-        )
-
-    agg = (
-        cells.map_batches(fold, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["nat", "seg"])
-        .aggregate(Sum("n_m"), Sum("n_b"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        n = batch.column("sum(n_m)").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        nb = batch.column("sum(n_b)").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "c_nationkey": batch.column("nat").cast(pa.int64()),
-                "c_mktsegment": batch.column("seg"),
-                "n_members": pa.array(n, pa.int64()),
-                "n_bal_buckets": pa.array(nb, pa.int64()),
-                "k_anonymous": pa.array((n >= k).astype(np.int64), pa.int64()),
-                "l_diverse": pa.array((nb >= l_div).astype(np.int64), pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def ewma_running_ds(
-    events: Dataset,
-    max_shift: int = 30,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    value_col: str = "value",
-    quant: int = 100,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Per-key running exponential moving average with half-life = one
-    event, in EXACT integer arithmetic: at each event (ordered by
-    ``ts``, ``tie``) the decayed state is
-
-        ``ewma_e(t) = sum over j <= t of v_e(j) >> (t - j)``
-
-    — every term floored independently, so the value is a plain integer
-    sum both engines reproduce bit-for-bit (the recursive float EWMA is
-    neither order-stable nor cross-engine exact). Terms older than
-    ``max_shift`` events are identically zero whenever values fit
-    ``max_shift`` bits (cents < 2^30 here), so the window is finite by
-    arithmetic, not truncation.
-
-    Scale shape: the ``running_total_ds`` exchange — pruned projection
-    shuffles ONCE by ``mix64(key) % n_buckets``; inside a bucket one
-    lexsort then ``max_shift`` vectorized shifted adds (a loop over the
-    BIT WIDTH, never over rows or keys) with segment-boundary masking.
-    """
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        v_e = np.floor(v * quant).astype(np.int64)
-        bkt = (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table(
-            {
-                tie_col: batch.column(tie_col).cast(pa.int64()),
-                key_col: pa.array(k, pa.int64()),
-                "ts_us": batch.column(ts_col).cast(pa.int64()),
-                "v_e": pa.array(v_e, pa.int64()),
-                "bkt": pa.array(bkt, pa.int64()),
-            }
-        )
-
-    out_schema = pa.schema(
-        [
-            pa.field(tie_col, pa.int64()),
-            pa.field(key_col, pa.int64()),
-            pa.field("ewma_e", pa.int64()),
-        ]
-    )
-
-    def bucket_ewma(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        k = group.column(key_col).to_numpy(zero_copy_only=False)
-        t = group.column("ts_us").to_numpy(zero_copy_only=False)
-        tie = group.column(tie_col).to_numpy(zero_copy_only=False)
-        v = group.column("v_e").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tie, t, k))
-        ks, vs = k[order], v[order]
-        n = len(ks)
-        # per-row rank within its key segment (to mask cross-key shifts)
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        seg_len = np.diff(np.concatenate((starts, [n])))
-        seg_id = np.repeat(np.arange(len(starts)), seg_len)
-        rank = np.arange(n) - starts[seg_id]
-        out = vs.copy()
-        for s in range(1, max_shift + 1):
-            if s >= n:
-                break
-            contrib = vs[:-s] >> np.int64(s)
-            valid = (ks[s:] == ks[:-s]) & (rank[s:] >= s)
-            out[s:] += np.where(valid, contrib, 0)
-        return pa.table(
-            {
-                tie_col: pa.array(tie[order], pa.int64()),
-                key_col: pa.array(ks, pa.int64()),
-                "ewma_e": pa.array(out, pa.int64()),
-            }
-        )
-
-    projected = events.select_columns(
-        [key_col, ts_col, tie_col, value_col]
-    ).map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    return _anchor_schema(
-        projected.groupby("bkt").map_groups(bucket_ewma, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
 def log_histogram_ds(
     events: Dataset,
     value_col: str = "value",
@@ -6436,292 +4232,6 @@ def log_histogram_ds(
                 "bucket": batch.column("bucket").cast(pa.int64()),
                 "n_events": batch.column("sum(n_events)").cast(pa.int64()),
                 "cents_sum": batch.column("sum(cents_sum)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def json_props_stats_ds(
-    events: Dataset,
-    type_col: str = "event_type",
-    props_col: str = "props",
-) -> Dataset:
-    """Semi-structured property extraction + rollup — the ELT pass every
-    event pipeline runs over a JSON side-channel column: pull the
-    integer ``k`` property out of the ``props`` JSON string with ONE
-    vectorized RE2 ``extract_regex`` (no per-row json.loads) and fold
-    per event type into ``(event_type, n, k_sum, k_min, k_max)``.
-    Missing / malformed props count in ``n_null`` instead of failing
-    the pipeline (quarantine-as-data, never raise).
-
-    Scale shape: extraction and the type-domain combiner run inside one
-    ``map_batches``; a bounded ``groupby(event_type)`` merges. One pass,
-    no shuffle of raw rows."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "event_type": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-                "n_null": pa.array([], pa.int64()),
-                "k_sum": pa.array([], pa.int64()),
-                "k_min": pa.array([], pa.int64()),
-                "k_max": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        ex = pc.extract_regex(
-            pc.fill_null(batch.column(props_col), ""), r'"k":\s*(?P<k>-?\d+)'
-        )
-        kstr = pc.struct_field(ex, "k")
-        valid = pc.is_valid(kstr).to_numpy(zero_copy_only=False)
-        k = np.zeros(batch.num_rows, np.int64)
-        if valid.any():
-            k[valid] = (
-                pc.cast(pc.drop_null(kstr), pa.int64())
-                .to_numpy(zero_copy_only=False)
-            )
-        types = batch.column(type_col).to_numpy(zero_copy_only=False).astype(str)
-        ut, inv = np.unique(types, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        n_null = np.bincount(inv, weights=~valid).astype(np.int64)
-        k_sum = np.bincount(inv, weights=np.where(valid, k, 0)).astype(np.int64)
-        big = np.int64(1) << 62
-        k_min = np.full(len(ut), big, np.int64)
-        k_max = np.full(len(ut), -big, np.int64)
-        vi = inv[valid]
-        if len(vi):
-            np.minimum.at(k_min, vi, k[valid])
-            np.maximum.at(k_max, vi, k[valid])
-        return pa.table(
-            {
-                "event_type": pa.array(ut, pa.string()),
-                "n": pa.array(n, pa.int64()),
-                "n_null": pa.array(n_null, pa.int64()),
-                "k_sum": pa.array(k_sum, pa.int64()),
-                "k_min": pa.array(k_min, pa.int64()),
-                "k_max": pa.array(k_max, pa.int64()),
-            }
-        )
-
-    agg = (
-        events.select_columns([type_col, props_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(Sum("n"), Sum("n_null"), Sum("k_sum"), Min("k_min"), Max("k_max"))
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "n": batch.column("sum(n)").cast(pa.int64()),
-                "n_null": batch.column("sum(n_null)").cast(pa.int64()),
-                "k_sum": batch.column("sum(k_sum)").cast(pa.int64()),
-                "k_min": batch.column("min(k_min)").cast(pa.int64()),
-                "k_max": batch.column("max(k_max)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def ab_assignment_ds(
-    events: Dataset,
-    convert_type: str = "purchase",
-    n_arms: int = 2,
-    user_col: str = "user_id",
-    type_col: str = "event_type",
-) -> Dataset:
-    """Deterministic A/B experiment report: users hash into ``n_arms``
-    md5 buckets (stable across runs, engines, cluster sizes — the same
-    split rule the dataset_split family uses), and each arm reports
-    ``(arm, n_users, n_converted)`` where conversion = at least one
-    ``convert_type`` event. The two-proportion test statistic derives
-    rationally from the two rows.
-
-    Scale shape: per-batch distinct (user, converted-flag) combiner →
-    ONE ``groupby(user)`` max-fold (a user's events may span blocks) →
-    arm assignment + per-block arm counts → tiny ``groupby(arm)``. Raw
-    events reduce to one row per user before the only exchange."""
-    import hashlib
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"u": pa.array([], pa.int64()), "conv": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return empty
-        u = batch.column(user_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        conv = (
-            pc.equal(batch.column(type_col), convert_type)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        uu, inv = np.unique(u, return_inverse=True)
-        cmax = np.zeros(len(uu), np.int64)
-        np.maximum.at(cmax, inv, conv)
-        return pa.table(
-            {"u": pa.array(uu, pa.int64()), "conv": pa.array(cmax, pa.int64())}
-        )
-
-    users = (
-        events.select_columns([user_col, type_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("u")
-        .aggregate(Max("conv"))
-    )
-
-    def arms(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "arm": pa.array([], pa.int64()),
-                "n_users": pa.array([], pa.int64()),
-                "n_converted": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        u = batch.column("u").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        conv = batch.column("max(conv)").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        arm = np.asarray(
-            [
-                int(hashlib.md5(str(int(x)).encode()).hexdigest()[:15], 16) % n_arms
-                for x in u
-            ],
-            np.int64,
-        )
-        ua, inv = np.unique(arm, return_inverse=True)
-        return pa.table(
-            {
-                "arm": pa.array(ua, pa.int64()),
-                "n_users": pa.array(np.bincount(inv).astype(np.int64), pa.int64()),
-                "n_converted": pa.array(
-                    np.bincount(inv, weights=conv).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    agg = (
-        users.map_batches(arms, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("arm")
-        .aggregate(Sum("n_users"), Sum("n_converted"))
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "arm": batch.column("arm").cast(pa.int64()),
-                "n_users": batch.column("sum(n_users)").cast(pa.int64()),
-                "n_converted": batch.column("sum(n_converted)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def fd_audit_ds(lineitem: Dataset) -> Dataset:
-    """Functional-dependency discovery audit over lineitem — the schema
-    profiling pass that tells a pipeline which columns are safe
-    partition/join keys: for each declared candidate FD, the number of
-    LHS groups and how many of them VIOLATE the dependency (more than
-    one distinct RHS value). Audited FDs: ``orderkey -> returnflag``,
-    ``orderkey -> linestatus`` (both expected dirty), and the PK check
-    ``(orderkey, linenumber) -> partkey`` (expected clean). Emits
-    ``(fd, n_lhs, n_violations)``.
-
-    Scale shape: per-batch distinct (fd, lhs, rhs-code) combiner → ONE
-    ``groupby`` over distinct cells → per-LHS distinct-RHS counts via a
-    second aggregate-only groupby (never ``map_groups`` — LHS groups are
-    near-singleton millions) → per-fd violation fold in a block
-    combiner + 3-row final groupby."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "fd": pa.array([], pa.int64()),
-                "lhs": pa.array([], pa.int64()),
-                "rhs": pa.array([], pa.string()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        ok = batch.column("l_orderkey").cast(pa.int64())
-        ln = batch.column("l_linenumber").cast(pa.int64())
-        okn = ok.to_numpy(zero_copy_only=False)
-        lnn = ln.to_numpy(zero_copy_only=False)
-        parts = []
-        for fd_id, lhs, rhs in (
-            (0, okn, batch.column("l_returnflag")),
-            (1, okn, batch.column("l_linestatus")),
-            (2, okn * 8 + lnn, pc.cast(batch.column("l_partkey"), pa.string())),
-        ):
-            parts.append(
-                pa.table(
-                    {
-                        "fd": pa.array(np.full(len(lhs), fd_id, np.int64)),
-                        "lhs": pa.array(lhs, pa.int64()),
-                        "rhs": rhs,
-                    }
-                )
-            )
-        t = pa.concat_tables(parts)
-        return t.group_by(["fd", "lhs", "rhs"]).aggregate([])
-
-    cells = (
-        lineitem.select_columns(
-            ["l_orderkey", "l_linenumber", "l_partkey", "l_returnflag", "l_linestatus"]
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["fd", "lhs", "rhs"])
-        .count()
-        .groupby(["fd", "lhs"])
-        .count()
-    )
-
-    def fold(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "fd": pa.array([], pa.int64()),
-                "n_lhs": pa.array([], pa.int64()),
-                "n_violations": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        fd = batch.column("fd").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        d = batch.column("count()").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        u, inv = np.unique(fd, return_inverse=True)
-        return pa.table(
-            {
-                "fd": pa.array(u, pa.int64()),
-                "n_lhs": pa.array(np.bincount(inv).astype(np.int64), pa.int64()),
-                "n_violations": pa.array(
-                    np.bincount(inv, weights=(d > 1)).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    agg = (
-        cells.map_batches(fold, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fd")
-        .aggregate(Sum("n_lhs"), Sum("n_violations"))
-    )
-    names = {
-        0: "orderkey->returnflag",
-        1: "orderkey->linestatus",
-        2: "orderkey,linenumber->partkey",
-    }
-
-    def rename(batch: pa.Table) -> pa.Table:
-        fd = batch.column("fd").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "fd": pa.array([names[int(x)] for x in fd], pa.string()),
-                "n_lhs": batch.column("sum(n_lhs)").cast(pa.int64()),
-                "n_violations": batch.column("sum(n_violations)").cast(pa.int64()),
             }
         )
 
@@ -6871,178 +4381,6 @@ def index_gap_stats_ds(
         )
 
     return agg.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def pareto_share_ds(
-    events: Dataset,
-    top_permille: int = 100,
-    user_col: str = "user_id",
-) -> Dataset:
-    """Pareto concentration of event volume — "what share of traffic do
-    the top 10% heaviest users generate": exact integer
-    ``(n_users, n_top_users, total_events, top_events, share_ppm)``
-    where the top set is the ``top_permille`` heaviest users by event
-    count (count DESC, user ASC ties; ``n_top = max(1, n_users *
-    top_permille // 1000)``).
-
-    Scale shape: per-batch user-count combiner → ONE ``groupby(user)``
-    sum → the (count)-histogram CDF (one row per DISTINCT count value —
-    bounded domain) decides the cutoff and the tie-split EXACTLY without
-    sorting users; one streaming fold computes the shares. Raw events
-    never shuffle; nothing user-count-sized on the driver."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"u": pa.array([], pa.int64()), "n_p": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return empty
-        u = batch.column(user_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        uu, cnt = np.unique(u, return_counts=True)
-        return pa.table(
-            {
-                "u": pa.array(uu, pa.int64()),
-                "n_p": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    per_user = (
-        events.select_columns([user_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("u")
-        .aggregate(Sum("n_p"))
-    )
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"c": pa.array([], pa.int64()), "n_u": pa.array([], pa.int64())}
-            )
-        c = batch.column("sum(n_p)").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        uc, n = np.unique(c, return_counts=True)
-        return pa.table(
-            {
-                "c": pa.array(uc, pa.int64()),
-                "n_u": pa.array(n.astype(np.int64), pa.int64()),
-            }
-        )
-
-    hist_rows = (
-        per_user.map_batches(hist_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("c")
-        .aggregate(Sum("n_u"))
-        .take_all()
-    )  # bounded: one row per DISTINCT event count
-    empty = pa.table(
-        {
-            "n_users": pa.array([], pa.int64()),
-            "n_top_users": pa.array([], pa.int64()),
-            "total_events": pa.array([], pa.int64()),
-            "top_events": pa.array([], pa.int64()),
-            "share_ppm": pa.array([], pa.int64()),
-        }
-    )
-    if not hist_rows:
-        return ray.data.from_arrow(empty)
-    cs = np.asarray([r["c"] for r in hist_rows], np.int64)
-    nu = np.asarray([r["sum(n_u)"] for r in hist_rows], np.int64)
-    order = np.argsort(-cs)  # heaviest counts first
-    cs, nu = cs[order], nu[order]
-    n_users = int(nu.sum())
-    total = int((cs * nu).sum())
-    n_top = max(1, n_users * top_permille // 1000)
-    cum = np.cumsum(nu)
-    # take whole count-classes until n_top users are covered; the class
-    # straddling the boundary contributes pro-rata WHOLE users (exact,
-    # ties broken by taking the needed number — share is identical for
-    # any tie-break inside an equal-count class)
-    k = int(np.searchsorted(cum, n_top))
-    full = int(cs[:k] @ nu[:k])
-    prev = int(cum[k - 1]) if k > 0 else 0
-    top_events = full + int(cs[k]) * (n_top - prev)
-    share_ppm = top_events * 1_000_000 // total if total else 0
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "n_users": pa.array([n_users], pa.int64()),
-                "n_top_users": pa.array([n_top], pa.int64()),
-                "total_events": pa.array([total], pa.int64()),
-                "top_events": pa.array([top_events], pa.int64()),
-                "share_ppm": pa.array([share_ppm], pa.int64()),
-            }
-        )
-    )
-
-
-def kendall_pairs_ds(
-    events: Dataset,
-    ts_col: str = "ts",
-    type_col: str = "event_type",
-    width_us: int = 86_400_000_000,
-) -> Dataset:
-    """Kendall trend components, INTEGER-EXACT: per event type over its
-    OBSERVED daily-count series (windows ordered by time), the number of
-    concordant, discordant, and tied pairs of (time, count) — the
-    Mann-Kendall monotone-trend test's exact inputs (tau derives
-    rationally as ``(C - D) / (C + D + T)``). Emits ``(event_type,
-    n_windows, concordant, discordant, tied)``.
-
-    Scale shape: the periodicity/symbolize report dataflow — (type,
-    window) count combiner → report-sized groupby → driver pair scan on
-    the TINY type x window table (the quadratic runs over windows of a
-    report, never over events)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts_v = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        w = (ts_v // width_us) * width_us
-        t = pa.table(
-            {
-                type_col: batch.column(type_col),
-                "w": pa.array(w, pa.int64()),
-                "n": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-            }
-        )
-        g = t.group_by([type_col, "w"]).aggregate([("n", "sum")])
-        return pa.table(
-            {
-                type_col: g.column(type_col),
-                "w": g.column("w"),
-                "n": g.column("n_sum"),
-            }
-        )
-
-    df = (
-        events.select_columns([ts_col, type_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([type_col, "w"])
-        .aggregate(Sum("n"))
-        .to_pandas()
-    )
-    df = _ensure_cols(df, {type_col: object, "w": np.int64, "sum(n)": np.int64})
-    types_out, nw, con, dis, tie = [], [], [], [], []
-    for tname, sub in df.groupby(type_col, sort=True):
-        s = sub.sort_values("w")
-        x = s["sum(n)"].to_numpy()
-        m = len(x)
-        d = x[None, :] - x[:, None]
-        iu = np.triu_indices(m, 1)
-        dd = d[iu]
-        types_out.append(tname)
-        nw.append(m)
-        con.append(int((dd > 0).sum()))
-        dis.append(int((dd < 0).sum()))
-        tie.append(int((dd == 0).sum()))
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "event_type": pa.array(types_out, pa.string()),
-                "n_windows": pa.array(nw, pa.int64()),
-                "concordant": pa.array(con, pa.int64()),
-                "discordant": pa.array(dis, pa.int64()),
-                "tied": pa.array(tie, pa.int64()),
-            }
-        )
-    )
 
 
 def lang_fertility_ds(
@@ -7402,108 +4740,6 @@ def interarrival_stats_ds(
     return _anchor_schema(out, out_schema)
 
 
-def activity_streaks_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    day_us: int = 86_400_000_000,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Per-key activity streaks (gaps-and-islands): distinct active
-    days, the longest run of CONSECUTIVE days, and the number of runs —
-    the retention/engagement compaction every product warehouse
-    maintains. Day = ``ts_us // day_us`` (UTC bucket), all exact int64.
-
-    Scale shape: per-batch DISTINCT (key, day) Arrow combiner shrinks
-    the exchange to active-day cells; ONE ``mix64(key)`` bucketed
-    shuffle; in-bucket a lexsort + boundary masks segment keys and
-    streaks, per-streak lengths come from one bincount and per-key
-    maxima from ``np.maximum.reduceat`` — no per-key Python."""
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("n_active_days", pa.int64()),
-            ("max_streak", pa.int64()),
-            ("n_streaks", pa.int64()),
-        ]
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "bkt": pa.array([], pa.int64()),
-                    "k": pa.array([], pa.int64()),
-                    "day": pa.array([], pa.int64()),
-                }
-            )
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        t = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        cells = (
-            pa.table(
-                {
-                    "k": pa.array(k, pa.int64()),
-                    "day": pa.array(t // day_us, pa.int64()),
-                }
-            )
-            .group_by(["k", "day"])
-            .aggregate([])
-        )
-        ku = cells.column("k").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(ku) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": cells.column("k"),
-                "day": cells.column("day"),
-            }
-        )
-
-    def streaks(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        d = group.column("day").to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, k))
-        ks, ds_ = k[order], d[order]
-        # distinct (key, day) — batch combiner dedups within batches only
-        keep = np.concatenate(([True], (ks[1:] != ks[:-1]) | (ds_[1:] != ds_[:-1])))
-        ks, ds_ = ks[keep], ds_[keep]
-        new_key = np.concatenate(([True], ks[1:] != ks[:-1]))
-        new_streak = new_key.copy()
-        new_streak[1:] |= (ds_[1:] - ds_[:-1]) != 1
-        streak_id = np.cumsum(new_streak) - 1
-        streak_len = np.bincount(streak_id).astype(np.int64)
-        streak_start = np.flatnonzero(new_streak)
-        streak_key = ks[streak_start]
-        key_first_streak = np.flatnonzero(
-            np.concatenate(([True], streak_key[1:] != streak_key[:-1]))
-        )
-        max_streak = np.maximum.reduceat(streak_len, key_first_streak)
-        n_streaks = np.diff(
-            np.concatenate((key_first_streak, [streak_len.size]))
-        ).astype(np.int64)
-        n_days = np.add.reduceat(streak_len, key_first_streak)
-        return pa.table(
-            {
-                key_col: pa.array(streak_key[key_first_streak], pa.int64()),
-                "n_active_days": pa.array(n_days.astype(np.int64)),
-                "max_streak": pa.array(max_streak.astype(np.int64)),
-                "n_streaks": pa.array(n_streaks),
-            }
-        )
-
-    out = (
-        events.select_columns([key_col, ts_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(streaks, batch_format="pyarrow")
-    )
-    return _anchor_schema(out, out_schema)
-
-
 def key_skew_audit_ds(
     table: Dataset,
     key_col: str = "l_orderkey",
@@ -7588,618 +4824,6 @@ def key_skew_audit_ds(
     )
 
 
-def dwell_times_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    type_col: str = "event_type",
-    n_buckets: int = 512,
-) -> Dataset:
-    """Per-(key, state) dwell time: each event opens a state named by its
-    ``type_col`` that lasts until the key's NEXT event (any type); emits
-    ``(key, event_type, n_intervals, total_dwell_us)`` — the
-    time-in-state compaction behind engagement and funnel-latency
-    reporting. A key's last event has no successor and contributes
-    nothing.
-
-    Scale shape: ONE ``mix64(key)`` bucketed shuffle of the 4-column
-    projection; a key's rows co-locate, so in-bucket one lexsort +
-    shifted subtract computes every dwell and an Arrow group_by
-    finishes (key, type) locally — no second exchange."""
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            (type_col, pa.string()),
-            ("n_intervals", pa.int64()),
-            ("total_dwell_us", pa.int64()),
-        ]
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": pa.array(k, pa.int64()),
-                "t": batch.column(ts_col).cast(pa.int64()),
-                "tie": batch.column(tie_col).cast(pa.int64()),
-                "typ": batch.column(type_col).cast(pa.string()),
-            }
-        )
-
-    def dwell(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows < 2:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        t = group.column("t").to_numpy(zero_copy_only=False)
-        tie = group.column("tie").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tie, t, k))
-        ks, ts_ = k[order], t[order]
-        lead = np.concatenate((ks[1:] == ks[:-1], [False]))
-        if not lead.any():
-            return empty
-        d = np.empty(ks.size, np.int64)
-        d[:-1] = ts_[1:] - ts_[:-1]
-        typ = group.column("typ").take(pa.array(order[lead]))
-        g = (
-            pa.table(
-                {
-                    key_col: pa.array(ks[lead], pa.int64()),
-                    type_col: typ,
-                    "dw": pa.array(d[lead], pa.int64()),
-                }
-            )
-            .group_by([key_col, type_col])
-            .aggregate([("dw", "count"), ("dw", "sum")])
-        )
-        return pa.table(
-            {
-                key_col: g.column(key_col),
-                type_col: g.column(type_col),
-                "n_intervals": g.column("dw_count").cast(pa.int64()),
-                "total_dwell_us": g.column("dw_sum").cast(pa.int64()),
-            }
-        )
-
-    out = (
-        events.select_columns([key_col, ts_col, tie_col, type_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(dwell, batch_format="pyarrow")
-    )
-    return _anchor_schema(out, out_schema)
-
-
-def order_reconcile_ds(
-    lineitem: Dataset,
-    orders: Dataset,
-) -> Dataset:
-    """Fact-table reconciliation audit: per order status, how many
-    orders' line-derived totals (``sum(floor(extendedprice *
-    (1 - discount) * (1 + tax) * 100))``) disagree with the order
-    header's ``floor(o_totalprice * 100)``, and by how much in absolute
-    cents — the classic warehouse consistency gate before publishing a
-    revenue mart. Orders with no lines reconcile against 0. Cents come
-    from the identical IEEE double product on both engines.
-
-    Scale shape: lineitem reduces to one row per order via a per-batch
-    cents combiner + aggregate-only groupby BEFORE the join; the join is
-    the generic bucketed hash join (one exchange each side, LEFT so
-    line-less orders surface); a per-batch status combiner feeds the
-    final status-domain groupby."""
-
-    def li_proj(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"l_orderkey": pa.array([], pa.int64()),
-                 "cents": pa.array([], pa.int64())}
-            )
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        tax = batch.column("l_tax").to_numpy(zero_copy_only=False)
-        cents = np.floor(price * (1.0 - disc) * (1.0 + tax) * 100).astype(np.int64)
-        g = (
-            pa.table(
-                {
-                    "l_orderkey": batch.column("l_orderkey").cast(pa.int64()),
-                    "cents": pa.array(cents, pa.int64()),
-                }
-            )
-            .group_by("l_orderkey")
-            .aggregate([("cents", "sum")])
-        )
-        return pa.table(
-            {
-                "l_orderkey": g.column("l_orderkey"),
-                "cents": g.column("cents_sum").cast(pa.int64()),
-            }
-        )
-
-    def li_finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "l_orderkey" not in batch.column_names:
-            return pa.table(
-                {"l_orderkey": pa.array([], pa.int64()),
-                 "line_cents": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {
-                "l_orderkey": batch.column("l_orderkey"),
-                "line_cents": batch.column("sum(cents)").cast(pa.int64()),
-            }
-        )
-
-    def o_proj(batch: pa.Table) -> pa.Table:
-        tot = batch.column("o_totalprice").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey").cast(pa.int64()),
-                "o_orderstatus": batch.column("o_orderstatus").cast(pa.string()),
-                "total_cents": pa.array(
-                    np.floor(tot * 100).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    li_sums = (
-        lineitem.select_columns(
-            ["l_orderkey", "l_extendedprice", "l_discount", "l_tax"]
-        )
-        .map_batches(li_proj, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_orderkey")
-        .aggregate(Sum("cents"))
-        .map_batches(li_finish, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    od = orders.select_columns(
-        ["o_orderkey", "o_orderstatus", "o_totalprice"]
-    ).map_batches(o_proj, batch_format="pyarrow", zero_copy_batch=True)
-    joined = hash_join_ds(od, li_sums, "o_orderkey", "l_orderkey", how="left")
-    out_schema = pa.schema(
-        [
-            ("o_orderstatus", pa.string()),
-            ("n_orders", pa.int64()),
-            ("n_mismatch", pa.int64()),
-            ("sum_abs_diff_cents", pa.int64()),
-        ]
-    )
-
-    def status_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "o_orderstatus" not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        tot = batch.column("total_cents").to_numpy(zero_copy_only=False)
-        line = pc.fill_null(batch.column("line_cents"), 0).to_numpy(
-            zero_copy_only=False
-        )
-        diff = np.abs(line - tot)
-        g = (
-            pa.table(
-                {
-                    "o_orderstatus": batch.column("o_orderstatus"),
-                    "n_orders": pa.array(np.ones(len(tot), np.int64)),
-                    "n_mismatch": pa.array((diff != 0).astype(np.int64)),
-                    "sum_abs_diff_cents": pa.array(diff.astype(np.int64)),
-                }
-            )
-            .group_by("o_orderstatus")
-            .aggregate(
-                [
-                    ("n_orders", "sum"),
-                    ("n_mismatch", "sum"),
-                    ("sum_abs_diff_cents", "sum"),
-                ]
-            )
-        )
-        return pa.table(
-            {
-                "o_orderstatus": g.column("o_orderstatus"),
-                "n_orders": g.column("n_orders_sum").cast(pa.int64()),
-                "n_mismatch": g.column("n_mismatch_sum").cast(pa.int64()),
-                "sum_abs_diff_cents": g.column("sum_abs_diff_cents_sum").cast(
-                    pa.int64()
-                ),
-            }
-        )
-
-    agg = (
-        joined.map_batches(status_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_orderstatus")
-        .aggregate(Sum("n_orders"), Sum("n_mismatch"), Sum("sum_abs_diff_cents"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "o_orderstatus" not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        return pa.table(
-            {
-                "o_orderstatus": batch.column("o_orderstatus"),
-                "n_orders": batch.column("sum(n_orders)").cast(pa.int64()),
-                "n_mismatch": batch.column("sum(n_mismatch)").cast(pa.int64()),
-                "sum_abs_diff_cents": batch.column(
-                    "sum(sum_abs_diff_cents)"
-                ).cast(pa.int64()),
-            }
-        )
-
-    return _anchor_schema(
-        agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
-        out_schema,
-    )
-
-
-def weekday_profile_ds(
-    events: Dataset,
-    type_col: str = "event_type",
-    ts_col: str = "ts",
-    day_us: int = 86_400_000_000,
-) -> Dataset:
-    """Weekly seasonality fingerprint: per (event_type, weekday) the
-    event count and the number of distinct active days — the shape
-    check behind weekday-aware traffic forecasts. ``weekday = (epoch_day
-    + 4) % 7`` (Monday = 0), a pure integer formula identical on both
-    engines (no date-library convention risk).
-
-    Scale shape: per-batch (type, day) count combiner -> ONE bounded
-    groupby over the (types x days) domain -> tiny (type, weekday)
-    fold; nothing unbounded reaches the driver."""
-    out_schema = pa.schema(
-        [
-            (type_col, pa.string()),
-            ("weekday", pa.int64()),
-            ("n_events", pa.int64()),
-            ("n_days", pa.int64()),
-        ]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "typ": pa.array([], pa.string()),
-                    "day": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
-        t = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        g = (
-            pa.table(
-                {
-                    "typ": batch.column(type_col).cast(pa.string()),
-                    "day": pa.array(t // day_us, pa.int64()),
-                }
-            )
-            .group_by(["typ", "day"])
-            .aggregate([("day", "count")])
-        )
-        return pa.table(
-            {
-                "typ": g.column("typ"),
-                "day": g.column("day"),
-                "n": g.column("day_count").cast(pa.int64()),
-            }
-        )
-
-    def fold(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "typ" not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        day = batch.column("day").to_numpy(zero_copy_only=False)
-        g = (
-            pa.table(
-                {
-                    type_col: batch.column("typ"),
-                    "weekday": pa.array((day + 4) % 7, pa.int64()),
-                    "n_events": batch.column("sum(n)").cast(pa.int64()),
-                    "n_days": pa.array(np.ones(len(day), np.int64)),
-                }
-            )
-            .group_by([type_col, "weekday"])
-            .aggregate([("n_events", "sum"), ("n_days", "sum")])
-        )
-        return pa.table(
-            {
-                type_col: g.column(type_col),
-                "weekday": g.column("weekday"),
-                "n_events": g.column("n_events_sum").cast(pa.int64()),
-                "n_days": g.column("n_days_sum").cast(pa.int64()),
-            }
-        )
-
-    out = (
-        events.select_columns([type_col, ts_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["typ", "day"])
-        .aggregate(Sum("n"))
-        .map_batches(fold, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([type_col, "weekday"])
-        .aggregate(Sum("n_events"), Sum("n_days"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or type_col not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        return pa.table(
-            {
-                type_col: batch.column(type_col),
-                "weekday": batch.column("weekday").cast(pa.int64()),
-                "n_events": batch.column("sum(n_events)").cast(pa.int64()),
-                "n_days": batch.column("sum(n_days)").cast(pa.int64()),
-            }
-        )
-
-    return _anchor_schema(
-        out.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
-        out_schema,
-    )
-
-
-def rfm_scores_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    value_col: str = "value",
-    day_us: int = 86_400_000_000,
-) -> Dataset:
-    """RFM segmentation: per user the recency day (last event's
-    ``ts_us // day_us``), frequency (event count), monetary total
-    (``sum(floor(value * 100))`` cents) plus 1..5 quintile scores per
-    dimension. Scores use the integer-exact discrete convention: the
-    s-th boundary is the smallest value whose cumulative user count
-    reaches ``(s * N + 4) // 5`` (pure-integer ceil, no float q * N),
-    and ``score = 1 + #(boundaries < value)`` — deterministic under
-    ties on both engines. Scoring dimensions quantize to BOUNDED
-    domains (days, counts, whole dollars) so the boundary histograms
-    the driver collects stay small at any corpus size; exact cents are
-    still emitted raw.
-
-    Scale shape: one aggregate-only ``groupby(user)`` builds the RFM
-    table (materialized once — it is also the output); three
-    bounded-domain histogram collects fix the quintile boundaries; one
-    final ``map_batches`` assigns scores with the 12 boundary ints in
-    the closure."""
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("r_days", pa.int64()),
-            ("f", pa.int64()),
-            ("m_cents", pa.int64()),
-            ("r_score", pa.int64()),
-            ("f_score", pa.int64()),
-            ("m_score", pa.int64()),
-        ]
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                key_col: batch.column(key_col).cast(pa.int64()),
-                "t": batch.column(ts_col).cast(pa.int64()),
-                "cents": pa.array(np.floor(v * 100).astype(np.int64), pa.int64()),
-            }
-        )
-
-    def to_rfm(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or key_col not in batch.column_names:
-            return pa.table(
-                {
-                    key_col: pa.array([], pa.int64()),
-                    "r_days": pa.array([], pa.int64()),
-                    "f": pa.array([], pa.int64()),
-                    "m_cents": pa.array([], pa.int64()),
-                }
-            )
-        t = batch.column("max(t)").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                key_col: batch.column(key_col).cast(pa.int64()),
-                "r_days": pa.array(t // day_us, pa.int64()),
-                "f": batch.column("count()").cast(pa.int64()),
-                "m_cents": batch.column("sum(cents)").cast(pa.int64()),
-            }
-        )
-
-    rfm = (
-        events.select_columns([key_col, ts_col, value_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(key_col)
-        .aggregate(Max("t"), Count(), Sum("cents"))
-        .map_batches(to_rfm, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()
-    )
-
-    def boundaries(col: str, quant: Optional[int] = None) -> np.ndarray:
-        hist = _small_df(
-            rfm.map_batches(
-                lambda b, c=col, q=quant: pa.table(
-                    {
-                        "v": pa.array(
-                            (
-                                b.column(c).to_numpy(zero_copy_only=False) // q
-                                if q
-                                else b.column(c).to_numpy(zero_copy_only=False)
-                            ),
-                            pa.int64(),
-                        )
-                    }
-                )
-                .group_by("v")
-                .aggregate([("v", "count")])
-                .rename_columns(["v", "n"]),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            .groupby("v")
-            .aggregate(Sum("n")),
-            {"v": np.int64, "sum(n)": np.int64},
-        )
-        if not len(hist):
-            return np.zeros(4, np.int64)
-        v = hist["v"].to_numpy(np.int64)
-        n = hist["sum(n)"].to_numpy(np.int64)
-        o = np.argsort(v, kind="stable")
-        v, n = v[o], n[o]
-        cum = np.cumsum(n)
-        total = int(cum[-1])
-        ranks = np.array(
-            [(s * total + 4) // 5 for s in (1, 2, 3, 4)], np.int64
-        )
-        return v[np.searchsorted(cum, np.maximum(ranks, 1))]
-
-    b_r = boundaries("r_days")
-    b_f = boundaries("f")
-    b_m = boundaries("m_cents", quant=100)  # whole dollars
-
-    def score(vals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        return 1 + (vals[:, None] > bounds[None, :]).sum(axis=1).astype(np.int64)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        r = batch.column("r_days").to_numpy(zero_copy_only=False)
-        f = batch.column("f").to_numpy(zero_copy_only=False)
-        m = batch.column("m_cents").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                key_col: batch.column(key_col),
-                "r_days": batch.column("r_days"),
-                "f": batch.column("f"),
-                "m_cents": batch.column("m_cents"),
-                "r_score": pa.array(score(r, b_r)),
-                "f_score": pa.array(score(f, b_f)),
-                "m_score": pa.array(score(m // 100, b_m)),
-            }
-        )
-
-    return _anchor_schema(
-        rfm.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True),
-        out_schema,
-    )
-
-
-def ship_lag_stats_ds(
-    lineitem: Dataset,
-    orders: Dataset,
-    day_us: int = 86_400_000_000,
-) -> Dataset:
-    """Order-to-ship latency distribution per order priority: line
-    count, min / discrete-median / max lag in whole days (``ship_day -
-    order_day``; median = smallest lag whose cumulative count reaches
-    ``(N + 1) // 2``, the shared pure-integer convention). The SLA
-    report behind fulfillment dashboards.
-
-    Scale shape: the generic bucketed hash join (lines x order headers,
-    one exchange each side) -> per-batch (priority, lag) count combiner
-    -> ONE bounded groupby over the (priorities x lag-days) domain ->
-    only that histogram reaches the driver."""
-    out_schema = pa.schema(
-        [
-            ("o_orderpriority", pa.string()),
-            ("n_lines", pa.int64()),
-            ("min_lag_days", pa.int64()),
-            ("med_lag_days", pa.int64()),
-            ("max_lag_days", pa.int64()),
-        ]
-    )
-
-    def li_proj(batch: pa.Table) -> pa.Table:
-        t = batch.column("l_shipdate").cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        return pa.table(
-            {
-                "l_orderkey": batch.column("l_orderkey").cast(pa.int64()),
-                "ship_day": pa.array(t // day_us, pa.int64()),
-            }
-        )
-
-    def o_proj(batch: pa.Table) -> pa.Table:
-        t = batch.column("o_orderdate").cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        return pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey").cast(pa.int64()),
-                "prio": batch.column("o_orderpriority").cast(pa.string()),
-                "order_day": pa.array(t // day_us, pa.int64()),
-            }
-        )
-
-    li = lineitem.select_columns(["l_orderkey", "l_shipdate"]).map_batches(
-        li_proj, batch_format="pyarrow", zero_copy_batch=True
-    )
-    od = orders.select_columns(
-        ["o_orderkey", "o_orderpriority", "o_orderdate"]
-    ).map_batches(o_proj, batch_format="pyarrow", zero_copy_batch=True)
-    joined = hash_join_ds(li, od, "l_orderkey", "o_orderkey", how="inner")
-
-    def lag_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "prio" not in batch.column_names:
-            return pa.table(
-                {
-                    "prio": pa.array([], pa.string()),
-                    "lag": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
-        ship = batch.column("ship_day").to_numpy(zero_copy_only=False)
-        od_ = batch.column("order_day").to_numpy(zero_copy_only=False)
-        g = (
-            pa.table(
-                {
-                    "prio": batch.column("prio"),
-                    "lag": pa.array(ship - od_, pa.int64()),
-                }
-            )
-            .group_by(["prio", "lag"])
-            .aggregate([("lag", "count")])
-        )
-        return pa.table(
-            {
-                "prio": g.column("prio"),
-                "lag": g.column("lag"),
-                "n": g.column("lag_count").cast(pa.int64()),
-            }
-        )
-
-    hist = _small_df(
-        joined.map_batches(lag_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["prio", "lag"])
-        .aggregate(Sum("n")),
-        {"prio": object, "lag": np.int64, "sum(n)": np.int64},
-    )
-    if not len(hist):
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        )
-    prio = hist["prio"].to_numpy(object).astype(str)
-    lag = hist["lag"].to_numpy(np.int64)
-    n = hist["sum(n)"].to_numpy(np.int64)
-    order = np.lexsort((lag, prio))
-    prio, lag, n = prio[order], lag[order], n[order]
-    new = np.concatenate(([True], prio[1:] != prio[:-1]))
-    starts = np.flatnonzero(new)
-    ends = np.concatenate((starts[1:], [prio.size]))
-    rows = []
-    for s, e in zip(starts, ends):
-        tot = int(n[s:e].sum())
-        cum = np.cumsum(n[s:e])
-        med = int(lag[s:e][np.searchsorted(cum, (tot + 1) // 2)])
-        rows.append((str(prio[s]), tot, int(lag[s]), med, int(lag[e - 1])))
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "o_orderpriority": pa.array([r[0] for r in rows], pa.string()),
-                "n_lines": pa.array([r[1] for r in rows], pa.int64()),
-                "min_lag_days": pa.array([r[2] for r in rows], pa.int64()),
-                "med_lag_days": pa.array([r[3] for r in rows], pa.int64()),
-                "max_lag_days": pa.array([r[4] for r in rows], pa.int64()),
-            }
-        )
-    )
-
-
 def zonemap_prune_ds(
     docs: Dataset,
     id_col: str = "doc_id",
@@ -8279,222 +4903,6 @@ def zonemap_prune_ds(
 
     return _anchor_schema(
         agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
-        out_schema,
-    )
-
-
-def open_order_backlog_ds(
-    lineitem: Dataset,
-    orders: Dataset,
-    day_us: int = 86_400_000_000,
-) -> Dataset:
-    """Daily open-order backlog curve: an order opens on its order day
-    and closes on its LAST line-ship day (clamped to at least the order
-    day; line-less orders open and close same-day); emits one row per
-    day of the observed span with the exact number of open orders —
-    the interval-stabbing aggregate behind WIP dashboards, computed as
-    +1/-1 boundary deltas + one running sum (never by expanding
-    per-order day ranges).
-
-    Scale shape: line max-ship-day via aggregate-only groupby -> one
-    bucketed LEFT hash join to headers -> per-batch delta combiner ->
-    bounded day-domain groupby; only the day-delta table reaches the
-    driver, where the dense cumsum is a single np.arange."""
-    out_schema = pa.schema([("day", pa.int64()), ("n_open", pa.int64())])
-
-    def li_proj(batch: pa.Table) -> pa.Table:
-        t = batch.column("l_shipdate").cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        return pa.table(
-            {
-                "l_orderkey": batch.column("l_orderkey").cast(pa.int64()),
-                "ship_day": pa.array(t // day_us, pa.int64()),
-            }
-        )
-
-    def li_finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "l_orderkey" not in batch.column_names:
-            return pa.table(
-                {
-                    "l_orderkey": pa.array([], pa.int64()),
-                    "end_day": pa.array([], pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                "l_orderkey": batch.column("l_orderkey"),
-                "end_day": batch.column("max(ship_day)").cast(pa.int64()),
-            }
-        )
-
-    def o_proj(batch: pa.Table) -> pa.Table:
-        t = batch.column("o_orderdate").cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        return pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey").cast(pa.int64()),
-                "start_day": pa.array(t // day_us, pa.int64()),
-            }
-        )
-
-    ld = (
-        lineitem.select_columns(["l_orderkey", "l_shipdate"])
-        .map_batches(li_proj, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_orderkey")
-        .aggregate(Max("ship_day"))
-        .map_batches(li_finish, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    od = orders.select_columns(["o_orderkey", "o_orderdate"]).map_batches(
-        o_proj, batch_format="pyarrow", zero_copy_batch=True
-    )
-    joined = hash_join_ds(od, ld, "o_orderkey", "l_orderkey", how="left")
-
-    def delta_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "start_day" not in batch.column_names:
-            return pa.table(
-                {"day": pa.array([], pa.int64()), "d": pa.array([], pa.int64())}
-            )
-        start = batch.column("start_day").to_numpy(zero_copy_only=False)
-        end = pc.fill_null(batch.column("end_day"), -(1 << 62)).to_numpy(
-            zero_copy_only=False
-        )
-        end = np.maximum(end, start)
-        g = (
-            pa.table(
-                {
-                    "day": pa.array(np.concatenate((start, end + 1)), pa.int64()),
-                    "d": pa.array(
-                        np.concatenate(
-                            (
-                                np.ones(start.size, np.int64),
-                                np.full(start.size, -1, np.int64),
-                            )
-                        )
-                    ),
-                }
-            )
-            .group_by("day")
-            .aggregate([("d", "sum")])
-        )
-        return pa.table(
-            {"day": g.column("day"), "d": g.column("d_sum").cast(pa.int64())}
-        )
-
-    deltas = _small_df(
-        joined.map_batches(
-            delta_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("day")
-        .aggregate(Sum("d")),
-        {"day": np.int64, "sum(d)": np.int64},
-    )
-    if not len(deltas):
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        )
-    dday = deltas["day"].to_numpy(np.int64)
-    dd = deltas["sum(d)"].to_numpy(np.int64)
-    lo, hi = int(dday.min()), int(dday.max())
-    dense = np.zeros(hi - lo + 1, np.int64)
-    dense[dday - lo] = dd
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "day": pa.array(np.arange(lo, hi + 1, dtype=np.int64)),
-                "n_open": pa.array(np.cumsum(dense)),
-            }
-        )
-    )
-
-
-def sole_source_risk_ds(
-    lineitem: Dataset,
-    part_col: str = "l_partkey",
-    supp_col: str = "l_suppkey",
-) -> Dataset:
-    """Supply-concentration histogram: how many parts are served by
-    exactly N distinct suppliers (bucket 1 = the sole-source risk set
-    a procurement review flags first). Emits ``(n_suppliers,
-    n_parts)``.
-
-    Scale shape: per-batch DISTINCT (part, supplier) Arrow combiner ->
-    aggregate-only dedup groupby -> per-batch part-count fold ->
-    aggregate-only per-part groupby -> tiny histogram groupby; three
-    exchanges, all aggregate-only, nothing per-group Python."""
-    out_schema = pa.schema(
-        [("n_suppliers", pa.int64()), ("n_parts", pa.int64())]
-    )
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"p": pa.array([], pa.int64()), "s": pa.array([], pa.int64())}
-            )
-        return (
-            pa.table(
-                {
-                    "p": batch.column(part_col).cast(pa.int64()),
-                    "s": batch.column(supp_col).cast(pa.int64()),
-                }
-            )
-            .group_by(["p", "s"])
-            .aggregate([])
-        )
-
-    def part_fold(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "p" not in batch.column_names:
-            return pa.table(
-                {"p": pa.array([], pa.int64()), "one": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {
-                "p": batch.column("p").cast(pa.int64()),
-                "one": pa.array(np.ones(batch.num_rows, np.int64)),
-            }
-        )
-
-    def hist_fold(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "sum(one)" not in batch.column_names:
-            return pa.table(
-                {
-                    "n_suppliers": pa.array([], pa.int64()),
-                    "one": pa.array([], pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                "n_suppliers": batch.column("sum(one)").cast(pa.int64()),
-                "one": pa.array(np.ones(batch.num_rows, np.int64)),
-            }
-        )
-
-    out = (
-        lineitem.select_columns([part_col, supp_col])
-        .map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["p", "s"])
-        .count()
-        .map_batches(part_fold, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p")
-        .aggregate(Sum("one"))
-        .map_batches(hist_fold, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("n_suppliers")
-        .aggregate(Sum("one"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "n_suppliers" not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        return pa.table(
-            {
-                "n_suppliers": batch.column("n_suppliers").cast(pa.int64()),
-                "n_parts": batch.column("sum(one)").cast(pa.int64()),
-            }
-        )
-
-    return _anchor_schema(
-        out.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
         out_schema,
     )
 
@@ -8608,367 +5016,6 @@ def encoding_size_audit_ds(
                 "n_distinct": pa.array([r[2] for r in results], pa.int64()),
                 "plain_bytes": pa.array([r[3] for r in results], pa.int64()),
                 "dict_bytes": pa.array([r[4] for r in results], pa.int64()),
-            }
-        )
-    )
-
-
-def dup_baskets_ds(
-    lineitem: Dataset,
-    order_col: str = "l_orderkey",
-    part_col: str = "l_partkey",
-    n_buckets: int = 512,
-) -> Dataset:
-    """Duplicate-basket histogram: orders whose DISTINCT part set is
-    byte-identical to another order's (fingerprint = md5 of the
-    numerically-sorted part list) — the market-structure dedup signal
-    behind bot/reseller detection. Emits per basket size ``(n_orders,
-    n_distinct_baskets, n_dup_orders)``.
-
-    Scale shape: distinct (order, part) combiner -> ONE
-    ``mix64(order)`` bucketed shuffle (an order's parts co-locate) ->
-    per-order fingerprint inside the bucket (one md5 per ORDER — the
-    per-entity cost class shared with the per-doc MinHash signature) ->
-    aggregate-only (size, fp) dedup groupby -> tiny size-domain fold."""
-    import hashlib
-
-    out_schema = pa.schema(
-        [
-            ("basket_size", pa.int64()),
-            ("n_orders", pa.int64()),
-            ("n_distinct_baskets", pa.int64()),
-            ("n_dup_orders", pa.int64()),
-        ]
-    )
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "o": pa.array([], pa.int64()),
-                    "p": pa.array([], pa.int64()),
-                    "bkt": pa.array([], pa.int64()),
-                }
-            )
-        g = (
-            pa.table(
-                {
-                    "o": batch.column(order_col).cast(pa.int64()),
-                    "p": batch.column(part_col).cast(pa.int64()),
-                }
-            )
-            .group_by(["o", "p"])
-            .aggregate([])
-        )
-        o = g.column("o").to_numpy(zero_copy_only=False)
-        return g.append_column(
-            "bkt",
-            pa.array((_mix64(o) % np.uint64(n_buckets)).astype(np.int64)),
-        )
-
-    def bucket_fp(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"sz": pa.array([], pa.int64()), "fp": pa.array([], pa.string())}
-        )
-        if group.num_rows == 0:
-            return empty
-        o = group.column("o").to_numpy(zero_copy_only=False)
-        p = group.column("p").to_numpy(zero_copy_only=False)
-        order = np.lexsort((p, o))
-        os_, ps_ = o[order], p[order]
-        keep = np.concatenate(
-            ([True], (os_[1:] != os_[:-1]) | (ps_[1:] != ps_[:-1]))
-        )
-        os_, ps_ = os_[keep], ps_[keep]
-        new = np.concatenate(([True], os_[1:] != os_[:-1]))
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [os_.size]))
-        fps = [
-            hashlib.md5(
-                "-".join(str(int(x)) for x in ps_[s:e]).encode()
-            ).hexdigest()
-            for s, e in zip(starts, ends)
-        ]
-        return pa.table(
-            {
-                "sz": pa.array((ends - starts).astype(np.int64)),
-                "fp": pa.array(fps, pa.string()),
-            }
-        )
-
-    def size_fold(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "sz" not in batch.column_names:
-            return pa.table(
-                {
-                    "sz": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "d": pa.array([], pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                "sz": batch.column("sz").cast(pa.int64()),
-                "n": batch.column("count()").cast(pa.int64()),
-                "d": pa.array(np.ones(batch.num_rows, np.int64)),
-            }
-        )
-
-    out = (
-        lineitem.select_columns([order_col, part_col])
-        .map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_fp, batch_format="pyarrow")
-        .groupby(["sz", "fp"])
-        .count()
-        .map_batches(size_fold, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("sz")
-        .aggregate(Sum("n"), Sum("d"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "sz" not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        n = batch.column("sum(n)").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        d = batch.column("sum(d)").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "basket_size": batch.column("sz").cast(pa.int64()),
-                "n_orders": pa.array(n),
-                "n_distinct_baskets": pa.array(d),
-                "n_dup_orders": pa.array(n - d),
-            }
-        )
-
-    return _anchor_schema(
-        out.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
-        out_schema,
-    )
-
-
-def churn_overlap_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    day_us: int = 86_400_000_000,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Day-over-day audience overlap: for every day ``d`` in the
-    observed span (except the last), the active-user counts of ``d``
-    and ``d+1`` plus the exact retained-user intersection — churned =
-    ``n_active - n_retained``, new = ``n_active_next - n_retained``.
-    The daily churn diagnostic behind retention dashboards.
-
-    Scale shape: distinct (user, day) Arrow combiner -> ONE
-    ``mix64(user)`` shuffle (a user's active days co-locate, so
-    consecutive-day pairs count locally) -> per-bucket (day, active,
-    retained) partials -> bounded day-domain groupby; the dense chain
-    assembles from the tiny day table on the driver."""
-    out_schema = pa.schema(
-        [
-            ("day", pa.int64()),
-            ("n_active", pa.int64()),
-            ("n_active_next", pa.int64()),
-            ("n_retained", pa.int64()),
-        ]
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "bkt": pa.array([], pa.int64()),
-                    "k": pa.array([], pa.int64()),
-                    "day": pa.array([], pa.int64()),
-                }
-            )
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        t = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        cells = (
-            pa.table(
-                {
-                    "k": pa.array(k, pa.int64()),
-                    "day": pa.array(t // day_us, pa.int64()),
-                }
-            )
-            .group_by(["k", "day"])
-            .aggregate([])
-        )
-        ku = cells.column("k").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(ku) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": cells.column("k"),
-                "day": cells.column("day"),
-            }
-        )
-
-    def bucket_counts(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "day": pa.array([], pa.int64()),
-                "a": pa.array([], pa.int64()),
-                "r": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        d = group.column("day").to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, k))
-        ks, ds_ = k[order], d[order]
-        keep = np.concatenate(([True], (ks[1:] != ks[:-1]) | (ds_[1:] != ds_[:-1])))
-        ks, ds_ = ks[keep], ds_[keep]
-        same_user = ks[1:] == ks[:-1]
-        retained = same_user & ((ds_[1:] - ds_[:-1]) == 1)
-        lo = int(ds_.min())
-        act = np.bincount(ds_ - lo).astype(np.int64)
-        ret = np.bincount(ds_[:-1][retained] - lo, minlength=act.size).astype(
-            np.int64
-        )
-        days = np.arange(lo, lo + act.size, dtype=np.int64)
-        nz = (act > 0) | (ret > 0)
-        return pa.table(
-            {
-                "day": pa.array(days[nz]),
-                "a": pa.array(act[nz]),
-                "r": pa.array(ret[nz]),
-            }
-        )
-
-    agg = _small_df(
-        events.select_columns([key_col, ts_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_counts, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(Sum("a"), Sum("r")),
-        {"day": np.int64, "sum(a)": np.int64, "sum(r)": np.int64},
-    )
-    if not len(agg):
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        )
-    day = agg["day"].to_numpy(np.int64)
-    a = agg["sum(a)"].to_numpy(np.int64)
-    r = agg["sum(r)"].to_numpy(np.int64)
-    lo, hi = int(day.min()), int(day.max())
-    act = np.zeros(hi - lo + 1, np.int64)
-    ret = np.zeros(hi - lo + 1, np.int64)
-    act[day - lo] = a
-    ret[day - lo] = r
-    if act.size < 2:
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        )
-    days_out = np.arange(lo, hi, dtype=np.int64)
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "day": pa.array(days_out),
-                "n_active": pa.array(act[:-1]),
-                "n_active_next": pa.array(act[1:]),
-                "n_retained": pa.array(ret[:-1]),
-            }
-        )
-    )
-
-
-def value_mad_ds(
-    events: Dataset,
-    type_col: str = "event_type",
-    value_col: str = "value",
-    quant: int = 100,
-) -> Dataset:
-    """Robust center/spread per event type: the discrete median of the
-    cents-quantized value and the median absolute deviation around it
-    (both under the shared ``smallest value with cumulative count >=
-    ceil(n/2)`` convention) — the outlier-resistant scale estimate MAD
-    provides where variance is skew-dominated. Emits ``(event_type, n,
-    med_cents, mad_cents)``.
-
-    Scale shape: ONE (type, cents) count-combiner groupby; the MAD
-    derives from the SAME collected histogram by re-bucketing
-    ``|v - med|`` on the driver — no second corpus pass."""
-    out_schema = pa.schema(
-        [
-            (type_col, pa.string()),
-            ("n", pa.int64()),
-            ("med_cents", pa.int64()),
-            ("mad_cents", pa.int64()),
-        ]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "typ": pa.array([], pa.string()),
-                    "v": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        g = (
-            pa.table(
-                {
-                    "typ": batch.column(type_col).cast(pa.string()),
-                    "v": pa.array(np.floor(v * quant).astype(np.int64), pa.int64()),
-                }
-            )
-            .group_by(["typ", "v"])
-            .aggregate([("v", "count")])
-        )
-        return pa.table(
-            {
-                "typ": g.column("typ"),
-                "v": g.column("v"),
-                "n": g.column("v_count").cast(pa.int64()),
-            }
-        )
-
-    hist = _small_df(
-        events.select_columns([type_col, value_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["typ", "v"])
-        .aggregate(Sum("n")),
-        {"typ": object, "v": np.int64, "sum(n)": np.int64},
-    )
-    if not len(hist):
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        )
-    typ = hist["typ"].to_numpy(object).astype(str)
-    v = hist["v"].to_numpy(np.int64)
-    n = hist["sum(n)"].to_numpy(np.int64)
-    order = np.lexsort((v, typ))
-    typ, v, n = typ[order], v[order], n[order]
-    starts = np.flatnonzero(np.concatenate(([True], typ[1:] != typ[:-1])))
-    ends = np.concatenate((starts[1:], [typ.size]))
-
-    def disc_median(vals: np.ndarray, cnts: np.ndarray) -> int:
-        cum = np.cumsum(cnts)
-        rank = (int(cum[-1]) + 1) // 2
-        return int(vals[np.searchsorted(cum, max(rank, 1))])
-
-    rows = []
-    for s, e in zip(starts, ends):
-        med = disc_median(v[s:e], n[s:e])
-        dev = np.abs(v[s:e] - med)
-        o2 = np.argsort(dev, kind="stable")
-        # merge equal deviations (v below and above med can collide)
-        dv, inv = np.unique(dev[o2], return_inverse=True)
-        dn = np.bincount(inv, weights=n[s:e][o2]).astype(np.int64)
-        mad = disc_median(dv, dn)
-        rows.append((str(typ[s]), int(n[s:e].sum()), med, mad))
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                type_col: pa.array([r[0] for r in rows], pa.string()),
-                "n": pa.array([r[1] for r in rows], pa.int64()),
-                "med_cents": pa.array([r[2] for r in rows], pa.int64()),
-                "mad_cents": pa.array([r[3] for r in rows], pa.int64()),
             }
         )
     )
@@ -9304,237 +5351,6 @@ def rand_projection_ds(
 
     return emb.select_columns([id_col, vec_col]).map_batches(
         project, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
-def motif_pairs_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    id_col: str = "event_id",
-    val_col: str = "value",
-    win: int = 4,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Matrix-profile-style motif discovery per key (Yeh et al. 2016,
-    simplified to exact integers): among all length-``win`` sliding
-    windows of the cents-quantized value series (ordered by ts,
-    event_id), the NON-OVERLAPPING window pair with minimum L1 distance
-    — the "repeated shape" diagnostic behind time-series motif mining,
-    fraud-pattern search and sensor-template discovery.  Ties break on
-    the smallest (first, second) 1-based window index.
-
-    Scale shape: 32-byte projection shuffles ONCE by ``mix64(key)``
-    bucket (bounded group count); per-key series segment inside the
-    bucket via one lexsort; the O(w^2) distance matrix is per-key local
-    and bounded by the per-key window count."""
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("win_a", pa.int64()),
-            ("win_b", pa.int64()),
-            ("l1_cents", pa.int64()),
-        ]
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "bkt": pa.array([], pa.int64()),
-                    "k": pa.array([], pa.int64()),
-                    "t": pa.array([], pa.int64()),
-                    "e": pa.array([], pa.int64()),
-                    "v": pa.array([], pa.int64()),
-                }
-            )
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        t = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        e = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = np.floor(
-            batch.column(val_col).cast(pa.float64()).to_numpy(zero_copy_only=False)
-            * 100.0
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": pa.array(k),
-                "t": pa.array(t),
-                "e": pa.array(e),
-                "v": pa.array(v),
-            }
-        )
-
-    def bucket_motifs(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        t = group.column("t").to_numpy(zero_copy_only=False)
-        e = group.column("e").to_numpy(zero_copy_only=False)
-        v = group.column("v").to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, t, k))
-        k, v = k[order], v[order]
-        starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        ends = np.concatenate((starts[1:], [k.size]))
-        ks: List[int] = []
-        ia: List[int] = []
-        ib: List[int] = []
-        dd: List[int] = []
-        for s, en in zip(starts, ends):
-            series = v[s:en]
-            if series.size < 2 * win:
-                continue
-            w = np.lib.stride_tricks.sliding_window_view(series, win)
-            d = np.abs(w[:, None, :] - w[None, :, :]).sum(axis=2)
-            i_idx, j_idx = np.meshgrid(
-                np.arange(w.shape[0]), np.arange(w.shape[0]), indexing="ij"
-            )
-            valid = j_idx >= i_idx + win
-            dv = d[valid]
-            iv, jv = i_idx[valid], j_idx[valid]
-            best = dv.min()
-            cand = np.flatnonzero(dv == best)
-            # ties: smallest ia then ib — candidate order is already
-            # row-major (i asc, j asc), so the first hit wins
-            c = cand[0]
-            ks.append(int(k[s]))
-            ia.append(int(iv[c]) + 1)
-            ib.append(int(jv[c]) + 1)
-            dd.append(int(best))
-        return pa.table(
-            {
-                key_col: pa.array(ks, pa.int64()),
-                "win_a": pa.array(ia, pa.int64()),
-                "win_b": pa.array(ib, pa.int64()),
-                "l1_cents": pa.array(dd, pa.int64()),
-            }
-        )
-
-    return _anchor_schema(
-        events.select_columns([key_col, ts_col, id_col, val_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_motifs, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
-def regression_fit_ds(
-    orders: Dataset,
-    key_col: str = "o_custkey",
-    ts_col: str = "o_orderdate",
-    val_col: str = "o_totalprice",
-    day_us: int = 86_400_000_000,
-    min_n: int = 3,
-) -> Dataset:
-    """Per-key ordinary-least-squares goodness of fit: the exact
-    R-squared (permille) of spend-cents against order-day — the
-    model-quality audit over the same (x, y) pairs whose slope the
-    ``trend`` operator reports.  All moments are integer sums;
-    R^2 = (n*sxy - sx*sy)^2 / ((n*sxx - sx^2)(n*syy - sy^2)) is
-    evaluated in arbitrary-precision Python ints (the numerator square
-    exceeds int64), floor-quantized to permille.  Keys with fewer than
-    ``min_n`` orders or a degenerate variance are excluded.
-
-    Scale shape: per-batch moment combiner (6 int64 partials per key)
-    -> ONE groupby over the key domain -> a vectorized-percolumn
-    map_batches evaluates the big-int formula on the report-sized
-    aggregate; nothing collects on the driver."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "k": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "sx": pa.array([], pa.int64()),
-                "sy": pa.array([], pa.int64()),
-                "sxx": pa.array([], pa.int64()),
-                "sxy": pa.array([], pa.int64()),
-                "syy": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        x = (
-            batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-            // day_us
-        )
-        y = np.floor(
-            batch.column(val_col).cast(pa.float64()).to_numpy(zero_copy_only=False)
-            * 100.0
-        ).astype(np.int64)
-        t = pa.table(
-            {
-                "k": pa.array(k),
-                "n": pa.array(np.ones(k.size, dtype=np.int64)),
-                "sx": pa.array(x),
-                "sy": pa.array(y),
-                "sxx": pa.array(x * x),
-                "sxy": pa.array(x * y),
-                "syy": pa.array(y * y),
-            }
-        )
-        g = t.group_by("k").aggregate(
-            [
-                ("n", "sum"),
-                ("sx", "sum"),
-                ("sy", "sum"),
-                ("sxx", "sum"),
-                ("sxy", "sum"),
-                ("syy", "sum"),
-            ]
-        )
-        return g.rename_columns(["k", "n", "sx", "sy", "sxx", "sxy", "syy"])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                key_col: pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "r2_permille": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0 or "k" not in batch.column_names:
-            return empty
-        ks = batch.column("k").to_pylist()
-        n = batch.column("sum(n)").to_pylist()
-        sx = batch.column("sum(sx)").to_pylist()
-        sy = batch.column("sum(sy)").to_pylist()
-        sxx = batch.column("sum(sxx)").to_pylist()
-        sxy = batch.column("sum(sxy)").to_pylist()
-        syy = batch.column("sum(syy)").to_pylist()
-        ok: List[int] = []
-        nn: List[int] = []
-        r2: List[int] = []
-        for i in range(len(ks)):
-            if n[i] < min_n:
-                continue
-            dx = n[i] * sxx[i] - sx[i] * sx[i]
-            dy = n[i] * syy[i] - sy[i] * sy[i]
-            if dx <= 0 or dy <= 0:
-                continue
-            num = n[i] * sxy[i] - sx[i] * sy[i]
-            ok.append(ks[i])
-            nn.append(n[i])
-            r2.append(num * num * 1000 // (dx * dy))
-        return pa.table(
-            {
-                key_col: pa.array(ok, pa.int64()),
-                "n": pa.array(nn, pa.int64()),
-                "r2_permille": pa.array(r2, pa.int64()),
-            }
-        )
-
-    return (
-        orders.select_columns([key_col, ts_col, val_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("k")
-        .aggregate(Sum("n"), Sum("sx"), Sum("sy"), Sum("sxx"), Sum("sxy"), Sum("syy"))
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
     )
 
 
@@ -9975,108 +5791,6 @@ def gini_stump_ds(
                 "n_left": pa.array([r[2] for r in rows], pa.int64()),
                 "n_right": pa.array([r[3] for r in rows], pa.int64()),
                 "impurity_e6": pa.array([r[0] for r in rows], pa.int64()),
-            }
-        )
-    )
-
-
-def seasonal_naive_error_ds(
-    events: Dataset,
-    type_col: str = "event_type",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    period_days: int = 7,
-    day_us: int = 86_400_000_000,
-) -> Dataset:
-    """Forecast-baseline accuracy audit: the mean absolute error of the
-    SEASONAL-NAIVE predictor (today's daily total = the total
-    ``period_days`` ago) per event type — the sanity floor every
-    demand/traffic forecasting model must beat (Hyndman & Athanasopoulos,
-    "Forecasting: Principles and Practice").  Days without a
-    lag-``period_days`` observation are excluded from the evaluation.
-    All values are exact cents; ``mae_cents_e3 = err_sum * 1000 // n``.
-
-    Scale shape: per-batch (type, day) cents combiner -> ONE groupby
-    over the bounded (type x day) domain -> the lag join runs on the
-    collected daily table (days x types, report-sized by construction)."""
-    out_schema = pa.schema(
-        [
-            (type_col, pa.string()),
-            ("n_eval", pa.int64()),
-            ("abs_err_sum", pa.int64()),
-            ("mae_cents_e3", pa.int64()),
-        ]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    type_col: pa.array([], pa.string()),
-                    "day": pa.array([], pa.int64()),
-                    "s": pa.array([], pa.int64()),
-                }
-            )
-        t = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = np.floor(
-            batch.column(val_col).cast(pa.float64()).to_numpy(zero_copy_only=False)
-            * 100.0
-        ).astype(np.int64)
-        g = (
-            pa.table(
-                {
-                    type_col: batch.column(type_col),
-                    "day": pa.array(t // day_us, pa.int64()),
-                    "s": pa.array(v, pa.int64()),
-                }
-            )
-            .group_by([type_col, "day"])
-            .aggregate([("s", "sum")])
-        )
-        return g.rename_columns([type_col, "day", "s"])
-
-    df = _small_df(
-        events.select_columns([type_col, ts_col, val_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([type_col, "day"])
-        .aggregate(Sum("s")),
-        {type_col: object, "day": np.int64, "sum(s)": np.int64},
-    )
-    if not len(df):
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        )
-    typ = df[type_col].astype(str).to_numpy()
-    day = df["day"].to_numpy(np.int64)
-    s = df["sum(s)"].to_numpy(np.int64)
-    order = np.lexsort((day, typ))
-    typ, day, s = typ[order], day[order], s[order]
-    starts = np.flatnonzero(np.concatenate(([True], typ[1:] != typ[:-1])))
-    ends = np.concatenate((starts[1:], [typ.size]))
-    names: List[str] = []
-    nn: List[int] = []
-    es: List[int] = []
-    me: List[int] = []
-    for st, en in zip(starts, ends):
-        d, v = day[st:en], s[st:en]
-        pos = np.searchsorted(d, d - period_days)
-        pos_c = np.clip(pos, 0, d.size - 1)
-        hit = d[pos_c] == d - period_days
-        if not hit.any():
-            continue
-        err = int(np.abs(v[hit] - v[pos_c][hit]).sum())
-        n = int(hit.sum())
-        names.append(str(typ[st]))
-        nn.append(n)
-        es.append(err)
-        me.append(err * 1000 // n)
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                type_col: pa.array(names, pa.string()),
-                "n_eval": pa.array(nn, pa.int64()),
-                "abs_err_sum": pa.array(es, pa.int64()),
-                "mae_cents_e3": pa.array(me, pa.int64()),
             }
         )
     )
@@ -10855,218 +6569,6 @@ def rare_token_pairs_ds(
     )
 
 
-def temporal_split_ds(
-    events: Dataset,
-    ts_col: str = "ts",
-    type_col: str = "event_type",
-    day_us: int = 86_400_000_000,
-    train_pct: int = 70,
-    valid_pct: int = 15,
-) -> Dataset:
-    """Leakage-free temporal train/valid/test split report: cutoff DAYS
-    are exact discrete quantiles of the event-day distribution (smallest
-    day with ``cum * 100 >= pct * N``), so everything before the cutoff
-    trains and nothing after leaks backwards — the time-ordered split
-    every forecasting / recsys eval needs instead of a hash split.
-    Emits per (split, event_type): row count and day bounds.
-
-    Scale shape: (day) count combiner -> bounded day-domain groupby ->
-    cutoffs on the collected day table; the per-(split, type) counts
-    come from ONE more combiner + tiny groupby (cutoffs broadcast in the
-    closure)."""
-    out_schema = pa.schema(
-        [
-            ("split", pa.string()),
-            (type_col, pa.string()),
-            ("n_events", pa.int64()),
-            ("day_min", pa.int64()),
-            ("day_max", pa.int64()),
-        ]
-    )
-
-    def day_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"day": pa.array([], pa.int64()), "c": pa.array([], pa.int64())}
-            )
-        t = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        g = (
-            pa.table({"day": pa.array(t // day_us, pa.int64())})
-            .group_by("day")
-            .aggregate([("day", "count")])
-        )
-        return pa.table(
-            {"day": g.column("day"), "c": g.column("day_count").cast(pa.int64())}
-        )
-
-    days = _small_df(
-        events.select_columns([ts_col])
-        .map_batches(day_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day")
-        .aggregate(Sum("c")),
-        {"day": np.int64, "sum(c)": np.int64},
-    )
-    if not len(days):
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        )
-    d = days["day"].to_numpy(np.int64)
-    c = days["sum(c)"].to_numpy(np.int64)
-    order = np.argsort(d)
-    d, c = d[order], c[order]
-    cum = np.cumsum(c)
-    n = int(cum[-1])
-    t1 = int(d[np.searchsorted(cum * 100, train_pct * n, side="left")])
-    t2 = int(
-        d[np.searchsorted(cum * 100, (train_pct + valid_pct) * n, side="left")]
-    )
-
-    def split_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "split": pa.array([], pa.string()),
-                    type_col: pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                    "dmin": pa.array([], pa.int64()),
-                    "dmax": pa.array([], pa.int64()),
-                }
-            )
-        t = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = t // day_us
-        split = np.where(day <= t1, "train", np.where(day <= t2, "valid", "test"))
-        g = (
-            pa.table(
-                {
-                    "split": pa.array(split.astype(object)),
-                    type_col: batch.column(type_col),
-                    "day": pa.array(day, pa.int64()),
-                }
-            )
-            .group_by(["split", type_col])
-            .aggregate([("day", "count"), ("day", "min"), ("day", "max")])
-        )
-        return pa.table(
-            {
-                "split": g.column("split"),
-                type_col: g.column(type_col),
-                "n": g.column("day_count").cast(pa.int64()),
-                "dmin": g.column("day_min"),
-                "dmax": g.column("day_max"),
-            }
-        )
-
-    agg = _small_df(
-        events.select_columns([ts_col, type_col])
-        .map_batches(split_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["split", type_col])
-        .aggregate(Sum("n"), Min("dmin"), Max("dmax")),
-        {
-            "split": object,
-            type_col: object,
-            "sum(n)": np.int64,
-            "min(dmin)": np.int64,
-            "max(dmax)": np.int64,
-        },
-    )
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "split": pa.array(agg["split"].astype(str), pa.string()),
-                type_col: pa.array(agg[type_col].astype(str), pa.string()),
-                "n_events": pa.array(agg["sum(n)"].to_numpy(np.int64), pa.int64()),
-                "day_min": pa.array(agg["min(dmin)"].to_numpy(np.int64), pa.int64()),
-                "day_max": pa.array(agg["max(dmax)"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-    )
-
-
-def join_card_estimate_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    sample_mod: int = 16,
-) -> Dataset:
-    """Sampling-based join-cardinality estimator AUDIT (the query-planner
-    primitive): the self-join size on ``key_col`` is ``sum_k c_k^2``;
-    the estimator samples keys with ``md5(key) % sample_mod == 0`` and
-    scales by ``sample_mod`` (each key's quadratic contribution is
-    included with probability 1/mod, so the scaled sum is unbiased).
-    Emits one row: exact size, estimate, and the signed error permille —
-    the calibration check before trusting sampled statistics for plan
-    choices at scale.
-
-    Scale shape: per-key count combiner -> ONE key groupby -> per-batch
-    quadratic partials (exact and sampled) -> single-row fold; the
-    sample never materializes."""
-    import hashlib
-
-    def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "k": pa.array([], pa.int64()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        g = (
-            pa.table({"k": pa.array(k, pa.int64())})
-            .group_by("k")
-            .aggregate([("k", "count")])
-        )
-        return pa.table(
-            {"k": g.column("k"), "c": g.column("k_count").cast(pa.int64())}
-        )
-
-    def quad(batch: pa.Table) -> pa.Table:
-        cols = ["actual", "est_contrib"]
-        if batch.num_rows == 0 or "k" not in batch.column_names:
-            return pa.table({c: pa.array([], pa.int64()) for c in cols})
-        k = batch.column("k").to_numpy(zero_copy_only=False)
-        c = batch.column("sum(c)").to_numpy(zero_copy_only=False)
-        sq = c * c
-        sampled = np.fromiter(
-            (
-                int(hashlib.md5(str(int(x)).encode()).hexdigest()[:8], 16)
-                % sample_mod
-                == 0
-                for x in k
-            ),
-            bool,
-            count=k.size,
-        )
-        return pa.table(
-            {
-                "actual": pa.array([int(sq.sum())], pa.int64()),
-                "est_contrib": pa.array([int(sq[sampled].sum())], pa.int64()),
-            }
-        )
-
-    parts = _small_df(
-        events.select_columns([key_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("k")
-        .aggregate(Sum("c"))
-        .map_batches(quad, batch_format="pyarrow", zero_copy_batch=True),
-        {"actual": np.int64, "est_contrib": np.int64},
-    )
-    actual = int(parts["actual"].sum()) if len(parts) else 0
-    est = (int(parts["est_contrib"].sum()) if len(parts) else 0) * sample_mod
-    err = abs(est - actual) * 1000 // actual if actual > 0 else 0
-    sign = 1 if est > actual else (-1 if est < actual else 0)
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "actual_join_rows": pa.array([actual], pa.int64()),
-                "estimated_join_rows": pa.array([est], pa.int64()),
-                "abs_err_permille": pa.array([err], pa.int64()),
-                "err_sign": pa.array([sign], pa.int64()),
-            }
-        )
-    )
-
-
 def bottomk_sample_ds(
     docs: Dataset,
     id_col: str = "doc_id",
@@ -11751,149 +7253,6 @@ def kmv_intersection_ds(
                 "abs_err_permille": pa.array([r[4] for r in rows], pa.int64()),
             }
         )
-    )
-
-
-def cohort_ltv_ds(
-    events: Dataset,
-    week_us: int = 7 * 86_400 * 1_000_000,
-    ts_col: str = "ts",
-    user_col: str = "user_id",
-    value_col: str = "value",
-    n_buckets: int = 512,
-) -> Dataset:
-    """Cohort LIFETIME-VALUE triangle: revenue (exact cents) and active
-    users per ``(cohort_week, age_weeks)`` cell, where a user's cohort
-    is their first active week — the monetization counterpart of
-    :func:`cohort_retention_ds` (which only counts activity).
-
-    Scale shape: per-batch ``(user, week, sum cents)`` combiner -> ONE
-    shuffle by ``mix64(user) % n_buckets`` (bounded group count) ->
-    in-bucket lexsort segments users, cohort = each segment's first
-    week, cents partials collapse per distinct (user, week) -> final
-    tiny groupby over the (weeks x ages) domain."""
-    out_schema = pa.schema(
-        [
-            ("cohort_week", pa.int64()),
-            ("age_weeks", pa.int64()),
-            ("n_users", pa.int64()),
-            ("revenue_cents", pa.int64()),
-        ]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "u": pa.array([], pa.int64()),
-                "w": pa.array([], pa.int64()),
-                "c": pa.array([], pa.int64()),
-                "bkt": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        v = pc.fill_null(batch.column(value_col), 0.0).to_numpy(
-            zero_copy_only=False
-        )
-        t = (
-            pa.table(
-                {
-                    "u": batch.column(user_col).cast(pa.int64()),
-                    "w": pc.divide(
-                        batch.column(ts_col).cast(pa.int64()),
-                        pa.scalar(week_us, pa.int64()),
-                    ),
-                    "c": pa.array(
-                        np.floor(v * 100.0).astype(np.int64), pa.int64()
-                    ),
-                }
-            )
-            .group_by(["u", "w"])
-            .aggregate([("c", "sum")])
-        )
-        u = t.column("u").to_numpy(zero_copy_only=False)
-        bkt = (_mix64(u) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table(
-            {
-                "u": t.column("u"),
-                "w": t.column("w"),
-                "c": t.column("c_sum").cast(pa.int64()),
-                "bkt": pa.array(bkt),
-            }
-        )
-
-    pairs = events.select_columns([user_col, ts_col, value_col]).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def bucket_fold(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "cohort_week": pa.array([], pa.int64()),
-                "age_weeks": pa.array([], pa.int64()),
-                "n_partial": pa.array([], pa.int64()),
-                "c_partial": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        u = group.column("u").to_numpy(zero_copy_only=False)
-        w = group.column("w").to_numpy(zero_copy_only=False)
-        c = group.column("c").to_numpy(zero_copy_only=False)
-        order = np.lexsort((w, u))
-        u, w, c = u[order], w[order], c[order]
-        # collapse cross-block partials of the same (u, w)
-        first = np.concatenate(([True], (u[1:] != u[:-1]) | (w[1:] != w[:-1])))
-        idx = np.flatnonzero(first)
-        cu, cw = u[idx], w[idx]
-        cc = np.add.reduceat(c, idx)
-        seg_first = np.concatenate(([True], cu[1:] != cu[:-1]))
-        cohort = cw[
-            np.maximum.accumulate(np.where(seg_first, np.arange(len(cw)), 0))
-        ]
-        t = (
-            pa.table(
-                {
-                    "cohort_week": pa.array(cohort, pa.int64()),
-                    "age_weeks": pa.array(cw - cohort, pa.int64()),
-                    "n": pa.array(np.ones(len(cw), np.int64), pa.int64()),
-                    "c": pa.array(cc, pa.int64()),
-                }
-            )
-            .group_by(["cohort_week", "age_weeks"])
-            .aggregate([("n", "sum"), ("c", "sum")])
-        )
-        return pa.table(
-            {
-                "cohort_week": t.column("cohort_week"),
-                "age_weeks": t.column("age_weeks"),
-                "n_partial": t.column("n_sum").cast(pa.int64()),
-                "c_partial": t.column("c_sum").cast(pa.int64()),
-            }
-        )
-
-    agg = (
-        pairs.groupby("bkt")
-        .map_groups(bucket_fold, batch_format="pyarrow")
-        .groupby(["cohort_week", "age_weeks"])
-        .aggregate(Sum("n_partial"), Sum("c_partial"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "cohort_week" not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        return pa.table(
-            {
-                "cohort_week": batch.column("cohort_week").cast(pa.int64()),
-                "age_weeks": batch.column("age_weeks").cast(pa.int64()),
-                "n_users": batch.column("sum(n_partial)").cast(pa.int64()),
-                "revenue_cents": batch.column("sum(c_partial)").cast(pa.int64()),
-            }
-        )
-
-    return _anchor_schema(
-        agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
-        out_schema,
     )
 
 

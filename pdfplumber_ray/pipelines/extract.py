@@ -86,60 +86,6 @@ def extract_spans_ds(docs: Dataset, cfg: Optional[PipelineConfig] = None) -> Dat
     return stage_map_batches(docs, ExtractSpans(cfg), batch_size=cfg.batch_size)
 
 
-def extract_spans_staged_ds(
-    docs: Dataset,
-    cfg: Optional[PipelineConfig] = None,
-) -> Dataset:
-    """Staged assembly variant of the flagship (SURVEY.md §3 engine
-    shape): decode to page rows -> per-page span extraction -> light
-    ``groupby(doc_id)`` concat ordered by page_number. Same result as the
-    fused path (tested); use when page rows are needed mid-pipeline or
-    when one document's pages must process on different workers (salting
-    for oversized docs — pages are the natural salt)."""
-    from ..stages.decode import PagesToPageSpans, assemble_doc_spans_group
-
-    cfg = cfg or PipelineConfig()
-    pages = decode_pages_ds(docs, cfg)
-    page_spans = stage_map_batches(
-        pages, PagesToPageSpans(cfg), batch_size=cfg.batch_size
-    )
-    return page_spans.groupby("doc_id").map_groups(
-        assemble_doc_spans_group, batch_format="pyarrow"
-    )
-
-
-def extract_spans_skew_aware(
-    docs: Dataset,
-    cfg: Optional[PipelineConfig] = None,
-    span_threshold: int = 1500,
-) -> Dataset:
-    """Flagship extraction with explicit skew isolation (SURVEY.md §4):
-    pathological documents (span count above ``span_threshold``, ~1 % of
-    the corpus at 100x median size) are routed to their own stage with
-    ``batch_size=1`` so a heavy doc occupies exactly one task and can
-    never pin a wave of normal work; both branches stream and union.
-
-    The span-count predicate is a cheap Arrow kernel over the already-read
-    batch — no extra decode pass."""
-    import pyarrow.compute as pc
-
-    cfg = cfg or PipelineConfig()
-
-    def light_only(batch: pa.Table) -> pa.Table:
-        n = pc.list_value_length(batch.column("spans"))
-        return batch.filter(pc.less_equal(n, span_threshold))
-
-    def heavy_only(batch: pa.Table) -> pa.Table:
-        n = pc.list_value_length(batch.column("spans"))
-        return batch.filter(pc.greater(n, span_threshold))
-
-    light = docs.map_batches(light_only, batch_format="pyarrow", zero_copy_batch=True)
-    heavy = docs.map_batches(heavy_only, batch_format="pyarrow", zero_copy_batch=True)
-    out_light = extract_spans_ds(light, cfg)
-    out_heavy = extract_spans_ds(heavy, cfg.with_(batch_size=1))
-    return out_light.union(out_heavy)
-
-
 def split_errors(out_spans: Dataset) -> Dataset:
     """Dead-letter view: quarantined docs only (vectorized Arrow filter)."""
     import pyarrow.compute as pc

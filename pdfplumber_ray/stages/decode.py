@@ -14,7 +14,7 @@ pattern; the reference would raise, pdf.py:65-108).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -23,8 +23,8 @@ from ..config import PipelineConfig, SynthLayoutConfig, TableConfig, WordConfig
 from ..functions.words import extract_words_page
 from ..functions.textmap import extract_text_page, extract_text_simple_page
 from ..schemas import ANNOT, CHAR, CURVE, IMAGE, LINE, RECT, SPAN
-from .flatten import extract_doc_spans, page_tables
-from .layout import LayoutError, PageDict, layout_doc, layout_doc_fields
+from .flatten import extract_doc_spans, page_table_cells
+from .layout import PageDict, layout_doc_fields
 
 _CHAR_FIELDS = (
     "text", "x0", "x1", "top", "bottom", "doctop", "size", "fontname",
@@ -38,16 +38,10 @@ def _spans_column(span_lists: List[List[Dict]]) -> pa.Array:
     return pa.array(span_lists, type=pa.list_(SPAN))
 
 
-def docs_batch_rows(batch: pa.Table) -> Iterable[Tuple[str, List[Dict]]]:
-    doc_ids = batch.column("doc_id").to_pylist()
-    spans = batch.column("spans").to_pylist()
-    return zip(doc_ids, spans)
-
-
 def docs_batch_fields(batch: pa.Table):
     """Hot-path iterator: (doc_id, kinds, texts, medias) numpy slices per
     doc, sliced straight out of the Arrow span struct children — no
-    per-span dict is ever built (docs_batch_rows kept for cold paths)."""
+    per-span dict is ever built."""
     col = batch.column("spans").combine_chunks()
     offs = col.offsets.to_numpy()
     values = col.values
@@ -570,65 +564,6 @@ class PagesToMcidText:
         )
 
 
-class PagesToPageSpans:
-    """Per-page flattening WITHOUT doc assembly: emits one row per page
-    with that page's ordered span structs (offsets unassigned). Feeds the
-    staged assembly path (``groupby(doc_id)`` concat) — blocks never split
-    across pages, so per-page extraction is complete (stages/layout.py)."""
-
-    def __init__(self, cfg: Optional[PipelineConfig] = None):
-        cfg = cfg or PipelineConfig()
-        self.word_cfg = cfg.word
-        self.table_cfg = cfg.table
-        self.synth_cfg = cfg.synth
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .flatten import extract_doc_spans
-
-        doc_ids: List[str] = []
-        pns: List[int] = []
-        spans_out: List[List[Dict]] = []
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            spans = extract_doc_spans(
-                [page], self.word_cfg, self.table_cfg, self.synth_cfg
-            )
-            doc_ids.append(doc_id)
-            pns.append(int(page["page_number"]))
-            spans_out.append(spans)
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.string()),
-                "page_number": pa.array(pns, pa.int32()),
-                "spans": _spans_column(spans_out),
-            }
-        )
-
-
-def assemble_doc_spans_group(group: pa.Table) -> pa.Table:
-    """One doc's page-span rows -> one OUT_SPANS row: concat ordered by
-    page_number, reassign running offsets (the light per-doc gather of
-    SURVEY.md §4 — inputs are already reduced per page)."""
-    from ..sources.synth_corpus import assign_offsets
-
-    pns = group.column("page_number").to_numpy()
-    order = np.argsort(pns, kind="stable")
-    span_lists = group.column("spans").to_pylist()
-    merged: List[Dict] = []
-    for i in order:
-        merged.extend(span_lists[i])
-    offsets = assign_offsets([s["text"] for s in merged])
-    for s, o in zip(merged, offsets):
-        s["offset"] = o
-    return pa.table(
-        {
-            "doc_id": group.column("doc_id").slice(0, 1),
-            "spans": _spans_column([merged]),
-            "n_pages": pa.array([group.num_rows], pa.int32()),
-            "error": pa.array([None], pa.string()),
-        }
-    )
-
-
 class PagesFilter:
     """Arbitrary user predicate over the char table (the reference's
     ``Page.filter``, page.py:545-546 / FilteredPage page.py:689-703):
@@ -886,28 +821,4 @@ class PagesToTables:
 
 def page_tables_full(page: PageDict, table_cfg: TableConfig):
     """Like flatten.page_tables but keeps the row/col structure."""
-    from ..functions.geometry import concat_edges
-    from ..functions.tables import find_tables_page, page_cell_texts
-    from .flatten import page_edge_union
-
-    # full edge source (rects + lines + curve segments), same as the
-    # fused path (container.py:84-90 union) — real-PDF tables are often
-    # drawn with stroked lines, not rects
-    edges = page_edge_union(page)
-    if edges is None:
-        if "text" not in (
-            table_cfg.vertical_strategy, table_cfg.horizontal_strategy
-        ) and not (
-            table_cfg.explicit_vertical_lines or table_cfg.explicit_horizontal_lines
-        ):
-            return []
-        edges = concat_edges([])
-    bbox = (0.0, 0.0, page["page_width"], page["page_height"])
-    chars = page["chars"]
-    tables = find_tables_page(
-        edges,
-        table_cfg,
-        bbox,
-        words_provider=lambda: extract_words_page(chars, WordConfig()),
-    )
-    return [(t.bbox, rows) for t, rows in zip(tables, page_cell_texts(chars, tables))]
+    return [(t.bbox, rows) for t, rows in page_table_cells(page, table_cfg)]

@@ -33,7 +33,7 @@ from ..functions.geometry import (
     midpoint_in_bbox_mask,
     rects_to_edges,
 )
-from ..functions.tables import find_tables_page, page_cell_texts
+from ..functions.tables import PageTable, find_tables_page, page_cell_texts
 from ..functions.words import extract_words_page
 from ..sources.synth_corpus import assign_offsets
 from .layout import PageDict
@@ -62,25 +62,44 @@ def page_edge_union(page: PageDict):
     return concat_edges(parts)
 
 
-def page_tables(
+def page_table_cells(
     page: PageDict, table_cfg: TableConfig
-) -> List[Tuple[Tuple[float, float, float, float], List[str]]]:
-    """Detected tables on one page -> [(bbox, row-major texts of the present
-    cells)]."""
+) -> List[Tuple[PageTable, List[List[Optional[str]]]]]:
+    """Detected tables on one page with their rows of cell text, for
+    ``page_tables`` and ``decode.page_tables_full``. The text strategy
+    builds its words with the table's ``text_settings``, as the
+    reference's ``TableFinder.get_edges`` does (table.py:580-671), and
+    needs no edges on the page."""
     edges = page_edge_union(page)
     if edges is None:
-        return []
+        if "text" not in (
+            table_cfg.vertical_strategy, table_cfg.horizontal_strategy
+        ) and not (
+            table_cfg.explicit_vertical_lines or table_cfg.explicit_horizontal_lines
+        ):
+            return []
+        edges = concat_edges([])
     bbox = (0.0, 0.0, page["page_width"], page["page_height"])
     chars = page["chars"]
     tables = find_tables_page(
         edges,
         table_cfg,
         bbox,
-        words_provider=lambda: extract_words_page(chars, WordConfig()),
+        words_provider=lambda: extract_words_page(
+            chars, WordConfig.from_kwargs(**table_cfg.text_settings)
+        ),
     )
+    return list(zip(tables, page_cell_texts(chars, tables)))
+
+
+def page_tables(
+    page: PageDict, table_cfg: TableConfig
+) -> List[Tuple[Tuple[float, float, float, float], List[str]]]:
+    """Detected tables on one page -> [(bbox, row-major texts of the present
+    cells)]."""
     out = [
         (t.bbox, [text for row in rows for text in row if text is not None])
-        for t, rows in zip(tables, page_cell_texts(chars, tables))
+        for t, rows in page_table_cells(page, table_cfg)
     ]
     # reading order: top-left first (cells_to_tables already sorts groups,
     # but order defensively by geometric position)

@@ -1,6 +1,7 @@
-"""Corpus-statistics, span analytics and relational/event-stream
-operators: crafted-input semantics (skew, ties, empty inputs, band
-boundaries) beyond the sf0.01 oracle sweep."""
+"""Corpus statistics and span analytics: crafted-input semantics (skew,
+ties, empty inputs, band boundaries) beyond the sf0.01 oracle sweep, plus
+the event-stream operators that no query runs yet (the reachability guard
+in ``test_registry.py`` lists them)."""
 
 import numpy as np
 import pyarrow as pa
@@ -198,20 +199,6 @@ def test_empty_inputs(ray_session):
     assert an.postings_ds(docs).take_all() == []
 
 
-def test_window_users_exact_distinct(ray_session):
-    ev = _events(
-        [
-            (1, 1, 0, "view", 0.0),
-            (2, 1, 5, "view", 0.0),              # same user, same window
-            (3, 2, 10, "view", 0.0),             # second user, same window
-            (4, 1, 3_600_000_000, "view", 0.0),  # next window
-        ]
-    )
-    rows = {r["window_start_s"]: r["n_users"]
-            for r in an.window_users_ds(ev, width_s=3600).take_all()}
-    assert rows == {0: 2, 3600: 1}
-
-
 def test_grouped_heavy_hitters_rank_and_ties(ray_session):
     docs = ray.data.from_arrow(
         pa.table(
@@ -296,22 +283,6 @@ def test_typed_result_passthrough_nonempty(ray_session):
     assert out.to_pandas()["a"].tolist() == [1, 2]
     # non-Dataset results pass through untouched
     assert E._typed_result(t) is t
-
-
-def test_running_total_segmented_cumsum(ray_session):
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "event_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
-                "user_id": pa.array([7, 7, 7, 8, 8], pa.int64()),
-                "ts": pa.array([10, 30, 20, 5, 6], pa.timestamp("us")),
-                "value": pa.array([1.5, 2.25, 3.0, 10.0, 0.5]),
-            }
-        )
-    )
-    out = {r["event_id"]: r["run_total_e"] for r in an.running_total_ds(ev).take_all()}
-    # user 7 ordered by ts: e1(150), e3(+300=450), e2(+225=675)
-    assert out == {1: 150, 3: 450, 2: 675, 4: 1000, 5: 1050}
 
 
 def test_rollup_levels(ray_session):
@@ -421,25 +392,6 @@ def test_hash_join_collision_guard(ray_session):
         an.hash_join_ds(left, right, "k", "rk")
 
 
-def test_window_frames_hand_computed(ray_session):
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "event_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
-                "user_id": pa.array([7, 7, 7, 7, 8], pa.int64()),
-                "ts": pa.array([10, 20, 30, 40, 100], pa.timestamp("us")),
-                "value": pa.array([1.0, 2.0, 3.0, 4.0, 9.0]),
-            }
-        )
-    )
-    out = {r["event_id"]: r for r in an.window_frames_ds(ev, trail_rows=3).take_all()}
-    # run totals: 100, 300, 600, 1000; trailing-3: 100, 300, 600, 900
-    assert [out[i]["run_total_e"] for i in (1, 2, 3, 4)] == [100, 300, 600, 1000]
-    assert [out[i]["trail_e"] for i in (1, 2, 3, 4)] == [100, 300, 600, 900]
-    assert [out[i]["delta_us"] for i in (1, 2, 3, 4)] == [-1, 10, 10, 10]
-    assert out[5]["delta_us"] == -1 and out[5]["trail_e"] == 900
-
-
 def test_ntile_sizing_rule(ray_session):
     # N=10, k=4 -> tiles of 3,3,2,2 over (v, id) order
     docs = ray.data.from_arrow(
@@ -543,72 +495,6 @@ def test_transitions_empty_and_singletons(ray_session):
     assert an.transitions_ds(ev).take_all() == []
 
 
-def test_pivot_zero_cells_and_unlisted_category(ray_session):
-    t = ray.data.from_arrow(
-        pa.table(
-            {
-                "g": pa.array([2024, 2024, 2025], pa.int64()),
-                "cat": pa.array(["A", "B", "ZZZ"], pa.string()),
-                "v": pa.array([1.25, 2.0, 99.0], pa.float64()),
-            }
-        )
-    )
-    rows = {
-        r["g"]: r
-        for r in an.pivot_ds(
-            t, "g", "cat", "v", categories=[("A", "a"), ("B", "b")], quant=100
-        ).take_all()
-    }
-    # 2025's only row has an unlisted category -> the group vanishes
-    # entirely (SQL FILTER semantics would keep an all-zero row only if
-    # another listed row existed for that group)
-    assert set(rows) == {2024}
-    r = rows[2024]
-    assert (r["n_a"], r["n_b"]) == (1, 1)
-    assert (r["q_a"], r["q_b"]) == (125, 200)
-
-
-def test_profile_nulls_distinct_minmax(ray_session):
-    t = ray.data.from_arrow(
-        pa.table(
-            {
-                "x": pa.array([1.0, 1.0, 2.5, None], pa.float64()),
-                "y": pa.array([-3.0, 0.0, 0.0, 7.0], pa.float64()),
-            }
-        )
-    )
-    rows = {
-        r["column_name"]: r
-        for r in an.profile_ds(t, columns=[("x", 100), ("y", 1)]).take_all()
-    }
-    x = rows["x"]
-    assert (x["n_rows"], x["n_nulls"], x["n_distinct"]) == (4, 1, 2)
-    assert (x["min_q"], x["max_q"]) == (100, 250)
-    y = rows["y"]
-    assert (y["n_rows"], y["n_nulls"], y["n_distinct"]) == (4, 0, 3)
-    assert (y["min_q"], y["max_q"]) == (-3, 7)
-
-
-def test_set_overlap_segments(ray_session):
-    ev = _events(
-        [
-            (1, 1, 100, "click", 0),
-            (2, 1, 200, "purchase", 0),
-            (3, 2, 300, "click", 0),
-            (4, 3, 400, "purchase", 0),
-            (5, 4, 500, "view", 0),  # neither -> dropped
-        ]
-    )
-    rows = {
-        r["user_id"]: r["segment"]
-        for r in an.set_overlap_ds(
-            ev, type_a="click", type_b="purchase",
-            label_a="click_only", label_b="purchase_only",
-        ).take_all()
-    }
-    assert rows == {1: "both", 2: "click_only", 3: "purchase_only"}
-
-
 def test_user_paths_ordered_concat(ray_session):
     ev = _events(
         [
@@ -697,24 +583,6 @@ def test_attribution_single_event_user(ray_session):
     assert r["first_ts_us"] == r["last_ts_us"] == 777 and r["n_events"] == 1
 
 
-def _orders(rows):
-    """rows: list of (o_orderkey, o_orderdate_us, o_totalprice)."""
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "o_orderkey": pa.array([r[0] for r in rows], pa.int64()),
-                "o_orderdate": pa.array([r[1] for r in rows], pa.timestamp("us")),
-                "o_totalprice": pa.array([float(r[2]) for r in rows], pa.float64()),
-            }
-        )
-    )
-
-
-DAY = 86_400_000_000
-MONTH_JAN = 0  # 1970-01
-MONTH_FEB = 31 * DAY
-
-
 def test_sessions_gap_split_and_ordinals(ray_session):
     g = 1_800_000_000  # 30 min
     ev = _events(
@@ -745,43 +613,6 @@ def test_sessions_bucket_invariant(ray_session):
     a = {tuple(sorted(r.items())) for r in an.sessions_ds(ev, n_buckets=2).take_all()}
     b = {tuple(sorted(r.items())) for r in an.sessions_ds(ev, n_buckets=64).take_all()}
     assert a == b and len(a) == 70  # every event 2000s apart -> own session
-
-
-def test_ohlc_bars_open_close_tiebreak(ray_session):
-    orders = _orders(
-        [
-            # Jan: two orders share the earliest date -> open from lower key
-            (10, MONTH_JAN + DAY, 5.00),
-            (7, MONTH_JAN + DAY, 3.00),
-            (12, MONTH_JAN + 5 * DAY, 9.50),
-            # Feb: single order
-            (20, MONTH_FEB + DAY, 2.25),
-        ]
-    )
-    rows = {r["ym"]: r for r in an.ohlc_bars_ds(orders).take_all()}
-    jan = rows[197001]
-    assert jan["open_cents"] == 300 and jan["close_cents"] == 950
-    assert jan["high_cents"] == 950 and jan["low_cents"] == 300
-    assert jan["n_orders"] == 3 and jan["total_cents"] == 1750
-    feb = rows[197002]
-    assert feb["open_cents"] == feb["close_cents"] == 225
-    assert feb["n_orders"] == 1
-
-
-def test_period_over_period_lag_and_sentinel(ray_session):
-    orders = _orders(
-        [
-            (1, MONTH_JAN, 1.00),
-            (2, MONTH_JAN, 2.00),
-            (3, MONTH_FEB, 10.00),
-        ]
-    )
-    rows = sorted(
-        an.period_over_period_ds(orders).take_all(), key=lambda r: r["ym"]
-    )
-    assert [
-        (r["ym"], r["cents"], r["prev_cents"], r["delta_cents"]) for r in rows
-    ] == [(197001, 300, -1, 0), (197002, 1000, 300, 700)]
 
 
 def test_hash_join_left_keeps_unmatched(ray_session):
@@ -834,48 +665,6 @@ def test_grouped_percentiles_duplicate_values(ray_session):
     [r] = an.grouped_percentiles_ds(ev).take_all()
     assert (r["p25_q"], r["p50_q"], r["p75_q"]) == (500, 500, 500)
     assert r["n"] == 10
-
-
-def test_reorder_gaps_sentinels_and_bounds(ray_session):
-    orders3 = ray.data.from_arrow(
-        pa.table(
-            {
-                "o_custkey": pa.array([1, 1, 1, 2], pa.int64()),
-                "o_orderdate": pa.array([0, 10 * DAY, 40 * DAY, 5], pa.timestamp("us")),
-                "o_orderkey": pa.array([100, 101, 102, 103], pa.int64()),
-            }
-        )
-    )
-    rows = {r["custkey"]: r for r in an.reorder_gaps_ds(orders3).take_all()}
-    c1 = rows[1]
-    assert c1["n_orders"] == 3
-    assert (c1["first_us"], c1["last_us"]) == (0, 40 * DAY)
-    assert (c1["min_gap_us"], c1["max_gap_us"]) == (10 * DAY, 30 * DAY)
-    c2 = rows[2]
-    assert (c2["n_orders"], c2["min_gap_us"], c2["max_gap_us"]) == (1, -1, -1)
-
-
-def test_session_baskets_pairs_and_counts(ray_session):
-    g = 1_800_000_000
-    ev = _events(
-        [
-            # user 1 session 1: types a, b, a -> distinct {a,b} -> pair (a,b)
-            (1, 1, 0, "a", 0),
-            (2, 1, 10, "b", 0),
-            (3, 1, 20, "a", 0),
-            # user 1 session 2: {a} only -> no pair
-            (4, 1, 10 * g, "a", 0),
-            # user 2 one session: {a, b, c} -> 3 pairs
-            (5, 2, 0, "c", 0),
-            (6, 2, 5, "a", 0),
-            (7, 2, 9, "b", 0),
-        ]
-    )
-    rows = {
-        (r["type_a"], r["type_b"]): r["n_sessions"]
-        for r in an.session_baskets_ds(ev).take_all()
-    }
-    assert rows == {("a", "b"): 2, ("a", "c"): 1, ("b", "c"): 1}
 
 
 def test_group_sample_ids_head_and_count(ray_session):
@@ -1123,26 +912,6 @@ def test_fk_audit_cross_block_distincts(ray_session):
     assert (r["child_rows"], r["distinct_fks"], r["orphan_rows"]) == (40, 1, 0)
 
 
-def test_scd2_versions_and_open_interval(ray_session):
-    ev = _events(
-        [
-            (1, 1, 100, "a", 0),
-            (2, 1, 200, "b", 0),
-            (3, 1, 300, "a", 0),
-            (4, 2, 50, "x", 0),
-        ]
-    )
-    rows = {(r["user_id"], r["version"]): (r["event_type"], r["valid_from_us"], r["valid_to_us"])
-            for r in an.scd2_ds(ev).take_all()}
-    OPEN = 4_102_444_800_000_000
-    assert rows == {
-        (1, 1): ("a", 100, 200),
-        (1, 2): ("b", 200, 300),
-        (1, 3): ("a", 300, OPEN),
-        (2, 1): ("x", 50, OPEN),
-    }
-
-
 def test_winsorize_cutoff_and_flags(ray_session):
     ds = ray.data.from_arrow(
         pa.table(
@@ -1176,45 +945,6 @@ def test_rank_sum_hand_computed_and_invariant(ray_session):
     assert (r["n_a"], r["n_b"]) == (3, 2)
     assert r["r2_a"] == 2 + 6 + 6
     assert r["u2_a"] == 14 - 3 * 4 and r["u2_a"] + r["u2_b"] == 2 * 3 * 2
-
-
-def test_assoc_rules_kernel(ray_session):
-    import pyarrow as pa
-
-    # 3 sessions for user 1 (gap > 30 min splits), 1 for user 2:
-    # s1: {view, click}, s2: {view}, s3: {view, click, buy}, s4: {click}
-    us = 1_000_000
-    rows = [
-        (1, 0 * us, 1, "view"), (2, 60 * us, 1, "click"),
-        (3, 10_000_000_000, 1, "view"),
-        (4, 20_000_000_000, 1, "view"), (5, 20_000_000_000 + us, 1, "click"),
-        (6, 20_000_000_000 + 2 * us, 1, "buy"),
-        (7, 0, 2, "click"),
-    ]
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "event_id": pa.array([r[0] for r in rows], pa.int64()),
-                "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-                "user_id": pa.array([r[2] for r in rows], pa.int64()),
-                "event_type": pa.array([r[3] for r in rows], pa.string()),
-            }
-        )
-    )
-    out = {
-        (r["antecedent"], r["consequent"]): r
-    for r in an.assoc_rules_ds(ev).take_all()}
-    # marginals: view 3, click 3, buy 1; S = 4
-    r = out[("view", "click")]
-    assert r["n_ante"] == 3 and r["n_cons"] == 3 and r["n_both"] == 2
-    assert r["n_sessions"] == 4
-    assert r["conf_e6"] == 1_000_000 * 2 // 3
-    assert r["lift_e6"] == 1_000_000 * 2 * 4 // 9
-    # rule mirror has different confidence denominator
-    r2 = out[("buy", "view")]
-    assert r2["n_ante"] == 1 and r2["n_both"] == 1
-    assert r2["conf_e6"] == 1_000_000
-    assert ("buy", "click") in out and out[("click", "buy")]["conf_e6"] == 333_333
 
 
 def test_snapshot_diff_kernel(ray_session):
@@ -1357,34 +1087,6 @@ def test_chi2_assoc_dependence_positive(ray_session):
     assert total == 20_000_000
 
 
-def test_trending_topk_and_ties(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    h = 3_600_000_000
-    ts = [0] * 6 + [h] * 2
-    types = ["b", "b", "b", "a", "a", "c", "z", "y"]
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "ts": pa.array(ts, pa.timestamp("us")),
-                "event_type": pa.array(types, pa.string()),
-            }
-        )
-    )
-    out = sorted(
-        an.trending_ds(ev, k=2).take_all(),
-        key=lambda r: (r["window_start_us"], r["rank"]),
-    )
-    assert [(r["window_start_us"], r["event_type"], r["n"], r["rank"]) for r in out] == [
-        (0, "b", 3, 1),
-        (0, "a", 2, 2),
-        (h, "y", 1, 1),  # tie n=1 broken by type ASC
-        (h, "z", 1, 2),
-    ]
-
-
 def test_robust_scale_truncating_division(ray_session):
     import pyarrow as pa
     import ray.data
@@ -1430,85 +1132,6 @@ def test_keyness_exclusive_term_tops(ray_session):
     assert by_src["b"]["rank"] == 1
 
 
-def test_time_to_convert_first_pair_semantics(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # user 1: purchase BEFORE first view is ignored; first view at t=10,
-    # first purchase at-or-after is t=30. user 2: never converts.
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 1, 2], pa.int64()),
-                "ts": pa.array([5, 10, 30, 40, 7], pa.timestamp("us")),
-                "event_type": pa.array(
-                    ["purchase", "view", "purchase", "purchase", "view"],
-                    pa.string(),
-                ),
-            }
-        )
-    )
-    out = an.time_to_convert_ds(ev).take_all()
-    assert len(out) == 1
-    r = out[0]
-    assert (r["user_id"], r["t_from_us"], r["t_to_us"], r["delta_us"]) == (1, 10, 30, 20)
-
-
-def test_changepoint_level_shift(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # type 'a': 1/day for days 0-3, then 5/day for days 4-7 -> CUSUM
-    # |n*prefix - k*S| peaks at the shift boundary (end of day 3)
-    ts = []
-    for d in range(4):
-        ts.append(d * day)
-    for d in range(4, 8):
-        ts.extend([d * day] * 5)
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "ts": pa.array(ts, pa.timestamp("us")),
-                "event_type": pa.array(["a"] * len(ts), pa.string()),
-            }
-        )
-    )
-    out = an.changepoint_ds(ev).take_all()
-    assert len(out) == 1
-    r = out[0]
-    assert r["n_windows"] == 8
-    assert r["change_window_us"] == 3 * day  # last quiet day
-    # prefix_4 = 4, k=4, S=24, n=8 -> |8*4 - 4*24| = 64
-    assert r["max_dev_scaled"] == 64
-
-
-def test_symbolize_word(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # counts per day: 1, 2, 3, 4 -> quartiles p25=1 p50=2 p75=3
-    ts = []
-    for d, n in enumerate((1, 2, 3, 4)):
-        ts.extend([d * day] * n)
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "ts": pa.array(ts, pa.timestamp("us")),
-                "event_type": pa.array(["a"] * len(ts), pa.string()),
-            }
-        )
-    )
-    out = an.symbolize_ds(ev).take_all()
-    assert len(out) == 1
-    assert out[0]["word"] == "abcd" and out[0]["n_windows"] == 4
-
-
 def test_weighted_median_heavy_tail(ray_session):
     import pyarrow as pa
     import ray.data
@@ -1531,73 +1154,6 @@ def test_weighted_median_heavy_tail(ray_session):
     # S = 106, (S+1)//2 = 53 -> cumweight reaches 53 only at v=100
     assert out["wmedian"] == 100
     assert out["total_weight"] == 106 and out["n_docs"] == 4
-
-
-def test_running_peak_resets_per_key(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 2], pa.int64()),
-                "ts": pa.array([1, 2, 3, 1], pa.timestamp("us")),
-                "event_id": pa.array([10, 11, 12, 13], pa.int64()),
-                "value": pa.array([5.0, 3.0, 7.0, 1.0]),
-            }
-        )
-    )
-    out = {r["event_id"]: r["run_peak_e"] for r in an.running_peak_ds(ev).take_all()}
-    assert out == {10: 500, 11: 500, 12: 700, 13: 100}
-
-
-def test_periodicity_weekly_signal(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # spikes every 7 days over 22 days -> best lag 7
-    ts = []
-    for d in range(22):
-        n = 10 if d % 7 == 0 else 1
-        ts.extend([d * day] * n)
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "ts": pa.array(ts, pa.timestamp("us")),
-                "event_type": pa.array(["a"] * len(ts), pa.string()),
-            }
-        )
-    )
-    out = an.periodicity_ds(ev).take_all()
-    assert len(out) == 1 and out[0]["best_lag"] == 7
-
-
-def test_gap_fill_locf(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # user 1 observed on days 0 (v=5) and 3 (v=2): days 1-2 carry 5
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 1], pa.int64()),
-                "ts": pa.array([0, 3 * day], pa.timestamp("us")),
-                "value": pa.array([5.0, 2.0]),
-            }
-        )
-    )
-    out = sorted(an.gap_fill_ds(ev).take_all(), key=lambda r: r["window_us"])
-    assert [(r["window_us"] // day, r["value_e"], r["observed"]) for r in out] == [
-        (0, 500, 1),
-        (1, 500, 0),
-        (2, 500, 0),
-        (3, 200, 1),
-    ]
 
 
 def test_benford_audit_counts_and_constants(ray_session):
@@ -1668,32 +1224,6 @@ def test_spearman_tie_handling(ray_session):
     assert out["deny"] == 3 * (4 + 16 + 36) - 12 * 12  # 24
 
 
-def test_time_weighted_avg_step_signal(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # user 1: v=2.0 for 10us then v=4.0 for 30us -> num = 200*10+400*30*0
-    # (last event weight 0) = 200*10 + 400*0 ... LOCF: num = 200*10 + 400*30?
-    # events at t=0 (v=2), t=10 (v=4), t=40 (v=6): num=200*10+400*30, den=40
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 2], pa.int64()),
-                "ts": pa.array([0, 10, 40, 5], pa.timestamp("us")),
-                "event_id": pa.array([1, 2, 3, 4], pa.int64()),
-                "value": pa.array([2.0, 4.0, 6.0, 9.0]),
-            }
-        )
-    )
-    rows = {r["user_id"]: r for r in an.time_weighted_avg_ds(ev).take_all()}
-    assert rows[1]["twa_num"] == 200 * 10 + 400 * 30
-    assert rows[1]["twa_den"] == 40 and rows[1]["n_events"] == 3
-    # single-event key: zero num, zero den
-    assert rows[2]["twa_num"] == 0 and rows[2]["twa_den"] == 0
-    assert rows[2]["n_events"] == 1
-
-
 def test_gini_concentration_extremes(ray_session):
     import pyarrow as pa
     import ray.data
@@ -1746,32 +1276,6 @@ def test_sentence_stats_segmentation(ray_session):
     assert 3 not in rows
 
 
-def test_type_cross_corr_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # type a: day0 x2, day1 x1 ; type b: day0 x3 (day1 absent)
-    ts = [0, 0, day, 0, 0, 0]
-    et = ["a", "a", "a", "b", "b", "b"]
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "ts": pa.array(ts, pa.timestamp("us")),
-                "event_type": pa.array(et, pa.string()),
-            }
-        )
-    )
-    rows = {
-        (r["type_a"], r["type_b"]): r
-        for r in an.type_cross_corr_ds(ev).take_all()
-    }
-    assert rows[("a", "a")]["dot"] == 4 + 1 and rows[("a", "a")]["n_common"] == 2
-    assert rows[("a", "b")]["dot"] == 2 * 3 and rows[("a", "b")]["n_common"] == 1
-    assert rows[("b", "b")]["dot"] == 9
-
-
 def test_hash_join_full_outer_all_branches(ray_session):
     import pyarrow as pa
     import ray.data
@@ -1803,32 +1307,6 @@ def test_hash_join_full_outer_all_branches(ray_session):
     }
 
 
-def test_k_anonymity_flags(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # combo (1, A): 3 members, balances in 3 distinct $1000 buckets
-    # combo (2, B): 1 member (not k-anonymous at k=2, not diverse at l=2)
-    cust = ray.data.from_arrow(
-        pa.table(
-            {
-                "c_nationkey": pa.array([1, 1, 1, 2], pa.int32()),
-                "c_mktsegment": pa.array(["A", "A", "A", "B"], pa.string()),
-                "c_acctbal": pa.array([100.0, 1100.0, 2100.0, -50.0], pa.float64()),
-            }
-        )
-    )
-    out = {(r["c_nationkey"], r["c_mktsegment"]): r
-           for r in an.k_anonymity_ds(cust, k=2, l_div=2).take_all()}
-    a = out[(1, "A")]
-    assert a["n_members"] == 3 and a["n_bal_buckets"] == 3
-    assert a["k_anonymous"] == 1 and a["l_diverse"] == 1
-    b = out[(2, "B")]
-    assert b["n_members"] == 1 and b["n_bal_buckets"] == 1
-    assert b["k_anonymous"] == 0 and b["l_diverse"] == 0
-
-
 def test_stratified_kfold_balance(ray_session):
     import pyarrow as pa
     import ray.data
@@ -1852,84 +1330,6 @@ def test_stratified_kfold_balance(ray_session):
         assert max(c.values()) - min(c.values()) <= 1
 
 
-def test_json_props_stats_malformed_quarantined(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "event_type": pa.array(["a", "a", "a", "b"], pa.string()),
-                "props": pa.array(
-                    ['{"k": 5}', '{"k": -3}', "not json", '{"k": 7}'],
-                    pa.string(),
-                ),
-            }
-        )
-    )
-    out = {r["event_type"]: r for r in an.json_props_stats_ds(ev).take_all()}
-    assert out["a"]["n"] == 3 and out["a"]["n_null"] == 1
-    assert out["a"]["k_sum"] == 2
-    assert out["a"]["k_min"] == -3 and out["a"]["k_max"] == 5
-    assert out["b"]["k_sum"] == 7 and out["b"]["n_null"] == 0
-
-
-def test_ab_assignment_deterministic(ray_session):
-    import hashlib
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 1, 2, 3], pa.int64()),
-                "event_type": pa.array(
-                    ["purchase", "view", "view", "purchase"], pa.string()
-                ),
-            }
-        )
-    )
-    rows = {r["arm"]: r for r in an.ab_assignment_ds(ev).take_all()}
-    arm = {u: int(hashlib.md5(str(u).encode()).hexdigest()[:15], 16) % 2
-           for u in (1, 2, 3)}
-    from collections import Counter
-    expect_users = Counter(arm.values())
-    expect_conv = Counter(a for u, a in arm.items() if u in (1, 3))
-    for a in set(arm.values()):
-        assert rows[a]["n_users"] == expect_users[a]
-        assert rows[a]["n_converted"] == expect_conv.get(a, 0)
-    assert sum(r["n_users"] for r in rows.values()) == 3
-
-
-def test_fd_audit_pk_holds_flags_dirty(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    li = ray.data.from_arrow(
-        pa.table(
-            {
-                "l_orderkey": pa.array([1, 1, 2], pa.int64()),
-                "l_linenumber": pa.array([1, 2, 1], pa.int64()),
-                "l_partkey": pa.array([10, 11, 10], pa.int64()),
-                "l_returnflag": pa.array(["A", "R", "A"], pa.string()),
-                "l_linestatus": pa.array(["O", "O", "F"], pa.string()),
-            }
-        )
-    )
-    out = {r["fd"]: r for r in an.fd_audit_ds(li).take_all()}
-    # order 1 has two returnflags -> 1 violation of 2 lhs
-    assert out["orderkey->returnflag"]["n_lhs"] == 2
-    assert out["orderkey->returnflag"]["n_violations"] == 1
-    # linestatus is constant per order here -> clean
-    assert out["orderkey->linestatus"]["n_violations"] == 0
-    # PK check: (orderkey, linenumber) determines partkey
-    assert out["orderkey,linenumber->partkey"]["n_lhs"] == 3
-    assert out["orderkey,linenumber->partkey"]["n_violations"] == 0
-
-
 def test_index_gap_stats_hand_computed(ray_session):
     import pyarrow as pa
     import ray.data
@@ -1949,30 +1349,6 @@ def test_index_gap_stats_hand_computed(ray_session):
     assert out[2]["n_tokens"] == 1          # only "a b" is in-band
     assert out[2]["total_postings"] == 2
     assert out[2]["total_bytes"] == 2
-
-
-def test_kendall_pairs_monotone_series(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # type "up": counts 1,2,3 on three days -> all 3 pairs concordant
-    day = 86_400_000_000
-    ts, et = [], []
-    for d, n in enumerate([1, 2, 3]):
-        ts.extend([d * day + i for i in range(n)])
-        et.extend(["up"] * n)
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "ts": pa.array(ts, pa.timestamp("us")),
-                "event_type": pa.array(et, pa.string()),
-            }
-        )
-    )
-    row = an.kendall_pairs_ds(ev).take_all()[0]
-    assert row["event_type"] == "up" and row["n_windows"] == 3
-    assert row["concordant"] == 3 and row["discordant"] == 0 and row["tied"] == 0
 
 
 def test_source_prefix_audit_lcp(ray_session):
@@ -2169,40 +1545,6 @@ def test_interarrival_stats_even_gap_count_low_median(ray_session):
     assert row["med_gap_us"] == 20 and row["n_gaps"] == 4
 
 
-def test_activity_streaks_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # user 1 days: 0,1,2, 5,6, 9 -> streaks 3,2,1; two events on day 1
-    # user 2 days: 4 -> one streak of 1
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 1, 1, 1, 1, 2], pa.int64()),
-                "ts": pa.array(
-                    [0, day, day + 5, 2 * day, 5 * day, 6 * day, 9 * day, 4 * day],
-                    pa.int64(),
-                ),
-            }
-        )
-    )
-    rows = {r["user_id"]: r for r in an.activity_streaks_ds(events).take_all()}
-    assert rows[1] == {
-        "user_id": 1,
-        "n_active_days": 6,
-        "max_streak": 3,
-        "n_streaks": 3,
-    }
-    assert rows[2] == {
-        "user_id": 2,
-        "n_active_days": 1,
-        "max_streak": 1,
-        "n_streaks": 1,
-    }
-
-
 def test_key_skew_audit_hand_computed(ray_session):
     import pyarrow as pa
     import ray.data
@@ -2241,183 +1583,6 @@ def test_key_skew_audit_empty(ray_session):
     }
 
 
-def test_dwell_times_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # user 1: view@0 -> view@10 -> buy@25 -> view@100 (no successor)
-    # dwell: view 10 (0..10), view 15 (10..25), buy 75 (25..100)
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 1], pa.int64()),
-                "event_id": pa.array([1, 2, 3, 4], pa.int64()),
-                "ts": pa.array([0, 10, 25, 100], pa.int64()),
-                "event_type": pa.array(["view", "view", "buy", "view"]),
-            }
-        )
-    )
-    rows = {
-        (r["user_id"], r["event_type"]): r
-        for r in an.dwell_times_ds(events).take_all()
-    }
-    assert rows[(1, "view")]["n_intervals"] == 2
-    assert rows[(1, "view")]["total_dwell_us"] == 25
-    assert rows[(1, "buy")] == {
-        "user_id": 1,
-        "event_type": "buy",
-        "n_intervals": 1,
-        "total_dwell_us": 75,
-    }
-    assert len(rows) == 2
-
-
-def test_order_reconcile_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # order 1 (status O): lines 10.00 + 5.00 = header 15.00 -> match
-    # order 2 (status F): lines 3.00 vs header 4.00 -> 100c drift
-    # order 3 (status F): NO lines vs header 2.00 -> 200c drift
-    lineitem = ray.data.from_arrow(
-        pa.table(
-            {
-                "l_orderkey": pa.array([1, 1, 2], pa.int64()),
-                "l_extendedprice": pa.array([10.0, 5.0, 3.0]),
-                "l_discount": pa.array([0.0, 0.0, 0.0]),
-                "l_tax": pa.array([0.0, 0.0, 0.0]),
-            }
-        )
-    )
-    orders = ray.data.from_arrow(
-        pa.table(
-            {
-                "o_orderkey": pa.array([1, 2, 3], pa.int64()),
-                "o_orderstatus": pa.array(["O", "F", "F"]),
-                "o_totalprice": pa.array([15.0, 4.0, 2.0]),
-            }
-        )
-    )
-    rows = {
-        r["o_orderstatus"]: r
-        for r in an.order_reconcile_ds(lineitem, orders).take_all()
-    }
-    assert rows["O"] == {
-        "o_orderstatus": "O",
-        "n_orders": 1,
-        "n_mismatch": 0,
-        "sum_abs_diff_cents": 0,
-    }
-    assert rows["F"] == {
-        "o_orderstatus": "F",
-        "n_orders": 2,
-        "n_mismatch": 2,
-        "sum_abs_diff_cents": 300,
-    }
-
-
-def test_weekday_profile_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # day 0 = Thursday (weekday 4); day 4 = Monday (weekday 1)
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "event_type": pa.array(["a", "a", "a", "b"]),
-                "ts": pa.array([0, 5, 4 * day, 0], pa.int64()),
-            }
-        )
-    )
-    rows = {
-        (r["event_type"], r["weekday"]): r
-        for r in an.weekday_profile_ds(events).take_all()
-    }
-    assert rows[("a", 4)] == {
-        "event_type": "a",
-        "weekday": 4,
-        "n_events": 2,
-        "n_days": 1,
-    }
-    assert rows[("a", 1)]["n_events"] == 1
-    assert rows[("b", 4)]["n_days"] == 1
-    assert len(rows) == 3
-
-
-def test_rfm_scores_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # five users, one event each: r_days 0..4, f all 1, dollars 1..5
-    # boundaries (N=5, rank s): ranks 1,2,3,4 -> values at those ranks
-    # r bounds = [0,1,2,3] -> scores 1,2,3,4,5
-    # f bounds = [1,1,1,1] -> all f=1 -> score 1
-    # m bounds = [1,2,3,4] -> scores 1..5
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
-                "ts": pa.array([0, day, 2 * day, 3 * day, 4 * day], pa.int64()),
-                "value": pa.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-            }
-        )
-    )
-    rows = {r["user_id"]: r for r in an.rfm_scores_ds(events).take_all()}
-    for uid in range(1, 6):
-        r = rows[uid]
-        assert r["r_days"] == uid - 1
-        assert r["f"] == 1 and r["f_score"] == 1
-        assert r["m_cents"] == uid * 100
-        assert r["r_score"] == uid and r["m_score"] == uid
-
-
-def test_ship_lag_stats_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # priority P: lags 1, 3, 10 -> med rank (3+1)//2=2 -> 3
-    # priority Q: lag -2 (ships before order date) alone
-    lineitem = ray.data.from_arrow(
-        pa.table(
-            {
-                "l_orderkey": pa.array([1, 1, 2, 3], pa.int64()),
-                "l_shipdate": pa.array(
-                    [1 * day, 3 * day, 10 * day, 0], pa.int64()
-                ),
-            }
-        )
-    )
-    orders = ray.data.from_arrow(
-        pa.table(
-            {
-                "o_orderkey": pa.array([1, 2, 3], pa.int64()),
-                "o_orderpriority": pa.array(["P", "P", "Q"]),
-                "o_orderdate": pa.array([0, 0, 2 * day], pa.int64()),
-            }
-        )
-    )
-    rows = {
-        r["o_orderpriority"]: r
-        for r in an.ship_lag_stats_ds(lineitem, orders).take_all()
-    }
-    assert rows["P"] == {
-        "o_orderpriority": "P",
-        "n_lines": 3,
-        "min_lag_days": 1,
-        "med_lag_days": 3,
-        "max_lag_days": 10,
-    }
-    assert rows["Q"]["min_lag_days"] == -2 and rows["Q"]["n_lines"] == 1
-
-
 def test_zonemap_prune_hand_computed(ray_session):
     import pyarrow as pa
     import ray.data
@@ -2443,55 +1608,6 @@ def test_zonemap_prune_hand_computed(ray_session):
         "prunable": 1,
     }
     assert rows[1]["prunable"] == 0 and rows[1]["max_v"] == 3000
-
-
-def test_open_order_backlog_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # order 1: opens day 0, last ship day 2 -> open days 0,1,2
-    # order 2: opens day 1, NO lines -> open day 1 only
-    # order 3: opens day 4, ships day 3 (clamped) -> open day 4 only
-    lineitem = ray.data.from_arrow(
-        pa.table(
-            {
-                "l_orderkey": pa.array([1, 1, 3], pa.int64()),
-                "l_shipdate": pa.array([1 * day, 2 * day, 3 * day], pa.int64()),
-            }
-        )
-    )
-    orders = ray.data.from_arrow(
-        pa.table(
-            {
-                "o_orderkey": pa.array([1, 2, 3], pa.int64()),
-                "o_orderdate": pa.array([0, 1 * day, 4 * day], pa.int64()),
-            }
-        )
-    )
-    rows = an.open_order_backlog_ds(lineitem, orders).take_all()
-    curve = {r["day"]: r["n_open"] for r in rows}
-    assert curve == {0: 1, 1: 2, 2: 1, 3: 0, 4: 1, 5: 0}
-
-
-def test_sole_source_risk_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # part 1: suppliers {10, 11} (dup pair collapses); parts 2, 3: one each
-    li = ray.data.from_arrow(
-        pa.table(
-            {
-                "l_partkey": pa.array([1, 1, 1, 2, 3], pa.int64()),
-                "l_suppkey": pa.array([10, 11, 10, 20, 30], pa.int64()),
-            }
-        )
-    )
-    rows = {r["n_suppliers"]: r for r in an.sole_source_risk_ds(li).take_all()}
-    assert rows[2] == {"n_suppliers": 2, "n_parts": 1}
-    assert rows[1] == {"n_suppliers": 1, "n_parts": 2}
 
 
 def test_encoding_size_audit_hand_computed(ray_session):
@@ -2520,90 +1636,6 @@ def test_encoding_size_audit_hand_computed(ray_session):
     }
     assert rows["source"]["n_distinct"] == 1
     assert rows["text"]["dict_bytes"] == 4 + 12
-
-
-def test_dup_baskets_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # orders 1 and 2 share basket {5, 7} (order 2 lists 7 twice);
-    # order 3 has basket {5} alone
-    li = ray.data.from_arrow(
-        pa.table(
-            {
-                "l_orderkey": pa.array([1, 1, 2, 2, 2, 3], pa.int64()),
-                "l_partkey": pa.array([5, 7, 7, 5, 7, 5], pa.int64()),
-            }
-        )
-    )
-    rows = {r["basket_size"]: r for r in an.dup_baskets_ds(li).take_all()}
-    assert rows[2] == {
-        "basket_size": 2,
-        "n_orders": 2,
-        "n_distinct_baskets": 1,
-        "n_dup_orders": 1,
-    }
-    assert rows[1] == {
-        "basket_size": 1,
-        "n_orders": 1,
-        "n_distinct_baskets": 1,
-        "n_dup_orders": 0,
-    }
-
-
-def test_churn_overlap_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # day 0: users {1,2}; day 1: {2,3}; day 2: {3}
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 2, 2, 3, 3, 2], pa.int64()),
-                "ts": pa.array(
-                    [0, 5, day, day + 1, 2 * day, 3], pa.int64()
-                ),
-            }
-        )
-    )
-    rows = {r["day"]: r for r in an.churn_overlap_ds(events).take_all()}
-    assert rows[0] == {
-        "day": 0,
-        "n_active": 2,
-        "n_active_next": 2,
-        "n_retained": 1,
-    }
-    assert rows[1] == {
-        "day": 1,
-        "n_active": 2,
-        "n_active_next": 1,
-        "n_retained": 1,
-    }
-    assert len(rows) == 2
-
-
-def test_value_mad_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # cents: 100, 200, 300, 10000 -> med rank (4+1)//2=2 -> 200
-    # deviations: 100, 0, 100, 9800 -> sorted 0,100,100,9800 -> mad 100
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "event_type": pa.array(["x"] * 4),
-                "value": pa.array([1.0, 2.0, 3.0, 100.0]),
-            }
-        )
-    )
-    rows = an.value_mad_ds(events).take_all()
-    assert rows == [
-        {"event_type": "x", "n": 4, "med_cents": 200, "mad_cents": 100}
-    ]
 
 
 def test_cdc_chunks_shared_paragraph(ray_session):
@@ -2731,58 +1763,6 @@ def test_rand_projection_hand_computed(ray_session):
             assert rows[vid][f"proj_{j}"] == proj[j]
         assert rows[vid]["l2q"] == int((q * q).sum())
         assert rows[vid]["p2"] == int((proj * proj).sum())
-
-
-def test_motif_pairs_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # series (cents): 100 200 300 400 | 900 | 100 200 300 400
-    # windows: w1=(1,2,3,4) w2=(2,3,4,9) w3=(3,4,9,1) w4=(4,9,1,2)
-    #          w5=(9,1,2,3) w6=(1,2,3,4)  (x100 cents)
-    # non-overlap j>=i+4: (1,5) d=|1-9|+|2-1|+|3-2|+|4-3|=11 -> 1100
-    #                     (1,6) d=0 ; (2,6) d=|2-1|+...=1+1+1+5=8 -> 800
-    # min is (1,6) with 0
-    vals = [1.0, 2.0, 3.0, 4.0, 9.0, 1.0, 2.0, 3.0, 4.0]
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([5] * 9, pa.int64()),
-                "ts": pa.array(list(range(9)), pa.timestamp("us")),
-                "event_id": pa.array(list(range(9)), pa.int64()),
-                "value": pa.array(vals),
-            }
-        )
-    )
-    rows = an.motif_pairs_ds(events).take_all()
-    assert rows == [{"user_id": 5, "win_a": 1, "win_b": 6, "l1_cents": 0}]
-
-
-def test_regression_fit_perfect_line(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # y = 2x exactly -> R^2 = 1000 permille; second key constant-x -> excluded
-    days = [1, 2, 3, 4]
-    orders = ray.data.from_arrow(
-        pa.table(
-            {
-                "o_custkey": pa.array([1, 1, 1, 1, 2, 2, 2], pa.int64()),
-                "o_orderdate": pa.array(
-                    [d * 86_400_000_000 for d in days] + [86_400_000_000] * 3,
-                    pa.timestamp("us"),
-                ),
-                "o_totalprice": pa.array(
-                    [2.0, 4.0, 6.0, 8.0, 1.0, 2.0, 3.0]
-                ),
-            }
-        )
-    )
-    rows = {r["o_custkey"]: r for r in an.regression_fit_ds(orders).take_all()}
-    assert rows[1]["n"] == 4 and rows[1]["r2_permille"] == 1000
-    assert 2 not in rows  # zero x-variance excluded
 
 
 def test_levenshtein_matches_reference_cases():
@@ -2926,35 +1906,6 @@ def test_gini_stump_perfect_split(ray_session):
     # worst candidate must be positive impurity, ordering ascending
     imps = [r["impurity_e6"] for r in rows]
     assert imps == sorted(imps)
-
-
-def test_seasonal_naive_error_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # type x: day0=100c day7=300c day14=250c
-    #   eval day7 vs day0: |300-100|=200; day14 vs day7: |250-300|=50
-    # type y: only day0 -> excluded
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "event_type": pa.array(["x", "x", "x", "y"]),
-                "ts": pa.array([0, 7 * day, 14 * day, 0], pa.timestamp("us")),
-                "value": pa.array([1.0, 3.0, 2.5, 9.0]),
-            }
-        )
-    )
-    rows = an.seasonal_naive_error_ds(events).take_all()
-    assert rows == [
-        {
-            "event_type": "x",
-            "n_eval": 2,
-            "abs_err_sum": 250,
-            "mae_cents_e3": 125_000,
-        }
-    ]
 
 
 def test_feature_hashing_deterministic_and_additive(ray_session):
@@ -3170,48 +2121,6 @@ def test_rare_token_pairs_trigram_blocking(ray_session):
     assert (1, 3) not in rows and (1, 4) not in rows
 
 
-def test_temporal_split_exact_quantile_cutoffs(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    day = 86_400_000_000
-    # 10 events on days 0..9, one per day, one type.  Exact discrete
-    # quantiles: train cutoff = smallest day with cum*100 >= 70*10
-    # -> day 6 (cum 7); valid cutoff = smallest day with cum*100 >=
-    # 85*10 -> day 8 (cum(day7)=8 -> 800 < 850; cum(day8)=9 -> 900).
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "ts": pa.array([d * day for d in range(10)], pa.int64()),
-                "event_type": pa.array(["view"] * 10),
-            }
-        )
-    )
-    rows = {r["split"]: r for r in an.temporal_split_ds(events).take_all()}
-    assert rows["train"]["n_events"] == 7
-    assert rows["train"]["day_min"] == 0 and rows["train"]["day_max"] == 6
-    assert rows["valid"]["n_events"] == 2 and rows["valid"]["day_min"] == 7
-    assert rows["test"]["n_events"] == 1 and rows["test"]["day_min"] == 9
-
-
-def test_join_card_estimate_exact_side(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # key 1 x3, key 2 x2, key 3 x1 -> self-join size 9 + 4 + 1 = 14
-    events = ray.data.from_arrow(
-        pa.table({"user_id": pa.array([1, 1, 1, 2, 2, 3], pa.int64())})
-    )
-    row = an.join_card_estimate_ds(events).take_all()[0]
-    assert row["actual_join_rows"] == 14
-    est = row["estimated_join_rows"]
-    assert est % 16 == 0  # scaled by the sampling modulus
-    if row["actual_join_rows"] > 0 and est != row["actual_join_rows"]:
-        assert row["err_sign"] in (-1, 1)
-
-
 def test_bottomk_sample_exact_size_and_merge(ray_session):
     import hashlib
     import pyarrow as pa
@@ -3385,32 +2294,6 @@ def test_kmv_intersection_exact_when_sketch_not_full(ray_session):
     assert r["exact_common"] == 2
     assert r["kmv_est"] == r["exact_common"]
     assert r["abs_err_permille"] == 0
-
-
-def test_cohort_ltv_triangle(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    wk = 7 * 86_400 * 1_000_000
-    # user 1: first week 0 (10.50), active again week 2 (2.25)
-    # user 2: first week 2 (1.00) -> cohort 2 age 0
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 2], pa.int64()),
-                "ts": pa.array([0, 1000, 2 * wk, 2 * wk + 5], pa.int64()),
-                "value": pa.array([10.0, 0.50, 2.25, 1.00], pa.float64()),
-            }
-        )
-    )
-    rows = {(r["cohort_week"], r["age_weeks"]): r for r in
-            an.cohort_ltv_ds(events).take_all()}
-    assert rows[(0, 0)]["n_users"] == 1
-    assert rows[(0, 0)]["revenue_cents"] == 1050
-    assert rows[(0, 2)]["revenue_cents"] == 225
-    assert rows[(2, 0)]["n_users"] == 1
-    assert rows[(2, 0)]["revenue_cents"] == 100
 
 
 def test_caption_mining_nearest_preceding_text(ray_session):

@@ -167,3 +167,46 @@ def test_pages_to_tables_makes_one_word_call_per_page(monkeypatch):
     expected = [page["table"] for _, exp in docs for page in exp]
     assert out.column("rows").to_pylist() == expected
     assert 0 < len(calls) <= pages.num_rows
+
+
+def test_text_strategy_tables_use_text_settings():
+    """Text-strategy edges come from words built with the table's
+    ``text_settings`` (the reference's ``TableFinder.get_edges``), with or
+    without ruling on the page, in both the fused and the table stage."""
+    from pdfplumber_ray.config import TableConfig, WordConfig
+    from pdfplumber_ray.functions.geometry import concat_edges
+    from pdfplumber_ray.functions.tables import find_tables_page
+    from pdfplumber_ray.functions.words import extract_words_page
+    from pdfplumber_ray.stages import flatten
+    from pdfplumber_ray.stages.decode import page_tables_full
+    from pdfplumber_ray.stages.layout import layout_doc
+
+    cells = ["id", "name", "qty", "1", "bolt", "40", "2", "nut", "75", "3", "washer", "120"]
+    spans = [{"kind": "text", "text": "Parts on hand", "media_ref": ""}] + [
+        {"kind": "table_cell", "text": c, "media_ref": ""} for c in cells
+    ]
+    (ruled,) = layout_doc(spans)
+    bare = dict(ruled, rects={k: v[:0] for k, v in ruled["rects"].items()})
+    cfg = TableConfig(
+        vertical_strategy="text",
+        horizontal_strategy="text",
+        text_settings={"x_tolerance": 0.5},
+    )
+    chars = ruled["chars"]
+
+    def by_hand(word_cfg):
+        tables = find_tables_page(
+            concat_edges([]),
+            cfg,
+            (0.0, 0.0, ruled["page_width"], ruled["page_height"]),
+            words_provider=lambda: extract_words_page(chars, word_cfg),
+        )
+        return [(t.bbox, rows) for t, rows in zip(tables, page_cell_texts(chars, tables))]
+
+    want = by_hand(WordConfig(x_tolerance=0.5))
+    # the setting changes the table: 0.5 pt splits the 1.25 pt glyph gaps
+    assert want and want != by_hand(WordConfig())
+    flat = [(bbox, [t for row in rows for t in row if t is not None]) for bbox, rows in want]
+    for page in (ruled, bare):
+        assert page_tables_full(page, cfg) == want
+        assert flatten.page_tables(page, cfg) == flat

@@ -2456,29 +2456,6 @@ def test_syndication_histogram_cross_source(ray_session):
     assert rows[1]["n_families"] == 1 and rows[1]["n_docs"] == 1
 
 
-def test_ewma_running_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([7, 7, 7, 8], pa.int64()),
-                "event_id": pa.array([1, 2, 3, 4], pa.int64()),
-                "ts": pa.array([10, 20, 30, 10], pa.timestamp("us")),
-                "value": pa.array([8.0, 4.0, 2.0, 16.0], pa.float64()),
-            }
-        )
-    )
-    out = {r["event_id"]: r["ewma_e"] for r in an.ewma_running_ds(ev).take_all()}
-    # cents: 800, 400, 200, 1600
-    assert out[1] == 800
-    assert out[2] == 400 + (800 >> 1)
-    assert out[3] == 200 + (400 >> 1) + (800 >> 2)
-    assert out[4] == 1600  # different user: no carry-over
-
-
 def test_term_trend_drift_sign(ray_session):
     import pyarrow as pa
     import ray.data
@@ -2595,21 +2572,6 @@ def test_dataset_card_hand_computed(ray_session):
     assert row["min_tokens"] == 1 and row["max_tokens"] == 3
     assert row["n_langs"] == 2 and row["n_sources"] == 2
     assert row["n_dup_docs"] == 1  # 3 docs, 2 distinct texts
-
-
-def test_pareto_share_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # user 1: 8 events, users 2..10: 1 each -> 10 users, 17 events
-    # top 10% = 1 user -> user 1 -> share = 8/17
-    uid = [1] * 8 + list(range(2, 11))
-    ev = ray.data.from_arrow(pa.table({"user_id": pa.array(uid, pa.int64())}))
-    row = an.pareto_share_ds(ev, top_permille=100).take_all()[0]
-    assert row["n_users"] == 10 and row["n_top_users"] == 1
-    assert row["total_events"] == 17 and row["top_events"] == 8
-    assert row["share_ppm"] == 8 * 1_000_000 // 17
 
 
 def test_fold_leakage_planted(ray_session):

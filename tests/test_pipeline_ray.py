@@ -22,7 +22,6 @@ from pdfplumber_ray.pipelines import (
     words_ds,
 )
 from pdfplumber_ray.sources.synth_corpus import make_docs_table, write_corpus
-from pdfplumber_ray.stages.flatten import extract_doc_spans
 from pdfplumber_ray.stages.layout import layout_doc
 
 N_DOCS = 60
@@ -130,44 +129,6 @@ def test_operator_datasets_consistent(corpus_dir, expected_spans):
         for spans in expected_spans.values()
     )
     assert got_cells == want_cells
-
-
-def test_skew_aware_extract_same_results(ray_session):
-    import ray.data as rd
-
-    from pdfplumber_ray.pipelines.extract import extract_spans_skew_aware
-
-    t = make_docs_table(30, seed=4, pathological_rate=0.15)
-    base = {r["doc_id"]: span_key(r["spans"])
-            for r in extract_spans_ds(rd.from_arrow(t), PipelineConfig(batch_size=8)).take_all()}
-    skew = {r["doc_id"]: span_key(r["spans"])
-            for r in extract_spans_skew_aware(
-                rd.from_arrow(t), PipelineConfig(batch_size=8), span_threshold=200
-            ).take_all()}
-    assert skew == base
-    # the threshold actually split the corpus (pathological docs exist)
-    import pyarrow.compute as pc
-    n = pc.list_value_length(t.column("spans"))
-    assert pc.max(n).as_py() > 200 > pc.min(n).as_py()
-
-
-def test_staged_assembly_equals_fused(ray_session):
-    import ray.data as rd
-
-    from pdfplumber_ray.pipelines.extract import extract_spans_staged_ds
-
-    t = make_docs_table(25, seed=13, pathological_rate=0.1)
-    fused = {r["doc_id"]: span_key(r["spans"])
-             for r in extract_spans_ds(rd.from_arrow(t), PipelineConfig(batch_size=8)).take_all()}
-    staged = {r["doc_id"]: span_key(r["spans"])
-              for r in extract_spans_staged_ds(rd.from_arrow(t), PipelineConfig(batch_size=8)).take_all()}
-    assert staged == fused
-    # offsets identical too (reassigned after the page concat)
-    fused_off = {r["doc_id"]: [s["offset"] for s in r["spans"]]
-                 for r in extract_spans_ds(rd.from_arrow(t), PipelineConfig(batch_size=8)).take_all()}
-    staged_off = {r["doc_id"]: [s["offset"] for s in r["spans"]]
-                  for r in extract_spans_staged_ds(rd.from_arrow(t), PipelineConfig(batch_size=8)).take_all()}
-    assert staged_off == fused_off
 
 
 def test_filter_pages_predicate(ray_session):

@@ -44,6 +44,23 @@ SPAN_MEDIA_CODE = (
 )
 
 
+# public analytics/corpus_ops defs that no query and no other package code
+# reaches; the set may only shrink (ROADMAP item 4 empties it)
+UNREACHED_OPERATORS = frozenset(
+    {
+        "anti_join_ds", "attribution_ds", "benford_audit_ds",
+        "cohort_retention_ds", "collapse_runs_ds", "decayed_sum_ds",
+        "fk_audit_ds", "grouped_mode_ds", "grouped_percentiles_ds",
+        "histogram_ds", "hopping_window_ds", "interarrival_stats_ds",
+        "interval_count_ds", "interval_merge_ds", "inversion_count_ds",
+        "keep_latest_ds", "key_skew_audit_ds", "log_histogram_ds",
+        "moments_ds", "rollup_ds", "semi_join_ds", "sessions_ds",
+        "snapshot_diff_ds", "throttle_events_ds", "transitions_ds",
+        "trend_ds", "user_paths_ds", "zorder_key_ds",
+    }
+)
+
+
 def _load_entry():
     import __ray_entry__ as E
 
@@ -75,7 +92,9 @@ def _referenced(node, E, helpers, seen) -> set:
     return out
 
 
-def _families(E) -> dict:
+def _entry_registry():
+    """``__ray_entry__``'s top-level functions by name, and the ``QUERIES``
+    dict literal."""
     tree = ast.parse(open(ENTRY).read())
     helpers = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     (registry,) = [
@@ -83,6 +102,11 @@ def _families(E) -> dict:
         for n in tree.body
         if isinstance(n, ast.AnnAssign) and getattr(n.target, "id", "") == "QUERIES"
     ]
+    return helpers, registry
+
+
+def _families(E) -> dict:
+    helpers, registry = _entry_registry()
     fam = {}
     for k, v in zip(registry.keys, registry.values):
         node = helpers[v.id] if isinstance(v, ast.Name) else v
@@ -173,3 +197,47 @@ def test_entry_module_does_not_own_ray_session():
         and isinstance(n.value, ast.Name) and n.value.id == "ray"
     ]
     assert calls == [], "ray.init/ray.shutdown found in __ray_entry__.py"
+
+
+def _names(node) -> set:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_operator_is_reached():
+    """Every public def in ``analytics``/``corpus_ops`` is reached, through
+    the calls between top-level defs, from a ``QUERIES`` callable or from
+    the rest of the package, except the frozen ``UNREACHED_OPERATORS``."""
+    pipelines = os.path.join(REPO, "pdfplumber_ray", "pipelines")
+    sources = [os.path.join(pipelines, m) for m in ("analytics.py", "corpus_ops.py")]
+    ops, public = {}, set()
+    for path in sources:
+        for n in ast.parse(open(path).read()).body:
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                ops[n.name] = n
+                if not n.name.startswith("_"):
+                    public.add(n.name)
+            elif isinstance(n, ast.Assign):
+                ops.update((t.id, n) for t in n.targets if isinstance(t, ast.Name))
+    helpers, registry = _entry_registry()
+    frontier = list(registry.values)
+    for dirpath, _, files in os.walk(os.path.join(REPO, "pdfplumber_ray")):
+        for f in files:
+            path = os.path.join(dirpath, f)
+            if f.endswith(".py") and path not in sources:
+                frontier.append(ast.parse(open(path).read()))
+    reached = set()
+    while frontier:
+        for name in _names(frontier.pop()) - reached:
+            for defs in (ops, helpers):
+                if name in defs:
+                    reached.add(name)
+                    frontier.append(defs[name])
+    unreached = public - reached
+    assert unreached == UNREACHED_OPERATORS, (
+        f"unreached: {sorted(unreached - UNREACHED_OPERATORS)}; "
+        f"reached or deleted: {sorted(UNREACHED_OPERATORS - unreached)}"
+    )
