@@ -771,14 +771,17 @@ class PageImage:
 
     def debug_tablefinder(self, tf=None) -> "PageImage":
         """Reference display.py:343-367: outline detected table cells,
-        draw the merged edge set, and mark intersections."""
+        draw the merged edge set, and mark intersections. The finder is the
+        one-page table finder the pipeline runs: text-strategy words are
+        built with the table's ``text_settings``, and a page without ruling
+        still gets its text-strategy tables."""
+        from .functions.geometry import concat_edges
         from .functions.tables import (
             edges_to_intersections_arrays,
-            find_tables_page,
             get_table_edges,
+            intersections_to_tables,
         )
-        from .functions.words import extract_words_page
-        from .stages.flatten import page_edge_union
+        from .stages.flatten import page_edge_union, table_words_group
 
         if tf is None or isinstance(tf, (TableConfig, dict)):
             cfg = TableConfig.resolve(tf)
@@ -786,23 +789,27 @@ class PageImage:
             raise ValueError(
                 "Argument must be a TableConfig or a settings dict."
             )
-        page = dict(self.page)
-        chars = _char_table(page.get("chars"))
-        if "rects" not in page or page.get("rects") is None:
-            page["rects"] = {"x0": np.empty(0)}
-        edges = page_edge_union(_arrayify_page(page))
+        chars = _char_table(self.page.get("chars"))
+        edges = page_edge_union(_arrayify_page(self.page))
         if edges is None:
-            return self
-        page_bbox = self.bbox
+            edges = concat_edges([])
         words_provider = (
-            (lambda: extract_words_page(chars, WordConfig()))
+            (
+                lambda: table_words_group(
+                    chars, np.zeros(chars["x0"].shape[0], dtype=np.int64), cfg
+                )[0]
+            )
             if chars is not None
             else None
         )
-        tables = find_tables_page(edges, cfg, page_bbox, words_provider)
-        for t in tables:
+        merged = get_table_edges(edges, cfg, self.bbox, words_provider)
+        inter = edges_to_intersections_arrays(
+            merged,
+            cfg.resolved("intersection_x_tolerance"),
+            cfg.resolved("intersection_y_tolerance"),
+        )
+        for t in intersections_to_tables(inter, cfg):
             self.draw_rects([c for c in t.cells], stroke_width=1)
-        merged = get_table_edges(edges, cfg, page_bbox, words_provider)
         self.draw_lines(
             [
                 (
@@ -812,11 +819,6 @@ class PageImage:
                 for i in range(merged["x0"].shape[0])
             ],
             stroke_width=1,
-        )
-        inter = edges_to_intersections_arrays(
-            merged,
-            cfg.resolved("intersection_x_tolerance"),
-            cfg.resolved("intersection_y_tolerance"),
         )
         self.draw_circles(
             list(inter.keys()),

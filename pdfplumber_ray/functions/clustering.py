@@ -73,10 +73,14 @@ def cluster_groups(
     return np.split(order, breaks)
 
 
-def cluster_means(values: np.ndarray, tolerance: float) -> np.ndarray:
-    """Per-element mean of its cluster (used by snap, geometry.py:150-159)."""
+def cluster_means(
+    values: np.ndarray, tolerance: float, segment: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Per-element mean of its cluster (used by snap, geometry.py:150-159),
+    clustering within each ``segment`` when one is given. A cluster's sum
+    adds its members in input order."""
     values = np.asarray(values, dtype=np.float64)
-    ids = cluster_ids(values, tolerance)
+    ids = cluster_ids(values, tolerance, segment=segment)
     if values.shape[0] == 0:
         return values.copy()
     sums = np.bincount(ids, weights=values)

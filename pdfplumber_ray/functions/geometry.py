@@ -9,7 +9,7 @@ derivation geometry.py:189-260).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -296,6 +296,49 @@ def concat_edges(parts: Iterable[Optional[ObjArrays]]) -> ObjArrays:
             for k in keys
         }
     return {k: np.concatenate([p[k] for p in parts]) for k in keys}
+
+
+def concat_paged_edges(
+    parts: Sequence[ObjArrays], pages: Sequence[np.ndarray]
+) -> Tuple[ObjArrays, np.ndarray]:
+    """Edge tables of a group of pages, each with a page id per row -> one
+    edge table and its page ids, stably sorted by page: each page's edges
+    keep the order of ``parts`` and their order within each part."""
+    keep = [i for i, part in enumerate(parts) if part["x0"].shape[0] > 0]
+    edges = concat_edges([parts[i] for i in keep])
+    if not keep:
+        return edges, np.empty(0, dtype=np.int64)
+    page = np.concatenate([pages[i] for i in keep]).astype(np.int64, copy=False)
+    order = np.argsort(page, kind="stable")
+    return {k: v[order] for k, v in edges.items()}, page[order]
+
+
+def band_pairs(
+    page: np.ndarray,
+    v: np.ndarray,
+    band_page: np.ndarray,
+    band_lo: np.ndarray,
+    band_hi: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(band, point) index pairs for every point on the band's page with
+    ``band_lo <= v < band_hi``, without a bands x points broadcast. The
+    values and bounds are ranked together, so each (page, value) becomes
+    one exact integer key; the points are sorted by it once and each band's
+    points are the range between two ``searchsorted`` results. Pairs come
+    grouped by band."""
+    n, n_bands = v.shape[0], band_lo.shape[0]
+    uniq, rank = np.unique(np.concatenate((v, band_lo, band_hi)), return_inverse=True)
+    rank = rank.reshape(-1)
+    width = max(1, uniq.shape[0])
+    key = page.astype(np.int64) * width + rank[:n]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    base = band_page.astype(np.int64) * width
+    start = np.searchsorted(sorted_key, base + rank[n : n + n_bands])
+    count = np.maximum(np.searchsorted(sorted_key, base + rank[n + n_bands :]) - start, 0)
+    band = np.repeat(np.arange(n_bands), count)
+    pos = np.arange(band.shape[0]) + np.repeat(start - (np.cumsum(count) - count), count)
+    return band, order[pos]
 
 
 def filter_edges_mask(

@@ -1,4 +1,4 @@
-"""Per-page table detection: lattice + stream strategies.
+"""Table detection over a group of pages: lattice + stream strategies.
 
 Semantics ported from reference table.py — snap/join edge merging
 (table.py:21-98), text-alignment imaginary edges (table.py:101-204),
@@ -7,9 +7,20 @@ intersection graph (table.py:207-231), smallest-cell search
 (table.py:297-355, re-expressed as union-find with the same output order),
 row alignment and per-cell text (table.py:389-435).
 
-Everything here runs inside one map_batches task per page — both edge sides
-of the "join" live in the same page group, so no distributed join is ever
-needed (SURVEY.md §2.5).
+The kernels take a group of pages at once. Edges, words and chars are
+each one column set with a page id per row; every page's rows are
+contiguous and in page order. Snap, join, the intersection pairs and cell
+membership are sorts and sweeps keyed by that page id, so a kernel makes a
+fixed number of numpy calls per group rather than per page, and each
+page's result is the one it would get alone. The one-page functions
+(``find_tables_page``, ``merge_edges_arrays``,
+``edges_to_intersections_arrays``, ``page_cell_texts``) are the group of
+one. The smallest-cell search and the table grouping stay per-page
+Python, since their cost is per vertex; so do the text strategy's
+imaginary edges and the explicit lines, whose cost is per word cluster or
+per given line and which the default lines strategy never runs. Both edge
+sides of the "join" live in
+the same page, so no distributed join is ever needed (SURVEY.md §2.5).
 """
 
 from __future__ import annotations
@@ -26,7 +37,9 @@ from .clustering import cluster_groups, cluster_means
 from .geometry import (
     Bbox,
     ObjArrays,
+    band_pairs,
     concat_edges,
+    concat_paged_edges,
     filter_edges_mask,
 )
 from .textmap import segment_texts, words_to_textmap
@@ -39,25 +52,86 @@ def _take(edges: ObjArrays, idx: np.ndarray) -> ObjArrays:
     return {k: v[idx] for k, v in edges.items()}
 
 
+def _zeros(n: int) -> np.ndarray:
+    return np.zeros(n, dtype=np.int64)
+
+
 def snap_edges_arrays(
-    edges: ObjArrays, x_tolerance: float, y_tolerance: float
+    edges: ObjArrays,
+    x_tolerance: float,
+    y_tolerance: float,
+    page: Optional[np.ndarray] = None,
 ) -> ObjArrays:
     """Snap parallel edges within tolerance to their cluster mean
     (table.py:21-36): v edges move horizontally to mean x0, h edges move
-    vertically to mean top."""
+    vertically to mean top. With ``page``, edges cluster only within their
+    page; a cluster's mean sums its members in input order either way."""
     out = {k: v.copy() for k, v in edges.items()}
     is_v = edges["orientation"] == "v"
-    vi = np.flatnonzero(is_v)
-    hi = np.flatnonzero(~is_v)
-    if vi.shape[0]:
-        delta = cluster_means(out["x0"][vi], x_tolerance) - out["x0"][vi]
-        out["x0"][vi] += delta
-        out["x1"][vi] += delta
-    if hi.shape[0]:
-        delta = cluster_means(out["top"][hi], y_tolerance) - out["top"][hi]
-        out["top"][hi] += delta
-        out["bottom"][hi] += delta
+    for idx, key, other, tol in (
+        (np.flatnonzero(is_v), "x0", "x1", x_tolerance),
+        (np.flatnonzero(~is_v), "top", "bottom", y_tolerance),
+    ):
+        if idx.shape[0]:
+            seg = None if page is None else page[idx]
+            delta = cluster_means(out[key][idx], tol, segment=seg) - out[key][idx]
+            out[key][idx] += delta
+            out[other][idx] += delta
     return out
+
+
+def merge_edges_group(
+    edges: ObjArrays,
+    page: np.ndarray,
+    snap_x_tolerance: float,
+    snap_y_tolerance: float,
+    join_x_tolerance: float,
+    join_y_tolerance: float,
+) -> Tuple[ObjArrays, np.ndarray]:
+    """snap -> group by (page, orientation, position) -> join collinear runs
+    (table.py:68-98), for every page of a group at once. Returns the merged
+    edges and their pages, ordered by (page, orientation 'h' first,
+    position, extent start) like the reference's sorted groupby."""
+    if snap_x_tolerance > 0 or snap_y_tolerance > 0:
+        edges = snap_edges_arrays(edges, snap_x_tolerance, snap_y_tolerance, page)
+
+    n = edges["x0"].shape[0]
+    if n == 0:
+        return edges, page
+    is_v = edges["orientation"] == "v"
+    pos = np.where(is_v, edges["x0"], edges["top"])
+    lo = np.where(is_v, edges["top"], edges["x0"])
+    hi = np.where(is_v, edges["bottom"], edges["x1"])
+    # 'h' < 'v' so h groups come first, as in the reference's tuple sort
+    order = np.lexsort((lo, pos, is_v, page))
+    sv = is_v[order]
+    sp = pos[order]
+    spg = page[order]
+    lo_s = lo[order]
+    hi_s = hi[order]
+    group_break = np.ones(n, dtype=bool)
+    group_break[1:] = (spg[1:] != spg[:-1]) | (sv[1:] != sv[:-1]) | (sp[1:] != sp[:-1])
+    # running max of the extent end within each group, exactly: rank the
+    # ends, lift each group's ranks above every earlier group's, take one
+    # running max over the whole array and map the ranks back
+    uniq, rank = np.unique(hi_s, return_inverse=True)
+    lift = (np.cumsum(group_break) - 1) * uniq.shape[0]
+    cummax = uniq[np.maximum.accumulate(lift + rank) - lift]
+    # a run continues while its start is within tol of the running max
+    # extent (reference table.py:39-65)
+    tol = np.where(sv, join_y_tolerance, join_x_tolerance)
+    brk = group_break
+    brk[1:] |= lo_s[1:] > cummax[:-1] + tol[1:]
+    rs = np.flatnonzero(brk)
+    keep_idx = order[rs]
+    new_max = np.maximum.reduceat(hi_s, rs)
+    out = _take(edges, keep_idx)
+    vmask = sv[rs]
+    out["bottom"] = np.where(vmask, new_max, out["bottom"])
+    out["x1"] = np.where(~vmask, new_max, out["x1"])
+    out["width"] = out["x1"] - out["x0"]
+    out["height"] = out["bottom"] - out["top"]
+    return out, page[keep_idx]
 
 
 def merge_edges_arrays(
@@ -67,58 +141,11 @@ def merge_edges_arrays(
     join_x_tolerance: float,
     join_y_tolerance: float,
 ) -> ObjArrays:
-    """snap -> group by (orientation, position) -> join collinear runs
-    (table.py:68-98). Output ordered by (orientation 'h' first, position,
-    extent start) like the reference's sorted groupby."""
-    if snap_x_tolerance > 0 or snap_y_tolerance > 0:
-        edges = snap_edges_arrays(edges, snap_x_tolerance, snap_y_tolerance)
-
-    n = edges["x0"].shape[0]
-    if n == 0:
-        return edges
-    is_v = edges["orientation"] == "v"
-    pos = np.where(is_v, edges["x0"], edges["top"])
-    lo = np.where(is_v, edges["top"], edges["x0"])
-    hi = np.where(is_v, edges["bottom"], edges["x1"])
-    # 'h' < 'v' so h groups come first, as in the reference's tuple sort
-    order = np.lexsort((lo, pos, is_v))
-
-    group_break = np.zeros(n, dtype=bool)
-    group_break[0] = True
-    sv = is_v[order]
-    sp = pos[order]
-    group_break[1:] = (sv[1:] != sv[:-1]) | (sp[1:] != sp[:-1])
-    starts = np.flatnonzero(group_break)
-    ends = np.append(starts, n)[1:]
-    lo_s = lo[order]
-    hi_s = hi[order]
-    keep_idx_parts: List[np.ndarray] = []
-    new_max_parts: List[np.ndarray] = []
-    is_v_parts: List[bool] = []
-    for s, e in zip(starts, ends):
-        g_v = bool(sv[s])
-        tol = join_y_tolerance if g_v else join_x_tolerance
-        lo_g = lo_s[s:e]
-        hi_g = hi_s[s:e]
-        # vectorized sweep: a run continues while its start is within tol
-        # of the running max extent (reference table.py:39-65)
-        cummax = np.maximum.accumulate(hi_g)
-        brk = np.empty(lo_g.shape[0], dtype=bool)
-        brk[0] = True
-        brk[1:] = lo_g[1:] > cummax[:-1] + tol
-        rs = np.flatnonzero(brk)
-        keep_idx_parts.append(order[s:e][rs])
-        new_max_parts.append(np.maximum.reduceat(hi_g, rs))
-        is_v_parts.extend([g_v] * rs.shape[0])
-    keep_idx = np.concatenate(keep_idx_parts)
-    new_max = np.concatenate(new_max_parts)
-    out = _take(edges, keep_idx)
-    vmask = np.asarray(is_v_parts, dtype=bool)
-    out["bottom"] = np.where(vmask, new_max, out["bottom"])
-    out["x1"] = np.where(~vmask, new_max, out["x1"])
-    out["width"] = out["x1"] - out["x0"]
-    out["height"] = out["bottom"] - out["top"]
-    return out
+    """:func:`merge_edges_group` on one page."""
+    return merge_edges_group(
+        edges, _zeros(edges["x0"].shape[0]),
+        snap_x_tolerance, snap_y_tolerance, join_x_tolerance, join_y_tolerance,
+    )[0]
 
 
 def rows_to_edges(rows: List[Dict[str, Any]]) -> ObjArrays:
@@ -205,46 +232,67 @@ def _bbox_overlap(a: Bbox, b: Bbox) -> bool:
     return w >= 0 and h >= 0 and (w + h) > 0
 
 
-def edges_to_intersections_arrays(
-    edges: ObjArrays, x_tolerance: float, y_tolerance: float
-) -> Dict[Point, Tuple[set, set]]:
-    """Vertex map (table.py:207-231) via a vectorized broadcast compare of
-    v-edges x h-edges; per-vertex edge membership kept as bbox-tuple sets,
-    matching the reference's edge identity semantics (table.py:245-246)."""
+Intersections = Dict[Point, Tuple[set, set]]
+
+
+def intersections_group(
+    edges: ObjArrays,
+    page: np.ndarray,
+    n_pages: int,
+    x_tolerance: float,
+    y_tolerance: float,
+) -> List[Intersections]:
+    """Vertex map per page (table.py:207-231). The candidate pairs are
+    every page's v edges x its h edges, in (v, h) order, built with
+    ``np.repeat`` and tested in one vectorized compare; per-vertex edge
+    membership is kept as bbox-tuple sets, matching the reference's edge
+    identity semantics (table.py:245-246). ``page`` must be sorted."""
+    out: List[Intersections] = [{} for _ in range(n_pages)]
     is_v = edges["orientation"] == "v"
     vi = np.flatnonzero(is_v)
     hi = np.flatnonzero(~is_v)
     if vi.shape[0] == 0 or hi.shape[0] == 0:
-        return {}
-    vx0 = edges["x0"][vi][:, None]
-    vtop = edges["top"][vi][:, None]
-    vbottom = edges["bottom"][vi][:, None]
-    htop = edges["top"][hi][None, :]
-    hx0 = edges["x0"][hi][None, :]
-    hx1 = edges["x1"][hi][None, :]
-    hit = (
-        (vtop <= htop + y_tolerance)
-        & (vbottom >= htop - y_tolerance)
-        & (vx0 >= hx0 - x_tolerance)
-        & (vx0 <= hx1 + x_tolerance)
+        return out
+    vpage = page[vi]
+    h_count = np.bincount(page[hi], minlength=n_pages)
+    per_v = h_count[vpage]
+    a = np.repeat(np.arange(vi.shape[0]), per_v)
+    b = (
+        (np.cumsum(h_count) - h_count)[vpage][a]
+        + np.arange(a.shape[0])
+        - np.repeat(np.cumsum(per_v) - per_v, per_v)
     )
-    out: Dict[Point, Tuple[set, set]] = {}
-    v_bbox = [
-        (edges["x0"][i], edges["top"][i], edges["x1"][i], edges["bottom"][i]) for i in vi
-    ]
-    h_bbox = [
-        (edges["x0"][i], edges["top"][i], edges["x1"][i], edges["bottom"][i]) for i in hi
-    ]
-    for a, b in zip(*np.nonzero(hit)):
-        vertex = (float(vx0[a, 0]), float(htop[0, b]))
-        if vertex not in out:
-            out[vertex] = (set(), set())
-        out[vertex][0].add(v_bbox[a])
-        out[vertex][1].add(h_bbox[b])
+    v, h = vi[a], hi[b]
+    x0, top, x1, bottom = (edges[k] for k in ("x0", "top", "x1", "bottom"))
+    hit = (
+        (top[v] <= top[h] + y_tolerance)
+        & (bottom[v] >= top[h] - y_tolerance)
+        & (x0[v] >= x0[h] - x_tolerance)
+        & (x0[v] <= x1[h] + x_tolerance)
+    )
+    v, h = v[hit], h[hit]
+    x0l, topl = x0.tolist(), top.tolist()
+    boxes = list(zip(x0l, topl, x1.tolist(), bottom.tolist()))
+    for i, j, p in zip(v.tolist(), h.tolist(), page[v].tolist()):
+        vertex = (x0l[i], topl[j])
+        entry = out[p].get(vertex)
+        if entry is None:
+            entry = out[p][vertex] = (set(), set())
+        entry[0].add(boxes[i])
+        entry[1].add(boxes[j])
     return out
 
 
-def intersections_to_cells(intersections: Dict[Point, Tuple[set, set]]) -> List[Bbox]:
+def edges_to_intersections_arrays(
+    edges: ObjArrays, x_tolerance: float, y_tolerance: float
+) -> Intersections:
+    """:func:`intersections_group` on one page."""
+    return intersections_group(
+        edges, _zeros(edges["x0"].shape[0]), 1, x_tolerance, y_tolerance
+    )[0]
+
+
+def intersections_to_cells(intersections: Intersections) -> List[Bbox]:
     """Smallest rectangle per vertex whose four corners are edge-connected
     (table.py:234-294)."""
     points = sorted(intersections.keys())
@@ -366,36 +414,48 @@ class PageTable:
 
 
 # char columns the word kernel reads (``size`` only under a tolerance ratio)
-_WORD_CHAR_COLS = ("text", "x0", "x1", "top", "bottom", "doctop", "upright", "size")
+WORD_CHAR_COLS = ("text", "x0", "x1", "top", "bottom", "doctop", "upright", "size")
 
 
-def page_cell_texts(
-    chars: CharTable, tables: Sequence[PageTable]
-) -> List[List[List[Optional[str]]]]:
-    """Rows of cell text for every table on one page, in one pass.
+def word_char_cols(chars: CharTable, cfg: WordConfig) -> List[str]:
+    """The columns of ``chars`` that ``extract_words_page`` reads under
+    ``cfg``."""
+    return list(dict.fromkeys([k for k in WORD_CHAR_COLS if k in chars] + list(cfg.extra_attrs)))
+
+
+def cell_texts_group(
+    chars: CharTable,
+    char_page: np.ndarray,
+    tables: Sequence[Sequence[PageTable]],
+) -> List[List[List[List[Optional[str]]]]]:
+    """Rows of cell text for every table of every page of a group, in one
+    pass: ``tables[p]`` are page ``p``'s tables, ``char_page`` gives each
+    char's page (sorted), and the result holds ``tables``' shape.
 
     Same result as the reference's ``Table.extract`` (table.py:399-435) on
-    each table: a char belongs to every cell that holds its midpoint
-    (``char_in_bbox``), absent cells are ``None``, cells without words are
-    ``""``, and the rest are ``extract_text`` of the cell's chars under the
-    tables' shared ``text_settings``. The (cell, char) pairs are gathered
-    into one char table with the cell id as its segment, so one
-    ``extract_words_page`` call assembles every cell's words and one
-    ``segment_texts`` call joins them.
+    each table: a char of the table's page belongs to every cell that holds
+    its midpoint (``char_in_bbox``), absent cells are ``None``, cells
+    without words are ``""``, and the rest are ``extract_text`` of the
+    cell's chars under the tables' shared ``text_settings``. The (cell,
+    char) pairs are gathered into one char table with the cell id as its
+    segment, so one ``extract_words_page`` call assembles every cell's
+    words and one ``segment_texts`` call joins them.
     """
-    if not tables:
-        return []
-    settings = dict(tables[0].text_settings)
-    if any(t.text_settings != settings for t in tables[1:]):
+    flat = [(p, t) for p, page_tables in enumerate(tables) for t in page_tables]
+    if not flat:
+        return [[] for _ in tables]
+    settings = dict(flat[0][1].text_settings)
+    if any(t.text_settings != settings for _, t in flat[1:]):
         raise ValueError("page_cell_texts needs tables that share text_settings")
     h_mid = (np.asarray(chars["x0"]) + np.asarray(chars["x1"])) / 2
     v_mid = (np.asarray(chars["top"]) + np.asarray(chars["bottom"])) / 2
 
-    # cells are numbered in (table, row, column) order
+    # cells are numbered in (page, table, row, column) order
     grids: List[List[List[Optional[int]]]] = []
     boxes: List[Bbox] = []
     row_sizes: List[int] = []
-    for table in tables:
+    row_page: List[int] = []
+    for p, table in flat:
         grid = []
         for row in table.rows:
             present = [c for c in row if c is not None]
@@ -403,21 +463,21 @@ def page_cell_texts(
             grid.append([None if c is None else next(ids) for c in row])
             boxes.extend(present)
             row_sizes.append(len(present))
+            row_page.append(p)
         grids.append(grid)
     # membership: chars in each row's bbox, then each such (row, char) pair
     # against every cell of its row; a char inside two cells counts in both
     box = np.asarray(boxes, dtype=np.float64)
     n_cells = np.asarray(row_sizes)
     first = n_cells.cumsum() - n_cells
-    row_i, char_i = np.nonzero(
-        _midpoint_in(
-            h_mid, v_mid,
-            np.minimum.reduceat(box[:, 0], first)[:, None],
-            np.minimum.reduceat(box[:, 1], first)[:, None],
-            np.maximum.reduceat(box[:, 2], first)[:, None],
-            np.maximum.reduceat(box[:, 3], first)[:, None],
-        )
+    row_x0 = np.minimum.reduceat(box[:, 0], first)
+    row_x1 = np.maximum.reduceat(box[:, 2], first)
+    row_i, char_i = band_pairs(
+        char_page, v_mid, np.asarray(row_page, dtype=np.int64),
+        np.minimum.reduceat(box[:, 1], first), np.maximum.reduceat(box[:, 3], first),
     )
+    in_row = (h_mid[char_i] >= row_x0[row_i]) & (h_mid[char_i] < row_x1[row_i])
+    row_i, char_i = row_i[in_row], char_i[in_row]
     per_pair = n_cells[row_i]
     pair = np.repeat(np.arange(row_i.shape[0]), per_pair)
     cell = first[row_i][pair] + np.arange(pair.shape[0]) - (per_pair.cumsum() - per_pair)[pair]
@@ -433,8 +493,7 @@ def page_cell_texts(
         wcfg = WordConfig.from_kwargs(**settings)
         render_dirs = (ldr or wcfg.line_dir, cdr or wcfg.char_dir)
         validate_directions(*render_dirs, "_render")
-        cols = dict.fromkeys([k for k in _WORD_CHAR_COLS if k in chars] + list(wcfg.extra_attrs))
-        cell_chars = {k: np.asarray(chars[k])[src] for k in cols}
+        cell_chars = {k: np.asarray(chars[k])[src] for k in word_char_cols(chars, wcfg)}
         words = extract_words_page(cell_chars, wcfg, segment=cell)
         word_cell = cell[words["char_indices"][words["char_offsets"][:-1]]]
         if not settings.get("layout"):
@@ -457,9 +516,20 @@ def page_cell_texts(
                     base, layout_width=x1 - x0, layout_height=bottom - top, layout_bbox=boxes[c]
                 )
                 texts[c] = words_to_textmap(sub, cell_chars, cfg).string
-    return [
-        [[None if i is None else texts.get(i, "") for i in ids] for ids in grid] for grid in grids
-    ]
+    out: List[List[List[List[Optional[str]]]]] = [[] for _ in tables]
+    for (p, _), grid in zip(flat, grids):
+        out[p].append(
+            [[None if i is None else texts.get(i, "") for i in ids] for ids in grid]
+        )
+    return out
+
+
+def page_cell_texts(
+    chars: CharTable, tables: Sequence[PageTable]
+) -> List[List[List[Optional[str]]]]:
+    """Rows of cell text for every table on one page:
+    :func:`cell_texts_group` on one page."""
+    return cell_texts_group(chars, _zeros(np.asarray(chars["x0"]).shape[0]), [tables])[0]
 
 
 def _midpoint_in(h_mid, v_mid, x0, top, x1, bottom) -> np.ndarray:
@@ -494,13 +564,7 @@ def _explicit_edges(
     return rows
 
 
-def get_table_edges(
-    page_edges: ObjArrays,
-    cfg: TableConfig,
-    page_bbox: Bbox,
-    words_provider: Optional[Callable[[], Dict[str, np.ndarray]]] = None,
-) -> ObjArrays:
-    """Strategy dispatch + merge + min-length filter (table.py:580-671)."""
+def _check_explicit(cfg: TableConfig) -> None:
     for orientation in ("vertical", "horizontal"):
         strategy = getattr(cfg, orientation + "_strategy")
         if strategy == "explicit":
@@ -512,49 +576,148 @@ def get_table_edges(
                     f"list/tuple of two or more floats/ints."
                 )
 
-    words: Optional[Dict[str, np.ndarray]] = None
-    if "text" in (cfg.vertical_strategy, cfg.horizontal_strategy):
-        if words_provider is None:
-            raise ValueError("text strategy requires a words provider")
-        words = words_provider()
 
+# word columns the text strategy's imaginary edges read
+_WORD_EDGE_COLS = ("text", "x0", "x1", "top", "bottom")
+
+
+def _strategy_edges_group(
+    edges: ObjArrays,
+    page: np.ndarray,
+    bboxes: Sequence[Bbox],
+    cfg: TableConfig,
+    words: Optional[Dict[str, np.ndarray]],
+    word_page: Optional[np.ndarray],
+) -> Tuple[ObjArrays, np.ndarray]:
+    """Strategy dispatch (table.py:580-671) for every page of a group. Each
+    page's edges come in the reference's order: vertical strategy edges,
+    explicit vertical lines, horizontal strategy edges, explicit horizontal
+    lines. The lines strategies filter the whole group at once; the text
+    strategy's imaginary edges (``words_to_edges_*``, Python per word
+    cluster) and the explicit lines are built page by page from the
+    group's words and bboxes, then join the group's one merge."""
+    n_pages = len(bboxes)
     parts: List[ObjArrays] = []
-    for orientation, strat_name, words_fn, thresh in (
-        ("v", cfg.vertical_strategy, words_to_edges_v_arrays, cfg.min_words_vertical),
-        ("h", cfg.horizontal_strategy, words_to_edges_h_arrays, cfg.min_words_horizontal),
-    ):
-        if strat_name == "lines":
-            base = _take(page_edges, np.flatnonzero(filter_edges_mask(page_edges, orientation)))
-        elif strat_name == "lines_strict":
-            base = _take(
-                page_edges,
-                np.flatnonzero(filter_edges_mask(page_edges, orientation, edge_type="line")),
-            )
-        elif strat_name == "text":
-            assert words is not None
-            base = words_fn(words, thresh)
-        else:  # explicit
-            base = concat_edges([])
-        explicit = rows_to_edges(
-            _explicit_edges(
-                getattr(cfg, f"explicit_{'vertical' if orientation == 'v' else 'horizontal'}_lines"),
-                orientation,
-                page_bbox,
-            )
-        ) if getattr(
-            cfg, f"explicit_{'vertical' if orientation == 'v' else 'horizontal'}_lines"
-        ) else None
-        parts.append(concat_edges([base, explicit]))
+    pages: List[np.ndarray] = []
 
-    edges = concat_edges(parts)
-    edges = merge_edges_arrays(
+    def per_page(make: Callable[[int], ObjArrays]) -> None:
+        for p in range(n_pages):
+            part = make(p)
+            parts.append(part)
+            pages.append(np.full(part["x0"].shape[0], p, dtype=np.int64))
+
+    for orientation, strat_name, words_fn, thresh, explicit in (
+        ("v", cfg.vertical_strategy, words_to_edges_v_arrays, cfg.min_words_vertical,
+         cfg.explicit_vertical_lines),
+        ("h", cfg.horizontal_strategy, words_to_edges_h_arrays, cfg.min_words_horizontal,
+         cfg.explicit_horizontal_lines),
+    ):
+        if strat_name in ("lines", "lines_strict"):
+            edge_type = "line" if strat_name == "lines_strict" else None
+            idx = np.flatnonzero(filter_edges_mask(edges, orientation, edge_type=edge_type))
+            parts.append(_take(edges, idx))
+            pages.append(page[idx])
+        elif strat_name == "text":
+            if words is None or word_page is None:
+                raise ValueError("text strategy requires a words provider")
+            bounds = np.searchsorted(word_page, np.arange(n_pages + 1))
+            per_page(
+                lambda p: words_fn(
+                    {k: words[k][bounds[p] : bounds[p + 1]] for k in _WORD_EDGE_COLS}, thresh
+                )
+            )
+        if explicit:
+            per_page(lambda p: rows_to_edges(_explicit_edges(explicit, orientation, bboxes[p])))
+    return concat_paged_edges(parts, pages)
+
+
+def _merge_table_edges(
+    edges: ObjArrays, page: np.ndarray, cfg: TableConfig
+) -> Tuple[ObjArrays, np.ndarray]:
+    """Merge + min-length filter (table.py:659-671)."""
+    edges, page = merge_edges_group(
         edges,
+        page,
         snap_x_tolerance=cfg.resolved("snap_x_tolerance"),
         snap_y_tolerance=cfg.resolved("snap_y_tolerance"),
         join_x_tolerance=cfg.resolved("join_x_tolerance"),
         join_y_tolerance=cfg.resolved("join_y_tolerance"),
     )
-    return _take(edges, np.flatnonzero(filter_edges_mask(edges, min_length=cfg.edge_min_length)))
+    keep = np.flatnonzero(filter_edges_mask(edges, min_length=cfg.edge_min_length))
+    return _take(edges, keep), page[keep]
+
+
+def intersections_to_tables(intersections: Intersections, cfg: TableConfig) -> List[PageTable]:
+    """One page's vertex map -> its tables (table.py:566-578)."""
+    if not intersections:
+        return []
+    return [
+        PageTable(group, text_settings=dict(cfg.text_settings))
+        for group in cells_to_tables(intersections_to_cells(intersections))
+    ]
+
+
+def find_tables_group(
+    edges: ObjArrays,
+    page: np.ndarray,
+    bboxes: Sequence[Bbox],
+    cfg: TableConfig,
+    words: Optional[Dict[str, np.ndarray]] = None,
+    word_page: Optional[np.ndarray] = None,
+) -> List[List[PageTable]]:
+    """Full TableFinder chain (table.py:566-578) for every page of a
+    group: ``edges``/``page`` are the pages' edge unions (sorted by page),
+    ``bboxes`` the page boxes, and ``words``/``word_page`` the pages' words
+    when a strategy is "text". Returns each page's tables."""
+    _check_explicit(cfg)
+    edges, page = _strategy_edges_group(edges, page, bboxes, cfg, words, word_page)
+    # a cell needs vertices at two x and two y, so two v and two h edges
+    # after the merge, which never adds one: pages with fewer before it
+    # (say, only a heading underline) skip snap, join and intersections
+    is_v = edges["orientation"] == "v"
+    n_v = np.bincount(page[is_v], minlength=len(bboxes))
+    n_h = np.bincount(page[~is_v], minlength=len(bboxes))
+    keep = np.flatnonzero(((n_v >= 2) & (n_h >= 2))[page])
+    edges, page = _merge_table_edges(_take(edges, keep), page[keep], cfg)
+    return [
+        intersections_to_tables(inter, cfg)
+        for inter in intersections_group(
+            edges,
+            page,
+            len(bboxes),
+            cfg.resolved("intersection_x_tolerance"),
+            cfg.resolved("intersection_y_tolerance"),
+        )
+    ]
+
+
+def _page_words(
+    cfg: TableConfig, words_provider: Optional[Callable[[], Dict[str, np.ndarray]]]
+) -> Tuple[Optional[Dict[str, np.ndarray]], Optional[np.ndarray]]:
+    """A one-page finder's words and their pages, when a strategy is
+    "text"."""
+    _check_explicit(cfg)
+    if "text" not in (cfg.vertical_strategy, cfg.horizontal_strategy):
+        return None, None
+    if words_provider is None:
+        raise ValueError("text strategy requires a words provider")
+    words = words_provider()
+    return words, _zeros(words["text"].shape[0])
+
+
+def get_table_edges(
+    page_edges: ObjArrays,
+    cfg: TableConfig,
+    page_bbox: Bbox,
+    words_provider: Optional[Callable[[], Dict[str, np.ndarray]]] = None,
+) -> ObjArrays:
+    """Strategy dispatch + merge + min-length filter (table.py:580-671)
+    on one page."""
+    words, word_page = _page_words(cfg, words_provider)
+    page = _zeros(page_edges["x0"].shape[0])
+    return _merge_table_edges(
+        *_strategy_edges_group(page_edges, page, [page_bbox], cfg, words, word_page), cfg
+    )[0]
 
 
 def table_debug_page(
@@ -591,29 +754,8 @@ def find_tables_page(
     page_bbox: Bbox,
     words_provider: Optional[Callable[[], Dict[str, np.ndarray]]] = None,
 ) -> List[PageTable]:
-    """Full TableFinder chain (table.py:566-578)."""
-    # fast path: a pure lattice strategy needs BOTH orientations to form any
-    # intersection (table.py:207-231) — pages carrying only decorative
-    # h-lines (e.g. heading underlines) skip snap/join/merge entirely.
-    if (
-        cfg.vertical_strategy in ("lines", "lines_strict")
-        and cfg.horizontal_strategy in ("lines", "lines_strict")
-        and not cfg.explicit_vertical_lines
-        and not cfg.explicit_horizontal_lines
-    ):
-        if (
-            not filter_edges_mask(page_edges, "v").any()
-            or not filter_edges_mask(page_edges, "h").any()
-        ):
-            return []
-    edges = get_table_edges(page_edges, cfg, page_bbox, words_provider)
-    intersections = edges_to_intersections_arrays(
-        edges,
-        cfg.resolved("intersection_x_tolerance"),
-        cfg.resolved("intersection_y_tolerance"),
-    )
-    cells = intersections_to_cells(intersections)
-    return [
-        PageTable(group, text_settings=dict(cfg.text_settings))
-        for group in cells_to_tables(cells)
-    ]
+    """:func:`find_tables_group` on one page."""
+    words, word_page = _page_words(cfg, words_provider)
+    return find_tables_group(
+        page_edges, _zeros(page_edges["x0"].shape[0]), [page_bbox], cfg, words, word_page
+    )[0]

@@ -23,7 +23,16 @@ from ..config import PipelineConfig, SynthLayoutConfig, TableConfig, WordConfig
 from ..functions.words import extract_words_page
 from ..functions.textmap import extract_text_page, extract_text_simple_page
 from ..schemas import ANNOT, CHAR, CURVE, IMAGE, LINE, RECT, SPAN
-from .flatten import extract_doc_spans, page_table_cells
+from .flatten import (
+    EDGE_COLS,
+    PageGroup,
+    Ruling,
+    bounded_groups,
+    extract_doc_spans,  # noqa: F401  (patched by perfbench/trace.py; ROADMAP item 2)
+    page_table_cells,
+    spans_group,
+    table_cells_group,
+)
 from .layout import PageDict, layout_doc_fields
 
 _CHAR_FIELDS = (
@@ -58,9 +67,15 @@ class ExtractSpans:
 
     Decode (span layout), extraction (tables + words + media) and per-doc
     flattening happen in one call per batch, so no intermediate Arrow
-    materialization and no per-doc shuffle is needed — a document is
-    processed whole, exactly like the reference's per-document pipeline
-    (reference pdf.py:130-156), but across parallel Ray tasks.
+    materialization and no per-doc shuffle is needed. Layout runs per
+    document; the table, cell-text and word kernels then run once per
+    group of whole documents (``flatten.GROUP_CHARS`` chars, which bounds
+    the batch's working set), not once per page. Each document's spans
+    are the ones it gets alone, as in the reference's per-document
+    pipeline (reference pdf.py:130-156), but across parallel Ray tasks.
+
+    A group that raises is re-run one document at a time, so only the
+    failing document gets an ``error`` row.
     """
 
     def __init__(self, cfg: Optional[PipelineConfig] = None):
@@ -75,23 +90,47 @@ class ExtractSpans:
         out_spans: List[List[Dict]] = []
         out_err: List[Optional[str]] = []
         n_pages: List[int] = []
-        for doc_id, kinds, texts, medias in docs_batch_fields(batch):
-            try:
-                pages = layout_doc_fields(kinds, texts, medias, self.synth_cfg)
-                result = extract_doc_spans(
-                    pages, self.word_cfg, self.table_cfg, self.synth_cfg
-                )
-                out_ids.append(doc_id)
-                out_spans.append(result)
-                out_err.append(None)
-                n_pages.append(len(pages))
-            except Exception as exc:  # poison-pill quarantine
-                if not self.quarantine:
-                    raise
+
+        def fail(row: int, exc: Exception) -> None:  # poison-pill quarantine
+            if not self.quarantine:
+                raise exc
+            out_spans[row] = []
+            out_err[row] = f"{type(exc).__name__}: {exc}"
+            n_pages[row] = 0
+
+        def laid_out():
+            for doc_id, kinds, texts, medias in docs_batch_fields(batch):
+                row = len(out_ids)
                 out_ids.append(doc_id)
                 out_spans.append([])
-                out_err.append(f"{type(exc).__name__}: {exc}")
+                out_err.append(None)
                 n_pages.append(0)
+                try:
+                    pages = layout_doc_fields(kinds, texts, medias, self.synth_cfg)
+                except Exception as exc:
+                    fail(row, exc)
+                    continue
+                n_pages[row] = len(pages)
+                yield row, pages
+
+        def spans(docs: List[Tuple[int, List[PageDict]]]) -> None:
+            result = spans_group(
+                [pages for _, pages in docs], self.word_cfg, self.table_cfg, self.synth_cfg
+            )
+            for (row, _), doc_spans in zip(docs, result):
+                out_spans[row] = doc_spans
+
+        for group in bounded_groups(laid_out(), _doc_chars):
+            try:
+                spans(group)
+            except Exception:
+                if not self.quarantine:
+                    raise
+                for doc in group:
+                    try:
+                        spans([doc])
+                    except Exception as exc:
+                        fail(doc[0], exc)
         return pa.table(
             {
                 "doc_id": pa.array(out_ids, pa.string()),
@@ -100,6 +139,10 @@ class ExtractSpans:
                 "error": pa.array(out_err, pa.string()),
             }
         )
+
+
+def _doc_chars(doc: Tuple[int, List[PageDict]]) -> int:
+    return sum(int(page["chars"]["x0"].shape[0]) for page in doc[1])
 
 
 class SynthDecodePages:
@@ -200,41 +243,37 @@ def pages_to_arrow(rows: List[Tuple[str, PageDict]]) -> pa.Table:
     )
 
 
+def _field_arrays(
+    col: pa.ListArray, fields: Tuple[str, ...]
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """A list<struct> column -> its flat field arrays and list offsets
+    (offsets index the flat arrays)."""
+    values = col.values
+    return {name: values.field(name).to_numpy(zero_copy_only=False) for name in fields}, (
+        col.offsets.to_numpy()
+    )
+
+
+def _list_column(batch: pa.Table, name: str) -> List[List[Dict]]:
+    if name in batch.column_names:
+        return batch.column(name).to_pylist()
+    return [[] for _ in range(batch.num_rows)]
+
+
 def arrow_pages_to_dicts(batch: pa.Table) -> List[Tuple[str, PageDict]]:
     """Inverse of :func:`pages_to_arrow` — numpy views per page row."""
     out: List[Tuple[str, PageDict]] = []
     doc_ids = batch.column("doc_id").to_pylist()
-    chars_col = batch.column("chars").combine_chunks()
-    rects_col = batch.column("rects").combine_chunks()
-    lines_col = batch.column("lines").combine_chunks()
     images = batch.column("images").to_pylist()
-    annots = (
-        batch.column("annots").to_pylist()
-        if "annots" in batch.column_names
-        else [[] for _ in range(batch.num_rows)]
-    )
-    curves = (
-        batch.column("curves").to_pylist()
-        if "curves" in batch.column_names
-        else [[] for _ in range(batch.num_rows)]
-    )
+    annots = _list_column(batch, "annots")
+    curves = _list_column(batch, "curves")
     pn = batch.column("page_number").to_numpy()
     pw = batch.column("page_width").to_numpy()
     ph = batch.column("page_height").to_numpy()
     idt = batch.column("initial_doctop").to_numpy()
-
-    def field_arrays(col: pa.ListArray, fields: Tuple[str, ...]) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-        values = col.values
-        offs = col.offsets.to_numpy()
-        flat = {}
-        for name in fields:
-            arr = values.field(name)
-            flat[name] = arr.to_numpy(zero_copy_only=False)
-        return flat, offs
-
-    cflat, coffs = field_arrays(chars_col, _CHAR_FIELDS)
-    rflat, roffs = field_arrays(rects_col, _RECT_FIELDS)
-    lflat, loffs = field_arrays(lines_col, _RECT_FIELDS)
+    cflat, coffs = _field_arrays(batch.column("chars").combine_chunks(), _CHAR_FIELDS)
+    rflat, roffs = _field_arrays(batch.column("rects").combine_chunks(), _RECT_FIELDS)
+    lflat, loffs = _field_arrays(batch.column("lines").combine_chunks(), _RECT_FIELDS)
 
     for i, doc_id in enumerate(doc_ids):
         cs, ce = int(coffs[i]), int(coffs[i + 1])
@@ -256,6 +295,31 @@ def arrow_pages_to_dicts(batch: pa.Table) -> List[Tuple[str, PageDict]]:
         }
         out.append((doc_id, page))
     return out
+
+
+def arrow_page_group(batch: pa.Table) -> PageGroup:
+    """Page rows -> one :class:`PageGroup`: the rows' flat char, rect and
+    line columns, as Arrow holds them, with the list offsets as page
+    bounds."""
+
+    def flat(name: str, fields: Tuple[str, ...]) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+        cols, offs = _field_arrays(batch.column(name).combine_chunks(), fields)
+        lo, hi = offs[0], offs[-1]
+        return {k: v[lo:hi] for k, v in cols.items()}, (offs - lo).astype(np.int64)
+
+    chars, char_offsets = flat("chars", _CHAR_FIELDS)
+    chars["width"] = chars["x1"] - chars["x0"]
+    chars["height"] = chars["bottom"] - chars["top"]
+    widths = batch.column("page_width").to_pylist()
+    heights = batch.column("page_height").to_pylist()
+    return PageGroup(
+        bboxes=[(0.0, 0.0, w, h) for w, h in zip(widths, heights)],
+        chars=chars,
+        char_offsets=char_offsets,
+        ruling=Ruling(
+            *flat("rects", EDGE_COLS), *flat("lines", EDGE_COLS), _list_column(batch, "curves")
+        ),
+    )
 
 
 # ---- stateless per-page operator stages (plain map_batches functions) ----
@@ -785,7 +849,10 @@ class PagesSearch:
 
 
 class PagesToTables:
-    """Per-page table detection + extraction (lattice/stream per config)."""
+    """Table detection + extraction (lattice/stream per config) over page
+    rows: the rows' flat Arrow columns feed the table and cell-text kernels
+    directly, in groups of whole pages of about ``flatten.GROUP_CHARS``
+    chars."""
 
     def __init__(self, table_cfg: Optional[TableConfig] = None):
         self.table_cfg = TableConfig.resolve(table_cfg)
@@ -796,15 +863,20 @@ class PagesToTables:
         tidx: List[int] = []
         bbox_cols: Dict[str, List[float]] = {k: [] for k in ("x0", "top", "x1", "bottom")}
         rows_out: List[List[List[Optional[str]]]] = []
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            tabs = page_tables_full(page, self.table_cfg)
-            for i, (bbox, rows) in enumerate(tabs):
-                doc_ids.append(doc_id)
-                pns.append(page["page_number"])
-                tidx.append(i)
-                for k, v in zip(("x0", "top", "x1", "bottom"), bbox):
-                    bbox_cols[k].append(float(v))
-                rows_out.append(rows)
+        batch_ids = batch.column("doc_id").to_pylist()
+        batch_pns = batch.column("page_number").to_pylist()
+        pages = arrow_page_group(batch)
+        chars = np.diff(pages.char_offsets)
+        for run in bounded_groups(range(pages.n_pages), lambda i: int(chars[i])):
+            group = pages.pages(run[0], run[-1] + 1)
+            for i, cells in zip(run, table_cells_group(group, self.table_cfg)):
+                for t, (table, rows) in enumerate(cells):
+                    doc_ids.append(batch_ids[i])
+                    pns.append(batch_pns[i])
+                    tidx.append(t)
+                    for k, v in zip(("x0", "top", "x1", "bottom"), table.bbox):
+                        bbox_cols[k].append(float(v))
+                    rows_out.append(rows)
         return pa.table(
             {
                 "doc_id": pa.array(doc_ids, pa.string()),

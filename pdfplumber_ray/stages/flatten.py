@@ -13,6 +13,15 @@ using the same kernels the operator API exposes —
 * heading classification by glyph size,
 * media spans from image objects at their geometric position.
 
+The kernels run on a group of pages (:class:`PageGroup`): whole documents
+of an ``ExtractSpans`` batch, or page rows of a ``PagesToTables`` batch.
+Every kernel takes all of the group's pages in one call, with the page id
+as its sort or segment key, so a group costs a fixed number of numpy and
+word-kernel calls however many pages it holds; each page's result is the
+one it gets alone. The one-page and one-document functions
+(``page_edge_union``, ``page_table_cells``, ``page_tables``,
+``page_text_blocks``, ``extract_doc_spans``) are the group of one.
+
 No information flows from the input span structs; round-trip equality with
 them is the correctness gate (BASELINE.json north_rule: span-sequence
 equality ``(kind, text, media_ref, order)``).
@@ -20,76 +29,267 @@ equality ``(kind, text, media_ref, order)``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from ..config import SynthLayoutConfig, TableConfig, WordConfig
 from ..functions.clustering import cluster_ids
 from ..functions.geometry import (
-    concat_edges,
+    Bbox,
+    ObjArrays,
+    band_pairs,
+    concat_paged_edges,
     curves_to_edges,
     lines_to_edges,
-    midpoint_in_bbox_mask,
     rects_to_edges,
 )
-from ..functions.tables import PageTable, find_tables_page, page_cell_texts
-from ..functions.words import extract_words_page
+from ..functions.tables import (  # noqa: F401  (find_tables_page: patched by perfbench/trace.py)
+    WORD_CHAR_COLS,
+    PageTable,
+    cell_texts_group,
+    find_tables_group,
+    find_tables_page,
+    word_char_cols,
+)
+from ..functions.words import CharTable, extract_words_page
 from ..sources.synth_corpus import assign_offsets
 from .layout import PageDict
 
+# Pages are grouped until they hold about this many chars (a page with
+# more is a group of its own). A group's working set grows with its chars,
+# so this bounds a batch's memory. Measured on ``mixed`` (seed 1, 600 docs,
+# 64-doc batches; tracemalloc peak per batch, max / median): page by page
+# 8.9 / 1.1 MiB; 16k-char groups 14.5 / 7.9 MiB; one group per batch
+# 58.6 / 17.6 MiB, from the batch that holds the 100x doc (53k chars, 80
+# pages). CPU per doc was the same within noise from 8k chars up to one
+# group per batch, and ~15 % higher at 4k.
+GROUP_CHARS = 16_384
+
+# the rect and line columns the edge union reads
+EDGE_COLS = ("x0", "x1", "top", "bottom")
+T = TypeVar("T")
+
+
+def bounded_groups(items: Iterable[T], size: Callable[[T], int]) -> Iterator[List[T]]:
+    """Consecutive runs of ``items`` whose sizes sum to at most
+    ``GROUP_CHARS``; an item larger than that is a run of its own."""
+    limit = GROUP_CHARS
+    run: List[T] = []
+    total = 0
+    for item in items:
+        n = size(item)
+        if run and total + n > limit:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += n
+    if run:
+        yield run
+
+
+def _page_ids(offsets: np.ndarray) -> np.ndarray:
+    """Page id of each row of a table with per-page ``offsets``."""
+    return np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+
+
+def _stack(
+    tables: Sequence[Optional[Dict]], keys: Sequence[str]
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """Per-page object tables -> one column set and per-page offsets.
+    Empty or absent tables contribute no rows (and need no columns); of
+    ``keys``, the columns every non-empty table has are kept."""
+    lens = [0 if t is None else int(np.asarray(t["x0"]).shape[0]) for t in tables]
+    offsets = np.zeros(len(tables) + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    full = [t for t, n in zip(tables, lens) if n]
+    return {
+        k: np.concatenate([np.asarray(t[k]) for t in full]) if full else np.empty(0)
+        for k in keys
+        if all(k in t for t in full)
+    }, offsets
+
+
+def _cut(
+    cols: Dict[str, np.ndarray], offsets: np.ndarray, start: int, stop: int
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """The rows and offsets of pages ``start`` to ``stop`` (exclusive)."""
+    lo, hi = offsets[start], offsets[stop]
+    return {k: v[lo:hi] for k, v in cols.items()}, offsets[start : stop + 1] - lo
+
+
+def _char_cols(word_cfg: Optional[WordConfig], table_cfg: Optional[TableConfig]) -> List[str]:
+    """The char columns the word and cell-text kernels read under these
+    settings: the word columns plus every ``extra_attrs``."""
+    extra = list(word_cfg.extra_attrs) if word_cfg else []
+    if table_cfg:
+        extra += table_cfg.text_settings.get("extra_attrs") or []
+    return list(dict.fromkeys([*WORD_CHAR_COLS, *extra]))
+
+
+@dataclass
+class Ruling:
+    """A group's edge sources: its pages' rects and lines (``EDGE_COLS``)
+    as one column set each, rows page-contiguous and in page order, with
+    ``*_offsets`` (one more than the pages) delimiting each page's rows,
+    and each page's curves."""
+
+    rects: ObjArrays
+    rect_offsets: np.ndarray
+    lines: ObjArrays
+    line_offsets: np.ndarray
+    curves: List[List[Dict]]
+
+    @classmethod
+    def from_pages(cls, pages: Sequence[PageDict]) -> "Ruling":
+        """Reads only the pages' ``rects``, ``lines`` and ``curves``; any
+        of them may be absent."""
+        return cls(
+            *_stack([p.get("rects") for p in pages], EDGE_COLS),
+            *_stack([p.get("lines") for p in pages], EDGE_COLS),
+            [p.get("curves") or [] for p in pages],
+        )
+
+    def pages(self, start: int, stop: int) -> "Ruling":
+        """The ruling of pages ``start`` to ``stop`` (exclusive)."""
+        return Ruling(
+            *_cut(self.rects, self.rect_offsets, start, stop),
+            *_cut(self.lines, self.line_offsets, start, stop),
+            self.curves[start:stop],
+        )
+
+
+@dataclass
+class PageGroup:
+    """Pages as one column set per object kind: the page boxes, the chars
+    (rows page-contiguous and in page order, ``char_offsets`` delimiting
+    each page's rows) and the :class:`Ruling`."""
+
+    bboxes: List[Bbox]
+    chars: CharTable
+    char_offsets: np.ndarray
+    ruling: Ruling
+
+    @property
+    def n_pages(self) -> int:
+        return len(self.bboxes)
+
+    @cached_property
+    def char_page(self) -> np.ndarray:
+        return _page_ids(self.char_offsets)
+
+    @classmethod
+    def from_pages(cls, pages: Sequence[PageDict], char_cols: Sequence[str]) -> "PageGroup":
+        """Stacks the ``char_cols`` the pages' chars have."""
+        chars, char_offsets = _stack([p["chars"] for p in pages], char_cols)
+        if char_offsets[-1] == 0:
+            chars = {
+                **{k: np.empty(0) for k in ("x0", "x1", "top", "bottom", "doctop", "size")},
+                "text": np.empty(0, dtype=object),
+                "upright": np.empty(0, dtype=bool),
+            }
+        return cls(
+            bboxes=[(0.0, 0.0, p["page_width"], p["page_height"]) for p in pages],
+            chars=chars,
+            char_offsets=char_offsets,
+            ruling=Ruling.from_pages(pages),
+        )
+
+    def pages(self, start: int, stop: int) -> "PageGroup":
+        """The group of pages ``start`` to ``stop`` (exclusive)."""
+        return PageGroup(
+            self.bboxes[start:stop],
+            *_cut(self.chars, self.char_offsets, start, stop),
+            self.ruling.pages(start, stop),
+        )
+
+
+def edge_union_group(ruling: Ruling) -> Tuple[ObjArrays, np.ndarray]:
+    """Edge union of every page of a group and the edges' pages, mirroring
+    the reference container (container.py:84-90): each page's rect edges,
+    then its line edges, then its curve point-pair segments (diagonal
+    segments are dropped later by the orientation filter). One
+    ``rects_to_edges``/``lines_to_edges``/``curves_to_edges`` call each
+    covers the group; a stable sort by page restores each page's order."""
+    rect_page = _page_ids(ruling.rect_offsets)
+    parts = [rects_to_edges(ruling.rects), lines_to_edges(ruling.lines)]
+    pages = [np.tile(rect_page, 4), _page_ids(ruling.line_offsets)]
+    pts = [
+        ([(q["x"], q["top"]) for q in c["pts"]], p)
+        for p, curves in enumerate(ruling.curves)
+        for c in curves
+    ]
+    if pts:
+        parts.append(curves_to_edges(c for c, _ in pts))
+        pages.append(np.repeat([p for _, p in pts], [max(len(c) - 1, 0) for c, _ in pts]))
+    return concat_paged_edges(parts, pages)
+
 
 def page_edge_union(page: PageDict):
-    """Edge union for one page, mirroring the reference container
-    (container.py:84-90): rect edges + line edges + curve point-pair
-    segments (diagonal curve segments are dropped later by the
-    orientation filter). Returns None when the page has no edge source."""
-    rects = page["rects"]
-    plines = page.get("lines")
-    pcurves = page.get("curves") or []
-    has_lines = plines is not None and np.asarray(plines["x0"]).shape[0] > 0
-    if rects["x0"].shape[0] == 0 and not has_lines and not pcurves:
+    """:func:`edge_union_group` on one page, which needs only the page's
+    rects, lines and curves; None when it has none of them."""
+    ruling = Ruling.from_pages([page])
+    if not (ruling.rect_offsets[-1] or ruling.line_offsets[-1] or ruling.curves[0]):
         return None
-    parts = [rects_to_edges(rects)]
-    if has_lines:
-        parts.append(lines_to_edges(plines))
-    if pcurves:
-        parts.append(
-            curves_to_edges(
-                [(p["x"], p["top"]) for p in c["pts"]] for c in pcurves
-            )
-        )
-    return concat_edges(parts)
+    return edge_union_group(ruling)[0]
+
+
+def table_words_group(
+    chars: CharTable, char_page: np.ndarray, table_cfg: TableConfig
+) -> Tuple[Optional[Dict[str, np.ndarray]], Optional[np.ndarray]]:
+    """The text strategy's words for the chars of a group's pages (``chars``
+    sorted by ``char_page``) and the words' pages, built with the table's
+    ``text_settings`` as the reference's ``TableFinder.get_edges`` does
+    (table.py:580-671); (None, None) when no strategy is "text"."""
+    if "text" not in (table_cfg.vertical_strategy, table_cfg.horizontal_strategy):
+        return None, None
+    words = extract_words_page(
+        chars, WordConfig.from_kwargs(**table_cfg.text_settings), segment=char_page
+    )
+    return words, char_page[words["char_indices"][words["char_offsets"][:-1]]]
+
+
+def table_cells_group(
+    group: PageGroup, table_cfg: TableConfig
+) -> List[List[Tuple[PageTable, List[List[Optional[str]]]]]]:
+    """Every page's detected tables with their rows of cell text: one edge
+    union, one finder pass and one cell-text pass for the whole group."""
+    edges, edge_page = edge_union_group(group.ruling)
+    tables = find_tables_group(
+        edges,
+        edge_page,
+        group.bboxes,
+        table_cfg,
+        *table_words_group(group.chars, group.char_page, table_cfg),
+    )
+    texts = cell_texts_group(group.chars, group.char_page, tables)
+    return [list(zip(t, x)) for t, x in zip(tables, texts)]
 
 
 def page_table_cells(
     page: PageDict, table_cfg: TableConfig
 ) -> List[Tuple[PageTable, List[List[Optional[str]]]]]:
-    """Detected tables on one page with their rows of cell text, for
-    ``page_tables`` and ``decode.page_tables_full``. The text strategy
-    builds its words with the table's ``text_settings``, as the
-    reference's ``TableFinder.get_edges`` does (table.py:580-671), and
-    needs no edges on the page."""
-    edges = page_edge_union(page)
-    if edges is None:
-        if "text" not in (
-            table_cfg.vertical_strategy, table_cfg.horizontal_strategy
-        ) and not (
-            table_cfg.explicit_vertical_lines or table_cfg.explicit_horizontal_lines
-        ):
-            return []
-        edges = concat_edges([])
-    bbox = (0.0, 0.0, page["page_width"], page["page_height"])
-    chars = page["chars"]
-    tables = find_tables_page(
-        edges,
-        table_cfg,
-        bbox,
-        words_provider=lambda: extract_words_page(
-            chars, WordConfig.from_kwargs(**table_cfg.text_settings)
-        ),
-    )
-    return list(zip(tables, page_cell_texts(chars, tables)))
+    """:func:`table_cells_group` on one page, for ``page_tables`` and
+    ``decode.page_tables_full``."""
+    return table_cells_group(
+        PageGroup.from_pages([page], _char_cols(None, table_cfg)), table_cfg
+    )[0]
+
+
+def _flat_tables(
+    cells: List[Tuple[PageTable, List[List[Optional[str]]]]]
+) -> List[Tuple[Bbox, List[str]]]:
+    """One page's tables -> [(bbox, row-major texts of the present cells)]
+    in reading order: top-left first (cells_to_tables already sorts
+    groups, but order defensively by geometric position)."""
+    out = [
+        (t.bbox, [text for row in rows for text in row if text is not None])
+        for t, rows in cells
+    ]
+    out.sort(key=lambda bc: (bc[0][1], bc[0][0]))
+    return out
 
 
 def page_tables(
@@ -97,31 +297,29 @@ def page_tables(
 ) -> List[Tuple[Tuple[float, float, float, float], List[str]]]:
     """Detected tables on one page -> [(bbox, row-major texts of the present
     cells)]."""
-    out = [
-        (t.bbox, [text for row in rows for text in row if text is not None])
-        for t, rows in page_table_cells(page, table_cfg)
-    ]
-    # reading order: top-left first (cells_to_tables already sorts groups,
-    # but order defensively by geometric position)
-    out.sort(key=lambda bc: (bc[0][1], bc[0][0]))
-    return out
+    return _flat_tables(page_table_cells(page, table_cfg))
+
+
+Block = Tuple[float, str, str]
 
 
 def rotated_text_blocks(
     sub: Dict[str, np.ndarray],
+    page: np.ndarray,
     word_cfg: WordConfig,
     synth_cfg: SynthLayoutConfig,
-) -> List[Tuple[float, str, str]]:
-    """upright=False char runs -> [(doctop, kind, text)] blocks.
+) -> List[Tuple[int, Block]]:
+    """upright=False char runs of a group's pages -> [(page, (doctop,
+    kind, text))] blocks.
 
     Rotated text stacks glyphs vertically at a fixed x (the reference's
     rotated line/char direction swap, utils/text.py:55-75): columns come
-    from clustering x0, blocks within a column from vertical-gap breaks
-    (> per-glyph advance). One word-kernel call assembles every block, with
-    the block id as its segment; the kernel's rotated direction resolution
-    orders chars top-to-bottom."""
+    from clustering x0 within each page, blocks within a column from
+    vertical-gap breaks (> per-glyph advance). One word-kernel call
+    assembles every block, with the block id as its segment; the kernel's
+    rotated direction resolution orders chars top-to-bottom."""
     heading_cut = (synth_cfg.body_size + synth_cfg.heading_size) / 2.0
-    col_ids = cluster_ids(sub["x0"], float(word_cfg.x_tolerance))
+    col_ids = cluster_ids(sub["x0"], float(word_cfg.x_tolerance), segment=page)
     order = np.lexsort((sub["top"], col_ids))
     # between-word gap in a rotated run is 2*advance (skipped space slot);
     # between-block gap is >= 2*advance + line_height + glyph size — cut in
@@ -145,12 +343,104 @@ def rotated_text_blocks(
     starts = np.flatnonzero(brk)
     doctops = np.minimum.reduceat(by_block["doctop"], starts)[block]
     headings = by_block["size"][starts[block]] >= heading_cut
+    pages = page[order][starts[block]]
     tl = words["text"].tolist()
     ends = np.append(first_word[1:], len(tl))
     return [
-        (float(d), "heading" if h else "text", " ".join(tl[s:e]))
-        for d, h, s, e in zip(doctops, headings, first_word, ends)
+        (p, (float(d), "heading" if h else "text", " ".join(tl[s:e])))
+        for p, d, h, s, e in zip(pages.tolist(), doctops, headings, first_word, ends)
     ]
+
+
+def text_blocks_group(
+    group: PageGroup,
+    table_bboxes: Sequence[Sequence[Bbox]],
+    word_cfg: WordConfig,
+    synth_cfg: SynthLayoutConfig,
+) -> List[List[Block]]:
+    """Every page's non-table text -> [(doctop, kind, text)] paragraph
+    blocks, upright blocks first. ``table_bboxes[p]`` are page ``p``'s
+    tables, whose chars (by midpoint) are left out."""
+    out: List[List[Block]] = [[] for _ in range(group.n_pages)]
+    chars = group.chars
+    char_page = group.char_page
+    n = char_page.shape[0]
+    if n == 0:
+        return out
+    keep = np.ones(n, dtype=bool)
+    boxed = [(p, b) for p, bboxes in enumerate(table_bboxes) for b in bboxes]
+    if boxed:
+        # char_in_bbox (table.py:404-410) against the tables of its page
+        box = np.asarray([b for _, b in boxed], dtype=np.float64)
+        h_mid = (chars["x0"] + chars["x1"]) / 2
+        band, ci = band_pairs(
+            char_page,
+            (chars["top"] + chars["bottom"]) / 2,
+            np.asarray([p for p, _ in boxed], dtype=np.int64),
+            box[:, 1],
+            box[:, 3],
+        )
+        inside = (h_mid[ci] >= box[band, 0]) & (h_mid[ci] < box[band, 2])
+        keep[ci[inside]] = False
+    cols = word_char_cols(chars, word_cfg)
+    upright = np.asarray(chars["upright"], dtype=bool)
+
+    rot = keep & ~upright
+    rotated: List[Tuple[int, Block]] = []
+    if rot.any():
+        rotated = rotated_text_blocks(
+            {k: np.asarray(chars[k])[rot] for k in cols}, char_page[rot], word_cfg, synth_cfg
+        )
+
+    up = keep & upright
+    sub = {k: np.asarray(chars[k])[up] for k in cols}
+    sub_page = char_page[up]
+    words = extract_words_page(sub, word_cfg, segment=sub_page)
+    nw = words["text"].shape[0]
+    if nw:
+        word_page = sub_page[words["char_indices"][words["char_offsets"][:-1]]]
+        line_ids = cluster_ids(words["top"], float(word_cfg.y_tolerance), segment=word_page)
+        order = np.lexsort((words["x0"], line_ids))
+        heading_cut = (synth_cfg.body_size + synth_cfg.heading_size) / 2.0
+
+        # vectorized line/block segmentation: line starts from cluster-id
+        # changes, block starts on a new page or where the inter-line top
+        # gap exceeds the paragraph threshold (blank separator line in the
+        # layout).
+        lid_s = line_ids[order]
+        top_s = words["top"][order]
+        line_start = np.empty(nw, dtype=bool)
+        line_start[0] = True
+        line_start[1:] = lid_s[1:] != lid_s[:-1]
+        ls = np.flatnonzero(line_start)
+        le = np.append(ls[1:], nw)
+        line_tops = top_s[ls]
+        line_page = word_page[order][ls]
+        block_start_line = np.empty(ls.shape[0], dtype=bool)
+        block_start_line[0] = True
+        block_start_line[1:] = (line_page[1:] != line_page[:-1]) | (
+            (line_tops[1:] - line_tops[:-1]) > synth_cfg.para_gap_threshold
+        )
+        bs_lines = np.flatnonzero(block_start_line)
+        be_lines = np.append(bs_lines[1:], ls.shape[0])
+
+        first_word = order[ls[bs_lines]]
+        doctops = words["doctop"][first_word]
+        headings = words["height"][first_word] >= heading_cut
+        tl = words["text"][order].tolist()
+        # a block's lines are consecutive and never empty, so its text is
+        # its words joined by single spaces
+        for p, d, h, ws, we in zip(
+            line_page[bs_lines].tolist(),
+            doctops.tolist(),
+            headings.tolist(),
+            ls[bs_lines].tolist(),
+            le[be_lines - 1].tolist(),
+        ):
+            out[p].append((d, "heading" if h else "text", " ".join(tl[ws:we])))
+    for p, block in rotated:
+        out[p].append(block)
+    return out
 
 
 def page_text_blocks(
@@ -159,95 +449,61 @@ def page_text_blocks(
     word_cfg: WordConfig,
     synth_cfg: SynthLayoutConfig,
 ) -> List[Tuple[float, str, str]]:
-    """Non-table text -> [(doctop, kind, text)] paragraph blocks."""
-    chars = page["chars"]
-    n = chars["x0"].shape[0]
-    if n == 0:
-        return []
-    keep = np.ones(n, dtype=bool)
-    for bbox in table_bboxes:
-        keep &= ~midpoint_in_bbox_mask(
-            chars["x0"], chars["top"], chars["x1"], chars["bottom"], bbox
+    """:func:`text_blocks_group` on one page."""
+    return text_blocks_group(
+        PageGroup.from_pages([page], _char_cols(word_cfg, None)),
+        [table_bboxes],
+        word_cfg,
+        synth_cfg,
+    )[0]
+
+
+def spans_group(
+    docs: Sequence[Sequence[PageDict]],
+    word_cfg: WordConfig,
+    table_cfg: TableConfig,
+    synth_cfg: SynthLayoutConfig,
+) -> List[List[Dict]]:
+    """Ordered span records for each of a group of documents. Their pages
+    run through the table and text kernels as :class:`PageGroup` s of
+    about ``GROUP_CHARS`` chars: one group for documents that fit, a
+    larger document split between pages."""
+    pages = [page for doc in docs for page in doc]
+    char_cols = _char_cols(word_cfg, table_cfg)
+    tables: List[List[Tuple[Bbox, List[str]]]] = []
+    blocks: List[List[Block]] = []
+    for run in bounded_groups(pages, lambda page: int(page["chars"]["x0"].shape[0])):
+        group = PageGroup.from_pages(run, char_cols)
+        run_tables = [_flat_tables(cells) for cells in table_cells_group(group, table_cfg)]
+        tables.extend(run_tables)
+        blocks.extend(
+            text_blocks_group(
+                group, [[bbox for bbox, _ in tabs] for tabs in run_tables], word_cfg, synth_cfg
+            )
         )
-    if not keep.any():
-        return []
-    sub = {k: np.asarray(v)[keep] for k, v in chars.items()}
-
-    rotated_blocks: List[Tuple[float, str, str]] = []
-    upright_mask = np.asarray(sub["upright"], dtype=bool)
-    if not upright_mask.all():
-        rot = {k: np.asarray(v)[~upright_mask] for k, v in sub.items()}
-        rotated_blocks = rotated_text_blocks(rot, word_cfg, synth_cfg)
-        if upright_mask.any():
-            sub = {k: np.asarray(v)[upright_mask] for k, v in sub.items()}
-        else:
-            return rotated_blocks
-
-    words = extract_words_page(sub, word_cfg)
-    nw = words["text"].shape[0]
-    if nw == 0:
-        return rotated_blocks
-
-    line_ids = cluster_ids(words["top"], float(word_cfg.y_tolerance))
-    order = np.lexsort((words["x0"], line_ids))
-    heading_cut = (synth_cfg.body_size + synth_cfg.heading_size) / 2.0
-
-    # vectorized line/block segmentation: line starts from cluster-id
-    # changes, block starts where the inter-line top gap exceeds the
-    # paragraph threshold (blank separator line in the layout).
-    lid_s = line_ids[order]
-    top_s = words["top"][order]
-    texts_s = words["text"][order]
-    line_start = np.empty(order.shape[0], dtype=bool)
-    line_start[0] = True
-    line_start[1:] = lid_s[1:] != lid_s[:-1]
-    ls = np.flatnonzero(line_start)
-    le = np.append(ls[1:], order.shape[0])
-    line_tops = top_s[ls]
-    block_start_line = np.empty(ls.shape[0], dtype=bool)
-    block_start_line[0] = True
-    block_start_line[1:] = (line_tops[1:] - line_tops[:-1]) > synth_cfg.para_gap_threshold
-    bs_lines = np.flatnonzero(block_start_line)
-    be_lines = np.append(bs_lines[1:], ls.shape[0])
-
-    first_word = order[ls[bs_lines]]
-    doctops = words["doctop"][first_word]
-    headings = words["height"][first_word] >= heading_cut
-    tl = texts_s.tolist()
-
-    blocks: List[Tuple[float, str, str]] = []
-    for b, (lb, leb) in enumerate(zip(bs_lines, be_lines)):
-        text = " ".join(
-            " ".join(tl[ls[li] : le[li]]) for li in range(lb, leb)
-        )
-        blocks.append(
-            (float(doctops[b]), "heading" if headings[b] else "text", text)
-        )
-    return blocks + rotated_blocks
+    out: List[List[Dict]] = []
+    first = 0
+    for doc in docs:
+        last = first + len(doc)
+        out.append(_doc_spans(pages[first:last], tables[first:last], blocks[first:last]))
+        first = last
+    return out
 
 
-def extract_doc_spans(
+def _doc_spans(
     pages: Sequence[PageDict],
-    word_cfg: Optional[WordConfig] = None,
-    table_cfg: Optional[TableConfig] = None,
-    synth_cfg: Optional[SynthLayoutConfig] = None,
+    tables: Sequence[List[Tuple[Bbox, List[str]]]],
+    blocks: Sequence[List[Block]],
 ) -> List[Dict]:
-    """Ordered span records for one document (all pages, in page order)."""
-    word_cfg = word_cfg or WordConfig()
-    table_cfg = table_cfg or TableConfig()
-    synth_cfg = synth_cfg or SynthLayoutConfig()
-
-    # items: (doctop, seq, kind, payload)
+    """One document's pages, with their tables and text blocks -> ordered
+    span records (all pages, in page order)."""
+    # items: (doctop, kind, payload)
     items: List[Tuple[float, str, object]] = []
-    for page in pages:
+    for page, tabs, page_blocks in zip(pages, tables, blocks):
         idt = float(page["initial_doctop"])
-        tabs = page_tables(page, table_cfg)
         for bbox, cells in tabs:
             items.append((idt + bbox[1], "table", cells))
-        for doctop, kind, text in page_text_blocks(
-            page, [b for b, _ in tabs], word_cfg, synth_cfg
-        ):
-            items.append((doctop, kind, text))
+        items.extend(page_blocks)
         for img in page["images"]:
             items.append((idt + float(img["top"]), "media_ref", img["media_ref"]))
 
@@ -275,3 +531,19 @@ def extract_doc_spans(
         {"kind": k, "text": t, "media_ref": m, "offset": o}
         for k, t, m, o in zip(kinds, texts, media, offsets)
     ]
+
+
+def extract_doc_spans(
+    pages: Sequence[PageDict],
+    word_cfg: Optional[WordConfig] = None,
+    table_cfg: Optional[TableConfig] = None,
+    synth_cfg: Optional[SynthLayoutConfig] = None,
+) -> List[Dict]:
+    """Ordered span records for one document: :func:`spans_group` on one
+    document."""
+    return spans_group(
+        [pages],
+        word_cfg or WordConfig(),
+        table_cfg or TableConfig(),
+        synth_cfg or SynthLayoutConfig(),
+    )[0]

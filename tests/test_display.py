@@ -207,6 +207,66 @@ def test_debug_tablefinder_runs_and_marks_cells():
     assert (region[:, :, 2] > region[:, :, 0]).any()
 
 
+def test_debug_tablefinder_honours_text_settings():
+    """Under the text strategy the finder builds its words with the
+    table's ``text_settings``, and a page without ruling still gets its
+    tables: the drawn cells and merged edges are the one-page finder's."""
+    from pdfplumber_ray.config import TableConfig, WordConfig
+    from pdfplumber_ray.functions.geometry import concat_edges
+    from pdfplumber_ray.functions.tables import find_tables_page, get_table_edges
+    from pdfplumber_ray.functions.words import extract_words_page
+    from pdfplumber_ray.stages.layout import layout_doc
+
+    cells = ["id", "name", "qty", "1", "bolt", "40", "2", "nut", "75", "3", "washer", "120"]
+    spans = [{"kind": "text", "text": "Parts on hand", "media_ref": ""}] + [
+        {"kind": "table_cell", "text": c, "media_ref": ""} for c in cells
+    ]
+    (ruled,) = layout_doc(spans)
+    bare = dict(ruled, rects={k: v[:0] for k, v in ruled["rects"].items()})
+    cfg = TableConfig(
+        vertical_strategy="text",
+        horizontal_strategy="text",
+        text_settings={"x_tolerance": 0.5},
+    )
+    bbox = (0.0, 0.0, bare["page_width"], bare["page_height"])
+
+    def words():
+        return extract_words_page(bare["chars"], WordConfig(x_tolerance=0.5))
+
+    want = [t.cells for t in find_tables_page(concat_edges([]), cfg, bbox, words)]
+    merged = get_table_edges(concat_edges([]), cfg, bbox, words)
+    assert want and merged["x0"].shape[0] > 0
+
+    img = PageImage(bare, render_base=False)
+    drawn_rects, drawn_lines = [], []
+    img.draw_rects = lambda rects, **kw: drawn_rects.append(list(rects)) or img
+    img.draw_lines = lambda lines, **kw: drawn_lines.append(list(lines)) or img
+    img.debug_tablefinder(cfg)
+    assert drawn_rects == want
+    assert [len(lines) for lines in drawn_lines] == [merged["x0"].shape[0]]
+
+
+def test_debug_tablefinder_on_a_page_of_ruling_only():
+    """A page with rects but no chars and no page box (PageImage defaults
+    it to 612x792) draws the one-page finder's cells."""
+    from pdfplumber_ray.config import TableConfig
+    from pdfplumber_ray.functions.tables import find_tables_page
+    from pdfplumber_ray.stages.flatten import page_edge_union
+
+    ruling = {"rects": _page(with_grid=True)["rects"]}
+    want = [
+        t.cells
+        for t in find_tables_page(page_edge_union(ruling), TableConfig(), (0.0, 0.0, 612.0, 792.0))
+    ]
+    assert len(want) == 1 and len(want[0]) == 6
+
+    img = PageImage(ruling, render_base=False)
+    drawn_rects = []
+    img.draw_rects = lambda rects, **kw: drawn_rects.append(list(rects)) or img
+    assert img.debug_tablefinder() is img
+    assert drawn_rects == want
+
+
 def test_save_and_repr_png(tmp_path):
     img = PageImage(_page())
     p = tmp_path / "page.png"
