@@ -61,7 +61,7 @@ def run_benchmarks(
         sf = sf_from_dir(sf_dir)
         cfg = PipelineConfig()
         queries: dict[str, float] = {}
-        extras: dict[str, float] = {}
+        extras: dict[str, object] = {}
 
         def docs_adapter():
             ds = ray.data.read_parquet(
@@ -208,6 +208,8 @@ def run_benchmarks(
                 extras["real_pdf_pages_per_sec"] = round(n_pages / wall, 1)
                 extras["real_pdf_docs_per_sec"] = round(len(names) * reps / wall, 1)
                 extras["real_pdf_runs"] = [round(w, 3) for w in walls]
+            else:
+                extras["skipped"] = [f"real_pdf: {ref_dir} absent"]
 
         return {
             "metric": "end-to-end interleaved-doc extraction (docs/sec) + operator pipelines",

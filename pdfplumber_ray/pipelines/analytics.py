@@ -7,12 +7,6 @@ span-structure operators at the end of the module (span-kind
 transitions, media density, caption mining, span packing, ...) run on the
 interleaved ``(doc_id, spans)`` payload itself.
 
-The module still holds relational and event-stream operators (anti/semi
-joins, CDC compaction, hopping windows, cohort retention, sessions,
-rollups, ...) over ``events``-shaped and TPC-H-shaped inputs that no
-``__ray_entry__`` query runs. ``tests/test_registry.py`` freezes that
-set: it may shrink, and no new operator joins it.
-
 Scale design notes (same rules as `corpus_ops`):
 * Per-record work is a task-mode ``map_batches`` with a per-batch Arrow /
   numpy combiner; the only all-to-all exchanges move combined rows.
@@ -30,7 +24,7 @@ Scale design notes (same rules as `corpus_ops`):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -41,7 +35,6 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..functions import textstats as ts
 from .exchange import (
-    _hash_bucket_column,
     _mix64,
     collect_small,
     run_pairs,
@@ -60,30 +53,6 @@ def _anchor_schema(ds: Dataset, schema: pa.Schema) -> Dataset:
         {f.name: pa.array([], f.type) for f in schema}
     )
     return ray.data.from_arrow(empty).union(ds)
-
-
-def _small_df(ds: Dataset, cols: "dict[str, object]"):
-    """``to_pandas()`` for a SMALL (report-sized) aggregate with a
-    guaranteed schema.
-
-    Ray's ``groupby().aggregate()`` over a zero-row input yields a
-    dataset with no derivable schema, so ``to_pandas()`` returns a frame
-    with ZERO columns and downstream column access raises ``KeyError``
-    (the recurring empty-corpus crash class).  ``cols`` maps column name
-    -> pandas/numpy dtype; when the collect comes back column-less the
-    helper substitutes a typed empty frame so the empty path flows
-    through the same vectorized code as the populated one."""
-    return _ensure_cols(ds.to_pandas(), cols)
-
-
-def _ensure_cols(df, cols: "dict[str, object]"):
-    """Substitute a typed empty frame when a small collect came back
-    column-less (see :func:`_small_df`); pass populated frames through."""
-    import pandas as pd
-
-    if df.shape[1] == 0:
-        return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
-    return df
 
 
 # ---------- per-group percentile rank (windowed CDF) ----------
@@ -196,399 +165,6 @@ def grouped_rank_ds(
 
     return ds.select_columns([id_col, group_col, value_col]).map_batches(
         attach, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
-# ---------- equi-width histogram ----------
-
-
-def histogram_ds(
-    events: Dataset,
-    value_col: str = "value",
-    width_e6: int = 500_000,
-) -> Dataset:
-    """Equi-width histogram of a non-negative numeric column in e6
-    fixed-point (bin = floor(value * 1e6) // width_e6): per-batch bin
-    combiner -> one tiny ``groupby(bin)`` over (bins x blocks) rows.
-    Emits ``(bin, bin_lo_e6, n_events, value_sum_e6)``, all integers so
-    a SQL twin compares bit-exact."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bin": pa.array([], pa.int64()),
-                "n_partial": pa.array([], pa.int64()),
-                "sum_partial": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        v6 = np.floor(
-            batch.column(value_col).to_numpy(zero_copy_only=False) * 1e6
-        ).astype(np.int64)
-        t = pa.table({"bin": pa.array(v6 // width_e6, pa.int64()), "v6": pa.array(v6)})
-        g = t.group_by("bin").aggregate([("v6", "count"), ("v6", "sum")])
-        return pa.table(
-            {
-                "bin": g.column("bin"),
-                "n_partial": g.column("v6_count").cast(pa.int64()),
-                "sum_partial": g.column("v6_sum").cast(pa.int64()),
-            }
-        )
-
-    agg = (
-        events.select_columns([value_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bin")
-        .aggregate(Sum("n_partial"), Sum("sum_partial"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        b = batch.column("bin").cast(pa.int64())
-        return pa.table(
-            {
-                "bin": b,
-                "bin_lo_e6": pc.multiply(b, pa.scalar(width_e6, pa.int64())),
-                "n_events": batch.column("sum(n_partial)").cast(pa.int64()),
-                "value_sum_e6": batch.column("sum(sum_partial)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------- hopping (sliding) window aggregate ----------
-
-
-def hopping_window_ds(
-    events: Dataset,
-    size_s: int = 3600,
-    hop_s: int = 900,
-    ts_col: str = "ts",
-    type_col: str = "event_type",
-    value_col: str = "value",
-) -> Dataset:
-    """Hopping-window aggregate (window ``size_s``, advancing every
-    ``hop_s``; ``size_s`` must be a multiple of ``hop_s``): each event
-    lands in exactly ``size_s // hop_s`` overlapping windows. The
-    expansion happens INSIDE the batch (np.repeat + tile) and immediately
-    re-combines with an Arrow ``group_by``, so the shuffle moves one row
-    per (type, window) per block — not ``size/hop`` copies of the corpus.
-    Emits ``(event_type, window_start_s, n_events, value_sum_e6)``."""
-    if size_s % hop_s != 0:
-        raise ValueError("size_s must be a multiple of hop_s")
-    n_win = size_s // hop_s
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "event_type": pa.array([], pa.string()),
-                "window_start_s": pa.array([], pa.int64()),
-                "n_partial": pa.array([], pa.int64()),
-                "sum_partial": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        n = batch.num_rows
-        ts_us = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v6 = np.floor(
-            batch.column(value_col).to_numpy(zero_copy_only=False) * 1e6
-        ).astype(np.int64)
-        k = ts_us // (hop_s * 1_000_000)
-        # windows containing t: starts (k - i) * hop for i in 0..n_win-1
-        offs = np.tile(np.arange(n_win, dtype=np.int64), n)
-        ws = (np.repeat(k, n_win) - offs) * hop_s
-        t = pa.table(
-            {
-                "event_type": batch.column(type_col).take(
-                    pa.array(np.repeat(np.arange(n, dtype=np.int64), n_win))
-                ),
-                "window_start_s": pa.array(ws, pa.int64()),
-                "v6": pa.array(np.repeat(v6, n_win)),
-            }
-        )
-        g = t.group_by(["event_type", "window_start_s"]).aggregate(
-            [("v6", "count"), ("v6", "sum")]
-        )
-        return pa.table(
-            {
-                "event_type": g.column("event_type"),
-                "window_start_s": g.column("window_start_s"),
-                "n_partial": g.column("v6_count").cast(pa.int64()),
-                "sum_partial": g.column("v6_sum").cast(pa.int64()),
-            }
-        )
-
-    agg = (
-        events.select_columns([ts_col, type_col, value_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "window_start_s"])
-        .aggregate(Sum("n_partial"), Sum("sum_partial"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "window_start_s": batch.column("window_start_s").cast(pa.int64()),
-                "n_events": batch.column("sum(n_partial)").cast(pa.int64()),
-                "value_sum_e6": batch.column("sum(sum_partial)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------- cohort retention ----------
-
-
-def cohort_retention_ds(
-    events: Dataset,
-    week_us: int = 7 * 86_400 * 1_000_000,
-    ts_col: str = "ts",
-    user_col: str = "user_id",
-    n_buckets: int = 512,
-) -> Dataset:
-    """Cohort retention matrix: users grouped by first-active week
-    (cohort), counted in every week they were active. Emits one row per
-    ``(cohort_week, active_week)`` with the distinct-user count.
-
-    Scale shape: per-batch distinct ``(user, week)`` combiner -> ONE
-    shuffle by ``mix64(user) % n_buckets`` (bounded group count — never
-    ``groupby(user)`` with millions of near-singleton groups) -> inside
-    the bucket one lexsort segments users, the cohort is each segment's
-    first week, and (cohort, week) partial counts emit -> a final tiny
-    ``groupby`` over the (weeks x weeks) domain."""
-
-    def pairs_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "u": pa.array([], pa.int64()),
-                "w": pa.array([], pa.int64()),
-                "bkt": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        t = pa.table(
-            {
-                "u": batch.column(user_col).cast(pa.int64()),
-                "w": pc.divide(batch.column(ts_col).cast(pa.int64()),
-                               pa.scalar(week_us, pa.int64())),
-            }
-        ).group_by(["u", "w"]).aggregate([])
-        u = t.column("u").to_numpy(zero_copy_only=False)
-        bkt = (_mix64(u) % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("bkt", pa.array(bkt))
-
-    pairs = events.select_columns([user_col, ts_col]).map_batches(
-        pairs_partial, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def bucket_counts(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "cohort_week": pa.array([], pa.int64()),
-                "active_week": pa.array([], pa.int64()),
-                "n_partial": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        u = group.column("u").to_numpy(zero_copy_only=False)
-        w = group.column("w").to_numpy(zero_copy_only=False)
-        # global distinct within the bucket (cross-block dups collapse here)
-        key = np.stack([u, w], axis=1)
-        key = np.unique(key, axis=0)  # sorted by (u, w)
-        uu, ww = key[:, 0], key[:, 1]
-        seg_first = np.concatenate(([True], uu[1:] != uu[:-1]))
-        cohort = ww[np.maximum.accumulate(np.where(seg_first, np.arange(len(ww)), 0))]
-        t = pa.table(
-            {"cohort_week": pa.array(cohort, pa.int64()),
-             "active_week": pa.array(ww, pa.int64())}
-        ).group_by(["cohort_week", "active_week"]).aggregate([("active_week", "count")])
-        return pa.table(
-            {
-                "cohort_week": t.column("cohort_week"),
-                "active_week": t.column("active_week"),
-                "n_partial": t.column("active_week_count").cast(pa.int64()),
-            }
-        )
-
-    agg = (
-        pairs.groupby("bkt")
-        .map_groups(bucket_counts, batch_format="pyarrow")
-        .groupby(["cohort_week", "active_week"])
-        .aggregate(Sum("n_partial"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "cohort_week": batch.column("cohort_week").cast(pa.int64()),
-                "active_week": batch.column("active_week").cast(pa.int64()),
-                "n_users": batch.column("sum(n_partial)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------- anti join ----------
-
-
-def anti_join_ds(
-    left: Dataset,
-    right: Dataset,
-    key_col: str,
-    right_key_col: Optional[str] = None,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Anti semi-join: left rows whose ``key_col`` never appears in the
-    right side (orphan / no-activity detection). NO broadcast of either
-    side: the right side reduces to per-batch distinct keys, both sides
-    shuffle ONCE by ``mix64(key) % n_buckets`` (bounded groups) tagged by
-    side, and inside each bucket a vectorized ``np.isin`` keeps the
-    unmatched left rows. Left payload columns pass through unchanged."""
-    return _semi_anti_join(left, right, key_col, right_key_col, n_buckets, False)
-
-
-def semi_join_ds(
-    left: Dataset,
-    right: Dataset,
-    key_col: str,
-    right_key_col: Optional[str] = None,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Semi-join: left rows whose ``key_col`` appears at least once in
-    the right side (EXISTS filtering — e.g. "customers with activity"),
-    emitted once each regardless of right-side multiplicity. Same
-    dataflow as :func:`anti_join_ds` with the membership test flipped."""
-    return _semi_anti_join(left, right, key_col, right_key_col, n_buckets, True)
-
-
-def _semi_anti_join(
-    left: Dataset,
-    right: Dataset,
-    key_col: str,
-    right_key_col: Optional[str],
-    n_buckets: int,
-    keep_matched: bool,
-) -> Dataset:
-    rkey = right_key_col or key_col
-    payload_cols = [c for c in left.schema().names if c != key_col]
-
-    def left_side(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).cast(pa.int64())
-        bkt = (_mix64(keys.to_numpy(zero_copy_only=False)) % np.uint64(n_buckets)).astype(np.int64)
-        t = pa.table({"k": keys, "side": pa.array(np.zeros(batch.num_rows, np.int8))})
-        for c in payload_cols:
-            t = t.append_column(c, batch.column(c))
-        return t.append_column("bkt", pa.array(bkt))
-
-    def right_side(batch: pa.Table, left_schema: pa.Schema) -> pa.Table:
-        keys = pa.table({"k": batch.column(rkey).cast(pa.int64())}).group_by("k").aggregate([])
-        kn = keys.column("k").to_numpy(zero_copy_only=False)
-        bkt = (_mix64(kn) % np.uint64(n_buckets)).astype(np.int64)
-        t = pa.table({"k": keys.column("k"), "side": pa.array(np.ones(len(kn), np.int8))})
-        for c in payload_cols:
-            t = t.append_column(c, pa.nulls(len(kn), left_schema.field(c).type))
-        return t.append_column("bkt", pa.array(bkt))
-
-    left_schema = pa.schema(
-        [pa.field(n, t) for n, t in zip(left.schema().names, left.schema().types)]
-    )
-    both = left.map_batches(
-        left_side, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        right.select_columns([rkey]).map_batches(
-            lambda b: right_side(b, left_schema),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    )
-
-    def bucket_anti(group: pa.Table) -> pa.Table:
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        left_mask = side == 0
-        member = np.isin(k, k[~left_mask])
-        keep = left_mask & (member if keep_matched else ~member)
-        out = group.filter(pa.array(keep))
-        cols = {key_col: out.column("k")}
-        for c in payload_cols:
-            cols[c] = out.column(c)
-        return pa.table(cols)
-
-    out_schema = pa.schema(
-        [pa.field(key_col, pa.int64())]
-        + [left_schema.field(c) for c in payload_cols]
-    )
-    return _anchor_schema(
-        both.groupby("bkt").map_groups(bucket_anti, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
-# ---------- keep-latest per key (CDC compaction) ----------
-
-
-def keep_latest_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    n_buckets: int = 512,
-) -> Dataset:
-    """CDC compaction / crawl-recency dedup: for every key keep the single
-    most recent row (``ts`` DESC, ``tie_col`` DESC — fully deterministic).
-    The canonical "latest crawl of each URL wins" maintenance step.
-
-    Scale shape: per-batch vectorized argmax combiner (ONE lexsort, last
-    row per key segment) cuts each block to one row per key -> one
-    shuffle by ``mix64(key) % n_buckets`` -> the same argmax inside the
-    bucket. All payload columns ride along; no per-key Python anywhere."""
-
-    def block_latest(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        t = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        tie = batch.column(tie_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        order = np.lexsort((tie, t, k))
-        ks = k[order]
-        last = np.concatenate((ks[1:] != ks[:-1], [True]))
-        return batch.take(pa.array(order[last]))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        reduced = block_latest(batch)
-        if reduced.num_rows == 0:
-            return reduced.append_column("bkt", pa.array([], pa.int64()))
-        k = reduced.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        bkt = (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-        return reduced.append_column("bkt", pa.array(bkt))
-
-    reduced = events.map_batches(
-        add_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def bucket_latest(group: pa.Table) -> pa.Table:
-        return block_latest(group.drop_columns(["bkt"]))
-
-    if events.schema(fetch_if_missing=True) is None:
-        # empty input with no derivable schema: keep-latest of nothing
-        # is nothing; hand the (empty) input straight back
-        return events
-    ev_schema = pa.schema(
-        [
-            pa.field(n, t)
-            for n, t in zip(events.schema().names, events.schema().types)
-        ]
-    )
-    return _anchor_schema(
-        reduced.groupby("bkt").map_groups(bucket_latest, batch_format="pyarrow"),
-        ev_schema,
     )
 
 
@@ -772,16 +348,19 @@ def quality_audit_ds(
             )
         return pa.concat_tables(parts)
 
-    ndis = (
+    ndis = collect_small(
         docs.select_columns(list(cat_cols))
         .map_batches(distinct_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["col_name", "val"])
         .count()
         .groupby("col_name")
-        .count()
-        .take_all()
+        .count(),
+        "distinct counts per column",
+        {"col_name": pa.string(), "count()": pa.int64()},
     )
-    dmap = {r["col_name"]: int(r["count()"]) for r in ndis}
+    dmap = dict(
+        zip(ndis.column("col_name").to_pylist(), ndis.column("count()").to_pylist())
+    )
 
     rows: List[Tuple[str, str, int]] = [
         (int_col, "n_rows", int(scal["sum(n_rows)"] or 0)),
@@ -954,19 +533,23 @@ def length_outliers_ds(
             }
         )
 
-    stats = (
+    stats = collect_small(
         docs.select_columns([group_col, value_col])
         .map_batches(stat_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("g")
-        .aggregate(Sum("n_partial"), Sum("sum_partial"))
-        .take_all()
+        .aggregate(Sum("n_partial"), Sum("sum_partial")),
+        "group (count, sum) table",
+        {
+            "g": pa.string(),
+            "sum(n_partial)": pa.int64(),
+            "sum(sum_partial)": pa.int64(),
+        },
     )
-    gnames = np.asarray(sorted(r["g"] for r in stats), dtype=object).astype(str)
-    by_g = {r["g"]: r for r in stats}
-    g_n = np.asarray([int(by_g[g]["sum(n_partial)"]) for g in gnames], np.int64)
-    g_sum = np.asarray(
-        [int(by_g[g]["sum(sum_partial)"]) for g in gnames], np.int64
-    )
+    gnames = stats.column("g").to_numpy(zero_copy_only=False).astype(str)
+    order = np.argsort(gnames, kind="stable")
+    gnames = gnames[order]
+    g_n = stats.column("sum(n_partial)").to_numpy()[order]
+    g_sum = stats.column("sum(sum_partial)").to_numpy()[order]
     stats_ref = ray.put((gnames, g_n, g_sum))
 
     def flag(batch: pa.Table) -> pa.Table:
@@ -1004,242 +587,6 @@ def length_outliers_ds(
 
     return docs.select_columns([id_col, group_col, value_col]).map_batches(
         flag, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
-# ---------- ROLLUP (multi-level grouped aggregate) ----------
-
-
-def rollup_ds(
-    ds: Dataset,
-    keys: Sequence[str],
-    value_col: str,
-    quant: int = 100,
-    all_label: str = "ALL",
-    mode: str = "rollup",
-) -> Dataset:
-    """``GROUP BY ROLLUP(k1, k2, ...)`` (or ``CUBE`` with
-    ``mode="cube"``) — the leaf aggregate plus every derived grouping
-    set, with rolled-up key columns set to ``all_label``. ROLLUP derives
-    the prefix levels; CUBE derives all 2^n subsets. Values quantize to
-    ``floor(v * quant)`` int64 so sums are engine-exact.
-
-    Scale shape: one per-batch Arrow combiner (leaf cells per block) ->
-    ONE ``groupby(keys)`` over combined rows. The leaf table of a rollup
-    report is bounded by the key-domain product (small by construction —
-    a rollup over an unbounded key is not a report), so every other
-    grouping set derives from the collected leaf on the driver with
-    numpy group sums — the raw table is never re-read per set.
-    """
-    keys = list(keys)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        v_e = np.floor(v * quant).astype(np.int64)
-        t = pa.table(
-            {
-                **{k: batch.column(k) for k in keys},
-                "v_e": pa.array(v_e, pa.int64()),
-            }
-        )
-        g = t.group_by(keys).aggregate([("v_e", "sum"), ("v_e", "count")])
-        return g.rename_columns(keys + ["sum_partial", "n_partial"])
-
-    leaf = (
-        ds.select_columns(keys + [value_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(keys)
-        .aggregate(Sum("sum_partial"), Sum("n_partial"))
-    )
-    rows = leaf.take_all()
-    # dtype=str keeps the zero-row case a unicode array (a bare
-    # np.array([]) is float64 and np.char.add refuses to concatenate it)
-    key_vals = {
-        k: np.array([str(r[k]) for r in rows], dtype=str) for k in keys
-    }
-    sums = np.array([r["sum(sum_partial)"] for r in rows], np.int64)
-    ns = np.array([r["sum(n_partial)"] for r in rows], np.int64)
-
-    if mode == "cube":
-        sets = [
-            tuple(i for i in range(len(keys)) if (m >> i) & 1)
-            for m in range(2 ** len(keys) - 1, -1, -1)
-        ]
-    else:
-        sets = [tuple(range(level)) for level in range(len(keys), -1, -1)]
-
-    out = {k: [] for k in keys}
-    out_sum: List[int] = []
-    out_n: List[int] = []
-    for kept_idx in sets:
-        kept = [keys[i] for i in kept_idx]
-        if kept:
-            comp = key_vals[kept[0]]
-            for k in kept[1:]:
-                comp = np.char.add(np.char.add(comp, "\x1f"), key_vals[k])
-            uniq, inv = np.unique(comp, return_inverse=True)
-            if len(uniq) == 0:  # empty input: this grouping set has no rows
-                continue
-            order = np.argsort(inv, kind="stable")
-            starts = np.flatnonzero(
-                np.concatenate(([True], inv[order][1:] != inv[order][:-1]))
-            )
-            # int64 reduceat keeps sums exact past 2**53 (bincount's
-            # float64 weights would not)
-            lvl_sum = np.add.reduceat(sums[order], starts)
-            lvl_n = np.add.reduceat(ns[order], starts)
-            parts = [u.split("\x1f") for u in uniq]
-            pos_of = {i: j for j, i in enumerate(kept_idx)}
-            for i, k in enumerate(keys):
-                if i in pos_of:
-                    out[k].extend(p[pos_of[i]] for p in parts)
-                else:
-                    out[k].extend([all_label] * len(uniq))
-            out_sum.extend(lvl_sum.tolist())
-            out_n.extend(lvl_n.tolist())
-        else:
-            for k in keys:
-                out[k].append(all_label)
-            out_sum.append(int(sums.sum()))
-            out_n.append(int(ns.sum()))
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                **{k: pa.array(out[k], pa.string()) for k in keys},
-                "sum_e": pa.array(out_sum, pa.int64()),
-                "n_rows": pa.array(out_n, pa.int64()),
-            }
-        )
-    )
-
-
-# ---------- interval (range) join: count points per window ----------
-
-
-def interval_count_ds(
-    windows: Dataset,
-    points: Dataset,
-    window_key: str,
-    window_start: str,
-    point_ts: str,
-    width_us: int,
-) -> Dataset:
-    """Range join ``point.ts ∈ [w.start, w.start + width)`` aggregated to
-    a per-window match count (INNER semantics: windows with zero matches
-    drop). The classic non-equi join Ray Data lacks natively.
-
-    Scale shape: NO row-expanding join ever materializes. The point side
-    reduces per batch to (time_bucket, ts, count) partials (bucket width
-    == window width, so each window overlaps at most 2 buckets); each
-    window row replicates to exactly those <=2 buckets. One co-grouping
-    shuffle by time bucket, then inside the bucket a sorted-ts prefix-sum
-    + two ``np.searchsorted`` probes count matches for every window
-    vectorized. A final ``groupby(window_key)`` sums the <=2 partials
-    per window.
-    """
-    w = np.int64(width_us)
-
-    def point_partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column(point_ts).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        uniq, cnt = np.unique(ts, return_counts=True)
-        return pa.table(
-            {
-                "bkt": pa.array(uniq // w, pa.int64()),
-                "side": pa.array(np.zeros(len(uniq), np.int8), pa.int8()),
-                "ts_us": pa.array(uniq, pa.int64()),
-                "cnt": pa.array(cnt, pa.int64()),
-                "wkey": pa.array(np.zeros(len(uniq), np.int64), pa.int64()),
-                "lo": pa.array(np.zeros(len(uniq), np.int64), pa.int64()),
-            }
-        )
-
-    def window_partial(batch: pa.Table) -> pa.Table:
-        lo = (
-            batch.column(window_start).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        )
-        key = batch.column(window_key).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        hi = lo + w
-        b0 = lo // w
-        b1 = (hi - 1) // w
-        second = b1 != b0
-        bkt = np.concatenate((b0, b1[second]))
-        keys = np.concatenate((key, key[second]))
-        los = np.concatenate((lo, lo[second]))
-        n = len(bkt)
-        return pa.table(
-            {
-                "bkt": pa.array(bkt, pa.int64()),
-                "side": pa.array(np.ones(n, np.int8), pa.int8()),
-                "ts_us": pa.array(np.zeros(n, np.int64), pa.int64()),
-                "cnt": pa.array(np.zeros(n, np.int64), pa.int64()),
-                "wkey": pa.array(keys, pa.int64()),
-                "lo": pa.array(los, pa.int64()),
-            }
-        )
-
-    tagged = points.select_columns([point_ts]).map_batches(
-        point_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        windows.select_columns([window_key, window_start]).map_batches(
-            window_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-
-    def bucket_count(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "wkey": pa.array([], pa.int64()),
-                "n_partial": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        pts = side == 0
-        wins = side == 1
-        if not pts.any() or not wins.any():
-            return empty
-        ts = group.column("ts_us").to_numpy(zero_copy_only=False)[pts]
-        cnt = group.column("cnt").to_numpy(zero_copy_only=False)[pts]
-        order = np.argsort(ts, kind="stable")
-        ts_s, cnt_s = ts[order], cnt[order]
-        # cross-block duplicate ts collapse
-        uniq_mask = np.concatenate(([True], ts_s[1:] != ts_s[:-1]))
-        seg = np.cumsum(uniq_mask) - 1
-        ts_u = ts_s[uniq_mask]
-        cnt_u = np.bincount(seg, weights=cnt_s).astype(np.int64)
-        cum = np.concatenate(([0], np.cumsum(cnt_u)))
-        lo = group.column("lo").to_numpy(zero_copy_only=False)[wins]
-        key = group.column("wkey").to_numpy(zero_copy_only=False)[wins]
-        i0 = np.searchsorted(ts_u, lo, side="left")
-        i1 = np.searchsorted(ts_u, lo + w, side="left")
-        n = cum[i1] - cum[i0]
-        nz = n > 0
-        return pa.table(
-            {
-                "wkey": pa.array(key[nz], pa.int64()),
-                "n_partial": pa.array(n[nz], pa.int64()),
-            }
-        )
-
-    partials = tagged.groupby("bkt").map_groups(
-        bucket_count, batch_format="pyarrow"
-    )
-    totals = partials.groupby("wkey").aggregate(Sum("n_partial"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                window_key: batch.column("wkey"),
-                "n_matched": batch.column("sum(n_partial)").cast(pa.int64()),
-            }
-        )
-
-    return _anchor_schema(
-        totals.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True),
-        pa.schema(
-            [pa.field(window_key, pa.int64()), pa.field("n_matched", pa.int64())]
-        ),
     )
 
 
@@ -1525,768 +872,6 @@ def ntile_ds(
     )
 
 
-# ---------- grouped moment accumulators (covariance statistics) ----------
-
-
-def moments_ds(
-    ds: Dataset,
-    group_col: str,
-    x_col: str,
-    y_col: str,
-    x_quant: int = 100,
-    y_quant: int = 1,
-) -> Dataset:
-    """Per-group second-moment sufficient statistics — ``n, Σx, Σy,
-    Σx², Σy², Σxy`` over floor-quantized int64 values — everything a
-    consumer needs for exact means, variances, covariance and Pearson
-    correlation per group, kept as INTEGER accumulators so both engines
-    agree bit-for-bit (no float division inside the operator).
-
-    Quantization bound (document per column): ``Σx²`` must stay below
-    2^63 — pick ``quant`` per column so ``n * max(|x|*quant)^2 < 9e18``.
-
-    Scale shape: one per-batch segment-sum combiner (argsort + int64
-    ``reduceat`` per statistic) emits one row per group per block ->
-    one bounded ``groupby(group)`` of six sums. Nothing else moves."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "g": pa.array([], pa.string()),
-                "n_p": pa.array([], pa.int64()),
-                "sx_p": pa.array([], pa.int64()),
-                "sy_p": pa.array([], pa.int64()),
-                "sxx_p": pa.array([], pa.int64()),
-                "syy_p": pa.array([], pa.int64()),
-                "sxy_p": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        g = (
-            batch.column(group_col)
-            .cast(pa.string())
-            .to_numpy(zero_copy_only=False)
-            .astype(str)
-        )
-        x = np.floor(
-            batch.column(x_col).to_numpy(zero_copy_only=False) * x_quant
-        ).astype(np.int64)
-        y = np.floor(
-            batch.column(y_col).to_numpy(zero_copy_only=False) * y_quant
-        ).astype(np.int64)
-        order = np.argsort(g, kind="stable")
-        gs, xs, ys = g[order], x[order], y[order]
-        starts = np.flatnonzero(np.concatenate(([True], gs[1:] != gs[:-1])))
-        seg_len = np.diff(np.concatenate((starts, [len(gs)])))
-        return pa.table(
-            {
-                "g": pa.array(gs[starts], pa.string()),
-                "n_p": pa.array(seg_len.astype(np.int64), pa.int64()),
-                "sx_p": pa.array(np.add.reduceat(xs, starts), pa.int64()),
-                "sy_p": pa.array(np.add.reduceat(ys, starts), pa.int64()),
-                "sxx_p": pa.array(np.add.reduceat(xs * xs, starts), pa.int64()),
-                "syy_p": pa.array(np.add.reduceat(ys * ys, starts), pa.int64()),
-                "sxy_p": pa.array(np.add.reduceat(xs * ys, starts), pa.int64()),
-            }
-        )
-
-    agg = (
-        ds.select_columns([group_col, x_col, y_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("g")
-        .aggregate(
-            Sum("n_p"), Sum("sx_p"), Sum("sy_p"),
-            Sum("sxx_p"), Sum("syy_p"), Sum("sxy_p"),
-        )
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                group_col: batch.column("g"),
-                "n": batch.column("sum(n_p)").cast(pa.int64()),
-                "sum_x": batch.column("sum(sx_p)").cast(pa.int64()),
-                "sum_y": batch.column("sum(sy_p)").cast(pa.int64()),
-                "sum_xx": batch.column("sum(sxx_p)").cast(pa.int64()),
-                "sum_yy": batch.column("sum(syy_p)").cast(pa.int64()),
-                "sum_xy": batch.column("sum(sxy_p)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------- event-transition matrix (first-order Markov counts) ----------
-
-
-def transitions_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    order_cols: Tuple[str, str] = ("ts", "event_id"),
-    type_col: str = "event_type",
-    n_buckets: int = 256,
-) -> Dataset:
-    """First-order Markov transition counts: for every per-key event
-    sequence ordered by ``order_cols``, count each consecutive
-    ``(event_type -> next event_type)`` pair — the session-flow /
-    curriculum-ordering signal (``lead() OVER (PARTITION BY key)`` in
-    SQL).
-
-    Scale shape: rows shuffle ONCE by ``mix64(key) % n_buckets`` (a
-    bounded group count — never ``groupby(user)`` with millions of
-    near-singleton groups); inside a bucket one lexsort orders every
-    key's events, a shifted-array compare finds consecutive pairs, and
-    ``np.unique`` over composite type codes emits one partial count row
-    per (prev, next) pair per bucket. The only other exchange is the
-    tiny ``groupby(prev, next)`` over those partials (pair domain =
-    |type alphabet|²)."""
-
-    def tag(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bkt": pa.array([], pa.int64()),
-                "k": pa.array([], pa.int64()),
-                "o1": pa.array([], pa.int64()),
-                "o2": pa.array([], pa.int64()),
-                "t": pa.array([], pa.string()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        o1 = (
-            batch.column(order_cols[0])
-            .cast(pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        o2 = (
-            batch.column(order_cols[1])
-            .cast(pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        bkt = (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array(bkt, pa.int64()),
-                "k": pa.array(k, pa.int64()),
-                "o1": pa.array(o1, pa.int64()),
-                "o2": pa.array(o2, pa.int64()),
-                "t": batch.column(type_col).cast(pa.string()),
-            }
-        )
-
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "prev_type": pa.array([], pa.string()),
-                "next_type": pa.array([], pa.string()),
-                "n_partial": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows < 2:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        o1 = group.column("o1").to_numpy(zero_copy_only=False)
-        o2 = group.column("o2").to_numpy(zero_copy_only=False)
-        types, codes = np.unique(
-            group.column("t").to_numpy(zero_copy_only=False).astype(str),
-            return_inverse=True,
-        )
-        order = np.lexsort((o2, o1, k))
-        ks, cs = k[order], codes[order]
-        same = ks[1:] == ks[:-1]
-        if not same.any():
-            return empty
-        prev_c = cs[:-1][same]
-        next_c = cs[1:][same]
-        comp = prev_c.astype(np.int64) * np.int64(len(types)) + next_c
-        uniq, cnt = np.unique(comp, return_counts=True)
-        return pa.table(
-            {
-                "prev_type": pa.array(
-                    types[(uniq // len(types)).astype(np.int64)], pa.string()
-                ),
-                "next_type": pa.array(
-                    types[(uniq % len(types)).astype(np.int64)], pa.string()
-                ),
-                "n_partial": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    partials = (
-        events.select_columns(
-            [key_col, order_cols[0], order_cols[1], type_col]
-        )
-        .map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
-    partials = _anchor_schema(
-        partials,
-        pa.schema(
-            [
-                ("prev_type", pa.string()),
-                ("next_type", pa.string()),
-                ("n_partial", pa.int64()),
-            ]
-        ),
-    )
-    agg = partials.groupby(["prev_type", "next_type"]).aggregate(Sum("n_partial"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "prev_type": batch.column("prev_type"),
-                "next_type": batch.column("next_type"),
-                "n_transitions": batch.column("sum(n_partial)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------- ordered group-concat (per-key path strings) ----------
-
-
-def user_paths_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    order_cols: Tuple[str, str] = ("ts", "event_id"),
-    type_col: str = "event_type",
-    sep: str = ">",
-    n_buckets: int = 256,
-) -> Dataset:
-    """Ordered group-concat: one row per key with its event types joined
-    in ``order_cols`` order (``string_agg(t, sep ORDER BY ...)``) — the
-    session-path string behind funnel and journey analysis.
-
-    Scale shape: ONE ``mix64(key) % n_buckets`` shuffle (bounded group
-    count); inside a bucket one lexsort orders every key's events and
-    the paths assemble with a single zero-copy
-    ``ListArray.from_arrays`` + ``pc.binary_join`` — no per-key Python.
-    Path length is bounded by the per-key event count; keys with
-    pathological event counts should be capped upstream (sessionize)
-    before a path-string operator, as in any engine."""
-
-    def tag(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bkt": pa.array([], pa.int64()),
-                "k": pa.array([], pa.int64()),
-                "o1": pa.array([], pa.int64()),
-                "o2": pa.array([], pa.int64()),
-                "t": pa.array([], pa.string()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": pa.array(k, pa.int64()),
-                "o1": batch.column(order_cols[0]).cast(pa.int64()),
-                "o2": batch.column(order_cols[1]).cast(pa.int64()),
-                "t": batch.column(type_col).cast(pa.string()),
-            }
-        )
-
-    def bucket_paths(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                key_col: pa.array([], pa.int64()),
-                "path": pa.array([], pa.string()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        o1 = group.column("o1").to_numpy(zero_copy_only=False)
-        o2 = group.column("o2").to_numpy(zero_copy_only=False)
-        t = group.column("t").to_numpy(zero_copy_only=False).astype(str)
-        order = np.lexsort((o2, o1, k))
-        ks, ts = k[order], t[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        offsets = np.concatenate((starts, [len(ks)])).astype(np.int32)
-        lists = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()), pa.array(ts, pa.string())
-        )
-        return pa.table(
-            {
-                key_col: pa.array(ks[starts], pa.int64()),
-                "path": pc.binary_join(lists, sep),
-            }
-        )
-
-    out = (
-        events.select_columns([key_col, order_cols[0], order_cols[1], type_col])
-        .map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_paths, batch_format="pyarrow")
-    )
-    return _anchor_schema(
-        out, pa.schema([(key_col, pa.int64()), ("path", pa.string())])
-    )
-
-
-# ---------- grouped mode (most frequent value per key) ----------
-
-
-def grouped_mode_ds(
-    ds: Dataset,
-    key_col: str = "user_id",
-    val_col: str = "event_type",
-    mode_col: str = "mode_val",
-    n_col: str = "n_events",
-    n_buckets: int = 256,
-) -> Dataset:
-    """Most frequent value per key with a deterministic tie-break
-    (higher count wins, ties go to the lexicographically smallest
-    value) — the `row_number() OVER (ORDER BY n DESC, v)` = 1 pattern.
-
-    Scale shape: a per-batch ``np.lexsort`` + boundary-count combiner
-    collapses each block to one row per distinct (key, value) BEFORE
-    the exact ``groupby([key, value])`` count; the argmax then needs
-    each key's candidate rows co-located, which ONE
-    ``mix64(key) % n_buckets`` shuffle of the (key, value, n) rows —
-    already distinct-cell-sized, not row-sized — provides. In-bucket
-    selection is one lexsort + group-start gather, no per-key Python."""
-
-    def combine(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "k": pa.array([], pa.int64()),
-                "v": pa.array([], pa.string()),
-                "n_p": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = batch.column(val_col).cast(pa.string()).to_numpy(zero_copy_only=False)
-        v = v.astype(str)
-        order = np.lexsort((v, k))
-        ks, vs = k[order], v[order]
-        new = np.concatenate(([True], (ks[1:] != ks[:-1]) | (vs[1:] != vs[:-1])))
-        starts = np.flatnonzero(new)
-        counts = np.diff(np.concatenate((starts, [len(ks)])))
-        return pa.table(
-            {
-                "k": pa.array(ks[starts], pa.int64()),
-                "v": pa.array(vs[starts], pa.string()),
-                "n_p": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    counts = (
-        ds.select_columns([key_col, val_col])
-        .map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["k", "v"])
-        .aggregate(Sum("n_p"))
-    )
-
-    def tag(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bkt": pa.array([], pa.int64()),
-                "k": pa.array([], pa.int64()),
-                "v": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        k = batch.column("k").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": pa.array(k, pa.int64()),
-                "v": batch.column("v"),
-                "n": batch.column("sum(n_p)").cast(pa.int64()),
-            }
-        )
-
-    def pick(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                key_col: pa.array([], pa.int64()),
-                mode_col: pa.array([], pa.string()),
-                n_col: pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        v = group.column("v").to_numpy(zero_copy_only=False).astype(str)
-        n = group.column("n").to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, -n, k))
-        ks, vs, ns = k[order], v[order], n[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        return pa.table(
-            {
-                key_col: pa.array(ks[starts], pa.int64()),
-                mode_col: pa.array(vs[starts], pa.string()),
-                n_col: pa.array(ns[starts], pa.int64()),
-            }
-        )
-
-    out = (
-        counts.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(pick, batch_format="pyarrow")
-    )
-    return _anchor_schema(
-        out,
-        pa.schema(
-            [(key_col, pa.int64()), (mode_col, pa.string()), (n_col, pa.int64())]
-        ),
-    )
-
-
-# ---------- first/last-touch attribution ----------
-
-
-def attribution_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    order_cols: Tuple[str, str] = ("ts", "event_id"),
-    type_col: str = "event_type",
-    n_buckets: int = 256,
-) -> Dataset:
-    """First- and last-touch attribution per key: the first and last
-    event's type and timestamp plus the total event count — the
-    ``arg_min/arg_max OVER (PARTITION BY user)`` summary behind
-    marketing attribution and session bookending.
-
-    Scale shape: two-level argmin/argmax combine. A per-batch lexsort
-    combiner collapses each block to ONE partial row per key (first
-    candidate, last candidate, count) — so only key-count-sized partials
-    shuffle — then one ``mix64(key) % n_buckets`` exchange co-locates a
-    key's partials and three vectorized passes (min-lexsort, max-lexsort,
-    reduceat sum) finish. Deterministic because ``order_cols`` pairs are
-    unique per event."""
-
-    part_schema = pa.schema(
-        [
-            ("bkt", pa.int64()),
-            ("k", pa.int64()),
-            ("f_o1", pa.int64()),
-            ("f_o2", pa.int64()),
-            ("f_t", pa.string()),
-            ("l_o1", pa.int64()),
-            ("l_o2", pa.int64()),
-            ("l_t", pa.string()),
-            ("n_p", pa.int64()),
-        ]
-    )
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("first_type", pa.string()),
-            ("first_ts_us", pa.int64()),
-            ("last_type", pa.string()),
-            ("last_ts_us", pa.int64()),
-            ("n_events", pa.int64()),
-        ]
-    )
-
-    def combine(batch: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in part_schema})
-        if batch.num_rows == 0:
-            return empty
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        o1 = (
-            batch.column(order_cols[0]).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        )
-        o2 = (
-            batch.column(order_cols[1]).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        )
-        t = batch.column(type_col).cast(pa.string()).to_numpy(zero_copy_only=False)
-        t = t.astype(str)
-        order = np.lexsort((o2, o1, k))
-        ks, o1s, o2s, ts_ = k[order], o1[order], o2[order], t[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        ends = np.concatenate((starts[1:], [len(ks)])) - 1
-        n_p = np.diff(np.concatenate((starts, [len(ks)])))
-        kk = ks[starts]
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(kk) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": pa.array(kk, pa.int64()),
-                "f_o1": pa.array(o1s[starts], pa.int64()),
-                "f_o2": pa.array(o2s[starts], pa.int64()),
-                "f_t": pa.array(ts_[starts], pa.string()),
-                "l_o1": pa.array(o1s[ends], pa.int64()),
-                "l_o2": pa.array(o2s[ends], pa.int64()),
-                "l_t": pa.array(ts_[ends], pa.string()),
-                "n_p": pa.array(n_p.astype(np.int64), pa.int64()),
-            }
-        )
-
-    def reduce(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        f_o1 = group.column("f_o1").to_numpy(zero_copy_only=False)
-        f_o2 = group.column("f_o2").to_numpy(zero_copy_only=False)
-        f_t = group.column("f_t").to_numpy(zero_copy_only=False).astype(str)
-        l_o1 = group.column("l_o1").to_numpy(zero_copy_only=False)
-        l_o2 = group.column("l_o2").to_numpy(zero_copy_only=False)
-        l_t = group.column("l_t").to_numpy(zero_copy_only=False).astype(str)
-        n_p = group.column("n_p").to_numpy(zero_copy_only=False)
-
-        fo = np.lexsort((f_o2, f_o1, k))  # per key: first candidate leads
-        fstarts = np.flatnonzero(
-            np.concatenate(([True], k[fo][1:] != k[fo][:-1]))
-        )
-        fidx = fo[fstarts]
-
-        lo = np.lexsort((l_o2, l_o1, k))  # per key: last candidate trails
-        kl = k[lo]
-        lstarts = np.flatnonzero(np.concatenate(([True], kl[1:] != kl[:-1])))
-        lends = np.concatenate((lstarts[1:], [len(kl)])) - 1
-        lidx = lo[lends]
-
-        ko = np.argsort(k, kind="stable")
-        kk = k[ko]
-        nstarts = np.flatnonzero(np.concatenate(([True], kk[1:] != kk[:-1])))
-        n_tot = np.add.reduceat(n_p[ko], nstarts)
-
-        return pa.table(
-            {
-                key_col: pa.array(k[fidx], pa.int64()),
-                "first_type": pa.array(f_t[fidx], pa.string()),
-                "first_ts_us": pa.array(f_o1[fidx], pa.int64()),
-                "last_type": pa.array(l_t[lidx], pa.string()),
-                "last_ts_us": pa.array(l_o1[lidx], pa.int64()),
-                "n_events": pa.array(n_tot.astype(np.int64), pa.int64()),
-            }
-        )
-
-    out = (
-        events.select_columns([key_col, order_cols[0], order_cols[1], type_col])
-        .map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(reduce, batch_format="pyarrow")
-    )
-    return _anchor_schema(out, out_schema)
-
-
-# ---------- sessionization (gap-based sessions per user) ----------
-
-
-def sessions_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    gap_us: int = 1_800_000_000,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Gap-based sessionization: split each user's event stream into
-    sessions wherever consecutive events are more than ``gap_us`` apart,
-    and emit one row per session (user, 1-based session ordinal, start /
-    end timestamps, event count) — the gaps-and-islands pattern behind
-    engagement and funnel metrics.
-
-    Scale shape: sessionization is inherently a per-user ordered scan,
-    so the event rows themselves shuffle ONCE by ``mix64(user) %
-    n_buckets`` (bounded group count), pruned to (user, ts_us, tie) —
-    ~24 bytes/row. Inside the bucket one lexsort segments users, breaks
-    are a vectorized gap compare, and sessions reduce to their
-    boundary rows — no per-user Python, no driver collection.
-    Determinism: ties on ts are ordered by ``tie_col`` (unique), and a
-    zero gap can never open a session, so tied rows always co-session."""
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("session_id", pa.int64()),
-            ("start_us", pa.int64()),
-            ("end_us", pa.int64()),
-            ("n_events", pa.int64()),
-        ]
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": pa.array(k, pa.int64()),
-                "t": batch.column(ts_col).cast(pa.int64()),
-                "e": batch.column(tie_col).cast(pa.int64()),
-            }
-        )
-
-    def sessions(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        t = group.column("t").to_numpy(zero_copy_only=False)
-        e = group.column("e").to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, t, k))
-        ks, ts_, = k[order], t[order]
-        new_user = np.concatenate(([True], ks[1:] != ks[:-1]))
-        gap_break = np.concatenate(([True], (ts_[1:] - ts_[:-1]) > gap_us))
-        brk = new_user | gap_break
-        sess_idx = np.cumsum(brk) - 1  # global 0-based session per row
-        s_starts = np.flatnonzero(brk)
-        s_ends = np.concatenate((s_starts[1:], [len(ks)])) - 1
-        n_ev = np.diff(np.concatenate((s_starts, [len(ks)])))
-        # per-user 1-based ordinal: subtract the user's first session idx
-        u_starts = np.flatnonzero(new_user)
-        base = np.repeat(sess_idx[u_starts], np.diff(np.concatenate((u_starts, [len(ks)]))))
-        sid = sess_idx - base + 1
-        return pa.table(
-            {
-                key_col: pa.array(ks[s_starts], pa.int64()),
-                "session_id": pa.array(sid[s_starts], pa.int64()),
-                "start_us": pa.array(ts_[s_starts], pa.int64()),
-                "end_us": pa.array(ts_[s_ends], pa.int64()),
-                "n_events": pa.array(n_ev.astype(np.int64), pa.int64()),
-            }
-        )
-
-    out = (
-        events.select_columns([key_col, ts_col, tie_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(sessions, batch_format="pyarrow")
-    )
-    return _anchor_schema(out, out_schema)
-
-
-# ---------- exact grouped percentiles (distinct-cell selection) ----------
-
-
-def grouped_percentiles_ds(
-    events: Dataset,
-    key_col: str = "event_type",
-    value_col: str = "value",
-    quant: int = 100,
-    n_buckets: int = 256,
-) -> Dataset:
-    """Exact per-group p25/p50/p75 (``percentile_disc`` semantics: the
-    smallest value whose running count reaches ``ceil(q*n)``) over
-    integer-quantized values — the distribution summary behind quality
-    dashboards, computed WITHOUT sorting the raw rows.
-
-    Scale shape: the raw rows never shuffle. A per-batch combiner
-    collapses each block to distinct (group, value) cells, ONE
-    ``groupby([g, v])`` reduces them globally (the shuffle moves
-    value-domain-sized cells, not rows), and the cell table — already
-    tiny — co-locates per group via a bucket hash. Inside the bucket one
-    lexsort + running-count ``searchsorted`` picks all three ranks per
-    group segment in a single vectorized pass. Rank arithmetic is pure
-    integer (``(q·n + 99) // 100``), so both engines select the
-    identical element."""
-    out_schema = pa.schema(
-        [
-            (key_col, pa.string()),
-            ("n", pa.int64()),
-            ("p25_q", pa.int64()),
-            ("p50_q", pa.int64()),
-            ("p75_q", pa.int64()),
-        ]
-    )
-
-    def combine(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "g": pa.array([], pa.string()),
-                    "v": pa.array([], pa.int64()),
-                    "c_p": pa.array([], pa.int64()),
-                }
-            )
-        g = batch.column(key_col).to_numpy(zero_copy_only=False).astype(str)
-        v = (
-            pc.cast(pc.round(pc.multiply(batch.column(value_col), quant)), pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        order = np.lexsort((v, g))
-        gs, vs = g[order], v[order]
-        new = np.concatenate(([True], (gs[1:] != gs[:-1]) | (vs[1:] != vs[:-1])))
-        starts = np.flatnonzero(new)
-        return pa.table(
-            {
-                "g": pa.array(gs[starts], pa.string()),
-                "v": pa.array(vs[starts], pa.int64()),
-                "c_p": pa.array(
-                    np.diff(np.concatenate((starts, [len(gs)]))).astype(np.int64),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    cells = (
-        events.select_columns([key_col, value_col])
-        .map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["g", "v"])
-        .aggregate(Sum("c_p"))
-    )
-
-    def tag(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "bkt": pa.array([], pa.int64()),
-                    "g": pa.array([], pa.string()),
-                    "v": pa.array([], pa.int64()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                "bkt": _hash_bucket_column(batch.column("g"), n_buckets),
-                "g": batch.column("g"),
-                "v": batch.column("v").cast(pa.int64()),
-                "c": batch.column("sum(c_p)").cast(pa.int64()),
-            }
-        )
-
-    def pick(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
-        g = group.column("g").to_numpy(zero_copy_only=False).astype(str)
-        v = group.column("v").to_numpy(zero_copy_only=False)
-        c = group.column("c").to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, g))
-        gs, vs, cs = g[order], v[order], c[order]
-        new = np.concatenate(([True], gs[1:] != gs[:-1]))
-        starts = np.flatnonzero(new)
-        ends = np.concatenate((starts[1:], [len(gs)])) - 1
-        cum = np.cumsum(cs)
-        seg_base = cum[starts] - cs[starts]
-        n_g = cum[ends] - seg_base
-        out = {key_col: pa.array(gs[starts], pa.string()),
-               "n": pa.array(n_g.astype(np.int64), pa.int64())}
-        for pct, name in ((25, "p25_q"), (50, "p50_q"), (75, "p75_q")):
-            rank = (pct * n_g + 99) // 100
-            idx = np.searchsorted(cum, seg_base + rank, side="left")
-            out[name] = pa.array(vs[idx], pa.int64())
-        return pa.table(out)
-
-    out = (
-        cells.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(pick, batch_format="pyarrow")
-    )
-    return _anchor_schema(out, out_schema)
-
-
 # ---------- grouped ordered id sample (string_agg head) ----------
 
 
@@ -2377,137 +962,6 @@ def group_sample_ids_ds(
         .map_groups(pick, batch_format="pyarrow")
     )
     return _anchor_schema(out, out_schema)
-
-
-# ---------- interval merge (gaps-and-islands coalescing) ----------
-
-
-def _merge_interval_partials(
-    k: np.ndarray, s: np.ndarray, e: np.ndarray, niv: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Coalesce overlapping-or-touching intervals per key, fully
-    vectorized. Returns one row per merged island: (key, island start,
-    island end = running max of member ends, summed interval count).
-
-    The per-key prefix cummax of ``e`` (ordered by ``s, e``) uses the
-    rank-composite trick: ranks of ``e`` (``np.unique`` inverse) are
-    packed as ``group_index * n_ranks + rank`` so one global
-    ``np.maximum.accumulate`` resets itself at every group boundary
-    (each group's codomain sits strictly above its predecessor's) with
-    no overflow risk — the composite is bounded by ``n_rows**2``."""
-    if len(k) == 0:
-        z = np.array([], dtype=np.int64)
-        return z, z, z, z
-    order = np.lexsort((e, s, k))
-    k, s, e, niv = k[order], s[order], e[order], niv[order]
-    n = len(k)
-    kstart = np.concatenate(([True], k[1:] != k[:-1]))
-    uvals, er = np.unique(e, return_inverse=True)
-    gidx = np.cumsum(kstart) - 1
-    comp = gidx.astype(np.int64) * np.int64(len(uvals)) + er.astype(np.int64)
-    cummax_e = uvals[
-        np.maximum.accumulate(comp) - gidx.astype(np.int64) * np.int64(len(uvals))
-    ]
-    prev_cm = np.empty(n, dtype=np.int64)
-    if n:
-        prev_cm[0] = 0
-        prev_cm[1:] = cummax_e[:-1]
-    brk = kstart | (s > prev_cm)
-    isl_start = np.flatnonzero(brk)
-    ends = np.concatenate((isl_start[1:], [n])) - 1
-    return (
-        k[isl_start],
-        s[isl_start],
-        cummax_e[ends],
-        np.add.reduceat(niv, isl_start) if n else niv,
-    )
-
-
-def interval_merge_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    dur_col: str = "value",
-    n_buckets: int = 512,
-) -> Dataset:
-    """Merge overlapping-or-touching per-key intervals into islands —
-    the gaps-and-islands coalescing every scheduling / activity-span /
-    crawl-window pipeline needs (distinct from gap-based sessionization:
-    intervals have EXTENT, and islands are defined by true overlap of
-    ``[start, end]`` ranges, not by inter-event gaps).
-
-    Interval semantics (documented so the SQL twin is exact): start =
-    ``ts`` in epoch microseconds; duration = ``greatest(floor(value *
-    1e6), 0) * 60`` microseconds (i.e. ``value`` minutes, floor-quantized
-    at 1e-6 minute so both engines derive the identical int64 end).
-    Two intervals of the same key merge when the later start is <= the
-    running max end (touching merges).
-
-    Scale shape: interval merging is ASSOCIATIVE, so each block first
-    coalesces its own rows per key (a real combiner — a block's rows
-    collapse to its local islands carrying partial ``n_iv`` counts),
-    then ONE shuffle by ``mix64(key) % n_buckets`` (bounded group count,
-    never one group per key) re-merges the partial islands inside each
-    bucket with the same vectorized kernel. Raw rows never shuffle."""
-
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("start_us", pa.int64()),
-            ("end_us", pa.int64()),
-            ("n_iv", pa.int64()),
-        ]
-    )
-
-    def block_merge(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            t = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-            return t.append_column("bkt", pa.array([], pa.int64()))
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        ts = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        dur = np.maximum(
-            np.floor(
-                batch.column(dur_col).to_numpy(zero_copy_only=False) * 1e6
-            ).astype(np.int64),
-            0,
-        ) * np.int64(60)
-        mk, ms, me, mn = _merge_interval_partials(
-            k, ts, ts + dur, np.ones(len(k), dtype=np.int64)
-        )
-        bkt = (_mix64(mk) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table(
-            {
-                key_col: pa.array(mk, pa.int64()),
-                "start_us": pa.array(ms, pa.int64()),
-                "end_us": pa.array(me, pa.int64()),
-                "n_iv": pa.array(mn, pa.int64()),
-                "bkt": pa.array(bkt),
-            }
-        )
-
-    partials = events.select_columns([key_col, ts_col, dur_col]).map_batches(
-        block_merge, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def bucket_merge(group: pa.Table) -> pa.Table:
-        k = group.column(key_col).to_numpy(zero_copy_only=False)
-        s = group.column("start_us").to_numpy(zero_copy_only=False)
-        e = group.column("end_us").to_numpy(zero_copy_only=False)
-        niv = group.column("n_iv").to_numpy(zero_copy_only=False)
-        mk, ms, me, mn = _merge_interval_partials(k, s, e, niv)
-        return pa.table(
-            {
-                key_col: pa.array(mk, pa.int64()),
-                "start_us": pa.array(ms, pa.int64()),
-                "end_us": pa.array(me, pa.int64()),
-                "n_iv": pa.array(mn, pa.int64()),
-            }
-        )
-
-    return _anchor_schema(
-        partials.groupby("bkt").map_groups(bucket_merge, batch_format="pyarrow"),
-        out_schema,
-    )
 
 
 # ---------- two-sample KS drift (integer-exact, per source pair) ----------
@@ -2602,50 +1056,6 @@ def ks_drift_ds(
     return ray.data.from_arrow(
         pa.table({f.name: pa.array(out[f.name], f.type) for f in out_schema})
     )
-
-
-# ---------- grouped linear trend (exact slope components) ----------
-
-
-def trend_ds(
-    ds: Dataset,
-    group_col: str,
-    x_col: str,
-    y_col: str,
-) -> Dataset:
-    """Per-group ordinary-least-squares slope as EXACT integer
-    components: ``slope_num = n·Σxy − Σx·Σy`` and ``slope_den = n·Σxx −
-    (Σx)²`` (slope = num/den; den = 0 marks a degenerate group — single
-    point or constant x). Keeping the rational components integer makes
-    the operator bit-identical in any engine and lets the consumer pick
-    its own division precision. ``x_col`` / ``y_col`` must already be
-    int64 (callers project e.g. epoch-day / cents columns first).
-
-    Int64 bound (documented, mirrors :func:`moments_ds`): pick units so
-    ``n_g · max|x| · max|y| < 2^63`` per group — natural for bounded
-    per-entity histories (orders per customer) at any corpus scale.
-
-    Scale shape: delegates to :func:`moments_ds` (one reduceat combiner
-    row per group per block -> bounded groupby of integer sums), then a
-    streaming derive pass."""
-    m = moments_ds(ds, group_col, x_col, y_col, x_quant=1, y_quant=1)
-
-    def derive(batch: pa.Table) -> pa.Table:
-        n = batch.column("n").to_numpy(zero_copy_only=False)
-        sx = batch.column("sum_x").to_numpy(zero_copy_only=False)
-        sy = batch.column("sum_y").to_numpy(zero_copy_only=False)
-        sxx = batch.column("sum_xx").to_numpy(zero_copy_only=False)
-        sxy = batch.column("sum_xy").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                group_col: batch.column(group_col),
-                "n": pa.array(n, pa.int64()),
-                "slope_num": pa.array(n * sxy - sx * sy, pa.int64()),
-                "slope_den": pa.array(n * sxx - sx * sx, pa.int64()),
-            }
-        )
-
-    return m.map_batches(derive, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ---------- global ROW_NUMBER and reciprocal-rank fusion ----------
@@ -2822,17 +1232,15 @@ def rrf_fusion_ds(
             }
         )
 
-    cand = (
-        ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        )
-        .union(both.groupby("bkt").map_groups(bucket_fuse, batch_format="pyarrow"))
-        .take_all()
+    cand = collect_small(
+        both.groupby("bkt").map_groups(bucket_fuse, batch_format="pyarrow"),
+        "per-bucket top-k candidates",
+        out_schema,
     )
-    ids = np.array([r[id_col] for r in cand], np.int64)
-    rka = np.array([r["rank_a"] for r in cand], np.int64)
-    rkb = np.array([r["rank_b"] for r in cand], np.int64)
-    rrf = np.array([r["rrf_e9"] for r in cand], np.int64)
+    ids = cand.column(id_col).to_numpy()
+    rka = cand.column("rank_a").to_numpy()
+    rkb = cand.column("rank_b").to_numpy()
+    rrf = cand.column("rrf_e9").to_numpy()
     top = np.lexsort((ids, -rrf))[:topk]
     return ray.data.from_arrow(
         pa.table(
@@ -2843,249 +1251,6 @@ def rrf_fusion_ds(
                 "rrf_e9": pa.array(rrf[top], pa.int64()),
             }
         )
-    )
-
-
-# ---------- Z-order (Morton) clustering key ----------
-
-
-def zorder_key_ds(
-    ds: Dataset,
-    id_col: str,
-    x_col: str,
-    y_col: str,
-    bits: int = 16,
-    file_bits: int = 6,
-) -> Dataset:
-    """Z-order (Morton) clustering key over two int64 dimensions — the
-    multi-column data-layout key a 100 TB table uses so files cluster on
-    BOTH columns at once and either predicate prunes row groups (the
-    public Delta/Iceberg OPTIMIZE ZORDER method). The low ``bits`` of
-    each dimension interleave (x in even bit positions, y in odd);
-    ``file_id`` is the top ``file_bits`` of the key — the write
-    partition. Pure per-batch bit arithmetic: streaming map_batches, no
-    shuffle, deterministic in any engine.
-
-    Scale note: the operator intentionally emits the key instead of
-    sorting by it — the writer repartitions on ``file_id`` (a bounded
-    domain) rather than globally sorting the corpus."""
-    shift = np.int64(2 * bits - file_bits)
-    mask = np.int64((1 << bits) - 1)
-
-    def zkey(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).cast(pa.int64()).to_numpy(zero_copy_only=False) & mask
-        y = batch.column(y_col).cast(pa.int64()).to_numpy(zero_copy_only=False) & mask
-        z = np.zeros(len(x), dtype=np.int64)
-        for i in range(bits):
-            z |= ((x >> i) & 1) << (2 * i)
-            z |= ((y >> i) & 1) << (2 * i + 1)
-        return pa.table(
-            {
-                id_col: batch.column(id_col).cast(pa.int64()),
-                "zkey": pa.array(z, pa.int64()),
-                "file_id": pa.array(z >> shift, pa.int64()),
-            }
-        )
-
-    return ds.select_columns([id_col, x_col, y_col]).map_batches(
-        zkey, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
-# ---------- collapse consecutive duplicate values per key ----------
-
-
-def collapse_runs_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    value_col: str = "event_type",
-    tie_col: str = "event_id",
-    n_buckets: int = 512,
-) -> Dataset:
-    """Collapse consecutive duplicate values per key into runs — the
-    sensor-reading / state-change compaction (`value != lag(value)`
-    keeps a row): one output row per run with its start timestamp, run
-    length, and the kept (first) tie id. Deterministic order: ``ts``
-    ASC, ``tie_col`` ASC.
-
-    Scale shape: run-collapse is NOT distributive across arbitrary block
-    splits (a run can span blocks), so rows shuffle ONCE by
-    ``mix64(key) % n_buckets`` with only the 4 projected columns;
-    in-bucket one lexsort + shifted-compare marks run heads and a
-    ``reduceat`` emits run lengths — no per-key Python."""
-
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("start_us", pa.int64()),
-            (tie_col, pa.int64()),
-            (value_col, pa.string()),
-            ("run_len", pa.int64()),
-        ]
-    )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                key_col: pa.array(k, pa.int64()),
-                "ts_us": batch.column(ts_col).cast(pa.int64()),
-                tie_col: batch.column(tie_col).cast(pa.int64()),
-                value_col: batch.column(value_col).cast(pa.string()),
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-                ),
-            }
-        )
-
-    def bucket_collapse(group: pa.Table) -> pa.Table:
-        k = group.column(key_col).to_numpy(zero_copy_only=False)
-        t = group.column("ts_us").to_numpy(zero_copy_only=False)
-        tie = group.column(tie_col).to_numpy(zero_copy_only=False)
-        v = np.asarray(group.column(value_col).to_pylist(), dtype=object)
-        order = np.lexsort((tie, t, k))
-        k, t, tie, v = k[order], t[order], tie[order], v[order]
-        vs = v.astype(str)
-        head = np.concatenate(
-            ([True], (k[1:] != k[:-1]) | (vs[1:] != vs[:-1]))
-        )
-        starts = np.flatnonzero(head)
-        lens = np.diff(np.concatenate((starts, [len(k)])))
-        return pa.table(
-            {
-                key_col: pa.array(k[starts], pa.int64()),
-                "start_us": pa.array(t[starts], pa.int64()),
-                tie_col: pa.array(tie[starts], pa.int64()),
-                value_col: pa.array(vs[starts], pa.string()),
-                "run_len": pa.array(lens.astype(np.int64), pa.int64()),
-            }
-        )
-
-    proj = events.select_columns(
-        [key_col, ts_col, tie_col, value_col]
-    ).map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    return _anchor_schema(
-        proj.groupby("bkt").map_groups(bucket_collapse, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
-# ---------- FK referential-integrity audit ----------
-
-
-def fk_audit_ds(
-    pairs: Sequence[Tuple[str, Dataset, str, Dataset, str]],
-    n_buckets: int = 512,
-) -> Dataset:
-    """Referential-integrity audit across many FK relationships at once:
-    for each ``(name, child, fk_col, parent, pk_col)`` report the child
-    row count, distinct FK count, and the number of rows / distinct keys
-    that have NO parent (orphans) — the conformance gate a warehouse
-    runs before publishing a snapshot.
-
-    Scale shape: per relationship, both sides reduce to per-block
-    DISTINCT keys (child keys carry their row multiplicity), ONE
-    ``mix64(key) % n_buckets`` tagged co-group marks orphan keys with a
-    vectorized ``np.isin``, and only per-bucket counter rows reach the
-    final tiny aggregate. Neither side broadcasts."""
-    out_schema = pa.schema(
-        [
-            ("relationship", pa.string()),
-            ("child_rows", pa.int64()),
-            ("distinct_fks", pa.int64()),
-            ("orphan_rows", pa.int64()),
-            ("orphan_keys", pa.int64()),
-        ]
-    )
-    results = []
-    for name, child, fk_col, parent, pk_col in pairs:
-
-        def child_side(batch: pa.Table, fk=fk_col) -> pa.Table:
-            k, cnt = np.unique(
-                batch.column(fk).cast(pa.int64()).to_numpy(zero_copy_only=False),
-                return_counts=True,
-            )
-            return pa.table(
-                {
-                    "k": pa.array(k, pa.int64()),
-                    "n": pa.array(cnt.astype(np.int64), pa.int64()),
-                    "side": pa.array(np.zeros(len(k), np.int8)),
-                    "bkt": pa.array(
-                        (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-                    ),
-                }
-            )
-
-        def parent_side(batch: pa.Table, pk=pk_col) -> pa.Table:
-            k = np.unique(
-                batch.column(pk).cast(pa.int64()).to_numpy(zero_copy_only=False)
-            )
-            return pa.table(
-                {
-                    "k": pa.array(k, pa.int64()),
-                    "n": pa.array(np.zeros(len(k), np.int64)),
-                    "side": pa.array(np.ones(len(k), np.int8)),
-                    "bkt": pa.array(
-                        (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-                    ),
-                }
-            )
-
-        both = child.select_columns([fk_col]).map_batches(
-            child_side, batch_format="pyarrow", zero_copy_batch=True
-        ).union(
-            parent.select_columns([pk_col]).map_batches(
-                parent_side, batch_format="pyarrow", zero_copy_batch=True
-            )
-        )
-
-        def bucket_counters(group: pa.Table) -> pa.Table:
-            k = group.column("k").to_numpy(zero_copy_only=False)
-            n = group.column("n").to_numpy(zero_copy_only=False)
-            side = group.column("side").to_numpy(zero_copy_only=False)
-            cm = side == 0
-            # child per-block distincts may repeat across blocks: re-reduce
-            ck, inv = np.unique(k[cm], return_inverse=True)
-            cn = np.bincount(inv, weights=n[cm]).astype(np.int64)
-            orphan = ~np.isin(ck, k[~cm])
-            return pa.table(
-                {
-                    "child_rows": pa.array([int(cn.sum())], pa.int64()),
-                    "distinct_fks": pa.array([len(ck)], pa.int64()),
-                    "orphan_rows": pa.array([int(cn[orphan].sum())], pa.int64()),
-                    "orphan_keys": pa.array([int(orphan.sum())], pa.int64()),
-                }
-            )
-
-        counters = (
-            both.groupby("bkt")
-            .map_groups(bucket_counters, batch_format="pyarrow")
-            .take_all()
-        )
-        tot = {c: sum(int(r[c]) for r in counters) for c in
-               ("child_rows", "distinct_fks", "orphan_rows", "orphan_keys")}
-        results.append((name, tot))
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "relationship": pa.array([r[0] for r in results], pa.string()),
-                "child_rows": pa.array(
-                    [r[1]["child_rows"] for r in results], pa.int64()
-                ),
-                "distinct_fks": pa.array(
-                    [r[1]["distinct_fks"] for r in results], pa.int64()
-                ),
-                "orphan_rows": pa.array(
-                    [r[1]["orphan_rows"] for r in results], pa.int64()
-                ),
-                "orphan_keys": pa.array(
-                    [r[1]["orphan_keys"] for r in results], pa.int64()
-                ),
-            }
-        )
-        if results
-        else pa.table({f.name: pa.array([], f.type) for f in out_schema})
     )
 
 
@@ -3253,257 +1418,6 @@ def rank_sum_ds(
     )
 
 
-def snapshot_diff_ds(
-    old: Dataset,
-    new: Dataset,
-    key_col: str,
-    value_cols: Sequence[str],
-    n_buckets: int = 512,
-) -> Dataset:
-    """CDC snapshot diff: compare two keyed snapshots (<= 1 row per key
-    per side — asserted) and emit ONLY the delta — ``added`` (key only in
-    new), ``removed`` (only in old), ``changed`` (both sides, value hash
-    differs). Values compare via a 63-bit ``md5_u64`` over the
-    ``'|'``-joined string casts of ``value_cols`` (-1 = side absent) —
-    the post-recrawl / post-recompute "what actually moved" audit that
-    lets a 100 TB pipeline reprocess deltas instead of full snapshots.
-
-    Scale shape: each side projects to ``(key, h63)`` per batch (rows
-    never widen), then ONE ``mix64(key) % n_buckets`` co-group shuffle;
-    inside the bucket a single lexsort segments keys and the
-    added/removed/changed classification is pure vector compares.
-    Unchanged keys — the overwhelming majority in practice — are dropped
-    inside the bucket, so the output exchange is delta-sized."""
-    out_schema = pa.schema(
-        [
-            ("key", pa.int64()),
-            ("status", pa.string()),
-            ("old_h63", pa.int64()),
-            ("new_h63", pa.int64()),
-        ]
-    )
-    mask63 = (1 << 63) - 1
-
-    def project(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            k = batch.column(key_col).cast(pa.int64()).to_numpy(
-                zero_copy_only=False
-            )
-            if n == 0:
-                return pa.table(
-                    {
-                        "bkt": pa.array([], pa.int64()),
-                        "key": pa.array([], pa.int64()),
-                        "side": pa.array([], pa.int64()),
-                        "h63": pa.array([], pa.int64()),
-                    }
-                )
-            cols = [
-                batch.column(c).cast(pa.string()).to_pylist() for c in value_cols
-            ]
-            h = np.fromiter(
-                (
-                    ts.md5_u64("|".join(v if v is not None else "" for v in vs))
-                    & mask63
-                    for vs in zip(*cols)
-                ),
-                np.int64,
-                count=n,
-            )
-            return pa.table(
-                {
-                    "bkt": pa.array(
-                        (_mix64(k) % np.uint64(n_buckets)).astype(np.int64),
-                        pa.int64(),
-                    ),
-                    "key": pa.array(k, pa.int64()),
-                    "side": pa.array(np.full(n, side, np.int64), pa.int64()),
-                    "h63": pa.array(h, pa.int64()),
-                }
-            )
-
-        return fn
-
-    tagged = old.map_batches(
-        project(0), batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        new.map_batches(project(1), batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    def diff(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
-        k = group.column("key").to_numpy(zero_copy_only=False)
-        s = group.column("side").to_numpy(zero_copy_only=False)
-        h = group.column("h63").to_numpy(zero_copy_only=False)
-        order = np.lexsort((s, k))
-        ks, ss, hs = k[order], s[order], h[order]
-        new_key = np.concatenate(([True], ks[1:] != ks[:-1]))
-        starts = np.flatnonzero(new_key)
-        lens = np.diff(np.concatenate((starts, [len(ks)])))
-        if (lens > 2).any():
-            bad = ks[starts[lens > 2]][:3]
-            raise ValueError(
-                f"snapshot invariant violated: keys {bad.tolist()} have "
-                "multiple rows on one side"
-            )
-        both = lens == 2
-        if both.any() and (ss[starts[both]] == ss[starts[both] + 1]).any():
-            raise ValueError("snapshot invariant violated: duplicate side rows")
-        old_h = np.full(len(starts), -1, np.int64)
-        new_h = np.full(len(starts), -1, np.int64)
-        solo = lens == 1
-        solo_old = solo & (ss[starts] == 0)
-        solo_new = solo & (ss[starts] == 1)
-        old_h[solo_old] = hs[starts[solo_old]]
-        new_h[solo_new] = hs[starts[solo_new]]
-        old_h[both] = hs[starts[both]]
-        new_h[both] = hs[starts[both] + 1]
-        status = np.where(
-            solo_new, "added", np.where(solo_old, "removed", "changed")
-        ).astype(object)
-        delta = solo_new | solo_old | (both & (old_h != new_h))
-        return pa.table(
-            {
-                "key": pa.array(ks[starts[delta]], pa.int64()),
-                "status": pa.array(status[delta], pa.string()),
-                "old_h63": pa.array(old_h[delta], pa.int64()),
-                "new_h63": pa.array(new_h[delta], pa.int64()),
-            }
-        )
-
-    return _anchor_schema(
-        tagged.groupby("bkt").map_groups(diff, batch_format="pyarrow"),
-        out_schema,
-    )
-
-
-def throttle_events_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    window_us: int = 3_600_000_000,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Debounce / throttle compaction: keep the FIRST event (ts ASC,
-    tie ASC) per ``(key, tumbling window)`` — the crawl-politeness /
-    notification-dedup primitive. Fixed epoch-aligned windows (not
-    gap-chained) keep the kept-set a pure per-window function both
-    engines reproduce.
-
-    Scale shape: per-batch vectorized argmin combiner cuts each block to
-    one row per (key, window) before ONE ``mix64(key) % n_buckets``
-    shuffle; the same argmin runs in-bucket. Payload columns ride along;
-    no per-key Python."""
-
-    def block_first(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        t = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        tie = batch.column(tie_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        w = t // window_us
-        order = np.lexsort((tie, t, w, k))
-        ks, ws = k[order], w[order]
-        first = np.concatenate(([True], (ks[1:] != ks[:-1]) | (ws[1:] != ws[:-1])))
-        return batch.take(pa.array(order[first]))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        reduced = block_first(batch)
-        if reduced.num_rows == 0:
-            return reduced.append_column("bkt", pa.array([], pa.int64()))
-        k = reduced.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        bkt = (_mix64(k) % np.uint64(n_buckets)).astype(np.int64)
-        return reduced.append_column("bkt", pa.array(bkt))
-
-    reduced = events.map_batches(
-        add_bucket, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def bucket_first(group: pa.Table) -> pa.Table:
-        return block_first(group.drop_columns(["bkt"]))
-
-    ev_schema = pa.schema(
-        [
-            pa.field(n, t)
-            for n, t in zip(events.schema().names, events.schema().types)
-        ]
-    )
-    return _anchor_schema(
-        reduced.groupby("bkt").map_groups(bucket_first, batch_format="pyarrow"),
-        ev_schema,
-    )
-
-
-def decayed_sum_ds(
-    events: Dataset,
-    anchor_us: int,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    value_col: str = "value",
-    halflife_us: int = 86_400_000_000,
-    n_buckets: int = 512,
-) -> Dataset:
-    """Exponential time-decay aggregate, INTEGER-EXACT: per key,
-    ``sum(v_cents // 2^age)`` where ``age = (anchor - ts) // halflife``
-    (whole half-lives elapsed at the fixed ``anchor_us``) — the recency-
-    weighted engagement score behind freshness ranking, with the decay
-    floor applied PER ROW so the sum is order-independent and the SQL
-    twin bit-exact. Ages are clipped at 62 (decayed to 0 in int64).
-
-    Scale shape: per-batch combiner sums decayed cents per key -> one
-    combined row per key per block -> ``groupby(key).sum``. Raw events
-    never shuffle."""
-
-    def combiner(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "key": pa.array([], pa.int64()),
-                    "d": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        t = batch.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        cents = np.floor(v * 100.0).astype(np.int64)
-        age = np.clip((anchor_us - t) // halflife_us, 0, 62).astype(np.int64)
-        dec = cents // (np.int64(1) << age)
-        uk, inv = np.unique(k, return_inverse=True)
-        sums = np.zeros(len(uk), np.int64)
-        np.add.at(sums, inv, dec)
-        cnts = np.bincount(inv, minlength=len(uk)).astype(np.int64)
-        return pa.table(
-            {
-                "key": pa.array(uk, pa.int64()),
-                "d": pa.array(sums, pa.int64()),
-                "n": pa.array(cnts, pa.int64()),
-            }
-        )
-
-    out = (
-        events.select_columns([key_col, ts_col, value_col])
-        .map_batches(combiner, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("key")
-        .aggregate(Sum("d"), Sum("n"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                key_col: batch.column("key"),
-                "decayed_cents": batch.column("sum(d)").cast(pa.int64()),
-                "n_events": batch.column("sum(n)").cast(pa.int64()),
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def chi2_assoc_ds(
     ds: Dataset,
     col_a: str = "lang",
@@ -3534,16 +1448,19 @@ def chi2_assoc_ds(
             {col_a: g.column(col_a), col_b: g.column(col_b), "n": g.column("n_sum")}
         )
 
-    cells = _small_df(
+    cells = collect_small(
         ds.select_columns([col_a, col_b])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby([col_a, col_b])
         .aggregate(Sum("n")),
-        {col_a: object, col_b: object, "sum(n)": np.int64},
-    )  # tiny: one row per observed cell
+        "contingency cells",
+        {col_a: pa.string(), col_b: pa.string(), "sum(n)": pa.int64()},
+    )
     obs = {
-        (ai, bi): int(oi)
-        for ai, bi, oi in zip(cells[col_a], cells[col_b], cells["sum(n)"])
+        (ai, bi): oi
+        for ai, bi, oi in zip(
+            *(cells.column(c).to_pylist() for c in (col_a, col_b, "sum(n)"))
+        )
     }
     n_tot = sum(obs.values())
     row_tot: Dict[str, int] = {}
@@ -3737,15 +1654,16 @@ def keyness_ds(
         g = batch.select(["s", "sum(c)"]).group_by("s").aggregate([("sum(c)", "sum")])
         return pa.table({"s": g.column("s"), "ts": g.column("sum(c)_sum")})
 
-    stot = {
-        r["s"]: int(r["sum(ts)"])
-        for r in st.map_batches(
-            src_tot_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
+    stot_t = collect_small(
+        st.map_batches(src_tot_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("s")
-        .aggregate(Sum("ts"))
-        .take_all()
-    }
+        .aggregate(Sum("ts")),
+        "per-source term totals",
+        {"s": pa.string(), "sum(ts)": pa.int64()},
+    )
+    stot = dict(
+        zip(stot_t.column("s").to_pylist(), stot_t.column("sum(ts)").to_pylist())
+    )
     T = sum(stot.values())
     ref = ray.put((terms_sorted, ct_sorted, stot, T))
 
@@ -3798,12 +1716,16 @@ def keyness_ds(
             }
         )
 
-    cands = _ensure_cols(
-        st.map_batches(
-            score_topk, batch_format="pyarrow", zero_copy_batch=True
-        ).to_pandas(),  # sources x block-k rows, tiny
-        {"s": object, "term": object, "c_s": np.int64, "lift_e6": np.int64},
-    )
+    cands = collect_small(
+        st.map_batches(score_topk, batch_format="pyarrow", zero_copy_batch=True),
+        "per-block top-k candidates",
+        {
+            "s": pa.string(),
+            "term": pa.string(),
+            "c_s": pa.int64(),
+            "lift_e6": pa.int64(),
+        },
+    ).to_pandas()
     rows = []
     for s, sub in cands.groupby("s", sort=True):
         sub = sub.sort_values(
@@ -3905,77 +1827,6 @@ def weighted_median_ds(
                 "total_weight": pa.array([S], pa.int64()),
                 "plain_median": pa.array([pmed], pa.int64()),
                 "n_docs": pa.array([n], pa.int64()),
-            }
-        )
-    )
-
-
-# floor(log10(1 + 1/d) * 1e9) for d = 1..9, precomputed so BOTH engines
-# compare against the same integer constants (no runtime libm in either).
-_BENFORD_E9 = (
-    301029995, 176091259, 124938736, 96910013, 79181246,
-    66946789, 57991946, 51152522, 45757490,
-)
-
-
-def benford_audit_ds(
-    orders: Dataset,
-    value_col: str = "o_totalprice",
-    quant: int = 100,
-) -> Dataset:
-    """Benford first-significant-digit audit — the classic fraud /
-    data-quality screen over a monetary column: observed count and
-    e9-quantized share per leading digit next to the Benford expectation
-    ``log10(1 + 1/d)`` (hard-coded e9 constants, identical in the SQL
-    twin), plus the absolute deviation. Integer-exact throughout:
-    values quantize to ``floor(v * quant)`` and the share is
-    ``n * 1e9 // total``.
-
-    Scale shape: per-batch digit extraction (decimal-string slice on the
-    Arrow side, no per-row Python) + a 9-row combiner; the only exchange
-    is the 9-key groupby. Output is 9 rows regardless of input size."""
-
-    def digit_partial(batch: pa.Table) -> pa.Table:
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        cents = pa.array(np.floor(v * quant).astype(np.int64), pa.int64())
-        first = pc.utf8_slice_codeunits(pc.cast(cents, pa.string()), 0, 1)
-        t = pa.table(
-            {
-                "digit": pc.cast(first, pa.int64()),
-                "n": pa.array(np.ones(len(v), dtype=np.int64)),
-            }
-        )
-        return t.group_by("digit").aggregate([("n", "sum")]).rename_columns(
-            ["digit", "n"]
-        )
-
-    hist = (
-        orders.select_columns([value_col])
-        .map_batches(digit_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("digit")
-        .aggregate(Sum("n"))
-        .materialize()
-    )
-    df = (
-        _small_df(hist, {"digit": np.int64, "sum(n)": np.int64})
-        .sort_values("digit")
-        .reset_index(drop=True)
-    )
-    digits = df["digit"].to_numpy(dtype=np.int64)
-    counts = df["sum(n)"].to_numpy(dtype=np.int64)
-    total = int(counts.sum())
-    share = counts * 1_000_000_000 // max(total, 1)
-    bexp = np.array(
-        [_BENFORD_E9[d - 1] for d in digits], dtype=np.int64
-    )
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "digit": pa.array(digits, pa.int64()),
-                "n": pa.array(counts, pa.int64()),
-                "share_e9": pa.array(share, pa.int64()),
-                "benford_e9": pa.array(bexp, pa.int64()),
-                "dev_e9": pa.array(np.abs(share - bexp), pa.int64()),
             }
         )
     )
@@ -4175,67 +2026,6 @@ def sentence_stats_ds(
     return docs.select_columns([id_col, text_col]).map_batches(
         stats, batch_format="pyarrow", zero_copy_batch=True
     )
-
-
-def log_histogram_ds(
-    events: Dataset,
-    value_col: str = "value",
-    quant: int = 100,
-) -> Dataset:
-    """Order-of-magnitude (log2-bucket) value histogram — the heavy-tail
-    audit a linear histogram hides: each event's quantized magnitude
-    lands in bucket ``sign * bit_length(|cents|)`` (0 for zero), all
-    integer-exact (``bit_length`` == ``length(bin(x))`` in the SQL
-    twin). Emits ``(bucket, n_events, cents_sum)``.
-
-    Scale shape: per-batch bincount combiner over the ~128 possible
-    buckets, one tiny ``groupby(bucket)``. One pass, no materialization.
-    """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bucket": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-                "cents_sum": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        cents = np.floor(
-            batch.column(value_col).to_numpy(zero_copy_only=False) * quant
-        ).astype(np.int64)
-        mag = np.abs(cents)
-        bits = _bit_length_exact(mag)
-        bucket = np.where(cents < 0, -bits, bits)
-        u, inv = np.unique(bucket, return_inverse=True)
-        return pa.table(
-            {
-                "bucket": pa.array(u, pa.int64()),
-                "n_events": pa.array(np.bincount(inv).astype(np.int64), pa.int64()),
-                "cents_sum": pa.array(
-                    np.bincount(inv, weights=cents).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    agg = (
-        events.select_columns([value_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .aggregate(Sum("n_events"), Sum("cents_sum"))
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "bucket": batch.column("bucket").cast(pa.int64()),
-                "n_events": batch.column("sum(n_events)").cast(pa.int64()),
-                "cents_sum": batch.column("sum(cents_sum)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _bit_length_exact(x: np.ndarray) -> np.ndarray:
@@ -4515,27 +2305,32 @@ def emd_lengths_ds(
             }
         )
 
-    rows = (
+    cells = collect_small(
         docs.select_columns([source_col, text_col])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["src", "v"])
-        .aggregate(Sum("n_p"))
-        .take_all()
-    )  # bounded: one row per (source, distinct length)
-    empty = pa.table(
-        {
-            "n_a": pa.array([], pa.int64()),
-            "n_b": pa.array([], pa.int64()),
-            "emd_num": pa.array([], pa.int64()),
-        }
+        .aggregate(Sum("n_p")),
+        "(source, length) histogram",
+        {"src": pa.string(), "v": pa.int64(), "sum(n_p)": pa.int64()},
     )
-    if not rows:
-        return ray.data.from_arrow(empty)
-    grid = sorted({r["v"] for r in rows})
+    if not cells.num_rows:
+        return ray.data.from_arrow(
+            pa.table(
+                {
+                    "n_a": pa.array([], pa.int64()),
+                    "n_b": pa.array([], pa.int64()),
+                    "emd_num": pa.array([], pa.int64()),
+                }
+            )
+        )
+    rows = list(
+        zip(*(cells.column(c).to_pylist() for c in ("src", "v", "sum(n_p)")))
+    )
+    grid = sorted({v for _, v, _ in rows})
     fa = {v: 0 for v in grid}
     fb = {v: 0 for v in grid}
-    for r in rows:
-        (fa if r["src"] == source_a else fb)[r["v"]] += int(r["sum(n_p)"])
+    for src, v, n in rows:
+        (fa if src == source_a else fb)[v] += n
     n_a = sum(fa.values())
     n_b = sum(fb.values())
     ca = cb = 0
@@ -4551,274 +2346,6 @@ def emd_lengths_ds(
                 "n_a": pa.array([n_a], pa.int64()),
                 "n_b": pa.array([n_b], pa.int64()),
                 "emd_num": pa.array([emd], pa.int64()),
-            }
-        )
-    )
-
-
-def inversion_count_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    seq_col: str = "event_id",
-    ts_col: str = "ts",
-    n_buckets: int = 512,
-    max_pair_chunk: int = 10_000_000,
-) -> Dataset:
-    """Stream order-quality audit: per user, the exact inversion count —
-    pairs of events whose ingest order (``seq_col``, unique and
-    monotonically assigned) contradicts their event time (``ts_col``
-    strictly decreasing across the pair). ``n_inversions / n_pairs`` is
-    the canonical disorder measure for deciding watermark/lateness
-    budgets in a streaming ingest. Emits ``(user_id, n_events, n_pairs,
-    n_inversions)`` with ``n_pairs = C(n,2)``, all exact int64.
-
-    Scale shape: events shuffle ONCE by ``mix64(user) % n_buckets``
-    (bounded group count), pruned to (user, seq, ts_us) ~24 B/row.
-    Inside the bucket one lexsort segments users; pair enumeration is
-    vectorized triangular indexing, processed in <= ``max_pair_chunk``
-    slices so a pathological power-user bounds memory, never Python
-    per-pair. The per-user pair count is quadratic BY DEFINITION of the
-    statistic — the declared small-per-user-history semantics (the 100 TB
-    path bounds it with a per-user event cap upstream; cf. the
-    near_dup_exact declared-N contract)."""
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("n_events", pa.int64()),
-            ("n_pairs", pa.int64()),
-            ("n_inversions", pa.int64()),
-        ]
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": pa.array(k, pa.int64()),
-                "s": batch.column(seq_col).cast(pa.int64()),
-                "t": batch.column(ts_col).cast(pa.int64()),
-            }
-        )
-
-    def count_inversions(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        s = group.column("s").to_numpy(zero_copy_only=False)
-        t = group.column("t").to_numpy(zero_copy_only=False)
-        order = np.lexsort((s, k))
-        ks, ts_ = k[order], t[order]
-        n = ks.size
-        new_user = np.concatenate(([True], ks[1:] != ks[:-1]))
-        seg_id = np.cumsum(new_user) - 1
-        seg_start = np.flatnonzero(new_user)
-        lens = np.diff(np.concatenate((seg_start, [n])))
-        pos = np.arange(n) - seg_start[seg_id]  # 0-based pos within user
-        inv = np.zeros(lens.size, np.int64)
-        # chunked triangular pair enumeration: second element j contributes
-        # pos[j] pairs (i = seg_start..j-1)
-        cum = np.concatenate(([0], np.cumsum(pos)))
-        lo = 0
-        while lo < n:
-            hi = int(np.searchsorted(cum, cum[lo] + max_pair_chunk, side="right")) - 1
-            hi = max(hi, lo + 1)
-            sl = slice(lo, hi)
-            cnt = pos[sl]
-            j_idx = np.repeat(np.arange(lo, hi), cnt)
-            base = np.repeat(seg_start[seg_id[sl]], cnt)
-            run_start = np.repeat(cum[sl] - cum[lo], cnt)
-            i_idx = base + (np.arange(j_idx.size) - run_start)
-            bad = ts_[i_idx] > ts_[j_idx]
-            if bad.any():
-                inv += np.bincount(seg_id[j_idx[bad]], minlength=lens.size)
-            lo = hi
-        n_pairs = lens * (lens - 1) // 2
-        return pa.table(
-            {
-                key_col: pa.array(ks[seg_start], pa.int64()),
-                "n_events": pa.array(lens.astype(np.int64)),
-                "n_pairs": pa.array(n_pairs.astype(np.int64)),
-                "n_inversions": pa.array(inv),
-            }
-        )
-
-    out = (
-        events.select_columns([key_col, seq_col, ts_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(count_inversions, batch_format="pyarrow")
-    )
-    return _anchor_schema(out, out_schema)
-
-
-def interarrival_stats_ds(
-    events: Dataset,
-    key_col: str = "user_id",
-    ts_col: str = "ts",
-    tie_col: str = "event_id",
-    n_buckets: int = 512,
-) -> Dataset:
-    """Per-key inter-arrival gap statistics ordered by (ts, tie): gap
-    count, min, discrete median (smallest gap whose cumulative count
-    reaches ``ceil(0.5 * n)`` — the engine-portable integer convention
-    shared with grouped_quantiles), and max, all exact int64
-    microseconds. The canonical input for sizing session timeouts and
-    streaming watermark budgets. Keys with fewer than two events emit
-    nothing.
-
-    Scale shape: ONE ``mix64(key) % n_buckets`` shuffle of the 3-column
-    projection (bounded group count); in-bucket one lexsort segments
-    keys, diffs are a single vectorized subtract, and the median is a
-    second lexsort by (key, gap) + per-segment rank pick — no per-key
-    Python."""
-    out_schema = pa.schema(
-        [
-            (key_col, pa.int64()),
-            ("n_gaps", pa.int64()),
-            ("min_gap_us", pa.int64()),
-            ("med_gap_us", pa.int64()),
-            ("max_gap_us", pa.int64()),
-        ]
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
-                "k": pa.array(k, pa.int64()),
-                "t": batch.column(ts_col).cast(pa.int64()),
-                "tie": batch.column(tie_col).cast(pa.int64()),
-            }
-        )
-
-    def gap_stats(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows < 2:
-            return empty
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        t = group.column("t").to_numpy(zero_copy_only=False)
-        tie = group.column("tie").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tie, t, k))
-        ks, ts_ = k[order], t[order]
-        same = ks[1:] == ks[:-1]
-        if not same.any():
-            return empty
-        gaps = (ts_[1:] - ts_[:-1])[same]
-        gk = ks[1:][same]
-        # sort gaps by (key, gap) so per-key medians are rank picks
-        g_order = np.lexsort((gaps, gk))
-        gk_s, gaps_s = gk[g_order], gaps[g_order]
-        new_key = np.concatenate(([True], gk_s[1:] != gk_s[:-1]))
-        seg_start = np.flatnonzero(new_key)
-        lens = np.diff(np.concatenate((seg_start, [gk_s.size])))
-        med_idx = seg_start + np.ceil(0.5 * lens).astype(np.int64) - 1
-        return pa.table(
-            {
-                key_col: pa.array(gk_s[seg_start], pa.int64()),
-                "n_gaps": pa.array(lens.astype(np.int64)),
-                "min_gap_us": pa.array(gaps_s[seg_start], pa.int64()),
-                "med_gap_us": pa.array(gaps_s[med_idx], pa.int64()),
-                "max_gap_us": pa.array(
-                    gaps_s[seg_start + lens - 1], pa.int64()
-                ),
-            }
-        )
-
-    out = (
-        events.select_columns([key_col, ts_col, tie_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(gap_stats, batch_format="pyarrow")
-    )
-    return _anchor_schema(out, out_schema)
-
-
-def key_skew_audit_ds(
-    table: Dataset,
-    key_col: str = "l_orderkey",
-    p: float = 0.99,
-) -> Dataset:
-    """Join-key skew audit: ONE summary row ``(n_rows, n_keys,
-    max_group, p99_group, top_share_ppm)`` describing the group-size
-    distribution of a prospective join/shuffle key — the go/no-go check
-    before hash-partitioning 100 TB by that key (a max_group in the
-    millions means salting, cf. the LSH max_bucket caps). ``p99_group``
-    follows the shared discrete-quantile convention (smallest size with
-    cumulative key count >= ceil(p * n_keys)); ``top_share_ppm =
-    max_group * 1e6 // n_rows``. Zero rows in -> one all-zero row out.
-
-    Scale shape: per-batch key-count Arrow combiner -> aggregate-only
-    ``groupby(key).sum`` (never map_groups over near-singleton keys) ->
-    per-batch (size, count) partials -> tiny size-histogram groupby;
-    only the bounded histogram reaches the driver."""
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"k": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-            )
-        g = (
-            pa.table({"k": batch.column(key_col).cast(pa.int64())})
-            .group_by("k")
-            .aggregate([("k", "count")])
-        )
-        return pa.table(
-            {"k": g.column("k"), "n": g.column("k_count").cast(pa.int64())}
-        )
-
-    def size_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "sum(n)" not in batch.column_names:
-            return pa.table(
-                {"sz": pa.array([], pa.int64()), "c": pa.array([], pa.int64())}
-            )
-        g = (
-            pa.table({"sz": batch.column("sum(n)").cast(pa.int64())})
-            .group_by("sz")
-            .aggregate([("sz", "count")])
-        )
-        return pa.table(
-            {"sz": g.column("sz"), "c": g.column("sz_count").cast(pa.int64())}
-        )
-
-    hist = _small_df(
-        table.select_columns([key_col])
-        .map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("k")
-        .aggregate(Sum("n"))
-        .map_batches(size_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("sz")
-        .aggregate(Sum("c")),
-        {"sz": np.int64, "sum(c)": np.int64},
-    )
-    if len(hist):
-        sz = hist["sz"].to_numpy(np.int64)
-        c = hist["sum(c)"].to_numpy(np.int64)
-        order = np.argsort(sz, kind="stable")
-        sz, c = sz[order], c[order]
-        n_keys = int(c.sum())
-        n_rows = int((sz * c).sum())
-        max_group = int(sz[-1])
-        cum = np.cumsum(c)
-        rank = max(int(np.ceil(p * n_keys)), 1)
-        p99_group = int(sz[np.searchsorted(cum, rank)])
-        top_share_ppm = max_group * 1_000_000 // n_rows
-    else:
-        n_keys = n_rows = max_group = p99_group = top_share_ppm = 0
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "n_rows": pa.array([n_rows], pa.int64()),
-                "n_keys": pa.array([n_keys], pa.int64()),
-                "max_group": pa.array([max_group], pa.int64()),
-                "p99_group": pa.array([p99_group], pa.int64()),
-                "top_share_ppm": pa.array([top_share_ppm], pa.int64()),
             }
         )
     )
@@ -5165,24 +2692,18 @@ def cdc_chunks_ds(
         .groupby("n_docs")
         .aggregate(Sum("nc"), Sum("occ"), Sum("cb"))
     )
-    df = _small_df(
+    df = collect_small(
         hist,
+        "chunk-reuse histogram",
         {
-            "n_docs": np.int64,
-            "sum(nc)": np.int64,
-            "sum(occ)": np.int64,
-            "sum(cb)": np.int64,
+            "n_docs": pa.int64(),
+            "sum(nc)": pa.int64(),
+            "sum(occ)": pa.int64(),
+            "sum(cb)": pa.int64(),
         },
     )
     return ray.data.from_arrow(
-        pa.table(
-            {
-                "n_docs": pa.array(df["n_docs"].to_numpy(np.int64), pa.int64()),
-                "n_chunks": pa.array(df["sum(nc)"].to_numpy(np.int64), pa.int64()),
-                "occurrences": pa.array(df["sum(occ)"].to_numpy(np.int64), pa.int64()),
-                "chunk_chars": pa.array(df["sum(cb)"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        df.rename_columns(["n_docs", "n_chunks", "occurrences", "chunk_chars"])
     )
 
 
@@ -5266,23 +2787,27 @@ def poisson_bootstrap_ds(
         .groupby([group_col, "rep"])
         .aggregate(Sum("ne"), Sum("ws"))
     )
-    df = _small_df(
+    df = collect_small(
         agg,
-        {group_col: object, "rep": np.int64, "sum(ne)": np.int64, "sum(ws)": np.int64},
+        "(group, replicate) sums",
+        {
+            group_col: pa.string(),
+            "rep": pa.int64(),
+            "sum(ne)": pa.int64(),
+            "sum(ws)": pa.int64(),
+        },
     )
-    ne = df["sum(ne)"].to_numpy(np.int64)
-    ws = df["sum(ws)"].to_numpy(np.int64)
-    keep = ne > 0
-    mean_e3 = np.zeros(ne.size, dtype=np.int64)
-    mean_e3[keep] = ws[keep] * 1000 // ne[keep]
+    df = df.filter(pc.greater(df.column("sum(ne)"), 0))
+    ne = df.column("sum(ne)").to_numpy()
+    ws = df.column("sum(ws)").to_numpy()
     return ray.data.from_arrow(
         pa.table(
             {
-                group_col: pa.array(df[group_col].astype(str)[keep], pa.string()),
-                "rep": pa.array(df["rep"].to_numpy(np.int64)[keep], pa.int64()),
-                "n_eff": pa.array(ne[keep], pa.int64()),
-                "sum_chars": pa.array(ws[keep], pa.int64()),
-                "mean_chars_e3": pa.array(mean_e3[keep], pa.int64()),
+                group_col: df.column(group_col),
+                "rep": df.column("rep"),
+                "n_eff": df.column("sum(ne)"),
+                "sum_chars": df.column("sum(ws)"),
+                "mean_chars_e3": pa.array(ws * 1000 // ne, pa.int64()),
             }
         )
     )
@@ -5748,19 +3273,20 @@ def gini_stump_ds(
             }
         )
 
-    grid = _small_df(
+    grid = collect_small(
         docs.select_columns([feat_col, label_col])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["v", "g"])
         .aggregate(Sum("c")),
-        {"v": np.int64, "g": object, "sum(c)": np.int64},
+        "(value, label) grid",
+        {"v": pa.int64(), "g": pa.string(), "sum(c)": pa.int64()},
     )
     empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-    if not len(grid):
+    if not grid.num_rows:
         return ray.data.from_arrow(empty)
-    v = grid["v"].to_numpy(np.int64)
-    g = grid["g"].astype(str).to_numpy()
-    c = grid["sum(c)"].to_numpy(np.int64)
+    v = grid.column("v").to_numpy()
+    g = grid.column("g").to_numpy(zero_copy_only=False).astype(str)
+    c = grid.column("sum(c)").to_numpy()
     ts = np.unique(v)
     langs, gcode = np.unique(g, return_inverse=True)
     # dense counts grid: rows = thresholds, cols = labels
@@ -5900,20 +3426,21 @@ def quantile_map_ds(
             }
         )
 
-    df = _small_df(
+    df = collect_small(
         docs.select_columns([group_col, val_col])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby([group_col, "v"])
         .aggregate(Sum("c")),
-        {group_col: object, "v": np.int64, "sum(c)": np.int64},
+        "(group, value) domain",
+        {group_col: pa.string(), "v": pa.int64(), "sum(c)": pa.int64()},
     )
-    if not len(df):
+    if not df.num_rows:
         return ray.data.from_arrow(
             pa.table({f.name: pa.array([], f.type) for f in out_schema})
         )
-    src = df[group_col].astype(str).to_numpy()
-    v = df["v"].to_numpy(np.int64)
-    c = df["sum(c)"].to_numpy(np.int64)
+    src = df.column(group_col).to_numpy(zero_copy_only=False).astype(str)
+    v = df.column("v").to_numpy()
+    c = df.column("sum(c)").to_numpy()
     order = np.lexsort((v, src))
     src, v, c = src[order], v[order], c[order]
     starts = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
@@ -6186,16 +3713,17 @@ def dedup_modality_agreement_ds(
     union = _anchor_schema(ex.union(jc).union(cd), pair_schema)
     folded = union.groupby(["a", "b"]).aggregate(Max("e"), Max("j"), Max("c"))
 
+    cols = [
+        "n_exact",
+        "n_jaccard",
+        "n_cdc",
+        "n_exact_jaccard",
+        "n_exact_cdc",
+        "n_jaccard_cdc",
+        "n_all3",
+    ]
+
     def products(batch: pa.Table) -> pa.Table:
-        cols = [
-            "n_exact",
-            "n_jaccard",
-            "n_cdc",
-            "n_exact_jaccard",
-            "n_exact_cdc",
-            "n_jaccard_cdc",
-            "n_all3",
-        ]
         if batch.num_rows == 0 or "max(e)" not in batch.column_names:
             return pa.table({c: pa.array([], pa.int64()) for c in cols})
         e = batch.column("max(e)").to_numpy(zero_copy_only=False)
@@ -6214,26 +3742,14 @@ def dedup_modality_agreement_ds(
             {nc: pa.array([int(v)], pa.int64()) for nc, v in zip(cols, vals)}
         )
 
-    parts = _small_df(
+    parts = collect_small(
         folded.map_batches(products, batch_format="pyarrow", zero_copy_batch=True),
-        {
-            "n_exact": np.int64,
-            "n_jaccard": np.int64,
-            "n_cdc": np.int64,
-            "n_exact_jaccard": np.int64,
-            "n_exact_cdc": np.int64,
-            "n_jaccard_cdc": np.int64,
-            "n_all3": np.int64,
-        },
+        "per-block modality counts",
+        {c: pa.int64() for c in cols},
     )
     return ray.data.from_arrow(
         pa.table(
-            {
-                c: pa.array(
-                    [int(parts[c].sum()) if len(parts) else 0], pa.int64()
-                )
-                for c in parts.columns
-            }
+            {c: pa.array([int(parts.column(c).to_numpy().sum())]) for c in cols}
         )
     )
 
@@ -6305,17 +3821,18 @@ def bow_dedup_ds(
             }
         )
 
-    agg = _small_df(
+    agg = collect_small(
         docs.select_columns([id_col, text_col])
         .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bkt")
         .map_groups(bucket_hist, batch_format="pyarrow")
         .groupby("group_size")
         .aggregate(Sum("ng")),
-        {"group_size": np.int64, "sum(ng)": np.int64},
+        "group-size histogram",
+        {"group_size": pa.int64(), "sum(ng)": pa.int64()},
     )
-    gs = agg["group_size"].to_numpy(np.int64)
-    ng = agg["sum(ng)"].to_numpy(np.int64)
+    gs = agg.column("group_size").to_numpy()
+    ng = agg.column("sum(ng)").to_numpy()
     return ray.data.from_arrow(
         pa.table(
             {
@@ -6816,42 +4333,19 @@ def span_offset_audit_ds(docs: Dataset) -> Dataset:
             }
         )
 
-    parts = _small_df(
+    sums = ["n_docs", "n_monotonic", "sum_final_offset"]
+    parts = collect_small(
         docs.select_columns(["spans"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        {
-            "n_docs": np.int64,
-            "n_monotonic": np.int64,
-            "sum_final_offset": np.int64,
-            "max_span_count": np.int64,
-        },
+        "per-block span offset counters",
+        {c: pa.int64() for c in sums + ["max_span_count"]},
     )
-    if not len(parts):
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "n_docs": pa.array([0], pa.int64()),
-                    "n_monotonic": pa.array([0], pa.int64()),
-                    "sum_final_offset": pa.array([0], pa.int64()),
-                    "max_span_count": pa.array([0], pa.int64()),
-                }
-            )
-        )
+    out = {c: int(parts.column(c).to_numpy().sum()) for c in sums}
+    out["max_span_count"] = int(
+        parts.column("max_span_count").to_numpy().max(initial=0)
+    )
     return ray.data.from_arrow(
-        pa.table(
-            {
-                "n_docs": pa.array([int(parts["n_docs"].sum())], pa.int64()),
-                "n_monotonic": pa.array(
-                    [int(parts["n_monotonic"].sum())], pa.int64()
-                ),
-                "sum_final_offset": pa.array(
-                    [int(parts["sum_final_offset"].sum())], pa.int64()
-                ),
-                "max_span_count": pa.array(
-                    [int(parts["max_span_count"].max())], pa.int64()
-                ),
-            }
-        )
+        pa.table({c: pa.array([v], pa.int64()) for c, v in out.items()})
     )
 
 
@@ -7030,17 +4524,14 @@ def media_ref_integrity_ds(docs: Dataset) -> Dataset:
             }
         )
 
-    parts = _small_df(
+    parts = collect_small(
         docs.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        {c: np.int64 for c in cols},
+        "per-block media-ref counters",
+        {c: pa.int64() for c in cols},
     )
-    if not len(parts):
-        return ray.data.from_arrow(
-            pa.table({c: pa.array([0], pa.int64()) for c in cols})
-        )
     return ray.data.from_arrow(
         pa.table(
-            {c: pa.array([int(parts[c].sum())], pa.int64()) for c in cols}
+            {c: pa.array([int(parts.column(c).to_numpy().sum())]) for c in cols}
         )
     )
 
@@ -7164,13 +4655,16 @@ def kmv_intersection_ds(
             }
         )
 
-    sk = _small_df(
+    sk = collect_small(
         dedup.map_batches(bottomk, batch_format="pyarrow", zero_copy_batch=True),
-        {"source": object, "h": np.int64},
+        "per-block source sketches",
+        {"source": pa.string(), "h": pa.int64()},
     )
+    sk_src = sk.column("source").to_numpy(zero_copy_only=False)
+    sk_h = sk.column("h").to_numpy()
 
     # ---- exact side: per-hash source bitmask -> mask histogram
-    sources = sorted(set(sk["source"].astype(str))) if len(sk) else []
+    sources = sorted(set(sk_src))
     if len(sources) > 63:
         raise ValueError(
             "kmv_intersection_ds bitmask fold supports <= 63 sources; "
@@ -7210,22 +4704,20 @@ def kmv_intersection_ds(
             }
         )
 
-    masks = _small_df(
+    masks = collect_small(
         dedup.map_batches(to_bits, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("h")
         .aggregate(Sum("bits"))
         .map_batches(mask_hist, batch_format="pyarrow", zero_copy_batch=True),
-        {"mask": np.int64, "c": np.int64},
+        "source-mask histogram",
+        {"mask": pa.int64(), "c": pa.int64()},
     )
-    if not len(sk) or len(sources) < 2:
+    if len(sources) < 2:
         return ray.data.from_arrow(empty)
 
-    mk = masks["mask"].to_numpy(np.int64)
-    mc = masks["c"].to_numpy(np.int64)
-    sketches = {
-        s: np.sort(sk[sk["source"] == s]["h"].to_numpy(np.int64))[:k]
-        for s in sources
-    }
+    mk = masks.column("mask").to_numpy()
+    mc = masks.column("c").to_numpy()
+    sketches = {s: np.sort(sk_h[sk_src == s])[:k] for s in sources}
 
     rows = []
     for i, sa in enumerate(sources):

@@ -404,15 +404,9 @@ def temperature_mix_ds(
         .aggregate(Sum("d"), Sum("w"))
         .materialize()  # tiny: one row per stratum
     )
-    from .analytics import _small_df
-
-    words = [
-        int(r)
-        for r in _small_df(
-            agg,
-            {ga: object, gb: object, "sum(d)": np.int64, "sum(w)": np.int64},
-        )["sum(w)"]
-    ]
+    words = collect_small(
+        agg, "per-stratum word totals", {"sum(w)": pa.int64()}
+    ).column("sum(w)").to_pylist()
     total_sqrt = sum(math.isqrt(w) for w in words)
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -2718,8 +2712,11 @@ def build_ivf_centroids(
 ) -> np.ndarray:
     """Deterministic mini k-means over a bounded sample (the index-build
     step; at scale this is a one-off job whose output is broadcast)."""
-    sample = embeddings.limit(sample_size).to_pandas()
-    m = np.stack([np.asarray(v, dtype=np.float64) for v in sample[vec_col]])
+    vecs = collect_small(
+        embeddings.select_columns([vec_col]).limit(sample_size),
+        "IVF centroid sample",
+    ).column(vec_col)
+    m = pc.list_flatten(vecs).to_numpy().astype(np.float64).reshape(len(vecs), -1)
     rng = np.random.default_rng(seed)
     cent = m[rng.choice(len(m), size=min(nlist, len(m)), replace=False)]
     for _ in range(iters):
@@ -5397,17 +5394,15 @@ def token_budget_select_ds(
             {"score": g.column("score"), "w": g.column("n_words_sum")}
         )
 
-    classes = (
+    classes = collect_small(
         projected.map_batches(class_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("score")
-        .aggregate(Sum("w"))
-        .to_pandas()  # tiny: one row per distinct score
+        .aggregate(Sum("w")),
+        "score classes",
+        {"score": pa.int64(), "sum(w)": pa.int64()},
     )
-    from .analytics import _ensure_cols
-
-    classes = _ensure_cols(classes, {"score": np.int64, "sum(w)": np.int64})
-    sc = classes["score"].to_numpy(dtype=np.int64)
-    wc = classes["sum(w)"].to_numpy(dtype=np.int64)
+    sc = classes.column("score").to_numpy()
+    wc = classes.column("sum(w)").to_numpy()
     order = np.argsort(-sc)  # score DESC
     sc, wc = sc[order], wc[order]
     if budget_tokens is None:
@@ -5700,14 +5695,12 @@ def apportion_quota_ds(
         .aggregate(Sum("d"))
         .materialize()  # tiny: one row per stratum
     )
-    from .analytics import _small_df
-
-    df = (
-        _small_df(agg, {ga: object, gb: object, "sum(d)": np.int64})
-        .sort_values([ga, gb])
-        .reset_index(drop=True)
-    )
-    n = df["sum(d)"].to_numpy(dtype=np.int64)
+    sch = docs.schema()
+    types = dict(zip(sch.names, sch.types))
+    df = collect_small(
+        agg, "stratum counts", {ga: types[ga], gb: types[gb], "sum(d)": pa.int64()}
+    ).sort_by([(ga, "ascending"), (gb, "ascending")])
+    n = df.column("sum(d)").to_numpy()
     total = int(n.sum())
     base = k * n // max(total, 1)
     rem = (k * n) % max(total, 1)
@@ -5719,8 +5712,8 @@ def apportion_quota_ds(
     bonus[order[:leftover]] = 1
     out = pa.table(
         {
-            ga: pa.array(df[ga].tolist(), pa.string()),
-            gb: pa.array(df[gb].tolist(), pa.string()),
+            ga: df.column(ga).cast(pa.string()),
+            gb: df.column(gb).cast(pa.string()),
             "n_docs": pa.array(n),
             "quota": pa.array(base + bonus),
         }
@@ -6152,16 +6145,13 @@ def term_coverage_ds(
             }
         )
 
-    from .analytics import _ensure_cols
-
-    cand = _ensure_cols(
-        vocab.map_batches(
-            topk_partial, batch_format="pyarrow", zero_copy_batch=True
-        ).to_pandas(),  # blocks x kmax rows, tiny
-        {"term": object, "c": np.int64},
+    cand = collect_small(
+        vocab.map_batches(topk_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "per-block top terms",
+        {"term": pa.string(), "c": pa.int64()},
     )
-    terms = np.asarray(cand["term"].tolist(), dtype=object).astype(str)
-    c = cand["c"].to_numpy(dtype=np.int64)
+    terms = cand.column("term").to_numpy(zero_copy_only=False).astype(str)
+    c = cand.column("c").to_numpy()
     order = np.lexsort((terms, -c))
     c_sorted = c[order]
     rows_k, rows_cov = [], []
@@ -9224,17 +9214,16 @@ def kappa_agreement_ds(
     combiner, ONE tiny langs x langs groupby); only the confusion matrix
     (<= |langs|^2 rows) ever reaches the driver. Emits a single row
     ``(n_total, n_agree, pe_num, kappa_num, kappa_den)``."""
-    from .analytics import _small_df
-
-    conf = _small_df(
+    conf = collect_small(
         lang_confusion_ds(docs, text_col=text_col, lang_col=lang_col),
-        {"declared": object, "detected": object, "n_docs": np.int64},
+        "language confusion matrix",
+        {"declared": pa.string(), "detected": pa.string(), "n_docs": pa.int64()},
     )
-    n = conf["n_docs"].to_numpy(np.int64) if len(conf) else np.empty(0, np.int64)
-    declared = conf["declared"].to_numpy() if len(conf) else np.empty(0, object)
-    detected = conf["detected"].to_numpy() if len(conf) else np.empty(0, object)
+    n = conf.column("n_docs").to_numpy()
+    declared = conf.column("declared").to_numpy(zero_copy_only=False)
+    detected = conf.column("detected").to_numpy(zero_copy_only=False)
     n_total = int(n.sum())
-    n_agree = int(n[declared == detected].sum()) if len(conf) else 0
+    n_agree = int(n[declared == detected].sum())
     labels = np.unique(np.concatenate([declared, detected]))
     pe_num = 0
     for lab in labels:
@@ -9433,17 +9422,14 @@ def bool_retrieval_ds(
             {"token": toks.take(pa.array(order)), "df": pa.array(n[order], pa.int64())}
         )
 
-    from .analytics import _small_df
-
-    top = _small_df(
+    top = collect_small(
         totals.map_batches(block_topk, batch_format="pyarrow", zero_copy_batch=True)
         .sort(["df", "token"], descending=[True, False])
         .limit(n_terms),
-        {"token": object, "df": np.int64},
+        "query terms",
+        {"token": pa.string()},
     )
-    terms = np.sort(
-        top["token"].astype(str).to_numpy() if len(top) else np.empty(0, str)
-    )
+    terms = np.sort(top.column("token").to_numpy(zero_copy_only=False).astype(str))
     k = len(terms)
 
     def match(batch: pa.Table) -> pa.Table:
@@ -9492,7 +9478,6 @@ def hist_intersection_ds(
     Scale shape: per-batch (source, bucket) count combiner -> ONE
     groupby over the bounded (sources x buckets) domain -> only that
     domain-sized table reaches the driver."""
-    from .analytics import _small_df
 
     def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -9519,20 +9504,18 @@ def hist_intersection_ds(
             }
         )
 
-    hist = _small_df(
+    hist = collect_small(
         docs.select_columns([group_col, value_col])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["g", "b"])
         .aggregate(Sum("n_partial")),
-        {"g": object, "b": np.int64, "sum(n_partial)": np.int64},
+        "(source, bucket) histogram",
+        {"g": pa.string(), "b": pa.int64(), "sum(n_partial)": pa.int64()},
     )
-    srcs = hist["g"].to_numpy() if len(hist) else np.empty(0, object)
-    bkts = hist["b"].to_numpy(np.int64) if len(hist) else np.empty(0, np.int64)
-    cnts = hist["sum(n_partial)"].to_numpy(np.int64) if len(hist) else np.empty(0, np.int64)
-    labels, codes = np.unique(srcs.astype(str), return_inverse=True) if len(hist) else (
-        np.empty(0, str),
-        np.empty(0, np.int64),
-    )
+    srcs = hist.column("g").to_numpy(zero_copy_only=False).astype(str)
+    bkts = hist.column("b").to_numpy()
+    cnts = hist.column("sum(n_partial)").to_numpy()
+    labels, codes = np.unique(srcs, return_inverse=True)
     totals = np.bincount(codes, weights=cnts, minlength=len(labels)).astype(np.int64)
     order = np.lexsort((labels, -totals))
     src_a = str(labels[order[0]]) if len(labels) >= 1 else None
@@ -9703,8 +9686,6 @@ def vocab_drift_ds(
     co-locates, so in-bucket np.unique IS the global distinct and
     rank-adjacency counting is local) -> per-bucket (rank, d, c)
     partials -> one bounded groupby over ranks."""
-    from .analytics import _anchor_schema, _small_df
-
     out_schema = pa.schema(
         [
             ("source_a", pa.string()),
@@ -9714,11 +9695,12 @@ def vocab_drift_ds(
             ("n_common", pa.int64()),
         ]
     )
-    dom = _small_df(
+    dom = collect_small(
         docs.select_columns([group_col]).groupby(group_col).count(),
-        {group_col: object},
+        "source domain",
+        {group_col: pa.string()},
     )
-    labels = sorted(str(s) for s in dom[group_col].tolist()) if len(dom) else []
+    labels = sorted(str(s) for s in dom.column(group_col).to_pylist())
     if len(labels) < 2:
         return ray.data.from_arrow(
             pa.table({f.name: pa.array([], f.type) for f in out_schema})
@@ -9794,21 +9776,21 @@ def vocab_drift_ds(
             }
         )
 
-    agg = _small_df(
+    agg = collect_small(
         docs.select_columns([group_col, text_col])
         .map_batches(pairs_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bkt")
         .map_groups(bucket_counts, batch_format="pyarrow")
         .groupby("rk")
         .aggregate(Sum("d"), Sum("c")),
-        {"rk": np.int64, "sum(d)": np.int64, "sum(c)": np.int64},
+        "per-rank token counts",
+        {"rk": pa.int64(), "sum(d)": pa.int64(), "sum(c)": pa.int64()},
     )
     d_tot = np.zeros(len(labels), np.int64)
     c_tot = np.zeros(len(labels), np.int64)
-    if len(agg):
-        rk_a = agg["rk"].to_numpy(np.int64)
-        d_tot[rk_a] = agg["sum(d)"].to_numpy(np.int64)
-        c_tot[rk_a] = agg["sum(c)"].to_numpy(np.int64)
+    rk_a = agg.column("rk").to_numpy()
+    d_tot[rk_a] = agg.column("sum(d)").to_numpy()
+    c_tot[rk_a] = agg.column("sum(c)").to_numpy()
     return ray.data.from_arrow(
         pa.table(
             {
@@ -10142,7 +10124,7 @@ def oov_rate_ds(
     <= k rows per block; the k vocab terms broadcast in the closure;
     the second pass is a streaming searchsorted membership probe with
     a per-batch source combiner -> source-domain groupby."""
-    from .analytics import _anchor_schema, _small_df
+    from .analytics import _anchor_schema
 
     out_schema = pa.schema(
         [
@@ -10195,15 +10177,14 @@ def oov_rate_ds(
             {"token": toks.take(pa.array(order)), "f": pa.array(n[order], pa.int64())}
         )
 
-    top = _small_df(
+    top = collect_small(
         totals.map_batches(block_topk, batch_format="pyarrow", zero_copy_batch=True)
         .sort(["f", "token"], descending=[True, False])
         .limit(n_vocab),
-        {"token": object, "f": np.int64},
+        "vocabulary",
+        {"token": pa.string()},
     )
-    vocab = np.sort(
-        top["token"].astype(str).to_numpy() if len(top) else np.empty(0, str)
-    )
+    vocab = np.sort(top.column("token").to_numpy(zero_copy_only=False).astype(str))
 
     def probe(batch: pa.Table) -> pa.Table:
         empty = pa.table(

@@ -1,7 +1,5 @@
 """Corpus statistics and span analytics: crafted-input semantics (skew,
-ties, empty inputs, band boundaries) beyond the sf0.01 oracle sweep, plus
-the event-stream operators that no query runs yet (the reachability guard
-in ``test_registry.py`` lists them)."""
+ties, empty inputs, band boundaries) beyond the sf0.01 oracle sweep."""
 
 import numpy as np
 import pyarrow as pa
@@ -11,21 +9,6 @@ import ray.data
 
 from pdfplumber_ray.pipelines import analytics as an
 from pdfplumber_ray.pipelines import exchange
-
-
-def _events(rows):
-    """rows: list of (event_id, user_id, ts_us, event_type, value)."""
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "event_id": pa.array([r[0] for r in rows], pa.int64()),
-                "user_id": pa.array([r[1] for r in rows], pa.int64()),
-                "ts": pa.array([r[2] for r in rows], pa.timestamp("us")),
-                "event_type": pa.array([r[3] for r in rows], pa.string()),
-                "value": pa.array([float(r[4]) for r in rows], pa.float64()),
-            }
-        )
-    )
 
 
 def test_grouped_rank_ties_and_groups(ray_session):
@@ -61,86 +44,6 @@ def test_grouped_rank_domain_guard(ray_session, monkeypatch):
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 10)
     with pytest.raises(ValueError, match="MAX_BROADCAST_ROWS"):
         an.grouped_rank_ds(docs, "lang", "n_chars", "doc_id").take_all()
-
-
-def test_histogram_bins(ray_session):
-    ev = _events(
-        [(1, 1, 0, "view", 0.25), (2, 1, 1, "view", 0.49),
-         (3, 2, 2, "view", 0.5), (4, 2, 3, "view", 1.75)]
-    )
-    rows = {r["bin"]: r for r in an.histogram_ds(ev, width_e6=500_000).take_all()}
-    assert rows[0]["n_events"] == 2 and rows[0]["value_sum_e6"] == 740_000
-    assert rows[1]["n_events"] == 1 and rows[1]["bin_lo_e6"] == 500_000
-    assert rows[3]["n_events"] == 1 and rows[3]["value_sum_e6"] == 1_750_000
-
-
-def test_hopping_window_membership(ray_session):
-    # one event at t = 1000 s: containing starts are (1000-3600, 1000]
-    # aligned to the 900 s hop -> -1800, -900, 0, 900
-    ev = _events([(1, 1, 1_000_000_000, "view", 2.0)])
-    rows = an.hopping_window_ds(ev, size_s=3600, hop_s=900).take_all()
-    starts = sorted(r["window_start_s"] for r in rows)
-    assert starts == [-1800, -900, 0, 900]
-    assert all(r["n_events"] == 1 and r["value_sum_e6"] == 2_000_000 for r in rows)
-    with pytest.raises(ValueError, match="multiple"):
-        an.hopping_window_ds(ev, size_s=3600, hop_s=1000)
-
-
-def test_cohort_retention_semantics(ray_session):
-    wk = 7 * 86_400 * 1_000_000
-    ev = _events(
-        [
-            (1, 1, 0 * wk, "view", 0.0),       # user 1: cohort week 0
-            (2, 1, 2 * wk, "view", 0.0),       #   active again week 2
-            (3, 1, 2 * wk + 5, "view", 0.0),   #   distinct (user, week) dedups
-            (4, 2, 2 * wk, "view", 0.0),       # user 2: cohort week 2
-        ]
-    )
-    rows = {(r["cohort_week"], r["active_week"]): r["n_users"]
-            for r in an.cohort_retention_ds(ev).take_all()}
-    assert rows == {(0, 0): 1, (0, 2): 1, (2, 2): 1}
-
-
-def test_anti_join_keeps_unmatched_payload(ray_session):
-    left = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([1, 2, 3, 4], pa.int64()),
-                "name": pa.array(["a", "b", "c", "d"]),
-            }
-        )
-    )
-    right = ray.data.from_arrow(
-        pa.table({"k": pa.array([2, 2, 4, 9], pa.int64())})
-    )
-    out = sorted(
-        (r["k"], r["name"])
-        for r in an.anti_join_ds(left, right, "k").take_all()
-    )
-    assert out == [(1, "a"), (3, "c")]
-
-
-def test_anti_join_empty_right(ray_session):
-    left = ray.data.from_arrow(
-        pa.table({"k": pa.array([1, 2], pa.int64()),
-                  "name": pa.array(["a", "b"])})
-    )
-    right = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
-    out = sorted(r["k"] for r in an.anti_join_ds(left, right, "k").take_all())
-    assert out == [1, 2]
-
-
-def test_keep_latest_skewed_key(ray_session):
-    # 10k events on ONE user (viral-key skew) + deterministic tie-break:
-    # two rows share the max ts; the larger event_id wins
-    n = 10_000
-    rows = [(i, 7, i * 10, "view", 0.0) for i in range(n)]
-    rows.append((n, 7, (n - 1) * 10, "click", 1.0))  # same ts as event n-1
-    rows.append((n + 1, 8, 5, "view", 0.5))
-    out = {r["user_id"]: r for r in an.keep_latest_ds(_events(rows)).take_all()}
-    assert len(out) == 2
-    assert out[7]["event_id"] == n and out[7]["event_type"] == "click"
-    assert out[8]["event_id"] == n + 1
 
 
 def test_postings_band_and_order(ray_session):
@@ -187,11 +90,6 @@ def test_quality_audit_counts(ray_session):
 
 
 def test_empty_inputs(ray_session):
-    ev = _events([])
-    assert an.histogram_ds(ev).take_all() == []
-    assert an.hopping_window_ds(ev).take_all() == []
-    assert an.cohort_retention_ds(ev).take_all() == []
-    assert an.keep_latest_ds(ev).take_all() == []
     docs = ray.data.from_arrow(
         pa.table({"doc_id": pa.array([], pa.int64()),
                   "text": pa.array([], pa.string())})
@@ -285,74 +183,6 @@ def test_typed_result_passthrough_nonempty(ray_session):
     assert E._typed_result(t) is t
 
 
-def test_rollup_levels(ray_session):
-    li = ray.data.from_arrow(
-        pa.table(
-            {
-                "f": pa.array(["A", "A", "B"], pa.string()),
-                "s": pa.array(["x", "y", "x"], pa.string()),
-                "q": pa.array([1.0, 2.0, 4.0]),
-            }
-        )
-    )
-    rows = {
-        (r["f"], r["s"]): (r["sum_e"], r["n_rows"])
-        for r in an.rollup_ds(li, ["f", "s"], "q").take_all()
-    }
-    assert rows[("A", "x")] == (100, 1)
-    assert rows[("A", "ALL")] == (300, 2)
-    assert rows[("B", "ALL")] == (400, 1)
-    assert rows[("ALL", "ALL")] == (700, 3)
-    assert len(rows) == 3 + 2 + 1
-
-
-def test_interval_count_bucket_boundary(ray_session):
-    # width 100us; window [90, 190) spans two buckets; points at 95 and
-    # 110 both match; 190 (exclusive bound) and 89 do not
-    wins = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([1], pa.int64()),
-                "start": pa.array([90], pa.timestamp("us")),
-            }
-        )
-    )
-    pts = ray.data.from_arrow(
-        pa.table({"ts": pa.array([89, 95, 110, 190], pa.timestamp("us"))})
-    )
-    out = an.interval_count_ds(wins, pts, "k", "start", "ts", width_us=100).take_all()
-    assert [(r["k"], r["n_matched"]) for r in out] == [(1, 2)]
-
-
-def test_interval_count_inner_semantics(ray_session):
-    # a window with zero matches emits no row
-    wins = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([1, 2], pa.int64()),
-                "start": pa.array([0, 1000], pa.timestamp("us")),
-            }
-        )
-    )
-    pts = ray.data.from_arrow(pa.table({"ts": pa.array([5], pa.timestamp("us"))}))
-    out = an.interval_count_ds(wins, pts, "k", "start", "ts", width_us=10).take_all()
-    assert [(r["k"], r["n_matched"]) for r in out] == [(1, 1)]
-
-
-def test_semi_join_dedups_right_multiplicity(ray_session):
-    left = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([1, 2, 3], pa.int64()),
-                "name": pa.array(["a", "b", "c"]),
-            }
-        )
-    )
-    right = ray.data.from_arrow(pa.table({"k": pa.array([2, 2, 2, 9], pa.int64())}))
-    out = sorted((r["k"], r["name"]) for r in an.semi_join_ds(left, right, "k").take_all())
-    assert out == [(2, "b")]
-
-
 def test_hash_join_nm_multiplicity(ray_session):
     left = ray.data.from_arrow(
         pa.table(
@@ -424,197 +254,6 @@ def test_ntile_more_tiles_than_rows(ray_session):
     assert out == {2: 1, 1: 2}
 
 
-def test_cube_all_grouping_sets(ray_session):
-    li = ray.data.from_arrow(
-        pa.table(
-            {
-                "f": pa.array(["A", "A", "B"], pa.string()),
-                "s": pa.array(["x", "y", "x"], pa.string()),
-                "q": pa.array([1.0, 2.0, 4.0]),
-            }
-        )
-    )
-    rows = {
-        (r["f"], r["s"]): (r["sum_e"], r["n_rows"])
-        for r in an.rollup_ds(li, ["f", "s"], "q", mode="cube").take_all()
-    }
-    # cube adds the (s-only) sets rollup lacks
-    assert rows[("ALL", "x")] == (500, 2)
-    assert rows[("ALL", "y")] == (200, 1)
-    assert rows[("A", "ALL")] == (300, 2)
-    assert rows[("ALL", "ALL")] == (700, 3)
-    assert len(rows) == 3 + 2 + 2 + 1
-
-
-def test_moments_hand_computed(ray_session):
-    li = ray.data.from_arrow(
-        pa.table(
-            {
-                "g": pa.array(["A", "A", "B"], pa.string()),
-                "x": pa.array([1.0, 2.0, 3.0]),
-                "y": pa.array([10.0, 20.0, 30.0]),
-            }
-        )
-    )
-    rows = {r["g"]: r for r in
-            an.moments_ds(li, "g", "x", "y", x_quant=1, y_quant=1).take_all()}
-    a = rows["A"]
-    assert (a["n"], a["sum_x"], a["sum_y"]) == (2, 3, 30)
-    assert (a["sum_xx"], a["sum_yy"], a["sum_xy"]) == (5, 500, 50)
-    b = rows["B"]
-    assert (b["n"], b["sum_xx"], b["sum_xy"]) == (1, 9, 90)
-
-
-def test_transitions_hand_computed(ray_session):
-    ev = _events(
-        [
-            # user 1: view -> click -> purchase (ordered by ts)
-            (1, 1, 100, "view", 0),
-            (2, 1, 200, "click", 0),
-            (3, 1, 300, "purchase", 0),
-            # user 2: click -> click (tie on ts broken by event_id)
-            (4, 2, 500, "click", 0),
-            (5, 2, 500, "click", 0),
-            # user 3: single event, no transition
-            (6, 3, 900, "view", 0),
-        ]
-    )
-    rows = {
-        (r["prev_type"], r["next_type"]): r["n_transitions"]
-        for r in an.transitions_ds(ev).take_all()
-    }
-    assert rows == {
-        ("view", "click"): 1,
-        ("click", "purchase"): 1,
-        ("click", "click"): 1,
-    }
-
-
-def test_transitions_empty_and_singletons(ray_session):
-    ev = _events([(1, 1, 100, "view", 0), (2, 2, 200, "click", 0)])
-    assert an.transitions_ds(ev).take_all() == []
-
-
-def test_user_paths_ordered_concat(ray_session):
-    ev = _events(
-        [
-            (1, 1, 100, "view", 0),
-            (3, 1, 300, "purchase", 0),
-            (2, 1, 200, "click", 0),
-            # user 2: tie on ts broken by event_id (4 before 5)
-            (5, 2, 500, "a", 0),
-            (4, 2, 500, "b", 0),
-            (6, 3, 900, "view", 0),
-        ]
-    )
-    rows = {r["user_id"]: r["path"] for r in an.user_paths_ds(ev).take_all()}
-    assert rows == {1: "view>click>purchase", 2: "b>a", 3: "view"}
-
-
-def test_user_paths_bucket_invariant(ray_session):
-    ev = _events([(i, i % 7, i * 10, "e%d" % (i % 3), 0) for i in range(60)])
-    a = {r["user_id"]: r["path"] for r in an.user_paths_ds(ev, n_buckets=2).take_all()}
-    b = {r["user_id"]: r["path"] for r in an.user_paths_ds(ev, n_buckets=64).take_all()}
-    assert a == b and len(a) == 7
-
-
-def test_grouped_mode_tiebreak_and_counts(ray_session):
-    ev = _events(
-        [
-            # user 1: click x2, view x2 -> tie broken lexicographically (click)
-            (1, 1, 100, "click", 0),
-            (2, 1, 200, "click", 0),
-            (3, 1, 300, "view", 0),
-            (4, 1, 400, "view", 0),
-            # user 2: purchase x3 beats click x1
-            (5, 2, 500, "purchase", 0),
-            (6, 2, 600, "purchase", 0),
-            (7, 2, 700, "purchase", 0),
-            (8, 2, 800, "click", 0),
-        ]
-    )
-    rows = {
-        r["user_id"]: (r["mode_type"], r["n_events"])
-        for r in an.grouped_mode_ds(ev, mode_col="mode_type").take_all()
-    }
-    assert rows == {1: ("click", 2), 2: ("purchase", 3)}
-
-
-def test_grouped_mode_bucket_invariant(ray_session):
-    ev = _events(
-        [(i, i % 5, i * 10, "e%d" % (i % 3), 0) for i in range(90)]
-    )
-    a = {
-        (r["user_id"], r["mode_type"], r["n_events"])
-        for r in an.grouped_mode_ds(ev, mode_col="mode_type", n_buckets=2).take_all()
-    }
-    b = {
-        (r["user_id"], r["mode_type"], r["n_events"])
-        for r in an.grouped_mode_ds(ev, mode_col="mode_type", n_buckets=64).take_all()
-    }
-    assert a == b and len(a) == 5
-
-
-def test_attribution_first_last_and_ties(ray_session):
-    ev = _events(
-        [
-            (3, 1, 300, "purchase", 0),
-            (1, 1, 100, "view", 0),
-            (2, 1, 200, "click", 0),
-            # user 2: ts ties resolved by event_id on both ends
-            (5, 2, 500, "b", 0),
-            (4, 2, 500, "a", 0),
-            (6, 2, 500, "c", 0),
-        ]
-    )
-    rows = {r["user_id"]: r for r in an.attribution_ds(ev).take_all()}
-    r1 = rows[1]
-    assert (r1["first_type"], r1["first_ts_us"]) == ("view", 100)
-    assert (r1["last_type"], r1["last_ts_us"]) == ("purchase", 300)
-    assert r1["n_events"] == 3
-    r2 = rows[2]
-    assert (r2["first_type"], r2["last_type"], r2["n_events"]) == ("a", "c", 3)
-
-
-def test_attribution_single_event_user(ray_session):
-    ev = _events([(1, 9, 777, "view", 0)])
-    [r] = an.attribution_ds(ev).take_all()
-    assert r["first_type"] == r["last_type"] == "view"
-    assert r["first_ts_us"] == r["last_ts_us"] == 777 and r["n_events"] == 1
-
-
-def test_sessions_gap_split_and_ordinals(ray_session):
-    g = 1_800_000_000  # 30 min
-    ev = _events(
-        [
-            # user 1: two sessions (events 1-2 close, 3 after a big gap)
-            (1, 1, 0, "a", 0),
-            (2, 1, g, "a", 0),          # exactly gap -> same session
-            (3, 1, 3 * g + 1, "a", 0),  # > gap after event 2 -> new session
-            # user 2: one session of one event
-            (4, 2, 50, "a", 0),
-        ]
-    )
-    rows = {
-        (r["user_id"], r["session_id"]): (r["start_us"], r["end_us"], r["n_events"])
-        for r in an.sessions_ds(ev).take_all()
-    }
-    assert rows == {
-        (1, 1): (0, g, 2),
-        (1, 2): (3 * g + 1, 3 * g + 1, 1),
-        (2, 1): (50, 50, 1),
-    }
-
-
-def test_sessions_bucket_invariant(ray_session):
-    ev = _events(
-        [(i, i % 7, (i // 7) * 2_000_000_000, "a", 0) for i in range(70)]
-    )
-    a = {tuple(sorted(r.items())) for r in an.sessions_ds(ev, n_buckets=2).take_all()}
-    b = {tuple(sorted(r.items())) for r in an.sessions_ds(ev, n_buckets=64).take_all()}
-    assert a == b and len(a) == 70  # every event 2000s apart -> own session
-
-
 def test_hash_join_left_keeps_unmatched(ray_session):
     left = ray.data.from_arrow(
         pa.table(
@@ -639,34 +278,6 @@ def test_hash_join_left_keeps_unmatched(ray_session):
     assert sorted((r["k"], r["rv"]) for r in inner) == [(2, 10), (2, 20)]
 
 
-def test_grouped_percentiles_disc_selection(ray_session):
-    # group t: values 1..4 -> p25 = ceil(.25*4)=rank1 -> 100;
-    # p50 = rank2 -> 200; p75 = rank3 -> 300
-    ev = _events(
-        [
-            (1, 1, 0, "t", 1.00),
-            (2, 1, 0, "t", 2.00),
-            (3, 1, 0, "t", 3.00),
-            (4, 1, 0, "t", 4.00),
-            # group s: single value -> every percentile is it
-            (5, 1, 0, "s", 7.50),
-        ]
-    )
-    rows = {r["event_type"]: r for r in an.grouped_percentiles_ds(ev).take_all()}
-    t = rows["t"]
-    assert (t["n"], t["p25_q"], t["p50_q"], t["p75_q"]) == (4, 100, 200, 300)
-    s = rows["s"]
-    assert (s["n"], s["p25_q"], s["p50_q"], s["p75_q"]) == (1, 750, 750, 750)
-
-
-def test_grouped_percentiles_duplicate_values(ray_session):
-    # duplicates collapse into one weighted cell; ranks land inside it
-    ev = _events([(i, 1, 0, "t", 5.00) for i in range(1, 10)] + [(10, 1, 0, "t", 9.0)])
-    [r] = an.grouped_percentiles_ds(ev).take_all()
-    assert (r["p25_q"], r["p50_q"], r["p75_q"]) == (500, 500, 500)
-    assert r["n"] == 10
-
-
 def test_group_sample_ids_head_and_count(ray_session):
     docs = ray.data.from_arrow(
         pa.table(
@@ -679,54 +290,6 @@ def test_group_sample_ids_head_and_count(ray_session):
     rows = {r["lang"]: r for r in an.group_sample_ids_ds(docs, k=3).take_all()}
     assert rows["en"]["ids"] == "1,3,5" and rows["en"]["n_docs"] == 6
     assert rows["de"]["ids"] == "2" and rows["de"]["n_docs"] == 1
-
-
-def test_interval_merge_overlap_touch_and_gap(ray_session):
-    m = 60_000_000  # value=1.0 -> 1 minute in us
-    ev = _events(
-        [
-            # user 1: [0, 10m], [5m, 15m] overlap; [15m, 16m] touches ->
-            # one island of 3; [20m, 21m] is separate
-            (1, 1, 0, "a", 10.0),
-            (2, 1, 5 * m, "a", 10.0),
-            (3, 1, 15 * m, "a", 1.0),
-            (4, 1, 20 * m, "a", 1.0),
-            # user 2: zero/negative durations -> point intervals; identical
-            # starts merge (touching), distinct starts do not
-            (5, 2, 100, "a", 0.0),
-            (6, 2, 100, "a", -5.0),
-            (7, 2, 200, "a", 0.0),
-        ]
-    )
-    rows = {
-        (r["user_id"], r["start_us"]): (r["end_us"], r["n_iv"])
-        for r in an.interval_merge_ds(ev).take_all()
-    }
-    assert rows == {
-        (1, 0): (16 * m, 3),
-        (1, 20 * m): (21 * m, 1),
-        (2, 100): (100, 2),
-        (2, 200): (200, 1),
-    }
-
-
-def test_interval_merge_partition_invariant(ray_session):
-    # chains long enough to cross block-combine boundaries
-    rng = np.random.RandomState(7)
-    rows = []
-    for i in range(400):
-        u = i % 5
-        rows.append((i, u, int(rng.randint(0, 10_000) * 1_000_000), "a",
-                     float(rng.randint(0, 300)) / 60.0))
-    ev1 = _events(rows).repartition(1)
-    ev2 = _events(rows).repartition(13)
-    a = {tuple(sorted(r.items()))
-         for r in an.interval_merge_ds(ev1, n_buckets=2).take_all()}
-    b = {tuple(sorted(r.items()))
-         for r in an.interval_merge_ds(ev2, n_buckets=64).take_all()}
-    assert a == b and len(a) >= 5
-    # island interval counts must account for every input row
-    assert sum(dict(t)["n_iv"] for t in a) == 400
 
 
 def test_ks_drift_hand_computed(ray_session):
@@ -757,25 +320,6 @@ def test_ks_drift_identical_distributions(ray_session):
     )
     (r,) = an.ks_drift_ds(docs).take_all()
     assert r["ks_num"] == 0 and r["ks_permille"] == 0
-
-
-def test_trend_exact_components(ray_session):
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "g": pa.array([1, 1, 1, 2, 2], pa.int64()),
-                "x": pa.array([0, 1, 2, 5, 5], pa.int64()),
-                "y": pa.array([3, 5, 7, 4, 9], pa.int64()),
-            }
-        )
-    )
-    rows = {r["g"]: r for r in an.trend_ds(ds, "g", "x", "y").take_all()}
-    # group 1: perfect slope 2 -> num = 3*24 - 3*15 = 12? check by hand:
-    # n=3 sx=3 sy=15 sxy=0*3+1*5+2*7=19 sxx=5
-    # num = 3*19 - 3*15 = 12; den = 3*5 - 9 = 6 -> slope 2 exactly
-    assert (rows["1"]["slope_num"], rows["1"]["slope_den"]) == (12, 6)
-    # group 2: constant x -> degenerate den = 0
-    assert rows["2"]["slope_den"] == 0 and rows["2"]["n"] == 2
 
 
 def test_row_number_global_and_descending(ray_session):
@@ -817,101 +361,6 @@ def test_rrf_fusion_hand_computed(ray_session):
     assert (rows[0]["rank_a"], rows[0]["rank_b"]) == (1, 4)
 
 
-def test_zorder_key_interleave_and_file_id(ray_session):
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "id": pa.array([1, 2, 3], pa.int64()),
-                "x": pa.array([0b1010, 0, 65535], pa.int64()),
-                "y": pa.array([0b0101, 0, 65535], pa.int64()),
-            }
-        )
-    )
-    rows = {r["id"]: (r["zkey"], r["file_id"])
-            for r in an.zorder_key_ds(ds, "id", "x", "y").take_all()}
-    # x bits at even positions, y at odd: x=1010b,y=0101b -> 10011001b + ...
-    z1 = sum(((0b1010 >> i) & 1) << (2 * i) for i in range(16)) + sum(
-        ((0b0101 >> i) & 1) << (2 * i + 1) for i in range(16)
-    )
-    assert rows[1] == (z1, z1 >> 26)
-    assert rows[2] == (0, 0)
-    assert rows[3] == ((1 << 32) - 1, 63)
-    # locality: nearby (x, y) share the file prefix more than far pairs
-    near = an.zorder_key_ds(
-        ray.data.from_arrow(
-            pa.table(
-                {
-                    "id": pa.array([1, 2], pa.int64()),
-                    "x": pa.array([1000, 1001], pa.int64()),
-                    "y": pa.array([2000, 2000], pa.int64()),
-                }
-            )
-        ),
-        "id", "x", "y",
-    ).take_all()
-    assert near[0]["file_id"] == near[1]["file_id"]
-
-
-def test_collapse_runs_heads_and_lengths(ray_session):
-    ev = _events(
-        [
-            # user 1: a a b a  -> runs a(2) b(1) a(1); ids NOT monotone
-            (9, 1, 0, "a", 0),
-            (2, 1, 10, "a", 0),
-            (3, 1, 20, "b", 0),
-            (4, 1, 30, "a", 0),
-            # user 2: single row
-            (5, 2, 5, "x", 0),
-        ]
-    )
-    rows = {
-        (r["user_id"], r["start_us"]): (r["event_id"], r["event_type"], r["run_len"])
-        for r in an.collapse_runs_ds(ev).take_all()
-    }
-    assert rows == {
-        (1, 0): (9, "a", 2),    # head id is the FIRST row's id (9), not min
-        (1, 20): (3, "b", 1),
-        (1, 30): (4, "a", 1),
-        (2, 5): (5, "x", 1),
-    }
-
-
-def test_collapse_runs_partition_invariant(ray_session):
-    ev = _events(
-        [(i, i % 3, i * 1000, "t" + str((i // 4) % 2), 0) for i in range(60)]
-    )
-    a = {tuple(sorted(r.items()))
-         for r in an.collapse_runs_ds(ev.repartition(1), n_buckets=2).take_all()}
-    b = {tuple(sorted(r.items()))
-         for r in an.collapse_runs_ds(ev.repartition(7), n_buckets=32).take_all()}
-    assert a == b
-    assert sum(dict(t)["run_len"] for t in a) == 60
-
-
-def test_fk_audit_detects_orphans(ray_session):
-    child = ray.data.from_arrow(
-        pa.table({"fk": pa.array([1, 1, 2, 3, 9, 9, 9], pa.int64())})
-    )
-    parent = ray.data.from_arrow(
-        pa.table({"pk": pa.array([1, 2, 4], pa.int64())})
-    )
-    (r,) = an.fk_audit_ds([("c->p", child, "fk", parent, "pk")]).take_all()
-    assert r["relationship"] == "c->p"
-    assert (r["child_rows"], r["distinct_fks"]) == (7, 4)
-    # 3 and 9 are orphans: 1 + 3 rows, 2 distinct keys
-    assert (r["orphan_rows"], r["orphan_keys"]) == (4, 2)
-
-
-def test_fk_audit_cross_block_distincts(ray_session):
-    # the same fk in many blocks must not double-count distinct_fks
-    child = ray.data.from_arrow(
-        pa.table({"fk": pa.array([5] * 40, pa.int64())})
-    ).repartition(8)
-    parent = ray.data.from_arrow(pa.table({"pk": pa.array([5], pa.int64())}))
-    (r,) = an.fk_audit_ds([("x", child, "fk", parent, "pk")]).take_all()
-    assert (r["child_rows"], r["distinct_fks"], r["orphan_rows"]) == (40, 1, 0)
-
-
 def test_winsorize_cutoff_and_flags(ray_session):
     ds = ray.data.from_arrow(
         pa.table(
@@ -945,107 +394,6 @@ def test_rank_sum_hand_computed_and_invariant(ray_session):
     assert (r["n_a"], r["n_b"]) == (3, 2)
     assert r["r2_a"] == 2 + 6 + 6
     assert r["u2_a"] == 14 - 3 * 4 and r["u2_a"] + r["u2_b"] == 2 * 3 * 2
-
-
-def test_snapshot_diff_kernel(ray_session):
-    import pyarrow as pa
-
-    old = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([1, 2, 3], pa.int64()),
-                "v": pa.array(["a", "b", "c"], pa.string()),
-            }
-        )
-    )
-    new = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([2, 3, 4], pa.int64()),
-                "v": pa.array(["b", "CHANGED", "d"], pa.string()),
-            }
-        )
-    )
-    out = {
-        r["key"]: r
-        for r in an.snapshot_diff_ds(old, new, "k", ["v"]).take_all()
-    }
-    # key 2 unchanged -> dropped; 1 removed, 3 changed, 4 added
-    assert set(out) == {1, 3, 4}
-    assert out[1]["status"] == "removed" and out[1]["new_h63"] == -1
-    assert out[4]["status"] == "added" and out[4]["old_h63"] == -1
-    assert out[3]["status"] == "changed"
-    assert out[3]["old_h63"] != out[3]["new_h63"] >= 0
-
-
-def test_snapshot_diff_rejects_dup_keys(ray_session):
-    import pyarrow as pa
-    import pytest
-
-    dup = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([1, 1], pa.int64()),
-                "v": pa.array(["a", "b"], pa.string()),
-            }
-        )
-    )
-    ok = ray.data.from_arrow(
-        pa.table({"k": pa.array([1], pa.int64()), "v": pa.array(["a"], pa.string())})
-    )
-    with pytest.raises(Exception):
-        an.snapshot_diff_ds(dup, ok, "k", ["v"]).take_all()
-
-
-def test_throttle_events_kernel(ray_session):
-    import pyarrow as pa
-
-    hour = 3_600_000_000
-    # user 1: three events in hour 0 (keep first by ts, then id tie),
-    # one in hour 1; user 2: one event
-    rows = [
-        (5, 100, 1), (2, 100, 1), (3, 200, 1),   # hour 0: keep id 2
-        (7, hour + 1, 1),                        # hour 1: keep id 7
-        (9, 50, 2),
-    ]
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "event_id": pa.array([r[0] for r in rows], pa.int64()),
-                "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-                "user_id": pa.array([r[2] for r in rows], pa.int64()),
-            }
-        )
-    )
-    kept = sorted(
-        r["event_id"] for r in an.throttle_events_ds(ev, window_us=hour).take_all()
-    )
-    assert kept == [2, 7, 9]
-
-
-def test_decayed_sum_kernel(ray_session):
-    import pyarrow as pa
-
-    day = 86_400_000_000
-    anchor = 10 * day
-    # user 1: 100.00 at age 0, 100.00 at age 1 (halved), 100.37 at age 2
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 2], pa.int64()),
-                "ts": pa.array(
-                    [10 * day - 1, 9 * day, 8 * day, 0], pa.timestamp("us")
-                ),
-                "value": pa.array([100.0, 100.0, 100.37, 64.0], pa.float64()),
-            }
-        )
-    )
-    out = {r["user_id"]: r for r in an.decayed_sum_ds(ev, anchor_us=anchor).take_all()}
-    # ages: (1)//day=0, 1, 2 -> 10000 + 5000 + 10037//4=2509
-    assert out[1]["decayed_cents"] == 10000 + 5000 + 2509
-    assert out[1]["n_events"] == 3
-    # user 2 at age 10: 6400 // 1024 = 6
-    assert out[2]["decayed_cents"] == 6
 
 
 def test_chi2_assoc_independence_is_zero(ray_session):
@@ -1154,22 +502,6 @@ def test_weighted_median_heavy_tail(ray_session):
     # S = 106, (S+1)//2 = 53 -> cumweight reaches 53 only at v=100
     assert out["wmedian"] == 100
     assert out["total_weight"] == 106 and out["n_docs"] == 4
-
-
-def test_benford_audit_counts_and_constants(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # prices whose cents leading digits are 1,1,2,9
-    orders = ray.data.from_arrow(
-        pa.table({"o_totalprice": pa.array([1.23, 150.0, 0.25, 9.99])})
-    )
-    rows = {r["digit"]: r for r in an.benford_audit_ds(orders).take_all()}
-    assert rows[1]["n"] == 2 and rows[2]["n"] == 1 and rows[9]["n"] == 1
-    assert rows[1]["share_e9"] == 2 * 10**9 // 4
-    assert rows[1]["benford_e9"] == 301029995
-    assert rows[9]["dev_e9"] == abs(10**9 // 4 - 45757490)
 
 
 def test_spearman_perfect_and_inverse(ray_session):
@@ -1423,163 +755,6 @@ def test_lang_fertility_hand_computed(ray_session):
         "n_chars": 5,
         "n_tokens_ws": 3,
         "n_tokens_bpe": int(ts.bpe_token_count(["a b c"])[0]),
-    }
-
-
-def test_inversion_count_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # user 1 by ingest order (event_id): ts = 100, 50, 150, 20
-    # inversions: (100,50) (100,20) (50,20) (150,20) -> 4 of C(4,2)=6
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 1, 2], pa.int64()),
-                "event_id": pa.array([10, 11, 12, 13, 20], pa.int64()),
-                "ts": pa.array([100, 50, 150, 20, 5], pa.int64()),
-            }
-        )
-    )
-    rows = {r["user_id"]: r for r in an.inversion_count_ds(events).take_all()}
-    assert rows[1] == {
-        "user_id": 1,
-        "n_events": 4,
-        "n_pairs": 6,
-        "n_inversions": 4,
-    }
-    assert rows[2] == {
-        "user_id": 2,
-        "n_events": 1,
-        "n_pairs": 0,
-        "n_inversions": 0,
-    }
-
-
-def test_inversion_count_chunked_matches_unchunked(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    rng = np.random.RandomState(7)
-    n = 60
-    events_tbl = pa.table(
-        {
-            "user_id": pa.array(np.repeat([1, 2, 3], n // 3), pa.int64()),
-            "event_id": pa.array(np.arange(n, dtype=np.int64)),
-            "ts": pa.array(rng.randint(0, 50, n).astype(np.int64)),
-        }
-    )
-    big = an.inversion_count_ds(ray.data.from_arrow(events_tbl)).take_all()
-    small = an.inversion_count_ds(
-        ray.data.from_arrow(events_tbl), max_pair_chunk=3
-    ).take_all()
-    key = lambda r: r["user_id"]
-    assert sorted(big, key=key) == sorted(small, key=key)
-
-
-def test_inversion_count_empty(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([], pa.int64()),
-                "event_id": pa.array([], pa.int64()),
-                "ts": pa.array([], pa.int64()),
-            }
-        )
-    )
-    assert an.inversion_count_ds(events).take_all() == []
-
-
-def test_interarrival_stats_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # user 1 ts: 0, 10, 40, 100 -> gaps 10, 30, 60
-    # median convention: smallest gap with cum count >= ceil(0.5*3)=2 -> 30
-    # user 2: one event -> no row
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([1, 1, 1, 1, 2], pa.int64()),
-                "event_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
-                "ts": pa.array([0, 10, 40, 100, 7], pa.int64()),
-            }
-        )
-    )
-    rows = an.interarrival_stats_ds(events).take_all()
-    assert rows == [
-        {
-            "user_id": 1,
-            "n_gaps": 3,
-            "min_gap_us": 10,
-            "med_gap_us": 30,
-            "max_gap_us": 60,
-        }
-    ]
-
-
-def test_interarrival_stats_even_gap_count_low_median(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # gaps 10, 20, 30, 40: ceil(0.5*4)=2 -> med = 20 (low median)
-    events = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([3] * 5, pa.int64()),
-                "event_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
-                "ts": pa.array([0, 10, 30, 60, 100], pa.int64()),
-            }
-        )
-    )
-    row = an.interarrival_stats_ds(events).take_all()[0]
-    assert row["med_gap_us"] == 20 and row["n_gaps"] == 4
-
-
-def test_key_skew_audit_hand_computed(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # sizes: key 1 -> 6, keys 2..5 -> 1 each; n_keys=5, n_rows=10
-    # p99: ceil(.99*5)=5 -> smallest size with cum>=5 is 6
-    tbl = ray.data.from_arrow(
-        pa.table(
-            {"k": pa.array([1] * 6 + [2, 3, 4, 5], pa.int64())}
-        )
-    )
-    row = an.key_skew_audit_ds(tbl, key_col="k").take_all()[0]
-    assert row == {
-        "n_rows": 10,
-        "n_keys": 5,
-        "max_group": 6,
-        "p99_group": 6,
-        "top_share_ppm": 600_000,
-    }
-
-
-def test_key_skew_audit_empty(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    tbl = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
-    row = an.key_skew_audit_ds(tbl, key_col="k").take_all()[0]
-    assert row == {
-        "n_rows": 0,
-        "n_keys": 0,
-        "max_group": 0,
-        "p99_group": 0,
-        "top_share_ppm": 0,
     }
 
 

@@ -2479,22 +2479,6 @@ def test_term_trend_drift_sign(ray_session):
     assert rows["new"]["drift_e6"] == 1_000_000
 
 
-def test_log_histogram_buckets(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    # binary-exact values; cents: 100, 200, -25, 0 -> buckets 7, 8, -5, 0
-    ev = ray.data.from_arrow(
-        pa.table({"value": pa.array([1.0, 2.0, -0.25, 0.0], pa.float64())})
-    )
-    rows = {r["bucket"]: r for r in an.log_histogram_ds(ev).take_all()}
-    assert rows[7]["n_events"] == 1 and rows[7]["cents_sum"] == 100
-    assert rows[8]["cents_sum"] == 200
-    assert rows[-5]["cents_sum"] == -25
-    assert rows[0]["n_events"] == 1
-
-
 def _family_embs():
     # cluster A: 0,1,2 nearly identical; cluster B: 10,11 identical;
     # vec 20 isolated (orthogonal — its mutual edges never form)

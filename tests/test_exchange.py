@@ -1,9 +1,12 @@
 """The bounded exchanges: the in-bucket kernel against a brute-force
 oracle, the bounded group count of the MinHash and SimHash shuffles, and
-the guarded small collect."""
+the guarded small collect, which is the only way a report-sized side
+reaches the driver from ``pipelines/``."""
 
+import ast
 import inspect
 import itertools
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -12,6 +15,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from pdfplumber_ray.pipelines import analytics as an
 from pdfplumber_ray.pipelines import corpus_ops as co
 from pdfplumber_ray.pipelines import exchange
 from pdfplumber_ray.pipelines.exchange import (
@@ -200,3 +204,79 @@ def test_collect_small_runs_upstream_once(ray_session):
     assert exchange.collect_small(ds, "side", {"k": pa.int64()}).num_rows == 3
     # the tagged stage ran exactly once (one block in this tiny input)
     assert ray.get(counter.get.remote()) == 1
+
+
+PIPELINES = os.path.dirname(exchange.__file__)
+# the unguarded pandas collect helpers that collect_small replaced
+GONE = ("_small_df", "_ensure_cols")
+
+
+def _is_collect_small(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "collect_small"
+    )
+
+
+def test_driver_collects_go_through_collect_small():
+    """No unguarded pandas collect helper in ``pipelines/``, no
+    ``take_all()`` in ``analytics``, and every ``to_pandas()`` is chained
+    on a ``collect_small(...)`` result."""
+    bad = []
+    for f in sorted(os.listdir(PIPELINES)):
+        if not f.endswith(".py"):
+            continue
+        for n in ast.walk(ast.parse(open(os.path.join(PIPELINES, f)).read())):
+            if isinstance(n, ast.FunctionDef) and n.name in GONE:
+                bad.append(f"{f}:{n.lineno} defines {n.name}")
+            elif isinstance(n, ast.ImportFrom):
+                bad += [
+                    f"{f}:{n.lineno} imports {a.name}"
+                    for a in n.names
+                    if a.name in GONE
+                ]
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                if n.func.attr == "take_all" and f == "analytics.py":
+                    bad.append(f"{f}:{n.lineno} take_all()")
+                if n.func.attr == "to_pandas" and not _is_collect_small(n.func.value):
+                    bad.append(f"{f}:{n.lineno} to_pandas() off collect_small")
+    assert bad == []
+
+
+def _kmv_docs():
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array([1, 2], pa.int64()),
+                "text": pa.array(["a b c d", "a b c e"]),
+                "source": pa.array(["s0", "s1"]),
+            }
+        )
+    )
+
+
+def _budget_docs():
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array([1, 2], pa.int64()),
+                "n_chars": pa.array([5, 7], pa.int64()),
+                "text": pa.array(["a b", "c d e"]),
+            }
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "run, what",
+    [
+        (lambda: an.kmv_intersection_ds(_kmv_docs()), "per-block source sketches"),
+        (lambda: co.token_budget_select_ds(_budget_docs()), "score classes"),
+    ],
+    ids=["kmv_intersection", "token_budget_select"],
+)
+def test_report_collect_obeys_row_limit(ray_session, monkeypatch, run, what):
+    monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 0)
+    msg = rf"{what} \(\d+ rows\) exceeds MAX_BROADCAST_ROWS=0"
+    with pytest.raises(ValueError, match=msg):
+        run()

@@ -44,23 +44,6 @@ SPAN_MEDIA_CODE = (
 )
 
 
-# public analytics/corpus_ops defs that no query and no other package code
-# reaches; the set may only shrink (ROADMAP item 4 empties it)
-UNREACHED_OPERATORS = frozenset(
-    {
-        "anti_join_ds", "attribution_ds", "benford_audit_ds",
-        "cohort_retention_ds", "collapse_runs_ds", "decayed_sum_ds",
-        "fk_audit_ds", "grouped_mode_ds", "grouped_percentiles_ds",
-        "histogram_ds", "hopping_window_ds", "interarrival_stats_ds",
-        "interval_count_ds", "interval_merge_ds", "inversion_count_ds",
-        "keep_latest_ds", "key_skew_audit_ds", "log_histogram_ds",
-        "moments_ds", "rollup_ds", "semi_join_ds", "sessions_ds",
-        "snapshot_diff_ds", "throttle_events_ds", "transitions_ds",
-        "trend_ds", "user_paths_ds", "zorder_key_ds",
-    }
-)
-
-
 def _load_entry():
     import __ray_entry__ as E
 
@@ -208,20 +191,20 @@ def _names(node) -> set:
 
 
 def test_every_operator_is_reached():
-    """Every public def in ``analytics``/``corpus_ops`` is reached, through
-    the calls between top-level defs, from a ``QUERIES`` callable or from
-    the rest of the package, except the frozen ``UNREACHED_OPERATORS``."""
+    """Every top-level def, class and module constant of ``analytics``/
+    ``corpus_ops``, public or private, is reached, through the references
+    between top-level definitions, from a ``QUERIES`` callable or from
+    the rest of the package."""
     pipelines = os.path.join(REPO, "pdfplumber_ray", "pipelines")
     sources = [os.path.join(pipelines, m) for m in ("analytics.py", "corpus_ops.py")]
-    ops, public = {}, set()
+    ops = {}
     for path in sources:
         for n in ast.parse(open(path).read()).body:
             if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
                 ops[n.name] = n
-                if not n.name.startswith("_"):
-                    public.add(n.name)
-            elif isinstance(n, ast.Assign):
-                ops.update((t.id, n) for t in n.targets if isinstance(t, ast.Name))
+            elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                ops.update((t.id, n) for t in targets if isinstance(t, ast.Name))
     helpers, registry = _entry_registry()
     frontier = list(registry.values)
     for dirpath, _, files in os.walk(os.path.join(REPO, "pdfplumber_ray")):
@@ -236,8 +219,5 @@ def test_every_operator_is_reached():
                 if name in defs:
                     reached.add(name)
                     frontier.append(defs[name])
-    unreached = public - reached
-    assert unreached == UNREACHED_OPERATORS, (
-        f"unreached: {sorted(unreached - UNREACHED_OPERATORS)}; "
-        f"reached or deleted: {sorted(UNREACHED_OPERATORS - unreached)}"
-    )
+    unreached = set(ops) - reached
+    assert unreached == set(), f"unreached: {sorted(unreached)}"
