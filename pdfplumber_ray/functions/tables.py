@@ -4,31 +4,34 @@ Semantics ported from reference table.py — snap/join edge merging
 (table.py:21-98), text-alignment imaginary edges (table.py:101-204),
 intersection graph (table.py:207-231), smallest-cell search
 (table.py:234-294), corner-connected-component table grouping
-(table.py:297-355, re-expressed as union-find with the same output order),
-row alignment and per-cell text (table.py:389-435).
+(table.py:297-355, re-expressed as connected components with the same
+output order), row alignment and per-cell text (table.py:389-435).
 
 The kernels take a group of pages at once. Edges, words and chars are
 each one column set with a page id per row; every page's rows are
-contiguous and in page order. Snap, join, the intersection pairs and cell
-membership are sorts and sweeps keyed by that page id, so a kernel makes a
-fixed number of numpy calls per group rather than per page, and each
-page's result is the one it would get alone. The one-page functions
-(``find_tables_page``, ``merge_edges_arrays``,
-``edges_to_intersections_arrays``, ``page_cell_texts``) are the group of
-one. The smallest-cell search and the table grouping stay per-page
-Python, since their cost is per vertex; so do the text strategy's
-imaginary edges and the explicit lines, whose cost is per word cluster or
-per given line and which the default lines strategy never runs. Both edge
-sides of the "join" live in
-the same page, so no distributed join is ever needed (SURVEY.md §2.5).
+contiguous and in page order. Snap, join, the intersection pairs, cell
+membership and the topology are sorts and sweeps keyed by that page id, so
+a kernel makes a fixed number of numpy calls per group rather than per
+page or per vertex, and each page's result is the one it would get alone.
+The topology is columnar: :class:`Intersections` holds the vertices with
+each one's reach along its vertical and horizontal edges,
+:func:`cells_group` resolves every vertex's smallest cell in vectorized
+rounds, and :func:`_tables` labels corner-connected components. The
+one-page functions (``find_tables_page``, ``merge_edges_arrays``,
+``edges_to_intersections_arrays``, ``intersections_to_cells``,
+``cells_to_tables``, ``page_cell_texts``) are the group of one. The text
+strategy's imaginary edges and the explicit lines stay per page, since
+their cost is per word cluster or per given line and the default lines
+strategy never runs them. Both edge sides of the "join" live in the same
+page, so no distributed join is ever needed (SURVEY.md §2.5).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,36 +235,114 @@ def _bbox_overlap(a: Bbox, b: Bbox) -> bool:
     return w >= 0 and h >= 0 and (w + h) > 0
 
 
-Intersections = Dict[Point, Tuple[set, set]]
+def _repeat_ranges(start: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(owner, value) pairs: ``start[i], start[i] + 1, ...`` (``count[i]``
+    values) for each ``i`` in turn."""
+    owner = np.repeat(np.arange(start.shape[0]), count)
+    return owner, start[owner] + np.arange(owner.shape[0]) - (np.cumsum(count) - count)[owner]
+
+
+def _dense_ids(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's id among the distinct rows of ``keys`` (compared with
+    ``==``, the first key major), ids ascending in key order, and each id's
+    first row."""
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(order.shape[0], dtype=bool)
+    new[:1] = True
+    for k in keys:
+        ks = k[order]
+        new[1:] |= ks[1:] != ks[:-1]
+    ids = np.empty(order.shape[0], dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+class Intersections(Mapping):
+    """The intersection vertices of a group of pages (table.py:207-231),
+    as columns. Vertices are ordered by (page, x, top), the order the
+    reference's cell search visits them in, and ``by_top`` lists them in
+    (page, top, x) order (``y_pos`` is each vertex's position there).
+
+    Edge membership is kept as two reaches: ``reach_down[u]`` is the last
+    vertex (in (page, x, top) order) that shares a vertical edge with ``u``
+    and ``reach_right[u]`` the last position in ``by_top`` that shares a
+    horizontal edge with it. They are exact because an edge's vertices are
+    a run: every vertex at an edge's x whose top is within the edge's
+    tolerance-widened extent is on it (an h edge reaching that x made the
+    vertex, and would meet this v edge too), and the extent test is
+    monotonic in top. So the vertices below ``u`` that share a vertical edge
+    with it are exactly those up to ``reach_down[u]``, and two edges with
+    the same bbox, one edge in the reference's sets, have the same run.
+
+    As a :class:`Mapping`, a one-page group reads as the reference's vertex
+    dict: ``(x, top)`` keys in the order their first (v, h) pair met, each
+    mapped to the bbox sets of its vertical and horizontal edges.
+    """
+
+    def __init__(
+        self,
+        edges: ObjArrays,
+        page: np.ndarray,
+        hit_v: np.ndarray,
+        hit_h: np.ndarray,
+    ):
+        self.edges = edges
+        x, top = edges["x0"][hit_v], edges["top"][hit_h]
+        vertex, first = _dense_ids(page[hit_v], x, top)
+        self.page, self.x, self.top = page[hit_v][first], x[first], top[first]
+        self._hits = (vertex, hit_v, hit_h, first)
+        n = first.shape[0]
+        self.by_top = np.lexsort((self.x, self.top, self.page))
+        self.y_pos = np.empty(n, dtype=np.int64)
+        self.y_pos[self.by_top] = np.arange(n)
+        n_edges = edges["x0"].shape[0]
+        self.reach_down = np.full(n, -1, dtype=np.int64)
+        self.reach_right = np.full(n, -1, dtype=np.int64)
+        for hit, reach, pos in (
+            (hit_v, self.reach_down, vertex),
+            (hit_h, self.reach_right, self.y_pos[vertex]),
+        ):
+            last = np.full(n_edges, -1, dtype=np.int64)
+            np.maximum.at(last, hit, pos)
+            np.maximum.at(reach, vertex, last[hit])
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def __iter__(self) -> Iterator[Point]:
+        order = np.argsort(self._hits[3], kind="stable")
+        return zip(self.x[order].tolist(), self.top[order].tolist())
+
+    def __getitem__(self, key: Point) -> Tuple[set, set]:
+        lo, hi = np.searchsorted(self.x, key[0]), np.searchsorted(self.x, key[0], "right")
+        u = lo + int(np.searchsorted(self.top[lo:hi], key[1]))
+        if u == hi or self.top[u] != key[1]:
+            raise KeyError(key)
+        vertex, hit_v, hit_h, _ = self._hits
+        at = vertex == u
+        box = np.column_stack([self.edges[k] for k in ("x0", "top", "x1", "bottom")])
+        return (
+            set(map(tuple, box[hit_v[at]].tolist())),
+            set(map(tuple, box[hit_h[at]].tolist())),
+        )
 
 
 def intersections_group(
     edges: ObjArrays,
     page: np.ndarray,
-    n_pages: int,
     x_tolerance: float,
     y_tolerance: float,
-) -> List[Intersections]:
-    """Vertex map per page (table.py:207-231). The candidate pairs are
-    every page's v edges x its h edges, in (v, h) order, built with
-    ``np.repeat`` and tested in one vectorized compare; per-vertex edge
-    membership is kept as bbox-tuple sets, matching the reference's edge
-    identity semantics (table.py:245-246). ``page`` must be sorted."""
-    out: List[Intersections] = [{} for _ in range(n_pages)]
+) -> Intersections:
+    """The vertices of every page of a group (table.py:207-231). The
+    candidate pairs are every page's v edges x its h edges, in (v, h)
+    order, built with ``np.repeat`` and tested in one vectorized compare.
+    ``page`` must be sorted."""
     is_v = edges["orientation"] == "v"
     vi = np.flatnonzero(is_v)
     hi = np.flatnonzero(~is_v)
-    if vi.shape[0] == 0 or hi.shape[0] == 0:
-        return out
-    vpage = page[vi]
+    n_pages = int(page[-1]) + 1 if page.shape[0] else 0
     h_count = np.bincount(page[hi], minlength=n_pages)
-    per_v = h_count[vpage]
-    a = np.repeat(np.arange(vi.shape[0]), per_v)
-    b = (
-        (np.cumsum(h_count) - h_count)[vpage][a]
-        + np.arange(a.shape[0])
-        - np.repeat(np.cumsum(per_v) - per_v, per_v)
-    )
+    a, b = _repeat_ranges((np.cumsum(h_count) - h_count)[page[vi]], h_count[page[vi]])
     v, h = vi[a], hi[b]
     x0, top, x1, bottom = (edges[k] for k in ("x0", "top", "x1", "bottom"))
     hit = (
@@ -270,108 +351,145 @@ def intersections_group(
         & (x0[v] >= x0[h] - x_tolerance)
         & (x0[v] <= x1[h] + x_tolerance)
     )
-    v, h = v[hit], h[hit]
-    x0l, topl = x0.tolist(), top.tolist()
-    boxes = list(zip(x0l, topl, x1.tolist(), bottom.tolist()))
-    for i, j, p in zip(v.tolist(), h.tolist(), page[v].tolist()):
-        vertex = (x0l[i], topl[j])
-        entry = out[p].get(vertex)
-        if entry is None:
-            entry = out[p][vertex] = (set(), set())
-        entry[0].add(boxes[i])
-        entry[1].add(boxes[j])
-    return out
+    return Intersections(edges, page, v[hit], h[hit])
 
 
 def edges_to_intersections_arrays(
     edges: ObjArrays, x_tolerance: float, y_tolerance: float
 ) -> Intersections:
     """:func:`intersections_group` on one page."""
-    return intersections_group(
-        edges, _zeros(edges["x0"].shape[0]), 1, x_tolerance, y_tolerance
-    )[0]
+    return intersections_group(edges, _zeros(edges["x0"].shape[0]), x_tolerance, y_tolerance)
+
+
+def cells_group(inter: Intersections) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The smallest cell at each vertex (table.py:234-294) of a group's
+    pages, in top-left vertex order: the cells' pages, their bboxes (rows
+    of x0, top, x1, bottom) and the vertex ids of their corners (rows of
+    top-left, bottom-left, top-right, bottom-right).
+
+    The reference walks the vertices below a vertex that share a vertical
+    edge with it, in top order, and for each the vertices to its right
+    that share a horizontal edge, in x order, and takes the first pair
+    whose bottom-right corner is a vertex joined to both. Below-points are
+    the run up to ``reach_down`` and right-points the run up to
+    ``reach_right``, so a round takes every unresolved vertex's k-th
+    below-point with all of its right-points at once, finds each
+    bottom-right corner by ``searchsorted`` on an exact integer (column,
+    top) key, and keeps each vertex's first pair that passes. Most
+    vertices resolve in round 0."""
+    n = len(inter)
+    if not n:
+        return _zeros(0), np.empty((0, 4)), np.empty((0, 4), dtype=np.int64)
+    col = np.cumsum(np.r_[True, (inter.page[1:] != inter.page[:-1]) | (inter.x[1:] != inter.x[:-1])]) - 1
+    tops, top_id = np.unique(inter.top, return_inverse=True)
+    key = col * tops.shape[0] + top_id.reshape(-1)
+    ids = np.arange(n)
+    n_below = inter.reach_down - ids
+    n_right = inter.reach_right - inter.y_pos
+    todo = np.flatnonzero((n_below > 0) & (n_right > 0))
+    found = [np.empty((0, 4), dtype=np.int64)]
+    resolved = np.zeros(n, dtype=bool)
+    k = 0
+    while todo.shape[0]:
+        pair, rpos = _repeat_ranges(inter.y_pos[todo] + 1, n_right[todo])
+        pt = todo[pair]
+        below = pt + 1 + k
+        right = inter.by_top[rpos]
+        q = col[right] * tops.shape[0] + top_id[below]
+        corner = np.minimum(np.searchsorted(key, q), n - 1)
+        ok = (
+            (key[corner] == q)
+            & (corner <= inter.reach_down[right])
+            & (inter.y_pos[corner] <= inter.reach_right[below])
+        )
+        hit = np.flatnonzero(ok)
+        hit = hit[np.r_[True, pt[hit][1:] != pt[hit][:-1]]] if hit.shape[0] else hit
+        found.append(np.column_stack((pt[hit], below[hit], right[hit], corner[hit])))
+        resolved[pt[hit]] = True
+        k += 1
+        todo = todo[(n_below[todo] > k) & ~resolved[todo]]
+    corners = np.concatenate(found)
+    corners = corners[np.argsort(corners[:, 0], kind="stable")]
+    tl = corners[:, 0]
+    boxes = np.column_stack(
+        (inter.x[tl], inter.top[tl], inter.x[corners[:, 2]], inter.top[corners[:, 1]])
+    )
+    return inter.page[tl], boxes, corners
+
+
+def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Connected components of ``n`` nodes joined by the pairs ``(a, b)``:
+    each node's label is its component's smallest node. Min-label hooking
+    of roots with pointer jumping; labels only fall, so it ends when every
+    pair has one label."""
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        if (la == lb).all():
+            return label
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
+
+
+def _tables(
+    page: np.ndarray, boxes: np.ndarray, corners: np.ndarray, n_pages: int
+) -> List[List[List[Bbox]]]:
+    """Cells -> each page's tables (table.py:297-355): the corner-connected
+    components of cells, ``corners`` being each cell's four corner ids,
+    ordered by their min (top, x0) with cells in input order, singletons
+    dropped. ``page`` (sorted) and ``boxes`` (x0, top, x1, bottom) are the
+    cells'."""
+    out: List[List[List[Bbox]]] = [[] for _ in range(n_pages)]
+    if not page.shape[0]:
+        return out
+    n_ids = int(corners.max()) + 1
+    label = _components(
+        np.repeat(corners[:, 0], 3), corners[:, 1:].reshape(-1), n_ids
+    )[corners[:, 0]]
+    # a table's first row in (label, top, x0) order holds its min (top, x0)
+    by_label = np.lexsort((boxes[:, 0], boxes[:, 1], label))
+    first = np.flatnonzero(np.r_[True, np.diff(label[by_label]) != 0])
+    size = np.diff(np.r_[first, label.shape[0]])
+    head = by_label[first][size > 1]
+    head = head[np.lexsort((boxes[head, 0], boxes[head, 1], page[head]))]
+    rank = np.full(n_ids, -1, dtype=np.int64)
+    rank[label[head]] = np.arange(head.shape[0])
+    cell_rank = rank[label]
+    keep = np.flatnonzero(cell_rank >= 0)
+    keep = keep[np.argsort(cell_rank[keep], kind="stable")]
+    bounds = np.searchsorted(cell_rank[keep], np.arange(head.shape[0] + 1)).tolist()
+    cells = list(map(tuple, boxes[keep].tolist()))
+    for t, p in enumerate(page[head].tolist()):
+        out[p].append(cells[bounds[t] : bounds[t + 1]])
+    return out
+
+
+def tables_group(inter: Intersections, n_pages: int) -> List[List[List[Bbox]]]:
+    """Each page's tables from a group's vertices: :func:`cells_group`
+    then :func:`_tables`, whose corner ids are the vertex ids."""
+    return _tables(*cells_group(inter), n_pages)
 
 
 def intersections_to_cells(intersections: Intersections) -> List[Bbox]:
-    """Smallest rectangle per vertex whose four corners are edge-connected
-    (table.py:234-294)."""
-    points = sorted(intersections.keys())
-    n_points = len(points)
-    by_x: Dict[float, List[Point]] = defaultdict(list)
-    by_y: Dict[float, List[Point]] = defaultdict(list)
-    for p in points:
-        by_x[p[0]].append(p)
-        by_y[p[1]].append(p)
-
-    def edge_connects(p1: Point, p2: Point) -> bool:
-        if p1[0] == p2[0]:
-            if intersections[p1][0] & intersections[p2][0]:
-                return True
-        if p1[1] == p2[1]:
-            if intersections[p1][1] & intersections[p2][1]:
-                return True
-        return False
-
-    cells: List[Bbox] = []
-    for i, pt in enumerate(points):
-        if i == n_points - 1:
-            break
-        below = [x for x in by_x[pt[0]] if x > pt]
-        right = [x for x in by_y[pt[1]] if x > pt]
-        found: Optional[Bbox] = None
-        for below_pt in below:
-            if found:
-                break
-            if not edge_connects(pt, below_pt):
-                continue
-            for right_pt in right:
-                if not edge_connects(pt, right_pt):
-                    continue
-                bottom_right = (right_pt[0], below_pt[1])
-                if (
-                    bottom_right in intersections
-                    and edge_connects(bottom_right, right_pt)
-                    and edge_connects(bottom_right, below_pt)
-                ):
-                    found = (pt[0], pt[1], bottom_right[0], bottom_right[1])
-                    break
-        if found:
-            cells.append(found)
-    return cells
+    """One page's cells (table.py:234-294): :func:`cells_group` as
+    bboxes."""
+    return list(map(tuple, cells_group(intersections)[1].tolist()))
 
 
 def cells_to_tables(cells: List[Bbox]) -> List[List[Bbox]]:
-    """Corner-sharing connected components (table.py:297-355) via
-    union-find — identical partition and the same final ordering (sort by
-    min (top, x0); drop singleton groups)."""
-    parent: Dict[Point, Point] = {}
-
-    def find(p: Point) -> Point:
-        root = p
-        while parent[root] != root:
-            root = parent[root]
-        while parent[p] != root:
-            parent[p], p = root, parent[p]
-        return root
-
-    def union(a: Point, b: Point) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for x0, top, x1, bottom in cells:
-        corners = ((x0, top), (x0, bottom), (x1, top), (x1, bottom))
-        for c in corners:
-            parent.setdefault(c, c)
-        for c in corners[1:]:
-            union(corners[0], c)
-
-    groups: Dict[Point, List[Bbox]] = defaultdict(list)
-    for cell in cells:
-        groups[find((cell[0], cell[1]))].append(cell)
-
-    tables = sorted(groups.values(), key=lambda t: min((c[1], c[0]) for c in t))
-    return [t for t in tables if len(t) > 1]
+    """One page's cells -> its tables (table.py:297-355): :func:`_tables`
+    with corner ids from the corners' coordinates."""
+    boxes = np.asarray(cells, dtype=np.float64).reshape(-1, 4)
+    xs = boxes[:, [0, 0, 2, 2]].reshape(-1)
+    ys = boxes[:, [1, 3, 1, 3]].reshape(-1)
+    ids = _dense_ids(xs, ys)[0].reshape(-1, 4)
+    return _tables(_zeros(boxes.shape[0]), boxes, ids, 1)[0]
 
 
 @dataclass
@@ -649,11 +767,9 @@ def _merge_table_edges(
 
 def intersections_to_tables(intersections: Intersections, cfg: TableConfig) -> List[PageTable]:
     """One page's vertex map -> its tables (table.py:566-578)."""
-    if not intersections:
-        return []
     return [
-        PageTable(group, text_settings=dict(cfg.text_settings))
-        for group in cells_to_tables(intersections_to_cells(intersections))
+        PageTable(cells, text_settings=dict(cfg.text_settings))
+        for cells in tables_group(intersections, 1)[0]
     ]
 
 
@@ -679,15 +795,15 @@ def find_tables_group(
     n_h = np.bincount(page[~is_v], minlength=len(bboxes))
     keep = np.flatnonzero(((n_v >= 2) & (n_h >= 2))[page])
     edges, page = _merge_table_edges(_take(edges, keep), page[keep], cfg)
+    inter = intersections_group(
+        edges,
+        page,
+        cfg.resolved("intersection_x_tolerance"),
+        cfg.resolved("intersection_y_tolerance"),
+    )
     return [
-        intersections_to_tables(inter, cfg)
-        for inter in intersections_group(
-            edges,
-            page,
-            len(bboxes),
-            cfg.resolved("intersection_x_tolerance"),
-            cfg.resolved("intersection_y_tolerance"),
-        )
+        [PageTable(cells, text_settings=dict(cfg.text_settings)) for cells in page_tables]
+        for page_tables in tables_group(inter, len(bboxes))
     ]
 
 

@@ -35,6 +35,7 @@ import ray.data
 
 from ..functions.textstats import rolling_fingerprint
 from ..schemas import SPAN
+from .exchange import collect_small
 from .extract import stage_map_batches
 
 Dataset = ray.data.Dataset
@@ -140,8 +141,13 @@ def frequent_span_fps(docs: Dataset, min_count: int) -> np.ndarray:
     freq = _df_aggregate(docs).map_batches(
         _keep_frequent_fn(min_count), batch_format="pyarrow", zero_copy_batch=True
     )
-    fps = [row["fp"] for row in freq.take_all()]
-    return np.sort(np.asarray(fps, dtype=np.int64))
+    return _sorted_fps(freq)
+
+
+def _sorted_fps(freq: Dataset) -> np.ndarray:
+    """The frequent-fingerprint set, collected and sorted."""
+    fps = collect_small(freq, "frequent span fingerprints", {"fp": pa.int64()})
+    return np.sort(fps.column("fp").to_numpy())
 
 
 def frequent_span_fps_auto(
@@ -189,16 +195,17 @@ def frequent_span_fps_auto(
     def keep_sentinel(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.equal(batch.column("fp"), sent))
 
-    sent_rows = agg.map_batches(
-        keep_sentinel, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()
-    n_docs = sum(int(r["sum(n)"]) for r in sent_rows)
+    sent_rows = collect_small(
+        agg.map_batches(keep_sentinel, batch_format="pyarrow", zero_copy_batch=True),
+        "document-count sentinel",
+        {"sum(n)": pa.int64()},
+    )
+    n_docs = int(sent_rows.column("sum(n)").to_numpy().sum())
     min_count = max(2, int(np.ceil(min_df_fraction * n_docs)))
     freq = agg.map_batches(
         _keep_frequent_fn(min_count), batch_format="pyarrow", zero_copy_batch=True
     )
-    fps = [row["fp"] for row in freq.take_all()]
-    return np.sort(np.asarray(fps, dtype=np.int64)), n_docs
+    return _sorted_fps(freq), n_docs
 
 
 class StripBoilerplate:

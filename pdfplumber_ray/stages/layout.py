@@ -17,13 +17,17 @@ consume. The layout is constructed so extraction *inverts* it exactly:
 * blocks never split across pages, so per-page extraction is complete.
 
 Output pages are struct-of-numpy-array tables (zero-copy into the word /
-table kernels), one dict per page.
+table kernels), one dict per page. A document's glyphs, rects and lines
+are expanded once, as whole-document arrays, and each page dict holds
+slices of them, so a document costs a fixed number of numpy calls however
+many pages it has.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,62 +41,80 @@ class LayoutError(ValueError):
 
 
 def wrap_words(text: str, max_chars: int) -> List[str]:
-    """Greedy word wrap; a single over-long word gets its own line."""
+    """Greedy word wrap over single-space separators; a single over-long
+    word gets its own line. Each line is the longest run of whole words
+    (the spaces between them kept) that fits in ``max_chars``: it ends
+    before the last space that keeps it within the limit. The space a line
+    breaks on and any spaces that would start a line are dropped."""
     lines: List[str] = []
-    cur = ""
-    for w in text.split(" "):
-        if not cur:
-            cur = w
-        elif len(cur) + 1 + len(w) <= max_chars:
-            cur = cur + " " + w
-        else:
-            lines.append(cur)
-            cur = w
-    if cur:
-        lines.append(cur)
+    n = len(text)
+    start = n - len(text.lstrip(" "))
+    while start < n:
+        if n - start <= max_chars:
+            lines.append(text[start:])
+            break
+        cut = text.rfind(" ", start, start + max_chars + 1)
+        if cut < 0:
+            cut = text.find(" ", start)
+            if cut < 0:
+                lines.append(text[start:])
+                break
+        lines.append(text[start:cut])
+        start = cut + 1
+        while start < n and text[start] == " ":
+            start += 1
     return lines or [""]
 
 
-class _PageBuilder:
-    """Accumulates glyphs/rects in flat Python lists; numpy arrays are
-    materialized once per page in ``finish`` (per-line array allocation was
-    the layout hot spot)."""
+class _DocBuilder:
+    """Accumulates a document's glyph runs, rects and lines in flat Python
+    lists, one per field, and marks where each page's records start.
+    ``finish`` materializes the numpy arrays once per document, and each
+    page dict holds slices of them (per-line, then per-page array
+    allocation was the layout hot spot)."""
 
-    def __init__(self, page_number: int, cfg: SynthLayoutConfig):
-        self.page_number = page_number
+    def __init__(self, cfg: SynthLayoutConfig):
         self.cfg = cfg
-        self.initial_doctop = (page_number - 1) * cfg.page_height
-        # upright text: one record per LINE, expanded vectorized in finish()
-        # (per-glyph list appends were the layout hot spot)
-        self.lines_rec: List[tuple] = []  # (text, x_left, top, size, font, mcid, tag)
-        # rotated glyphs are rare; kept per-char
-        self.g_text: List[str] = []
-        self.g_k: List[int] = []      # char index within its line
-        self.g_xleft: List[float] = []
-        self.g_top: List[float] = []
-        self.g_size: List[float] = []
-        self.g_font: List[str] = []
-        self.g_mcid: List[int] = []
-        self.g_tag: List[str] = []
+        self.page = 0
+        self.initial_doctop = 0.0
+        # glyph runs, expanded vectorized in finish(): upright text has one
+        # run per line, rotated text one per glyph
+        self.up = _Runs()
+        self.rot = _Runs()
         self.r_x0: List[float] = []
         self.r_x1: List[float] = []
         self.r_top: List[float] = []
         self.r_bottom: List[float] = []
+        self.r_doctop: List[float] = []
         self.r_mcid: List[int] = []
         self.r_tag: List[str] = []
         self.l_x0: List[float] = []
         self.l_x1: List[float] = []
         self.l_top: List[float] = []
-        self.images: List[Dict[str, object]] = []
-        self.annots: List[Dict[str, object]] = []
-        self.curves: List[Dict[str, object]] = []
+        self.l_doctop: List[float] = []
+        # each page's first upright run, rotated glyph, rect and line
+        self.marks: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
+        self.images: List[List[Dict[str, object]]] = [[]]
+        self.annots: List[List[Dict[str, object]]] = [[]]
+        self.curves: List[List[Dict[str, object]]] = [[]]
+
+    def _counts(self) -> Tuple[int, int, int, int]:
+        return len(self.up.text), len(self.rot.text), len(self.r_x0), len(self.l_x0)
+
+    def new_page(self) -> None:
+        self.page += 1
+        self.initial_doctop = self.page * self.cfg.page_height
+        self.marks.append(self._counts())
+        for per_page in (self.images, self.annots, self.curves):
+            per_page.append([])
 
     def emit_line_chars(
         self, line: str, line_top: float, size: float, fontname: str,
         x_left: float, mcid: int = -1, tag: str = "P",
     ) -> None:
         if line:
-            self.lines_rec.append((line, x_left, line_top, size, fontname, mcid, tag))
+            self.up.add(line, x_left, line_top, line_top + self.initial_doctop, size,
+                        fontname, mcid, tag)
 
     def emit_rotated_chars(
         self, text: str, block_top: float, size: float, fontname: str,
@@ -103,16 +125,9 @@ class _PageBuilder:
         glyph — the rotated word-break semantics of the reference's
         char_dir_rotated path (utils/text.py:55-75)."""
         for j, ch in enumerate(text):
-            if ch == " ":
-                continue
-            self.g_text.append(ch)
-            self.g_k.append(0)
-            self.g_xleft.append(x_left)
-            self.g_top.append(block_top + j * advance)
-            self.g_size.append(size)
-            self.g_font.append(fontname)
-            self.g_mcid.append(mcid)
-            self.g_tag.append(tag)
+            if ch != " ":
+                top = block_top + j * advance
+                self.rot.add(ch, x_left, top, top + self.initial_doctop, size, fontname, mcid, tag)
 
     def emit_rect(
         self, x0: float, top: float, x1: float, bottom: float,
@@ -122,6 +137,7 @@ class _PageBuilder:
         self.r_x1.append(x1)
         self.r_top.append(top)
         self.r_bottom.append(bottom)
+        self.r_doctop.append(top + self.initial_doctop)
         self.r_mcid.append(mcid)
         self.r_tag.append(tag)
 
@@ -129,12 +145,13 @@ class _PageBuilder:
         self.l_x0.append(x0)
         self.l_x1.append(x1)
         self.l_top.append(top)
+        self.l_doctop.append(top + self.initial_doctop)
 
     def emit_image(
         self, x0: float, top: float, x1: float, bottom: float, ref: str,
         mcid: int = -1,
     ) -> None:
-        self.images.append(
+        self.images[self.page].append(
             {"x0": x0, "top": top, "x1": x1, "bottom": bottom,
              "media_ref": ref, "mcid": mcid, "tag": "Figure"}
         )
@@ -147,7 +164,7 @@ class _PageBuilder:
         xs = [p[0] for p in pts]
         tops = [p[1] for p in pts]
         top = min(tops)
-        self.curves.append(
+        self.curves[self.page].append(
             {
                 "x0": min(xs), "x1": max(xs), "top": top, "bottom": max(tops),
                 "doctop": top + self.initial_doctop,
@@ -171,7 +188,7 @@ class _PageBuilder:
         rule: headings carry a contents annotation, media a uri (link)
         annotation — so hyperlinks = annots with non-empty uri, mirroring
         reference page.py:321-323."""
-        self.annots.append(
+        self.annots[self.page].append(
             {
                 "x0": x0, "top": top, "x1": x1, "bottom": bottom,
                 "doctop": top + self.initial_doctop,
@@ -179,127 +196,168 @@ class _PageBuilder:
             }
         )
 
-    def _expand_lines(self) -> Dict[str, np.ndarray]:
-        """Vectorized per-line -> per-glyph expansion for upright text."""
-        recs = self.lines_rec
+    def _chars(self) -> Tuple[Dict[str, np.ndarray], List[int]]:
+        """Vectorized per-run -> per-glyph expansion of the whole document,
+        each page's upright glyphs before its rotated ones, and the offsets
+        of each page's glyphs. A document takes a few dozen numpy calls,
+        however many pages and runs it has."""
+        up, rot = self.up, self.rot
+        n_up, n_rot = len(up.text), len(rot.text)
+        if not n_up + n_rot:
+            chars = _empty_chars()
+            chars["width"] = chars["x1"] - chars["x0"]
+            chars["height"] = chars["bottom"] - chars["top"]
+            return chars, [0] * (len(self.marks) + 1)
         cfg = self.cfg
-        all_text = "".join(r[0] for r in recs)
-        glyphs = np.array(list(all_text), dtype=object) if all_text else np.empty(0, object)
-        lens = np.fromiter((len(r[0]) for r in recs), dtype=np.int64, count=len(recs))
-        line_idx = np.repeat(np.arange(len(recs)), lens)
-        starts = np.concatenate([[0], np.cumsum(lens)[:-1]]) if len(recs) else np.empty(0, np.int64)
-        k = np.arange(glyphs.shape[0]) - starts[line_idx] if glyphs.shape[0] else np.empty(0, np.int64)
-        keep = glyphs != " "
-        li = line_idx[keep]
-        kk = k[keep]
-        xl = np.fromiter((r[1] for r in recs), dtype=np.float64, count=len(recs))[li]
-        tp = np.fromiter((r[2] for r in recs), dtype=np.float64, count=len(recs))[li]
-        sz = np.fromiter((r[3] for r in recs), dtype=np.float64, count=len(recs))[li]
-        fonts = np.array([r[4] for r in recs], dtype=object)[li]
-        mcids = np.fromiter((r[5] for r in recs), dtype=np.int32, count=len(recs))[li]
-        tags = np.array([r[6] for r in recs], dtype=object)[li]
-        x0 = xl + kk * cfg.char_advance
+        bounds = self.marks + [self._counts()]
+        runs = [u + r for u, r in zip(up.columns(), rot.columns())]
+        if n_rot:
+            # each page's upright runs, then its rotated glyphs
+            order = [
+                i
+                for (u0, g0, *_), (u1, g1, *_) in zip(bounds, bounds[1:])
+                for i in (*range(u0, u1), *range(n_up + g0, n_up + g1))
+            ]
+            runs = [[col[i] for i in order] for col in runs]
+        text, x_left, top, doctop, size, font, mcid, tag = runs
+        all_text = "".join(text)
+        # spaces advance the cursor but are not glyphs
+        kept = [len(t) - t.count(" ") for t in text]
+        starts = list(accumulate(map(len, text), initial=0))[:-1]
+        pos = np.flatnonzero(
+            np.frombuffer(all_text.encode("utf-32-le", "surrogatepass"), np.uint32) != 32
+        )
+        # a glyph's index within its run: its x advance (0 for a rotated
+        # glyph, a run of its own)
+        k = pos - np.repeat(starts, kept)
+        run_size = np.array(size, dtype=np.float64)
+        xl, tp, sz, dt = np.repeat(np.array((x_left, top, size, doctop), dtype=np.float64), kept, axis=1)
         # per-char text matrix (reference page.py:367-384 stamps pdfminer's
-        # 6-tuple; columnar engine stores the six components flat):
-        # upright glyphs render with (size, 0, 0, size, x0, y_baseline)
-        y_pdf = cfg.page_height - (tp + sz)
-        return {
-            "text": glyphs[keep],
+        # 6-tuple; columnar engine stores the six components flat): upright
+        # glyphs render with (size, 0, 0, size, x0, y_baseline), rotated
+        # (90 deg) ones with (0, size, -size, 0, x0, y_baseline)
+        zero = np.zeros_like(run_size)
+        if n_rot:
+            is_rot = np.array([i >= n_up for i in order])
+            run_a = np.where(is_rot, zero, run_size)
+            run_b = np.where(is_rot, run_size, zero)
+            run_c = np.where(is_rot, -run_size, zero)
+            a, b, c = np.repeat(np.stack((run_a, run_b, run_c)), kept, axis=1)
+        else:
+            run_a, run_b, run_c = run_size, zero, zero
+            a, b, c = sz, np.zeros_like(sz), np.zeros_like(sz)
+        x0 = xl + k * cfg.char_advance
+        x1 = x0 + cfg.char_width
+        bottom = tp + sz
+        chars = {
+            "text": np.fromiter(all_text.replace(" ", ""), dtype=object, count=k.shape[0]),
             "x0": x0,
-            "x1": x0 + cfg.char_width,
+            "x1": x1,
             "top": tp,
-            "bottom": tp + sz,
-            "doctop": tp + self.initial_doctop,
+            "bottom": bottom,
+            "doctop": dt,
             "size": sz,
-            "fontname": fonts,
+            "fontname": np.repeat(np.array(font, dtype=object), kept),
             # upright derived from the matrix exactly as the reference
             # does (layout.py LTChar: 0 < a*d*scaling and b*c <= 0)
-            "upright": _upright_from_matrix(sz, np.zeros_like(sz), np.zeros_like(sz), sz),
-            "mcid": mcids,
-            "tag": tags,
-            "mat_a": sz,
-            "mat_b": np.zeros_like(sz),
-            "mat_c": np.zeros_like(sz),
-            "mat_d": sz,
+            "upright": np.repeat(_upright_from_matrix(run_a, run_b, run_c, run_a), kept),
+            "mcid": np.repeat(np.array(mcid, dtype=np.int32), kept),
+            "tag": np.repeat(np.array(tag, dtype=object), kept),
+            "mat_a": a,
+            "mat_b": b,
+            "mat_c": c,
+            "mat_d": a,
             "mat_e": x0,
-            "mat_f": y_pdf,
+            "mat_f": cfg.page_height - bottom,
+            "width": x1 - x0,
+            "height": bottom - tp,
         }
+        run_end = list(accumulate(kept, initial=0))
+        return chars, [run_end[u + g] for u, g, *_ in bounds]
 
-    def finish(self) -> PageDict:
+    def finish(self) -> List[PageDict]:
+        """The document's pages: one dict per page whose object tables are
+        slices of the document's arrays (a one-page document's are the
+        arrays themselves)."""
         cfg = self.cfg
-        parts = []
-        if self.lines_rec:
-            parts.append(self._expand_lines())
-        n = len(self.g_text)
-        if n:
-            x0 = (
-                np.asarray(self.g_xleft, dtype=np.float64)
-                + np.asarray(self.g_k, dtype=np.float64) * cfg.char_advance
-            )
-            top = np.asarray(self.g_top, dtype=np.float64)
-            size = np.asarray(self.g_size, dtype=np.float64)
-            # rotated (90 deg) glyph runs: matrix (0, size, -size, 0, x, y);
-            # the reference upright formula then yields a*d = 0 -> False
-            zero = np.zeros_like(size)
-            y_pdf = cfg.page_height - (top + size)
-            parts.append({
-                "text": np.asarray(self.g_text, dtype=object),
-                "x0": x0,
-                "x1": x0 + cfg.char_width,
-                "top": top,
-                "bottom": top + size,
-                "doctop": top + self.initial_doctop,
-                "size": size,
-                "fontname": np.asarray(self.g_font, dtype=object),
-                "upright": _upright_from_matrix(zero, size, -size, zero),
-                "mcid": np.asarray(self.g_mcid, dtype=np.int32),
-                "tag": np.asarray(self.g_tag, dtype=object),
-                "mat_a": zero,
-                "mat_b": size,
-                "mat_c": -size,
-                "mat_d": zero,
-                "mat_e": x0,
-                "mat_f": y_pdf,
-            })
-        if len(parts) == 1:
-            chars = parts[0]
-        elif parts:
-            chars = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
-        else:
-            chars = _empty_chars()
-        chars["width"] = chars["x1"] - chars["x0"]
-        chars["height"] = chars["bottom"] - chars["top"]
+        chars, char_offsets = self._chars()
+        x0, x1, top, bottom, doctop = np.array(
+            (self.r_x0, self.r_x1, self.r_top, self.r_bottom, self.r_doctop), dtype=np.float64
+        )
         rects = {
-            "x0": np.asarray(self.r_x0, dtype=np.float64),
-            "x1": np.asarray(self.r_x1, dtype=np.float64),
-            "top": np.asarray(self.r_top, dtype=np.float64),
-            "bottom": np.asarray(self.r_bottom, dtype=np.float64),
-            "mcid": np.asarray(self.r_mcid, dtype=np.int32),
-            "tag": np.asarray(self.r_tag, dtype=object),
+            "x0": x0,
+            "x1": x1,
+            "top": top,
+            "bottom": bottom,
+            "mcid": np.array(self.r_mcid, dtype=np.int32),
+            "tag": np.array(self.r_tag, dtype=object),
+            "doctop": doctop,
         }
-        rects["doctop"] = rects["top"] + self.initial_doctop
+        x0, x1, top, bottom, doctop = np.array(
+            (self.l_x0, self.l_x1, self.l_top, self.l_top, self.l_doctop), dtype=np.float64
+        )
         n_l = len(self.l_x0)
         lines = {
-            "x0": np.asarray(self.l_x0, dtype=np.float64),
-            "x1": np.asarray(self.l_x1, dtype=np.float64),
-            "top": np.asarray(self.l_top, dtype=np.float64),
+            "x0": x0,
+            "x1": x1,
+            "top": top,
             "mcid": np.full(n_l, -1, dtype=np.int32),
             "tag": np.full(n_l, "Artifact", dtype=object),
+            "bottom": bottom,
+            "doctop": doctop,
         }
-        lines["bottom"] = lines["top"].copy()
-        lines["doctop"] = lines["top"] + self.initial_doctop
-        return {
-            "page_number": self.page_number,
-            "page_width": cfg.page_width,
-            "page_height": cfg.page_height,
-            "initial_doctop": self.initial_doctop,
-            "chars": chars,
-            "rects": rects,
-            "lines": lines,
-            "images": self.images,
-            "annots": self.annots,
-            "curves": self.curves,
-        }
+        tables = (chars, rects, lines)
+        offsets = (
+            char_offsets,
+            [m[2] for m in self.marks] + [len(self.r_x0)],
+            [m[3] for m in self.marks] + [n_l],
+        )
+        n_pages = len(self.marks)
+        pages: List[PageDict] = []
+        for p in range(n_pages):
+            views = tables if n_pages == 1 else [
+                {k: v[o[p] : o[p + 1]] for k, v in cols.items()} for cols, o in zip(tables, offsets)
+            ]
+            pages.append({
+                "page_number": p + 1,
+                "page_width": cfg.page_width,
+                "page_height": cfg.page_height,
+                "initial_doctop": p * cfg.page_height,
+                "chars": views[0],
+                "rects": views[1],
+                "lines": views[2],
+                "images": self.images[p],
+                "annots": self.annots[p],
+                "curves": self.curves[p],
+            })
+        return pages
+
+
+class _Runs:
+    """Glyph runs as one flat list per field."""
+
+    def __init__(self) -> None:
+        self.text: List[str] = []
+        self.x_left: List[float] = []
+        self.top: List[float] = []
+        self.doctop: List[float] = []
+        self.size: List[float] = []
+        self.font: List[str] = []
+        self.mcid: List[int] = []
+        self.tag: List[str] = []
+
+    def add(self, text, x_left, top, doctop, size, font, mcid, tag) -> None:
+        self.text.append(text)
+        self.x_left.append(x_left)
+        self.top.append(top)
+        self.doctop.append(doctop)
+        self.size.append(size)
+        self.font.append(font)
+        self.mcid.append(mcid)
+        self.tag.append(tag)
+
+    def columns(self) -> Tuple[List, ...]:
+        return self.text, self.x_left, self.top, self.doctop, self.size, self.font, self.mcid, self.tag
 
 
 def _upright_from_matrix(
@@ -347,17 +405,15 @@ def layout_doc_fields(
     Python dicts are ever materialized. ``offset`` is not consumed — the
     layout re-derives geometry from text alone."""
     cfg = cfg or SynthLayoutConfig()
-    pages: List[PageDict] = []
-    builder = _PageBuilder(1, cfg)
+    builder = _DocBuilder(cfg)
     li = 0  # next free line slot on the current page
 
     def line_top(slot: int) -> float:
         return cfg.margin_top + slot * cfg.line_height
 
     def new_page() -> None:
-        nonlocal builder, li
-        pages.append(builder.finish())
-        builder = _PageBuilder(builder.page_number + 1, cfg)
+        nonlocal li
+        builder.new_page()
         li = 0
 
     def ensure_lines(n: int) -> None:
@@ -377,8 +433,7 @@ def layout_doc_fields(
             # deterministic content rule; extraction never needs it — it
             # reconstructs the block from upright=False geometry alone
             adv = cfg.rotated_advance
-            import math as _math
-            n_slots = max(1, _math.ceil((len(text) * adv + size) / cfg.line_height))
+            n_slots = max(1, math.ceil((len(text) * adv + size) / cfg.line_height))
             ensure_lines(n_slots)
             builder.emit_rotated_chars(
                 text, line_top(li), size, font, cfg.margin_left, adv, mcid
@@ -489,5 +544,4 @@ def layout_doc_fields(
             emit_text_block(texts[i], heading=False, mcid=i)
         i += 1
 
-    pages.append(builder.finish())
-    return pages
+    return builder.finish()
