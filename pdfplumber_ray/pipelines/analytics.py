@@ -13,8 +13,8 @@ Scale design notes (same rules as `corpus_ops`):
 * Key-local reductions (argmax per key, per-user distinct, anti-join
   probes) NEVER use ``groupby(key).map_groups`` when the key domain is
   unbounded (millions of near-singleton groups drown in per-group Python
-  overhead — measured in round 5, CLAUDE.md): rows shuffle by
-  ``mix64(key) % n_buckets`` (a BOUNDED group count) and segment inside
+  overhead — measured in round 5, CLAUDE.md): rows go through
+  ``exchange.bucket_map`` (a BOUNDED group count) and segment inside
   the bucket with one lexsort, all vectorized; candidate-pair emitters
   use the shared kernel in `exchange`.
 * Broadcast sides (per-group CDFs) reach the driver through
@@ -35,24 +35,14 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..functions import textstats as ts
 from .exchange import (
-    _mix64,
+    _anchor_schema,
+    bucket_map,
     collect_small,
     run_pairs,
     segment_runs,
 )
 
 Dataset = ray.data.Dataset
-
-
-def _anchor_schema(ds: Dataset, schema: pa.Schema) -> Dataset:
-    """Union an explicit empty typed block in front of ``ds`` so the
-    pipeline's schema survives even when every downstream group emits
-    zero rows (an all-empty ``map_groups`` output otherwise yields a
-    schema-less dataset, which breaks empty-vs-empty oracle compares)."""
-    empty = pa.table(
-        {f.name: pa.array([], f.type) for f in schema}
-    )
-    return ray.data.from_arrow(empty).union(ds)
 
 
 # ---------- per-group percentile rank (windowed CDF) ----------
@@ -177,7 +167,6 @@ def postings_ds(
     max_df: int = 50,
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_buckets: int = 512,
 ) -> Dataset:
     """Inverted-index build with a document-frequency band: for every
     token with ``min_df <= df <= max_df`` emit its posting list (sorted
@@ -187,42 +176,25 @@ def postings_ds(
     lists would dominate the output.
 
     Scale shape: per-batch per-doc-distinct ``(token, doc)`` combiner ->
-    ONE shuffle by ``md5(token) % n_buckets`` (bounded groups — never one
+    ONE ``exchange.bucket_map`` on the token (bounded groups — never one
     group per token) -> inside the bucket one lexsort segments tokens,
     the df band filters vectorized, and every surviving posting list is
     assembled with a single ``pc.binary_join`` (no per-token Python
     join)."""
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "token": pa.array([], pa.string()),
-                "d": pa.array([], pa.int64()),
-                "bkt": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         toks = pc.split_pattern(
             pc.fill_null(batch.column(text_col), ""), pattern=" "
         )
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        flat = pc.list_flatten(toks)
-        if len(flat) == 0:
-            return empty
         d = np.repeat(
             batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False),
             n_tok,
         )
-        t = (
-            pa.table({"token": flat, "d": pa.array(d, pa.int64())})
+        return (
+            pa.table({"token": pc.list_flatten(toks), "d": pa.array(d, pa.int64())})
             .group_by(["token", "d"])
             .aggregate([])
-        )
-        gl = t.column("token").to_pylist()
-        h = np.fromiter((ts.md5_u64(g) for g in gl), np.uint64, count=len(gl))
-        return t.append_column(
-            "bkt", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
         )
 
     pairs = docs.select_columns([id_col, text_col]).map_batches(
@@ -230,15 +202,6 @@ def postings_ds(
     )
 
     def bucket_postings(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "token": pa.array([], pa.string()),
-                "df": pa.array([], pa.int64()),
-                "doc_ids": pa.array([], pa.string()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
         tok = group.column("token").to_numpy(zero_copy_only=False).astype(str)
         d = group.column("d").to_numpy(zero_copy_only=False)
         # cross-block duplicates of (token, doc) collapse here
@@ -252,7 +215,7 @@ def postings_ds(
         seg_len = np.diff(np.concatenate((seg_start, [len(codes_u)])))
         band = (seg_len >= min_df) & (seg_len <= max_df)
         if not band.any():
-            return empty
+            return pa.table({})
         keep_seg = np.flatnonzero(band)
         row_keep = np.repeat(band, seg_len)
         d_keep = d_u[row_keep]
@@ -269,15 +232,11 @@ def postings_ds(
             }
         )
 
-    return _anchor_schema(
-        pairs.groupby("bkt").map_groups(bucket_postings, batch_format="pyarrow"),
-        pa.schema(
-            [
-                pa.field("token", pa.string()),
-                pa.field("df", pa.int64()),
-                pa.field("doc_ids", pa.string()),
-            ]
-        ),
+    return bucket_map(
+        pairs,
+        "token",
+        bucket_postings,
+        {"token": pa.string(), "df": pa.int64(), "doc_ids": pa.string()},
     )
 
 
@@ -598,7 +557,6 @@ def hash_join_ds(
     right: Dataset,
     left_key: str,
     right_key: str,
-    n_buckets: int = 512,
     how: str = "inner",
 ) -> Dataset:
     """Generic equi-join of two LARGE datasets (N:M multiplicity) — the
@@ -612,9 +570,9 @@ def hash_join_ds(
     upstream, which also prunes the exchange to needed columns).
 
     Scale shape: a textbook distributed hash join — both sides shuffle
-    ONCE by ``mix64(key) % n_buckets`` (bounded group count) as a tagged
-    union; inside each bucket the right side sorts by key and every
-    left row expands to its matches via two ``np.searchsorted`` probes +
+    ONCE through ``exchange.bucket_map`` on the key as a tagged union;
+    inside each bucket the right side sorts by key and every left row
+    expands to its matches via two ``np.searchsorted`` probes +
     one vectorized range expansion (``np.repeat`` / offset arithmetic).
     No broadcast of either side, no per-row Python. Skew note: one hot
     key lands one bucket; cap or salt upstream for pathological N:M
@@ -643,12 +601,9 @@ def hash_join_ds(
 
     def tag(key: str, side: int):
         def fn(batch: pa.Table) -> pa.Table:
-            keys = batch.column(key).cast(pa.int64())
-            kn = keys.to_numpy(zero_copy_only=False)
-            bkt = (_mix64(kn) % np.uint64(n_buckets)).astype(np.int64)
             t = pa.table(
                 {
-                    "k": keys,
+                    "k": batch.column(key).cast(pa.int64()),
                     "side": pa.array(np.full(batch.num_rows, side, np.int8)),
                 }
             )
@@ -666,7 +621,7 @@ def hash_join_ds(
                     else pa.nulls(batch.num_rows, r_schema.field(c).type)
                 )
                 t = t.append_column(c, col)
-            return t.append_column("bkt", pa.array(bkt))
+            return t
 
         return fn
 
@@ -685,8 +640,6 @@ def hash_join_ds(
     )
 
     def bucket_join(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-
         def left_only(lt: pa.Table) -> pa.Table:
             cols = {left_key: lt.column("k")}
             for c in lpay:
@@ -709,10 +662,10 @@ def hash_join_ds(
         if not lmask.any():
             if how == "full" and rmask.any():
                 return right_only(group.filter(pa.array(rmask)))
-            return empty
+            return pa.table({})
         if not rmask.any():
             if how == "inner":
-                return empty
+                return pa.table({})
             return left_only(group.filter(pa.array(lmask)))
         k = group.column("k").to_numpy(zero_copy_only=False)
         l_idx = np.flatnonzero(lmask)
@@ -759,13 +712,10 @@ def hash_join_ds(
                 cols[c] = rt.column(c)
             parts.append(pa.table(cols))
         if not parts:
-            return empty
+            return pa.table({})
         return pa.concat_tables(parts).combine_chunks()
 
-    return _anchor_schema(
-        both.groupby("bkt").map_groups(bucket_join, batch_format="pyarrow"),
-        out_schema,
-    )
+    return bucket_map(both, "k", bucket_join, out_schema)
 
 
 # ---------- NTILE (equal-frequency bucket assignment) ----------
@@ -776,7 +726,6 @@ def ntile_ds(
     value_col: str,
     id_col: str,
     k: int = 4,
-    n_buckets: int = 512,
 ) -> Dataset:
     """``NTILE(k) OVER (ORDER BY v, id)`` — equal-frequency bucket
     assignment (deciles/quartiles for curriculum binning) WITHOUT a
@@ -785,8 +734,8 @@ def ntile_ds(
     Every row's global row number decomposes as ``rn = cum_below(v) +
     rank_within_ties(v, id)``: the first term comes from a broadcast
     value-count CDF (one row per DISTINCT value shuffles — bounded
-    domain, guarded), the second from ONE ``mix64(value) % n_buckets``
-    shuffle of (id, v) pairs — all rows sharing a value land in one
+    domain, guarded), the second from ONE ``exchange.bucket_map`` on the
+    value of (id, v) pairs — all rows sharing a value land in one
     bucket, where a single lexsort ranks them. NTILE sizing follows the
     SQL rule: the first ``N % k`` tiles carry ``N // k + 1`` rows."""
 
@@ -816,13 +765,10 @@ def ntile_ds(
     cut = r0 * (q + 1)
 
     def project(batch: pa.Table) -> pa.Table:
-        v = batch.column(value_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        bkt = (_mix64(v) % np.uint64(n_buckets)).astype(np.int64)
         return pa.table(
             {
                 id_col: batch.column(id_col).cast(pa.int64()),
-                "v": pa.array(v, pa.int64()),
-                "bkt": pa.array(bkt, pa.int64()),
+                "v": batch.column(value_col).cast(pa.int64()),
             }
         )
 
@@ -835,8 +781,6 @@ def ntile_ds(
     )
 
     def bucket_tiles(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
         vals_s, below_s = ray.get(ref)
         i = group.column(id_col).to_numpy(zero_copy_only=False)
         v = group.column("v").to_numpy(zero_copy_only=False)
@@ -866,10 +810,7 @@ def ntile_ds(
     projected = ds.select_columns([id_col, value_col]).map_batches(
         project, batch_format="pyarrow", zero_copy_batch=True
     )
-    return _anchor_schema(
-        projected.groupby("bkt").map_groups(bucket_tiles, batch_format="pyarrow"),
-        out_schema,
-    )
+    return bucket_map(projected, "v", bucket_tiles, out_schema)
 
 
 # ---------- grouped ordered id sample (string_agg head) ----------
@@ -1066,14 +1007,13 @@ def row_number_ds(
     value_col: str,
     id_col: str,
     descending: bool = False,
-    n_buckets: int = 512,
 ) -> Dataset:
     """``row_number() OVER (ORDER BY v [DESC], id)`` WITHOUT a global
     sort (the :func:`ntile_ds` decomposition, exposed as its own
     operator): ``rn = cum_below(v) + rank_within_ties(v, id)`` where the
     first term is a broadcast value-count CDF (one row per DISTINCT
     value — bounded domain, guarded) and the second comes from ONE
-    ``mix64(value) % n_buckets`` shuffle that co-locates each tie run.
+    ``exchange.bucket_map`` on the value, which co-locates each tie run.
     Returns ``(id, v, rn)``; deterministic via the unique-id tie-break.
     ``descending`` negates the value internally (int64 domain)."""
     sign = np.int64(-1) if descending else np.int64(1)
@@ -1106,12 +1046,10 @@ def row_number_ds(
         v = batch.column(value_col).cast(pa.int64()).to_numpy(
             zero_copy_only=False
         ) * sign
-        bkt = (_mix64(v) % np.uint64(n_buckets)).astype(np.int64)
         return pa.table(
             {
                 id_col: batch.column(id_col).cast(pa.int64()),
                 "v": pa.array(v, pa.int64()),
-                "bkt": pa.array(bkt, pa.int64()),
             }
         )
 
@@ -1144,10 +1082,7 @@ def row_number_ds(
     projected = ds.select_columns([id_col, value_col]).map_batches(
         project, batch_format="pyarrow", zero_copy_batch=True
     )
-    return _anchor_schema(
-        projected.groupby("bkt").map_groups(bucket_rn, batch_format="pyarrow"),
-        out_schema,
-    )
+    return bucket_map(projected, "v", bucket_rn, out_schema)
 
 
 def rrf_fusion_ds(
@@ -1157,7 +1092,6 @@ def rrf_fusion_ds(
     metric_b_col: str,
     k_const: int = 60,
     topk: int = 100,
-    n_buckets: int = 512,
 ) -> Dataset:
     """Reciprocal-rank fusion of two rankings of the same id set (the
     standard hybrid-retrieval / multi-signal document-selection
@@ -1168,17 +1102,17 @@ def rrf_fusion_ds(
     top-``topk`` by score DESC, id ASC.
 
     Scale shape: two :func:`row_number_ds` passes (broadcast CDF + one
-    tie shuffle each), ranks align by ONE ``mix64(id) % n_buckets``
-    tagged-union shuffle, and the global top-k never sorts the corpus:
+    tie shuffle each), ranks align by ONE ``exchange.bucket_map`` on the
+    id over a tagged union, and the global top-k never sorts the corpus:
     each bucket emits its local top-``topk``, so the driver sorts at
-    most ``n_buckets * topk`` candidate rows."""
+    most ``N_EXCHANGE_BUCKETS * topk`` candidate rows."""
     ra = row_number_ds(
         ds.select_columns([id_col, metric_a_col]),
-        metric_a_col, id_col, descending=True, n_buckets=n_buckets,
+        metric_a_col, id_col, descending=True,
     )
     rb = row_number_ds(
         ds.select_columns([id_col, metric_b_col]),
-        metric_b_col, id_col, descending=True, n_buckets=n_buckets,
+        metric_b_col, id_col, descending=True,
     )
 
     def tag(side: int):
@@ -1189,9 +1123,6 @@ def rrf_fusion_ds(
                     "i": pa.array(i, pa.int64()),
                     "rn": batch.column("rn").cast(pa.int64()),
                     "side": pa.array(np.full(len(i), side, np.int8)),
-                    "bkt": pa.array(
-                        (_mix64(i) % np.uint64(n_buckets)).astype(np.int64)
-                    ),
                 }
             )
 
@@ -1233,7 +1164,7 @@ def rrf_fusion_ds(
         )
 
     cand = collect_small(
-        both.groupby("bkt").map_groups(bucket_fuse, batch_format="pyarrow"),
+        bucket_map(both, "i", bucket_fuse, out_schema),
         "per-bucket top-k candidates",
         out_schema,
     )
@@ -2048,7 +1979,6 @@ def index_gap_stats_ds(
     max_df: int = 64,
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_buckets: int = 512,
 ) -> Dataset:
     """Inverted-index compression sizing — the storage estimate an IR
     infrastructure pass runs before building a posting store: per
@@ -2058,25 +1988,14 @@ def index_gap_stats_ds(
     total_postings, total_bytes)`` for tokens inside the df band.
 
     Scale shape: the ``postings_ds`` exchange — per-doc-distinct (token,
-    doc) combiner, ONE ``md5(token) % n_buckets`` shuffle, in-bucket
+    doc) combiner, ONE ``exchange.bucket_map`` on the token, in-bucket
     segment + vectorized gap/byte math (``np.add.reduceat`` per
     segment), per-df partials → tiny ``groupby(df)``."""
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "token": pa.array([], pa.string()),
-                "d": pa.array([], pa.int64()),
-                "bkt": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         toks = pc.split_pattern(pc.fill_null(batch.column(text_col), ""), " ")
         toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         flat = toks.flatten()
-        if len(flat) < 2:
-            return empty
         offs = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         parent = np.repeat(np.arange(len(toks), dtype=np.int64), np.diff(offs))
         # BIGRAM terms (adjacent same-doc token pairs): unigram df is
@@ -2084,8 +2003,6 @@ def index_gap_stats_ds(
         # spectrum an index actually stores
         same = parent[:-1] == parent[1:]
         idx = np.flatnonzero(same)
-        if len(idx) == 0:
-            return empty
         grams = pc.binary_join_element_wise(
             pc.take(flat, pa.array(idx, pa.int64())),
             pc.take(flat, pa.array(idx + 1, pa.int64())),
@@ -2093,15 +2010,10 @@ def index_gap_stats_ds(
         )
         ids = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         d = ids[parent[idx]]
-        t = (
+        return (
             pa.table({"token": grams, "d": pa.array(d, pa.int64())})
             .group_by(["token", "d"])
             .aggregate([])
-        )
-        gl = t.column("token").to_pylist()
-        h = np.fromiter((ts.md5_u64(g) for g in gl), np.uint64, count=len(gl))
-        return t.append_column(
-            "bkt", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
         )
 
     pairs = docs.select_columns([id_col, text_col]).map_batches(
@@ -2118,9 +2030,6 @@ def index_gap_stats_ds(
     )
 
     def bucket_sizes(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in part_schema})
-        if group.num_rows == 0:
-            return empty
         tok = group.column("token").to_numpy(zero_copy_only=False).astype(str)
         d = group.column("d").to_numpy(zero_copy_only=False)
         uniq, codes = np.unique(tok, return_inverse=True)
@@ -2132,7 +2041,7 @@ def index_gap_stats_ds(
         seg_len = np.diff(np.concatenate((seg_start, [len(codes_u)])))
         band = (seg_len >= min_df) & (seg_len <= max_df)
         if not band.any():
-            return empty
+            return pa.table({})
         gaps = np.diff(np.concatenate(([0], d_u)))
         gaps[seg_start] = d_u[seg_start] + 1  # first entry: gap from -1
         vbytes = (_bit_length_exact(gaps) + 6) // 7
@@ -2154,8 +2063,7 @@ def index_gap_stats_ds(
         )
 
     agg = (
-        pairs.groupby("bkt")
-        .map_groups(bucket_sizes, batch_format="pyarrow")
+        bucket_map(pairs, "token", bucket_sizes, part_schema)
         .groupby("df")
         .aggregate(Sum("n_tokens"), Sum("total_postings"), Sum("total_bytes"))
     )
@@ -2437,7 +2345,6 @@ def zonemap_prune_ds(
 def encoding_size_audit_ds(
     docs: Dataset,
     columns: Sequence[str] = ("lang", "source", "text"),
-    n_buckets: int = 512,
 ) -> Dataset:
     """Column-encoding size audit: per string column the row count,
     distinct count, plain-encoding byte size (sum of octet lengths) and
@@ -2446,12 +2353,10 @@ def encoding_size_audit_ds(
     writers. Emits one row per audited column.
 
     Scale shape: plain bytes via a per-batch sum combiner; distinct
-    values co-locate through ONE ``md5(value) % n_buckets`` shuffle per
+    values co-locate through ONE ``exchange.bucket_map`` on the value per
     column (in-bucket np.unique IS the global distinct), so only
     per-bucket (count, bytes) partials and the tiny per-column fold
     move afterwards."""
-    from ..functions import textstats as ts_mod
-
     out_schema = pa.schema(
         [
             ("column_name", pa.string()),
@@ -2486,30 +2391,9 @@ def encoding_size_audit_ds(
         plain_bytes = int(plain["sum(b)"] or 0) if plain else 0
 
         def distinct_partial(batch: pa.Table, c=col) -> pa.Table:
-            empty = pa.table(
-                {"v": pa.array([], pa.string()), "bkt": pa.array([], pa.int64())}
-            )
-            if batch.num_rows == 0:
-                return empty
-            u = pc.unique(pc.fill_null(batch.column(c), ""))
-            vals = u.to_pylist()
-            h = np.fromiter(
-                (ts_mod.md5_u64(x) for x in vals), np.uint64, count=len(vals)
-            )
-            return pa.table(
-                {
-                    "v": u,
-                    "bkt": pa.array(
-                        (h % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                    ),
-                }
-            )
+            return pa.table({"v": pc.unique(pc.fill_null(batch.column(c), ""))})
 
         def bucket_distinct(group: pa.Table) -> pa.Table:
-            if group.num_rows == 0:
-                return pa.table(
-                    {"d": pa.array([], pa.int64()), "db": pa.array([], pa.int64())}
-                )
             u = pc.unique(group.column("v"))
             return pa.table(
                 {
@@ -2521,15 +2405,14 @@ def encoding_size_audit_ds(
                 }
             )
 
-        dist = (
-            docs.select_columns([col])
-            .map_batches(
+        dist = bucket_map(
+            docs.select_columns([col]).map_batches(
                 distinct_partial, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .groupby("bkt")
-            .map_groups(bucket_distinct, batch_format="pyarrow")
-            .aggregate(Sum("d"), Sum("db"))
-        )
+            ),
+            "v",
+            bucket_distinct,
+            {"d": pa.int64(), "db": pa.int64()},
+        ).aggregate(Sum("d"), Sum("db"))
         n_distinct = int(dist["sum(d)"] or 0) if dist else 0
         distinct_bytes = int(dist["sum(db)"] or 0) if dist else 0
         results.append(
@@ -2557,11 +2440,10 @@ _CDC_WIN = 8
 _CDC_POW = np.array([31 ** (7 - k) for k in range(8)], dtype=np.int64)
 
 
-def _cdc_chunk_partials(id_col: str, text_col: str, mask: int, n_buckets: int):
+def _cdc_chunk_partials(id_col: str, text_col: str, mask: int):
     """Build the per-batch CDC chunker: cuts where the rolling 8-char
     window hash is 0 mod ``mask``; emits one row per DISTINCT
-    (chunk md5, doc) with its occurrence count and char length, plus the
-    hash bucket for the downstream bounded-group shuffle."""
+    (chunk md5 ``h``, doc) with its occurrence count and char length."""
     import hashlib
 
     def chunker(batch: pa.Table) -> pa.Table:
@@ -2599,11 +2481,9 @@ def _cdc_chunk_partials(id_col: str, text_col: str, mask: int, n_buckets: int):
             ds_.append(did)
             oc.append(occ)
             ln.append(clen)
-        h = np.array(hs, dtype=np.int64)
         return pa.table(
             {
-                "bkt": pa.array(h % n_buckets if h.size else h, pa.int64()),
-                "h": pa.array(h, pa.int64()),
+                "h": pa.array(np.array(hs, dtype=np.int64), pa.int64()),
                 "d": pa.array(np.array(ds_, dtype=np.int64), pa.int64()),
                 "occ": pa.array(np.array(oc, dtype=np.int64), pa.int64()),
                 "clen": pa.array(np.array(ln, dtype=np.int64), pa.int64()),
@@ -2618,7 +2498,6 @@ def cdc_chunks_ds(
     id_col: str = "doc_id",
     text_col: str = "text",
     mask: int = 64,
-    n_buckets: int = 256,
 ) -> Dataset:
     """Content-defined chunking (CDC) shared-chunk histogram — the
     storage-dedup modality (LBFS / Venti style): split every document at
@@ -2640,23 +2519,13 @@ def cdc_chunks_ds(
     distinct-chunk character length.
 
     Scale shape: per-batch chunker emits ``(md5(chunk), doc, occ, len)``
-    partials deduped per (chunk, doc); ONE ``hash % n_buckets`` shuffle
-    co-locates each chunk value in a BOUNDED group count; buckets
-    segment with one lexsort and emit tiny ``n_docs`` histograms that a
-    final small groupby folds."""
-    chunker = _cdc_chunk_partials(id_col, text_col, mask, n_buckets)
+    partials deduped per (chunk, doc); ONE ``exchange.bucket_map`` on
+    the chunk hash co-locates each chunk value in a BOUNDED group count;
+    buckets segment with one lexsort and emit tiny ``n_docs`` histograms
+    that a final small groupby folds."""
+    chunker = _cdc_chunk_partials(id_col, text_col, mask)
 
     def bucket_hist(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "n_docs": pa.array([], pa.int64()),
-                "nc": pa.array([], pa.int64()),
-                "occ": pa.array([], pa.int64()),
-                "cb": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
         h = group.column("h").to_numpy(zero_copy_only=False)
         d = group.column("d").to_numpy(zero_copy_only=False)
         occ = group.column("occ").to_numpy(zero_copy_only=False)
@@ -2685,10 +2554,14 @@ def cdc_chunks_ds(
         )
 
     hist = (
-        docs.select_columns([id_col, text_col])
-        .map_batches(chunker, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_hist, batch_format="pyarrow")
+        bucket_map(
+            docs.select_columns([id_col, text_col]).map_batches(
+                chunker, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "h",
+            bucket_hist,
+            {c: pa.int64() for c in ("n_docs", "nc", "occ", "cb")},
+        )
         .groupby("n_docs")
         .aggregate(Sum("nc"), Sum("occ"), Sum("cb"))
     )
@@ -2908,7 +2781,6 @@ def dup_edit_audit_ds(
     prefix_len: int = 24,
     trunc: int = 256,
     max_block: int = 64,
-    n_buckets: int = 256,
 ) -> Dataset:
     """Near-duplicate EDIT-DISTANCE audit with prefix blocking: documents
     sharing their first ``prefix_len`` characters form candidate blocks
@@ -2919,9 +2791,10 @@ def dup_edit_audit_ds(
     ``max_block`` LOWEST doc ids (deterministic, mirrored in SQL), so a
     boilerplate block can never go quadratic unbounded.
 
-    Scale shape: prefix-hash projection shuffles ONCE by hash bucket
-    (bounded groups); blocks segment inside the bucket; the DP cost is
-    per-pair local and bounded by ``max_block^2 * trunc^2``."""
+    Scale shape: prefix-hash projection shuffles ONCE through
+    ``exchange.bucket_map`` (bounded groups); blocks segment inside the
+    bucket; the DP cost is per-pair local and bounded by
+    ``max_block^2 * trunc^2``."""
     import hashlib
 
     out_schema = pa.schema(
@@ -2933,16 +2806,6 @@ def dup_edit_audit_ds(
     )
 
     def project(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bkt": pa.array([], pa.int64()),
-                "h": pa.array([], pa.int64()),
-                "d": pa.array([], pa.int64()),
-                "txt": pa.array([], pa.string()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         ids_ = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         texts = batch.column(text_col).to_pylist()
         hs: List[int] = []
@@ -2957,11 +2820,9 @@ def dup_edit_audit_ds(
             hs.append(h)
             ds_.append(int(did))
             tx.append(txt[:trunc])
-        h = np.array(hs, dtype=np.int64)
         return pa.table(
             {
-                "bkt": pa.array(h % n_buckets if h.size else h, pa.int64()),
-                "h": pa.array(h, pa.int64()),
+                "h": pa.array(np.array(hs, dtype=np.int64), pa.int64()),
                 "d": pa.array(np.array(ds_, dtype=np.int64), pa.int64()),
                 "txt": pa.array(tx, pa.string()),
             }
@@ -2984,11 +2845,12 @@ def dup_edit_audit_ds(
             }
         )
 
-    return _anchor_schema(
-        docs.select_columns([id_col, text_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_pairs, batch_format="pyarrow"),
+    return bucket_map(
+        docs.select_columns([id_col, text_col]).map_batches(
+            project, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "h",
+        bucket_pairs,
         out_schema,
     )
 
@@ -3013,7 +2875,6 @@ def phonetic_keys_ds(
     text_col: str = "text",
     min_len: int = 4,
     max_len: int = 16,
-    n_buckets: int = 256,
 ) -> Dataset:
     """Phonetic-key blocking over the corpus vocabulary (the classic
     record-linkage "sounds-alike" join key, soundex-lite variant):
@@ -3025,7 +2886,7 @@ def phonetic_keys_ds(
 
     Scale shape: token counts via the per-batch Arrow count combiner ->
     ONE vocab groupby; key derivation runs on the BOUNDED distinct-token
-    table; one more hash-bucket shuffle groups keys."""
+    table; one ``exchange.bucket_map`` on the key groups keys."""
     import re
 
     tok_re = re.compile(r"[a-z]+\Z")
@@ -3069,38 +2930,19 @@ def phonetic_keys_ds(
     )
 
     def keyed(batch: pa.Table) -> pa.Table:
-        import hashlib
-
-        empty = pa.table(
-            {
-                "bkt": pa.array([], pa.int64()),
-                "pkey": pa.array([], pa.string()),
-                "token": pa.array([], pa.string()),
-                "occ": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0 or "token" not in batch.column_names:
-            return empty
         toks = batch.column("token").to_pylist()
         occ = batch.column("sum(n)").to_numpy(zero_copy_only=False)
-        bk: List[int] = []
         pk: List[str] = []
         tk: List[str] = []
         oc: List[int] = []
         for t, o in zip(toks, occ):
             if t is None or not (min_len <= len(t) <= max_len) or not tok_re.match(t):
                 continue
-            key = _phonetic_key(t)
-            bk.append(
-                int.from_bytes(hashlib.md5(key.encode()).digest()[:8], "big")
-                % n_buckets
-            )
-            pk.append(key)
+            pk.append(_phonetic_key(t))
             tk.append(t)
             oc.append(int(o))
         return pa.table(
             {
-                "bkt": pa.array(bk, pa.int64()),
                 "pkey": pa.array(pk, pa.string()),
                 "token": pa.array(tk, pa.string()),
                 "occ": pa.array(oc, pa.int64()),
@@ -3108,9 +2950,6 @@ def phonetic_keys_ds(
         )
 
     def bucket_fold(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
         g = group.group_by("pkey").aggregate(
             [("token", "count"), ("occ", "sum"), ("token", "min"), ("token", "max")]
         )
@@ -3124,10 +2963,10 @@ def phonetic_keys_ds(
             }
         )
 
-    return _anchor_schema(
-        totals.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_fold, batch_format="pyarrow"),
+    return bucket_map(
+        totals.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+        "pkey",
+        bucket_fold,
         out_schema,
     )
 
@@ -3139,7 +2978,6 @@ def cdc_families_ds(
     mask: int = 64,
     min_chunk_len: int = 16,
     max_chunk_docs: int = 64,
-    n_buckets: int = 256,
 ) -> Dataset:
     """Verbatim-reuse families: connected components of the
     chunk-sharing graph — two documents are linked when they share a
@@ -3154,26 +2992,18 @@ def cdc_families_ds(
     Output: ``(doc_id, family_id)`` for every document in a family of
     >= 2, with ``family_id`` = the component's minimum doc id.
 
-    Scale shape: CDC chunker partials -> ONE chunk-hash bucket shuffle
-    (bounded groups) -> per-chunk star edges to the minimum doc ->
+    Scale shape: CDC chunker partials -> ONE ``exchange.bucket_map`` on
+    the chunk hash (bounded groups) -> per-chunk star edges to the minimum doc ->
     hash-min label propagation with pointer doubling
     (:func:`corpus_ops._min_label_propagation`, O(log diameter)
     rounds)."""
     from .corpus_ops import _min_label_propagation
 
     out_schema = pa.schema([(id_col, pa.int64()), ("family_id", pa.int64())])
-    chunker = _cdc_chunk_partials(id_col, text_col, mask, n_buckets)
+    chunker = _cdc_chunk_partials(id_col, text_col, mask)
 
     def bucket_edges(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}
-        )
-        if group.num_rows == 0:
-            return empty
-        keep = pc.greater_equal(group.column("clen"), min_chunk_len)
-        group = group.filter(keep)
-        if group.num_rows == 0:
-            return empty
+        group = group.filter(pc.greater_equal(group.column("clen"), min_chunk_len))
         h = group.column("h").to_numpy(zero_copy_only=False)
         d = group.column("d").to_numpy(zero_copy_only=False)
         order = np.lexsort((d, h))
@@ -3188,22 +3018,16 @@ def cdc_families_ds(
             a_.append(np.full(e - s - 1, d[s], dtype=np.int64))
             b_.append(d[s + 1 : e])
         if not a_:
-            return empty
-        return pa.table(
-            {
-                "a": pa.array(np.concatenate(a_), pa.int64()),
-                "b": pa.array(np.concatenate(b_), pa.int64()),
-            }
-        )
+            return pa.table({})
+        return pa.table({"a": np.concatenate(a_), "b": np.concatenate(b_)})
 
-    pairs = (
-        docs.select_columns([id_col, text_col])
-        .map_batches(chunker, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_edges, batch_format="pyarrow")
-    )
-    pairs = _anchor_schema(
-        pairs, pa.schema([("a", pa.int64()), ("b", pa.int64())])
+    pairs = bucket_map(
+        docs.select_columns([id_col, text_col]).map_batches(
+            chunker, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "h",
+        bucket_edges,
+        {"a": pa.int64(), "b": pa.int64()},
     ).materialize()
     if pairs.count() == 0:
         return ray.data.from_arrow(
@@ -3573,7 +3397,6 @@ def dedup_modality_agreement_ds(
     jaccard_threshold: float = 0.5,
     min_chunk_len: int = 16,
     max_block: int = 64,
-    n_buckets: int = 256,
 ) -> Dataset:
     """Cross-modality dedup AGREEMENT matrix: how the three duplicate
     definitions overlap on the same corpus — (1) EXACT byte-identical
@@ -3586,8 +3409,8 @@ def dedup_modality_agreement_ds(
     lowest doc ids (mirrored in SQL) so pathological blocks stay
     bounded.
 
-    Scale shape: three pair generators (hash-bucket shuffles with
-    bounded groups; the Jaccard side reuses the LSH-candidate + exact
+    Scale shape: three pair generators (``exchange.bucket_map`` co-groups
+    with bounded groups; the Jaccard side reuses the LSH-candidate + exact
     verify chain) -> per-pair flag fold (ONE pair-key groupby) ->
     seven-indicator combiner down to a single row."""
     from .corpus_ops import minhash_pairs_ds, ngram_jaccard_verify_ds
@@ -3625,15 +3448,6 @@ def dedup_modality_agreement_ds(
 
     # (1) exact-dup pairs
     def exact_project(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bkt": pa.array([], pa.int64()),
-                "h": pa.array([], pa.int64()),
-                "d": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         ids_ = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         texts = batch.column(text_col).to_pylist()
         hs = np.fromiter(
@@ -3648,27 +3462,23 @@ def dedup_modality_agreement_ds(
             count=len(texts),
         )
         return pa.table(
-            {
-                "bkt": pa.array(hs % n_buckets if hs.size else hs, pa.int64()),
-                "h": pa.array(hs, pa.int64()),
-                "d": pa.array(ids_, pa.int64()),
-            }
+            {"h": pa.array(hs, pa.int64()), "d": pa.array(ids_, pa.int64())}
         )
 
     def exact_pairs(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in pair_schema})
         return _group_pairs(
             group.column("h").to_numpy(zero_copy_only=False),
             group.column("d").to_numpy(zero_copy_only=False),
             "e",
         )
 
-    ex = (
-        docs.select_columns([id_col, text_col])
-        .map_batches(exact_project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(exact_pairs, batch_format="pyarrow")
+    ex = bucket_map(
+        docs.select_columns([id_col, text_col]).map_batches(
+            exact_project, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "h",
+        exact_pairs,
+        pair_schema,
     )
 
     # (2) verified-Jaccard near-dup pairs (LSH candidates + exact verify)
@@ -3688,30 +3498,32 @@ def dedup_modality_agreement_ds(
     jc = ver.map_batches(jac_flags, batch_format="pyarrow", zero_copy_batch=True)
 
     # (3) CDC shared-chunk pairs
-    chunker = _cdc_chunk_partials(id_col, text_col, 64, n_buckets)
+    chunker = _cdc_chunk_partials(id_col, text_col, 64)
 
     def cdc_pairs(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in pair_schema})
-        keep = pc.greater_equal(group.column("clen"), min_chunk_len)
-        group = group.filter(keep)
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in pair_schema})
+        group = group.filter(pc.greater_equal(group.column("clen"), min_chunk_len))
         return _group_pairs(
             group.column("h").to_numpy(zero_copy_only=False),
             group.column("d").to_numpy(zero_copy_only=False),
             "c",
         )
 
-    cd = (
-        docs.select_columns([id_col, text_col])
-        .map_batches(chunker, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(cdc_pairs, batch_format="pyarrow")
+    cd = bucket_map(
+        docs.select_columns([id_col, text_col]).map_batches(
+            chunker, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "h",
+        cdc_pairs,
+        pair_schema,
     )
 
-    union = _anchor_schema(ex.union(jc).union(cd), pair_schema)
-    folded = union.groupby(["a", "b"]).aggregate(Max("e"), Max("j"), Max("c"))
+    # ex's typed empty block comes first, so the union keeps pair_schema
+    folded = (
+        ex.union(jc)
+        .union(cd)
+        .groupby(["a", "b"])
+        .aggregate(Max("e"), Max("j"), Max("c"))
+    )
 
     cols = [
         "n_exact",
@@ -3758,7 +3570,6 @@ def bow_dedup_ds(
     docs: Dataset,
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_buckets: int = 256,
 ) -> Dataset:
     """Bag-of-words (order-invariant) duplicate histogram: documents
     whose token MULTISETS are identical after sorting — the
@@ -3769,17 +3580,12 @@ def bow_dedup_ds(
     are the order-invariant duplicate classes.
 
     Scale shape: one md5 per document over the sorted token join (the
-    per-entity cost class of a MinHash signature) -> ONE bag-hash bucket
-    shuffle (bounded groups) -> per-bucket size histogram -> tiny
-    group-size fold."""
+    per-entity cost class of a MinHash signature) -> ONE
+    ``exchange.bucket_map`` on the bag hash (bounded groups) -> per-bucket
+    size histogram -> tiny group-size fold."""
     import hashlib
 
     def project(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"bkt": pa.array([], pa.int64()), "h": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return empty
         texts = batch.column(text_col).to_pylist()
         hs = np.fromiter(
             (
@@ -3795,22 +3601,9 @@ def bow_dedup_ds(
             np.int64,
             count=len(texts),
         )
-        return pa.table(
-            {
-                "bkt": pa.array(hs % n_buckets if hs.size else hs, pa.int64()),
-                "h": pa.array(hs, pa.int64()),
-            }
-        )
+        return pa.table({"h": pa.array(hs, pa.int64())})
 
     def bucket_hist(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "group_size": pa.array([], pa.int64()),
-                "ng": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
         h = group.column("h").to_numpy(zero_copy_only=False)
         _, counts = np.unique(h, return_counts=True)
         sz, ngr = np.unique(counts, return_counts=True)
@@ -3822,10 +3615,14 @@ def bow_dedup_ds(
         )
 
     agg = collect_small(
-        docs.select_columns([id_col, text_col])
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_hist, batch_format="pyarrow")
+        bucket_map(
+            docs.select_columns([id_col, text_col]).map_batches(
+                project, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "h",
+            bucket_hist,
+            {"group_size": pa.int64(), "ng": pa.int64()},
+        )
         .groupby("group_size")
         .aggregate(Sum("ng")),
         "group-size histogram",
@@ -3950,7 +3747,6 @@ def rare_token_pairs_ds(
     text_col: str = "text",
     min_df: int = 2,
     max_df: int = 3,
-    n_buckets: int = 256,
 ) -> Dataset:
     """Rare-shingle blocking (the inverted-index candidate generator of
     entity-resolution pipelines, complementing prefix and phonetic
@@ -3962,7 +3758,8 @@ def rare_token_pairs_ds(
     pair with the count of distinct rare shingles it shares.
 
     Scale shape: shingle-df combiner -> ONE vocab groupby; rare
-    (shingle, doc) postings shuffle by shingle hash — per-shingle pair
+    (shingle, doc) postings go through ``exchange.bucket_map`` on the
+    shingle hash — per-shingle pair
     fan-out is bounded by ``max_df`` BY CONSTRUCTION
     (<= max_df*(max_df-1)/2), so no cap or salt is ever needed; final
     pair-key groupby counts."""
@@ -4019,16 +3816,7 @@ def rare_token_pairs_ds(
         .aggregate(Count())
     )
 
-    def tag_bucket(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bkt": pa.array([], pa.int64()),
-                "h": pa.array([], pa.int64()),
-                "d": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0 or "token" not in batch.column_names:
-            return empty
+    def tag_hash(batch: pa.Table) -> pa.Table:
         toks = batch.column("token").to_pylist()
         hs = np.fromiter(
             (
@@ -4040,11 +3828,7 @@ def rare_token_pairs_ds(
             count=len(toks),
         )
         return pa.table(
-            {
-                "bkt": pa.array(hs % n_buckets if hs.size else hs, pa.int64()),
-                "h": pa.array(hs, pa.int64()),
-                "d": batch.column("d").cast(pa.int64()),
-            }
+            {"h": pa.array(hs, pa.int64()), "d": batch.column("d").cast(pa.int64())}
         )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
@@ -4059,13 +3843,11 @@ def rare_token_pairs_ds(
             {"a": pa.array(d[i], pa.int64()), "b": pa.array(d[j], pa.int64())}
         )
 
-    pairs = (
-        posts.map_batches(tag_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
-    pairs = _anchor_schema(
-        pairs, pa.schema([("a", pa.int64()), ("b", pa.int64())])
+    pairs = bucket_map(
+        posts.map_batches(tag_hash, batch_format="pyarrow", zero_copy_batch=True),
+        "h",
+        bucket_pairs,
+        {"a": pa.int64(), "b": pa.int64()},
     )
     agg = pairs.groupby(["a", "b"]).aggregate(Count())
 

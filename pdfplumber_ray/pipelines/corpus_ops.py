@@ -12,7 +12,7 @@ Scale design notes:
   before the global ``groupby`` — the shuffle moves one row per distinct
   key per block, not one per document.
 * Candidate-pair search (LSH bands, SimHash chunks, shared grams, prefix
-  tokens) shuffles rows by ``hash(key) % n_buckets``, a bounded group
+  tokens) shuffles rows through ``exchange.bucket_map``, a bounded group
   count, then segments each bucket by key and emits id pairs inside each
   key run, star-capping hot keys: the one exchange in `exchange.py`.
   Candidates are then verified (signature agreement, exact Jaccard).
@@ -40,10 +40,9 @@ from ray.data.aggregate import Max, Min, Sum
 from ..functions import textstats as ts
 from .exchange import (
     DEFAULT_MAX_BUCKET,
-    N_EXCHANGE_BUCKETS,
-    _hash_bucket_column,
+    _anchor_schema,
     _log_star_fallback,
-    _mix64,
+    bucket_map,
     capped_pairs,
     collect_small,
     fits_broadcast,
@@ -610,8 +609,7 @@ def exact_dedup_ds(docs: Dataset, text_col: str = "text", id_col: str = "doc_id"
 
 
 class _MinHashBandStage:
-    """MinHash banding stage: emits one ``(band_key, doc_id, bkt)`` row per
-    band, ``bkt`` being the band key's exchange bucket.
+    """MinHash banding stage: emits one ``(band_key, doc_id)`` row per band.
 
     The full signature is deliberately NOT carried into the band rows — that
     would multiply shuffle bytes by the band count (16 bands x 512-byte
@@ -638,14 +636,18 @@ class _MinHashBandStage:
             for key in self.mh.band_keys(sig, self.bands):
                 out_band.append(key)
                 out_id.append(i)
-        band = pa.array(out_band, pa.string())
         return pa.table(
-            {
-                "band_key": band,
-                "doc_id": pa.array(out_id),
-                "bkt": _hash_bucket_column(band, N_EXCHANGE_BUCKETS),
-            }
+            {"band_key": pa.array(out_band, pa.string()), "doc_id": pa.array(out_id)}
         )
+
+
+def _id_type(docs: Dataset, id_col: str) -> pa.DataType:
+    """Type of the pair ids a near-dup operator emits: ``id_col``'s type
+    in ``docs`` (int64 when ``docs`` has no schema)."""
+    schema = docs.schema()
+    if schema is None or id_col not in schema.names:
+        return pa.int64()
+    return schema.types[schema.names.index(id_col)]
 
 
 def _semi_join_collect(
@@ -704,8 +706,8 @@ def minhash_pairs_ds(
     Jaccard (signature agreement) >= threshold. Scale shape:
 
     1. Banding pass — streaming ``map_batches``; the only shuffle moves
-       ``(band_key: 16-char md5, doc_id)`` rows (no signatures) into
-       ``N_EXCHANGE_BUCKETS`` hash buckets of band keys.
+       ``(band_key: 16-char md5, doc_id)`` rows (no signatures) through
+       ``exchange.bucket_map`` on the band key.
     2. Each bucket segments by band key and emits candidate id pairs
        (star-capped above ``max_bucket`` ids per band key); a pair sharing
        several bands is deduped by a groupby over the (tiny) pair set.
@@ -732,14 +734,13 @@ def minhash_pairs_ds(
         )
         i, j = capped_pairs(starts, lengths, max_bucket, "minhash band")
         ids = ids[order]
-        id_type = t.column("doc_id").type
-        return pa.table(
-            {"doc_a": pa.array(ids[i], id_type), "doc_b": pa.array(ids[j], id_type)}
-        )
+        return pa.table({"doc_a": ids[i], "doc_b": ids[j]})
 
+    id_type = _id_type(docs, id_col)
     cand = (
-        banded.groupby("bkt")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+        bucket_map(
+            banded, "band_key", bucket_pairs, {"doc_a": id_type, "doc_b": id_type}
+        )
         .groupby(["doc_a", "doc_b"])
         .count()
         .select_columns(["doc_a", "doc_b"])
@@ -787,9 +788,8 @@ def minhash_pairs_ds(
 
 
 def _simhash_chunk_rows(batch: pa.Table, text_col: str, id_col: str) -> pa.Table:
-    """One ``(bucket, doc_id, sig, bkt)`` row per 16-bit chunk of each
-    doc's 64-bit SimHash: ``bucket`` is the chunk key ``(c << 16) |
-    chunk``, ``bkt`` its exchange bucket."""
+    """One ``(bucket, doc_id, sig)`` row per 16-bit chunk of each doc's
+    64-bit SimHash: ``bucket`` is the chunk key ``(c << 16) | chunk``."""
     ids = batch.column(id_col).to_pylist()
     texts = batch.column(text_col).to_pylist()
     sh = ts.simhash64(texts)
@@ -805,13 +805,11 @@ def _simhash_chunk_rows(batch: pa.Table, text_col: str, id_col: str) -> pa.Table
             out_key.append((c << 16) | chunk)
             out_id.append(i)
             out_sig.append(v)
-    key = pa.array(out_key, pa.int64())
     return pa.table(
         {
-            "bucket": key,
+            "bucket": pa.array(out_key, pa.int64()),
             "doc_id": pa.array(out_id),
             "sig": pa.array(np.array(out_sig, dtype=np.uint64)),
-            "bkt": _hash_bucket_column(key, N_EXCHANGE_BUCKETS),
         }
     )
 
@@ -826,8 +824,8 @@ def simhash_pairs_ds(
     """SimHash near-dup pairs: 64-bit fingerprints, bucketing by each of 4
     16-bit chunks (pigeonhole: any pair within Hamming distance 3 shares at
     least one chunk), verify exact Hamming distance within chunk runs.
-    Chunk rows shuffle into ``N_EXCHANGE_BUCKETS`` hash buckets and segment
-    by chunk key there; chunks above ``max_bucket`` rows star-cap."""
+    Chunk rows go through ``exchange.bucket_map`` on the chunk key and
+    segment by it there; chunks above ``max_bucket`` rows star-cap."""
     banded = docs.map_batches(
         _simhash_chunk_rows,
         fn_kwargs=dict(text_col=text_col, id_col=id_col),
@@ -847,16 +845,17 @@ def simhash_pairs_ds(
         )[order]
         d = ts.hamming64(sigs[i], sigs[j]).astype(np.int64)
         keep = (ids[i] != ids[j]) & (d <= max_hamming)
-        id_type = group.column("doc_id").type
         return pa.table(
-            {
-                "doc_a": pa.array(ids[i][keep], id_type),
-                "doc_b": pa.array(ids[j][keep], id_type),
-                "hamming": pa.array(d[keep], pa.int64()),
-            }
+            {"doc_a": ids[i][keep], "doc_b": ids[j][keep], "hamming": d[keep]}
         )
 
-    pairs = banded.groupby("bkt").map_groups(bucket_pairs, batch_format="pyarrow")
+    id_type = _id_type(docs, id_col)
+    pairs = bucket_map(
+        banded,
+        "bucket",
+        bucket_pairs,
+        {"doc_a": id_type, "doc_b": id_type, "hamming": pa.int64()},
+    )
     dedup = pairs.groupby(["doc_a", "doc_b"]).aggregate(Min("hamming"))
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -1089,7 +1088,6 @@ def substring_dedup_ds(
     text_col: str = "text",
     id_col: str = "doc_id",
     max_bucket: Optional[int] = DEFAULT_MAX_BUCKET,
-    n_hash_buckets: int = 1024,
 ) -> Dataset:
     """Exact-substring duplicate pairs (suffix-array-style dedup after Lee
     et al. 2022, "Deduplicating Training Data Makes Language Models
@@ -1108,8 +1106,8 @@ def substring_dedup_ds(
        Grouping on the gram STRING keeps the op hash-collision-free and
        bit-reproducible by a SQL oracle; at 100 TB a 128-bit gram hash key
        would shrink shuffle bytes ~3x at negligible collision risk.
-    2. Pair generation shuffles by ``hash(gram) % n_hash_buckets`` — a
-       BOUNDED number of groups — never by the gram itself: one
+    2. Pair generation shuffles through ``exchange.bucket_map`` on the
+       gram — a BOUNDED number of groups — never by the gram itself: one
        ``map_groups`` call per distinct gram (millions of near-singleton
        groups) would drown in per-group Python overhead. Within a bucket
        the grams segment via one ``np.unique`` + lexsort; singleton grams
@@ -1123,22 +1121,12 @@ def substring_dedup_ds(
        construction) pair stream, thresholded at ``min_shared``."""
 
     def gram_stage(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                id_col: pa.array([], batch.column(id_col).type),
-                "gram": pa.array([], pa.string()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         texts = batch.column(text_col).to_pylist()
         ids = batch.column(id_col)
         toks = [(t or "").split(" ") for t in texts]
         lens = np.fromiter((len(t) for t in toks), np.int64, count=len(toks))
         n_grams = np.maximum(lens - k + 1, 0)
         total = int(n_grams.sum())
-        if total == 0:
-            return empty
         flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
         base = np.concatenate(([0], np.cumsum(lens)[:-1]))
         doc_of_gram = np.repeat(np.arange(len(toks)), n_grams)
@@ -1159,14 +1147,7 @@ def substring_dedup_ds(
                 "gram": pc.binary_join(lists, " "),
             }
         )
-        t = t.group_by([id_col, "gram"]).aggregate([])  # per-doc distinct
-        # bucket id must agree for the same gram across ALL workers:
-        # md5-derived (Python's hash() is per-process-salted)
-        gl = t.column("gram").to_pylist()
-        h = np.fromiter((ts.md5_u64(g) for g in gl), np.uint64, count=len(gl))
-        return t.append_column(
-            "bkt", pa.array((h % np.uint64(n_hash_buckets)).astype(np.int64))
-        )
+        return t.group_by([id_col, "gram"]).aggregate([])  # per-doc distinct
 
     grams = docs.select_columns([id_col, text_col]).map_batches(
         gram_stage, batch_format="pyarrow", zero_copy_batch=True
@@ -1179,14 +1160,11 @@ def substring_dedup_ds(
         )
         i, j = capped_pairs(starts, lengths, max_bucket, "substring gram")
         ids = ids[order]
-        id_type = group.column(id_col).type
-        return pa.table(
-            {"doc_a": pa.array(ids[i], id_type), "doc_b": pa.array(ids[j], id_type)}
-        )
+        return pa.table({"doc_a": ids[i], "doc_b": ids[j]})
 
+    id_type = _id_type(docs, id_col)
     counted = (
-        grams.groupby("bkt")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+        bucket_map(grams, "gram", bucket_pairs, {"doc_a": id_type, "doc_b": id_type})
         .groupby(["doc_a", "doc_b"])
         .count()
     )
@@ -1213,7 +1191,6 @@ def substring_strip_ds(
     min_df: int = 2,
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_hash_buckets: int = 1024,
 ) -> Dataset:
     """Remove duplicated verbatim windows from the corpus (the Lee et al.
     2022 *removal* step — :func:`substring_dedup_ds` detects shared
@@ -1233,13 +1210,13 @@ def substring_strip_ds(
       cumsum sweep, surviving tokens re-join with ONE ``pc.binary_join``
       per batch.
     * **cogroup** (it does not; at web scale 30-50% duplication makes
-      the frequent set billions of grams): no driver collect anywhere — positional gram
-      rows and frequent-gram rows co-locate by ``md5(gram) %
-      n_hash_buckets`` (bounded group count, the substring_dedup
-      pattern), matched occurrences emit ``(doc_id, start_pos)`` coverage
-      rows, and docs union with their coverage rows by ``hash(doc_id) %
-      n_hash_buckets`` for a per-bucket VECTORIZED rebuild (same cumsum
-      sweep, many docs per group — never one Python call per doc)."""
+      the frequent set billions of grams): no driver collect anywhere —
+      positional gram rows and frequent-gram rows co-locate through
+      ``exchange.bucket_map`` on the gram (bounded group count),
+      matched occurrences emit ``(doc_id, start_pos)`` coverage rows, and
+      docs union with their coverage rows in a second ``bucket_map`` on
+      the doc id for a per-bucket VECTORIZED rebuild (same cumsum sweep,
+      many docs per group — never one Python call per doc)."""
 
     def df_partial(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()
@@ -1296,9 +1273,7 @@ def substring_strip_ds(
         .materialize()
     )
     if not fits_broadcast(freq_rows):
-        return _substring_strip_cogroup(
-            docs, freq_rows, k, text_col, id_col, n_hash_buckets
-        )
+        return _substring_strip_cogroup(docs, freq_rows, k, text_col, id_col)
     freq = collect_small(freq_rows, "frequent-gram set", {"gram": pa.string()})
     freq_sorted = np.sort(freq.column("gram").to_numpy(zero_copy_only=False).astype(str))
     freq_ref = ray.put(freq_sorted)
@@ -1374,36 +1349,21 @@ def _substring_strip_cogroup(
     k: int,
     text_col: str,
     id_col: str,
-    n_hash_buckets: int,
 ) -> Dataset:
     """The no-driver-collect strip path (see :func:`substring_strip_ds`):
-    positional grams semi-join the frequent set by gram-hash bucket,
+    positional grams semi-join the frequent set in a bucket of grams,
     matched occurrences become (doc_id, start) coverage rows, and docs
-    co-group with their coverage by doc-hash bucket for a per-bucket
+    co-group with their coverage in a bucket of doc ids for a per-bucket
     vectorized rebuild."""
-    sch = docs.schema()
-    id_type = dict(zip(sch.names, sch.types))[id_col]
+    id_type = _id_type(docs, id_col)
 
     def gram_pos_stage(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                id_col: pa.array([], id_type),
-                "pos": pa.array([], pa.int64()),
-                "gram": pa.array([], pa.string()),
-                "bkt": pa.array([], pa.int64()),
-                "is_freq": pa.array([], pa.bool_()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         texts = batch.column(text_col).to_pylist()
         ids = batch.column(id_col)
         toks = [(t or "").split(" ") for t in texts]
         lens = np.fromiter((len(t) for t in toks), np.int64, count=len(toks))
         n_grams = np.maximum(lens - k + 1, 0)
         total = int(n_grams.sum())
-        if total == 0:
-            return empty
         flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
         base = np.concatenate(([0], np.cumsum(lens)[:-1]))
         doc_of_gram = np.repeat(np.arange(len(toks)), n_grams)
@@ -1416,33 +1376,22 @@ def _substring_strip_cogroup(
             pa.array(np.arange(total + 1, dtype=np.int64) * k, pa.int32()),
             pa.array(flat[idx], pa.string()),
         )
-        grams = pc.binary_join(lists, " ")
-        gl = grams.to_pylist()
-        h = np.fromiter((ts.md5_u64(g) for g in gl), np.uint64, count=len(gl))
         return pa.table(
             {
-                id_col: ids.take(pa.array(doc_of_gram)),
-                "pos": pa.array(starts),  # 0-based token index
-                "gram": grams,
-                "bkt": pa.array(
-                    (h % np.uint64(n_hash_buckets)).astype(np.int64)
-                ),
+                id_col: ids.take(pa.array(doc_of_gram, pa.int64())),
+                "pos": pa.array(starts, pa.int64()),  # 0-based token index
+                "gram": pc.binary_join(lists, " "),
                 "is_freq": pa.array(np.zeros(total, dtype=bool)),
             }
         )
 
     def freq_side(batch: pa.Table) -> pa.Table:
-        gl = batch.column("gram").to_pylist()
-        h = np.fromiter((ts.md5_u64(g) for g in gl), np.uint64, count=len(gl))
         n = batch.num_rows
         return pa.table(
             {
                 id_col: pa.nulls(n, id_type),
                 "pos": pa.array(np.full(n, -1, dtype=np.int64)),
                 "gram": batch.column("gram"),
-                "bkt": pa.array(
-                    (h % np.uint64(n_hash_buckets)).astype(np.int64)
-                ),
                 "is_freq": pa.array(np.ones(n, dtype=bool)),
             }
         )
@@ -1457,19 +1406,14 @@ def _substring_strip_cogroup(
 
     def match(group: pa.Table) -> pa.Table:
         isf = group.column("is_freq").to_numpy(zero_copy_only=False)
-        empty = pa.table(
-            {id_col: pa.array([], id_type), "start": pa.array([], pa.int64())}
-        )
         if isf.all() or not isf.any():
-            return empty
+            return pa.table({})
         grams = group.column("gram").to_numpy(zero_copy_only=False).astype(str)
         fs = np.unique(grams[isf])
         occ_grams = grams[~isf]
         pos = np.searchsorted(fs, occ_grams)
         pos = np.minimum(pos, len(fs) - 1)
         hit = fs[pos] == occ_grams
-        if not hit.any():
-            return empty
         occ = group.filter(pa.array(~isf))
         return pa.table(
             {
@@ -1478,21 +1422,13 @@ def _substring_strip_cogroup(
             }
         )
 
-    covered = tagged.groupby("bkt").map_groups(match, batch_format="pyarrow")
-
-    def _dbkt(ids_list: List) -> np.ndarray:
-        h = np.fromiter(
-            (ts.md5_u64(str(i)) for i in ids_list),
-            np.uint64,
-            count=len(ids_list),
-        )
-        return (h % np.uint64(n_hash_buckets)).astype(np.int64)
+    covered = bucket_map(
+        tagged, "gram", match, {id_col: id_type, "start": pa.int64()}
+    )
 
     def doc_side(batch: pa.Table) -> pa.Table:
-        ids_list = batch.column(id_col).to_pylist()
         return pa.table(
             {
-                "dbkt": pa.array(_dbkt(ids_list)),
                 id_col: batch.column(id_col),
                 text_col: batch.column(text_col),
                 "start": pa.array(
@@ -1503,10 +1439,8 @@ def _substring_strip_cogroup(
         )
 
     def cov_side(batch: pa.Table) -> pa.Table:
-        ids_list = batch.column(id_col).to_pylist()
         return pa.table(
             {
-                "dbkt": pa.array(_dbkt(ids_list)),
                 id_col: batch.column(id_col),
                 text_col: pa.array([""] * batch.num_rows, pa.string()),
                 "start": batch.column("start"),
@@ -1523,15 +1457,8 @@ def _substring_strip_cogroup(
     def rebuild(group: pa.Table) -> pa.Table:
         is_doc = group.column("is_doc").to_numpy(zero_copy_only=False)
         drows = group.filter(pa.array(is_doc))
-        empty = pa.table(
-            {
-                id_col: pa.array([], id_type),
-                "clean_text": pa.array([], pa.string()),
-                "n_tokens_removed": pa.array([], pa.int64()),
-            }
-        )
         if drows.num_rows == 0:
-            return empty
+            return pa.table({})
         ids_np = np.asarray(drows.column(id_col).to_pylist(), dtype=object)
         order = np.argsort(ids_np.astype(str), kind="stable")
         ids_sorted = ids_np[order]
@@ -1567,7 +1494,12 @@ def _substring_strip_cogroup(
             }
         )
 
-    return both.groupby("dbkt").map_groups(rebuild, batch_format="pyarrow")
+    return bucket_map(
+        both,
+        id_col,
+        rebuild,
+        {id_col: id_type, "clean_text": pa.string(), "n_tokens_removed": pa.int64()},
+    )
 
 
 def substring_runs_ds(
@@ -1577,7 +1509,6 @@ def substring_runs_ds(
     text_col: str = "text",
     id_col: str = "doc_id",
     max_bucket: Optional[int] = DEFAULT_MAX_BUCKET,
-    n_hash_buckets: int = 1024,
 ) -> Dataset:
     """Longest shared verbatim token run per doc pair (the full Lee et
     al. 2022 exact-substring semantics — :func:`substring_dedup_ds`
@@ -1586,7 +1517,7 @@ def substring_runs_ds(
     consecutive token run reaches ``min_run_tokens``.
 
     Scale shape mirrors ``substring_dedup_ds`` — positional k-gram rows
-    ``(gram, doc, pos)``, ONE shuffle by ``md5(gram) % n_hash_buckets``
+    ``(gram, doc, pos)``, ONE ``exchange.bucket_map`` on the gram
     (bounded group count), vectorized in-bucket match emission (singleton
     grams drop before any Python loop, hot grams capped + logged) — plus
     one ``groupby(doc_a, doc_b)`` over the match stream, where each
@@ -1596,24 +1527,12 @@ def substring_runs_ds(
     of g grams is a run of ``g + k - 1`` tokens."""
 
     def gram_stage(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                id_col: pa.array([], batch.column(id_col).type),
-                "pos": pa.array([], pa.int64()),
-                "gram": pa.array([], pa.string()),
-                "bkt": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         texts = batch.column(text_col).to_pylist()
         ids = batch.column(id_col)
         toks = [(t or "").split(" ") for t in texts]
         lens = np.fromiter((len(t) for t in toks), np.int64, count=len(toks))
         n_grams = np.maximum(lens - k + 1, 0)
         total = int(n_grams.sum())
-        if total == 0:
-            return empty
         flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
         base = np.concatenate(([0], np.cumsum(lens)[:-1]))
         doc_of_gram = np.repeat(np.arange(len(toks)), n_grams)
@@ -1627,17 +1546,11 @@ def substring_runs_ds(
             pa.array(np.arange(total + 1, dtype=np.int64) * k, pa.int32()),
             values,
         )
-        grams = pc.binary_join(lists, " ")
-        gl = grams.to_pylist()
-        h = np.fromiter((ts.md5_u64(g) for g in gl), np.uint64, count=len(gl))
         return pa.table(
             {
-                id_col: ids.take(pa.array(doc_of_gram)),
-                "pos": pa.array(starts + 1),  # 1-based, matches the SQL twin
-                "gram": grams,
-                "bkt": pa.array(
-                    (h % np.uint64(n_hash_buckets)).astype(np.int64)
-                ),
+                id_col: ids.take(pa.array(doc_of_gram, pa.int64())),
+                "pos": pa.array(starts + 1, pa.int64()),  # 1-based, as the SQL twin
+                "gram": pc.binary_join(lists, " "),
             }
         )
 
@@ -1659,13 +1572,12 @@ def substring_runs_ds(
         ids, pos = ids[order], pos[order]
         keep = ids[i] != ids[j]  # a doc repeating a gram pairs with no one
         i, j = i[keep], j[keep]
-        id_type = group.column(id_col).type
         return pa.table(
             {
-                "doc_a": pa.array(ids[i], id_type),
-                "doc_b": pa.array(ids[j], id_type),
-                "pa_pos": pa.array(pos[i], pa.int64()),
-                "delta": pa.array(pos[i] - pos[j], pa.int64()),
+                "doc_a": ids[i],
+                "doc_b": ids[j],
+                "pa_pos": pos[i],
+                "delta": pos[i] - pos[j],
             }
         )
 
@@ -1698,12 +1610,13 @@ def substring_runs_ds(
             }
         )
 
-    return (
-        grams.groupby("bkt")
-        .map_groups(bucket_matches, batch_format="pyarrow")
-        .groupby(["doc_a", "doc_b"])
-        .map_groups(per_pair, batch_format="pyarrow")
-    )
+    id_type = _id_type(docs, id_col)
+    return bucket_map(
+        grams,
+        "gram",
+        bucket_matches,
+        {"doc_a": id_type, "doc_b": id_type, "pa_pos": pa.int64(), "delta": pa.int64()},
+    ).groupby(["doc_a", "doc_b"]).map_groups(per_pair, batch_format="pyarrow")
 
 
 def embedding_near_dup_ds(
@@ -2097,7 +2010,12 @@ def pack_sequences_ds(
     sequential, so parallelism comes from hash buckets (doc_id % buckets):
     each bucket packs independently in ``groupby(bucket).map_groups``;
     within a bucket the order is doc_id — data-derived, never
-    execution-order-derived, so results are stable at any cluster size."""
+    execution-order-derived, so results are stable at any cluster size.
+
+    ``n_buckets`` is part of the output, not a tuning knob: it decides
+    which docs share a packing sequence, and the oracle's plan uses the
+    same value. So this is the one operator that keeps its own bucket
+    count and does not go through ``exchange.bucket_map``."""
 
     def tokenize(batch: pa.Table) -> pa.Table:
         n = pc.add(pc.count_substring(batch.column(text_col), " "), 1)
@@ -2152,9 +2070,10 @@ def _segment_min_lab(
     return order, seg_id, starts, first_valid
 
 
-def _label_shortcut(labels: Dataset, n_buckets: int = 512) -> Dataset:
-    """Pointer-doubling step: label[node] <- label[label[node]]. One
-    bucket-hash shuffle over 2x node count rows; in-bucket resolution is
+def _label_shortcut(labels: Dataset, id_type: pa.DataType) -> Dataset:
+    """Pointer-doubling step: label[node] <- label[label[node]] over
+    ``id_type`` node ids. One ``exchange.bucket_map`` on the key over 2x
+    node count rows; in-bucket resolution is
     a single lexsort + segment gather. NEVER ``groupby(key).map_groups``
     per node — a graph has millions of near-singleton key groups and the
     per-group Python overhead dominates (the CLAUDE.md map_groups trap;
@@ -2172,7 +2091,6 @@ def _label_shortcut(labels: Dataset, n_buckets: int = 512) -> Dataset:
                 "key": b.column("label"),
                 "node": b.column("node"),
                 "lab": pa.nulls(b.num_rows, b.column("label").type),
-                "bkt": _hash_bucket_column(b.column("label"), n_buckets),
             }
         )
         defs = pa.table(
@@ -2180,17 +2098,11 @@ def _label_shortcut(labels: Dataset, n_buckets: int = 512) -> Dataset:
                 "key": b.column("node"),
                 "node": pa.nulls(b.num_rows, b.column("node").type),
                 "lab": b.column("label"),
-                "bkt": _hash_bucket_column(b.column("node"), n_buckets),
             }
         )
         return pa.concat_tables([refs, defs]).combine_chunks()
 
     def resolve(group: pa.Table) -> pa.Table:
-        id_type = group.column("key").type
-        if group.num_rows == 0:
-            return pa.table(
-                {"node": pa.array([], id_type), "label": pa.array([], id_type)}
-            )
         key_col = group.column("key")
         node_col, lab_col = group.column("node"), group.column("lab")
         key = key_col.to_numpy(zero_copy_only=False)
@@ -2209,19 +2121,15 @@ def _label_shortcut(labels: Dataset, n_buckets: int = 512) -> Dataset:
         seg_lab = np.where(first_valid, labs[starts], ks[starts])
         row_lab = seg_lab[seg_id]
         nv = node_valid[order]
-        return pa.table(
-            {
-                "node": pa.array(nodef[order][nv], id_type),
-                "label": pa.array(row_lab[nv], id_type),
-            }
-        )
+        return pa.table({"node": nodef[order][nv], "label": row_lab[nv]})
 
-    return (
+    return bucket_map(
         labels.map_batches(
             refs_and_defs, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("bkt")
-        .map_groups(resolve, batch_format="pyarrow")
+        ),
+        "key",
+        resolve,
+        {"node": id_type, "label": id_type},
     )
 
 
@@ -2279,7 +2187,7 @@ def _min_label_propagation(
         splitmix64-style mix summed per batch with uint64 wraparound —
         no per-row Python in the propagation loop; non-integer ids fall
         back to per-row md5 (small-corpus path only). Each batch reduces
-        to ONE partial row, so the driver sums O(#blocks) values."""
+        to ONE partial row, and one global ``Sum`` folds them."""
         import hashlib
 
         def h(batch: pa.Table) -> pa.Table:
@@ -2305,14 +2213,15 @@ def _min_label_propagation(
                             hashlib.md5(f"{nd}|{lb}".encode()).digest()[:8], "big"
                         )
                     ) & 0xFFFFFFFFFFFFFFFF
-            return pa.table({"h": pa.array([part], pa.uint64())})
+            # 32-bit halves: their sums over the blocks cannot overflow int64
+            return pa.table({"hi": [part >> 32], "lo": [part & 0xFFFFFFFF]})
 
-        parts = lab.map_batches(
+        sums = lab.map_batches(
             h, batch_format="pyarrow", zero_copy_batch=True
-        ).take_all()  # one row per block — O(#blocks), not O(#nodes)
-        return sum(int(r["h"]) for r in parts) & 0xFFFFFFFFFFFFFFFF
+        ).aggregate(Sum("hi"), Sum("lo"))
+        return ((sums["sum(hi)"] << 32) + sums["sum(lo)"]) & 0xFFFFFFFFFFFFFFFF
 
-    n_buckets = 512
+    id_type = _id_type(edges, "src")
     # block-count governor: the per-round union (labels ∪ edge messages)
     # and shuffles otherwise DOUBLE the labels block count every
     # iteration — exponential task growth that stalls the loop after ~5
@@ -2328,16 +2237,15 @@ def _min_label_propagation(
         # one propagation round: each node's label flows to its neighbors,
         # then every node keeps the minimum candidate (self label included).
         # Co-location of a node's label row with its outgoing edges is ONE
-        # bucket-hash shuffle (mix64(src) % n_buckets) with a vectorized
-        # lexsort + segment-gather inside the bucket — never a per-node
-        # map_groups (the CLAUDE.md near-singleton-group trap).
+        # exchange.bucket_map on src with a vectorized lexsort +
+        # segment-gather inside the bucket — never a per-node map_groups
+        # (the CLAUDE.md near-singleton-group trap).
         tagged_labels = labels.map_batches(
             lambda b: pa.table(
                 {
                     "src": b.column("node"),
                     "dst": b.column("node"),
                     "label": b.column("label"),
-                    "bkt": _hash_bucket_column(b.column("node"), n_buckets),
                 }
             ),
             batch_format="pyarrow",
@@ -2349,7 +2257,6 @@ def _min_label_propagation(
                     "src": b.column("src"),
                     "dst": b.column("dst"),
                     "label": pa.nulls(b.num_rows, b.column("src").type),
-                    "bkt": _hash_bucket_column(b.column("src"), n_buckets),
                 }
             ),
             batch_format="pyarrow",
@@ -2357,11 +2264,6 @@ def _min_label_propagation(
         )
 
         def send(group: pa.Table) -> pa.Table:
-            id_type = group.column("src").type
-            if group.num_rows == 0:
-                return pa.table(
-                    {"node": pa.array([], id_type), "label": pa.array([], id_type)}
-                )
             src_col, lab_col = group.column("src"), group.column("label")
             src = src_col.to_numpy(zero_copy_only=False)
             dst = group.column("dst").to_numpy(zero_copy_only=False)
@@ -2376,17 +2278,13 @@ def _min_label_propagation(
             # label cannot occur; drop them defensively (Min skips nulls)
             row_lab = labf[order][starts][seg_id]
             keep = first_valid[seg_id]
-            return pa.table(
-                {
-                    "node": pa.array(dst[order][keep], id_type),
-                    "label": pa.array(row_lab[keep], id_type),
-                }
-            )
+            return pa.table({"node": dst[order][keep], "label": row_lab[keep]})
 
-        msgs = (
-            tagged_labels.union(null_label)
-            .groupby("bkt")
-            .map_groups(send, batch_format="pyarrow")
+        msgs = bucket_map(
+            tagged_labels.union(null_label),
+            "src",
+            send,
+            {"node": id_type, "label": id_type},
         )
         propagated = msgs.groupby("node").aggregate(Min("label")).map_batches(
             lambda b: pa.table(
@@ -2399,7 +2297,9 @@ def _min_label_propagation(
         # halves the remaining distance to the component minimum per round.
         # Repartition back to n_parts BEFORE materializing: without it the
         # union + shuffle block fan-out compounds across iterations.
-        new_labels = _label_shortcut(propagated).repartition(n_parts).materialize()
+        new_labels = (
+            _label_shortcut(propagated, id_type).repartition(n_parts).materialize()
+        )
         iters += 1
         cur = checksum(new_labels)
         labels = new_labels
@@ -2427,10 +2327,10 @@ def _attach_labels_cogroup(
     ONE bounded hash-bucket co-group — the web-scale path where the label
     set (linear in dup-involved docs, i.e. billions of rows at a 30-50%
     dup rate) must never collect into a driver dict. Doc rows and label
-    rows shuffle on ``_hash_bucket_column(node, N_EXCHANGE_BUCKETS)``;
-    inside a bucket one :func:`segment_runs` pass sorts each node's label
-    row ahead of its doc rows, so a run's first row carries the canonical
-    id: the label, or the doc's own id when the doc has no duplicate.
+    rows go through ``exchange.bucket_map`` on the node; inside a bucket
+    one :func:`segment_runs` pass sorts each node's label row ahead of
+    its doc rows, so a run's first row carries the canonical id: the
+    label, or the doc's own id when the doc has no duplicate.
     Emits one output row per doc-side row, preserving the driver-dict
     path's contract exactly."""
 
@@ -2440,7 +2340,6 @@ def _attach_labels_cogroup(
                 "node": node,
                 "label": label,
                 "n_doc": pa.array(np.full(len(node), n_doc, np.int64)),
-                "bkt": _hash_bucket_column(node, N_EXCHANGE_BUCKETS),
             }
         )
 
@@ -2459,7 +2358,6 @@ def _attach_labels_cogroup(
     )
 
     def resolve(bucket: pa.Table) -> pa.Table:
-        node_t = bucket.column("node").type
         node = bucket.column("node").to_numpy(zero_copy_only=False)
         lab = pc.coalesce(bucket.column("label"), bucket.column("node")).to_numpy(
             zero_copy_only=False
@@ -2470,14 +2368,10 @@ def _attach_labels_cogroup(
         order, starts, lengths = segment_runs(node, n_doc, lab)
         canon = np.repeat(lab[order][starts], lengths)
         is_doc = n_doc[order] == 1
-        return pa.table(
-            {
-                id_col: pa.array(node[order][is_doc], node_t),
-                "canonical_id": pa.array(canon[is_doc], node_t),
-            }
-        )
+        return pa.table({id_col: node[order][is_doc], "canonical_id": canon[is_doc]})
 
-    return both.groupby("bkt").map_groups(resolve, batch_format="pyarrow")
+    id_type = _id_type(docs, id_col)
+    return bucket_map(both, "node", resolve, {id_col: id_type, "canonical_id": id_type})
 
 
 def dedup_resolution_ds(
@@ -3282,7 +3176,6 @@ def jaccard_join_ds(
     threshold_den: int = 2,
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_hash_buckets: int = 512,
     max_bucket: Optional[int] = DEFAULT_MAX_BUCKET,
 ) -> Dataset:
     """EXACT token-set similarity self-join via prefix filtering (Bayardo
@@ -3311,10 +3204,11 @@ def jaccard_join_ds(
        above it).
     3. Prefix emit streams ``(token, doc_id, set_size)`` rows — only
        ``|d| - ceil(t|d|) + 1`` rows per doc, i.e. half the corpus tokens
-       at t=0.5, NOT all of them; rows shuffle by ``md5(token) %
-       n_hash_buckets`` (bounded group count — never one group per
-       token). In-bucket, tokens segment via ``np.unique`` + lexsort,
-       singletons drop vectorized, and the size filter ``min*den >=
+       at t=0.5, NOT all of them; rows go through ``exchange.bucket_map``
+       on the token's broadcast-vocab index (bounded group count — never
+       one group per token, and no per-token md5). In-bucket, tokens
+       segment via ``np.unique`` + lexsort, singletons drop vectorized,
+       and the size filter ``min*den >=
        num*max`` prunes pairs before emission. Hot tokens above
        ``max_bucket`` star-cap with a logged warning (pass ``None`` for
        exact oracle semantics — prefix tokens are each doc's RAREST, so
@@ -3391,23 +3285,12 @@ def jaccard_join_ds(
     df_ref = ray.put((vocab[vorder], dfs[vorder]))
 
     def prefix_stage(batch: pa.Table) -> pa.Table:
-        id_type = batch.column(id_col).type
-        empty = pa.table(
-            {
-                id_col: pa.array([], id_type),
-                "token": pa.array([], pa.string()),
-                "sz": pa.array([], pa.int64()),
-                "bkt": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         vocab_s, dfs_s = ray.get(df_ref)
         counts = pc.list_value_length(batch.column("toks")).to_numpy(
             zero_copy_only=False
         ).astype(np.int64)
         if int(counts.sum()) == 0:
-            return empty
+            return pa.table({})
         flat = (
             pc.list_flatten(batch.column("toks"))
             .to_numpy(zero_copy_only=False)
@@ -3426,14 +3309,14 @@ def jaccard_join_ds(
         ceil_tn = (num * sizes + den - 1) // den
         keep = rnk < (sizes - ceil_tn + 1)
         sel = order[keep]
-        # bucket = broadcast-vocab index mod n: deterministic across every
-        # worker (same ray.put snapshot) with zero per-token Python hashing
+        # the exchange key is the broadcast-vocab index: the same on every
+        # worker (one ray.put snapshot), with no per-token Python hashing
         return pa.table(
             {
                 id_col: batch.column(id_col).take(pa.array(di[sel])),
                 "token": pa.array(flat[sel], pa.string()),
                 "sz": pa.array(sizes[keep], pa.int64()),
-                "bkt": pa.array((vpos[sel] % n_hash_buckets).astype(np.int64)),
+                "v": pa.array(vpos[sel], pa.int64()),
             }
         )
 
@@ -3456,16 +3339,16 @@ def jaccard_join_ds(
             starts[hot], lengths[hot], "jaccard prefix token", max_bucket
         )
         ids = ids[order]
-        id_type = group.column(id_col).type
         return pa.table(
             {
-                "doc_a": pa.array(np.concatenate((ids[i[keep]], ids[si])), id_type),
-                "doc_b": pa.array(np.concatenate((ids[j[keep]], ids[sj])), id_type),
+                "doc_a": np.concatenate((ids[i[keep]], ids[si])),
+                "doc_b": np.concatenate((ids[j[keep]], ids[sj])),
             }
         )
 
+    id_type = _id_type(toksets, id_col)
     cand_pairs = distinct_ds(
-        prefixes.groupby("bkt").map_groups(bucket_pairs, batch_format="pyarrow"),
+        bucket_map(prefixes, "v", bucket_pairs, {"doc_a": id_type, "doc_b": id_type}),
         ["doc_a", "doc_b"],
     ).materialize()  # tiny; reused for the id set and the verify map
 
@@ -3864,19 +3747,7 @@ def kmeans_ds(
         quantize, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
 
-    # ---- init: the k smallest ids' vectors (block-level top-k partials)
-    def head_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        keep = np.argsort(ids, kind="stable")[:k]
-        return batch.take(pa.array(np.sort(keep), pa.int64()))
-
-    cand = qds.map_batches(
-        head_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()  # <= k rows per block
-    cand.sort(key=lambda r: r[id_col])
-    cents = np.array([np.asarray(r["_qv"], np.float64) for r in cand[:k]])
+    cents = _head_vectors(qds, id_col, k)
     if len(cents) == 0:
         return ray.data.from_arrow(
             pa.table(
@@ -3932,14 +3803,18 @@ def kmeans_ds(
                 }
             )
 
-        parts = qds.map_batches(
-            update_partial, batch_format="pyarrow", zero_copy_batch=True
-        ).take_all()  # <= k rows per block
+        parts = collect_small(  # <= k rows per block
+            qds.map_batches(
+                update_partial, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "per-block centroid partials",
+            {"cid": pa.int64(), "n_p": pa.int64(), "s_p": pa.list_(pa.int64())},
+        )
+        cid = parts.column("cid").to_numpy()
         counts = np.zeros(len(cents), dtype=np.int64)
         sums = np.zeros((len(cents), d), dtype=np.int64)
-        for r in parts:
-            counts[r["cid"]] += r["n_p"]
-            sums[r["cid"]] += np.asarray(r["s_p"], np.int64)
+        np.add.at(counts, cid, parts.column("n_p").to_numpy())
+        np.add.at(sums, cid, _list_rows(parts.column("s_p"), d))
         new_cents = cents.copy()
         nz = counts > 0
         new_cents[nz] = (sums[nz] // counts[nz, None]).astype(np.float64)
@@ -4031,7 +3906,6 @@ def fuzzy_join_ds(
     query_col: str = "q",
     token_col: str = "token",
     count_col: str = "c",
-    n_buckets: int = 256,
     max_token_len: int = 23,
     max_bucket_pairs: int = 5_000_000,
 ) -> Dataset:
@@ -4054,8 +3928,8 @@ def fuzzy_join_ds(
 
     Scale shape: variant generation is a per-block loop over DISTINCT
     strings (vocab-bounded, like the md5 gram hashing elsewhere), both
-    sides shuffle ONCE as a tagged union by ``md5(variant) % n_buckets``
-    (bounded group count), in-bucket candidate expansion is offset
+    sides shuffle ONCE as a tagged union through ``exchange.bucket_map``
+    on the variant (bounded group count), in-bucket candidate expansion is offset
     arithmetic (no per-segment Python), and verification is the
     vectorized :func:`_ed1_verify`. ``max_bucket_pairs`` fails loud on a
     pathological vocabulary instead of silently dropping candidates."""
@@ -4089,15 +3963,13 @@ def fuzzy_join_ds(
             for v in _variants(t):
                 var.append(v)
                 tok_of.append(t)
-        bkt = [ts.md5_u64(v) % n_buckets for v in var]
         return pa.table(
             {
                 "variant": pa.array(var, pa.string()),
                 "tok": pa.array(tok_of, pa.string()),
                 "side": pa.array(np.zeros(len(var), np.int8)),
                 "cnt": pa.array(np.zeros(len(var), np.int64)),
-                "is_self": pa.array([v == t for v, t in zip(var, tok_of)]),
-                "bkt": pa.array(bkt, pa.int64()),
+                "is_self": pa.array([v == t for v, t in zip(var, tok_of)], pa.bool_()),
             }
         )
 
@@ -4112,15 +3984,13 @@ def fuzzy_join_ds(
                 var.append(v)
                 tok_of.append(t)
                 cnt_of.append(int(c))
-        bkt = [ts.md5_u64(v) % n_buckets for v in var]
         return pa.table(
             {
                 "variant": pa.array(var, pa.string()),
                 "tok": pa.array(tok_of, pa.string()),
                 "side": pa.array(np.ones(len(var), np.int8)),
                 "cnt": pa.array(cnt_of, pa.int64()),
-                "is_self": pa.array([v == t for v, t in zip(var, tok_of)]),
-                "bkt": pa.array(bkt, pa.int64()),
+                "is_self": pa.array([v == t for v, t in zip(var, tok_of)], pa.bool_()),
             }
         )
 
@@ -4158,9 +4028,8 @@ def fuzzy_join_ds(
                 f"candidate pairs in one bucket ({total}) exceed "
                 f"max_bucket_pairs={max_bucket_pairs}"
             )
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
         if total == 0:
-            return empty
+            return pa.table({})
         seg_of_pair = np.repeat(np.arange(n_seg), m)
         off = np.arange(total) - np.repeat(np.concatenate(([0], np.cumsum(m)[:-1])), m)
         bw = nw[seg_of_pair]
@@ -4177,8 +4046,6 @@ def fuzzy_join_ds(
         if cand.any():
             ok[cand] = _ed1_verify(qt[cand].astype(str), wt[cand].astype(str))
         keep = keep_exact | ok
-        if not keep.any():
-            return empty
         return pa.table(
             {
                 "query": pa.array(qt[keep].astype(str), pa.string()),
@@ -4188,9 +4055,7 @@ def fuzzy_join_ds(
             }
         )
 
-    return ray.data.from_arrow(
-        pa.table({f.name: pa.array([], f.type) for f in out_schema})
-    ).union(both.groupby("bkt").map_groups(bucket_pairs, batch_format="pyarrow"))
+    return bucket_map(both, "variant", bucket_pairs, out_schema)
 
 
 # ---------- cross-source k-gram overlap matrix (contamination audit) ----------
@@ -4201,7 +4066,6 @@ def source_overlap_ds(
     group_col: str = "source",
     text_col: str = "text",
     shingle_k: int = 5,
-    n_buckets: int = 512,
     max_sources: int = 1_000,
 ) -> Dataset:
     """Cross-source contamination matrix: for every pair of sources, the
@@ -4215,8 +4079,8 @@ def source_overlap_ds(
     DuckDB twin reproduces it bit-exactly.
 
     Scale shape: per-block combiner emits DISTINCT ``(gram_hash,
-    source)`` rows only; ONE shuffle by ``h % n_buckets`` (the hash is
-    already uniform) co-locates each gram's source set; in-bucket global
+    source)`` rows only; ONE ``exchange.bucket_map`` on the gram hash
+    co-locates each gram's source set; in-bucket global
     dedup, then every gram's source run expands to its pairs through the
     vectorized `exchange` kernel (no loop over grams); only tiny
     ``(src_a, src_b, count)`` partials plus per-source totals leave the
@@ -4224,15 +4088,6 @@ def source_overlap_ds(
     ``max_sources``)."""
 
     def gram_rows(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "h": pa.array([], pa.uint64()),
-                "src": pa.array([], pa.string()),
-                "bkt": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         srcs = batch.column(group_col).to_pylist()
         texts = batch.column(text_col).to_pylist()
         hs, ss = [], []
@@ -4242,7 +4097,7 @@ def source_overlap_ds(
                 hs.append(h)
                 ss.append(np.full(len(h), s, dtype=object))
         if not hs:
-            return empty
+            return pa.table({})
         h = np.concatenate(hs)
         s = np.concatenate(ss).astype(str)
         # block-local distinct (h, source)
@@ -4252,11 +4107,7 @@ def source_overlap_ds(
         keep = np.concatenate(([True], (h[1:] != h[:-1]) | (sc[1:] != sc[:-1])))
         h, sc = h[keep], sc[keep]
         return pa.table(
-            {
-                "h": pa.array(h, pa.uint64()),
-                "src": pa.array(svals[sc], pa.string()),
-                "bkt": pa.array((h % np.uint64(n_buckets)).astype(np.int64)),
-            }
+            {"h": pa.array(h, pa.uint64()), "src": pa.array(svals[sc], pa.string())}
         )
 
     partial_schema = pa.schema(
@@ -4293,20 +4144,18 @@ def source_overlap_ds(
             }
         )
 
-    partials = (
-        docs.select_columns([group_col, text_col])
-        .map_batches(gram_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+    partials = bucket_map(
+        docs.select_columns([group_col, text_col]).map_batches(
+            gram_rows, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "h",
+        bucket_pairs,
+        partial_schema,
     )
-    agg_rows = (
-        ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in partial_schema})
-        )
-        .union(partials)
-        .groupby(["src_a", "src_b"])
-        .aggregate(Sum("n_p"))
-        .take_all()
+    agg = collect_small(
+        partials.groupby(["src_a", "src_b"]).aggregate(Sum("n_p")),
+        "sources^2 overlap counts",
+        {"src_a": pa.string(), "src_b": pa.string(), "sum(n_p)": pa.int64()},
     )
     out_schema = pa.schema(
         [
@@ -4319,11 +4168,11 @@ def source_overlap_ds(
     )
     totals: Dict[str, int] = {}
     pairs: List[Tuple[str, str, int]] = []
-    for r in agg_rows:
-        if r["src_b"] == "":
-            totals[r["src_a"]] = totals.get(r["src_a"], 0) + int(r["sum(n_p)"])
+    for a, b, n in zip(*(agg.column(c).to_pylist() for c in agg.column_names)):
+        if b == "":
+            totals[a] = totals.get(a, 0) + n
         else:
-            pairs.append((r["src_a"], r["src_b"], int(r["sum(n_p)"])))
+            pairs.append((a, b, n))
     if len(totals) > max_sources:
         raise ValueError(
             f"{len(totals)} sources exceed max_sources={max_sources}"
@@ -4422,18 +4271,19 @@ def dsir_weights_ds(
             }
         )
 
-    agg = (
+    agg = collect_small(
         docs.select_columns([target_filter_col, text_col])
         .map_batches(counts_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("b")
-        .aggregate(Sum("t_p"), Sum("r_p"))
-        .take_all()
+        .aggregate(Sum("t_p"), Sum("r_p")),
+        "hashed feature counts",
+        {"b": pa.int64(), "sum(t_p)": pa.int64(), "sum(r_p)": pa.int64()},
     )
+    b = agg.column("b").to_numpy()
     T = np.zeros(n_feat, dtype=np.int64)
     R = np.zeros(n_feat, dtype=np.int64)
-    for r in agg:
-        T[int(r["b"])] = int(r["sum(t_p)"])
-        R[int(r["b"])] = int(r["sum(r_p)"])
+    T[b] = agg.column("sum(t_p)").to_numpy()
+    R[b] = agg.column("sum(r_p)").to_numpy()
     NT, NR = int(T.sum()), int(R.sum())
     # Python-int arithmetic: the (T+1)*quant*(NR+n_feat) product overflows
     # int64 at web scale; DuckDB's HUGEINT intermediates match this exactly
@@ -4492,6 +4342,31 @@ def _pq_qds(embeddings: Dataset, id_col: str, vec_col: str) -> Dataset:
     ).materialize()
 
 
+def _head_vectors(qds: Dataset, id_col: str, k: int) -> np.ndarray:
+    """The quantized vectors ``_qv`` of the ``k`` smallest ids of ``qds``,
+    in id order: per-block k-smallest partials, then one driver sort over
+    at most k rows per block."""
+
+    def head_partial(batch: pa.Table) -> pa.Table:
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        keep = np.argsort(ids, kind="stable")[:k]
+        return batch.take(pa.array(np.sort(keep), pa.int64()))
+
+    cand = collect_small(
+        qds.map_batches(head_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "per-block k smallest ids",
+        {id_col: pa.int64(), "_qv": pa.list_(pa.float64())},
+    )
+    order = np.argsort(cand.column(id_col).to_numpy(), kind="stable")[:k]
+    return np.array(cand.column("_qv").take(order).to_pylist(), np.float64)
+
+
+def _list_rows(col: pa.ChunkedArray, width: int) -> np.ndarray:
+    """A list column whose lists all hold ``width`` values, as a 2-D array."""
+    flat = pc.list_flatten(col).to_numpy(zero_copy_only=False)
+    return flat.reshape(len(col), width)
+
+
 def _pq_dist2(qm: np.ndarray, cents: np.ndarray) -> np.ndarray:
     """|a|^2 + |c|^2 - 2 a.c — every term an exact integer in float64."""
     na2 = np.einsum("ij,ij->i", qm, qm)
@@ -4509,20 +4384,9 @@ def _pq_learn(
     each iteration is ONE map_batches pass emitting per-block
     scatter-add partials for ALL subspaces (m_sub*k rows per block)."""
 
-    def head_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        keep = np.argsort(ids, kind="stable")[:k]
-        return batch.take(pa.array(np.sort(keep), pa.int64()))
-
-    cand = qds.map_batches(
-        head_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()
-    cand.sort(key=lambda r: r[id_col])
-    if not cand:
+    init = _head_vectors(qds, id_col, k)
+    if len(init) == 0:
         return None
-    init = np.array([np.asarray(r["_qv"], np.float64) for r in cand[:k]])
     if len(init) < k:
         # fewer vectors than centroids: pad by repeating the last init
         # row — ties assign to the smallest centroid id, so duplicate
@@ -4576,14 +4440,23 @@ def _pq_learn(
                 }
             )
 
-        parts = qds.map_batches(
-            update_partial, batch_format="pyarrow", zero_copy_batch=True
-        ).take_all()  # <= m_sub*k rows per block
+        parts = collect_small(  # <= m_sub*k rows per block
+            qds.map_batches(
+                update_partial, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "per-block codebook partials",
+            {
+                "sub": pa.int64(),
+                "cid": pa.int64(),
+                "n_p": pa.int64(),
+                "s_p": pa.list_(pa.int64()),
+            },
+        )
+        at = (parts.column("sub").to_numpy(), parts.column("cid").to_numpy())
         counts = np.zeros((m_sub, k), dtype=np.int64)
         sums = np.zeros((m_sub, k, dsub), dtype=np.int64)
-        for r in parts:
-            counts[r["sub"], r["cid"]] += r["n_p"]
-            sums[r["sub"], r["cid"]] += np.asarray(r["s_p"], np.int64)
+        np.add.at(counts, at, parts.column("n_p").to_numpy())
+        np.add.at(sums, at, _list_rows(parts.column("s_p"), dsub))
         for s in range(m_sub):
             nz = counts[s] > 0
             books[s][nz] = (sums[s][nz] // counts[s][nz, None]).astype(
@@ -4708,20 +4581,15 @@ def pq_search_ds(
         cols["adc2"] = pa.array(adc[top], pa.int64())
         return pa.table(cols)
 
-    cand = qds.map_batches(
-        score_topk, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()
-    if not cand:
-        return ray.data.from_arrow(empty)
-    ids = np.array([r[id_col] for r in cand], np.int64)
-    adc = np.array([r["adc2"] for r in cand], np.int64)
-    top = np.lexsort((ids, adc))[:topk]
-    cols = {id_col: pa.array(ids[top], pa.int64())}
-    for s in range(m_sub):
-        cs = np.array([r[f"code_{s}"] for r in cand], np.int64)
-        cols[f"code_{s}"] = pa.array(cs[top], pa.int64())
-    cols["adc2"] = pa.array(adc[top], pa.int64())
-    return ray.data.from_arrow(pa.table(cols))
+    cand = collect_small(  # <= topk rows per block
+        qds.map_batches(score_topk, batch_format="pyarrow", zero_copy_batch=True),
+        "per-block top-k candidates",
+        empty.schema,
+    )
+    top = np.lexsort(
+        (cand.column(id_col).to_numpy(), cand.column("adc2").to_numpy())
+    )[:topk]
+    return ray.data.from_arrow(cand.take(top))
 
 
 # ---------- lexical diversity / integrity ----------
@@ -4827,15 +4695,18 @@ def corpus_checksum_ds(
             }
         )
 
-    parts = docs.select_columns([id_col, text_col]).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()  # one row per block
-    n = sum(int(r["n_rows"]) for r in parts)
-    s = 0
+    parts = collect_small(  # one row per block
+        docs.select_columns([id_col, text_col]).map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "per-block checksums",
+        {"n_rows": pa.int64(), "sum63": pa.int64(), "xor63": pa.int64()},
+    )
+    n = sum(parts.column("n_rows").to_pylist())
+    s = sum(parts.column("sum63").to_pylist()) % (1 << 63)
     x = 0
-    for r in parts:
-        s = (s + int(r["sum63"])) % (1 << 63)
-        x ^= int(r["xor63"])
+    for v in parts.column("xor63").to_pylist():
+        x ^= v
     return ray.data.from_arrow(
         pa.table(
             {
@@ -4912,18 +4783,19 @@ def bm25_topk_ds(
             }
         )
 
-    parts = docs.select_columns([id_col, text_col]).map_batches(
-        stats_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()  # one row per block
-    N = sum(int(r["n_docs"]) for r in parts)
-    T = sum(int(r["n_tokens"]) for r in parts)
+    stat_cols = ["n_docs", "n_tokens"] + [f"df_{i}" for i in range(len(q))]
+    parts = collect_small(  # one row per block
+        docs.select_columns([id_col, text_col]).map_batches(
+            stats_partial, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "per-block term statistics",
+        {c: pa.int64() for c in stat_cols},
+    )
+    N, T, *dfs = (sum(parts.column(c).to_pylist()) for c in stat_cols)
     if N == 0 or T == 0:
         return ray.data.from_arrow(empty)
     A = T // N
-    df = np.asarray(
-        [sum(int(r[f"df_{i}"]) for r in parts) for i in range(len(q))],
-        np.int64,
-    )
+    df = np.asarray(dfs, np.int64)
     # int64 headroom guard: max per-term numerator 1e6*(2N+1)*44*tf*A
     # with tf <= max dl; bound via T (no doc exceeds the corpus).
     if 1_000_000 * (2 * N + 1) * 44 * min(T, 1 << 20) * max(A, 1) >= (1 << 62):
@@ -4970,24 +4842,17 @@ def bm25_topk_ds(
             }
         )
 
-    cand_rows = docs.select_columns([id_col, text_col]).map_batches(
-        score_topk, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()  # <= k rows per block
-    if not cand_rows:
-        return ray.data.from_arrow(empty)
-    ids = np.asarray([r[id_col] for r in cand_rows], np.int64)
-    sc = np.asarray([r["score_e6"] for r in cand_rows], np.int64)
-    nh = np.asarray([r["n_hit"] for r in cand_rows], np.int64)
-    top = np.lexsort((ids, -sc))[:k]
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                id_col: pa.array(ids[top], pa.int64()),
-                "score_e6": pa.array(sc[top], pa.int64()),
-                "n_hit": pa.array(nh[top], pa.int64()),
-            }
-        )
+    cand = collect_small(  # <= k rows per block
+        docs.select_columns([id_col, text_col]).map_batches(
+            score_topk, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "per-block top-k candidates",
+        empty.schema,
     )
+    top = np.lexsort(
+        (cand.column(id_col).to_numpy(), -cand.column("score_e6").to_numpy())
+    )[:k]
+    return ray.data.from_arrow(cand.take(top))
 
 
 def bpe_pairs_ds(
@@ -5070,20 +4935,15 @@ def bpe_pairs_ds(
             }
         )
 
-    pair_rows = (
+    pair_rows = collect_small(
         vocab.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("pair")
-        .aggregate(Sum("n_p"))
-        .take_all()  # alphabet^2-bounded
+        .aggregate(Sum("n_p")),
+        "symbol-pair counts",  # alphabet^2-bounded
+        {"pair": pa.string(), "sum(n_p)": pa.int64()},
     )
-    if not pair_rows:
-        return ray.data.from_arrow(
-            pa.table(
-                {"pair": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
-            )
-        )
-    pr = np.asarray([r["pair"] for r in pair_rows], dtype=object)
-    nn = np.asarray([int(r["sum(n_p)"]) for r in pair_rows], np.int64)
+    pr = pair_rows.column("pair").to_numpy(zero_copy_only=False).astype(object)
+    nn = pair_rows.column("sum(n_p)").to_numpy()
     top = np.lexsort((pr.astype(str), -nn))[:k]
     return ray.data.from_arrow(
         pa.table(
@@ -5102,7 +4962,6 @@ def dedup_keep_best_ds(
     id_col: str = "doc_id",
     a_col: str = "doc_a",
     b_col: str = "doc_b",
-    n_buckets: int = 512,
 ) -> Dataset:
     """Duplicate-cluster RESOLUTION POLICY: resolve verified near-dup
     pairs into clusters (via :func:`dedup_resolution_ds`) and keep, per
@@ -5112,11 +4971,11 @@ def dedup_keep_best_ds(
     themselves. This is the step that turns a dedup *labeling* into the
     actual training-set selection.
 
-    Scale shape after resolution: TWO bounded-bucket exchanges —
-    (1) a ``mix64(doc_id)`` co-group attaches the score to the label
-    rows (sorted searchsorted inside the bucket, no broadcast of either
-    side); (2) a ``mix64(canonical_id)`` shuffle segments clusters (one
-    lexsort per bucket) and the per-cluster argmax + keep flag are pure
+    Scale shape after resolution: TWO ``exchange.bucket_map`` exchanges —
+    (1) a co-group on the doc id attaches the score to the label rows
+    (sorted searchsorted inside the bucket, no broadcast of either
+    side); (2) one on the canonical id segments clusters (one lexsort
+    per bucket) and the per-cluster argmax + keep flag are pure
     vector ops. Cluster skew is naturally bounded by near-dup cluster
     size; both stages move one row per doc, never per pair."""
     labels = dedup_resolution_ds(
@@ -5128,10 +4987,6 @@ def dedup_keep_best_ds(
         ids = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bkt": pa.array(
-                    (_mix64(ids) % np.uint64(n_buckets)).astype(np.int64),
-                    pa.int64(),
-                ),
                 "id": pa.array(ids, pa.int64()),
                 "canon": batch.column("canonical_id").cast(pa.int64()),
                 "score": pa.array(np.full(len(ids), -1, np.int64), pa.int64()),
@@ -5144,10 +4999,6 @@ def dedup_keep_best_ds(
         sc = batch.column(score_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bkt": pa.array(
-                    (_mix64(ids) % np.uint64(n_buckets)).astype(np.int64),
-                    pa.int64(),
-                ),
                 "id": pa.array(ids, pa.int64()),
                 "canon": pa.array(np.full(len(ids), -1, np.int64), pa.int64()),
                 "score": pa.array(sc, pa.int64()),
@@ -5164,22 +5015,12 @@ def dedup_keep_best_ds(
     )
 
     def attach(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bkt2": pa.array([], pa.int64()),
-                "id": pa.array([], pa.int64()),
-                "canon": pa.array([], pa.int64()),
-                "score": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
         side = group.column("side").to_numpy(zero_copy_only=False)
         ids = group.column("id").to_numpy(zero_copy_only=False)
         lm = side == 0
         sm = side == 1
         if not lm.any():
-            return empty
+            return pa.table({})
         s_ids = ids[sm]
         s_sc = group.column("score").to_numpy(zero_copy_only=False)[sm]
         order = np.argsort(s_ids, kind="stable")
@@ -5198,30 +5039,9 @@ def dedup_keep_best_ds(
                 f"dedup_keep_best: docs missing a {id_col} score row for "
                 f"ids {l_ids[~hit][:3].tolist()}"
             )
-        sc = s_sc[pos]
-        return pa.table(
-            {
-                "bkt2": pa.array(
-                    (_mix64(canon) % np.uint64(n_buckets)).astype(np.int64),
-                    pa.int64(),
-                ),
-                "id": pa.array(l_ids, pa.int64()),
-                "canon": pa.array(canon, pa.int64()),
-                "score": pa.array(sc, pa.int64()),
-            }
-        )
+        return pa.table({"id": l_ids, "canon": canon, "score": s_sc[pos]})
 
     def keep_best(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                id_col: pa.array([], pa.int64()),
-                "canonical_id": pa.array([], pa.int64()),
-                "best_doc_id": pa.array([], pa.int64()),
-                "keep": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
         ids = group.column("id").to_numpy(zero_copy_only=False)
         canon = group.column("canon").to_numpy(zero_copy_only=False)
         sc = group.column("score").to_numpy(zero_copy_only=False)
@@ -5233,18 +5053,24 @@ def dedup_keep_best_ds(
         best = np.repeat(ids[starts], lens)
         return pa.table(
             {
-                id_col: pa.array(ids, pa.int64()),
-                "canonical_id": pa.array(canon, pa.int64()),
-                "best_doc_id": pa.array(best, pa.int64()),
-                "keep": pa.array((ids == best).astype(np.int64), pa.int64()),
+                id_col: ids,
+                "canonical_id": canon,
+                "best_doc_id": best,
+                "keep": (ids == best).astype(np.int64),
             }
         )
 
-    return (
-        tagged.groupby("bkt")
-        .map_groups(attach, batch_format="pyarrow")
-        .groupby("bkt2")
-        .map_groups(keep_best, batch_format="pyarrow")
+    scored = bucket_map(
+        tagged,
+        "id",
+        attach,
+        {"id": pa.int64(), "canon": pa.int64(), "score": pa.int64()},
+    )
+    return bucket_map(
+        scored,
+        "canon",
+        keep_best,
+        {c: pa.int64() for c in (id_col, "canonical_id", "best_doc_id", "keep")},
     )
 
 
@@ -5351,7 +5177,6 @@ def token_budget_select_ds(
     score_col: str = "n_chars",
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_buckets: int = 512,
 ) -> Dataset:
     """Greedy token-budget selection — the training-set assembly step:
     rank documents by ``(score DESC, id ASC)`` and keep the prefix whose
@@ -5368,8 +5193,8 @@ def token_budget_select_ds(
     CDF); (2) the tiny per-score table materializes and yields, per score
     class, the tokens contributed by all STRICTLY HIGHER classes
     (``offset``); classes whose offset already exceeds the budget are
-    dropped before any row moves; (3) survivors shuffle ONCE by
-    ``mix64(score) % n_buckets`` and one in-bucket lexsort + segmented
+    dropped before any row moves; (3) survivors shuffle ONCE through
+    ``exchange.bucket_map`` on the score and one in-bucket lexsort + segmented
     cumsum attaches ``cum_words = offset[score] + intra-class prefix`` —
     the budget filter is then a vectorized compare. Only the selected
     prefix (plus the boundary class's tail) ever crosses the exchange."""
@@ -5420,19 +5245,7 @@ def token_budget_select_ds(
         omap = ray.get(offset_ref)
         s = batch.column("score").to_numpy(zero_copy_only=False)
         keep = np.fromiter((int(v) in omap for v in s), bool, count=len(s))
-        t = batch.filter(pa.array(keep))
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    "score": pa.array([], pa.int64()),
-                    "n_words": pa.array([], pa.int64()),
-                    "bkt": pa.array([], pa.int64()),
-                }
-            )
-        s2 = t.column("score").to_numpy(zero_copy_only=False)
-        bkt = (_mix64(s2.astype(np.int64)) % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("bkt", pa.array(bkt, pa.int64()))
+        return batch.filter(pa.array(keep))
 
     out_schema = pa.schema(
         [
@@ -5444,8 +5257,6 @@ def token_budget_select_ds(
     )
 
     def bucket_select(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
         omap = ray.get(offset_ref)
         ids = group.column(id_col).to_numpy(zero_copy_only=False)
         s = group.column("score").to_numpy(zero_copy_only=False)
@@ -5469,13 +5280,8 @@ def token_budget_select_ds(
             }
         )
 
-    from .analytics import _anchor_schema
-
     tagged = projected.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-    return _anchor_schema(
-        tagged.groupby("bkt").map_groups(bucket_select, batch_format="pyarrow"),
-        out_schema,
-    )
+    return bucket_map(tagged, "score", bucket_select, out_schema)
 
 
 def shuffle_shards_ds(
@@ -5537,8 +5343,6 @@ def shuffle_shards_ds(
                 "pos": pa.array(np.arange(len(ids), dtype=np.int64)),
             }
         )
-
-    from .analytics import _anchor_schema
 
     projected = docs.select_columns([id_col]).map_batches(
         project, batch_format="pyarrow", zero_copy_batch=True
@@ -5870,9 +5674,14 @@ def quota_sample_ds(
     import hashlib
 
     ga, gb = group_cols
+    qt = collect_small(
+        apportion_quota_ds(docs, k=k, group_cols=group_cols),
+        "stratum quotas",
+        {ga: pa.string(), gb: pa.string(), "quota": pa.int64()},
+    )
     quotas = {
-        (r[ga], r[gb]): int(r["quota"])
-        for r in apportion_quota_ds(docs, k=k, group_cols=group_cols).take_all()
+        (a, b): q
+        for a, b, q in zip(*(qt.column(c).to_pylist() for c in qt.column_names))
     }
     q_ref = ray.put(quotas)
 
@@ -5905,8 +5714,6 @@ def quota_sample_ds(
                 "rk": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
             }
         )
-
-    from .analytics import _anchor_schema
 
     return _anchor_schema(
         docs.select_columns([ga, gb, id_col])
@@ -6367,7 +6174,6 @@ def snm_pairs_ds(
     id_col: str = "doc_id",
     text_col: str = "text",
     chunk: int = 8192,
-    n_buckets: int = 512,
 ) -> Dataset:
     """Sorted-Neighborhood Method candidate pairs (Hernandez & Stolfo
     1995) — the third classic dedup *blocking* modality next to LSH
@@ -6385,11 +6191,12 @@ def snm_pairs_ds(
     :func:`analytics.row_number_ds` (value-count CDF + one tie-bucket
     shuffle) over the packed int64 key; windowed pairing then shuffles
     each ranked row to its ``rank // chunk`` group (plus the previous
-    group for the ``window - 1`` boundary rows) hashed into a BOUNDED
-    bucket count, and pairs emit via per-offset searchsorted probes —
+    group for the ``window - 1`` boundary rows) through
+    ``exchange.bucket_map`` on the group (a BOUNDED bucket count), and
+    pairs emit via per-offset searchsorted probes —
     each qualifying pair exactly once (claimed by the lower element's
     home chunk)."""
-    from .analytics import _anchor_schema, row_number_ds
+    from .analytics import row_number_ds
 
     pow8 = (np.uint64(256) ** np.arange(7, -1, -1, dtype=np.uint64)).astype(
         np.uint64
@@ -6427,9 +6234,7 @@ def snm_pairs_ds(
     keyed_ds = docs.select_columns([id_col, text_col]).map_batches(
         keyed, batch_format="pyarrow", zero_copy_batch=True
     )
-    ranked = row_number_ds(
-        keyed_ds, value_col="k_int", id_col=id_col, n_buckets=n_buckets
-    )
+    ranked = row_number_ds(keyed_ds, value_col="k_int", id_col=id_col)
 
     def to_groups(batch: pa.Table) -> pa.Table:
         rn = batch.column("rn").to_numpy(zero_copy_only=False)
@@ -6441,14 +6246,12 @@ def snm_pairs_ds(
         rn2 = np.concatenate((rn, rn[bnd]))
         id2 = np.concatenate((ids, ids[bnd]))
         ki2 = np.concatenate((ki, ki[bnd]))
-        bkt = (_mix64(g) % np.uint64(n_buckets)).astype(np.int64)
         return pa.table(
             {
                 id_col: pa.array(id2, pa.int64()),
                 "rn": pa.array(rn2, pa.int64()),
                 "k_int": pa.array(ki2, pa.int64()),
                 "g": pa.array(g, pa.int64()),
-                "bkt": pa.array(bkt, pa.int64()),
             }
         )
 
@@ -6462,8 +6265,6 @@ def snm_pairs_ds(
     )
 
     def pairgen(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
         rn = group.column("rn").to_numpy(zero_copy_only=False)
         ids = group.column(id_col).to_numpy(zero_copy_only=False)
         ki = group.column("k_int").to_numpy(zero_copy_only=False)
@@ -6495,20 +6296,17 @@ def snm_pairs_ds(
             outs_same.append((ki_s[vi] == ki_s[pos_c[vi]]).astype(np.int64))
         return pa.table(
             {
-                "doc_a": pa.array(np.concatenate(outs_a), pa.int64()),
-                "doc_b": pa.array(np.concatenate(outs_b), pa.int64()),
-                "gap": pa.array(np.concatenate(outs_j), pa.int64()),
-                "same_key8": pa.array(np.concatenate(outs_same), pa.int64()),
+                "doc_a": np.concatenate(outs_a),
+                "doc_b": np.concatenate(outs_b),
+                "gap": np.concatenate(outs_j),
+                "same_key8": np.concatenate(outs_same),
             }
         )
 
     grouped = ranked.map_batches(
         to_groups, batch_format="pyarrow", zero_copy_batch=True
     )
-    return _anchor_schema(
-        grouped.groupby("bkt").map_groups(pairgen, batch_format="pyarrow"),
-        out_schema,
-    )
+    return bucket_map(grouped, "g", pairgen, out_schema)
 
 
 def entity_mentions_ds(
@@ -6610,26 +6408,14 @@ def entity_mentions_ds(
             }
         )
 
-    rows = counts.map_batches(
-        block_topk, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()  # blocks x k
-    if not rows:
-        return ray.data.from_arrow(
-            pa.table(
-                {"entity": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
-            )
-        )
-    ent = np.asarray([r["entity"] for r in rows], dtype=object)
-    n = np.asarray([int(r["n"]) for r in rows], np.int64)
-    top = np.lexsort((ent.astype(str), -n))[:k]
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "entity": pa.array(ent[top], pa.string()),
-                "n": pa.array(n[top], pa.int64()),
-            }
-        )
+    rows = collect_small(  # blocks x k
+        counts.map_batches(block_topk, batch_format="pyarrow", zero_copy_batch=True),
+        "per-block top-k entities",
+        {"entity": pa.string(), "n": pa.int64()},
     )
+    ent = rows.column("entity").to_numpy(zero_copy_only=False).astype(str)
+    top = np.lexsort((ent, -rows.column("n").to_numpy()))[:k]
+    return ray.data.from_arrow(rows.take(top))
 
 
 def power_iter_step_ds(
@@ -6694,7 +6480,6 @@ def prefix_filter_pairs_ds(
     threshold_permille: int = 500,
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_buckets: int = 512,
     max_token_df: Optional[int] = None,
     shingle_k: int = 1,
 ) -> Dataset:
@@ -6712,9 +6497,9 @@ def prefix_filter_pairs_ds(
     Scale shape: per-batch distinct-(doc, token) combiner (a doc's
     tokens never span batches) -> ONE Heaps'-bounded token groupby for
     the df table (broadcast once via ``ray.put``, ``collect_small``) -> ONE
-    ``mix64(doc)`` bucket shuffle for in-bucket prefix selection
-    (lexsort + segment ranks, no per-doc Python) -> ONE token-hash
-    bucket shuffle with size-grouped triu pair expansion (hot tokens
+    ``exchange.bucket_map`` on the doc for in-bucket prefix selection
+    (lexsort + segment ranks, no per-doc Python) -> ONE on the token
+    with size-grouped triu pair expansion (hot tokens
     optionally capped via ``max_token_df`` — prefix tokens are the
     RAREST by construction, which is the whole point of the method) ->
     pair-key groupby for the final distinct.
@@ -6784,18 +6569,7 @@ def prefix_filter_pairs_ds(
     order = np.argsort(vocab)
     vocab_ref = ray.put((vocab[order], df_tbl.column("count()").to_numpy()[order]))
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "bkt", _hash_bucket_column(batch.column("doc"), n_buckets)
-        )
-
-    prefix_schema = pa.schema(
-        [pa.field("token", pa.string()), pa.field("doc", pa.int64())]
-    )
-
     def prefix_select(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in prefix_schema})
         vocab_s, dfs_s = ray.get(vocab_ref)
         d = group.column("doc").to_numpy(zero_copy_only=False)
         tk = np.asarray(group.column("token").to_pylist(), dtype=object).astype(str)
@@ -6819,19 +6593,8 @@ def prefix_filter_pairs_ds(
             }
         )
 
-    prefixes = (
-        toks_ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(prefix_select, batch_format="pyarrow")
-    )
-
-    def tok_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "tbkt", _hash_bucket_column(batch.column("token"), n_buckets)
-        )
-
-    pair_schema = pa.schema(
-        [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]
+    prefixes = bucket_map(
+        toks_ds, "doc", prefix_select, {"token": pa.string(), "doc": pa.int64()}
     )
 
     def token_pairs(group: pa.Table) -> pa.Table:
@@ -6843,22 +6606,12 @@ def prefix_filter_pairs_ds(
             starts, lengths = starts[ok], lengths[ok]
         i, j = run_pairs(starts, lengths)
         d = d[order]
-        return pa.table(
-            {
-                "doc_a": pa.array(d[i], pa.int64()),
-                "doc_b": pa.array(d[j], pa.int64()),
-            }
-        )
-
-    pairs = (
-        prefixes.map_batches(tok_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("tbkt")
-        .map_groups(token_pairs, batch_format="pyarrow")
-    )
-    from .analytics import _anchor_schema
+        return pa.table({"doc_a": d[i], "doc_b": d[j]})
 
     distinct = (
-        _anchor_schema(pairs, pair_schema)
+        bucket_map(
+            prefixes, "token", token_pairs, {"doc_a": pa.int64(), "doc_b": pa.int64()}
+        )
         .groupby(["doc_a", "doc_b"])
         .aggregate(_Count())
     )
@@ -6962,15 +6715,15 @@ def vocab_growth_ds(
             ["decile", "c"]
         )
 
-    rows = (
+    rows = collect_small(
         first.map_batches(decile_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("decile")
-        .aggregate(Sum("c"))
-        .take_all()
-    )  # <= n_checkpoints rows
-    rows.sort(key=lambda r: r["decile"])
-    dec = np.array([r["decile"] for r in rows], np.int64)
-    new = np.array([r["sum(c)"] for r in rows], np.int64)
+        .aggregate(Sum("c")),
+        "per-checkpoint new-token counts",  # <= n_checkpoints rows
+        {"decile": pa.int64(), "sum(c)": pa.int64()},
+    ).sort_by("decile")
+    dec = rows.column("decile").to_numpy()
+    new = rows.column("sum(c)").to_numpy()
     return ray.data.from_arrow(
         pa.table(
             {
@@ -7053,7 +6806,6 @@ def mutual_knn_ds(
     k: int = 5,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    n_buckets: int = 256,
 ) -> Dataset:
     """Reciprocal k-NN pairs: ``(x, y)`` with ``x < y`` where y is in x's
     exact-cosine top-k AND x is in y's top-k. Mutual-NN is the standard
@@ -7063,8 +6815,9 @@ def mutual_knn_ds(
 
     Scale shape: the k-NN edge stream (``k`` rows per vector, never the
     O(N^2) pair space) is canonicalized per batch to an unordered
-    ``lo << 32 | hi`` key and shuffled ONCE by ``mix64(key) %
-    n_buckets`` — a bounded group count, never per-pair groups. Inside a
+    ``lo << 32 | hi`` key and shuffled ONCE through
+    ``exchange.bucket_map`` on it — a bounded group count, never
+    per-pair groups. Inside a
     bucket each key holds at most two rows (one per direction); a single
     lexsort finds adjacent equal keys with both direction bits and emits
     the surviving pairs vectorized. ``sim_e6`` / ``rank_xy`` are taken
@@ -7079,25 +6832,13 @@ def mutual_knn_ds(
     knn = knn_graph_ds(embeddings, k=k, id_col=id_col, vec_col=vec_col)
 
     def tag(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "bkt": pa.array([], pa.int64()),
-                    "key": pa.array([], pa.uint64()),
-                    "fwd": pa.array([], pa.int8()),
-                    "rank": pa.array([], pa.int64()),
-                    "sim_e6": pa.array([], pa.int64()),
-                }
-            )
         a = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch.column("neighbor_id").to_numpy(zero_copy_only=False).astype(np.int64)
         lo = np.minimum(a, b).astype(np.uint64)
         hi = np.maximum(a, b).astype(np.uint64)
         key = (lo << np.uint64(32)) | hi
-        bkt = (_mix64(key.astype(np.int64)) % np.uint64(n_buckets)).astype(np.int64)
         return pa.table(
             {
-                "bkt": pa.array(bkt, pa.int64()),
                 "key": pa.array(key, pa.uint64()),
                 "fwd": pa.array((a < b).astype(np.int8), pa.int8()),
                 "rank": batch.column("rank").cast(pa.int64()),
@@ -7116,9 +6857,6 @@ def mutual_knn_ds(
     )
 
     def resolve(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows < 2:
-            return empty
         key = group.column("key").to_numpy(zero_copy_only=False)
         fwd = group.column("fwd").to_numpy(zero_copy_only=False)
         rnk = group.column("rank").to_numpy(zero_copy_only=False)
@@ -7128,8 +6866,6 @@ def mutual_knn_ds(
         # each key appears at most twice (one row per direction); adjacent
         # equal keys => both directions present => mutual pair
         i = np.flatnonzero(ks[1:] == ks[:-1])
-        if len(i) == 0:
-            return empty
         # within a key, fwd=0 sorts first: row i reverse, row i+1 forward
         kk = ks[i]
         return pa.table(
@@ -7142,10 +6878,11 @@ def mutual_knn_ds(
             }
         )
 
-    return (
-        knn.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(resolve, batch_format="pyarrow")
+    return bucket_map(
+        knn.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True),
+        "key",
+        resolve,
+        out_schema,
     )
 
 
@@ -7863,7 +7600,6 @@ def sampled_dup_rate_ds(
     docs: Dataset,
     shingle_k: int = 5,
     bucket_e3: int = 100,
-    n_buckets: int = 256,
     text_col: str = "text",
     id_col: str = "doc_id",
 ) -> Dataset:
@@ -7929,7 +7665,7 @@ def sampled_dup_rate_ds(
     right = docs.select_columns([id_col, text_col]).map_batches(
         right_side, batch_format="pyarrow", zero_copy_batch=True
     )
-    joined = hash_join_ds(left, right, "partner", id_col, n_buckets=n_buckets)
+    joined = hash_join_ds(left, right, "partner", id_col)
 
     def bucketize(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -7978,7 +7714,6 @@ def effective_tokens_ds(
     text_col: str = "text",
     id_col: str = "doc_id",
     source_col: str = "source",
-    n_buckets: int = 512,
 ) -> Dataset:
     """Dedup-discounted token mass per source — the "what does dedup
     actually buy us" report: each document's tokens are down-weighted by
@@ -7987,35 +7722,20 @@ def effective_tokens_ds(
     effective gap. Emits ``(source, n_docs, raw_tokens,
     effective_tokens_e3)``.
 
-    Scale shape: ONE digest-bucket shuffle (``md5(text)`` rows co-locate
-    by ``digest-hash % n_buckets`` — bounded group count, never a group
-    per digest); inside the bucket one lexsort yields family segments,
-    per-row discounts compute vectorized, and per-source partials leave
-    the bucket; a final tiny ``groupby(source)`` sums. Docs' text never
-    shuffles — only (digest, tok, source) projections."""
+    Scale shape: ONE ``exchange.bucket_map`` on the ``md5(text)`` digest
+    (bounded group count, never a group per digest); inside the bucket
+    one lexsort yields family segments, per-row discounts compute
+    vectorized, and per-source partials leave the bucket; a final tiny
+    ``groupby(source)`` sums. Docs' text never shuffles — only (digest, tok, source) projections."""
 
     def tag(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bkt": pa.array([], pa.int64()),
-                "d": pa.array([], pa.string()),
-                "tok": pa.array([], pa.int64()),
-                "src": pa.array([], pa.string()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         texts = batch.column(text_col).to_pylist()
         h = ts.md5_hex(texts)
         ntok = np.asarray(
             [t.count(" ") + 1 if t else 1 for t in texts], np.int64
         )
-        bkt = np.asarray(
-            [int(x[:8], 16) % n_buckets for x in h], np.int64
-        )
         return pa.table(
             {
-                "bkt": pa.array(bkt, pa.int64()),
                 "d": pa.array(h.tolist(), pa.string()),
                 "tok": pa.array(ntok, pa.int64()),
                 "src": batch.column(source_col),
@@ -8032,9 +7752,6 @@ def effective_tokens_ds(
     )
 
     def bucket_discount(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in part_schema})
-        if group.num_rows == 0:
-            return empty
         d = group.column("d").to_numpy(zero_copy_only=False).astype(str)
         tok = group.column("tok").to_numpy(zero_copy_only=False)
         src = group.column("src").to_numpy(zero_copy_only=False).astype(object)
@@ -8059,10 +7776,14 @@ def effective_tokens_ds(
         )
 
     agg = (
-        docs.select_columns([id_col, text_col, source_col])
-        .map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_discount, batch_format="pyarrow")
+        bucket_map(
+            docs.select_columns([id_col, text_col, source_col]).map_batches(
+                tag, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "d",
+            bucket_discount,
+            part_schema,
+        )
         .groupby("src")
         .aggregate(Sum("n_docs"), Sum("raw"), Sum("eff"))
     )
@@ -8213,12 +7934,13 @@ def int8_quant_error_ds(
             }
         )
 
-    maxes = (
+    maxes = collect_small(
         embeddings.select_columns([vec_col])
         .map_batches(max_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("dim")
-        .aggregate(Max("mx"))
-        .take_all()
+        .aggregate(Max("mx")),
+        "per-dimension maxima",
+        {"dim": pa.int64(), "max(mx)": pa.int64()},
     )
     empty = pa.table(
         {
@@ -8229,12 +7951,11 @@ def int8_quant_error_ds(
             "max_err": pa.array([], pa.int64()),
         }
     )
-    if not maxes:
+    if not maxes.num_rows:
         return ray.data.from_arrow(empty)
-    dims = sorted(r["dim"] for r in maxes)
-    ks = np.zeros(len(dims), np.int64)
-    for r in maxes:
-        ks[r["dim"] - 1] = max(int(r["max(mx)"]).bit_length() - keep_bits, 0)
+    ks = np.zeros(maxes.num_rows, np.int64)
+    for dim, mx in zip(*(maxes.column(c).to_pylist() for c in maxes.column_names)):
+        ks[dim - 1] = max(mx.bit_length() - keep_bits, 0)
     ref = ray.put(ks)
 
     def err_partial(batch: pa.Table) -> pa.Table:
@@ -8951,22 +8672,27 @@ def source_prefix_audit_ds(
             [("mn", "min"), ("mx", "max"), ("n_p", "sum")]
         ).rename_columns(["src", "mn", "mx", "n_p"])
 
-    agg = (
+    agg = collect_small(
         docs.select_columns([text_col, source_col])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("src")
-        .aggregate(Min("mn"), Max("mx"), Sum("n_p"))
-    )
-    rows = agg.take_all()  # bounded: one row per source
+        .aggregate(Min("mn"), Max("mx"), Sum("n_p")),
+        "per-source extremes",  # one row per source
+        {
+            "src": pa.string(),
+            "min(mn)": pa.string(),
+            "max(mx)": pa.string(),
+            "sum(n_p)": pa.int64(),
+        },
+    ).sort_by("src")
     srcs, nd, lcp = [], [], []
-    for r in sorted(rows, key=lambda r: r["src"]):
-        a, b = r["min(mn)"], r["max(mx)"]
+    for src, a, b, n in zip(*(agg.column(c).to_pylist() for c in agg.column_names)):
         m = min(len(a), len(b))
         k = 0
         while k < m and a[k] == b[k]:
             k += 1
-        srcs.append(r["src"])
-        nd.append(int(r["sum(n_p)"]))
+        srcs.append(src)
+        nd.append(n)
         lcp.append(k)
     return ray.data.from_arrow(
         pa.table(
@@ -9053,12 +8779,7 @@ def fold_leakage_ds(
         )
 
     # Ray has no bitwise-OR aggregate: the per-digest fold happens in a
-    # digest-bucket co-group (bounded buckets, same as effective_tokens)
-    def tag(batch: pa.Table) -> pa.Table:
-        d = batch.column("d").to_numpy(zero_copy_only=False).astype(str)
-        bkt = np.asarray([int(x[:8], 16) % 512 for x in d], np.int64)
-        return batch.append_column("bkt", pa.array(bkt, pa.int64()))
-
+    # bucket_map co-group on the digest (same as effective_tokens)
     fam_schema = pa.schema(
         [
             ("n_families", pa.int64()),
@@ -9069,9 +8790,6 @@ def fold_leakage_ds(
     )
 
     def bucket_fold(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in fam_schema})
-        if group.num_rows == 0:
-            return empty
         d = group.column("d").to_numpy(zero_copy_only=False).astype(str)
         n = group.column("n_p").to_numpy(zero_copy_only=False)
         m = group.column("mask_p").to_numpy(zero_copy_only=False)
@@ -9097,33 +8815,23 @@ def fold_leakage_ds(
             }
         )
 
-    agg = (
-        joined.map_batches(fam_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_fold, batch_format="pyarrow")
+    parts = collect_small(  # one counter row per bucket
+        bucket_map(
+            joined.map_batches(
+                fam_partial, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "d",
+            bucket_fold,
+            fam_schema,
+        ),
+        "per-bucket family counters",
+        fam_schema,
     )
-
-    rows = agg.take_all()  # <= n_buckets counter rows
-    if not rows:
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([0], f.type) for f in fam_schema})
-        )
     return ray.data.from_arrow(
         pa.table(
             {
-                "n_families": pa.array(
-                    [sum(r["n_families"] for r in rows)], pa.int64()
-                ),
-                "n_multi_doc_families": pa.array(
-                    [sum(r["n_multi_doc_families"] for r in rows)], pa.int64()
-                ),
-                "n_leaky_families": pa.array(
-                    [sum(r["n_leaky_families"] for r in rows)], pa.int64()
-                ),
-                "n_leaky_docs": pa.array(
-                    [sum(r["n_leaky_docs"] for r in rows)], pa.int64()
-                ),
+                c: pa.array([int(parts.column(c).to_numpy().sum())], pa.int64())
+                for c in fam_schema.names
             }
         )
     )
@@ -9546,7 +9254,6 @@ def marginal_vocab_ds(
     docs: Dataset,
     text_col: str = "text",
     group_col: str = "source",
-    n_buckets: int = 512,
 ) -> Dataset:
     """Marginal vocabulary contribution per source: assign every distinct
     corpus token to its lexicographically FIRST source (a deterministic
@@ -9557,7 +9264,7 @@ def marginal_vocab_ds(
     n_owned_tokens)``.
 
     Scale shape: per-batch DISTINCT (source, token) combiner -> ONE
-    shuffle by ``md5(token) % n_buckets`` (bounded groups; every copy of
+    ``exchange.bucket_map`` on the token (bounded groups; every copy of
     a token co-locates, so in-bucket np.unique IS the global distinct
     and the in-bucket min IS the global owner) -> per-bucket per-source
     partial counts -> final groupby over the tiny source domain."""
@@ -9570,40 +9277,21 @@ def marginal_vocab_ds(
     )
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "g": pa.array([], pa.string()),
-                "token": pa.array([], pa.string()),
-                "bkt": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         toks = pc.split_pattern(
             pc.fill_null(batch.column(text_col), ""), pattern=" "
         )
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         flat = pc.list_flatten(toks)
-        if len(flat) == 0:
-            return empty
         g = np.repeat(
             batch.column(group_col).to_numpy(zero_copy_only=False).astype(str), n_tok
         )
-        t = (
+        return (
             pa.table({"g": pa.array(g, pa.string()), "token": flat})
             .group_by(["g", "token"])
             .aggregate([])
         )
-        gl = t.column("token").to_pylist()
-        h = np.fromiter((ts.md5_u64(x) for x in gl), np.uint64, count=len(gl))
-        return t.append_column(
-            "bkt", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
 
     def bucket_counts(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
         g = group.column("g").to_numpy(zero_copy_only=False).astype(str)
         tok = group.column("token").to_numpy(zero_copy_only=False).astype(object)
         # global distinct (token, source) pairs: lexsort + boundary mask
@@ -9628,13 +9316,12 @@ def marginal_vocab_ds(
             }
         )
 
-    from .analytics import _anchor_schema
-
-    bucketed = _anchor_schema(
-        docs.select_columns([group_col, text_col])
-        .map_batches(pairs_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_counts, batch_format="pyarrow"),
+    bucketed = bucket_map(
+        docs.select_columns([group_col, text_col]).map_batches(
+            pairs_partial, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "token",
+        bucket_counts,
         out_schema,
     )
     out = bucketed.groupby("source").aggregate(Sum("d"), Sum("o"))
@@ -9672,7 +9359,6 @@ def vocab_drift_ds(
     docs: Dataset,
     text_col: str = "text",
     group_col: str = "source",
-    n_buckets: int = 512,
 ) -> Dataset:
     """Vocabulary-drift chain: for every ADJACENT pair of sources in
     lexicographic order, the exact distinct-token overlap ``(source_a,
@@ -9682,7 +9368,7 @@ def vocab_drift_ds(
 
     Scale shape: the source DOMAIN (tiny by definition) is collected
     once to fix ranks; per-batch DISTINCT (source, token) combiner ->
-    ONE ``md5(token) % n_buckets`` shuffle (every copy of a token
+    ONE ``exchange.bucket_map`` on the token (every copy of a token
     co-locates, so in-bucket np.unique IS the global distinct and
     rank-adjacency counting is local) -> per-bucket (rank, d, c)
     partials -> one bounded groupby over ranks."""
@@ -9708,20 +9394,9 @@ def vocab_drift_ds(
     rank = {s: i for i, s in enumerate(labels)}
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "rk": pa.array([], pa.int64()),
-                "tok": pa.array([], pa.string()),
-                "bkt": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         toks = pc.split_pattern(pc.fill_null(batch.column(text_col), ""), pattern=" ")
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         flat = pc.list_flatten(toks)
-        if len(flat) == 0:
-            return empty
         g = np.repeat(
             batch.column(group_col).to_numpy(zero_copy_only=False).astype(str), n_tok
         )
@@ -9733,26 +9408,9 @@ def vocab_drift_ds(
         rk = np.fromiter(
             (rank[s] for s in t.column("g").to_pylist()), np.int64, count=t.num_rows
         )
-        tl = t.column("tok").to_pylist()
-        h = np.fromiter((ts.md5_u64(x) for x in tl), np.uint64, count=len(tl))
-        return pa.table(
-            {
-                "rk": pa.array(rk, pa.int64()),
-                "tok": t.column("tok"),
-                "bkt": pa.array((h % np.uint64(n_buckets)).astype(np.int64)),
-            }
-        )
+        return pa.table({"rk": pa.array(rk, pa.int64()), "tok": t.column("tok")})
 
     def bucket_counts(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "rk": pa.array([], pa.int64()),
-                "d": pa.array([], pa.int64()),
-                "c": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
         rk = group.column("rk").to_numpy(zero_copy_only=False)
         tok = group.column("tok").to_numpy(zero_copy_only=False).astype(object)
         order = np.lexsort((rk, tok))
@@ -9777,10 +9435,14 @@ def vocab_drift_ds(
         )
 
     agg = collect_small(
-        docs.select_columns([group_col, text_col])
-        .map_batches(pairs_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(bucket_counts, batch_format="pyarrow")
+        bucket_map(
+            docs.select_columns([group_col, text_col]).map_batches(
+                pairs_partial, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "tok",
+            bucket_counts,
+            {"rk": pa.int64(), "d": pa.int64(), "c": pa.int64()},
+        )
         .groupby("rk")
         .aggregate(Sum("d"), Sum("c")),
         "per-rank token counts",
@@ -9811,7 +9473,6 @@ def edit_distance_join_ds(
     width: int = 36,
     tau: int = 2,
     max_bucket: Optional[int] = DEFAULT_MAX_BUCKET,
-    n_buckets: int = 512,
 ) -> Dataset:
     """String-similarity self-join (PassJoin-style, Li et al. 2011 —
     public method): all doc pairs whose ``width``-char prefixes (padded
@@ -9826,9 +9487,10 @@ def edit_distance_join_ds(
     Levenshtein DP vectorized ACROSS pairs (one (pairs x width) numpy
     sweep, no per-pair Python DP).
 
-    Scale shape: the only exchange moves (segment-hash bucket, role,
-    id, prefix) rows; in-bucket searchsorted matches probes to index
-    segments, per-segment caps star-collapse hot keys (empty-text
+    Scale shape: the only exchange, an ``exchange.bucket_map`` on the
+    segment hash, moves (segment hash, role, id, prefix) rows; in-bucket
+    searchsorted matches probes to index segments, per-segment caps
+    star-collapse hot keys (empty-text
     cliques), duplicate candidates collapse via one Min-groupby over
     the (tiny by construction) verified pair set."""
     assert width % (tau + 1) == 0, "width must divide into tau+1 segments"
@@ -9836,17 +9498,6 @@ def edit_distance_join_ds(
     pad = "\x01"
 
     def block(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bkt": pa.array([], pa.int64()),
-                "kh": pa.array([], pa.uint64()),
-                "role": pa.array([], pa.int8()),
-                "doc_id": pa.array([], batch.schema.field(id_col).type),
-                "pfx": pa.array([], pa.string()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         ids = batch.column(id_col)
         texts = batch.column(text_col).to_pylist()
         pfx = [(t or "")[:width].ljust(width, pad) for t in texts]
@@ -9875,11 +9526,9 @@ def edit_distance_join_ds(
                     out_role.append(1)
                     out_idx.append(i)
                     out_pfx.append(p)
-        kh = np.array(out_kh, np.uint64)
         return pa.table(
             {
-                "bkt": pa.array((kh % np.uint64(n_buckets)).astype(np.int64)),
-                "kh": pa.array(kh),
+                "kh": pa.array(np.array(out_kh, np.uint64)),
                 "role": pa.array(np.array(out_role, np.int8)),
                 "doc_id": ids.take(pa.array(out_idx, pa.int64())),
                 "pfx": pa.array(out_pfx, pa.string()),
@@ -9912,15 +9561,6 @@ def edit_distance_join_ds(
         return prev[:, -1]
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_a": pa.array([], group.schema.field("doc_id").type),
-                "doc_b": pa.array([], group.schema.field("doc_id").type),
-                "edit_distance": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows < 2:
-            return empty
         kh = group.column("kh").to_numpy(zero_copy_only=False)
         role = group.column("role").to_numpy(zero_copy_only=False)
         order = np.lexsort((role, kh))
@@ -9930,7 +9570,7 @@ def edit_distance_join_ds(
         idx_pos = np.flatnonzero(idx_mask)
         prb_pos = np.flatnonzero(~idx_mask)
         if idx_pos.size == 0 or prb_pos.size == 0:
-            return empty
+            return pa.table({})
         idx_kh = kh_s[idx_pos]
         lo = np.searchsorted(idx_kh, kh_s[prb_pos], side="left")
         hi = np.searchsorted(idx_kh, kh_s[prb_pos], side="right")
@@ -9944,7 +9584,7 @@ def edit_distance_join_ds(
                 cnt = np.minimum(cnt, max_bucket)
         total = int(cnt.sum())
         if total == 0:
-            return empty
+            return pa.table({})
         p_rep = np.repeat(prb_pos, cnt)
         offs = np.repeat(np.cumsum(cnt) - cnt, cnt)
         i_idx = idx_pos[np.repeat(lo, cnt) + (np.arange(total) - offs)]
@@ -9953,7 +9593,7 @@ def edit_distance_join_ds(
         da, db = docs_np[p_rep], docs_np[i_idx]
         neq = da != db
         if not neq.any():
-            return empty
+            return pa.table({})
         a_doc, b_doc = da[neq], db[neq]
         a_pfx, b_pfx = pfx_np[p_rep][neq], pfx_np[i_idx][neq]
         # canonical order + in-bucket dedup before the expensive DP
@@ -9972,19 +9612,21 @@ def edit_distance_join_ds(
         dist = _lev_vectorized(a_pfx2, b_pfx2)
         ok = dist <= tau
         if not ok.any():
-            return empty
+            return pa.table({})
         return pa.table(
-            {
-                "doc_a": pa.array(a_doc2[ok]),
-                "doc_b": pa.array(b_doc2[ok]),
-                "edit_distance": pa.array(dist[ok].astype(np.int64)),
-            }
+            {"doc_a": a_doc2[ok], "doc_b": b_doc2[ok], "edit_distance": dist[ok]}
         )
 
     blocked = docs.select_columns([id_col, text_col]).map_batches(
         block, batch_format="pyarrow", zero_copy_batch=True
     )
-    pairs = blocked.groupby("bkt").map_groups(bucket_pairs, batch_format="pyarrow")
+    id_type = _id_type(docs, id_col)
+    pairs = bucket_map(
+        blocked,
+        "kh",
+        bucket_pairs,
+        {"doc_a": id_type, "doc_b": id_type, "edit_distance": pa.int64()},
+    )
     dedup = pairs.groupby(["doc_a", "doc_b"]).aggregate(Min("edit_distance"))
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -10021,7 +9663,7 @@ def freq_of_freqs_ds(
     Scale shape: per-batch token-count combiner -> ONE aggregate-only
     vocab groupby -> per-batch bucket fold -> tiny (<= 64-row) bucket
     groupby."""
-    from .analytics import _anchor_schema, _bit_length_exact
+    from .analytics import _bit_length_exact
 
     out_schema = pa.schema(
         [
@@ -10124,8 +9766,6 @@ def oov_rate_ds(
     <= k rows per block; the k vocab terms broadcast in the closure;
     the second pass is a streaming searchsorted membership probe with
     a per-batch source combiner -> source-domain groupby."""
-    from .analytics import _anchor_schema
-
     out_schema = pa.schema(
         [
             (group_col, pa.string()),

@@ -5,10 +5,13 @@ Every near-dup and similarity-join operator in `corpus_ops` and
 `analytics` has the same shape (the hash-partitioned co-group of
 *Streaming HyperCube*, EDBT 2019):
 
-1. Rows shuffle by ``hash(key) % n_buckets`` (:func:`_hash_bucket_column`,
-   :func:`_mix64`): a BOUNDED group count, never ``groupby(key)`` over
-   millions of near-singleton keys, whose per-group Python overhead
-   dominates the whole operator.
+1. :func:`bucket_map` shuffles rows on ``hash(key) % N_EXCHANGE_BUCKETS``
+   (:func:`_hash_bucket_column`, :func:`_mix64`) and calls the operator's
+   function once per bucket: a BOUNDED group count, never
+   ``groupby(key)`` over millions of near-singleton keys, whose
+   per-group Python overhead dominates the whole operator. It also owns
+   the output contract: every bucket's table is cast to the operator's
+   schema, and an empty input still has that schema.
 2. Inside a bucket, :func:`segment_runs` sorts rows by key, then id, and
    returns each key run's start and length.
 3. :func:`run_pairs` expands every ``i < j`` pair inside the runs the
@@ -16,7 +19,9 @@ Every near-dup and similarity-join operator in `corpus_ops` and
    row (its minimum id) to every other row, and :func:`capped_pairs`
    combines the two around a ``max_bucket`` cap.
 
-Callers choose the run lengths they pass (star-capped, truncated to the
+Operators call :func:`bucket_map` and never pick a bucket count: their
+output over whole key runs does not depend on it. Inside the bucket,
+callers choose the run lengths they pass (star-capped, truncated to the
 first ``cap`` rows, or dropped outside bounds), so each operator keeps
 its own cap policy. Operator semantics (Hamming checks, size filters,
 same-doc skips) are filters on the returned index pairs.
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -50,8 +55,12 @@ _LOG = logging.getLogger(__name__)
 # a silent cap: each degraded bucket logs its size and the pair reduction.
 DEFAULT_MAX_BUCKET = 256
 
-# Group count of the MinHash band and SimHash chunk exchanges.
-N_EXCHANGE_BUCKETS = 1024
+# Group count of every hash-bucketed co-group (:func:`bucket_map`). Each
+# group costs a fixed ~1 ms of Python in map_groups, so a few hundred
+# keeps that below the shuffle's own cost on a small corpus while every
+# group stays one vectorized kernel call. Read at call time, so tests can
+# vary it.
+N_EXCHANGE_BUCKETS = 256
 
 # Most rows a side may have to be collected to the driver and broadcast.
 # Read at call time, so tests can lower it.
@@ -93,7 +102,8 @@ def _hash_bucket_column(key_col: pa.ChunkedArray, n_buckets: int) -> pa.Array:
     batch's distinct-key count is what bounds the Python work, never
     its row count)."""
     if pa.types.is_integer(key_col.type):
-        k = key_col.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        # uint64 hashes wrap into int64: the bit pattern is what mixes
+        k = pc.cast(key_col, pa.int64(), safe=False).to_numpy(zero_copy_only=False)
         return pa.array(
             (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
         )
@@ -115,6 +125,55 @@ def _hash_bucket_column(key_col: pa.ChunkedArray, n_buckets: int) -> pa.Array:
     )
     idx = enc.indices.to_numpy(zero_copy_only=False)
     return pa.array(dict_buckets[idx], pa.int64())
+
+
+def _anchor_schema(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
+    """Union a typed empty block in front of ``ds``, so its columns
+    survive when every block is empty or there are no blocks (an
+    all-empty ``map_groups`` output is otherwise schema-less, which breaks
+    empty-vs-empty oracle compares)."""
+    return ray.data.from_arrow(pa.schema(schema).empty_table()).union(ds)
+
+
+def bucket_map(
+    ds: ray.data.Dataset,
+    key: str,
+    fn: Callable[[pa.Table], pa.Table],
+    schema,
+) -> ray.data.Dataset:
+    """The one hash-bucketed co-group: shuffle ``ds`` on
+    ``_hash_bucket_column(key, N_EXCHANGE_BUCKETS)`` and call ``fn`` once
+    per bucket.
+
+    ``fn`` gets one bucket's rows, with ``ds``'s columns: every row of
+    one or more whole ``key`` runs. It returns a table; a zero-row result
+    becomes ``schema.empty_table()`` and a non-empty one is selected and
+    cast to ``schema`` (a ``pa.Schema`` or a name -> type mapping). The
+    output is anchored with a typed empty block, so an empty input still
+    has ``schema``'s columns. No operator outside this module picks a
+    bucket count: the output of ``fn`` over whole key runs does not
+    depend on it."""
+    schema = pa.schema(schema)
+    n_buckets = N_EXCHANGE_BUCKETS
+
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "bkt", _hash_bucket_column(batch.column(key), n_buckets)
+        )
+
+    def per_bucket(group: pa.Table) -> pa.Table:
+        out = fn(group.drop_columns(["bkt"]))
+        if out.num_rows == 0:
+            return schema.empty_table()
+        return out.select(schema.names).cast(schema)
+
+    per_bucket.__name__ = getattr(fn, "__name__", "bucket_map")
+    keyed = ds.map_batches(
+        add_bucket, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    )
+    return _anchor_schema(
+        keyed.groupby("bkt").map_groups(per_bucket, batch_format="pyarrow"), schema
+    )
 
 
 def segment_runs(

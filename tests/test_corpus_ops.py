@@ -295,7 +295,7 @@ def test_dedup_resolution_cogroup_label_attach(ray_session, monkeypatch):
     assert calls == ["_min_label_propagation", "_attach_labels_cogroup"]
     assert drv.equals(cg)
     # 2,100 labelled nodes in 700 three-node chains, 2,500 docs: most of
-    # the 1,024 exchange buckets resolve several nodes at once
+    # the exchange buckets resolve several nodes at once
     n_chain, n_docs = 700, 2500
     big_pairs = pa.table(
         {
@@ -1245,12 +1245,16 @@ def test_fuzzy_join_exact_sub_ins_del_and_miss(ray_session):
     }
 
 
-def test_fuzzy_join_no_duplicate_rows_and_partition_invariance(ray_session):
+def test_fuzzy_join_no_duplicate_rows_and_partition_invariance(
+    ray_session, monkeypatch
+):
     # many repeated-char tokens (the classic duplicate-variant trap)
     dict_rows = [("aabb", 2), ("aab", 5), ("abb", 1), ("abcd", 9)]
     qs = ["aab", "ab", "abc", "aabb"]
-    a = _fuzzy(qs, dict_rows, n_buckets=2)
-    b = _fuzzy(qs, dict_rows, n_buckets=64)
+    monkeypatch.setattr(exchange, "N_EXCHANGE_BUCKETS", 2)
+    a = _fuzzy(qs, dict_rows)
+    monkeypatch.setattr(exchange, "N_EXCHANGE_BUCKETS", 64)
+    b = _fuzzy(qs, dict_rows)
     assert a == b
     # every key appears exactly once by construction of the dict return;
     # verify against a brute-force reference
@@ -1289,7 +1293,9 @@ def test_fuzzy_join_no_duplicate_rows_and_partition_invariance(ray_session):
     assert a == expect
 
 
-def test_source_overlap_hand_computed_and_partition_invariant(ray_session):
+def test_source_overlap_hand_computed_and_partition_invariant(
+    ray_session, monkeypatch
+):
     # short docs (<5 tokens) fall back to whole-doc grams
     rows = [
         ("a", "x y"), ("a", "p q"), ("a", "u v"),
@@ -1313,11 +1319,10 @@ def test_source_overlap_hand_computed_and_partition_invariant(ray_session):
         ("a", "c"): (1, 3, 2),
         ("b", "c"): (1, 2, 2),
     }
+    monkeypatch.setattr(exchange, "N_EXCHANGE_BUCKETS", 3)
     got2 = {
         (r["src_a"], r["src_b"]): (r["shared_grams"], r["n_a"], r["n_b"])
-        for r in co.source_overlap_ds(
-            docs.repartition(5), n_buckets=3
-        ).take_all()
+        for r in co.source_overlap_ds(docs.repartition(5)).take_all()
     }
     assert got2 == got
 

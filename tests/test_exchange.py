@@ -1,15 +1,19 @@
 """The bounded exchanges: the in-bucket kernel against a brute-force
-oracle, the bounded group count of the MinHash and SimHash shuffles, and
-the guarded small collect, which is the only way a report-sized side
-reaches the driver from ``pipelines/``."""
+oracle, the ``bucket_map`` co-group contract, the bounded group count of
+the MinHash and SimHash shuffles, and the guarded small collect, which is
+the only way a report-sized side reaches the driver from ``pipelines/``.
+AST guards keep every bucket hash, bucket count and driver collect of
+``pipelines/`` inside ``exchange.py``."""
 
 import ast
 import inspect
 import itertools
 import os
+import re
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray
 import ray.data
@@ -129,24 +133,119 @@ def _synthetic_docs(n: int) -> pa.Table:
     )
 
 
+def _n_buckets(key: pa.Array) -> int:
+    return len(np.unique(exchange._hash_bucket_column(key, N_EXCHANGE_BUCKETS)))
+
+
 def test_minhash_and_simhash_shuffle_on_bounded_buckets():
-    """MinHash band rows and SimHash chunk rows shuffle on a bucket column
-    with at most ``N_EXCHANGE_BUCKETS`` values, although their keys
-    (band keys, chunk keys) far outnumber it."""
+    """MinHash band rows and SimHash chunk rows shuffle through
+    ``bucket_map`` on their keys, whose buckets number at most
+    ``N_EXCHANGE_BUCKETS`` although the keys (band keys, chunk keys) far
+    outnumber it."""
     for fn in (co.minhash_pairs_ds, co.simhash_pairs_ds):
         src = inspect.getsource(fn)
-        assert 'groupby("bkt")' in src
+        assert "bucket_map(" in src
         assert 'groupby("band_key")' not in src and 'groupby("bucket")' not in src
     docs = _synthetic_docs(2000)
     bands = co._MinHashBandStage(
         num_perm=64, bands=64, shingle_k=5, text_col="text", id_col="doc_id"
     )(docs)
-    assert len(np.unique(bands.column("bkt").to_numpy())) <= N_EXCHANGE_BUCKETS
+    assert _n_buckets(bands.column("band_key")) <= N_EXCHANGE_BUCKETS
     assert len(np.unique(bands.column("band_key").to_numpy(False))) > N_EXCHANGE_BUCKETS
 
     chunks = co._simhash_chunk_rows(docs, "text", "doc_id")
-    assert len(np.unique(chunks.column("bkt").to_numpy())) <= N_EXCHANGE_BUCKETS
+    assert _n_buckets(chunks.column("bucket")) <= N_EXCHANGE_BUCKETS
     assert len(np.unique(chunks.column("bucket").to_numpy())) > N_EXCHANGE_BUCKETS
+
+
+SCHEMA = pa.schema({"k": pa.int32(), "n": pa.int64()})
+
+
+def _assert_typed(ds: ray.data.Dataset, schema: pa.Schema) -> list:
+    """``ds`` has ``schema``: its first block (the typed anchor) and every
+    block with columns carry it. A Ray map over a zero-row input block
+    emits a column-less zero-row block, which the anchor outranks."""
+    blocks = ray.get(ds.to_arrow_refs())
+    assert ds.schema().names == schema.names
+    assert list(ds.schema().types) == list(schema.types)
+    assert blocks[0].schema == schema
+    assert all(b.schema == schema for b in blocks if b.num_columns)
+    assert all(b.num_rows == 0 for b in blocks if not b.num_columns)
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "ds",
+    [
+        lambda: _rows(0),
+        lambda: _rows(10).filter(expr="k < 0"),
+        lambda: ray.data.range(0).rename_columns({"id": "k"}),
+    ],
+    ids=["zero_row_block", "filtered_out", "no_blocks"],
+)
+def test_bucket_map_empty_input_is_typed(ray_session, ds):
+    def count_rows(group: pa.Table) -> pa.Table:
+        return pa.table({"k": group.column("k"), "n": np.arange(group.num_rows)})
+
+    out = exchange.bucket_map(ds(), "k", count_rows, SCHEMA).materialize()
+    assert out.count() == 0
+    _assert_typed(out, SCHEMA)
+
+
+def test_bucket_map_all_empty_buckets_keep_columns(ray_session):
+    out = exchange.bucket_map(
+        _rows(100).repartition(5), "k", lambda group: pa.table({}), SCHEMA
+    ).materialize()
+    assert out.count() == 0
+    _assert_typed(out, SCHEMA)
+
+
+def test_bucket_map_selects_and_casts_to_schema(ray_session):
+    """An extra column is dropped and int64 narrows to int32; the key
+    column reaches ``fn`` without the bucket column."""
+    seen = []
+
+    def fn(group: pa.Table) -> pa.Table:
+        seen.append(group.column_names)
+        return pa.table(
+            {"extra": group.column("v"), "n": np.full(group.num_rows, 2), "k": group["k"]}
+        )
+
+    out = exchange.bucket_map(_rows(50).repartition(3), "k", fn, SCHEMA).materialize()
+    blocks = _assert_typed(out, SCHEMA)
+    got = pa.concat_tables(blocks)
+    assert sorted(got.column("k").to_pylist()) == list(range(50))
+    assert set(got.column("n").to_pylist()) == {2}
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        pa.array([f"key{i % 200}" for i in range(600)], pa.string()),
+        pa.array([i % 200 for i in range(600)], pa.int64()),
+        pa.array([2**63 + 977 * (i % 200) for i in range(600)], pa.uint64()),
+    ],
+    ids=["string", "int64", "uint64"],
+)
+def test_bucket_map_groups_whole_keys_into_bounded_buckets(
+    ray_session, monkeypatch, keys
+):
+    """Each bucket holds whole key runs, and there are at most
+    ``N_EXCHANGE_BUCKETS`` buckets, read at call time."""
+    monkeypatch.setattr(exchange, "N_EXCHANGE_BUCKETS", 7)
+
+    def fn(group: pa.Table) -> pa.Table:
+        keys = pc.unique(group.column("key"))
+        first = pc.min(group.column("key")).as_py()
+        return pa.table({"key": keys, "bucket": [str(first)] * len(keys)})
+
+    ds = ray.data.from_arrow(pa.table({"key": keys})).repartition(4)
+    got = exchange.collect_small(
+        exchange.bucket_map(ds, "key", fn, {"key": keys.type, "bucket": pa.string()}),
+        "buckets",
+    )
+    assert got.num_rows == 200  # every key reaches exactly one bucket
+    assert len(set(got.column("bucket").to_pylist())) <= 7
 
 
 def _rows(n):
@@ -218,15 +317,19 @@ def _is_collect_small(node) -> bool:
     )
 
 
+def _pipeline_trees():
+    for f in sorted(os.listdir(PIPELINES)):
+        if f.endswith(".py"):
+            yield f, ast.parse(open(os.path.join(PIPELINES, f)).read())
+
+
 def test_driver_collects_go_through_collect_small():
     """No unguarded pandas collect helper in ``pipelines/``, no
-    ``take_all()`` in ``analytics`` or ``main_content``, and every
-    ``to_pandas()`` is chained on a ``collect_small(...)`` result."""
+    ``take_all()`` outside ``exchange.py``, and every ``to_pandas()`` is
+    chained on a ``collect_small(...)`` result."""
     bad = []
-    for f in sorted(os.listdir(PIPELINES)):
-        if not f.endswith(".py"):
-            continue
-        for n in ast.walk(ast.parse(open(os.path.join(PIPELINES, f)).read())):
+    for f, tree in _pipeline_trees():
+        for n in ast.walk(tree):
             if isinstance(n, ast.FunctionDef) and n.name in GONE:
                 bad.append(f"{f}:{n.lineno} defines {n.name}")
             elif isinstance(n, ast.ImportFrom):
@@ -236,10 +339,74 @@ def test_driver_collects_go_through_collect_small():
                     if a.name in GONE
                 ]
             elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
-                if n.func.attr == "take_all" and f in ("analytics.py", "main_content.py"):
+                if n.func.attr == "take_all" and f != "exchange.py":
                     bad.append(f"{f}:{n.lineno} take_all()")
                 if n.func.attr == "to_pandas" and not _is_collect_small(n.func.value):
                     bad.append(f"{f}:{n.lineno} to_pandas() off collect_small")
+    assert bad == []
+
+
+BUCKET_COLUMN = re.compile(r"^[a-z]*bkt\d*$")
+COUNT_PARAMS = ("n_buckets", "n_hash_buckets")
+# the one operator whose bucket count is semantic: it sets the packing
+# plan that the pack_sequences oracle checks
+SEMANTIC_COUNTS = {"pack_sequences_ds"}
+
+
+def _names(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_exchange_owns_bucket_hash_and_count():
+    """Outside ``exchange.py``, ``pipelines/`` has no ``map_groups`` on a
+    bucket column, no bucket hash (``_mix64``, ``_hash_bucket_column``),
+    no ``% n_buckets``, no bucket-count parameter (but the semantic one of
+    ``pack_sequences_ds``) and no ``_anchor_schema`` of its own: every
+    hash-bucketed co-group goes through ``exchange.bucket_map``."""
+    bad = []
+    for f, tree in _pipeline_trees():
+        if f == "exchange.py":
+            continue
+        module_level = set(map(id, tree.body))
+        for n in ast.walk(tree):
+            where = f"{f}:{getattr(n, 'lineno', '?')}"
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                grouped = n.func.value
+                if (
+                    n.func.attr == "map_groups"
+                    and isinstance(grouped, ast.Call)
+                    and getattr(grouped.func, "attr", None) == "groupby"
+                    and grouped.args
+                    and isinstance(grouped.args[0], ast.Constant)
+                    and BUCKET_COLUMN.match(str(grouped.args[0].value))
+                ):
+                    bad.append(f"{where} map_groups on {grouped.args[0].value}")
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) in (
+                "_mix64",
+                "_hash_bucket_column",
+            ):
+                bad.append(f"{where} calls {n.func.id}")
+            if (
+                isinstance(n, ast.BinOp)
+                and isinstance(n.op, ast.Mod)
+                and _names(n.right) & set(COUNT_PARAMS)
+            ):
+                bad.append(f"{where} % bucket count")
+            if isinstance(n, ast.FunctionDef):
+                if n.name == "_anchor_schema":
+                    bad.append(f"{where} defines _anchor_schema")
+                if n.name not in SEMANTIC_COUNTS:
+                    bad += [
+                        f"{where} {n.name}({a.arg})"
+                        for a in n.args.args + n.args.kwonlyargs
+                        if a.arg in COUNT_PARAMS
+                    ]
+            if isinstance(n, ast.ImportFrom) and id(n) not in module_level:
+                bad += [
+                    f"{where} imports {a.name} inside a function"
+                    for a in n.names
+                    if a.name == "_anchor_schema"
+                ]
     assert bad == []
 
 
