@@ -7,6 +7,17 @@ worth an actor pool or a per-worker cache (the reference keeps comparable
 state in its per-doc ``PDFResourceManager``, reference pdf.py:46,
 page.py:269-275); per-batch work is vectorized numpy/pyarrow.
 
+Every page stage reads its batch of page rows as one ``flatten.PageGroup``
+(:func:`arrow_page_group`): the rows' flat char, rect and line columns with
+the list offsets as page bounds. Words and default text take the whole
+group in one word-kernel call, with the page as segment. The textmap
+stages (layout and simple text, text lines, search) lay out each page
+alone, so they read each page's slice of the group's columns. The mask
+stages (filter, crop, dedupe, duplicate) write new list offsets over the
+flat ``list<struct>`` children and pass every other column through. Page
+dicts serve only one-page consumers outside the stages, and the dict ->
+Arrow rebuild only the synthetic decode.
+
 A pathological document never fails a task: per-doc decode errors are
 quarantined into rows with a non-null ``error`` column (dead-letter
 pattern; the reference would raise, pdf.py:65-108).
@@ -14,14 +25,29 @@ pattern; the reference would raise, pdf.py:65-108).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import re
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import PipelineConfig, SynthLayoutConfig, TableConfig, WordConfig
+from ..functions.dedupe import dedupe_chars_mask
+from ..functions.geometry import (
+    clip_to_bbox,
+    outside_bbox_mask,
+    test_proposed_bbox,
+    within_bbox_mask,
+)
+from ..functions.textmap import (
+    extract_text_lines_page,
+    extract_text_page,
+    extract_text_simple_page,
+    search_page,
+    segment_texts,
+)
 from ..functions.words import extract_words_page
-from ..functions.textmap import extract_text_page, extract_text_simple_page
 from ..schemas import ANNOT, CHAR, CURVE, IMAGE, LINE, RECT, SPAN
 from .flatten import (
     EDGE_COLS,
@@ -29,9 +55,12 @@ from .flatten import (
     Ruling,
     bounded_groups,
     extract_doc_spans,  # noqa: F401  (patched by perfbench/trace.py; ROADMAP item 2)
+    page_ids,
     page_table_cells,
+    paragraph_blocks,
     spans_group,
     table_cells_group,
+    word_ids,
 )
 from .layout import PageDict, layout_doc_fields
 
@@ -41,6 +70,9 @@ _CHAR_FIELDS = (
     "mat_f",
 )
 _RECT_FIELDS = ("x0", "x1", "top", "bottom", "doctop", "mcid", "tag")
+_WORD_KEYS = (
+    "text", "x0", "x1", "top", "bottom", "doctop", "width", "height", "upright", "direction",
+)
 
 
 def _spans_column(span_lists: List[List[Dict]]) -> pa.Array:
@@ -243,15 +275,21 @@ def pages_to_arrow(rows: List[Tuple[str, PageDict]]) -> pa.Table:
     )
 
 
-def _field_arrays(
-    col: pa.ListArray, fields: Tuple[str, ...]
+def _page_rows(batch: pa.Table, name: str) -> Tuple[pa.StructArray, np.ndarray]:
+    """List column ``name`` of page rows -> the objects the rows hold (the
+    struct child rows) and the page offsets into them."""
+    col = batch.column(name).combine_chunks()
+    offs = col.offsets.to_numpy().astype(np.int64)
+    return col.values.slice(offs[0], offs[-1] - offs[0]), offs - offs[0]
+
+
+def _flat(
+    batch: pa.Table, name: str, fields: Sequence[str]
 ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-    """A list<struct> column -> its flat field arrays and list offsets
-    (offsets index the flat arrays)."""
-    values = col.values
-    return {name: values.field(name).to_numpy(zero_copy_only=False) for name in fields}, (
-        col.offsets.to_numpy()
-    )
+    """List column ``name`` of page rows -> the objects' ``fields`` as flat
+    numpy arrays and the page offsets into them."""
+    values, offs = _page_rows(batch, name)
+    return {k: values.field(k).to_numpy(zero_copy_only=False) for k in fields}, offs
 
 
 def _list_column(batch: pa.Table, name: str) -> List[List[Dict]]:
@@ -261,7 +299,8 @@ def _list_column(batch: pa.Table, name: str) -> List[List[Dict]]:
 
 
 def arrow_pages_to_dicts(batch: pa.Table) -> List[Tuple[str, PageDict]]:
-    """Inverse of :func:`pages_to_arrow` — numpy views per page row."""
+    """Inverse of :func:`pages_to_arrow` — numpy views per page row, for
+    the consumers of one page at a time outside the stages."""
     out: List[Tuple[str, PageDict]] = []
     doc_ids = batch.column("doc_id").to_pylist()
     images = batch.column("images").to_pylist()
@@ -271,9 +310,9 @@ def arrow_pages_to_dicts(batch: pa.Table) -> List[Tuple[str, PageDict]]:
     pw = batch.column("page_width").to_numpy()
     ph = batch.column("page_height").to_numpy()
     idt = batch.column("initial_doctop").to_numpy()
-    cflat, coffs = _field_arrays(batch.column("chars").combine_chunks(), _CHAR_FIELDS)
-    rflat, roffs = _field_arrays(batch.column("rects").combine_chunks(), _RECT_FIELDS)
-    lflat, loffs = _field_arrays(batch.column("lines").combine_chunks(), _RECT_FIELDS)
+    cflat, coffs = _flat(batch, "chars", _CHAR_FIELDS)
+    rflat, roffs = _flat(batch, "rects", _RECT_FIELDS)
+    lflat, loffs = _flat(batch, "lines", _RECT_FIELDS)
 
     for i, doc_id in enumerate(doc_ids):
         cs, ce = int(coffs[i]), int(coffs[i + 1])
@@ -301,13 +340,7 @@ def arrow_page_group(batch: pa.Table) -> PageGroup:
     """Page rows -> one :class:`PageGroup`: the rows' flat char, rect and
     line columns, as Arrow holds them, with the list offsets as page
     bounds."""
-
-    def flat(name: str, fields: Tuple[str, ...]) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-        cols, offs = _field_arrays(batch.column(name).combine_chunks(), fields)
-        lo, hi = offs[0], offs[-1]
-        return {k: v[lo:hi] for k, v in cols.items()}, (offs - lo).astype(np.int64)
-
-    chars, char_offsets = flat("chars", _CHAR_FIELDS)
+    chars, char_offsets = _flat(batch, "chars", _CHAR_FIELDS)
     chars["width"] = chars["x1"] - chars["x0"]
     chars["height"] = chars["bottom"] - chars["top"]
     widths = batch.column("page_width").to_pylist()
@@ -317,130 +350,103 @@ def arrow_page_group(batch: pa.Table) -> PageGroup:
         chars=chars,
         char_offsets=char_offsets,
         ruling=Ruling(
-            *flat("rects", EDGE_COLS), *flat("lines", EDGE_COLS), _list_column(batch, "curves")
+            *_flat(batch, "rects", EDGE_COLS), *_flat(batch, "lines", EDGE_COLS),
+            _list_column(batch, "curves"),
         ),
     )
 
 
-# ---- stateless per-page operator stages (plain map_batches functions) ----
+def _page_table(batch: pa.Table, page: Sequence[int], **cols: Any) -> pa.Table:
+    """One output row per entry of ``page`` (a row index of ``batch``):
+    that page row's doc_id and page_number, then ``cols``."""
+    idx = pa.array(page, pa.int64())
+    return pa.table(
+        {
+            "doc_id": batch.column("doc_id").take(idx),
+            "page_number": batch.column("page_number").take(idx),
+            **cols,
+        }
+    )
+
+
+def _kept(keep: np.ndarray, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A keep mask over a list column's objects -> (the kept rows, the page
+    offsets into them)."""
+    return np.flatnonzero(keep), np.concatenate(([0], np.cumsum(keep)))[offsets]
+
+
+def _with_objects(
+    batch: pa.Table,
+    name: str,
+    values: pa.StructArray,
+    rows: np.ndarray,
+    offsets: np.ndarray,
+    **fields: np.ndarray,
+) -> pa.Table:
+    """``batch`` whose list column ``name`` holds the objects ``values[rows]``
+    within page offsets ``offsets``, ``fields`` (arrays over ``rows``)
+    replacing those struct children. Every other column stays as it is."""
+    kept = values.take(pa.array(rows, pa.int64()))
+    if fields:
+        kept = pa.StructArray.from_arrays(
+            [
+                pa.array(fields[f.name], f.type) if f.name in fields else kept.field(f.name)
+                for f in kept.type
+            ],
+            fields=list(kept.type),
+        )
+    i = batch.schema.get_field_index(name)
+    field = batch.schema.field(i)
+    col = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), kept, type=field.type)
+    return batch.set_column(i, field, col)
+
+
+# ---- stateless per-object operator stages (plain map_batches functions) ----
+
+
+def _explode(batch: pa.Table, name: str, fields: Sequence[str]) -> pa.Table:
+    """Page rows -> one row per object of list column ``name``: the page's
+    doc_id and page_number, then the objects' ``fields`` (the struct
+    children, zero-copy). Vectorized: no per-object Python."""
+    values, offs = _page_rows(batch, name)
+    return _page_table(batch, page_ids(offs), **{f: values.field(f) for f in fields})
 
 
 def pages_batch_to_chars(batch: pa.Table) -> pa.Table:
-    """Explode page rows into a flat chars table (one row per char) —
-    vectorized (no per-char Python loop): repeats the page keys by list
-    length and reuses the flattened struct child arrays."""
-    chars_col = batch.column("chars").combine_chunks()
-    lens = np.diff(chars_col.offsets.to_numpy())
-    doc_rep = pa.array(np.repeat(batch.column("doc_id").to_numpy(zero_copy_only=False), lens))
-    pn_rep = pa.array(np.repeat(batch.column("page_number").to_numpy(), lens), pa.int32())
-    values = chars_col.values
-    cols: Dict[str, pa.Array] = {"doc_id": doc_rep, "page_number": pn_rep}
-    for f in _CHAR_FIELDS:
-        cols[f] = values.field(f)
-    t = pa.table(cols)
-    w = pa.compute.subtract(t.column("x1"), t.column("x0"))
-    h = pa.compute.subtract(t.column("bottom"), t.column("top"))
+    """Explode page rows into a flat chars table (one row per char)."""
+    t = _explode(batch, "chars", _CHAR_FIELDS)
+    w = pc.subtract(t.column("x1"), t.column("x0"))
+    h = pc.subtract(t.column("bottom"), t.column("top"))
     return t.append_column("width", w).append_column("height", h)
 
 
 def pages_batch_to_rects(batch: pa.Table) -> pa.Table:
     """Explode page rows into a flat rects table (one row per rect, with
     stamped mcid/tag — reference 0.10.3 marked-content sequences)."""
-    col = batch.column("rects").combine_chunks()
-    lens = np.diff(col.offsets.to_numpy())
-    doc_rep = pa.array(
-        np.repeat(batch.column("doc_id").to_numpy(zero_copy_only=False), lens)
+    return _explode(batch, "rects", _RECT_FIELDS)
+
+
+def pages_batch_to_annots(batch: pa.Table) -> pa.Table:
+    """Explode page rows into a flat annotations table (one row per annot)
+    — the reference's ``page.annots`` list (page.py:280-319) as a typed
+    dataset."""
+    return _explode(
+        batch, "annots", ("x0", "x1", "top", "bottom", "doctop", "uri", "contents", "data")
     )
-    pn_rep = pa.array(np.repeat(batch.column("page_number").to_numpy(), lens), pa.int32())
-    values = col.values
-    cols: Dict[str, pa.Array] = {"doc_id": doc_rep, "page_number": pn_rep}
-    for f in _RECT_FIELDS:
-        cols[f] = values.field(f)
-    return pa.table(cols)
 
 
-class PagesToTextBoxes:
-    """Layout-container objects — the engine analogue of pdfminer's
-    ``LTTextBox`` rows that appear when ``laparams`` is passed (reference
-    page.py:402-414, tests/test_laparams.py:24-32): upright words are
-    clustered into lines (y-tolerance) and lines into paragraph boxes
-    (vertical-gap threshold); each box row carries its envelope bbox and
-    space-joined text."""
+def pages_batch_to_curves(batch: pa.Table) -> pa.Table:
+    """Explode page rows into a flat curves table (one row per curve,
+    pts kept as a list column) — reference ``page.curves``."""
+    return _explode(
+        batch, "curves", ("x0", "x1", "top", "bottom", "doctop", "pts", "path", "dash")
+    )
 
-    def __init__(self, word_cfg: Optional[WordConfig] = None):
-        self.word_cfg = word_cfg or WordConfig()
-        from ..config import SynthLayoutConfig
 
-        self.synth_cfg = SynthLayoutConfig()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.clustering import cluster_ids
-
-        doc_ids: List[str] = []
-        pns: List[int] = []
-        bidx: List[int] = []
-        x0s: List[float] = []
-        tops: List[float] = []
-        x1s: List[float] = []
-        bottoms: List[float] = []
-        texts_out: List[str] = []
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            chars = page["chars"]
-            up = np.asarray(chars["upright"], dtype=bool)
-            if not up.all():
-                chars = {k: np.asarray(v)[up] for k, v in chars.items()}
-            words = extract_words_page(chars, self.word_cfg)
-            nw = words["text"].shape[0]
-            if nw == 0:
-                continue
-            lids = cluster_ids(words["top"], float(self.word_cfg.y_tolerance))
-            order = np.lexsort((words["x0"], lids))
-            lid_s = lids[order]
-            top_s = words["top"][order]
-            line_start = np.empty(nw, dtype=bool)
-            line_start[0] = True
-            line_start[1:] = lid_s[1:] != lid_s[:-1]
-            ls = np.flatnonzero(line_start)
-            le = np.append(ls[1:], nw)
-            line_tops = top_s[ls]
-            block_start = np.empty(ls.shape[0], dtype=bool)
-            block_start[0] = True
-            block_start[1:] = (
-                line_tops[1:] - line_tops[:-1]
-            ) > self.synth_cfg.para_gap_threshold
-            bs = np.flatnonzero(block_start)
-            be = np.append(bs[1:], ls.shape[0])
-            tl = words["text"][order].tolist()
-            wx0 = words["x0"][order]
-            wx1 = words["x1"][order]
-            wtop = top_s
-            wbot = words["bottom"][order]
-            for b, (lb, leb) in enumerate(zip(bs, be)):
-                sl = slice(ls[lb], le[leb - 1])
-                doc_ids.append(doc_id)
-                pns.append(int(page["page_number"]))
-                bidx.append(b)
-                x0s.append(float(wx0[sl].min()))
-                tops.append(float(wtop[sl].min()))
-                x1s.append(float(wx1[sl].max()))
-                bottoms.append(float(wbot[sl].max()))
-                texts_out.append(
-                    " ".join(
-                        " ".join(tl[ls[li] : le[li]]) for li in range(lb, leb)
-                    )
-                )
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.string()),
-                "page_number": pa.array(pns, pa.int32()),
-                "box_index": pa.array(bidx, pa.int32()),
-                "x0": pa.array(x0s, pa.float64()),
-                "top": pa.array(tops, pa.float64()),
-                "x1": pa.array(x1s, pa.float64()),
-                "bottom": pa.array(bottoms, pa.float64()),
-                "text": pa.array(texts_out, pa.string()),
-            }
-        )
+def pages_batch_to_hyperlinks(batch: pa.Table) -> pa.Table:
+    """Annots with a non-empty uri (reference page.py:321-323)."""
+    annots = pages_batch_to_annots(batch)
+    return annots.filter(pc.not_equal(annots.column("uri"), ""))
 
 
 # deterministic font -> fill color table: the synthetic stand-in for the
@@ -473,81 +479,42 @@ def chars_batch_normalize_colors(batch: pa.Table) -> pa.Table:
     )
 
 
-def pages_batch_to_annots(batch: pa.Table) -> pa.Table:
-    """Explode page rows into a flat annotations table (one row per annot)
-    — the reference's ``page.annots`` list (page.py:280-319) as a typed
-    dataset. Vectorized: repeats page keys by list length and reuses the
-    flattened struct child arrays (zero-copy)."""
-    col = batch.column("annots").combine_chunks()
-    lens = np.diff(col.offsets.to_numpy())
-    doc_rep = pa.array(
-        np.repeat(batch.column("doc_id").to_numpy(zero_copy_only=False), lens)
-    )
-    pn_rep = pa.array(np.repeat(batch.column("page_number").to_numpy(), lens), pa.int32())
-    values = col.values
-    cols: Dict[str, pa.Array] = {"doc_id": doc_rep, "page_number": pn_rep}
-    for f in ("x0", "x1", "top", "bottom", "doctop", "uri", "contents", "data"):
-        cols[f] = values.field(f)
-    return pa.table(cols)
+# ---- page stages: one PageGroup per batch ----
 
 
-def pages_batch_to_curves(batch: pa.Table) -> pa.Table:
-    """Explode page rows into a flat curves table (one row per curve,
-    pts kept as a list column) — reference ``page.curves``."""
-    col = batch.column("curves").combine_chunks()
-    lens = np.diff(col.offsets.to_numpy())
-    doc_rep = pa.array(
-        np.repeat(batch.column("doc_id").to_numpy(zero_copy_only=False), lens)
-    )
-    pn_rep = pa.array(np.repeat(batch.column("page_number").to_numpy(), lens), pa.int32())
-    values = col.values
-    cols: Dict[str, pa.Array] = {"doc_id": doc_rep, "page_number": pn_rep}
-    for f in ("x0", "x1", "top", "bottom", "doctop", "pts", "path", "dash"):
-        cols[f] = values.field(f)
-    return pa.table(cols)
-
-
-def pages_batch_to_hyperlinks(batch: pa.Table) -> pa.Table:
-    """Annots with a non-empty uri (reference page.py:321-323)."""
-    import pyarrow.compute as pc
-
-    annots = pages_batch_to_annots(batch)
-    return annots.filter(pc.not_equal(annots.column("uri"), ""))
+def _arrow_type(dtype: np.dtype) -> pa.DataType:
+    return pa.string() if dtype == object else pa.from_numpy_dtype(dtype)
 
 
 class PagesToWords:
-    """Per-page word assembly stage (stateless kernels; class only to carry
-    resolved config)."""
+    """Word assembly over page rows: one word-kernel call per batch, with
+    the page as its segment."""
 
     def __init__(self, word_cfg: Optional[WordConfig] = None):
         self.word_cfg = word_cfg or WordConfig()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        word_keys = (
-            "text", "x0", "x1", "top", "bottom", "doctop", "width",
-            "height", "upright", "direction", *self.word_cfg.extra_attrs,
+        group = arrow_page_group(batch)
+        words = extract_words_page(group.chars, self.word_cfg, segment=group.char_page)
+        extra = self.word_cfg.extra_attrs
+        # an extra attribute keeps its char column's type, also in a batch
+        # without words
+        return _page_table(
+            batch,
+            word_ids(words, group.char_page),
+            **{
+                k: pa.array(words[k], _arrow_type((group.chars if k in extra else words)[k].dtype))
+                for k in (*_WORD_KEYS, *extra)
+            },
         )
-        out: Dict[str, List[Any]] = {
-            k: [] for k in ("doc_id", "page_number", *word_keys)
-        }
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            words = extract_words_page(page["chars"], self.word_cfg)
-            n = words["text"].shape[0]
-            out["doc_id"].append(np.full(n, doc_id, dtype=object))
-            out["page_number"].append(np.full(n, page["page_number"], dtype=np.int32))
-            for k in word_keys:
-                out[k].append(words[k])
-        cols = {}
-        for k, parts in out.items():
-            arr = np.concatenate(parts) if parts else np.empty(0, dtype=object)
-            cols[k] = pa.array(arr.tolist() if arr.dtype == object else arr)
-        return pa.table(cols)
 
 
 class PagesToText:
     """Per-page text extraction: ``mode`` in {"simple", "default",
     "layout"} (reference extract_text_simple / extract_text / layout=True,
-    utils/text.py:713-781)."""
+    utils/text.py:713-781). The default text of every page of a batch comes
+    from one word-kernel call and one ``segment_texts`` join; the layout
+    and simple textmaps lay out each page alone."""
 
     def __init__(self, mode: str = "default", page_box: bool = False, **kwargs: Any):
         # page_box=True: layout dimensions come from each page row
@@ -559,36 +526,36 @@ class PagesToText:
         self.kwargs = kwargs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids: List[str] = []
-        pns: List[int] = []
-        texts: List[str] = []
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            kwargs = self.kwargs
-            if self.page_box and self.mode == "layout":
-                w = float(page["page_width"])
-                h = float(page["page_height"])
-                kwargs = {
-                    "layout_width": w,
-                    "layout_height": h,
-                    "layout_bbox": (0.0, 0.0, w, h),
-                    **self.kwargs,
-                }
-            if self.mode == "simple":
-                txt = extract_text_simple_page(page["chars"], **kwargs)
-            elif self.mode == "layout":
-                txt = extract_text_page(page["chars"], layout=True, **kwargs)
-            else:
-                txt = extract_text_page(page["chars"], **kwargs)
-            doc_ids.append(doc_id)
-            pns.append(page["page_number"])
-            texts.append(txt)
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.string()),
-                "page_number": pa.array(pns, pa.int32()),
-                "text": pa.array(texts, pa.string()),
+        group = arrow_page_group(batch)
+        if self.mode in ("simple", "layout"):
+            texts = [self._page_text(group, p) for p in range(group.n_pages)]
+        else:
+            wcfg = WordConfig.from_kwargs(**self.kwargs)
+            words = extract_words_page(group.chars, wcfg, segment=group.char_page)
+            by_page = segment_texts(
+                words,
+                word_ids(words, group.char_page),
+                wcfg,
+                self.kwargs.get("line_dir_render") or wcfg.line_dir,
+                self.kwargs.get("char_dir_render") or wcfg.char_dir,
+            )
+            texts = [by_page.get(p, "") for p in range(group.n_pages)]
+        return _page_table(batch, range(group.n_pages), text=pa.array(texts, pa.string()))
+
+    def _page_text(self, group: PageGroup, p: int) -> str:
+        chars = group.page_chars(p)
+        if self.mode == "simple":
+            return extract_text_simple_page(chars, **self.kwargs)
+        kwargs = self.kwargs
+        if self.page_box:
+            _, _, w, h = group.bboxes[p]
+            kwargs = {
+                "layout_width": w,
+                "layout_height": h,
+                "layout_bbox": (0.0, 0.0, w, h),
+                **self.kwargs,
             }
-        )
+        return extract_text_page(chars, layout=True, **kwargs)
 
 
 class PagesToMcidText:
@@ -599,59 +566,152 @@ class PagesToMcidText:
     per (doc, mcid) ready to join against structure/outline elements."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids: List[str] = []
-        mcids: List[int] = []
-        texts: List[str] = []
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            chars = page["chars"]
-            n = chars["x0"].shape[0]
-            if n == 0:
-                continue
-            mc = np.asarray(chars["mcid"], dtype=np.int64)
-            order = np.lexsort((chars["x0"], chars["doctop"], mc))
-            mc_s = mc[order]
-            txt_s = np.asarray(chars["text"], dtype=object)[order]
-            starts = np.flatnonzero(np.r_[True, mc_s[1:] != mc_s[:-1]])
-            ends = np.append(starts[1:], mc_s.shape[0])
-            for st, en in zip(starts, ends):
-                if mc_s[st] < 0:
-                    continue
-                doc_ids.append(doc_id)
-                mcids.append(int(mc_s[st]))
-                texts.append("".join(txt_s[st:en].tolist()))
+        group = arrow_page_group(batch)
+        chars = group.chars
+        mc = np.asarray(chars["mcid"], dtype=np.int64)
+        order = np.lexsort((chars["x0"], chars["doctop"], mc, group.char_page))
+        mc_s = mc[order]
+        page_s = group.char_page[order]
+        run = np.ones(order.shape[0], dtype=bool)
+        run[1:] = (mc_s[1:] != mc_s[:-1]) | (page_s[1:] != page_s[:-1])
+        starts = np.flatnonzero(run)
+        ends = np.append(starts[1:], order.shape[0])
+        marked = mc_s[starts] >= 0
+        starts, ends = starts[marked], ends[marked]
+        txt = chars["text"][order].tolist()
         return pa.table(
             {
-                "doc_id": pa.array(doc_ids, pa.string()),
-                "mcid": pa.array(mcids, pa.int64()),
-                "text": pa.array(texts, pa.string()),
+                "doc_id": batch.column("doc_id").take(pa.array(page_s[starts])),
+                "mcid": pa.array(mc_s[starts], pa.int64()),
+                "text": pa.array(
+                    ["".join(txt[s:e]) for s, e in zip(starts.tolist(), ends.tolist())],
+                    pa.string(),
+                ),
             }
+        )
+
+
+class PagesToTextBoxes:
+    """Layout-container objects — the engine analogue of pdfminer's
+    ``LTTextBox`` rows that appear when ``laparams`` is passed (reference
+    page.py:402-414, tests/test_laparams.py:24-32): upright words are
+    clustered into lines (y-tolerance) and lines into paragraph boxes
+    (vertical-gap threshold, ``flatten.paragraph_blocks``); each box row
+    carries its envelope bbox and space-joined text."""
+
+    def __init__(self, word_cfg: Optional[WordConfig] = None):
+        self.word_cfg = word_cfg or WordConfig()
+        self.synth_cfg = SynthLayoutConfig()
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        group = arrow_page_group(batch)
+        up = np.asarray(group.chars["upright"], dtype=bool)
+        char_page = group.char_page[up]
+        words = extract_words_page(
+            {k: v[up] for k, v in group.chars.items()}, self.word_cfg, segment=char_page
+        )
+        word_page = word_ids(words, char_page)
+        order, bounds = paragraph_blocks(
+            words, word_page, self.word_cfg.y_tolerance, self.synth_cfg.para_gap_threshold
+        )
+        starts = bounds[:-1]
+        page = word_page[order][starts]
+        # a box's index counts the boxes before it on its page
+        first = np.ones(starts.shape[0], dtype=bool)
+        first[1:] = page[1:] != page[:-1]
+        box = np.arange(starts.shape[0])
+        box -= np.maximum.accumulate(np.where(first, box, 0))
+        tl = words["text"][order].tolist()
+        return _page_table(
+            batch,
+            page,
+            box_index=pa.array(box, pa.int32()),
+            x0=np.minimum.reduceat(words["x0"][order], starts),
+            top=np.minimum.reduceat(words["top"][order], starts),
+            x1=np.maximum.reduceat(words["x1"][order], starts),
+            bottom=np.maximum.reduceat(words["bottom"][order], starts),
+            text=pa.array(
+                [" ".join(tl[s:e]) for s, e in zip(starts.tolist(), bounds[1:].tolist())],
+                pa.string(),
+            ),
+        )
+
+
+class PagesToTextLines:
+    """Per-page line records via the textmap (reference
+    TextMap.extract_text_lines, utils/text.py:212-230)."""
+
+    def __init__(self, strip: bool = True):
+        self.strip = strip
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        group = arrow_page_group(batch)
+        pages: List[int] = []
+        tops: List[Optional[float]] = []
+        texts: List[str] = []
+        for p in range(group.n_pages):
+            for line in extract_text_lines_page(group.page_chars(p), strip=self.strip):
+                pages.append(p)
+                tops.append(line.get("top"))
+                texts.append(line["text"])
+        return _page_table(
+            batch, pages, top=pa.array(tops, pa.float64()), text=pa.array(texts, pa.string())
+        )
+
+
+class PagesSearch:
+    """Per-page regex search over the page textmap with char-level
+    provenance (reference TextMap.search, utils/text.py:172-210). The
+    pattern is compiled once, in ``__init__``."""
+
+    def __init__(self, pattern: str, regex: bool = True, case: bool = True):
+        if not regex:
+            pattern = re.escape(pattern)
+        self.compiled = re.compile(pattern, 0 if case else re.I)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        group = arrow_page_group(batch)
+        pages: List[int] = []
+        matches: List[Dict[str, Any]] = []
+        for p in range(group.n_pages):
+            for m in search_page(group.page_chars(p), self.compiled):
+                pages.append(p)
+                matches.append(m)
+        col = lambda k: [m[k] for m in matches]  # noqa: E731
+        return _page_table(
+            batch,
+            pages,
+            text=pa.array(col("text"), pa.string()),
+            groups=pa.array([list(m.get("groups") or ()) for m in matches], pa.list_(pa.string())),
+            **{k: pa.array(col(k), pa.float64()) for k in ("x0", "top", "x1", "bottom")},
         )
 
 
 class PagesFilter:
     """Arbitrary user predicate over the char table (the reference's
     ``Page.filter``, page.py:545-546 / FilteredPage page.py:689-703):
-    ``predicate(chars: dict[str, np.ndarray]) -> bool mask``."""
+    ``predicate(chars: dict[str, np.ndarray]) -> bool mask``, called on each
+    page's chars."""
 
     def __init__(self, predicate):
         self.predicate = predicate
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows: List[Tuple[str, PageDict]] = []
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            chars = page["chars"]
-            if chars["x0"].shape[0]:
-                mask = np.asarray(self.predicate(chars), dtype=bool)
-                page = dict(page)
-                page["chars"] = {k: np.asarray(v)[mask] for k, v in chars.items()}
-            rows.append((doc_id, page))
-        return pages_to_arrow(rows)
+        group = arrow_page_group(batch)
+        offs = group.char_offsets
+        keep = np.ones(offs[-1], dtype=bool)
+        for p in range(group.n_pages):
+            if offs[p + 1] > offs[p]:
+                keep[offs[p]:offs[p + 1]] = self.predicate(group.page_chars(p))
+        values, _ = _page_rows(batch, "chars")
+        return _with_objects(batch, "chars", values, *_kept(keep, offs))
 
 
 class PagesCrop:
     """Per-page geometric filtering of the object tables — the engine's
     ``Page.crop`` / ``within_bbox`` / ``outside_bbox`` (reference
-    page.py:649-686, utils/geometry.py:75-125).
+    page.py:649-686, utils/geometry.py:75-125), applied to chars, rects,
+    lines, images and curves by their bboxes.
 
     mode: "crop" clips object geometry to the bbox; "within" keeps fully
     contained objects; "outside" keeps disjoint ones."""
@@ -668,53 +728,31 @@ class PagesCrop:
         self.mode = mode
         self.strict = strict
 
-    def _apply(self, objs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        from ..functions.geometry import (
-            clip_to_bbox,
-            outside_bbox_mask,
-            within_bbox_mask,
-        )
-
-        if objs["x0"].shape[0] == 0:
-            return objs
-        if self.mode == "crop":
-            clipped, _ = clip_to_bbox(objs, self.bbox)
-            return clipped
-        mask = (
-            within_bbox_mask(objs, self.bbox)
-            if self.mode == "within"
-            else outside_bbox_mask(objs, self.bbox)
-        )
-        return {k: np.asarray(v)[mask] for k, v in objs.items()}
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows: List[Tuple[str, PageDict]] = []
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            if self.strict:
-                # reference page.py:627-644 via CroppedPage(strict=True)
-                from ..functions.geometry import test_proposed_bbox
-
-                test_proposed_bbox(
-                    self.bbox,
-                    (0.0, 0.0, page["page_width"], page["page_height"]),
-                )
-            page = dict(page)
-            page["chars"] = self._apply(page["chars"])
-            page["rects"] = self._apply(page["rects"])
-            if "lines" in page:
-                page["lines"] = self._apply(page["lines"])
-            imgs = page["images"]
-            if imgs:
-                arr = {
-                    k: np.array([float(i[k]) for i in imgs]) for k in ("x0", "x1", "top", "bottom")
-                }
-                arr["media_ref"] = np.array([i["media_ref"] for i in imgs], dtype=object)
-                out = self._apply(arr)
-                page["images"] = [
-                    {k: out[k][j] for k in arr} for j in range(out["x0"].shape[0])
-                ]
-            rows.append((doc_id, page))
-        return pages_to_arrow(rows)
+        if self.strict:
+            # reference page.py:627-644 via CroppedPage(strict=True)
+            sizes = zip(
+                batch.column("page_width").to_pylist(), batch.column("page_height").to_pylist()
+            )
+            for w, h in dict.fromkeys(sizes):
+                test_proposed_bbox(self.bbox, (0.0, 0.0, w, h))
+        for name in ("chars", "rects", "lines", "images", "curves"):
+            values, offs = _page_rows(batch, name)
+            box = {
+                k: values.field(k).to_numpy(zero_copy_only=False)
+                for k in (*EDGE_COLS, "doctop")
+                if values.type.get_field_index(k) >= 0
+            }
+            fields: Dict[str, np.ndarray] = {}
+            if self.mode == "crop":
+                clipped, keep = clip_to_bbox(box, self.bbox)
+                fields = {k: clipped[k] for k in box}
+            elif self.mode == "within":
+                keep = within_bbox_mask(box, self.bbox)
+            else:
+                keep = outside_bbox_mask(box, self.bbox)
+            batch = _with_objects(batch, name, values, *_kept(keep, offs), **fields)
+        return batch
 
 
 class PagesDedupeChars:
@@ -727,125 +765,42 @@ class PagesDedupeChars:
         self.extra_key_cols = tuple(extra_key_cols)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.dedupe import dedupe_chars_mask
-
-        rows: List[Tuple[str, PageDict]] = []
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            chars = page["chars"]
-            if chars["x0"].shape[0]:
-                keep = dedupe_chars_mask(chars, self.tolerance, self.extra_key_cols)
-                page = dict(page)
-                page["chars"] = {k: np.asarray(v)[keep] for k, v in chars.items()}
-            rows.append((doc_id, page))
-        return pages_to_arrow(rows)
+        group = arrow_page_group(batch)
+        # one call for the batch: duplicate keys never cross pages, so the
+        # page is one more key column
+        keep = dedupe_chars_mask(
+            {**group.chars, "page": group.char_page},
+            self.tolerance,
+            (*self.extra_key_cols, "page"),
+        )
+        values, offs = _page_rows(batch, "chars")
+        return _with_objects(batch, "chars", values, *_kept(keep, offs))
 
 
 class DuplicateChars:
     """Test-harness stage: append a jittered duplicate of every char
     (sub-tolerance offset), the input shape ``dedupe_chars`` must undo
-    (cf. reference tests/test_dedupe_chars.py)."""
+    (cf. reference tests/test_dedupe_chars.py). Each page holds its chars,
+    then their copies."""
 
     def __init__(self, dx: float = 0.4, dy: float = 0.25):
         self.dx = dx
         self.dy = dy
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows: List[Tuple[str, PageDict]] = []
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            chars = page["chars"]
-            n = chars["x0"].shape[0]
-            if n:
-                dup = {}
-                for k, v in chars.items():
-                    v = np.asarray(v)
-                    if k in ("x0", "x1"):
-                        dup[k] = np.concatenate([v, v + self.dx])
-                    elif k in ("top", "bottom", "doctop"):
-                        dup[k] = np.concatenate([v, v + self.dy])
-                    else:
-                        dup[k] = np.concatenate([v, v])
-                page = dict(page)
-                page["chars"] = dup
-            rows.append((doc_id, page))
-        return pages_to_arrow(rows)
-
-
-class PagesToTextLines:
-    """Per-page line records via the textmap (reference
-    TextMap.extract_text_lines, utils/text.py:212-230)."""
-
-    def __init__(self, strip: bool = True):
-        self.strip = strip
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.textmap import extract_text_lines_page
-
-        doc_ids: List[str] = []
-        pns: List[int] = []
-        texts: List[str] = []
-        tops: List[Optional[float]] = []
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            for line in extract_text_lines_page(page["chars"], strip=self.strip):
-                doc_ids.append(doc_id)
-                pns.append(page["page_number"])
-                texts.append(line["text"])
-                tops.append(line.get("top"))
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.string()),
-                "page_number": pa.array(pns, pa.int32()),
-                "top": pa.array(tops, pa.float64()),
-                "text": pa.array(texts, pa.string()),
-            }
+        values, offs = _page_rows(batch, "chars")
+        n = len(values)
+        copy = np.repeat([False, True], n)
+        order = np.lexsort((copy, np.tile(page_ids(offs), 2)))
+        rows, copy = np.tile(np.arange(n), 2)[order], copy[order]
+        shifts = dict.fromkeys(("x0", "x1"), self.dx) | dict.fromkeys(
+            ("top", "bottom", "doctop"), self.dy
         )
-
-
-class PagesSearch:
-    """Per-page regex search over the page textmap with char-level
-    provenance (reference TextMap.search, utils/text.py:172-210). The
-    pattern is compiled once per worker in ``__init__``."""
-
-    def __init__(self, pattern: str, regex: bool = True, case: bool = True):
-        import re as _re
-
-        from ..functions.textmap import search_page
-
-        self._search_page = search_page
-        if not regex:
-            pattern = _re.escape(pattern)
-        self.compiled = _re.compile(pattern, 0 if case else _re.I)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids: List[str] = []
-        pns: List[int] = []
-        texts: List[str] = []
-        groups: List[List[Optional[str]]] = []
-        x0s: List[Optional[float]] = []
-        tops: List[Optional[float]] = []
-        x1s: List[Optional[float]] = []
-        bottoms: List[Optional[float]] = []
-        for doc_id, page in arrow_pages_to_dicts(batch):
-            for m in self._search_page(page["chars"], self.compiled):
-                doc_ids.append(doc_id)
-                pns.append(page["page_number"])
-                texts.append(m["text"])
-                groups.append(list(m.get("groups") or ()))
-                x0s.append(m["x0"])
-                tops.append(m["top"])
-                x1s.append(m["x1"])
-                bottoms.append(m["bottom"])
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.string()),
-                "page_number": pa.array(pns, pa.int32()),
-                "text": pa.array(texts, pa.string()),
-                "groups": pa.array(groups, pa.list_(pa.string())),
-                "x0": pa.array(x0s, pa.float64()),
-                "top": pa.array(tops, pa.float64()),
-                "x1": pa.array(x1s, pa.float64()),
-                "bottom": pa.array(bottoms, pa.float64()),
-            }
-        )
+        fields = {}
+        for k, d in shifts.items():
+            v = values.field(k).to_numpy()[rows]
+            fields[k] = np.where(copy, v + d, v)
+        return _with_objects(batch, "chars", values, rows, 2 * offs, **fields)
 
 
 class PagesToTables:

@@ -14,7 +14,8 @@ using the same kernels the operator API exposes —
 * media spans from image objects at their geometric position.
 
 The kernels run on a group of pages (:class:`PageGroup`): whole documents
-of an ``ExtractSpans`` batch, or page rows of a ``PagesToTables`` batch.
+of an ``ExtractSpans`` batch, or the page rows of a page stage's batch
+(``decode.arrow_page_group``).
 Every kernel takes all of the group's pages in one call, with the page id
 as its sort or segment key, so a group costs a fixed number of numpy and
 word-kernel calls however many pages it holds; each page's result is the
@@ -90,7 +91,7 @@ def bounded_groups(items: Iterable[T], size: Callable[[T], int]) -> Iterator[Lis
         yield run
 
 
-def _page_ids(offsets: np.ndarray) -> np.ndarray:
+def page_ids(offsets: np.ndarray) -> np.ndarray:
     """Page id of each row of a table with per-page ``offsets``."""
     return np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
 
@@ -178,7 +179,12 @@ class PageGroup:
 
     @cached_property
     def char_page(self) -> np.ndarray:
-        return _page_ids(self.char_offsets)
+        return page_ids(self.char_offsets)
+
+    def page_chars(self, p: int) -> CharTable:
+        """Page ``p``'s chars: views of the group's columns."""
+        lo, hi = self.char_offsets[p], self.char_offsets[p + 1]
+        return {k: v[lo:hi] for k, v in self.chars.items()}
 
     @classmethod
     def from_pages(cls, pages: Sequence[PageDict], char_cols: Sequence[str]) -> "PageGroup":
@@ -213,9 +219,9 @@ def edge_union_group(ruling: Ruling) -> Tuple[ObjArrays, np.ndarray]:
     segments are dropped later by the orientation filter). One
     ``rects_to_edges``/``lines_to_edges``/``curves_to_edges`` call each
     covers the group; a stable sort by page restores each page's order."""
-    rect_page = _page_ids(ruling.rect_offsets)
+    rect_page = page_ids(ruling.rect_offsets)
     parts = [rects_to_edges(ruling.rects), lines_to_edges(ruling.lines)]
-    pages = [np.tile(rect_page, 4), _page_ids(ruling.line_offsets)]
+    pages = [np.tile(rect_page, 4), page_ids(ruling.line_offsets)]
     pts = [
         ([(q["x"], q["top"]) for q in c["pts"]], p)
         for p, curves in enumerate(ruling.curves)
@@ -236,6 +242,12 @@ def page_edge_union(page: PageDict):
     return edge_union_group(ruling)[0]
 
 
+def word_ids(words: Dict[str, np.ndarray], char_ids: np.ndarray) -> np.ndarray:
+    """Each word's entry of ``char_ids`` (one id per char of the kernel's
+    input, such as its page or segment), read at the word's first char."""
+    return char_ids[words["char_indices"][words["char_offsets"][:-1]]]
+
+
 def table_words_group(
     chars: CharTable, char_page: np.ndarray, table_cfg: TableConfig
 ) -> Tuple[Optional[Dict[str, np.ndarray]], Optional[np.ndarray]]:
@@ -248,7 +260,7 @@ def table_words_group(
     words = extract_words_page(
         chars, WordConfig.from_kwargs(**table_cfg.text_settings), segment=char_page
     )
-    return words, char_page[words["char_indices"][words["char_offsets"][:-1]]]
+    return words, word_ids(words, char_page)
 
 
 def table_cells_group(
@@ -335,7 +347,7 @@ def rotated_text_blocks(
     by_block = {k: np.asarray(v)[order] for k, v in sub.items()}
     block_of = np.cumsum(brk) - 1
     words = extract_words_page(by_block, word_cfg, segment=block_of)
-    word_block = block_of[words["char_indices"][words["char_offsets"][:-1]]]
+    word_block = word_ids(words, block_of)
     if word_block.shape[0] == 0:
         return []
     first_word = np.flatnonzero(np.r_[True, word_block[1:] != word_block[:-1]])
@@ -350,6 +362,34 @@ def rotated_text_blocks(
         (p, (float(d), "heading" if h else "text", " ".join(tl[s:e])))
         for p, d, h, s, e in zip(pages.tolist(), doctops, headings, first_word, ends)
     ]
+
+
+def paragraph_blocks(
+    words: Dict[str, np.ndarray], word_page: np.ndarray, y_tolerance: float, para_gap: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Upright words of a group's pages -> reading order and paragraph
+    blocks, as (``order``, ``bounds``): block ``j`` is the words
+    ``order[bounds[j]:bounds[j + 1]]``.
+
+    Words cluster into lines by ``top`` (within ``y_tolerance``, on their
+    page) and read by ``x0`` within a line. A block starts on a new page or
+    where the top gap between consecutive lines exceeds ``para_gap`` (a
+    blank separator line in the layout). A block's lines are consecutive
+    and never empty, so its text is its words joined by single spaces."""
+    nw = word_page.shape[0]
+    line_ids = cluster_ids(words["top"], float(y_tolerance), segment=word_page)
+    order = np.lexsort((words["x0"], line_ids))
+    lid_s = line_ids[order]
+    line_start = np.ones(nw, dtype=bool)
+    line_start[1:] = lid_s[1:] != lid_s[:-1]
+    ls = np.flatnonzero(line_start)
+    line_tops = words["top"][order][ls]
+    line_page = word_page[order][ls]
+    block_start = np.ones(ls.shape[0], dtype=bool)
+    block_start[1:] = (line_page[1:] != line_page[:-1]) | (
+        (line_tops[1:] - line_tops[:-1]) > para_gap
+    )
+    return order, np.append(ls[block_start], nw)
 
 
 def text_blocks_group(
@@ -393,51 +433,26 @@ def text_blocks_group(
         )
 
     up = keep & upright
-    sub = {k: np.asarray(chars[k])[up] for k in cols}
     sub_page = char_page[up]
-    words = extract_words_page(sub, word_cfg, segment=sub_page)
-    nw = words["text"].shape[0]
-    if nw:
-        word_page = sub_page[words["char_indices"][words["char_offsets"][:-1]]]
-        line_ids = cluster_ids(words["top"], float(word_cfg.y_tolerance), segment=word_page)
-        order = np.lexsort((words["x0"], line_ids))
-        heading_cut = (synth_cfg.body_size + synth_cfg.heading_size) / 2.0
-
-        # vectorized line/block segmentation: line starts from cluster-id
-        # changes, block starts on a new page or where the inter-line top
-        # gap exceeds the paragraph threshold (blank separator line in the
-        # layout).
-        lid_s = line_ids[order]
-        top_s = words["top"][order]
-        line_start = np.empty(nw, dtype=bool)
-        line_start[0] = True
-        line_start[1:] = lid_s[1:] != lid_s[:-1]
-        ls = np.flatnonzero(line_start)
-        le = np.append(ls[1:], nw)
-        line_tops = top_s[ls]
-        line_page = word_page[order][ls]
-        block_start_line = np.empty(ls.shape[0], dtype=bool)
-        block_start_line[0] = True
-        block_start_line[1:] = (line_page[1:] != line_page[:-1]) | (
-            (line_tops[1:] - line_tops[:-1]) > synth_cfg.para_gap_threshold
-        )
-        bs_lines = np.flatnonzero(block_start_line)
-        be_lines = np.append(bs_lines[1:], ls.shape[0])
-
-        first_word = order[ls[bs_lines]]
-        doctops = words["doctop"][first_word]
-        headings = words["height"][first_word] >= heading_cut
-        tl = words["text"][order].tolist()
-        # a block's lines are consecutive and never empty, so its text is
-        # its words joined by single spaces
-        for p, d, h, ws, we in zip(
-            line_page[bs_lines].tolist(),
-            doctops.tolist(),
-            headings.tolist(),
-            ls[bs_lines].tolist(),
-            le[be_lines - 1].tolist(),
-        ):
-            out[p].append((d, "heading" if h else "text", " ".join(tl[ws:we])))
+    words = extract_words_page(
+        {k: np.asarray(chars[k])[up] for k in cols}, word_cfg, segment=sub_page
+    )
+    word_page = word_ids(words, sub_page)
+    order, bounds = paragraph_blocks(
+        words, word_page, word_cfg.y_tolerance, synth_cfg.para_gap_threshold
+    )
+    first_word = order[bounds[:-1]]
+    heading_cut = (synth_cfg.body_size + synth_cfg.heading_size) / 2.0
+    headings = words["height"][first_word] >= heading_cut
+    tl = words["text"][order].tolist()
+    for p, d, h, ws, we in zip(
+        word_page[first_word].tolist(),
+        words["doctop"][first_word].tolist(),
+        headings.tolist(),
+        bounds[:-1].tolist(),
+        bounds[1:].tolist(),
+    ):
+        out[p].append((d, "heading" if h else "text", " ".join(tl[ws:we])))
     for p, block in rotated:
         out[p].append(block)
     return out
