@@ -17,6 +17,8 @@ import re
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 # BPE-ish word/number/punct tokenizer — same regex must be used in any SQL
 # oracle (DuckDB RE2 and Python re agree on this subset).
@@ -34,6 +36,13 @@ STOPWORDS: Dict[str, Tuple[str, ...]] = {
     "fr": ("le", "la", "de", "et", "les", "des", "un", "une", "du", "est"),
 }
 LANG_ORDER = ("en", "es", "de", "fr")  # deterministic tie-break order
+
+
+def ws_tokens(col: pa.ChunkedArray) -> pa.ChunkedArray:
+    """Each string split on single spaces, as Arrow lists, with a null
+    read as the empty string: ``(t or "").split(" ")`` per row, with no
+    Python loop."""
+    return pc.split_pattern(pc.fill_null(col, ""), " ")
 
 
 def ws_token_count(texts: Sequence[str]) -> np.ndarray:

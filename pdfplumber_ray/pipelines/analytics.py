@@ -64,15 +64,6 @@ def grouped_rank_ds(
     ENTIRE table; this moves one row per distinct (group, value)."""
 
     def vc_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "g": pa.array([], pa.string()),
-                "v": pa.array([], pa.int64()),
-                "n_partial": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         t = pa.table(
             {
                 "g": batch.column(group_col).cast(pa.string()),
@@ -121,19 +112,6 @@ def grouped_rank_ds(
     cdf_ref = ray.put((gnames, key_sorted, n_le_arr, totals))
 
     def attach(batch: pa.Table) -> pa.Table:
-        gtype = batch.column(group_col).type
-        empty = pa.table(
-            {
-                id_col: pa.array([], batch.column(id_col).type),
-                group_col: pa.array([], gtype),
-                value_col: pa.array([], pa.int64()),
-                "n_le": pa.array([], pa.int64()),
-                "g_total": pa.array([], pa.int64()),
-                "permille": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         names_s, keys_s, nle_s, tot_s = ray.get(cdf_ref)
         gv = batch.column(group_col).cast(pa.string()).to_numpy(zero_copy_only=False)
         v = batch.column(value_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -183,9 +161,7 @@ def postings_ds(
     join)."""
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        toks = ts.ws_tokens(batch.column(text_col))
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         d = np.repeat(
             batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False),
@@ -364,11 +340,7 @@ def grouped_heavy_hitters_ds(
                 "n_partial": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0:
-            return empty
-        toks = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        toks = ts.ws_tokens(batch.column(text_col))
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         flat = pc.list_flatten(toks)
         if len(flat) == 0:
@@ -397,15 +369,6 @@ def grouped_heavy_hitters_ds(
     )
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "g": pa.array([], pa.string()),
-                "token": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         gv = batch.column("g").to_numpy(zero_copy_only=False).astype(str)
         tv = batch.column("token").to_numpy(zero_copy_only=False).astype(str)
         n = batch.column("sum(n_partial)").to_numpy(zero_copy_only=False)
@@ -468,15 +431,6 @@ def length_outliers_ds(
     ``(id, group, value, g_n, g_sum, is_outlier)``."""
 
     def stat_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "g": pa.array([], pa.string()),
-                "n_partial": pa.array([], pa.int64()),
-                "sum_partial": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         t = pa.table(
             {
                 "g": batch.column(group_col).cast(pa.string()),
@@ -512,19 +466,6 @@ def length_outliers_ds(
     stats_ref = ray.put((gnames, g_n, g_sum))
 
     def flag(batch: pa.Table) -> pa.Table:
-        gtype = batch.column(group_col).type
-        empty = pa.table(
-            {
-                id_col: pa.array([], batch.column(id_col).type),
-                group_col: pa.array([], gtype),
-                value_col: pa.array([], pa.int64()),
-                "g_n": pa.array([], pa.int64()),
-                "g_sum": pa.array([], pa.int64()),
-                "is_outlier": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         names_s, n_s, sum_s = ray.get(stats_ref)
         gv = batch.column(group_col).cast(pa.string()).to_numpy(
             zero_copy_only=False
@@ -837,14 +778,6 @@ def group_sample_ids_ds(
     )
 
     def combine(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "g": pa.array([], pa.string()),
-                    "id": pa.array([], pa.int64()),
-                    "n_p": pa.array([], pa.int64()),
-                }
-            )
         g = batch.column(key_col).to_numpy(zero_copy_only=False).astype(str)
         i = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         order = np.lexsort((i, g))
@@ -865,9 +798,6 @@ def group_sample_ids_ds(
         )
 
     def pick(group: pa.Table) -> pa.Table:
-        empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
         g = group.column("g").to_numpy(zero_copy_only=False).astype(str)
         i = group.column("id").to_numpy(zero_copy_only=False)
         n_p = group.column("n_p").to_numpy(zero_copy_only=False)
@@ -929,15 +859,6 @@ def ks_drift_ds(
     ~3e9 rows per group)."""
 
     def cell_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "g": pa.array([], pa.string()),
-                "v": pa.array([], pa.int64()),
-                "n_p": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         t = pa.table(
             {
                 "g": batch.column(group_col).cast(pa.string()),
@@ -1600,15 +1521,6 @@ def keyness_ds(
 
     def score_topk(batch: pa.Table) -> pa.Table:
         vt, vc, s_tot, T_all = ray.get(ref)
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "s": pa.array([], pa.string()),
-                    "term": pa.array([], pa.string()),
-                    "c_s": pa.array([], pa.int64()),
-                    "lift_e6": pa.array([], pa.int64()),
-                }
-            )
         srcs = batch.column("s").to_pylist()
         terms = np.asarray(batch.column("term").to_pylist(), dtype=object).astype(str)
         cs = batch.column("sum(c)").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1913,8 +1825,6 @@ def sentence_stats_ds(
     )
 
     def stats(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
         ids = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         segs = pc.split_pattern_regex(batch.column(text_col), "[.!?]+")
         segs = segs.combine_chunks() if isinstance(segs, pa.ChunkedArray) else segs
@@ -1993,7 +1903,7 @@ def index_gap_stats_ds(
     segment), per-df partials → tiny ``groupby(df)``."""
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(pc.fill_null(batch.column(text_col), ""), " ")
+        toks = ts.ws_tokens(batch.column(text_col))
         toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         flat = toks.flatten()
         offs = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2101,18 +2011,6 @@ def lang_fertility_ds(
     per language, then a language-bounded ``groupby`` sums partials."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "lang": pa.array([], pa.string()),
-                "nd_p": pa.array([], pa.int64()),
-                "nb_p": pa.array([], pa.int64()),
-                "nc_p": pa.array([], pa.int64()),
-                "nw_p": pa.array([], pa.int64()),
-                "ns_p": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         txt = pc.fill_null(batch.column(text_col), "")
         tt = pa.table(
             {
@@ -2192,8 +2090,6 @@ def emd_lengths_ds(
                 "n_p": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0:
-            return empty
         keep = pc.is_in(
             batch.column(source_col),
             value_set=pa.array([source_a, source_b], pa.string()),
@@ -2201,7 +2097,7 @@ def emd_lengths_ds(
         t = batch.filter(keep)
         if t.num_rows == 0:
             return empty
-        toks = pc.split_pattern(pc.fill_null(t.column(text_col), ""), " ")
+        toks = ts.ws_tokens(t.column(text_col))
         v = pc.list_value_length(toks).cast(pa.int64())
         tt = pa.table({"src": t.column(source_col), "v": v})
         g = tt.group_by(["src", "v"]).aggregate([("v", "count")])
@@ -2286,15 +2182,6 @@ def zonemap_prune_ds(
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "shard_id": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "mn": pa.array([], pa.int64()),
-                    "mx": pa.array([], pa.int64()),
-                }
-            )
         i = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         g = (
             pa.table(
@@ -2323,8 +2210,6 @@ def zonemap_prune_ds(
     )
 
     def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "shard_id" not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
         mx = batch.column("max(mx)").cast(pa.int64()).to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -2369,10 +2254,6 @@ def encoding_size_audit_ds(
     results = []
     for col in columns:
         def plain_partial(batch: pa.Table, c=col) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.table(
-                    {"n": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}
-                )
             v = pc.fill_null(batch.column(c), "")
             return pa.table(
                 {
@@ -2905,8 +2786,6 @@ def phonetic_keys_ds(
         empty = pa.table(
             {"token": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
         )
-        if batch.num_rows == 0:
-            return empty
         flat = pc.list_flatten(
             pc.split_pattern(
                 pc.utf8_lower(pc.fill_null(batch.column(text_col), "")), pattern=" "
@@ -3073,15 +2952,6 @@ def gini_stump_ds(
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "v": pa.array([], pa.int64()),
-                "g": pa.array([], pa.string()),
-                "c": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         t = pa.table(
             {
                 "v": batch.column(feat_col).cast(pa.int64()),
@@ -3164,14 +3034,7 @@ def feature_hashing_ds(
     import hashlib
 
     def project(batch: pa.Table) -> pa.Table:
-        cols = {id_col: pa.array([], pa.int64())}
-        for j in range(k):
-            cols[f"fh_{j}"] = pa.array([], pa.int64())
-        if batch.num_rows == 0:
-            return pa.table(cols)
-        toks = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        toks = ts.ws_tokens(batch.column(text_col))
         flat = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         parents = np.asarray(pc.list_parent_indices(flat))
         words = flat.flatten().to_pylist()
@@ -3224,14 +3087,6 @@ def quantile_map_ds(
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    group_col: pa.array([], pa.string()),
-                    "v": pa.array([], pa.int64()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
         g = (
             pa.table(
                 {
@@ -3324,15 +3179,6 @@ def effective_sample_size_ds(
     per stratum) -> groupby over the tiny stratum domain."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    group_col: pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                    "sw": pa.array([], pa.int64()),
-                    "sw2": pa.array([], pa.int64()),
-                }
-            )
         w = batch.column(w_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         t = pa.table(
             {
@@ -3348,18 +3194,6 @@ def effective_sample_size_ds(
         return g.rename_columns([group_col, "n", "sw", "sw2"])
 
     def finish(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                group_col: pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-                "sum_w": pa.array([], pa.int64()),
-                "sum_w2": pa.array([], pa.int64()),
-                "ess_e3": pa.array([], pa.int64()),
-                "ess_ratio_permille": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0 or group_col not in batch.column_names:
-            return empty
         gs = batch.column(group_col).to_pylist()
         n = batch.column("sum(n)").to_pylist()
         sw = batch.column("sum(sw)").to_pylist()
@@ -3488,8 +3322,6 @@ def dedup_modality_agreement_ds(
     ver = ngram_jaccard_verify_ds(cands, docs, threshold=jaccard_threshold)
 
     def jac_flags(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in pair_schema})
         a = batch.column("doc_a").cast(pa.int64()).to_numpy(zero_copy_only=False)
         b = batch.column("doc_b").cast(pa.int64()).to_numpy(zero_copy_only=False)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -3536,8 +3368,6 @@ def dedup_modality_agreement_ds(
     ]
 
     def products(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "max(e)" not in batch.column_names:
-            return pa.table({c: pa.array([], pa.int64()) for c in cols})
         e = batch.column("max(e)").to_numpy(zero_copy_only=False)
         j = batch.column("max(j)").to_numpy(zero_copy_only=False)
         c = batch.column("max(c)").to_numpy(zero_copy_only=False)
@@ -3676,14 +3506,6 @@ def hard_negatives_ds(
     )
 
     def project(batch: pa.Table) -> pa.Table:
-        empty_cols = {
-            "cell": pa.array([], pa.string()),
-            "v": pa.array([], pa.int64()),
-            "lab": pa.array([], pa.int64()),
-        }
-        if batch.num_rows == 0:
-            empty_cols["q"] = pa.array([], pa.list_(pa.int64()))
-            return pa.table(empty_cols)
         ids_ = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         labs = batch.column(label_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         col = batch.column(vec_col).combine_chunks()
@@ -3704,8 +3526,6 @@ def hard_negatives_ds(
 
     def cell_pairs(group: pa.Table) -> pa.Table:
         empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        if group.num_rows == 0:
-            return empty
         v = group.column("v").to_numpy(zero_copy_only=False)
         lab = group.column("lab").to_numpy(zero_copy_only=False)
         order = np.argsort(v, kind="stable")[:max_cell]
@@ -3780,11 +3600,7 @@ def rare_token_pairs_ds(
                 "d": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0:
-            return empty
-        toks = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        toks = ts.ws_tokens(batch.column(text_col))
         flat = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         parents = np.asarray(pc.list_parent_indices(flat))
         words = np.asarray(flat.flatten().to_pylist(), dtype=object)
@@ -3852,8 +3668,6 @@ def rare_token_pairs_ds(
     agg = pairs.groupby(["a", "b"]).aggregate(Count())
 
     def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "a" not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
         return pa.table(
             {
                 "doc_a": batch.column("a"),
@@ -3887,15 +3701,6 @@ def bottomk_sample_ds(
     import hashlib
 
     def rank(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                id_col: pa.array([], pa.int64()),
-                "h60": pa.array([], pa.int64()),
-                val_col: pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         ids_ = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         hs = np.fromiter(
             (
@@ -3960,8 +3765,6 @@ def span_kind_transitions_ds(docs: Dataset) -> Dataset:
     empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return empty.select(["kind_from", "kind_to", "n"])
         _, vals, lens, parents = _span_lists(batch)
         if len(vals) < 2:
             return empty
@@ -3992,8 +3795,6 @@ def span_kind_transitions_ds(docs: Dataset) -> Dataset:
     )
 
     def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "kind_from" not in batch.column_names:
-            return empty
         return pa.table(
             {
                 "kind_from": batch.column("kind_from"),
@@ -4026,11 +3827,8 @@ def media_density_ds(docs: Dataset, id_to_int=None) -> Dataset:
             ("media_permille", pa.int64()),
         ]
     )
-    empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
 
     def profile(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return empty
         _, vals, lens, parents = _span_lists(batch)
         nd = len(lens)
         ids_ = np.asarray(
@@ -4086,9 +3884,6 @@ def span_offset_audit_ds(docs: Dataset) -> Dataset:
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        cols = ["n_docs", "n_monotonic", "sum_final_offset", "max_span_count"]
-        if batch.num_rows == 0:
-            return pa.table({c: pa.array([], pa.int64()) for c in cols})
         offs, vals, lens, parents = _span_lists(batch)
         off_vals = vals.field("offset").to_numpy(zero_copy_only=False).astype(
             np.int64
@@ -4149,19 +3944,8 @@ def kind_runlengths_ds(docs: Dataset) -> Dataset:
             ("n_spans", pa.int64()),
         ]
     )
-    empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
 
     def partial(batch: pa.Table) -> pa.Table:
-        cols = ["kind", "n_runs", "max_run", "n_spans"]
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "kind": pa.array([], pa.string()),
-                    "n_runs": pa.array([], pa.int64()),
-                    "max_run": pa.array([], pa.int64()),
-                    "n_spans": pa.array([], pa.int64()),
-                }
-            )
         _, vals, lens, parents = _span_lists(batch)
         n = len(vals)
         if n == 0:
@@ -4207,8 +3991,6 @@ def kind_runlengths_ds(docs: Dataset) -> Dataset:
     )
 
     def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "kind" not in batch.column_names:
-            return empty
         return pa.table(
             {
                 "kind": batch.column("kind"),
@@ -4245,8 +4027,6 @@ def media_ref_integrity_ds(docs: Dataset) -> Dataset:
     ]
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({c: pa.array([], pa.int64()) for c in cols})
         _, vals, lens, parents = _span_lists(batch)
         is_media = np.asarray(
             pc.equal(vals.field("kind"), "media_ref").to_numpy(
@@ -4365,11 +4145,7 @@ def kmv_intersection_ds(
             "source": pa.array([], pa.string()),
             "h": pa.array([], pa.int64()),
         }
-        if batch.num_rows == 0:
-            return pa.table(ecols)
-        toks = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        toks = ts.ws_tokens(batch.column(text_col))
         flat = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         parents = np.asarray(pc.list_parent_indices(flat))
         words = np.asarray(flat.flatten().to_pylist(), dtype=object)
@@ -4413,12 +4189,6 @@ def kmv_intersection_ds(
 
     # ---- sketch side: bottom-k per source (per-batch partial -> driver)
     def bottomk(batch: pa.Table) -> pa.Table:
-        ecols = {
-            "source": pa.array([], pa.string()),
-            "h": pa.array([], pa.int64()),
-        }
-        if batch.num_rows == 0 or "source" not in batch.column_names:
-            return pa.table(ecols)
         src = np.asarray(batch.column("source").to_pylist(), dtype=object)
         hs = batch.column("h").to_numpy(zero_copy_only=False)
         order = np.lexsort((hs, src.astype(str)))
@@ -4455,12 +4225,6 @@ def kmv_intersection_ds(
     bit_of = {s: i for i, s in enumerate(sources)}
 
     def to_bits(batch: pa.Table) -> pa.Table:
-        ecols = {
-            "h": pa.array([], pa.int64()),
-            "bits": pa.array([], pa.int64()),
-        }
-        if batch.num_rows == 0 or "h" not in batch.column_names:
-            return pa.table(ecols)
         src = batch.column("source").to_pylist()
         bits = np.asarray([1 << bit_of[s] for s in src], np.int64)
         return pa.table(
@@ -4468,12 +4232,6 @@ def kmv_intersection_ds(
         )
 
     def mask_hist(batch: pa.Table) -> pa.Table:
-        ecols = {
-            "mask": pa.array([], pa.int64()),
-            "c": pa.array([], pa.int64()),
-        }
-        if batch.num_rows == 0 or "sum(bits)" not in batch.column_names:
-            return pa.table(ecols)
         g = (
             pa.table({"mask": batch.column("sum(bits)").cast(pa.int64())})
             .group_by("mask")
@@ -4552,8 +4310,6 @@ def caption_mining_ds(docs: Dataset) -> Dataset:
     empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
 
     def mine(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return empty
         _, vals, lens, parents = _span_lists(batch)
         n = len(vals)
         if n == 0:
@@ -4635,11 +4391,8 @@ def span_pack_ds(docs: Dataset, budget_words: int = 24) -> Dataset:
             ("total_words", pa.int64()),
         ]
     )
-    empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
 
     def pack(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return empty
         offs, vals, lens, parents = _span_lists(batch)
         n = len(vals)
         doc_ids = np.asarray(

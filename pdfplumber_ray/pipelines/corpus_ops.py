@@ -122,15 +122,6 @@ def lang_confusion_ds(
     the (langs x langs) domain. Emits ``(declared, detected, n_docs)``."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "declared": pa.array([], pa.string()),
-                "detected": pa.array([], pa.string()),
-                "n_partial": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         pred = ts.lang_id(batch.column(text_col).to_pylist())
         g = (
             pa.table(
@@ -537,8 +528,6 @@ def tfidf_topk_ds(
                 "rnk": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0:
-            return empty
         vocab_s, dfs_s = ray.get(df_ref)
         terms_l = batch.column("terms")
         counts = pc.list_value_length(terms_l).to_numpy(zero_copy_only=False)
@@ -970,16 +959,6 @@ def lsh_recall_audit_ds(
     )
 
     def counts(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "k": pa.array([], pa.int64()),
-                "n_lsh_p": pa.array([], pa.int64()),
-                "n_true_p": pa.array([], pa.int64()),
-                "n_hits_p": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0 or "sum(in_lsh)" not in batch.column_names:
-            return empty
         in_l = batch.column("sum(in_lsh)").to_numpy(zero_copy_only=False) > 0
         in_t = batch.column("sum(in_true)").to_numpy(zero_copy_only=False) > 0
         return pa.table(
@@ -1280,14 +1259,6 @@ def substring_strip_ds(
 
     def strip(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col)
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    id_col: ids,
-                    "clean_text": pa.array([], pa.string()),
-                    "n_tokens_removed": pa.array([], pa.int64()),
-                }
-            )
         fs = ray.get(freq_ref)
         texts = batch.column(text_col).to_pylist()
         toks = [(t or "").split(" ") for t in texts]
@@ -2836,8 +2807,6 @@ def knn_graph_ds(
                 "sim_e6": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0:
-            return empty
         blocks = _emb_blocks(refs_key, refs, id_col)
         if not blocks:
             return empty
@@ -3024,13 +2993,9 @@ def _token_count_partials(
         empty = pa.table(
             {"token": pa.array([], pa.string()), count_col: pa.array([], pa.int64())}
         )
-        if batch.num_rows == 0:
-            return empty
-        # all-Arrow tokenize: split_pattern matches str.split(" ") exactly
+        # all-Arrow tokenize: ws_tokens matches str.split(" ") exactly
         # (empty text -> [""], doubled spaces -> "" tokens), no Python loop
-        flat = pc.list_flatten(
-            pc.split_pattern(pc.fill_null(batch.column(text_col), ""), pattern=" ")
-        )
+        flat = pc.list_flatten(ts.ws_tokens(batch.column(text_col)))
         if len(flat) == 0:
             return empty
         g = pa.table({"token": flat}).group_by("token").aggregate([("token", "count")])
@@ -3064,11 +3029,6 @@ def heavy_hitters_ds(docs: Dataset, k: int = 100, text_col: str = "text") -> Dat
     )
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"token": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return empty
         n = batch.column("sum(n_partial)").to_numpy(zero_copy_only=False)
         toks = batch.column("token")
         codes = np.unique(
@@ -3145,7 +3105,7 @@ def rare_tokens_ds(
         if n == 0:
             return empty
         vocab = ray.get(ref)
-        lists = pc.split_pattern(pc.fill_null(batch.column(text_col), ""), pattern=" ")
+        lists = ts.ws_tokens(batch.column(text_col))
         lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False).astype(np.int64)
         flat = pc.list_flatten(lists)
         di = np.repeat(np.arange(n, dtype=np.int64), lens)
@@ -3363,17 +3323,6 @@ def jaccard_join_ds(
 
     def verify(batch: pa.Table) -> pa.Table:
         id_type = batch.column("doc_a").type
-        empty = pa.table(
-            {
-                "doc_a": pa.array([], id_type),
-                "doc_b": pa.array([], id_type),
-                "inter": pa.array([], pa.int64()),
-                "uni": pa.array([], pa.int64()),
-                "jac_e3": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         sets = ray.get(sets_ref)
         a_ids = batch.column("doc_a").to_pylist()
         b_ids = batch.column("doc_b").to_pylist()
@@ -3416,11 +3365,6 @@ def length_rank_ds(
     per distinct value and streams everything else."""
 
     def vc_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"v": pa.array([], pa.int64()), "n_partial": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return empty
         g = (
             pa.table({"v": batch.column(value_col).cast(pa.int64())})
             .group_by("v")
@@ -3455,7 +3399,7 @@ def length_rank_ds(
                 "permille": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0 or total == 0:
+        if total == 0:
             return empty
         v_s, c_s = ray.get(cdf_ref)
         v = batch.column(value_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -3509,11 +3453,7 @@ def collocations_ds(
                 "n_partial": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0:
-            return empty
-        lists = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        lists = ts.ws_tokens(batch.column(text_col))
         lens = (
             pc.list_value_length(lists).to_numpy(zero_copy_only=False).astype(np.int64)
         )
@@ -3591,21 +3531,18 @@ def collocations_ds(
     ref = ray.put((tx, nx, ty, ny))
 
     def score(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "w1": pa.array([], pa.string()),
-                "w2": pa.array([], pa.string()),
-                "n_xy": pa.array([], pa.int64()),
-                "lift_e6": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         batch = batch.filter(
             pc.greater_equal(batch.column("n_xy"), pa.scalar(min_count, pa.int64()))
         )
         if batch.num_rows == 0:
-            return empty
+            return pa.table(
+                {
+                    "w1": pa.array([], pa.string()),
+                    "w2": pa.array([], pa.string()),
+                    "n_xy": pa.array([], pa.int64()),
+                    "lift_e6": pa.array([], pa.int64()),
+                }
+            )
         tx_, nx_, ty_, ny_ = ray.get(ref)
         a = batch.column("w1").to_numpy(zero_copy_only=False).astype(str)
         b = batch.column("w2").to_numpy(zero_copy_only=False).astype(str)
@@ -3645,16 +3582,6 @@ def centroids_ds(
     vectors themselves never shuffle."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "g": pa.array([], pa.int64()),
-                "dim": pa.array([], pa.int64()),
-                "s_partial": pa.array([], pa.int64()),
-                "n_partial": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         m = _as_matrix(batch.column(vec_col))
         q = np.floor(m * 1e6).astype(np.int64)
         g = batch.column(group_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -3772,15 +3699,6 @@ def kmeans_ds(
 
         def update_partial(batch: pa.Table) -> pa.Table:
             kk = len(ray.get(cents_ref))
-            empty = pa.table(
-                {
-                    "cid": pa.array([], pa.int64()),
-                    "n_p": pa.array([], pa.int64()),
-                    "s_p": pa.array([], pa.list_(pa.int64())),
-                }
-            )
-            if batch.num_rows == 0:
-                return empty
             c = ray.get(cents_ref)
             qm = (
                 batch.column("_qv")
@@ -3823,15 +3741,6 @@ def kmeans_ds(
     final_ref = ray.put(cents)
 
     def final_assign(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                id_col: pa.array([], pa.int64()),
-                "cluster": pa.array([], pa.int64()),
-                "dist2": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         c = ray.get(final_ref)
         qm = (
             batch.column("_qv")
@@ -4402,16 +4311,6 @@ def _pq_learn(
         books_ref = ray.put(books)
 
         def update_partial(batch: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {
-                    "sub": pa.array([], pa.int64()),
-                    "cid": pa.array([], pa.int64()),
-                    "n_p": pa.array([], pa.int64()),
-                    "s_p": pa.array([], pa.list_(pa.int64())),
-                }
-            )
-            if batch.num_rows == 0:
-                return empty
             bks = ray.get(books_ref)
             qm = (
                 batch.column("_qv")
@@ -4496,9 +4395,6 @@ def pq_encode_ds(
     final_ref = ray.put(books)
 
     def final_assign(batch: pa.Table) -> pa.Table:
-        empty = pa.table({n: pa.array([], pa.int64()) for n in out_names})
-        if batch.num_rows == 0:
-            return empty
         bks = ray.get(final_ref)
         qm = (
             batch.column("_qv")
@@ -4558,8 +4454,6 @@ def pq_search_ds(
     state_ref = ray.put((books, lut))
 
     def score_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return empty
         bks, lut_s = ray.get(state_ref)
         qm = (
             batch.column("_qv")
@@ -4901,8 +4795,6 @@ def bpe_pairs_ds(
         empty = pa.table(
             {"pair": pa.array([], pa.string()), "n_p": pa.array([], pa.int64())}
         )
-        if batch.num_rows == 0:
-            return empty
         words = batch.column("word").to_pylist()
         f = batch.column("sum(f)").to_numpy(zero_copy_only=False).astype(np.int64)
         lens = np.fromiter((len(w) for w in words), np.int64, count=len(words))
@@ -5331,8 +5223,6 @@ def shuffle_shards_ds(
     )
 
     def order_shard(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
         ids = group.column(id_col).to_numpy(zero_copy_only=False)
         h = group.column("h60").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, h))
@@ -5695,8 +5585,6 @@ def quota_sample_ds(
     )
 
     def draw(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
         qs = ray.get(q_ref)
         key = (group.column(ga)[0].as_py(), group.column(gb)[0].as_py())
         quota = qs.get(key, 0)
@@ -6336,8 +6224,6 @@ def entity_mentions_ds(
         empty = pa.table(
             {"entity": pa.array([], pa.string()), "n_e": pa.array([], pa.int64())}
         )
-        if batch.num_rows == 0:
-            return empty
         toks = pc.split_pattern(batch.column(text_col), " ")
         toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         flat = toks.flatten()
@@ -6394,10 +6280,6 @@ def entity_mentions_ds(
     )
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"entity": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
-            )
         ent = np.asarray(batch.column("entity").to_pylist(), dtype=object)
         n = batch.column("sum(n_e)").to_numpy(zero_copy_only=False).astype(np.int64)
         top = np.lexsort((ent.astype(str), -n))[:k]
@@ -6917,15 +6799,6 @@ def grid_cores_ds(
     off = np.int64(cell_e6) * off_units
 
     def cells_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "cx": pa.array([], pa.int64()),
-                "cy": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         m = _as_matrix(batch.column(vec_col))
         q0 = np.floor(m[:, 0].astype(np.float64) * 1e6).astype(np.int64)
         q1 = np.floor(m[:, 1].astype(np.float64) * 1e6).astype(np.int64)
@@ -7030,11 +6903,7 @@ def skipgram_counts_ds(
                 "n_partial": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0:
-            return empty
-        toks = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        toks = ts.ws_tokens(batch.column(text_col))
         toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         flat = toks.flatten()
         n = len(flat)
@@ -7122,9 +6991,7 @@ def entity_graph_ds(
                 "n_partial": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0:
-            return empty
-        toks = pc.split_pattern(pc.fill_null(batch.column(text_col), ""), " ")
+        toks = ts.ws_tokens(batch.column(text_col))
         toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         flat = toks.flatten()
         if len(flat) == 0:
@@ -7238,17 +7105,6 @@ def cluster_inertia_ds(
     union-merge of the per-label columns (no join)."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "label": pa.array([], pa.int64()),
-                "dim": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "sumsq": pa.array([], pa.int64()),
-                "sd": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         m = _as_matrix(batch.column(vec_col))
         q = np.floor(m.astype(np.float64) * 1e6).astype(np.int64)
         lbl = batch.column(label_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -7337,16 +7193,6 @@ def dim_variance_ds(
     materialization, no broadcast."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "dim": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.int64()),
-                "ss": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         m = _as_matrix(batch.column(vec_col))
         q = np.floor(m.astype(np.float64) * 1e6).astype(np.int64)
         d = q.shape[1]
@@ -7400,18 +7246,6 @@ def dim_covariance_ds(
     materialization, no broadcast."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "dim_i": pa.array([], pa.int64()),
-                "dim_j": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s_i": pa.array([], pa.int64()),
-                "s_j": pa.array([], pa.int64()),
-                "s_ij": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         m = _as_matrix(batch.column(vec_col))
         q = np.floor(m.astype(np.float64) * 1e6).astype(np.int64)
         d = q.shape[1]
@@ -7477,16 +7311,6 @@ def centroid_outliers_ds(
     ``groupby(label)`` sees <= blocks * k rows per label."""
 
     def sums_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "label": pa.array([], pa.int64()),
-                "dim": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "sd": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         m = _as_matrix(batch.column(vec_col))
         q = np.floor(m.astype(np.float64) * 1e6).astype(np.int64)
         lbl = batch.column(label_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -7532,15 +7356,6 @@ def centroid_outliers_ds(
     ref = ray.put((lab_keys, N, S))
 
     def score(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "label": pa.array([], pa.int64()),
-                id_col: pa.array([], pa.int64()),
-                "d2n2": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         keys, nn, ss = ray.get(ref)
         m = _as_matrix(batch.column(vec_col))
         q = np.floor(m.astype(np.float64) * 1e6).astype(np.int64)
@@ -7569,18 +7384,7 @@ def centroid_outliers_ds(
         [id_col, label_col, vec_col]
     ).map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
 
-    final_schema = pa.schema(
-        [
-            ("label", pa.int64()),
-            (id_col, pa.int64()),
-            ("d2n2", pa.int64()),
-            ("rank", pa.int64()),
-        ]
-    )
-
     def final_topk(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in final_schema})
         d2 = group.column("d2n2").to_numpy(zero_copy_only=False)
         ids = group.column(id_col).to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, -d2))[:k]
@@ -7668,8 +7472,6 @@ def sampled_dup_rate_ds(
     joined = hash_join_ds(left, right, "partner", id_col)
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return empty
         ta = batch.column("text_a").to_pylist()
         tb = batch.column("text_b").to_pylist()
         jac_e3 = np.empty(len(ta), np.int64)
@@ -7830,9 +7632,7 @@ def term_burstiness_ds(
                 "mx_p": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0:
-            return empty
-        toks = pc.split_pattern(pc.fill_null(batch.column(text_col), ""), " ")
+        toks = ts.ws_tokens(batch.column(text_col))
         toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         flat = toks.flatten()
         if len(flat) == 0:
@@ -7867,16 +7667,6 @@ def term_burstiness_ds(
     )
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "term": pa.array([], pa.string()),
-                "tf": pa.array([], pa.int64()),
-                "df": pa.array([], pa.int64()),
-                "max_tf": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         tf = batch.column("sum(tf_p)").cast(pa.int64()).to_numpy(zero_copy_only=False)
         terms = batch.column("term")
         codes = np.unique(
@@ -7919,11 +7709,6 @@ def int8_quant_error_ds(
     columnwise. No shuffle beyond the 64-group aggregates."""
 
     def max_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"dim": pa.array([], pa.int64()), "mx": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return empty
         m = _as_matrix(batch.column(vec_col))
         q = np.floor(m.astype(np.float64) * 1e6).astype(np.int64)
         d = q.shape[1]
@@ -7959,8 +7744,6 @@ def int8_quant_error_ds(
     ref = ray.put(ks)
 
     def err_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return empty.drop_columns(["k"])
         kv = ray.get(ref)
         m = _as_matrix(batch.column(vec_col))
         q = np.floor(m.astype(np.float64) * 1e6).astype(np.int64)
@@ -8019,18 +7802,7 @@ def blocklist_hits_ds(
     lex = pa.array(sorted(set(blocklist)), pa.string())
 
     def score(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                id_col: pa.array([], pa.int64()),
-                "n_tokens": pa.array([], pa.int64()),
-                "n_hits": pa.array([], pa.int64()),
-                "hit_permille": pa.array([], pa.int64()),
-                "flagged": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        toks = pc.split_pattern(pc.fill_null(batch.column(text_col), ""), " ")
+        toks = ts.ws_tokens(batch.column(text_col))
         toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         flat = toks.flatten()
         offs = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -8111,8 +7883,6 @@ def semantic_decontaminate_ds(
                 "leaked": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0:
-            return empty
         ids = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         is_eval = (ids % eval_mod) == 0
         if not is_eval.any():
@@ -8168,13 +7938,7 @@ def stratified_kfold_ds(
     ranks without co-locating the stratum (documented scale path)."""
     import hashlib
 
-    out_schema = pa.schema(
-        [(id_col, pa.int64()), ("stratum", pa.string()), ("fold", pa.int64())]
-    )
-
     def assign(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
         ids = group.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         hexes = np.asarray(
             [hashlib.md5(str(int(i)).encode()).hexdigest() for i in ids], dtype=object
@@ -8216,15 +7980,6 @@ def syndication_histogram_ds(
     effective_tokens shuffle) → tiny histogram groupby."""
 
     def tag(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "d": pa.array([], pa.string()),
-                "src": pa.array([], pa.string()),
-                "n_p": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         texts = batch.column(text_col).to_pylist()
         if key_tokens is not None:
             # template-opening key: families keyed on the first k tokens
@@ -8267,15 +8022,6 @@ def syndication_histogram_ds(
     )
 
     def hist_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "n_sources": pa.array([], pa.int64()),
-                "n_families": pa.array([], pa.int64()),
-                "n_docs": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         ns = batch.column("count()").cast(pa.int64()).to_numpy(zero_copy_only=False)
         nd = batch.column("sum(n)").cast(pa.int64()).to_numpy(zero_copy_only=False)
         u, inv = np.unique(ns, return_inverse=True)
@@ -8339,15 +8085,7 @@ def term_trend_ds(
         return ray.data.from_arrow(empty)
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "term": pa.array([], pa.string()),
-                    "half": pa.array([], pa.int64()),
-                    "n_p": pa.array([], pa.int64()),
-                }
-            )
-        toks = pc.split_pattern(pc.fill_null(batch.column(text_col), ""), " ")
+        toks = ts.ws_tokens(batch.column(text_col))
         toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
         flat = toks.flatten()
         offs = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -8444,10 +8182,6 @@ def semantic_families_ds(
     labels = _min_label_propagation(pairs, "x", "y").materialize()
 
     def size_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"family": pa.array([], pa.int64()), "sz_p": pa.array([], pa.int64())}
-            )
         lab, cnt = np.unique(
             batch.column("label").cast(pa.int64()).to_numpy(zero_copy_only=False),
             return_counts=True,
@@ -8501,8 +8235,6 @@ def semantic_families_ds(
     ref = ray.put((fam_ids[order], fam_sz[order]))
 
     def attach(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return empty
         ids, sz = ray.get(ref)
         lab = batch.column("label").cast(pa.int64()).to_numpy(zero_copy_only=False)
         pos = np.searchsorted(ids, lab)
@@ -8535,18 +8267,6 @@ def dataset_card_ds(
     driver; each pass reads only its column."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "g": pa.array([], pa.int64()),
-                "n_docs": pa.array([], pa.int64()),
-                "n_tokens": pa.array([], pa.int64()),
-                "n_chars": pa.array([], pa.int64()),
-                "min_tokens": pa.array([], pa.int64()),
-                "max_tokens": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         texts = pc.fill_null(batch.column(text_col), "")
         toks = pc.split_pattern(texts, " ")
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -8573,8 +8293,6 @@ def dataset_card_ds(
     )
 
     def digest_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"d": pa.array([], pa.string())})
         texts = batch.column(text_col).to_pylist()
         return pa.table(
             {"d": pa.array(sorted(set(ts.md5_hex(texts).tolist())), pa.string())}
@@ -8590,8 +8308,6 @@ def dataset_card_ds(
 
     def cats_partial(col: str):
         def fn(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.table({"v": pa.array([], pa.string())})
             vals = batch.column(col).to_numpy(zero_copy_only=False).astype(str)
             return pa.table({"v": pa.array(np.unique(vals).tolist(), pa.string())})
         return fn
@@ -8650,16 +8366,6 @@ def source_prefix_audit_ds(
     shuffle beyond one min/max candidate pair per source per block."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "src": pa.array([], pa.string()),
-                "mn": pa.array([], pa.string()),
-                "mx": pa.array([], pa.string()),
-                "n_p": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         t = pa.table(
             {
                 "src": batch.column(source_col),
@@ -8752,15 +8458,6 @@ def fold_leakage_ds(
     joined = hash_join_ds(folds, dig, id_col, "did")
 
     def fam_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "d": pa.array([], pa.string()),
-                "n_p": pa.array([], pa.int64()),
-                "mask_p": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
         d = batch.column("d").to_numpy(zero_copy_only=False).astype(str)
         m = np.int64(1) << batch.column("fold").cast(pa.int64()).to_numpy(
             zero_copy_only=False
@@ -8854,8 +8551,6 @@ def hash_collision_audit_ds(
     partial + one vocab-bounded groupby-count. Grams never collect."""
 
     def gram_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"g": pa.array([], pa.string())})
         out = set()
         for t in batch.column(text_col).to_pylist():
             toks = (t or "").split(" ")
@@ -8875,8 +8570,6 @@ def hash_collision_audit_ds(
     n_grams = grams.groupby("g").count().count()
 
     def hash_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"h": pa.array([], pa.int64())})
         gl = batch.column("g").to_pylist()
         h = np.unique(
             np.fromiter((ts.md5_u64(g) for g in gl), np.uint64, count=len(gl))
@@ -8990,9 +8683,7 @@ def minimizer_sketch_ds(
         }
         if nb == 0:
             return pa.table(empty_cols)
-        toks = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        toks = ts.ws_tokens(batch.column(text_col))
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         lens = np.maximum(n_tok - 1, 0).astype(np.int64)  # shingles per doc
         m = int(lens.sum())
@@ -9079,11 +8770,7 @@ def bool_retrieval_ds(
         empty = pa.table(
             {"token": pa.array([], pa.string()), "n_partial": pa.array([], pa.int64())}
         )
-        if batch.num_rows == 0:
-            return empty
-        toks = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        toks = ts.ws_tokens(batch.column(text_col))
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         flat = pc.list_flatten(toks)
         if len(flat) == 0:
@@ -9115,11 +8802,6 @@ def bool_retrieval_ds(
     )
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"token": pa.array([], pa.string()), "df": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return empty
         n = batch.column("sum(n_partial)").to_numpy(zero_copy_only=False)
         toks = batch.column("token")
         codes = np.unique(
@@ -9142,11 +8824,9 @@ def bool_retrieval_ds(
 
     def match(batch: pa.Table) -> pa.Table:
         empty = pa.table({id_col: pa.array([], pa.int64())})
-        if batch.num_rows == 0 or k == 0:
+        if k == 0:
             return empty
-        toks = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        toks = ts.ws_tokens(batch.column(text_col))
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False).astype(str)
         if flat.size == 0:
@@ -9188,14 +8868,6 @@ def hist_intersection_ds(
     domain-sized table reaches the driver."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "g": pa.array([], pa.string()),
-                    "b": pa.array([], pa.int64()),
-                    "n_partial": pa.array([], pa.int64()),
-                }
-            )
         v = batch.column(value_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         t = pa.table(
             {
@@ -9277,9 +8949,7 @@ def marginal_vocab_ds(
     )
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        toks = ts.ws_tokens(batch.column(text_col))
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         flat = pc.list_flatten(toks)
         g = np.repeat(
@@ -9327,14 +8997,6 @@ def marginal_vocab_ds(
     out = bucketed.groupby("source").aggregate(Sum("d"), Sum("o"))
 
     def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "source" not in batch.column_names:
-            return pa.table(
-                {
-                    "source": pa.array([], pa.string()),
-                    "n_distinct_tokens": pa.array([], pa.int64()),
-                    "n_owned_tokens": pa.array([], pa.int64()),
-                }
-            )
         return pa.table(
             {
                 "source": batch.column("source"),
@@ -9394,7 +9056,7 @@ def vocab_drift_ds(
     rank = {s: i for i, s in enumerate(labels)}
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(pc.fill_null(batch.column(text_col), ""), pattern=" ")
+        toks = ts.ws_tokens(batch.column(text_col))
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         flat = pc.list_flatten(toks)
         g = np.repeat(
@@ -9630,14 +9292,6 @@ def edit_distance_join_ds(
     dedup = pairs.groupby(["doc_a", "doc_b"]).aggregate(Min("edit_distance"))
 
     def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "doc_a" not in batch.column_names:
-            return pa.table(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                    "edit_distance": pa.array([], pa.int64()),
-                }
-            )
         return pa.table(
             {
                 "doc_a": batch.column("doc_a"),
@@ -9677,11 +9331,7 @@ def freq_of_freqs_ds(
         empty = pa.table(
             {"token": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
         )
-        if batch.num_rows == 0:
-            return empty
-        flat = pc.list_flatten(
-            pc.split_pattern(pc.fill_null(batch.column(text_col), ""), pattern=" ")
-        )
+        flat = pc.list_flatten(ts.ws_tokens(batch.column(text_col)))
         if len(flat) == 0:
             return empty
         g = pa.table({"token": flat}).group_by("token").aggregate([("token", "count")])
@@ -9693,14 +9343,6 @@ def freq_of_freqs_ds(
         )
 
     def bucket_fold(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "sum(n)" not in batch.column_names:
-            return pa.table(
-                {
-                    "freq_bucket": pa.array([], pa.int64()),
-                    "n_terms": pa.array([], pa.int64()),
-                    "n_tokens": pa.array([], pa.int64()),
-                }
-            )
         f = batch.column("sum(n)").cast(pa.int64()).to_numpy(zero_copy_only=False)
         b = _bit_length_exact(f)
         g = (
@@ -9733,8 +9375,6 @@ def freq_of_freqs_ds(
     )
 
     def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "freq_bucket" not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
         return pa.table(
             {
                 "freq_bucket": batch.column("freq_bucket").cast(pa.int64()),
@@ -9779,11 +9419,7 @@ def oov_rate_ds(
         empty = pa.table(
             {"token": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
         )
-        if batch.num_rows == 0:
-            return empty
-        flat = pc.list_flatten(
-            pc.split_pattern(pc.fill_null(batch.column(text_col), ""), pattern=" ")
-        )
+        flat = pc.list_flatten(ts.ws_tokens(batch.column(text_col)))
         if len(flat) == 0:
             return empty
         g = pa.table({"token": flat}).group_by("token").aggregate([("token", "count")])
@@ -9802,11 +9438,6 @@ def oov_rate_ds(
     )
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"token": pa.array([], pa.string()), "f": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0 or "token" not in batch.column_names:
-            return empty
         n = batch.column("sum(n)").to_numpy(zero_copy_only=False)
         toks = batch.column("token")
         codes = np.unique(
@@ -9834,11 +9465,7 @@ def oov_rate_ds(
                 "o": pa.array([], pa.int64()),
             }
         )
-        if batch.num_rows == 0:
-            return empty
-        toks = pc.split_pattern(
-            pc.fill_null(batch.column(text_col), ""), pattern=" "
-        )
+        toks = ts.ws_tokens(batch.column(text_col))
         n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False).astype(str)
         if flat.size == 0:
@@ -9879,8 +9506,6 @@ def oov_rate_ds(
     )
 
     def finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or group_col not in batch.column_names:
-            return pa.table({f.name: pa.array([], f.type) for f in out_schema})
         t = batch.column("sum(t)").cast(pa.int64()).to_numpy(zero_copy_only=False)
         o = batch.column("sum(o)").cast(pa.int64()).to_numpy(zero_copy_only=False)
         return pa.table(

@@ -730,10 +730,13 @@ class PagesCrop:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.strict:
-            # reference page.py:627-644 via CroppedPage(strict=True)
-            sizes = zip(
-                batch.column("page_width").to_pylist(), batch.column("page_height").to_pylist()
-            )
+            # reference page.py:627-644 via CroppedPage(strict=True); a
+            # quarantined document's row (non-null ``error``, a 0x0 page
+            # with no objects) is not checked and passes through
+            pages = batch.select(["page_width", "page_height"])
+            if "error" in batch.column_names:
+                pages = pages.filter(pc.is_null(batch.column("error")))
+            sizes = zip(pages.column(0).to_pylist(), pages.column(1).to_pylist())
             for w, h in dict.fromkeys(sizes):
                 test_proposed_bbox(self.bbox, (0.0, 0.0, w, h))
         for name in ("chars", "rects", "lines", "images", "curves"):

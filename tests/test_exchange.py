@@ -447,3 +447,167 @@ def test_report_collect_obeys_row_limit(ray_session, monkeypatch, run, what):
     msg = rf"{what} \(\d+ rows\) exceeds MAX_BROADCAST_ROWS=0"
     with pytest.raises(ValueError, match=msg):
         run()
+
+
+# ---- Ray never calls a map UDF on a zero-row batch ------------------------
+
+
+def _refuse_empty():
+    """A pass-through UDF that raises on a zero-row batch (made inside a
+    function, so the workers get it by value, not by module name)."""
+
+    def refuse(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            raise AssertionError("a map UDF was called on a zero-row batch")
+        return batch
+
+    return refuse
+
+
+def _blocks_with_empties() -> ray.data.Dataset:
+    """Four blocks, two of them zero-row: ``k`` 0..5 in two real blocks."""
+    t = pa.table({"k": pa.array(range(6), pa.int64()), "g": pa.array([0, 1] * 3)})
+    empty = t.schema.empty_table()
+    return ray.data.from_arrow([empty, t.slice(0, 3), empty, t.slice(3)])
+
+
+EMPTY_INPUTS = {
+    "empty_blocks": _blocks_with_empties,
+    "filtered_out": lambda: _blocks_with_empties().filter(expr="k < 0"),
+    "zero_row_table": lambda: ray.data.from_arrow(
+        pa.schema({"k": pa.int64(), "g": pa.int64()}).empty_table()
+    ),
+}
+
+
+@pytest.mark.parametrize("batch_size", [None, "default"], ids=["whole_block", "default"])
+@pytest.mark.parametrize("make", list(EMPTY_INPUTS.values()), ids=list(EMPTY_INPUTS))
+def test_map_batches_never_calls_udf_on_zero_rows(ray_session, make, batch_size):
+    """The contract that lets ``pipelines/`` UDFs skip a zero-row branch:
+    Ray 2.49's ``map_batches`` passes a zero-row block through without
+    calling the UDF (``plan_udf_map_op.py``), and its batcher drops empty
+    blocks. A Ray upgrade that drops the behaviour fails here."""
+    # the input does hold zero-row blocks
+    assert 0 in {b.num_rows for b in ray.get(make().to_arrow_refs())}
+    ds = make().map_batches(
+        _refuse_empty(), batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
+    )
+    got = sorted(r["k"] for r in ds.take_all())
+    assert got == (list(range(6)) if make is _blocks_with_empties else [])
+
+
+@pytest.mark.parametrize("make", list(EMPTY_INPUTS.values()), ids=list(EMPTY_INPUTS))
+def test_map_groups_never_calls_udf_on_zero_rows(ray_session, make):
+    ds = make().groupby("g").map_groups(_refuse_empty(), batch_format="pyarrow")
+    got = sorted(r["k"] for r in ds.take_all())
+    assert got == (list(range(6)) if make is _blocks_with_empties else [])
+
+
+@pytest.mark.parametrize("make", list(EMPTY_INPUTS.values()), ids=list(EMPTY_INPUTS))
+def test_udf_after_aggregate_never_sees_zero_rows(ray_session, make):
+    """A finisher mapped over ``groupby().aggregate()`` output, which is
+    schema-less when its input is empty, is not called on that output."""
+    ds = (
+        make()
+        .groupby("g")
+        .aggregate(Sum("k"))
+        .map_batches(_refuse_empty(), batch_format="pyarrow", zero_copy_batch=True)
+    )
+    got = sorted(r["sum(k)"] for r in ds.take_all())
+    assert got == ([6, 9] if make is _blocks_with_empties else [])
+
+
+# every call that hands a UDF to a Ray map, and the argument index of the UDF
+MAP_CALLS = {"map_batches": 0, "map_groups": 0, "bucket_map": 2, "stage_map_batches": 1}
+ENTRY = os.path.join(os.path.dirname(PIPELINES), os.pardir, "__ray_entry__.py")
+
+
+def _defs_by_scope(tree):
+    """Each function def (and module) -> the defs made directly in it."""
+    scopes = {}
+
+    def visit(node, scope):
+        for ch in ast.iter_child_nodes(node):
+            if isinstance(ch, ast.FunctionDef):
+                scopes.setdefault(scope, {}).setdefault(ch.name, ch)
+                visit(ch, ch)
+            else:
+                visit(ch, scope)
+
+    visit(tree, tree)
+    return scopes
+
+
+def _map_udfs(tree):
+    """The function defs that ``tree`` passes to a Ray map: a name bound
+    by a def in an enclosing scope, or the inner def a factory returns."""
+    scopes = _defs_by_scope(tree)
+    found = {}
+
+    def resolve(name, chain):
+        for scope in reversed(chain):
+            if name in scopes.get(scope, {}):
+                return scopes[scope][name]
+        return None
+
+    def visit(node, chain):
+        for ch in ast.iter_child_nodes(node):
+            inner = chain + [ch] if isinstance(ch, ast.FunctionDef) else chain
+            if isinstance(ch, ast.Call):
+                attr = getattr(ch.func, "attr", getattr(ch.func, "id", None))
+                i = MAP_CALLS.get(attr)
+                arg = ch.args[i] if i is not None and len(ch.args) > i else None
+                if isinstance(arg, ast.Name):
+                    fn = resolve(arg.id, chain)
+                    if fn is not None:
+                        found[id(fn)] = fn
+                elif isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name):
+                    factory = resolve(arg.func.id, chain)
+                    for st in factory.body if factory is not None else []:
+                        if isinstance(st, ast.Return) and isinstance(st.value, ast.Name):
+                            fn = scopes.get(factory, {}).get(st.value.id)
+                            if fn is not None:
+                                found[id(fn)] = fn
+            visit(ch, inner)
+
+    visit(tree, [tree])
+    return list(found.values())
+
+
+def _zero_row_tests(fn):
+    """Lines of ``if`` statements at the head of ``fn`` (before its first
+    argument is rebound) that test that argument for zero rows."""
+    arg = fn.args.args[0].arg
+    dead = {f"{arg}.num_rows == 0", f"len({arg}) == 0", f"not {arg}.num_rows"}
+    hits = []
+    for st in fn.body:
+        if isinstance(st, ast.If) and any(
+            ast.unparse(n) in dead for n in ast.walk(st.test)
+        ):
+            hits.append(st.lineno)
+        if any(
+            isinstance(n, ast.Name) and n.id == arg and isinstance(n.ctx, ast.Store)
+            for n in ast.walk(st)
+        ):
+            break
+    return hits
+
+
+def test_map_udfs_write_no_zero_row_branch():
+    """No UDF that ``pipelines/`` or ``__ray_entry__.py`` hands to
+    ``map_batches``, ``map_groups``, ``bucket_map`` or
+    ``stage_map_batches`` tests its input batch for zero rows: Ray never
+    calls it with one (``test_map_batches_never_calls_udf_on_zero_rows``),
+    and typed empty output comes from ``bucket_map``, ``collect_small``
+    and ``_typed_result``."""
+    trees = list(_pipeline_trees()) + [
+        ("__ray_entry__.py", ast.parse(open(ENTRY).read()))
+    ]
+    bad = []
+    n_udfs = 0
+    for f, tree in trees:
+        for fn in _map_udfs(tree):
+            n_udfs += 1
+            bad += [f"{f}:{line} {fn.name}" for line in _zero_row_tests(fn)]
+    assert n_udfs > 300  # the scan still finds the map UDFs
+    assert bad == []

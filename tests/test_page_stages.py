@@ -321,6 +321,23 @@ def test_mask_stages_pass_the_error_column_through():
         assert out.column("doc_id").equals(pages.column("doc_id")), name
 
 
+def test_strict_crop_passes_quarantined_rows_through():
+    """``PagesCrop`` at its default ``strict=True`` checks the bbox on the
+    real pages only: a batch that holds a quarantined document crops the
+    rest and passes the error row through as it is."""
+    junk = pa.table({"doc_id": ["junk"], "pdf_bytes": pa.array([b"not a PDF, 16 B."], pa.binary())})
+    pages = decode_pdf_batch(pa.concat_tables([_pdf_table(1, 3), junk]))
+    err = pages.column("error").to_pylist()
+    assert err[-1] is not None and all(e is None for e in err[:-1])
+    out = decode.PagesCrop(BBOX)(pages)
+    real = pages.slice(0, pages.num_rows - 1)
+    assert out.slice(0, real.num_rows).equals(decode.PagesCrop(BBOX)(real))
+    assert out.slice(real.num_rows).equals(pages.slice(real.num_rows))
+    # a bbox outside a real page still raises
+    with pytest.raises(ValueError, match="not fully within"):
+        decode.PagesCrop((0.0, 0.0, 5000.0, 5000.0))(pages)
+
+
 def test_no_stage_reads_page_dicts():
     """Every page stage reads ``arrow_page_group``: no code in ``stages/``
     calls ``arrow_pages_to_dicts``, and only ``SynthDecodePages`` calls
