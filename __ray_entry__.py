@@ -34,6 +34,7 @@ from pdfplumber_ray.pipelines import (
     search_ds,
     words_ds,
 )
+from pdfplumber_ray.pipelines.exchange import attach, bucket_map, segment_runs
 from pdfplumber_ray.sources.synth_corpus import docs_from_documents_batch
 from pdfplumber_ray.sources.table_docs import cells_table_from_spans, docs_from_lineitem
 
@@ -610,6 +611,16 @@ def _interleaved_docs6(sf_dir: str) -> ray.data.Dataset:
     )
 
 
+def _doc_number(doc_ids: pa.ChunkedArray) -> pa.ChunkedArray:
+    """``doc-00000042`` -> 42: the number after a doc id's last dash."""
+    return pc.cast(pc.replace_substring_regex(doc_ids, r"^.*-", ""), pa.int64())
+
+
+def _run_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each sorted row's position inside its key run."""
+    return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
+
+
 def q_text_lines(sf_dir: str) -> ray.data.Dataset:
     """extract_text_lines over the textmap (reference utils/text.py:212-230);
     with 6-word spans each line is exactly one 6-word window of the text."""
@@ -618,21 +629,26 @@ def q_text_lines(sf_dir: str) -> ray.data.Dataset:
     pages = decode_pages_ds(_interleaved_docs6(sf_dir))
     lines = text_lines_ds(pages)
 
-    def index_group(g: pa.Table) -> pa.Table:
-        order = np.lexsort(
-            (g.column("top").to_numpy(), g.column("page_number").to_numpy())
+    def index_lines(g: pa.Table) -> pa.Table:
+        order, starts, lengths = segment_runs(
+            g.column("doc_id").to_numpy(zero_copy_only=False),
+            g.column("page_number").to_numpy(),
+            g.column("top").to_numpy(),
         )
-        did = int(g.column("doc_id")[0].as_py().rsplit("-", 1)[1])
-        texts = np.asarray(g.column("text").to_pylist(), dtype=object)[order]
         return pa.table(
             {
-                "doc_id": pa.array([did] * len(order), pa.int64()),
-                "line_index": pa.array(np.arange(len(order), dtype=np.int64)),
-                "text": pa.array(texts.tolist(), pa.string()),
+                "doc_id": _doc_number(g.column("doc_id").take(order)),
+                "line_index": _run_positions(starts, lengths),
+                "text": g.column("text").take(order),
             }
         )
 
-    return lines.groupby("doc_id").map_groups(index_group, batch_format="pyarrow")
+    return bucket_map(
+        lines,
+        "doc_id",
+        index_lines,
+        {"doc_id": pa.int64(), "line_index": pa.int64(), "text": pa.string()},
+    )
 
 
 def q_crop_first_line(sf_dir: str) -> ray.data.Dataset:
@@ -848,32 +864,33 @@ def q_word_geometry(sf_dir: str) -> ray.data.Dataset:
     geometry statement an external oracle can check."""
     w = words_ds(decode_pages_ds(_interleaved_docs6(sf_dir)))
 
-    def per_doc(group: pa.Table) -> pa.Table:
-        x0 = group.column("x0").to_numpy()
-        x1 = group.column("x1").to_numpy()
-        top = group.column("top").to_numpy()
-        doctop = group.column("doctop").to_numpy()
-        order = np.lexsort((x0, doctop))
-        did = int(group.column("doc_id")[0].as_py().rsplit("-", 1)[1])
-        n = len(order)
+    e6 = ("x0", "x1", "top", "doctop")
+
+    def index_words(g: pa.Table) -> pa.Table:
+        order, starts, lengths = segment_runs(
+            g.column("doc_id").to_numpy(zero_copy_only=False),
+            g.column("doctop").to_numpy(),
+            g.column("x0").to_numpy(),
+        )
         return pa.table(
             {
-                "doc_id": pa.array([did] * n, pa.int64()),
-                "word_index": pa.array(np.arange(n, dtype=np.int64)),
-                "text": pa.array(
-                    np.asarray(group.column("text").to_pylist(), dtype=object)[
-                        order
-                    ].tolist(),
-                    pa.string(),
-                ),
-                "x0_e6": pa.array(np.round(x0[order] * 1e6).astype(np.int64)),
-                "x1_e6": pa.array(np.round(x1[order] * 1e6).astype(np.int64)),
-                "top_e6": pa.array(np.round(top[order] * 1e6).astype(np.int64)),
-                "doctop_e6": pa.array(np.round(doctop[order] * 1e6).astype(np.int64)),
+                "doc_id": _doc_number(g.column("doc_id").take(order)),
+                "word_index": _run_positions(starts, lengths),
+                "text": g.column("text").take(order),
+                **{
+                    f"{c}_e6": np.round(g.column(c).to_numpy()[order] * 1e6).astype(np.int64)
+                    for c in e6
+                },
             }
         )
 
-    return w.groupby("doc_id").map_groups(per_doc, batch_format="pyarrow")
+    return bucket_map(
+        w,
+        "doc_id",
+        index_words,
+        {"doc_id": pa.int64(), "word_index": pa.int64(), "text": pa.string()}
+        | {f"{c}_e6": pa.int64() for c in e6},
+    )
 
 
 def q_search_groups(sf_dir: str) -> ray.data.Dataset:
@@ -1082,8 +1099,8 @@ def q_dedup_resolution(sf_dir: str) -> ray.data.Dataset:
 
 def q_curation_funnel(sf_dir: str) -> ray.data.Dataset:
     """Composed curation pipeline: quality scoring -> threshold filter
-    (30 <= words <= 90 and at least one English stopword) -> broadcast
-    lang join -> per-lang survivor counts. Demonstrates operator chaining
+    (30 <= words <= 90 and at least one English stopword) -> lang attach
+    -> per-lang survivor counts. Demonstrates operator chaining
     with the combiner/broadcast shapes intact end to end."""
     import pyarrow.compute as pc
 
@@ -1103,7 +1120,7 @@ def q_curation_funnel(sf_dir: str) -> ray.data.Dataset:
     lookup = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
     )
-    joined = co.broadcast_join_ds(kept, lookup, "doc_id", ["lang"])
+    joined = attach(kept, lookup, "doc_id", "doc_id", "left")
     agg = joined.groupby("lang").count()
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -1371,14 +1388,14 @@ def q_table_cells_stream(sf_dir: str) -> ray.data.Dataset:
 
 
 def q_words_by_lang(sf_dir: str) -> ray.data.Dataset:
-    """Kernel word counts broadcast-joined (no shuffle) to the documents
+    """Kernel word counts attached (``exchange.attach``) to the documents
     dimension column, then a grouped rollup — the MCID-join shape of the
     reference (cli.py:72-91) over real data."""
     wc = q_word_count(sf_dir)  # doc_id:int64, n_words
     lookup = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
     )
-    joined = co.broadcast_join_ds(wc, lookup, "doc_id", ["lang"])
+    joined = attach(wc, lookup, "doc_id", "doc_id", "left")
     agg = joined.groupby("lang").sum("n_words")
 
     def finish(batch: pa.Table) -> pa.Table:

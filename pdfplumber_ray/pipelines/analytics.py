@@ -490,175 +490,6 @@ def length_outliers_ds(
     )
 
 
-# ---------- generic shuffle hash join (inner, N:M) ----------
-
-
-def hash_join_ds(
-    left: Dataset,
-    right: Dataset,
-    left_key: str,
-    right_key: str,
-    how: str = "inner",
-) -> Dataset:
-    """Generic equi-join of two LARGE datasets (N:M multiplicity) — the
-    core relational exchange Ray Data's high-level API does not ship.
-    ``how="inner"`` (default), ``"left"`` (unmatched left rows emit
-    once with null right payload — the LEFT OUTER JOIN contract), or
-    ``"full"`` (additionally, unmatched RIGHT rows emit once with null
-    left payload and their own key — FULL OUTER JOIN).
-    Output carries the left key column plus every payload column
-    of both sides (column names must not collide — pre-project/rename
-    upstream, which also prunes the exchange to needed columns).
-
-    Scale shape: a textbook distributed hash join — both sides shuffle
-    ONCE through ``exchange.bucket_map`` on the key as a tagged union;
-    inside each bucket the right side sorts by key and every left row
-    expands to its matches via two ``np.searchsorted`` probes +
-    one vectorized range expansion (``np.repeat`` / offset arithmetic).
-    No broadcast of either side, no per-row Python. Skew note: one hot
-    key lands one bucket; cap or salt upstream for pathological N:M
-    fan-out (the output itself is |matches|-sized regardless of
-    strategy)."""
-    if (
-        left.schema(fetch_if_missing=True) is None
-        or right.schema(fetch_if_missing=True) is None
-    ):
-        # a side is empty with no derivable schema (zero blocks after its
-        # upstream transforms) — the join output is necessarily empty,
-        # and its payload columns are unknowable; return a typed-empty
-        # sentinel the query boundary can still count/collect.
-        return ray.data.from_arrow(pa.table({}))
-    lpay = [c for c in left.schema().names if c != left_key]
-    rpay = [c for c in right.schema().names if c != right_key]
-    overlap = set(lpay) & set(rpay)
-    if overlap:
-        raise ValueError(f"payload column collision: {sorted(overlap)}")
-    l_schema = pa.schema(
-        [pa.field(n, t) for n, t in zip(left.schema().names, left.schema().types)]
-    )
-    r_schema = pa.schema(
-        [pa.field(n, t) for n, t in zip(right.schema().names, right.schema().types)]
-    )
-
-    def tag(key: str, side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            t = pa.table(
-                {
-                    "k": batch.column(key).cast(pa.int64()),
-                    "side": pa.array(np.full(batch.num_rows, side, np.int8)),
-                }
-            )
-            for c in lpay:
-                col = (
-                    batch.column(c)
-                    if side == 0
-                    else pa.nulls(batch.num_rows, l_schema.field(c).type)
-                )
-                t = t.append_column(c, col)
-            for c in rpay:
-                col = (
-                    batch.column(c)
-                    if side == 1
-                    else pa.nulls(batch.num_rows, r_schema.field(c).type)
-                )
-                t = t.append_column(c, col)
-            return t
-
-        return fn
-
-    both = left.map_batches(
-        tag(left_key, 0), batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        right.map_batches(
-            tag(right_key, 1), batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-
-    out_schema = pa.schema(
-        [pa.field(left_key, pa.int64())]
-        + [l_schema.field(c) for c in lpay]
-        + [r_schema.field(c) for c in rpay]
-    )
-
-    def bucket_join(group: pa.Table) -> pa.Table:
-        def left_only(lt: pa.Table) -> pa.Table:
-            cols = {left_key: lt.column("k")}
-            for c in lpay:
-                cols[c] = lt.column(c)
-            for c in rpay:
-                cols[c] = pa.nulls(lt.num_rows, r_schema.field(c).type)
-            return pa.table(cols)
-
-        def right_only(rt: pa.Table) -> pa.Table:
-            cols = {left_key: rt.column("k")}
-            for c in lpay:
-                cols[c] = pa.nulls(rt.num_rows, l_schema.field(c).type)
-            for c in rpay:
-                cols[c] = rt.column(c)
-            return pa.table(cols)
-
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        lmask = side == 0
-        rmask = side == 1
-        if not lmask.any():
-            if how == "full" and rmask.any():
-                return right_only(group.filter(pa.array(rmask)))
-            return pa.table({})
-        if not rmask.any():
-            if how == "inner":
-                return pa.table({})
-            return left_only(group.filter(pa.array(lmask)))
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        l_idx = np.flatnonzero(lmask)
-        r_idx = np.flatnonzero(rmask)
-        rk = k[r_idx]
-        order = np.argsort(rk, kind="stable")
-        rk_s = rk[order]
-        r_sorted = r_idx[order]
-        lk = k[l_idx]
-        lo = np.searchsorted(rk_s, lk, side="left")
-        hi = np.searchsorted(rk_s, lk, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        parts = []
-        if how in ("left", "full"):
-            miss = np.flatnonzero(counts == 0)
-            if miss.size:
-                parts.append(
-                    left_only(group.take(pa.array(l_idx[miss], pa.int64())))
-                )
-        if how == "full":
-            r_unmatched = ~np.isin(rk_s, lk)
-            if r_unmatched.any():
-                parts.append(
-                    right_only(
-                        group.take(pa.array(r_sorted[r_unmatched], pa.int64()))
-                    )
-                )
-        if total > 0:
-            out_l = np.repeat(l_idx, counts)
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            pos = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(offsets, counts)
-                + np.repeat(lo, counts)
-            )
-            out_r = r_sorted[pos]
-            lt = group.take(pa.array(out_l, pa.int64()))
-            rt = group.take(pa.array(out_r, pa.int64()))
-            cols = {left_key: lt.column("k")}
-            for c in lpay:
-                cols[c] = lt.column(c)
-            for c in rpay:
-                cols[c] = rt.column(c)
-            parts.append(pa.table(cols))
-        if not parts:
-            return pa.table({})
-        return pa.concat_tables(parts).combine_chunks()
-
-    return bucket_map(both, "k", bucket_join, out_schema)
-
-
 # ---------- NTILE (equal-frequency bucket assignment) ----------
 
 

@@ -21,8 +21,8 @@ Scale design notes:
   reads them from the object store — never a shuffle join, never
   re-shipped per batch. A side reaches the driver through
   ``exchange.collect_small``, which holds the one row limit
-  (``MAX_BROADCAST_ROWS``); operators with a co-group path pick it with
-  ``exchange.fits_broadcast``.
+  (``MAX_BROADCAST_ROWS``). Joins go through ``exchange.attach``, which
+  picks broadcast, semi-join reduction or co-group from row counts.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .exchange import (
     DEFAULT_MAX_BUCKET,
     _anchor_schema,
     _log_star_fallback,
+    attach,
     bucket_map,
     capped_pairs,
     collect_small,
@@ -639,44 +640,19 @@ def _id_type(docs: Dataset, id_col: str) -> pa.DataType:
     return schema.types[schema.names.index(id_col)]
 
 
-def _semi_join_collect(
-    ds: Dataset, id_col: str, wanted: frozenset, value_fn
-) -> Dict:
-    """One streaming pass over ``ds``: rows whose ``id_col`` is in the
-    broadcast ``wanted`` set are reduced via ``value_fn(batch) -> column
-    values`` and collected into a driver dict. Driver memory is bounded by
-    ``len(wanted)``, never by the dataset size."""
-    if not wanted:
-        # pa.array([]) is null-typed and pc.is_in would raise on every
-        # batch ('string vs null'); an empty wanted set selects nothing.
-        return {}
-    wanted_ref = ray.put(pa.array(sorted(wanted)))
-
-    def pick(batch: pa.Table) -> pa.Table:
-        w = ray.get(wanted_ref)
-        mask = pc.is_in(batch.column(id_col), value_set=w)
-        return batch.filter(mask)
-
-    out: Dict = {}
-    for b in ds.map_batches(
-        pick, batch_format="pyarrow", zero_copy_batch=True
-    ).iter_batches(batch_format="pyarrow"):
-        ids = b.column(id_col).to_pylist()
-        vals = value_fn(b)
-        for i, v in zip(ids, vals):
-            out[i] = v
-    return out
-
-
-def _pair_ids(pairs: Dataset) -> frozenset:
-    """Distinct ids appearing in a (tiny-by-construction) pair dataset."""
-    ids: set = set()
-    for b in pairs.select_columns(["doc_a", "doc_b"]).iter_batches(
-        batch_format="pyarrow"
-    ):
-        ids.update(b.column("doc_a").to_pylist())
-        ids.update(b.column("doc_b").to_pylist())
-    return frozenset(ids)
+def _pair_payload(
+    pairs: Dataset, side: Dataset, id_col: str, cols: List[str], how: str = "left"
+) -> Dataset:
+    """``pairs`` with ``side``'s ``cols`` of ``doc_a`` (as ``<col>_a``) and
+    then of ``doc_b`` (as ``<col>_b``): two :func:`exchange.attach`
+    calls on ``side``'s ``id_col``, over one materialization of it."""
+    side = side.select_columns([id_col] + cols).materialize()
+    for end in ("a", "b"):
+        named = side.rename_columns(
+            {c: f"{c}_{end}" for c in cols}
+        )
+        pairs = attach(pairs, named, f"doc_{end}", id_col, how)
+    return pairs
 
 
 def minhash_pairs_ds(
@@ -700,10 +676,9 @@ def minhash_pairs_ds(
     2. Each bucket segments by band key and emits candidate id pairs
        (star-capped above ``max_bucket`` ids per band key); a pair sharing
        several bands is deduped by a groupby over the (tiny) pair set.
-    3. Verification pass — signatures are recomputed ONLY for candidate
-       docs (semi-join against the broadcast candidate id set), collected
-       (bounded by the candidate count), and the pair estimate is a
-       ``map_batches`` over the pair set.
+    3. Verification pass — both docs' texts attach to each candidate
+       pair (``exchange.attach``), and signatures are recomputed ONLY for
+       candidate docs, once per doc in each batch of pairs.
 
     All hashing is md5-derived (see ``textstats``) so a DuckDB oracle can
     reproduce the pipeline bit-exactly."""
@@ -733,37 +708,16 @@ def minhash_pairs_ds(
         .groupby(["doc_a", "doc_b"])
         .count()
         .select_columns(["doc_a", "doc_b"])
-        .materialize()  # tiny by construction; reused for ids + estimates
     )
-
-    cand_ids = _pair_ids(cand)
-    empty = pa.table(
-        {
-            "doc_a": pa.array([], pa.string()),
-            "doc_b": pa.array([], pa.string()),
-            "est_jaccard": pa.array([], pa.float64()),
-        }
-    )
-    if not cand_ids:
-        return ray.data.from_arrow(empty)
-
-    def sig_of(batch: pa.Table) -> List[np.ndarray]:
-        return [
-            mh.signature(t or "") for t in batch.column(text_col).to_pylist()
-        ]
-
-    sig_map = _semi_join_collect(
-        docs.select_columns([id_col, text_col]), id_col, cand_ids, sig_of
-    )
-    sig_ref = ray.put(sig_map)
 
     def estimate(batch: pa.Table) -> pa.Table:
-        sigs = ray.get(sig_ref)
-        a_ids = batch.column("doc_a").to_pylist()
-        b_ids = batch.column("doc_b").to_pylist()
-        est = [
-            float(np.mean(sigs[a] == sigs[b])) for a, b in zip(a_ids, b_ids)
-        ]
+        ends = [batch.column(f"doc_{e}").to_pylist() for e in "ab"]
+        sigs: Dict = {}  # each candidate doc's signature, once per batch
+        for e, ids in zip("ab", ends):
+            for i, t in zip(ids, batch.column(f"{text_col}_{e}").to_pylist()):
+                if i not in sigs:
+                    sigs[i] = mh.signature(t or "")
+        est = [float(np.mean(sigs[a] == sigs[b])) for a, b in zip(*ends)]
         t = pa.table(
             {
                 "doc_a": batch.column("doc_a"),
@@ -773,7 +727,9 @@ def minhash_pairs_ds(
         )
         return t.filter(pc.greater_equal(t.column("est_jaccard"), threshold))
 
-    return cand.map_batches(estimate, batch_format="pyarrow", zero_copy_batch=True)
+    return _pair_payload(cand, docs, id_col, [text_col], "inner").map_batches(
+        estimate, batch_format="pyarrow", zero_copy_batch=True
+    )
 
 
 def _simhash_chunk_rows(batch: pa.Table, text_col: str, id_col: str) -> pa.Table:
@@ -867,35 +823,27 @@ def ngram_jaccard_verify_ds(
     shingle_k: int = 5,
     threshold: float = 0.5,
 ) -> Dataset:
-    """Exact n-gram Jaccard verification of candidate pairs.
-
-    The PAIRS are the small side of this join, not the docs: the candidate
-    id set is collected first (tiny by construction), docs are semi-joined
-    down to those ids in one streaming pass, and only the surviving texts
-    are broadcast via ``ray.put``. The full corpus never materializes on
-    the driver."""
-    pairs = pairs.materialize()  # tiny; reused for the id set and the verify map
-    cand_ids = _pair_ids(pairs)
-    lookup = _semi_join_collect(
-        docs.select_columns([id_col, text_col]),
-        id_col,
-        cand_ids,
-        lambda b: b.column(text_col).to_pylist(),
-    )
-    ref = ray.put(lookup)
+    """Exact n-gram Jaccard verification of candidate pairs: both docs'
+    texts attach to each pair (``exchange.attach``, which never brings
+    more than ``MAX_BROADCAST_ROWS`` rows to the driver), then one
+    ``map_batches`` computes the Jaccard of each pair."""
 
     def verify(batch: pa.Table) -> pa.Table:
-        texts = ray.get(ref)
-        a_ids = batch.column("doc_a").to_pylist()
-        b_ids = batch.column("doc_b").to_pylist()
         jac = [
-            ts.ngram_jaccard(texts.get(a, ""), texts.get(b, ""), shingle_k)
-            for a, b in zip(a_ids, b_ids)
+            ts.ngram_jaccard(a, b, shingle_k)
+            for a, b in zip(
+                batch.column(f"{text_col}_a").to_pylist(),
+                batch.column(f"{text_col}_b").to_pylist(),
+            )
         ]
-        t = batch.append_column("jaccard", pa.array(jac, pa.float64()))
+        t = batch.drop_columns([f"{text_col}_a", f"{text_col}_b"]).append_column(
+            "jaccard", pa.array(jac, pa.float64())
+        )
         return t.filter(pc.greater_equal(t.column("jaccard"), threshold))
 
-    return pairs.map_batches(verify, batch_format="pyarrow", zero_copy_batch=True)
+    return _pair_payload(pairs, docs, id_col, [text_col]).map_batches(
+        verify, batch_format="pyarrow", zero_copy_batch=True
+    )
 
 
 def lsh_recall_audit_ds(
@@ -1018,29 +966,18 @@ def containment_dedup_ds(
     above ``threshold_e6`` — all integers, so the SQL twin is bit-exact
     (``list_intersect`` over the same distinct-shingle lists).
 
-    Scale shape mirrors :func:`ngram_jaccard_verify_ds`: the candidate
-    pairs are the SMALL side; docs semi-join down to the candidate ids in
-    one streaming pass and only those texts broadcast via ``ray.put`` —
-    the corpus never materializes."""
-    pairs = pairs.materialize()  # tiny; reused for the id set and the verify map
-    cand_ids = _pair_ids(pairs)
-    lookup = _semi_join_collect(
-        docs.select_columns([id_col, text_col]),
-        id_col,
-        cand_ids,
-        lambda b: b.column(text_col).to_pylist(),
-    )
-    ref = ray.put(lookup)
+    Scale shape mirrors :func:`ngram_jaccard_verify_ds`: both docs' texts
+    attach to each pair through ``exchange.attach``."""
 
     def verify(batch: pa.Table) -> pa.Table:
-        texts = ray.get(ref)
         a_ids = batch.column("doc_a").to_pylist()
         b_ids = batch.column("doc_b").to_pylist()
         inter = np.empty(len(a_ids), dtype=np.int64)
         n_small = np.empty(len(a_ids), dtype=np.int64)
-        for i, (a, b) in enumerate(zip(a_ids, b_ids)):
-            ga = ts.shingle_hashes(texts.get(a, ""), shingle_k)
-            gb = ts.shingle_hashes(texts.get(b, ""), shingle_k)
+        texts = (batch.column(f"{text_col}_{end}").to_pylist() for end in "ab")
+        for i, (a, b) in enumerate(zip(*texts)):
+            ga = ts.shingle_hashes(a, shingle_k)
+            gb = ts.shingle_hashes(b, shingle_k)
             inter[i] = np.intersect1d(ga, gb, assume_unique=True).shape[0]
             n_small[i] = min(ga.shape[0], gb.shape[0])
         cont = inter * 1_000_000 // np.maximum(n_small, 1)
@@ -1057,7 +994,9 @@ def containment_dedup_ds(
             pc.greater_equal(t.column("containment_e6"), pa.scalar(int(threshold_e6)))
         )
 
-    return pairs.map_batches(verify, batch_format="pyarrow", zero_copy_batch=True)
+    return _pair_payload(pairs, docs, id_col, [text_col]).map_batches(
+        verify, batch_format="pyarrow", zero_copy_batch=True
+    )
 
 
 def substring_dedup_ds(
@@ -1491,9 +1430,10 @@ def substring_runs_ds(
     ``(gram, doc, pos)``, ONE ``exchange.bucket_map`` on the gram
     (bounded group count), vectorized in-bucket match emission (singleton
     grams drop before any Python loop, hot grams capped + logged) — plus
-    one ``groupby(doc_a, doc_b)`` over the match stream, where each
-    pair's run is a vectorized gaps-and-islands pass: matched positions
-    group by alignment offset ``delta = pos_a - pos_b``; within a delta,
+    a second ``bucket_map`` of the match stream on ``doc_a``, so that
+    all of a pair's matches share a bucket. There every pair's run comes
+    from one vectorized gaps-and-islands pass: matched positions group by
+    pair and alignment offset ``delta = pos_a - pos_b``; within a delta,
     consecutive ``pos_a`` values chain into islands; the longest island
     of g grams is a run of ``g + k - 1`` tokens."""
 
@@ -1552,42 +1492,48 @@ def substring_runs_ds(
             }
         )
 
-    def per_pair(group: pa.Table) -> pa.Table:
-        id_type = group.column("doc_a").type
+    def pair_runs(group: pa.Table) -> pa.Table:
+        a, b = (
+            pc.dictionary_encode(group.column(c).combine_chunks()).indices.to_numpy()
+            for c in ("doc_a", "doc_b")
+        )
         d = group.column("delta").to_numpy(zero_copy_only=False)
         p = group.column("pa_pos").to_numpy(zero_copy_only=False)
-        # distinct (delta, pa), gaps-and-islands per delta
-        dp = np.unique(np.stack([d, p], axis=1), axis=0)
-        d_s, p_s = dp[:, 0], dp[:, 1]
-        new_island = np.concatenate(
-            ([True], (d_s[1:] != d_s[:-1]) | (p_s[1:] != p_s[:-1] + 1))
+        # distinct (pair, delta, pa) rows, sorted; islands never span pairs
+        rows, first = np.unique(
+            np.stack([a, b, d, p], axis=1), axis=0, return_index=True
         )
-        island_id = np.cumsum(new_island)
-        run_grams = np.bincount(island_id).max()
-        max_run = int(run_grams) + k - 1
-        if max_run < min_run_tokens:
-            return pa.table(
-                {
-                    "doc_a": pa.array([], id_type),
-                    "doc_b": pa.array([], id_type),
-                    "max_run_tokens": pa.array([], pa.int64()),
-                }
-            )
+        a, b, d, p = rows.T
+        new_pair = np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
+        new_island = new_pair | np.concatenate(
+            ([True], (d[1:] != d[:-1]) | (p[1:] != p[:-1] + 1))
+        )
+        island = np.cumsum(new_island) - 1
+        pair_start = np.flatnonzero(new_pair)
+        max_run = np.maximum.reduceat(np.bincount(island), island[pair_start]) + k - 1
+        hit = max_run >= min_run_tokens
+        at = pa.array(first[pair_start][hit], pa.int64())
         return pa.table(
             {
-                "doc_a": group.column("doc_a").slice(0, 1),
-                "doc_b": group.column("doc_b").slice(0, 1),
-                "max_run_tokens": pa.array([max_run], pa.int64()),
+                "doc_a": group.column("doc_a").take(at),
+                "doc_b": group.column("doc_b").take(at),
+                "max_run_tokens": pa.array(max_run[hit], pa.int64()),
             }
         )
 
     id_type = _id_type(docs, id_col)
-    return bucket_map(
+    matches = bucket_map(
         grams,
         "gram",
         bucket_matches,
         {"doc_a": id_type, "doc_b": id_type, "pa_pos": pa.int64(), "delta": pa.int64()},
-    ).groupby(["doc_a", "doc_b"]).map_groups(per_pair, batch_format="pyarrow")
+    )
+    return bucket_map(
+        matches,
+        "doc_a",
+        pair_runs,
+        {"doc_a": id_type, "doc_b": id_type, "max_run_tokens": pa.int64()},
+    )
 
 
 def embedding_near_dup_ds(
@@ -1928,44 +1874,6 @@ def weighted_sample_ds(
     )
 
 
-# ---------- broadcast join (small-side lookup, no shuffle) ----------
-
-
-def broadcast_join_ds(
-    ds: Dataset,
-    lookup: Dataset,
-    key_col: str,
-    value_cols: List[str],
-) -> Dataset:
-    """Hash-join against a small dimension table WITHOUT a shuffle: the
-    lookup map is built once, put in the object store, and read by every
-    map task (the reference's only join — struct-tree MCID to text,
-    cli.py:72-91 — has the same small-side shape). Rows with no match get
-    nulls.
-
-    A broadcast join is only valid for a genuinely small dimension side:
-    the lookup comes to the driver through ``collect_small``, which
-    raises instead of building an unbounded driver dict (use a shuffle
-    join / bucketed groupby for large sides)."""
-    cols = collect_small(
-        lookup.select_columns([key_col] + value_cols),
-        "broadcast_join_ds lookup side",
-    ).to_pydict()
-    keys = cols.get(key_col, [])
-    ref = ray.put({c: dict(zip(keys, cols.get(c, []))) for c in value_cols})
-
-    def join(batch: pa.Table) -> pa.Table:
-        lk = ray.get(ref)
-        keys = batch.column(key_col).to_pylist()
-        t = batch
-        for c in value_cols:
-            m = lk[c]
-            t = t.append_column(c, pa.array([m.get(k) for k in keys]))
-        return t
-
-    return ds.map_batches(join, batch_format="pyarrow", zero_copy_batch=True)
-
-
 # ---------- windowed / sessionized aggregates ----------
 
 
@@ -2291,60 +2199,6 @@ def _min_label_propagation(
     return labels
 
 
-def _attach_labels_cogroup(
-    docs: Dataset, labels: Dataset, id_col: str
-) -> Dataset:
-    """Attach canonical ids to ``docs`` from a ``(node, label)`` dataset by
-    ONE bounded hash-bucket co-group — the web-scale path where the label
-    set (linear in dup-involved docs, i.e. billions of rows at a 30-50%
-    dup rate) must never collect into a driver dict. Doc rows and label
-    rows go through ``exchange.bucket_map`` on the node; inside a bucket
-    one :func:`segment_runs` pass sorts each node's label row ahead of
-    its doc rows, so a run's first row carries the canonical id: the
-    label, or the doc's own id when the doc has no duplicate.
-    Emits one output row per doc-side row, preserving the driver-dict
-    path's contract exactly."""
-
-    def tag(node: pa.ChunkedArray, label, n_doc: int) -> pa.Table:
-        return pa.table(
-            {
-                "node": node,
-                "label": label,
-                "n_doc": pa.array(np.full(len(node), n_doc, np.int64)),
-            }
-        )
-
-    both = docs.select_columns([id_col]).map_batches(
-        lambda b: tag(
-            b.column(id_col), pa.nulls(b.num_rows, b.column(id_col).type), 1
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).union(
-        labels.map_batches(
-            lambda b: tag(b.column("node"), b.column("label"), 0),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    )
-
-    def resolve(bucket: pa.Table) -> pa.Table:
-        node = bucket.column("node").to_numpy(zero_copy_only=False)
-        lab = pc.coalesce(bucket.column("label"), bucket.column("node")).to_numpy(
-            zero_copy_only=False
-        )
-        n_doc = bucket.column("n_doc").to_numpy()
-        if node.dtype == object:  # string ids
-            node, lab = node.astype(str), lab.astype(str)
-        order, starts, lengths = segment_runs(node, n_doc, lab)
-        canon = np.repeat(lab[order][starts], lengths)
-        is_doc = n_doc[order] == 1
-        return pa.table({id_col: node[order][is_doc], "canonical_id": canon[is_doc]})
-
-    id_type = _id_type(docs, id_col)
-    return bucket_map(both, "node", resolve, {id_col: id_type, "canonical_id": id_type})
-
-
 def dedup_resolution_ds(
     pairs: Dataset,
     docs: Dataset,
@@ -2364,10 +2218,10 @@ def dedup_resolution_ds(
     * **distributed min-label propagation** (it does not; a 30-50% dup
       rate makes the pair set billions of rows): iterated
       ``groupby().min()`` to fixpoint — see ``_min_label_propagation``.
-      The final (dup-doc -> canonical) label set is then attached to docs
-      via a broadcast dict when it fits, or else via a hash-bucket
-      co-group (:func:`_attach_labels_cogroup`) so the driver never
-      holds the label set at web scale.
+
+    Either way the ``(node, label)`` set attaches to docs through one
+    left ``exchange.attach``, with ``canonical_id = coalesce(label, id)``;
+    the attach keeps the label set off the driver when it does not fit.
 
     The pair set is materialized ONCE first so the chosen path reads
     blocks instead of re-executing the (possibly expensive) upstream
@@ -2375,12 +2229,6 @@ def dedup_resolution_ds(
     pairs = pairs.materialize()
     if not fits_broadcast(pairs):
         labels = _min_label_propagation(pairs, a_col, b_col)
-        if not fits_broadcast(labels):
-            return _attach_labels_cogroup(docs, labels, id_col)
-        canon = {
-            r["node"]: r["label"]
-            for r in collect_small(labels, "label set").to_pylist()
-        }
     else:
         parent: Dict = {}
 
@@ -2408,22 +2256,25 @@ def dedup_resolution_ds(
             m = min(members + [root])
             for x in members + [root]:
                 canon[x] = m
-    ref = ray.put(canon)
-
-    def label(batch: pa.Table) -> pa.Table:
-        lookup = ray.get(ref)
-        ids = batch.column(id_col).to_pylist()
-        return pa.table(
-            {
-                id_col: batch.column(id_col),
-                "canonical_id": pa.array(
-                    [lookup.get(i, i) for i in ids],
-                    batch.column(id_col).type,
-                ),
-            }
+        id_type = _id_type(pairs, a_col)
+        labels = ray.data.from_arrow(
+            pa.table(
+                {
+                    "node": pa.array(list(canon), id_type),
+                    "label": pa.array(list(canon.values()), id_type),
+                }
+            )
         )
 
-    return docs.map_batches(label, batch_format="pyarrow", zero_copy_batch=True)
+    def label(batch: pa.Table) -> pa.Table:
+        ids = batch.column(id_col)
+        return pa.table(
+            {id_col: ids, "canonical_id": pc.coalesce(batch.column("label").cast(ids.type), ids)}
+        )
+
+    return attach(docs.select_columns([id_col]), labels, id_col, "node", "left").map_batches(
+        label, batch_format="pyarrow", zero_copy_batch=True
+    )
 
 
 def redact_pii_ds(
@@ -3219,7 +3070,7 @@ def jaccard_join_ds(
     toksets = (
         docs.select_columns([id_col, text_col])
         .map_batches(tokset_stage, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()  # reused: df partials, prefix emit, verify semi-join
+        .materialize()  # reused: df partials, prefix emit, verify attach
     )
 
     def df_partial(batch: pa.Table) -> pa.Table:
@@ -3310,26 +3161,18 @@ def jaccard_join_ds(
     cand_pairs = distinct_ds(
         bucket_map(prefixes, "v", bucket_pairs, {"doc_a": id_type, "doc_b": id_type}),
         ["doc_a", "doc_b"],
-    ).materialize()  # tiny; reused for the id set and the verify map
-
-    cand_ids = _pair_ids(cand_pairs)
-    lookup = _semi_join_collect(
-        toksets.select_columns([id_col, "toks"]),
-        id_col,
-        cand_ids,
-        lambda b: b.column("toks").to_pylist(),
     )
-    sets_ref = ray.put({i: frozenset(v) for i, v in lookup.items()})
 
     def verify(batch: pa.Table) -> pa.Table:
         id_type = batch.column("doc_a").type
-        sets = ray.get(sets_ref)
         a_ids = batch.column("doc_a").to_pylist()
         b_ids = batch.column("doc_b").to_pylist()
         inter = np.empty(len(a_ids), np.int64)
         uni = np.empty(len(a_ids), np.int64)
-        for i, (a, b) in enumerate(zip(a_ids, b_ids)):
-            sa, sb = sets.get(a, frozenset()), sets.get(b, frozenset())
+        for i, (ta, tb) in enumerate(
+            zip(batch.column("toks_a").to_pylist(), batch.column("toks_b").to_pylist())
+        ):
+            sa, sb = frozenset(ta or ()), frozenset(tb or ())
             ii = len(sa & sb)
             inter[i] = ii
             uni[i] = len(sa) + len(sb) - ii
@@ -3344,7 +3187,9 @@ def jaccard_join_ds(
             }
         )
 
-    return cand_pairs.map_batches(verify, batch_format="pyarrow", zero_copy_batch=True)
+    return _pair_payload(cand_pairs, toksets, id_col, ["toks"]).map_batches(
+        verify, batch_format="pyarrow", zero_copy_batch=True
+    )
 
 
 def length_rank_ds(
@@ -4863,80 +4708,28 @@ def dedup_keep_best_ds(
     themselves. This is the step that turns a dedup *labeling* into the
     actual training-set selection.
 
-    Scale shape after resolution: TWO ``exchange.bucket_map`` exchanges —
-    (1) a co-group on the doc id attaches the score to the label rows
-    (sorted searchsorted inside the bucket, no broadcast of either
-    side); (2) one on the canonical id segments clusters (one lexsort
-    per bucket) and the per-cluster argmax + keep flag are pure
-    vector ops. Cluster skew is naturally bounded by near-dup cluster
-    size; both stages move one row per doc, never per pair."""
+    Scale shape after resolution: the score attaches to the label rows
+    through ``exchange.attach`` (one row per doc, never per pair), then
+    ONE ``exchange.bucket_map`` on the canonical id segments clusters
+    (one lexsort per bucket); the per-cluster argmax and keep flag are
+    pure vector ops. Cluster skew is naturally bounded by near-dup
+    cluster size."""
     labels = dedup_resolution_ds(
         pairs, docs.select_columns([id_col]), a_col=a_col, b_col=b_col,
         id_col=id_col,
     )
 
-    def tag_labels(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "id": pa.array(ids, pa.int64()),
-                "canon": batch.column("canonical_id").cast(pa.int64()),
-                "score": pa.array(np.full(len(ids), -1, np.int64), pa.int64()),
-                "side": pa.array(np.zeros(len(ids), np.int8), pa.int8()),
-            }
-        )
-
-    def tag_scores(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        sc = batch.column(score_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "id": pa.array(ids, pa.int64()),
-                "canon": pa.array(np.full(len(ids), -1, np.int64), pa.int64()),
-                "score": pa.array(sc, pa.int64()),
-                "side": pa.array(np.ones(len(ids), np.int8), pa.int8()),
-            }
-        )
-
-    tagged = labels.map_batches(
-        tag_labels, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        docs.select_columns([id_col, score_col]).map_batches(
-            tag_scores, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-
-    def attach(group: pa.Table) -> pa.Table:
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        ids = group.column("id").to_numpy(zero_copy_only=False)
-        lm = side == 0
-        sm = side == 1
-        if not lm.any():
-            return pa.table({})
-        s_ids = ids[sm]
-        s_sc = group.column("score").to_numpy(zero_copy_only=False)[sm]
-        order = np.argsort(s_ids, kind="stable")
-        s_ids, s_sc = s_ids[order], s_sc[order]
-        l_ids = ids[lm]
-        canon = group.column("canon").to_numpy(zero_copy_only=False)[lm]
-        if not len(s_ids):
-            raise ValueError(
-                f"dedup_keep_best: docs missing {id_col} score rows for "
-                f"ids {l_ids[:3].tolist()}"
-            )
-        pos = np.clip(np.searchsorted(s_ids, l_ids), 0, len(s_ids) - 1)
-        hit = s_ids[pos] == l_ids
-        if not hit.all():
+    def keep_best(group: pa.Table) -> pa.Table:
+        if group.column(score_col).null_count:
+            missing = group.filter(pc.is_null(group.column(score_col))).column(id_col)
             raise ValueError(
                 f"dedup_keep_best: docs missing a {id_col} score row for "
-                f"ids {l_ids[~hit][:3].tolist()}"
+                f"ids {missing[:3].to_pylist()}"
             )
-        return pa.table({"id": l_ids, "canon": canon, "score": s_sc[pos]})
-
-    def keep_best(group: pa.Table) -> pa.Table:
-        ids = group.column("id").to_numpy(zero_copy_only=False)
-        canon = group.column("canon").to_numpy(zero_copy_only=False)
-        sc = group.column("score").to_numpy(zero_copy_only=False)
+        ids, canon, sc = (
+            group.column(c).cast(pa.int64()).to_numpy(zero_copy_only=False)
+            for c in (id_col, "canonical_id", score_col)
+        )
         order = np.lexsort((ids, -sc, canon))
         ids, canon, sc = ids[order], canon[order], sc[order]
         seg_new = np.concatenate(([True], canon[1:] != canon[:-1]))
@@ -4952,15 +4745,9 @@ def dedup_keep_best_ds(
             }
         )
 
-    scored = bucket_map(
-        tagged,
-        "id",
-        attach,
-        {"id": pa.int64(), "canon": pa.int64(), "score": pa.int64()},
-    )
     return bucket_map(
-        scored,
-        "canon",
+        attach(labels, docs.select_columns([id_col, score_col]), id_col, id_col, "left"),
+        "canonical_id",
         keep_best,
         {c: pa.int64() for c in (id_col, "canonical_id", "best_doc_id", "keep")},
     )
@@ -5260,10 +5047,9 @@ def novelty_score_ds(
     reduce to one min-doc row per gram per block (lexsort + segment
     first) before ONE vocab-domain ``groupby(gram).min(doc)``; (2) the
     winner rows re-reduce to per-doc novel counts (combiner + tiny
-    ``groupby(doc).sum``); (3) totals attach via the generic bucketed
-    hash join (LEFT, so zero-novelty docs still emit). Documents never
-    shuffle; only gram-hash and counter rows move."""
-    from .analytics import hash_join_ds
+    ``groupby(doc).sum``); (3) novel counts attach to the totals through
+    ``exchange.attach`` (LEFT, so zero-novelty docs still emit). Documents
+    never shuffle; only gram-hash and counter rows move."""
 
     def gram_partial(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()
@@ -5336,7 +5122,7 @@ def novelty_score_ds(
     tot = docs.select_columns([id_col, text_col]).map_batches(
         totals, batch_format="pyarrow", zero_copy_batch=True
     )
-    joined = hash_join_ds(tot, novel, id_col, "nv_doc", how="left")
+    joined = attach(tot, novel, id_col, "nv_doc", how="left")
 
     def finish(batch: pa.Table) -> pa.Table:
         ng = batch.column("n_grams").to_numpy(zero_copy_only=False)
@@ -7416,13 +7202,11 @@ def sampled_dup_rate_ds(
     contract; at scale, a rank column from ``row_number_ds`` supplies
     the dense id space).
 
-    Scale shape: partner texts attach via the generic ``hash_join_ds``
-    bucket exchange (both sides shuffle ONCE, no broadcast — the pair
-    list is N rows, NOT collectible); the per-pair gram kernel mirrors
-    the dedup verify stages; per-batch bucket combiner then one tiny
-    ``groupby(bucket)``. Output: ``(bucket, n_pairs, jac_e3_sum)`` with
-    ``bucket = jac_e3 // bucket_e3``."""
-    from .analytics import hash_join_ds
+    Scale shape: partner texts attach through ``exchange.attach`` (a
+    co-group when neither side fits ``MAX_BROADCAST_ROWS``); the per-pair
+    gram kernel mirrors the dedup verify stages; per-batch bucket
+    combiner then one tiny ``groupby(bucket)``. Output: ``(bucket,
+    n_pairs, jac_e3_sum)`` with ``bucket = jac_e3 // bucket_e3``."""
     import hashlib
 
     n_docs = docs.count()
@@ -7469,7 +7253,7 @@ def sampled_dup_rate_ds(
     right = docs.select_columns([id_col, text_col]).map_batches(
         right_side, batch_format="pyarrow", zero_copy_batch=True
     )
-    joined = hash_join_ds(left, right, "partner", id_col)
+    joined = attach(left, right, "partner", id_col)
 
     def bucketize(batch: pa.Table) -> pa.Table:
         ta = batch.column("text_a").to_pylist()
@@ -8163,11 +7947,9 @@ def semantic_families_ds(
     exactly the cluster table a SemDeDup-style keep-one policy consumes.
 
     Scale shape inherits from the parts: bounded bucket shuffles
-    throughout, nothing node-count-sized on the driver: family sizes
-    broadcast when their row count fits (``exchange.fits_broadcast``),
-    and otherwise attach through the generic bucketed ``hash_join_ds``."""
-    from .analytics import hash_join_ds
-
+    throughout, and family sizes attach to the labels through
+    ``exchange.attach``, which keeps them off the driver when they do
+    not fit."""
     empty = pa.table(
         {
             id_col: pa.array([], pa.int64()),
@@ -8207,46 +7989,18 @@ def semantic_families_ds(
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        .materialize()
     )
-    if not fits_broadcast(sizes):
-        renamed = labels.map_batches(
-            lambda b: pa.table(
-                {
-                    "family": b.column("label").cast(pa.int64()),
-                    id_col: b.column("node").cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        joined = hash_join_ds(renamed, sizes, "family", "family")
-        return joined.map_batches(
-            lambda b: b.select([id_col, "family", "n_members"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    fams = collect_small(
-        sizes, "family sizes", {"family": pa.int64(), "n_members": pa.int64()}
-    )
-    fam_ids = fams.column("family").to_numpy()
-    fam_sz = fams.column("n_members").to_numpy()
-    order = np.argsort(fam_ids)
-    ref = ray.put((fam_ids[order], fam_sz[order]))
-
-    def attach(batch: pa.Table) -> pa.Table:
-        ids, sz = ray.get(ref)
-        lab = batch.column("label").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(ids, lab)
-        return pa.table(
+    renamed = labels.map_batches(
+        lambda b: pa.table(
             {
-                id_col: batch.column("node").cast(pa.int64()),
-                "family": pa.array(lab, pa.int64()),
-                "n_members": pa.array(sz[pos], pa.int64()),
+                id_col: b.column("node").cast(pa.int64()),
+                "family": b.column("label").cast(pa.int64()),
             }
-        )
-
-    return labels.map_batches(attach, batch_format="pyarrow", zero_copy_batch=True)
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    return attach(renamed, sizes, "family", "family")
 
 
 def dataset_card_ds(
@@ -8435,8 +8189,7 @@ def fold_leakage_ds(
         docs, n_folds=n_folds, stratum_col=stratum_col, id_col=id_col
     )
     # doc_id -> fold is deterministic, so re-derive text digests on the
-    # docs side and co-group by doc id via the generic bucketed join
-    from .analytics import hash_join_ds
+    # docs side and attach them to the folds by doc id
 
     def digests(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()
@@ -8455,7 +8208,7 @@ def fold_leakage_ds(
     dig = docs.select_columns([id_col, text_col]).map_batches(
         digests, batch_format="pyarrow", zero_copy_batch=True
     )
-    joined = hash_join_ds(folds, dig, id_col, "did")
+    joined = attach(folds, dig, id_col, "did")
 
     def fam_partial(batch: pa.Table) -> pa.Table:
         d = batch.column("d").to_numpy(zero_copy_only=False).astype(str)

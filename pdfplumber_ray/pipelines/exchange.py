@@ -28,10 +28,16 @@ same-doc skips) are filters on the returned index pairs.
 
 Small sides (a vocabulary, a value CDF, a label map) come to the driver
 only through :func:`collect_small`, which refuses a side above
-``MAX_BROADCAST_ROWS``; operators that have a co-group path pick it with
-:func:`fits_broadcast`. One row budget bounds what the driver holds for
+``MAX_BROADCAST_ROWS``. One row budget bounds what the driver holds for
 every operator, in the spirit of *Memory Efficient Scheduling of Query
 Pipeline Execution* (CIDR 2022).
+
+Every equi-join of the operators is :func:`attach`: it gives a dataset's
+rows the payload columns of a side, matched N:M on a key, and picks the
+strategy from the row counts it observes: broadcast the side when it
+fits, else shrink the side to the dataset's keys when the dataset fits,
+else co-group both through :func:`bucket_map`. Operators choose no join
+strategy.
 """
 
 from __future__ import annotations
@@ -100,10 +106,13 @@ def _hash_bucket_column(key_col: pa.ChunkedArray, n_buckets: int) -> pa.Array:
     non-integer ids, md5 per DISTINCT value via dictionary encoding —
     one hash per unique key per batch, gathered back vectorized (a
     batch's distinct-key count is what bounds the Python work, never
-    its row count)."""
+    its row count). Null keys hash like the integer 0 or, for other
+    keys, fall in bucket 0."""
     if pa.types.is_integer(key_col.type):
         # uint64 hashes wrap into int64: the bit pattern is what mixes
-        k = pc.cast(key_col, pa.int64(), safe=False).to_numpy(zero_copy_only=False)
+        k = pc.cast(pc.fill_null(key_col, 0), pa.int64(), safe=False).to_numpy(
+            zero_copy_only=False
+        )
         return pa.array(
             (_mix64(k) % np.uint64(n_buckets)).astype(np.int64), pa.int64()
         )
@@ -123,8 +132,9 @@ def _hash_bucket_column(key_col: pa.ChunkedArray, n_buckets: int) -> pa.Array:
         dtype=np.int64,
         count=len(enc.dictionary),
     )
-    idx = enc.indices.to_numpy(zero_copy_only=False)
-    return pa.array(dict_buckets[idx], pa.int64())
+    # null keys take the extra bucket-0 entry past the dictionary
+    idx = pc.fill_null(enc.indices, len(enc.dictionary)).to_numpy(zero_copy_only=False)
+    return pa.array(np.append(dict_buckets, 0)[idx], pa.int64())
 
 
 def _anchor_schema(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
@@ -274,3 +284,148 @@ def collect_small(
     schema = pa.schema(schema)
     blocks = [b.select(schema.names).cast(schema) for b in blocks]
     return pa.concat_tables(blocks) if blocks else schema.empty_table()
+
+
+def _arrow_schema(ds: ray.data.Dataset) -> Optional[pa.Schema]:
+    schema = ds.schema()
+    return None if schema is None else pa.schema(list(zip(schema.names, schema.types)))
+
+
+def _key_values(col) -> Tuple[np.ndarray, np.ndarray]:
+    """A key column as a sortable numpy array (integer and all-null keys
+    as int64, any other key as str) and its validity mask."""
+    valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+    if pa.types.is_integer(col.type) or pa.types.is_null(col.type):
+        keys = pc.fill_null(col, 0).cast(pa.int64(), safe=False)
+        return keys.to_numpy(zero_copy_only=False), valid
+    keys = pc.fill_null(col.cast(pa.string()), "").to_numpy(zero_copy_only=False)
+    return keys.astype(str), valid
+
+
+def _index(side: pa.Table, key: str) -> Tuple[np.ndarray, pa.Table]:
+    """``side``'s non-null keys, sorted, and its payload rows in that order."""
+    keys, valid = _key_values(side.column(key))
+    side = side.filter(pa.array(valid))
+    keys = keys[valid]
+    order = np.argsort(keys, kind="stable")
+    return keys[order], side.drop_columns([key]).take(pa.array(order, pa.int64()))
+
+
+def _check_payload(payload, columns) -> None:
+    clash = set(payload) & set(columns)
+    if clash:
+        raise ValueError(f"payload column collision: {sorted(clash)}")
+
+
+def _probe(index: Tuple[np.ndarray, pa.Table], batch: pa.Table, on: str, how: str) -> pa.Table:
+    """``batch``'s rows, each repeated once per side row with its key,
+    with that row's payload: two ``searchsorted`` probes of the sorted
+    side keys and one range expansion. With ``how="left"`` a row that
+    matches nothing comes once, with null payload."""
+    keys, payload = index
+    _check_payload(payload.column_names, batch.column_names)
+    k, valid = _key_values(batch.column(on))
+    lo = np.searchsorted(keys, k, side="left")
+    n = np.where(valid, np.searchsorted(keys, k, side="right") - lo, 0)
+    n_out = np.maximum(n, 1) if how == "left" else n
+    at = pa.array(np.repeat(lo, n_out) + _ramp(n_out), mask=np.repeat(n == 0, n_out))
+    out = batch.take(pa.array(np.repeat(np.arange(batch.num_rows), n_out), pa.int64()))
+    for field in payload.schema:
+        out = out.append_column(field, payload.column(field.name).take(at))
+    return out
+
+
+def _keys_in(
+    side: ray.data.Dataset, side_key: pa.Field, ds: ray.data.Dataset, on: str
+) -> ray.data.Dataset:
+    """The semi-join reduction: ``side``'s rows whose key (``side_key``) is
+    one of ``ds``'s distinct keys, which are collected once, in one
+    streaming pass."""
+    keys = collect_small(ds.select_columns([on]), "attach keys", {on: side_key.type})
+    ref = ray.put(pc.unique(keys.column(on).combine_chunks()))
+
+    def keep(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.is_in(batch.column(side_key.name), value_set=ray.get(ref)))
+
+    return side.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _attach_broadcast(ds, side: pa.Table, on: str, side_on: str, how: str) -> ray.data.Dataset:
+    ref = ray.put(_index(side, side_on))
+
+    def probe(batch: pa.Table) -> pa.Table:
+        return _probe(ray.get(ref), batch, on, how)
+
+    return ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _attach_cogroup(ds, side, on: str, side_on: str, how: str) -> ray.data.Dataset:
+    """Both sides through one :func:`bucket_map` on the key as a tagged
+    union; each bucket probes its ``ds`` rows against its side rows."""
+    d_schema = _arrow_schema(ds)
+    payload = [f for f in _arrow_schema(side) if f.name != side_on]
+    _check_payload([f.name for f in payload], d_schema.names)
+    key_type = d_schema.field(on).type
+
+    def tagged(batch: pa.Table, is_side: bool) -> pa.Table:
+        n = batch.num_rows
+        cols = {f.name: pa.nulls(n, f.type) if is_side else batch.column(f.name) for f in d_schema}
+        if is_side:
+            cols[on] = batch.column(side_on).cast(key_type)
+        for f in payload:
+            cols[f.name] = batch.column(f.name) if is_side else pa.nulls(n, f.type)
+        cols["_is_side"] = pa.array(np.full(n, is_side))
+        return pa.table(cols)
+
+    def join(group: pa.Table) -> pa.Table:
+        is_side = group.column("_is_side")
+        side_rows = group.filter(is_side).select([on] + [f.name for f in payload])
+        ds_rows = group.filter(pc.invert(is_side)).select(d_schema.names)
+        return _probe(_index(side_rows, on), ds_rows, on, how)
+
+    both = ds.map_batches(
+        tagged, fn_kwargs={"is_side": False}, batch_format="pyarrow", zero_copy_batch=True
+    ).union(
+        side.map_batches(
+            tagged, fn_kwargs={"is_side": True}, batch_format="pyarrow", zero_copy_batch=True
+        )
+    )
+    return bucket_map(both, on, join, pa.schema(list(d_schema) + payload))
+
+
+def attach(
+    ds: ray.data.Dataset,
+    side: ray.data.Dataset,
+    on: str,
+    side_on: str,
+    how: str = "inner",
+) -> ray.data.Dataset:
+    """``ds``'s rows with ``side``'s payload columns (every column but
+    ``side_on``), matched N:M on ``ds.on == side.side_on``; null keys
+    match nothing. ``how="inner"`` drops a row with no match,
+    ``how="left"`` keeps it once with null payload. Payload names must
+    not collide with ``ds``'s columns.
+
+    The one place that picks a join strategy, from observed row counts:
+
+    1. ``side`` fits (:func:`fits_broadcast`): it is collected once
+       through :func:`collect_small`, sorted by key, and every batch of
+       ``ds`` probes it (:func:`_probe`): no dict, no per-row lookup.
+    2. Else, if ``ds`` fits: ``side`` is filtered to ``ds``'s distinct
+       keys in one streaming pass (:func:`_keys_in`), and the filtered
+       side is attached as in 1 when it fits.
+    3. Else: both co-group through :func:`bucket_map` on the key
+       (:func:`_attach_cogroup`), a hash join over a bounded bucket
+       count."""
+    side = side.materialize()
+    side_schema = _arrow_schema(side)
+    if side_schema is None:  # a side with no rows and no columns matches nothing
+        return ds if how == "left" else ds.limit(0)
+    if not fits_broadcast(side):
+        ds = ds.materialize()
+        if fits_broadcast(ds):
+            side = _keys_in(side, side_schema.field(side_on), ds, on).materialize()
+    if fits_broadcast(side):
+        side_t = collect_small(side, "attach side", side_schema)
+        return _attach_broadcast(ds, side_t, on, side_on, how)
+    return _attach_cogroup(ds, side, on, side_on, how)

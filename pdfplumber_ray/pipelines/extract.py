@@ -170,7 +170,7 @@ def page_text_ds(
 def mcid_text_ds(pages: Dataset, cfg: Optional[PipelineConfig] = None) -> Dataset:
     """Marked-content text per (doc, mcid) — reference MCID stamping
     (page.py:128-176) + the CLI structure-text groupby-concat
-    (cli.py:72-91). Join against outline elements with broadcast_join_ds."""
+    (cli.py:72-91). Join against outline elements with exchange.attach."""
     from ..stages.decode import PagesToMcidText
 
     cfg = cfg or PipelineConfig()

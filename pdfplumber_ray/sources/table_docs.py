@@ -1,6 +1,6 @@
 """Relational rows -> interleaved table documents (lattice-oracle source).
 
-Turns each ``lineitem`` order group into one interleaved document whose
+Turns each ``lineitem`` order into one interleaved document whose
 spans are all ``table_cell``: the decode stage lays them into a lattice
 grid (rects), and table extraction must recover every cell in row-major
 order — giving the full edge/intersection/cell/table chain a SQL-checkable
@@ -11,41 +11,53 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
+from ..pipelines.exchange import bucket_map, segment_runs
 from ..schemas import SPAN
 
 CELL_COLS = ("l_linenumber", "l_returnflag", "l_linestatus")
 N_CELL_COLS = len(CELL_COLS)
 
 
-def order_group_to_doc(group: pa.Table) -> pa.Table:
-    """One lineitem order group -> one DOCS row of table_cell spans,
-    lineitems ordered by l_linenumber, N_CELL_COLS cells per lineitem."""
-    import numpy as np
-
+def orders_to_docs(group: pa.Table) -> pa.Table:
+    """Whole lineitem orders -> one DOCS row of table_cell spans per
+    order: lineitems ordered by (l_linenumber, l_returnflag,
+    l_linestatus), a total order, so that the SQL oracle's ROW_NUMBER sees
+    the identical sequence (l_linenumber alone is not unique within an
+    order); N_CELL_COLS cells per lineitem, offsets running on through
+    the order's cells."""
+    okey = group.column("l_orderkey").to_numpy()
     ln = group.column("l_linenumber").to_numpy()
-    flags = group.column("l_returnflag").to_pylist()
-    stats = group.column("l_linestatus").to_pylist()
-    # l_linenumber is not unique within an order; use a total order so the
-    # SQL oracle's ROW_NUMBER sees the identical sequence
-    order = sorted(
-        range(len(ln)), key=lambda i: (int(ln[i]), flags[i], stats[i])
+    flag, stat = (group.column(c).to_numpy(zero_copy_only=False) for c in CELL_COLS[1:])
+    order, starts, lengths = segment_runs(okey, ln, flag, stat)
+    texts = pa.array(
+        np.stack([ln[order].astype(str), flag[order], stat[order]], axis=1).ravel(),
+        pa.string(),
     )
-    okey = group.column("l_orderkey")[0].as_py()
-    cells: List[str] = []
-    for i in order:
-        cells.extend((str(int(ln[i])), flags[i], stats[i]))
-    offs = 0
-    spans = []
-    for c in cells:
-        spans.append({"kind": "table_cell", "text": c, "media_ref": "", "offset": offs})
-        offs += len(c)
+    n_cells = lengths * N_CELL_COLS
+    doc_cells = np.concatenate(([0], np.cumsum(n_cells)))
+    size = pc.utf8_length(texts).to_numpy()
+    before = np.cumsum(size) - size  # chars ahead of each cell in the bucket
+    spans = pa.StructArray.from_arrays(
+        [
+            pa.array(np.full(len(texts), "table_cell"), pa.string()),
+            texts,
+            pa.array(np.full(len(texts), ""), pa.string()),
+            pa.array(before - np.repeat(before[doc_cells[:-1]], n_cells), pa.int32()),
+        ],
+        fields=list(SPAN),
+    )
+    keys = pc.cast(pa.array(okey[order][starts]), pa.string())
     return pa.table(
         {
-            "doc_id": pa.array([f"order-{okey:010d}"], pa.string()),
-            "spans": pa.array([spans], pa.list_(SPAN)),
+            "doc_id": pc.binary_join_element_wise(
+                "order-", pc.utf8_lpad(keys, width=10, padding="0"), ""
+            ),
+            "spans": pa.ListArray.from_arrays(pa.array(doc_cells, pa.int32()), spans),
         }
     )
 
@@ -55,7 +67,9 @@ def docs_from_lineitem(sf_dir: str) -> ray.data.Dataset:
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_linenumber", "l_returnflag", "l_linestatus"],
     )
-    return li.groupby("l_orderkey").map_groups(order_group_to_doc, batch_format="pyarrow")
+    return bucket_map(
+        li, "l_orderkey", orders_to_docs, {"doc_id": pa.string(), "spans": pa.list_(SPAN)}
+    )
 
 
 def cells_table_from_spans(batch: pa.Table) -> pa.Table:

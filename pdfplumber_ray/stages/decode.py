@@ -51,6 +51,8 @@ from ..functions.words import extract_words_page
 from ..schemas import ANNOT, CHAR, CURVE, IMAGE, LINE, RECT, SPAN
 from .flatten import (
     EDGE_COLS,
+    Columns,
+    LazyList,
     PageGroup,
     Ruling,
     bounded_groups,
@@ -58,6 +60,7 @@ from .flatten import (
     page_ids,
     page_table_cells,
     paragraph_blocks,
+    select_rows,
     spans_group,
     table_cells_group,
     word_ids,
@@ -339,10 +342,18 @@ def arrow_pages_to_dicts(batch: pa.Table) -> List[Tuple[str, PageDict]]:
 def arrow_page_group(batch: pa.Table) -> PageGroup:
     """Page rows -> one :class:`PageGroup`: the rows' flat char, rect and
     line columns, as Arrow holds them, with the list offsets as page
-    bounds."""
-    chars, char_offsets = _flat(batch, "chars", _CHAR_FIELDS)
-    chars["width"] = chars["x1"] - chars["x0"]
-    chars["height"] = chars["bottom"] - chars["top"]
+    bounds. The char columns (and the curves) are converted to numpy on
+    their first read, so a stage converts only the ones it reads."""
+    values, char_offsets = _page_rows(batch, "chars")
+    derived = {"width": ("x1", "x0"), "height": ("bottom", "top")}
+
+    def char_column(name: str) -> np.ndarray:
+        if name in derived:
+            hi, lo = derived[name]
+            return chars[hi] - chars[lo]
+        return values.field(name).to_numpy(zero_copy_only=False)
+
+    chars = Columns((*_CHAR_FIELDS, *derived), char_column)
     widths = batch.column("page_width").to_pylist()
     heights = batch.column("page_height").to_pylist()
     return PageGroup(
@@ -351,7 +362,7 @@ def arrow_page_group(batch: pa.Table) -> PageGroup:
         char_offsets=char_offsets,
         ruling=Ruling(
             *_flat(batch, "rects", EDGE_COLS), *_flat(batch, "lines", EDGE_COLS),
-            _list_column(batch, "curves"),
+            LazyList(lambda: _list_column(batch, "curves")),
         ),
     )
 
@@ -607,9 +618,7 @@ class PagesToTextBoxes:
         group = arrow_page_group(batch)
         up = np.asarray(group.chars["upright"], dtype=bool)
         char_page = group.char_page[up]
-        words = extract_words_page(
-            {k: v[up] for k, v in group.chars.items()}, self.word_cfg, segment=char_page
-        )
+        words = extract_words_page(select_rows(group.chars, up), self.word_cfg, segment=char_page)
         word_page = word_ids(words, char_page)
         order, bounds = paragraph_blocks(
             words, word_page, self.word_cfg.y_tolerance, self.synth_cfg.para_gap_threshold

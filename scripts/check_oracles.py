@@ -3,10 +3,14 @@
 DuckDB oracle (row count + sorted-column value equality), like the
 per-round CORRECTNESS check.
 
-Usage: python scripts/check_oracles.py [sf_dir] [--only name1,name2]
+Usage: python scripts/check_oracles.py [sf_dir] [--only name1,name2] [--repeat N]
+
+``--repeat N`` runs each selected query N times (all N results must
+match) and prints the median wall of the N runs.
 """
 
 import os
+import statistics
 import sys
 import time
 
@@ -23,6 +27,11 @@ def main() -> int:
     if "--only" in args:
         i = args.index("--only")
         only = set(args[i + 1].split(","))
+        del args[i : i + 2]
+    repeat = 1
+    if "--repeat" in args:
+        i = args.index("--repeat")
+        repeat = int(args[i + 1])
         del args[i : i + 2]
     sf_dir = args[0] if args else "/root/testdata/sf0.01"
     import duckdb
@@ -45,27 +54,34 @@ def main() -> int:
     for name, fn in E.queries().items():
         if only is not None and name not in only:
             continue
-        t0 = time.perf_counter()
+        runs, walls = [], []
         try:
-            got = fn(sf_dir)
-            got = got.to_pandas() if hasattr(got, "to_pandas") else got
+            for _ in range(repeat):
+                t0 = time.perf_counter()
+                got = fn(sf_dir)
+                runs.append(got.to_pandas() if hasattr(got, "to_pandas") else got)
+                walls.append(time.perf_counter() - t0)
         except Exception as exc:
             print(f"{name}: ERROR {type(exc).__name__}: {exc}")
             failures += 1
             continue
-        wall = time.perf_counter() - t0
+        wall = statistics.median(walls)
+        got = runs[0]
         if name not in oracles:
             print(f"{name}: rows-only ({len(got)} rows, {wall:.1f}s)")
             continue
         want = con.sql(oracles[name]).df()
-        cols = sorted(got.columns)
-        if cols != sorted(want.columns):
-            print(f"{name}: SCHEMA MISMATCH {cols} vs {sorted(want.columns)}")
+        cols = sorted(want.columns)
+        if any(sorted(r.columns) != cols for r in runs):
+            print(f"{name}: SCHEMA MISMATCH {sorted(got.columns)} vs {cols}")
             failures += 1
             continue
-        g = got[cols].sort_values(cols).reset_index(drop=True)
         w = want[cols].sort_values(cols).reset_index(drop=True)
-        ok = g.shape == w.shape and g.equals(w)
+        for got in runs:
+            g = got[cols].sort_values(cols).reset_index(drop=True)
+            ok = g.shape == w.shape and g.equals(w)
+            if not ok:
+                break
         print(f"{name}: {'MATCH' if ok else 'MISMATCH'} ({len(g)} rows, {wall:.1f}s)")
         if not ok:
             failures += 1

@@ -183,7 +183,15 @@ def test_typed_result_passthrough_nonempty(ray_session):
     assert E._typed_result(t) is t
 
 
-def test_hash_join_nm_multiplicity(ray_session):
+def _hash_join(left, right, monkeypatch, how="inner"):
+    """``exchange.attach`` on its co-group path, the hash join of two sides
+    that both exceed ``MAX_BROADCAST_ROWS``."""
+    with monkeypatch.context() as m:
+        m.setattr(exchange, "MAX_BROADCAST_ROWS", 0)
+        return exchange.attach(left, right, "k", "rk", how).take_all()
+
+
+def test_hash_join_nm_multiplicity(ray_session, monkeypatch):
     left = ray.data.from_arrow(
         pa.table(
             {
@@ -202,7 +210,7 @@ def test_hash_join_nm_multiplicity(ray_session):
     )
     out = sorted(
         (r["k"], r["lv"], r["rv"])
-        for r in an.hash_join_ds(left, right, "k", "rk").take_all()
+        for r in _hash_join(left, right, monkeypatch)
     )
     # key 1: 2x2 = 4 rows; key 2: 1; key 3 and 9 unmatched
     assert out == [
@@ -211,7 +219,7 @@ def test_hash_join_nm_multiplicity(ray_session):
     ]
 
 
-def test_hash_join_collision_guard(ray_session):
+def test_hash_join_collision_guard(ray_session, monkeypatch):
     left = ray.data.from_arrow(
         pa.table({"k": pa.array([1], pa.int64()), "v": pa.array(["x"])})
     )
@@ -219,7 +227,7 @@ def test_hash_join_collision_guard(ray_session):
         pa.table({"rk": pa.array([1], pa.int64()), "v": pa.array(["y"])})
     )
     with pytest.raises(ValueError, match="collision"):
-        an.hash_join_ds(left, right, "k", "rk")
+        _hash_join(left, right, monkeypatch)
 
 
 def test_ntile_sizing_rule(ray_session):
@@ -254,7 +262,7 @@ def test_ntile_more_tiles_than_rows(ray_session):
     assert out == {2: 1, 1: 2}
 
 
-def test_hash_join_left_keeps_unmatched(ray_session):
+def test_hash_join_left_keeps_unmatched(ray_session, monkeypatch):
     left = ray.data.from_arrow(
         pa.table(
             {
@@ -271,10 +279,10 @@ def test_hash_join_left_keeps_unmatched(ray_session):
             }
         )
     )
-    out = an.hash_join_ds(left, right, "k", "rk", how="left").take_all()
+    out = _hash_join(left, right, monkeypatch, how="left")
     got = sorted((r["k"], r["lv"], r["rv"]) for r in out)
     assert got == [(1, "a", None), (2, "b", 10), (2, "b", 20), (3, "c", None)]
-    inner = an.hash_join_ds(left, right, "k", "rk").take_all()
+    inner = _hash_join(left, right, monkeypatch)
     assert sorted((r["k"], r["rv"]) for r in inner) == [(2, 10), (2, 20)]
 
 
@@ -606,37 +614,6 @@ def test_sentence_stats_segmentation(ray_session):
     assert rows[1]["sum_sent_tokens"] == 6
     assert rows[2]["n_sentences"] == 1 and rows[2]["sum_sent_tokens"] == 3
     assert 3 not in rows
-
-
-def test_hash_join_full_outer_all_branches(ray_session):
-    import pyarrow as pa
-    import ray.data
-    from pdfplumber_ray.pipelines import analytics as an
-
-    left = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([1, 2, 2], pa.int64()),
-                "lv": pa.array(["a", "b", "c"], pa.string()),
-            }
-        )
-    )
-    right = ray.data.from_arrow(
-        pa.table(
-            {
-                "rk": pa.array([2, 3], pa.int64()),
-                "rv": pa.array(["x", "y"], pa.string()),
-            }
-        )
-    )
-    rows = an.hash_join_ds(left, right, "k", "rk", how="full").take_all()
-    got = {(r["k"], r["lv"], r["rv"]) for r in rows}
-    assert got == {
-        (1, "a", None),      # left-only
-        (2, "b", "x"),       # matched (N:M)
-        (2, "c", "x"),
-        (3, None, "y"),      # right-only, key carried from the right
-    }
 
 
 def test_stratified_kfold_balance(ray_session):

@@ -4,7 +4,8 @@ same rows and the same schema at any bucket count.
 This is what lets no operator take a bucket count of its own: each case
 runs once at the default ``N_EXCHANGE_BUCKETS`` and once each at 2 and 7
 buckets, on a small seeded corpus with planted exact, near and
-substring duplicates. ``test_cases_cover_every_bucket_map_caller`` keeps
+substring duplicates (the extraction sources and queries on the sf0.001
+test data). ``test_cases_cover_every_bucket_map_caller`` keeps
 the case table in step with the package."""
 
 import ast
@@ -17,11 +18,14 @@ import pyarrow.compute as pc
 import pytest
 import ray.data
 
+import __ray_entry__ as E
 from pdfplumber_ray.pipelines import analytics as an
 from pdfplumber_ray.pipelines import corpus_ops as co
 from pdfplumber_ray.pipelines import exchange
+from pdfplumber_ray.sources import table_docs
 
 N_DOCS = 48
+SF = "/root/testdata/sf0.001"
 
 
 def _texts() -> list:
@@ -107,14 +111,30 @@ def _join() -> ray.data.Dataset:
         batch_format="pyarrow",
     )
     right = docs.select_columns(["doc_id", "source"]).rename_columns(["rk", "src"])
-    return an.hash_join_ds(left, right, "k", "rk", how="full")
+    return exchange.attach(left, right, "k", "rk", how="left")
+
+
+def _lineitem_spans() -> ray.data.Dataset:
+    """``docs_from_lineitem`` with one row per span (sortable)."""
+
+    def flat(b: pa.Table) -> pa.Table:
+        lists = b["spans"].combine_chunks()
+        spans = pc.list_flatten(lists)
+        return pa.table(
+            {
+                "doc_id": b["doc_id"].take(pc.list_parent_indices(lists)),
+                **{f.name: spans.field(f.name) for f in spans.type},
+            }
+        )
+
+    return table_docs.docs_from_lineitem(SF).map_batches(flat, batch_format="pyarrow")
 
 
 # name -> (run, whether to force the no-broadcast co-group path)
 CASES = {
     # analytics
     "postings_ds": (lambda: an.postings_ds(_docs(), max_df=10), False),
-    "hash_join_ds": (_join, False),
+    "attach": (_join, True),
     "ntile_ds": (lambda: an.ntile_ds(_docs(), "n_chars", "doc_id", k=5), False),
     "row_number_ds": (
         lambda: an.row_number_ds(_docs(), "n_chars", "doc_id", descending=True),
@@ -189,6 +209,10 @@ CASES = {
     "edit_distance_join_ds": (
         lambda: co.edit_distance_join_ds(_docs(), width=12, tau=2), False
     ),
+    # sources and the driver's extraction queries
+    "docs_from_lineitem": (_lineitem_spans, False),
+    "q_text_lines": (lambda: E.q_text_lines(SF), False),
+    "q_word_geometry": (lambda: E.q_word_geometry(SF), False),
 }
 
 # private helpers that co-group through bucket_map -> the case reaching them
@@ -196,7 +220,7 @@ HELPERS = {
     "_substring_strip_cogroup": "substring_strip_ds",
     "_label_shortcut": "dedup_resolution_ds",
     "_min_label_propagation": "dedup_resolution_ds",
-    "_attach_labels_cogroup": "dedup_resolution_ds",
+    "_attach_cogroup": "attach",
 }
 
 
@@ -214,7 +238,7 @@ def _bucket_map_callers(module) -> set:
 
 
 def test_cases_cover_every_bucket_map_caller():
-    callers = _bucket_map_callers(an) | _bucket_map_callers(co)
+    callers = set().union(*map(_bucket_map_callers, (an, co, exchange, table_docs, E)))
     assert {HELPERS.get(n, n) for n in callers} == set(CASES)
 
 

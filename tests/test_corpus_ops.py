@@ -172,13 +172,25 @@ def test_planted_near_dups_found(ray_session):
 
 
 def test_broadcast_join_size_guard(ray_session, monkeypatch):
+    """A side over ``MAX_BROADCAST_ROWS`` never reaches the driver: when
+    the other side fits, the big side is first cut down to its keys."""
     big = ray.data.range(1000).map_batches(
         lambda b: pa.table({"k": b["id"], "v": b["id"]}), batch_format="pyarrow"
     )
     ds = ray.data.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
+    collected = []
+    real = exchange.collect_small
+
+    def spy(side, what, schema=None):
+        out = real(side, what, schema)
+        collected.append(out.num_rows)
+        return out
+
+    monkeypatch.setattr(exchange, "collect_small", spy)
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 10)
-    with pytest.raises(ValueError, match="MAX_BROADCAST_ROWS"):
-        co.broadcast_join_ds(ds, big, "k", ["v"])
+    rows = exchange.attach(ds, big, "k", "k", "left").take_all()
+    assert sorted((r["k"], r["v"]) for r in rows) == [(1, 1), (2, 2)]
+    assert collected == [2, 2]  # the keys of ``ds``, then the cut-down side
 
 
 def test_embedding_lsh_subset_of_exact(ray_session):
@@ -241,16 +253,18 @@ _DUP_DOCS = pa.table({"doc_id": pa.array(list(range(1, 50)), pa.int64())})
 
 
 def _spy(monkeypatch, *names):
-    """Record each call to the named ``corpus_ops`` functions."""
+    """Record each call to the named ``corpus_ops`` (or else ``exchange``)
+    functions."""
     calls = []
     for name in names:
-        real = getattr(co, name)
+        module = co if hasattr(co, name) else exchange
+        real = getattr(module, name)
 
         def wrapped(*a, _real=real, _name=name, **k):
             calls.append(_name)
             return _real(*a, **k)
 
-        monkeypatch.setattr(co, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
     return calls
 
 
@@ -269,7 +283,7 @@ def test_dedup_resolution_distributed_matches_driver(ray_session, monkeypatch):
     """The min-label-propagation fixpoint (scale path) and driver
     union-find (small-N fast path) must produce identical canonical
     labels — including a multi-hop chain component (a-b, b-c, c-d)."""
-    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_labels_cogroup")
+    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_cogroup")
     drv = _resolved(_DUP_PAIRS, _DUP_DOCS)
     assert calls == []
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 15)
@@ -283,16 +297,16 @@ def test_dedup_resolution_distributed_matches_driver(ray_session, monkeypatch):
 
 
 def test_dedup_resolution_cogroup_label_attach(ray_session, monkeypatch):
-    """When neither the pairs nor the labels fit ``MAX_BROADCAST_ROWS``
-    the distributed path must attach canonical ids via the hash-bucket
-    co-group (driver never holds a label dict) and produce output
+    """When neither the pairs, the labels nor the docs fit
+    ``MAX_BROADCAST_ROWS`` the distributed path must attach canonical ids
+    via the hash-bucket co-group (driver never holds a label dict) and produce output
     identical to the driver union-find path — including docs with no
     duplicates and chain components, and buckets holding many nodes."""
     drv = _resolved(_DUP_PAIRS, _DUP_DOCS)
-    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_labels_cogroup")
+    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_cogroup")
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 13)
     cg = _resolved(_DUP_PAIRS, _DUP_DOCS)
-    assert calls == ["_min_label_propagation", "_attach_labels_cogroup"]
+    assert calls == ["_min_label_propagation", "_attach_cogroup"]
     assert drv.equals(cg)
     # 2,100 labelled nodes in 700 three-node chains, 2,500 docs: most of
     # the exchange buckets resolve several nodes at once
@@ -305,12 +319,12 @@ def test_dedup_resolution_cogroup_label_attach(ray_session, monkeypatch):
     )
     big_docs = pa.table({"doc_id": pa.array(range(n_docs), pa.int64())})
     out = _resolved(big_pairs, big_docs)
-    assert calls[2:] == ["_min_label_propagation", "_attach_labels_cogroup"]
+    assert calls[2:] == ["_min_label_propagation", "_attach_cogroup"]
     assert out.doc_id.tolist() == list(range(n_docs))
     assert out.canonical_id.tolist() == [
         3 * (x // 3) if x < 3 * n_chain else x for x in range(n_docs)
     ]
-    assert 'groupby("node")' not in inspect.getsource(co._attach_labels_cogroup)
+    assert "groupby(" not in inspect.getsource(exchange._attach_cogroup)
 
 
 def test_dedup_resolution_cogroup_string_ids(ray_session, monkeypatch):
@@ -318,10 +332,10 @@ def test_dedup_resolution_cogroup_string_ids(ray_session, monkeypatch):
         pa.table({"doc_a": pa.array(["b", "c"]), "doc_b": pa.array(["c", "a"])})
     )
     docs = ray.data.from_arrow(pa.table({"doc_id": pa.array(["a", "b", "c", "z"])}))
-    calls = _spy(monkeypatch, "_attach_labels_cogroup")
+    calls = _spy(monkeypatch, "_attach_cogroup")
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 1)  # 2 pairs, 3 labels
     out = co.dedup_resolution_ds(pairs, docs).to_pandas()
-    assert calls == ["_attach_labels_cogroup"]
+    assert calls == ["_attach_cogroup"]
     got = dict(zip(out.doc_id, out.canonical_id))
     assert got == {"a": "a", "b": "a", "c": "a", "z": "z"}
 
@@ -339,7 +353,7 @@ def test_dedup_resolution_distributed_string_ids(ray_session, monkeypatch):
     docs = ray.data.from_arrow(
         pa.table({"doc_id": pa.array(["a", "b", "c", "d", "z"])})
     )
-    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_labels_cogroup")
+    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_cogroup")
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 5)
     out = co.dedup_resolution_ds(pairs, docs).to_pandas()
     assert calls == ["_min_label_propagation"]
@@ -886,13 +900,6 @@ def test_ngram_verify_empty_candidates(ray_session):
     assert pairs.count() == 0
     verified = co.ngram_jaccard_verify_ds(pairs, docs, threshold=0.5)
     assert verified.count() == 0
-
-
-def test_semi_join_collect_empty_wanted(ray_session):
-    docs = ray.data.from_arrow(
-        pa.table({"doc_id": pa.array([1], pa.int64()), "text": pa.array(["x"])})
-    )
-    assert co._semi_join_collect(docs, "doc_id", frozenset(), lambda b: []) == {}
 
 
 def test_chunk_windows_empty_batch(ray_session):
@@ -2517,8 +2524,7 @@ def test_semantic_families_two_clusters(ray_session):
 
 def test_semantic_families_hash_join_matches_broadcast(ray_session, monkeypatch):
     """Family sizes that do not fit ``MAX_BROADCAST_ROWS`` attach through
-    ``hash_join_ds`` with the same rows as the broadcast path."""
-    from pdfplumber_ray.pipelines import analytics as an
+    the co-group hash join with the same rows as the broadcast path."""
 
     def families():
         return (
@@ -2529,14 +2535,10 @@ def test_semantic_families_hash_join_matches_broadcast(ray_session, monkeypatch)
         )
 
     bc = families()
-    joins = []
-    real_join = an.hash_join_ds
-    monkeypatch.setattr(
-        an, "hash_join_ds", lambda *a, **k: joins.append(1) or real_join(*a, **k)
-    )
+    joins = _spy(monkeypatch, "_attach_cogroup")
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 1)  # 2 families
     hj = families()
-    assert joins == [1]
+    assert joins == ["_attach_cogroup"]
     assert len(bc) == 4 and bc.equals(hj)
 
 

@@ -1,9 +1,10 @@
 """The bounded exchanges: the in-bucket kernel against a brute-force
 oracle, the ``bucket_map`` co-group contract, the bounded group count of
-the MinHash and SimHash shuffles, and the guarded small collect, which is
-the only way a report-sized side reaches the driver from ``pipelines/``.
-AST guards keep every bucket hash, bucket count and driver collect of
-``pipelines/`` inside ``exchange.py``."""
+the MinHash and SimHash shuffles, the guarded small collect, which is
+the only way a report-sized side reaches the driver from ``pipelines/``,
+and ``attach``, whose three strategies must agree with a brute-force
+join. AST guards keep every bucket hash, bucket count, driver collect and
+join-strategy choice inside ``exchange.py``."""
 
 import ast
 import inspect
@@ -610,4 +611,126 @@ def test_map_udfs_write_no_zero_row_branch():
             n_udfs += 1
             bad += [f"{f}:{line} {fn.name}" for line in _zero_row_tests(fn)]
     assert n_udfs > 300  # the scan still finds the map UDFs
+    assert bad == []
+
+
+# ---------- the one guarded attach ----------
+
+# (ds keys, side keys): duplicates on both sides, a key only in ds and a
+# key only in the side, null keys, no common key, an empty side
+ATTACH_CASES = {
+    "dup_both_sides": ([1, 1, 2, 3, None], [1, 1, 2, 9, None, 9]),
+    "no_common_key": ([1, 2, 2], [5, 6, 7, 7]),
+    "empty_side": ([1, 2, 2], []),
+}
+
+
+def _attach_sides(case, key_type):
+    ds_keys, side_keys = ATTACH_CASES[case]
+    as_key = (lambda k: k) if key_type == "int" else (lambda k: None if k is None else f"k{k}")
+    typ = pa.int64() if key_type == "int" else pa.string()
+    ds = pa.table(
+        {
+            "k": pa.array([as_key(k) for k in ds_keys], typ),
+            "lv": pa.array([f"l{i}" for i in range(len(ds_keys))]),
+        }
+    )
+    side = pa.table(
+        {
+            "rk": pa.array([as_key(k) for k in side_keys], typ),
+            "rv": pa.array(range(len(side_keys)), pa.int64()),
+        }
+    )
+    return ds, side
+
+
+def _brute_attach(ds, side, how):
+    out = []
+    for k, lv in zip(ds["k"].to_pylist(), ds["lv"].to_pylist()):
+        pairs = zip(side["rk"].to_pylist(), side["rv"].to_pylist())
+        hits = [rv for rk, rv in pairs if k is not None and rk == k]
+        out += [(k, lv, rv) for rv in hits] or ([(k, lv, None)] if how == "left" else [])
+    return sorted(out, key=repr)
+
+
+# MAX_BROADCAST_ROWS for each path, as a function of (ds rows, side rows)
+ATTACH_PATHS = {
+    "_attach_broadcast": lambda n_ds, n_side: n_ds + n_side,
+    "_keys_in": lambda n_ds, n_side: n_ds,
+    "_attach_cogroup": lambda n_ds, n_side: -1,
+}
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+@pytest.mark.parametrize("key_type", ["int", "string"])
+@pytest.mark.parametrize("case", sorted(ATTACH_CASES))
+def test_attach_paths_agree(ray_session, monkeypatch, case, key_type, how):
+    """Broadcast, semi-join reduction and co-group give the same rows as a
+    brute-force N:M join. An empty side fits whenever ``ds`` does, so it
+    cannot take the semi-join path."""
+    ds_t, side_t = _attach_sides(case, key_type)
+    want = _brute_attach(ds_t, side_t, how)
+    for path, limit in ATTACH_PATHS.items():
+        if path == "_keys_in" and not side_t.num_rows:
+            continue
+        calls = []
+        with monkeypatch.context() as m:
+            real = getattr(exchange, path)
+            m.setattr(exchange, path, lambda *a, _r=real, **k: calls.append(1) or _r(*a, **k))
+            m.setattr(exchange, "MAX_BROADCAST_ROWS", limit(ds_t.num_rows, side_t.num_rows))
+            out = exchange.attach(
+                ray.data.from_arrow(ds_t), ray.data.from_arrow(side_t), "k", "rk", how
+            ).take_all()
+        assert calls == [1], path
+        got = sorted(((r["k"], r["lv"], r["rv"]) for r in out), key=repr)
+        assert got == want, path
+
+
+# the join helpers that exchange.attach replaced
+GONE_JOINS = ("hash_join_ds", "broadcast_join_ds", "_attach_labels_cogroup", "_semi_join_collect")
+# the compute-strategy choices (not attaches) that may ask fits_broadcast
+FITS_BROADCAST_CALLERS = {"dedup_resolution_ds", "substring_strip_ds"}
+PACKAGE = os.path.dirname(PIPELINES)
+
+
+def _package_trees():
+    for root, _, files in os.walk(PACKAGE):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(root, f)
+                yield os.path.relpath(path, PACKAGE), ast.parse(open(path).read())
+    yield "__ray_entry__.py", ast.parse(open(ENTRY).read())
+
+
+def test_attach_is_the_one_join():
+    """No join helper but ``exchange.attach`` is defined, and outside
+    ``exchange.py`` only the two compute-strategy choices call
+    ``fits_broadcast``: every attach picks its strategy in one place."""
+    bad = []
+    for f, tree in _package_trees():
+        for top in tree.body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.FunctionDef) and n.name in GONE_JOINS:
+                    bad.append(f"{f}:{n.lineno} defines {n.name}")
+                if (
+                    isinstance(n, ast.Call)
+                    and getattr(n.func, "id", getattr(n.func, "attr", None)) == "fits_broadcast"
+                    and f != os.path.join("pipelines", "exchange.py")
+                    and getattr(top, "name", None) not in FITS_BROADCAST_CALLERS
+                ):
+                    caller = getattr(top, "name", "<module>")
+                    bad.append(f"{f}:{n.lineno} fits_broadcast in {caller}")
+    assert bad == []
+
+
+def test_no_map_groups_in_sources_or_driver():
+    """``sources/`` and ``__ray_entry__.py`` group rows only through
+    ``exchange.bucket_map``: no ``map_groups`` of their own."""
+    bad = [
+        f"{f}:{n.lineno}"
+        for f, tree in _package_trees()
+        if f.startswith("sources") or f == "__ray_entry__.py"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "map_groups"
+    ]
     assert bad == []
