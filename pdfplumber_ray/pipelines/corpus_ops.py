@@ -640,18 +640,15 @@ def _id_type(docs: Dataset, id_col: str) -> pa.DataType:
     return schema.types[schema.names.index(id_col)]
 
 
-def _pair_payload(
-    pairs: Dataset, side: Dataset, id_col: str, cols: List[str], how: str = "left"
-) -> Dataset:
+def _pair_payload(pairs: Dataset, side: Dataset, id_col: str, cols: List[str]) -> Dataset:
     """``pairs`` with ``side``'s ``cols`` of ``doc_a`` (as ``<col>_a``) and
-    then of ``doc_b`` (as ``<col>_b``): two :func:`exchange.attach`
-    calls on ``side``'s ``id_col``, over one materialization of it."""
-    side = side.select_columns([id_col] + cols).materialize()
+    then of ``doc_b`` (as ``<col>_b``): two left :func:`exchange.attach`
+    calls on ``side``'s ``id_col``, each of which cuts ``side`` to the
+    docs its end names before anything of it is collected."""
+    side = side.select_columns([id_col] + cols)
     for end in ("a", "b"):
-        named = side.rename_columns(
-            {c: f"{c}_{end}" for c in cols}
-        )
-        pairs = attach(pairs, named, f"doc_{end}", id_col, how)
+        named = side.rename_columns({c: f"{c}_{end}" for c in cols})
+        pairs = attach(pairs, named, f"doc_{end}", id_col, "left")
     return pairs
 
 
@@ -727,7 +724,7 @@ def minhash_pairs_ds(
         )
         return t.filter(pc.greater_equal(t.column("est_jaccard"), threshold))
 
-    return _pair_payload(cand, docs, id_col, [text_col], "inner").map_batches(
+    return _pair_payload(cand, docs, id_col, [text_col]).map_batches(
         estimate, batch_format="pyarrow", zero_copy_batch=True
     )
 
@@ -1430,8 +1427,8 @@ def substring_runs_ds(
     ``(gram, doc, pos)``, ONE ``exchange.bucket_map`` on the gram
     (bounded group count), vectorized in-bucket match emission (singleton
     grams drop before any Python loop, hot grams capped + logged) — plus
-    a second ``bucket_map`` of the match stream on ``doc_a``, so that
-    all of a pair's matches share a bucket. There every pair's run comes
+    a second ``bucket_map`` of the (unanchored) match stream on
+    ``doc_a``, so that all of a pair's matches share a bucket. There every pair's run comes
     from one vectorized gaps-and-islands pass: matched positions group by
     pair and alignment offset ``delta = pos_a - pos_b``; within a delta,
     consecutive ``pos_a`` values chain into islands; the longest island
@@ -1527,6 +1524,7 @@ def substring_runs_ds(
         "gram",
         bucket_matches,
         {"doc_a": id_type, "doc_b": id_type, "pa_pos": pa.int64(), "delta": pa.int64()},
+        anchor=False,
     )
     return bucket_map(
         matches,

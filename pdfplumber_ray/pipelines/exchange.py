@@ -34,10 +34,10 @@ Pipeline Execution* (CIDR 2022).
 
 Every equi-join of the operators is :func:`attach`: it gives a dataset's
 rows the payload columns of a side, matched N:M on a key, and picks the
-strategy from the row counts it observes: broadcast the side when it
-fits, else shrink the side to the dataset's keys when the dataset fits,
-else co-group both through :func:`bucket_map`. Operators choose no join
-strategy.
+strategy from the row counts it observes: when the dataset fits, the
+side is first cut to the dataset's keys in one streaming pass; the side
+is then broadcast when it fits, else both co-group through
+:func:`bucket_map`. Operators choose no join strategy.
 """
 
 from __future__ import annotations
@@ -150,6 +150,7 @@ def bucket_map(
     key: str,
     fn: Callable[[pa.Table], pa.Table],
     schema,
+    anchor: bool = True,
 ) -> ray.data.Dataset:
     """The one hash-bucketed co-group: shuffle ``ds`` on
     ``_hash_bucket_column(key, N_EXCHANGE_BUCKETS)`` and call ``fn`` once
@@ -160,9 +161,12 @@ def bucket_map(
     becomes ``schema.empty_table()`` and a non-empty one is selected and
     cast to ``schema`` (a ``pa.Schema`` or a name -> type mapping). The
     output is anchored with a typed empty block, so an empty input still
-    has ``schema``'s columns. No operator outside this module picks a
-    bucket count: the output of ``fn`` over whole key runs does not
-    depend on it."""
+    has ``schema``'s columns. ``anchor=False`` skips that for an output
+    that only feeds another :func:`bucket_map`, whose own output is
+    anchored: the anchor's union would keep the next exchange's bucket
+    column from fusing into this one's map. No operator outside this
+    module picks a bucket count: the output of ``fn`` over whole key runs
+    does not depend on it."""
     schema = pa.schema(schema)
     n_buckets = N_EXCHANGE_BUCKETS
 
@@ -181,9 +185,8 @@ def bucket_map(
     keyed = ds.map_batches(
         add_bucket, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    return _anchor_schema(
-        keyed.groupby("bkt").map_groups(per_bucket, batch_format="pyarrow"), schema
-    )
+    out = keyed.groupby("bkt").map_groups(per_bucket, batch_format="pyarrow")
+    return _anchor_schema(out, schema) if anchor else out
 
 
 def segment_runs(
@@ -335,17 +338,17 @@ def _probe(index: Tuple[np.ndarray, pa.Table], batch: pa.Table, on: str, how: st
     return out
 
 
-def _keys_in(
-    side: ray.data.Dataset, side_key: pa.Field, ds: ray.data.Dataset, on: str
-) -> ray.data.Dataset:
-    """The semi-join reduction: ``side``'s rows whose key (``side_key``) is
+def _keys_in(side: ray.data.Dataset, side_on: str, ds: ray.data.Dataset, on: str) -> ray.data.Dataset:
+    """The semi-join reduction: ``side``'s rows whose key (``side_on``) is
     one of ``ds``'s distinct keys, which are collected once, in one
-    streaming pass."""
-    keys = collect_small(ds.select_columns([on]), "attach keys", {on: side_key.type})
-    ref = ray.put(pc.unique(keys.column(on).combine_chunks()))
+    streaming pass over ``side``."""
+    keys = collect_small(ds.select_columns([on]), "attach keys")
+    col = keys.column(on) if keys.num_columns else pa.chunked_array([], pa.null())
+    ref = ray.put(pc.unique(col.combine_chunks()))
 
     def keep(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch.column(side_key.name), value_set=ray.get(ref)))
+        col = batch.column(side_on)
+        return batch.filter(pc.is_in(col, value_set=ray.get(ref).cast(col.type)))
 
     return side.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -408,23 +411,24 @@ def attach(
 
     The one place that picks a join strategy, from observed row counts:
 
-    1. ``side`` fits (:func:`fits_broadcast`): it is collected once
-       through :func:`collect_small`, sorted by key, and every batch of
-       ``ds`` probes it (:func:`_probe`): no dict, no per-row lookup.
-    2. Else, if ``ds`` fits: ``side`` is filtered to ``ds``'s distinct
-       keys in one streaming pass (:func:`_keys_in`), and the filtered
-       side is attached as in 1 when it fits.
+    1. ``ds`` fits (:func:`fits_broadcast`): ``side`` is first cut to
+       ``ds``'s distinct keys in one streaming pass (:func:`_keys_in`), so
+       only the rows ``ds`` needs are ever materialized.
+    2. The (cut) ``side`` fits: it is collected once through
+       :func:`collect_small`, sorted by key, and every batch of ``ds``
+       probes it (:func:`_probe`): no dict, no per-row lookup.
     3. Else: both co-group through :func:`bucket_map` on the key
        (:func:`_attach_cogroup`), a hash join over a bounded bucket
        count."""
+    ds = ds.materialize()
+    full = side
+    if fits_broadcast(ds):
+        side = _keys_in(side, side_on, ds, on)
     side = side.materialize()
-    side_schema = _arrow_schema(side)
+    # a cut that kept no row has no columns: the payload keeps the side's types
+    side_schema = _arrow_schema(side) or _arrow_schema(full)
     if side_schema is None:  # a side with no rows and no columns matches nothing
         return ds if how == "left" else ds.limit(0)
-    if not fits_broadcast(side):
-        ds = ds.materialize()
-        if fits_broadcast(ds):
-            side = _keys_in(side, side_schema.field(side_on), ds, on).materialize()
     if fits_broadcast(side):
         side_t = collect_small(side, "attach side", side_schema)
         return _attach_broadcast(ds, side_t, on, side_on, how)

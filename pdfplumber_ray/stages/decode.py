@@ -51,16 +51,14 @@ from ..functions.words import extract_words_page
 from ..schemas import ANNOT, CHAR, CURVE, IMAGE, LINE, RECT, SPAN
 from .flatten import (
     EDGE_COLS,
-    Columns,
-    LazyList,
     PageGroup,
     Ruling,
+    _char_cols,
     bounded_groups,
     extract_doc_spans,  # noqa: F401  (patched by perfbench/trace.py; ROADMAP item 2)
     page_ids,
     page_table_cells,
     paragraph_blocks,
-    select_rows,
     spans_group,
     table_cells_group,
     word_ids,
@@ -339,21 +337,17 @@ def arrow_pages_to_dicts(batch: pa.Table) -> List[Tuple[str, PageDict]]:
     return out
 
 
-def arrow_page_group(batch: pa.Table) -> PageGroup:
-    """Page rows -> one :class:`PageGroup`: the rows' flat char, rect and
-    line columns, as Arrow holds them, with the list offsets as page
-    bounds. The char columns (and the curves) are converted to numpy on
-    their first read, so a stage converts only the ones it reads."""
-    values, char_offsets = _page_rows(batch, "chars")
-    derived = {"width": ("x1", "x0"), "height": ("bottom", "top")}
-
-    def char_column(name: str) -> np.ndarray:
-        if name in derived:
-            hi, lo = derived[name]
-            return chars[hi] - chars[lo]
-        return values.field(name).to_numpy(zero_copy_only=False)
-
-    chars = Columns((*_CHAR_FIELDS, *derived), char_column)
+def arrow_page_group(
+    batch: pa.Table, char_cols: Sequence[str] = _CHAR_FIELDS, ruling: bool = False
+) -> PageGroup:
+    """Page rows -> one :class:`PageGroup`: the rows' flat ``char_cols``
+    (a stage passes the ones its kernels read) plus ``width`` and
+    ``height``, as Arrow holds them, with the list offsets as page
+    bounds. The rects, lines and curves (the :class:`Ruling`) are
+    converted only with ``ruling``: only table detection reads them."""
+    chars, char_offsets = _flat(batch, "chars", char_cols)
+    chars["width"] = chars["x1"] - chars["x0"]
+    chars["height"] = chars["bottom"] - chars["top"]
     widths = batch.column("page_width").to_pylist()
     heights = batch.column("page_height").to_pylist()
     return PageGroup(
@@ -362,8 +356,10 @@ def arrow_page_group(batch: pa.Table) -> PageGroup:
         char_offsets=char_offsets,
         ruling=Ruling(
             *_flat(batch, "rects", EDGE_COLS), *_flat(batch, "lines", EDGE_COLS),
-            LazyList(lambda: _list_column(batch, "curves")),
-        ),
+            _list_column(batch, "curves"),
+        )
+        if ruling
+        else None,
     )
 
 
@@ -505,7 +501,7 @@ class PagesToWords:
         self.word_cfg = word_cfg or WordConfig()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        group = arrow_page_group(batch)
+        group = arrow_page_group(batch, _char_cols(self.word_cfg, None))
         words = extract_words_page(group.chars, self.word_cfg, segment=group.char_page)
         extra = self.word_cfg.extra_attrs
         # an extra attribute keeps its char column's type, also in a batch
@@ -537,11 +533,12 @@ class PagesToText:
         self.kwargs = kwargs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        group = arrow_page_group(batch)
         if self.mode in ("simple", "layout"):
+            group = arrow_page_group(batch)
             texts = [self._page_text(group, p) for p in range(group.n_pages)]
         else:
             wcfg = WordConfig.from_kwargs(**self.kwargs)
+            group = arrow_page_group(batch, _char_cols(wcfg, None))
             words = extract_words_page(group.chars, wcfg, segment=group.char_page)
             by_page = segment_texts(
                 words,
@@ -615,10 +612,12 @@ class PagesToTextBoxes:
         self.synth_cfg = SynthLayoutConfig()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        group = arrow_page_group(batch)
+        group = arrow_page_group(batch, _char_cols(self.word_cfg, None))
         up = np.asarray(group.chars["upright"], dtype=bool)
         char_page = group.char_page[up]
-        words = extract_words_page(select_rows(group.chars, up), self.word_cfg, segment=char_page)
+        words = extract_words_page(
+            {k: v[up] for k, v in group.chars.items()}, self.word_cfg, segment=char_page
+        )
         word_page = word_ids(words, char_page)
         order, bounds = paragraph_blocks(
             words, word_page, self.word_cfg.y_tolerance, self.synth_cfg.para_gap_threshold
@@ -832,7 +831,7 @@ class PagesToTables:
         rows_out: List[List[List[Optional[str]]]] = []
         batch_ids = batch.column("doc_id").to_pylist()
         batch_pns = batch.column("page_number").to_pylist()
-        pages = arrow_page_group(batch)
+        pages = arrow_page_group(batch, _char_cols(None, self.table_cfg), ruling=True)
         chars = np.diff(pages.char_offsets)
         for run in bounded_groups(range(pages.n_pages), lambda i: int(chars[i])):
             group = pages.pages(run[0], run[-1] + 1)

@@ -30,7 +30,6 @@ equality ``(kind, text, media_ref, order)``).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
@@ -114,61 +113,12 @@ def _stack(
     }, offsets
 
 
-class Columns(Mapping):
-    """Named columns, each built by ``build(name)`` on its first read and
-    kept: a stage pays only for the columns its kernels read."""
-
-    def __init__(self, names: Iterable[str], build: Callable[[str], np.ndarray]):
-        self._names = tuple(names)
-        self._build = build
-        self._built: Dict[str, np.ndarray] = {}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self._built:
-            if name not in self._names:
-                raise KeyError(name)
-            self._built[name] = self._build(name)
-        return self._built[name]
-
-    def __contains__(self, name) -> bool:
-        return name in self._names
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-
-class LazyList(Sequence):
-    """The list ``build()`` returns, built on its first read."""
-
-    def __init__(self, build: Callable[[], list]):
-        self._build = build
-
-    @cached_property
-    def _items(self) -> list:
-        return self._build()
-
-    def __getitem__(self, i):
-        return self._items[i]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-def select_rows(cols: Mapping, select) -> Columns:
-    """``cols`` with each column indexed by ``select`` (a slice or a mask),
-    column by column as they are read."""
-    return Columns(cols, lambda k: cols[k][select])
-
-
 def _cut(
-    cols: Mapping, offsets: np.ndarray, start: int, stop: int
-) -> Tuple[Columns, np.ndarray]:
+    cols: Dict[str, np.ndarray], offsets: np.ndarray, start: int, stop: int
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """The rows and offsets of pages ``start`` to ``stop`` (exclusive)."""
     lo, hi = offsets[start], offsets[stop]
-    return select_rows(cols, slice(lo, hi)), offsets[start : stop + 1] - lo
+    return {k: v[lo:hi] for k, v in cols.items()}, offsets[start : stop + 1] - lo
 
 
 def _char_cols(word_cfg: Optional[WordConfig], table_cfg: Optional[TableConfig]) -> List[str]:
@@ -216,12 +166,13 @@ class Ruling:
 class PageGroup:
     """Pages as one column set per object kind: the page boxes, the chars
     (rows page-contiguous and in page order, ``char_offsets`` delimiting
-    each page's rows) and the :class:`Ruling`."""
+    each page's rows) and the :class:`Ruling` (None for a stage that reads
+    no ruling)."""
 
     bboxes: List[Bbox]
     chars: CharTable
     char_offsets: np.ndarray
-    ruling: Ruling
+    ruling: Optional[Ruling]
 
     @property
     def n_pages(self) -> int:
@@ -233,7 +184,8 @@ class PageGroup:
 
     def page_chars(self, p: int) -> CharTable:
         """Page ``p``'s chars: views of the group's columns."""
-        return select_rows(self.chars, slice(self.char_offsets[p], self.char_offsets[p + 1]))
+        lo, hi = self.char_offsets[p], self.char_offsets[p + 1]
+        return {k: v[lo:hi] for k, v in self.chars.items()}
 
     @classmethod
     def from_pages(cls, pages: Sequence[PageDict], char_cols: Sequence[str]) -> "PageGroup":
@@ -257,7 +209,7 @@ class PageGroup:
         return PageGroup(
             self.bboxes[start:stop],
             *_cut(self.chars, self.char_offsets, start, stop),
-            self.ruling.pages(start, stop),
+            self.ruling and self.ruling.pages(start, stop),
         )
 
 

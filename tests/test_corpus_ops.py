@@ -193,6 +193,54 @@ def test_broadcast_join_size_guard(ray_session, monkeypatch):
     assert collected == [2, 2]  # the keys of ``ds``, then the cut-down side
 
 
+def _planted_pairs_corpus(n_docs: int = 40):
+    """``n_docs`` docs of distinct random words, where doc 1 copies doc 0
+    and doc 3 copies doc 2 but for their last word."""
+    rng = np.random.default_rng(11)
+    texts = [" ".join(f"w{v}" for v in rng.integers(0, 10**6, 40)) for _ in range(n_docs)]
+    for a, b in ((0, 1), (2, 3)):
+        texts[b] = texts[a].rsplit(" ", 1)[0] + " tail"
+    return ray.data.from_arrow(
+        pa.table({"doc_id": pa.array(range(n_docs), pa.int64()), "text": texts})
+    )
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda docs, pairs: co.minhash_pairs_ds(docs, threshold=0.5),
+        lambda docs, pairs: co.ngram_jaccard_verify_ds(pairs, docs),
+        lambda docs, pairs: co.containment_dedup_ds(pairs, docs),
+        lambda docs, pairs: co.jaccard_join_ds(docs),
+    ],
+    ids=["minhash_pairs", "ngram_jaccard_verify", "containment_dedup", "jaccard_join"],
+)
+def test_verify_operators_collect_only_candidate_docs(ray_session, monkeypatch, verify):
+    """A verify operator brings to the driver the payload of its candidate
+    docs only, never the whole corpus: each pair end's attach collects
+    the candidate pairs' keys of that end and then the rows of the docs
+    they name."""
+    docs = _planted_pairs_corpus()
+    pairs = ray.data.from_arrow(
+        pa.table({"doc_a": pa.array([0, 2], pa.int64()), "doc_b": pa.array([1, 3], pa.int64())})
+    )
+    collected = []
+    real = exchange.collect_small
+
+    def spy(side, what, schema=None):
+        out = real(side, what, schema)
+        collected.append((what, out.num_rows))
+        return out
+
+    monkeypatch.setattr(exchange, "collect_small", spy)
+    rows = verify(docs, pairs).take_all()
+    assert sorted((r["doc_a"], r["doc_b"]) for r in rows) == [(0, 1), (2, 3)]
+    # per pair end: the candidate pairs' keys, then the docs they name
+    assert [what for what, _ in collected] == ["attach keys", "attach side"] * 2
+    for (_, n_keys), (_, n_side) in zip(collected[::2], collected[1::2]):
+        assert 2 <= n_side <= n_keys < 10  # of 40 docs
+
+
 def test_embedding_lsh_subset_of_exact(ray_session):
     rng = np.random.default_rng(7)
     base = rng.normal(size=(40, 16))

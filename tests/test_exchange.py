@@ -617,10 +617,11 @@ def test_map_udfs_write_no_zero_row_branch():
 # ---------- the one guarded attach ----------
 
 # (ds keys, side keys): duplicates on both sides, a key only in ds and a
-# key only in the side, null keys, no common key, an empty side
+# key only in the side, null keys, no common key, an empty side. ``ds``
+# has more rows than the side, so each path below can be forced.
 ATTACH_CASES = {
-    "dup_both_sides": ([1, 1, 2, 3, None], [1, 1, 2, 9, None, 9]),
-    "no_common_key": ([1, 2, 2], [5, 6, 7, 7]),
+    "dup_both_sides": ([1, 1, 2, 3, None, 4, 4], [1, 1, 2, 9, None, 9]),
+    "no_common_key": ([1, 2, 2, 8, 8], [5, 6, 7, 7]),
     "empty_side": ([1, 2, 2], []),
 }
 
@@ -653,11 +654,12 @@ def _brute_attach(ds, side, how):
     return sorted(out, key=repr)
 
 
-# MAX_BROADCAST_ROWS for each path, as a function of (ds rows, side rows)
+# MAX_BROADCAST_ROWS for each path, as a function of (ds rows, side
+# rows), and the strategy functions that path calls
 ATTACH_PATHS = {
-    "_attach_broadcast": lambda n_ds, n_side: n_ds + n_side,
-    "_keys_in": lambda n_ds, n_side: n_ds,
-    "_attach_cogroup": lambda n_ds, n_side: -1,
+    "cut_then_broadcast": (lambda n_ds, n_side: n_ds + n_side, {"_keys_in", "_attach_broadcast"}),
+    "broadcast": (lambda n_ds, n_side: n_side, {"_attach_broadcast"}),
+    "cogroup": (lambda n_ds, n_side: -1, {"_attach_cogroup"}),
 }
 
 
@@ -665,23 +667,23 @@ ATTACH_PATHS = {
 @pytest.mark.parametrize("key_type", ["int", "string"])
 @pytest.mark.parametrize("case", sorted(ATTACH_CASES))
 def test_attach_paths_agree(ray_session, monkeypatch, case, key_type, how):
-    """Broadcast, semi-join reduction and co-group give the same rows as a
-    brute-force N:M join. An empty side fits whenever ``ds`` does, so it
-    cannot take the semi-join path."""
+    """Broadcast after the semi-join reduction, broadcast of the whole side
+    and co-group give the same rows as a brute-force N:M join."""
     ds_t, side_t = _attach_sides(case, key_type)
+    assert ds_t.num_rows > side_t.num_rows
     want = _brute_attach(ds_t, side_t, how)
-    for path, limit in ATTACH_PATHS.items():
-        if path == "_keys_in" and not side_t.num_rows:
-            continue
-        calls = []
+    for path, (limit, expected) in ATTACH_PATHS.items():
+        calls = set()
         with monkeypatch.context() as m:
-            real = getattr(exchange, path)
-            m.setattr(exchange, path, lambda *a, _r=real, **k: calls.append(1) or _r(*a, **k))
+            for name in ("_keys_in", "_attach_broadcast", "_attach_cogroup"):
+                real = getattr(exchange, name)
+                spy = lambda *a, _r=real, _n=name, **k: calls.add(_n) or _r(*a, **k)
+                m.setattr(exchange, name, spy)
             m.setattr(exchange, "MAX_BROADCAST_ROWS", limit(ds_t.num_rows, side_t.num_rows))
             out = exchange.attach(
                 ray.data.from_arrow(ds_t), ray.data.from_arrow(side_t), "k", "rk", how
             ).take_all()
-        assert calls == [1], path
+        assert calls == expected, path
         got = sorted(((r["k"], r["lv"], r["rv"]) for r in out), key=repr)
         assert got == want, path
 
