@@ -642,14 +642,11 @@ def _id_type(docs: Dataset, id_col: str) -> pa.DataType:
 
 def _pair_payload(pairs: Dataset, side: Dataset, id_col: str, cols: List[str]) -> Dataset:
     """``pairs`` with ``side``'s ``cols`` of ``doc_a`` (as ``<col>_a``) and
-    then of ``doc_b`` (as ``<col>_b``): two left :func:`exchange.attach`
-    calls on ``side``'s ``id_col``, each of which cuts ``side`` to the
-    docs its end names before anything of it is collected."""
-    side = side.select_columns([id_col] + cols)
-    for end in ("a", "b"):
-        named = side.rename_columns({c: f"{c}_{end}" for c in cols})
-        pairs = attach(pairs, named, f"doc_{end}", id_col, "left")
-    return pairs
+    of ``doc_b`` (as ``<col>_b``): one left :func:`exchange.attach` on
+    both ends, which cuts ``side`` to the docs the pairs name before
+    anything of it is collected."""
+    ends = {"doc_a": "_a", "doc_b": "_b"}
+    return attach(pairs, side.select_columns([id_col] + cols), ends, id_col, "left")
 
 
 def minhash_pairs_ds(

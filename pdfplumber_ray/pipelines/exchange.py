@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import pyarrow as pa
@@ -338,13 +338,20 @@ def _probe(index: Tuple[np.ndarray, pa.Table], batch: pa.Table, on: str, how: st
     return out
 
 
-def _keys_in(side: ray.data.Dataset, side_on: str, ds: ray.data.Dataset, on: str) -> ray.data.Dataset:
+def _keys_in(
+    side: ray.data.Dataset, side_on: str, ds: ray.data.Dataset, ons: List[str]
+) -> ray.data.Dataset:
     """The semi-join reduction: ``side``'s rows whose key (``side_on``) is
-    one of ``ds``'s distinct keys, which are collected once, in one
-    streaming pass over ``side``."""
-    keys = collect_small(ds.select_columns([on]), "attach keys")
-    col = keys.column(on) if keys.num_columns else pa.chunked_array([], pa.null())
-    ref = ray.put(pc.unique(col.combine_chunks()))
+    one of the distinct values of ``ds``'s key columns ``ons``, in one
+    streaming pass over ``side``. ``ds`` is materialized: its keys are
+    read from its blocks, with no pass of their own."""
+    schema = _arrow_schema(ds)  # None: no rows and no columns
+    types = {c: schema.field(c).type if schema else pa.null() for c in ons}
+    keys = collect_small(ds, "attach keys", types)
+    key_type = types[ons[0]]
+    ref = ray.put(
+        pc.unique(pa.chunked_array([k.cast(key_type) for c in ons for k in keys.column(c).chunks], key_type))
+    )
 
     def keep(batch: pa.Table) -> pa.Table:
         col = batch.column(side_on)
@@ -353,11 +360,17 @@ def _keys_in(side: ray.data.Dataset, side_on: str, ds: ray.data.Dataset, on: str
     return side.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _attach_broadcast(ds, side: pa.Table, on: str, side_on: str, how: str) -> ray.data.Dataset:
+def _attach_broadcast(
+    ds, side: pa.Table, ends: Dict[str, str], side_on: str, how: str
+) -> ray.data.Dataset:
     ref = ray.put(_index(side, side_on))
 
     def probe(batch: pa.Table) -> pa.Table:
-        return _probe(ray.get(ref), batch, on, how)
+        keys, payload = ray.get(ref)
+        for on, sfx in ends.items():
+            named = payload.rename_columns([c + sfx for c in payload.column_names])
+            batch = _probe((keys, named), batch, on, how)
+        return batch
 
     return ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -399,7 +412,7 @@ def _attach_cogroup(ds, side, on: str, side_on: str, how: str) -> ray.data.Datas
 def attach(
     ds: ray.data.Dataset,
     side: ray.data.Dataset,
-    on: str,
+    on: Union[str, Dict[str, str]],
     side_on: str,
     how: str = "inner",
 ) -> ray.data.Dataset:
@@ -408,6 +421,11 @@ def attach(
     match nothing. ``how="inner"`` drops a row with no match,
     ``how="left"`` keeps it once with null payload. Payload names must
     not collide with ``ds``'s columns.
+
+    ``on`` may also map several key columns of ``ds`` to a suffix each
+    (a pair's two ends, ``{"doc_a": "_a", "doc_b": "_b"}``): every key
+    column gets the payload, its names suffixed, as if attached in turn;
+    the side is cut and collected once for all of them.
 
     The one place that picks a join strategy, from observed row counts:
 
@@ -419,11 +437,12 @@ def attach(
        probes it (:func:`_probe`): no dict, no per-row lookup.
     3. Else: both co-group through :func:`bucket_map` on the key
        (:func:`_attach_cogroup`), a hash join over a bounded bucket
-       count."""
+       count, once per key column."""
+    ends = {on: ""} if isinstance(on, str) else dict(on)
     ds = ds.materialize()
     full = side
     if fits_broadcast(ds):
-        side = _keys_in(side, side_on, ds, on)
+        side = _keys_in(side, side_on, ds, list(ends))
     side = side.materialize()
     # a cut that kept no row has no columns: the payload keeps the side's types
     side_schema = _arrow_schema(side) or _arrow_schema(full)
@@ -431,5 +450,9 @@ def attach(
         return ds if how == "left" else ds.limit(0)
     if fits_broadcast(side):
         side_t = collect_small(side, "attach side", side_schema)
-        return _attach_broadcast(ds, side_t, on, side_on, how)
-    return _attach_cogroup(ds, side, on, side_on, how)
+        return _attach_broadcast(ds, side_t, ends, side_on, how)
+    payload = [n for n in side_schema.names if n != side_on]
+    for key, sfx in ends.items():
+        named = side.rename_columns({n: n + sfx for n in payload}) if sfx else side
+        ds = _attach_cogroup(ds, named, key, side_on, how)
+    return ds

@@ -217,9 +217,8 @@ def _planted_pairs_corpus(n_docs: int = 40):
 )
 def test_verify_operators_collect_only_candidate_docs(ray_session, monkeypatch, verify):
     """A verify operator brings to the driver the payload of its candidate
-    docs only, never the whole corpus: each pair end's attach collects
-    the candidate pairs' keys of that end and then the rows of the docs
-    they name."""
+    docs only, never the whole corpus: its one attach collects the
+    candidate pairs' keys and then the rows of the docs they name."""
     docs = _planted_pairs_corpus()
     pairs = ray.data.from_arrow(
         pa.table({"doc_a": pa.array([0, 2], pa.int64()), "doc_b": pa.array([1, 3], pa.int64())})
@@ -235,10 +234,11 @@ def test_verify_operators_collect_only_candidate_docs(ray_session, monkeypatch, 
     monkeypatch.setattr(exchange, "collect_small", spy)
     rows = verify(docs, pairs).take_all()
     assert sorted((r["doc_a"], r["doc_b"]) for r in rows) == [(0, 1), (2, 3)]
-    # per pair end: the candidate pairs' keys, then the docs they name
-    assert [what for what, _ in collected] == ["attach keys", "attach side"] * 2
-    for (_, n_keys), (_, n_side) in zip(collected[::2], collected[1::2]):
-        assert 2 <= n_side <= n_keys < 10  # of 40 docs
+    # the candidate pairs' keys, then the docs they name: docs 0-3, and
+    # at most two per candidate pair
+    assert [what for what, _ in collected] == ["attach keys", "attach side"]
+    (_, n_pairs), (_, n_docs) = collected
+    assert 4 <= n_docs <= 2 * n_pairs < 20  # of 40 docs
 
 
 def test_embedding_lsh_subset_of_exact(ray_session):

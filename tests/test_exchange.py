@@ -688,6 +688,33 @@ def test_attach_paths_agree(ray_session, monkeypatch, case, key_type, how):
         assert got == want, path
 
 
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_attach_several_keys(ray_session, monkeypatch, how):
+    """A key-to-suffix map gives each key column the side's payload under
+    its suffix, as attaching to each key in turn would, on every path."""
+    ds_t = pa.table({"a": [1, 2, 2, None, 5], "b": [2, 9, 1, 1, 5]})
+    side_t = pa.table({"id": [1, 2, 2, 5], "v": ["x", "y", "z", "w"]})
+    side_rows = list(zip(side_t["id"].to_pylist(), side_t["v"].to_pylist()))
+    want = []
+    for a, b in zip(ds_t["a"].to_pylist(), ds_t["b"].to_pylist()):
+        va, vb = ([v for k, v in side_rows if k is not None and k == key] for key in (a, b))
+        if how == "left":
+            va, vb = va or [None], vb or [None]
+        want += [(a, b, x, y) for x in va for y in vb]
+    for path, (limit, _) in ATTACH_PATHS.items():
+        with monkeypatch.context() as m:
+            m.setattr(exchange, "MAX_BROADCAST_ROWS", limit(ds_t.num_rows, side_t.num_rows))
+            out = exchange.attach(
+                ray.data.from_arrow(ds_t),
+                ray.data.from_arrow(side_t),
+                {"a": "_a", "b": "_b"},
+                "id",
+                how,
+            ).take_all()
+        got = [(r["a"], r["b"], r["v_a"], r["v_b"]) for r in out]
+        assert sorted(got, key=repr) == sorted(want, key=repr), path
+
+
 # the join helpers that exchange.attach replaced
 GONE_JOINS = ("hash_join_ds", "broadcast_join_ds", "_attach_labels_cogroup", "_semi_join_collect")
 # the compute-strategy choices (not attaches) that may ask fits_broadcast
