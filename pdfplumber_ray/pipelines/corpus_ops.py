@@ -1425,8 +1425,8 @@ def substring_runs_ds(
     (bounded group count), vectorized in-bucket match emission (singleton
     grams drop before any Python loop, hot grams capped + logged) — plus
     a second ``bucket_map`` of the (unanchored) match stream on
-    ``doc_a``, so that all of a pair's matches share a bucket. There every pair's run comes
-    from one vectorized gaps-and-islands pass: matched positions group by
+    ``doc_a``, so that all of a pair's matches share a bucket. There
+    every pair's run comes from one vectorized gaps-and-islands pass: matched positions group by
     pair and alignment offset ``delta = pos_a - pos_b``; within a delta,
     consecutive ``pos_a`` values chain into islands; the longest island
     of g grams is a run of ``g + k - 1`` tokens."""
@@ -3159,26 +3159,27 @@ def jaccard_join_ds(
     )
 
     def verify(batch: pa.Table) -> pa.Table:
-        id_type = batch.column("doc_a").type
-        a_ids = batch.column("doc_a").to_pylist()
-        b_ids = batch.column("doc_b").to_pylist()
-        inter = np.empty(len(a_ids), np.int64)
-        uni = np.empty(len(a_ids), np.int64)
-        for i, (ta, tb) in enumerate(
-            zip(batch.column("toks_a").to_pylist(), batch.column("toks_b").to_pylist())
-        ):
-            sa, sb = frozenset(ta or ()), frozenset(tb or ())
-            ii = len(sa & sb)
-            inter[i] = ii
-            uni[i] = len(sa) + len(sb) - ii
-        keep = inter * den >= num * uni
+        # each candidate doc's token set once per batch, not once per pair end
+        n = batch.num_rows
+        ids = pa.concat_arrays([batch.column(c).combine_chunks() for c in ("doc_a", "doc_b")])
+        toks = pa.concat_arrays([batch.column(c).combine_chunks() for c in ("toks_a", "toks_b")])
+        code = pc.dictionary_encode(ids).indices.to_numpy(zero_copy_only=False)
+        _, first = np.unique(code, return_index=True)
+        sets = [frozenset(t or ()) for t in toks.take(pa.array(first)).to_pylist()]
+        size = np.fromiter(map(len, sets), np.int64, count=len(sets))
+        ca, cb = code[:n], code[n:]
+        inter = np.fromiter(
+            (len(sets[a] & sets[b]) for a, b in zip(ca.tolist(), cb.tolist())), np.int64, count=n
+        )
+        uni = size[ca] + size[cb] - inter
+        keep = pa.array(inter * den >= num * uni)
         return pa.table(
             {
-                "doc_a": pa.array(np.asarray(a_ids)[keep], id_type),
-                "doc_b": pa.array(np.asarray(b_ids)[keep], id_type),
-                "inter": pa.array(inter[keep], pa.int64()),
-                "uni": pa.array(uni[keep], pa.int64()),
-                "jac_e3": pa.array(inter[keep] * 1000 // uni[keep], pa.int64()),
+                "doc_a": batch.column("doc_a").filter(keep),
+                "doc_b": batch.column("doc_b").filter(keep),
+                "inter": pa.array(inter, pa.int64()).filter(keep),
+                "uni": pa.array(uni, pa.int64()).filter(keep),
+                "jac_e3": pa.array(inter * 1000 // np.maximum(uni, 1), pa.int64()).filter(keep),
             }
         )
 

@@ -349,9 +349,8 @@ def _keys_in(
     types = {c: schema.field(c).type if schema else pa.null() for c in ons}
     keys = collect_small(ds, "attach keys", types)
     key_type = types[ons[0]]
-    ref = ray.put(
-        pc.unique(pa.chunked_array([k.cast(key_type) for c in ons for k in keys.column(c).chunks], key_type))
-    )
+    chunks = [k.cast(key_type) for c in ons for k in keys.column(c).chunks]
+    ref = ray.put(pc.unique(pa.chunked_array(chunks, key_type)))
 
     def keep(batch: pa.Table) -> pa.Table:
         col = batch.column(side_on)
