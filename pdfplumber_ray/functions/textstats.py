@@ -1,8 +1,11 @@
 """Vectorized text-analysis kernels for large-scale training-data pipelines.
 
 All functions operate on arrays/lists of document strings inside one
-``map_batches`` call — no Python loop over rows in the hot path beyond the
-unavoidable per-string tokenize (numpy object arrays + C-backed str ops).
+``map_batches`` call. Whitespace tokens (``ws_tokens``), k-token windows
+(``token_windows``) and edit distance (``levenshtein``) are whole-batch
+Arrow/numpy kernels with no per-row Python; the regex counters and the
+md5/rolling hashes still loop per string. Every per-text helper reads a
+null text as ``""``.
 
 These are engine-side additions beyond the reference's operator set
 (pdfplumber has no corpus analytics); they follow standard published
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -45,6 +48,99 @@ def ws_tokens(col: pa.ChunkedArray) -> pa.ChunkedArray:
     return pc.split_pattern(pc.fill_null(col, ""), " ")
 
 
+def flat_tokens(lists: pa.Array | pa.ChunkedArray) -> Tuple[np.ndarray, pa.Array]:
+    """Token lists (``ws_tokens`` output) as each row's token count and
+    all of their tokens in row order, as one contiguous Arrow array."""
+    if isinstance(lists, pa.ChunkedArray):
+        lists = lists.combine_chunks()
+    lens = pc.fill_null(pc.list_value_length(lists), 0).to_numpy().astype(np.int64)
+    return lens, pc.list_flatten(lists)
+
+
+def token_windows(
+    lists: pa.Array | pa.ChunkedArray, k: int
+) -> Tuple[np.ndarray, np.ndarray, pa.Array]:
+    """Every window of exactly ``k`` consecutive tokens in each row of
+    ``lists`` (``ws_tokens`` output), as ``(doc, start, grams)``: the row
+    index, the 0-based token start and the window joined by ``" "``. A
+    row shorter than ``k`` gives no window. One ``take`` and one
+    ``binary_join``, no per-row Python."""
+    lens, flat = flat_tokens(lists)
+    n_win = np.maximum(lens - k + 1, 0)
+    total = int(n_win.sum())
+    doc = np.repeat(np.arange(len(lens), dtype=np.int64), n_win)
+    start = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(n_win) - n_win, n_win)
+    first_tok = (np.cumsum(lens) - lens)[doc] + start
+    idx = (first_tok[:, None] + np.arange(k, dtype=np.int64)).ravel()
+    windows = pa.ListArray.from_arrays(
+        pa.array(np.arange(total + 1, dtype=np.int32) * k),
+        flat.take(pa.array(idx)),
+    )
+    return doc, start, pc.binary_join(windows, " ")
+
+
+def shingles(text: Optional[str], k: int) -> List[str]:
+    """The word k-shingles of one text: its k-token windows, or the
+    whole text as one gram when it has fewer than ``k`` tokens (none for
+    an empty or null text)."""
+    if not text:
+        return []
+    toks = text.split(" ")
+    if len(toks) < k:
+        return [text]
+    return [" ".join(toks[i : i + k]) for i in range(len(toks) - k + 1)]
+
+
+_LEV_CHUNK = 4096  # pairs per DP sweep: bounds the (pairs x length) matrices
+
+
+def levenshtein(a: Sequence[Optional[str]], b: Sequence[Optional[str]]) -> np.ndarray:
+    """Unit-cost edit distance in code points between ``a[i]`` and
+    ``b[i]``, a null read as ``""``. The DP runs row by row over the
+    longest ``a`` of a chunk of length-sorted pairs, vectorized across
+    pairs; the insertion sweep uses ``cur[j] = j + min_{m<=j}(t[m] - m)``.
+    Each pair's distance is read at ``D[len a, len b]``, which depends
+    only on the two prefixes, so the padding cannot change it. (DuckDB
+    ``levenshtein`` counts bytes, so the two agree only on ASCII.)"""
+    a = [s or "" for s in a]
+    b = [s or "" for s in b]
+    la = np.fromiter(map(len, a), np.int64, count=len(a))
+    lb = np.fromiter(map(len, b), np.int64, count=len(b))
+    out = np.empty(len(a), dtype=np.int64)
+    order = np.argsort(np.maximum(la, lb), kind="stable")
+    for lo in range(0, len(order), _LEV_CHUNK):
+        sel = order[lo : lo + _LEV_CHUNK]
+        out[sel] = _levenshtein_chunk(
+            [a[i] for i in sel], [b[i] for i in sel], la[sel], lb[sel]
+        )
+    return out
+
+
+def _code_points(strs: List[str], width: int) -> np.ndarray:
+    # numpy's U dtype drops trailing NULs, but the padding is NUL too, so
+    # only the lengths (taken from Python) tell them apart
+    return np.asarray(strs, dtype=f"U{max(width, 1)}").view(np.uint32).reshape(len(strs), -1)
+
+
+def _levenshtein_chunk(
+    a: List[str], b: List[str], la: np.ndarray, lb: np.ndarray
+) -> np.ndarray:
+    n, wa, wb = len(a), int(la.max()), int(lb.max())
+    A, B = _code_points(a, wa), _code_points(b, wb)[:, :wb]
+    col = np.arange(wb + 1, dtype=np.int64)
+    prev = np.broadcast_to(col, (n, wb + 1))
+    out = lb.copy()  # the row i == 0
+    rows = np.arange(n)
+    for i in range(1, wa + 1):
+        t = np.empty((n, wb + 1), dtype=np.int64)
+        t[:, 0] = i
+        np.minimum(prev[:, :-1] + (A[:, i - 1 : i] != B), prev[:, 1:] + 1, out=t[:, 1:])
+        prev = np.minimum.accumulate(t - col, axis=1) + col
+        done = la == i
+        out[done] = prev[rows[done], lb[done]]
+    return out
+
+
 def ws_token_count(texts: Sequence[str]) -> np.ndarray:
     """Whitespace tokens — matches ``len(string_split(text, ' '))``."""
     return np.fromiter(
@@ -54,13 +150,13 @@ def ws_token_count(texts: Sequence[str]) -> np.ndarray:
 
 def bpe_token_count(texts: Sequence[str]) -> np.ndarray:
     return np.fromiter(
-        (len(_BPE_RE.findall(t)) for t in texts), dtype=np.int64, count=len(texts)
+        (len(_BPE_RE.findall(t or "")) for t in texts), dtype=np.int64, count=len(texts)
     )
 
 
 def punct_count(texts: Sequence[str]) -> np.ndarray:
     return np.fromiter(
-        (len(_PUNCT_RE.findall(t)) for t in texts), dtype=np.int64, count=len(texts)
+        (len(_PUNCT_RE.findall(t or "")) for t in texts), dtype=np.int64, count=len(texts)
     )
 
 
@@ -95,7 +191,7 @@ def lang_id(texts: Sequence[str]) -> np.ndarray:
 
 def md5_hex(texts: Sequence[str]) -> np.ndarray:
     return np.array(
-        [hashlib.md5(t.encode("utf-8")).hexdigest() for t in texts], dtype=object
+        [hashlib.md5((t or "").encode("utf-8")).hexdigest() for t in texts], dtype=object
     )
 
 
@@ -115,7 +211,7 @@ def rolling_fingerprint(texts: Sequence[str]) -> np.ndarray:
     out = np.empty(len(texts), dtype=np.uint64)
     for i, t in enumerate(texts):
         h = 0
-        for b in t.encode("utf-8"):
+        for b in (t or "").encode("utf-8"):
             h = (h * _FP_BASE + b) % _FP_MOD
         out[i] = h
     return out
@@ -126,11 +222,7 @@ def rolling_fingerprint(texts: Sequence[str]) -> np.ndarray:
 
 def shingle_hashes(text: str, k: int = 5) -> np.ndarray:
     """Hashed k-shingles over whitespace tokens (word shingles)."""
-    toks = text.split(" ") if text else []
-    if len(toks) < k:
-        grams = [" ".join(toks)] if toks else []
-    else:
-        grams = [" ".join(toks[i : i + k]) for i in range(len(toks) - k + 1)]
+    grams = shingles(text, k)
     if not grams:
         return np.empty(0, dtype=np.uint64)
     out = np.fromiter(

@@ -1281,30 +1281,20 @@ def keyness_ds(
     bigints (the SQL twin is HUGEINT throughout)."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        srcs = batch.column(group_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        lens = [len(t) for t in toks]
-        if not texts:
-            return pa.table(
-                {
-                    "s": pa.array([], pa.string()),
-                    "term": pa.array([], pa.string()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks]).astype(str)
-        si = np.repeat(np.asarray(srcs, dtype=object), lens).astype(str)
-        order = np.lexsort((flat, si))
-        si, flat = si[order], flat[order]
-        first = np.concatenate(([True], (si[1:] != si[:-1]) | (flat[1:] != flat[:-1])))
-        starts = np.flatnonzero(first)
-        cnt = np.diff(np.concatenate((starts, [len(si)])))
+        lens, flat = ts.flat_tokens(ts.ws_tokens(batch.column(text_col)))
+        si = batch.column(group_col).take(
+            pa.array(np.repeat(np.arange(len(lens)), lens))
+        )
+        g = (
+            pa.table({"s": si.cast(pa.string()), "term": flat})
+            .group_by(["s", "term"])
+            .aggregate([("term", "count")])
+        )
         return pa.table(
             {
-                "s": pa.array(si[starts].astype(object), pa.string()),
-                "term": pa.array(flat[starts].astype(object), pa.string()),
-                "c": pa.array(cnt.astype(np.int64)),
+                "s": g.column("s"),
+                "term": g.column("term"),
+                "c": g.column("term_count").cast(pa.int64()),
             }
         )
 
@@ -2464,28 +2454,6 @@ def rand_projection_ds(
     )
 
 
-def _levenshtein(a: str, b: str) -> int:
-    """Exact unit-cost edit distance, row-vectorized DP (matches DuckDB
-    ``levenshtein``).  The insertion sweep uses the prefix-min identity
-    ``cur[j] = j + min_k<=j (cur[k] - k)``."""
-    if a == b:
-        return 0
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return la or lb
-    aa = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
-    bb = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-    rng = np.arange(lb + 1, dtype=np.int64)
-    prev = rng.copy()
-    cur = np.empty(lb + 1, dtype=np.int64)
-    for i in range(la):
-        cur[0] = i + 1
-        np.minimum(prev[:-1] + (bb != aa[i]), prev[1:] + 1, out=cur[1:])
-        cur = np.minimum(cur, np.minimum.accumulate(cur - rng) + rng)
-        prev, cur = cur, prev
-    return int(prev[-1])
-
-
 def dup_edit_audit_ds(
     docs: Dataset,
     id_col: str = "doc_id",
@@ -2547,8 +2515,8 @@ def dup_edit_audit_ds(
         )
         i, j = run_pairs(starts, np.minimum(lengths, max_block))
         d = d[order]
-        txt = np.asarray(group.column("txt").to_pylist(), dtype=object)[order]
-        lv = [_levenshtein(txt[a], txt[b]) for a, b in zip(i, j)]
+        txt = group.column("txt").take(pa.array(order)).to_pylist()
+        lv = ts.levenshtein([txt[a] for a in i], [txt[b] for b in j])
         return pa.table(
             {
                 "doc_a": pa.array(d[i], pa.int64()),
@@ -3247,20 +3215,27 @@ def bow_dedup_ds(
     import hashlib
 
     def project(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
+        lens, flat = ts.flat_tokens(ts.ws_tokens(batch.column(text_col)))
+        # each doc's tokens sorted: UTF-8 byte order is code-point order
+        doc = np.repeat(np.arange(len(lens)), lens)
+        order = pc.sort_indices(
+            pa.table({"d": doc, "t": flat}),
+            sort_keys=[("d", "ascending"), ("t", "ascending")],
+        )
+        bags = pc.binary_join(
+            pa.ListArray.from_arrays(
+                pa.array(np.concatenate(([0], np.cumsum(lens))), pa.int32()),
+                flat.take(order),
+            ),
+            " ",
+        )
         hs = np.fromiter(
             (
-                int.from_bytes(
-                    hashlib.md5(
-                        " ".join(sorted((t or "").split(" "))).encode()
-                    ).digest()[:8],
-                    "big",
-                )
-                >> 1
-                for t in texts
+                int.from_bytes(hashlib.md5(b.encode()).digest()[:8], "big") >> 1
+                for b in bags.to_pylist()
             ),
             np.int64,
-            count=len(texts),
+            count=len(lens),
         )
         return pa.table({"h": pa.array(hs, pa.int64())})
 
@@ -3425,35 +3400,9 @@ def rare_token_pairs_ds(
     )
 
     def postings(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "token": pa.array([], pa.string()),
-                "d": pa.array([], pa.int64()),
-            }
-        )
-        toks = ts.ws_tokens(batch.column(text_col))
-        flat = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        parents = np.asarray(pc.list_parent_indices(flat))
-        words = np.asarray(flat.flatten().to_pylist(), dtype=object)
-        ids_ = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        if words.size < 3:
-            return empty
-        # 3-word shingles: starts where all three tokens share a parent.
-        ok = (parents[:-2] == parents[1:-1]) & (parents[:-2] == parents[2:])
-        if not ok.any():
-            return empty
-        w0 = words[:-2][ok].astype(str)
-        w1 = words[1:-1][ok].astype(str)
-        w2 = words[2:][ok].astype(str)
-        sh = np.char.add(
-            np.char.add(np.char.add(np.char.add(w0, " "), w1), " "), w2
-        )
-        t = pa.table(
-            {
-                "token": pa.array(sh, pa.string()),
-                "d": pa.array(ids_[parents[:-2][ok]], pa.int64()),
-            }
-        )
+        doc, _, sh = ts.token_windows(ts.ws_tokens(batch.column(text_col)), 3)
+        ids_ = batch.column(id_col).cast(pa.int64())
+        t = pa.table({"token": sh, "d": ids_.take(pa.array(doc))})
         return t.group_by(["token", "d"]).aggregate([])
 
     posts = (
@@ -3865,7 +3814,6 @@ def media_ref_integrity_ds(docs: Dataset) -> Dataset:
             ),
             bool,
         )
-        doc_ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=object)
         n_refs = int(is_media.sum())
         if n_refs == 0:
             return pa.table(
@@ -3885,9 +3833,9 @@ def media_ref_integrity_ds(docs: Dataset) -> Dataset:
         ).astype(str)
         par = parents[is_media]
         good_scheme = np.char.startswith(refs, "media://")
-        expected = np.char.add(
-            np.char.add("media://", doc_ids[par].astype(str)), "/"
-        )
+        expected = pc.binary_join_element_wise(
+            "media://", batch.column("doc_id").take(pa.array(par)).cast(pa.string()), "/", ""
+        ).to_numpy(zero_copy_only=False).astype(str)
         own = np.char.startswith(refs, expected)
         # dense 0..n-1 per doc: numeric suffix, sorted == arange
         tail = np.char.rpartition(refs, "/")[:, 2]
@@ -3972,39 +3920,15 @@ def kmv_intersection_ds(
     empty = pa.table({f.name: pa.array([], f.type) for f in out_schema})
 
     def shingle_hashes(batch: pa.Table) -> pa.Table:
-        ecols = {
-            "source": pa.array([], pa.string()),
-            "h": pa.array([], pa.int64()),
-        }
-        toks = ts.ws_tokens(batch.column(text_col))
-        flat = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        parents = np.asarray(pc.list_parent_indices(flat))
-        words = np.asarray(flat.flatten().to_pylist(), dtype=object)
-        if words.size < 3:
-            return pa.table(ecols)
-        ok = (parents[:-2] == parents[1:-1]) & (parents[:-2] == parents[2:])
-        if not ok.any():
-            return pa.table(ecols)
-        w0 = words[:-2][ok].astype(str)
-        w1 = words[1:-1][ok].astype(str)
-        w2 = words[2:][ok].astype(str)
-        sh = np.char.add(
-            np.char.add(np.char.add(np.char.add(w0, " "), w1), " "), w2
-        )
-        srcs = np.asarray(
-            batch.column(source_col).to_pylist(), dtype=object
-        )[parents[:-2][ok]]
+        doc, _, sh = ts.token_windows(ts.ws_tokens(batch.column(text_col)), 3)
         hs = np.fromiter(
-            (
-                int(hashlib.md5(str(s).encode()).hexdigest()[:15], 16)
-                for s in sh
-            ),
+            (int(hashlib.md5(s.encode()).hexdigest()[:15], 16) for s in sh.to_pylist()),
             np.int64,
-            count=sh.size,
+            count=len(sh),
         )
         t = pa.table(
             {
-                "source": pa.array(srcs.astype(str), pa.string()),
+                "source": batch.column(source_col).take(pa.array(doc)).cast(pa.string()),
                 "h": pa.array(hs, pa.int64()),
             }
         )

@@ -181,27 +181,17 @@ def repetition_stats_ds(
     """Gopher-style repetition signals per document: word count, distinct
     word count, bigram count, and the multiplicity of the most repeated
     word bigram — the inputs to duplicate-content quality filters. All
-    integers (bit-exact SQL twin). Fully vectorized: one factorize over
-    the batch's flattened tokens, segment reductions per doc."""
-    import pandas as pd
+    integers (bit-exact SQL twin). Fully vectorized: one dictionary
+    encode over the batch's flattened tokens, segment reductions per doc."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        n = len(texts)
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), dtype=np.int64, count=n)
-        flat = np.concatenate(
-            [np.asarray(t, dtype=object) for t in toks]
-        ) if n else np.empty(0, dtype=object)
-        codes, _ = pd.factorize(flat)
-        codes = codes.astype(np.int64)
+        lens, flat = ts.flat_tokens(ts.ws_tokens(batch.column(text_col)))
+        n = len(lens)
+        codes = pc.dictionary_encode(flat).indices.to_numpy().astype(np.int64)
         doc_idx = np.repeat(np.arange(n), lens)
-        # distinct words per doc
-        if len(codes):
-            pairs = np.unique(np.stack([doc_idx, codes]), axis=1)
-            n_distinct = np.bincount(pairs[0], minlength=n)
-        else:
-            n_distinct = np.zeros(n, dtype=np.int64)
+        # distinct words per doc (every doc has at least one token)
+        pairs = np.unique(np.stack([doc_idx, codes]), axis=1)
+        n_distinct = np.bincount(pairs[0], minlength=n)
         # bigrams restricted to within-doc adjacency
         top = np.zeros(n, dtype=np.int64)
         if len(codes) > 1:
@@ -245,24 +235,10 @@ def chunk_windows_ds(
     (no per-window Python join)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
         ids = batch.column(id_col)
-        n = len(texts)
-        if n == 0:
-            return pa.table(
-                {
-                    id_col: ids,
-                    "chunk_index": pa.array([], pa.int64()),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "chunk_text": pa.array([], pa.string()),
-                }
-            )
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), dtype=np.int64, count=n)
-        flat = np.concatenate(
-            [np.asarray(t, dtype=object) for t in toks]
-        ) if n else np.empty(0, dtype=object)
-        base = np.concatenate([[0], np.cumsum(lens)[:-1]]) if n else np.empty(0, np.int64)
+        lens, flat = ts.flat_tokens(ts.ws_tokens(batch.column(text_col)))
+        n = len(lens)
+        base = np.cumsum(lens) - lens
         n_chunks = 1 + np.maximum(lens - window + stride - 1, 0) // stride
         doc_of_chunk = np.repeat(np.arange(n), n_chunks)
         # chunk index within its doc
@@ -276,8 +252,9 @@ def chunk_windows_ds(
         idx = np.repeat(base[doc_of_chunk] + starts, wlens) + (
             np.arange(offs[-1]) - np.repeat(offs[:-1], wlens)
         )
-        values = pa.array(flat[idx] if len(idx) else [], pa.string())
-        lists = pa.ListArray.from_arrays(pa.array(offs, pa.int32()), values)
+        lists = pa.ListArray.from_arrays(
+            pa.array(offs, pa.int32()), flat.take(pa.array(idx, pa.int64()))
+        )
         return pa.table(
             {
                 id_col: ids.take(pa.array(doc_of_chunk)),
@@ -452,21 +429,10 @@ def tfidf_topk_ds(
 
     def tf_stage(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], batch.column(id_col).type),
-                    "terms": pa.array([], pa.list_(pa.string())),
-                    "tfs": pa.array([], pa.list_(pa.int64())),
-                }
-            )
-        texts = batch.column(text_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=n)
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
+        lens, flat = ts.flat_tokens(ts.ws_tokens(batch.column(text_col)))
         di = np.repeat(np.arange(n, dtype=np.int64), lens)
         g = (
-            pa.table({"di": pa.array(di), "term": pa.array(flat, pa.string())})
+            pa.table({"di": pa.array(di), "term": flat})
             .group_by(["di", "term"])
             .aggregate([("term", "count")])
         )
@@ -1033,32 +999,8 @@ def substring_dedup_ds(
        construction) pair stream, thresholded at ``min_shared``."""
 
     def gram_stage(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column(id_col)
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=len(toks))
-        n_grams = np.maximum(lens - k + 1, 0)
-        total = int(n_grams.sum())
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
-        base = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        doc_of_gram = np.repeat(np.arange(len(toks)), n_grams)
-        first = np.concatenate(([0], np.cumsum(n_grams)[:-1]))
-        starts = np.arange(total) - np.repeat(first, n_grams)
-        # every window is exactly k tokens: broadcast-build value indices
-        idx = np.repeat(base[doc_of_gram] + starts, k) + np.tile(
-            np.arange(k, dtype=np.int64), total
-        )
-        values = pa.array(flat[idx], pa.string())
-        lists = pa.ListArray.from_arrays(
-            pa.array(np.arange(total + 1, dtype=np.int64) * k, pa.int32()),
-            values,
-        )
-        t = pa.table(
-            {
-                id_col: ids.take(pa.array(doc_of_gram)),
-                "gram": pc.binary_join(lists, " "),
-            }
-        )
+        doc, _, grams = ts.token_windows(ts.ws_tokens(batch.column(text_col)), k)
+        t = pa.table({id_col: batch.column(id_col).take(pa.array(doc)), "gram": grams})
         return t.group_by([id_col, "gram"]).aggregate([])  # per-doc distinct
 
     grams = docs.select_columns([id_col, text_col]).map_batches(
@@ -1131,34 +1073,8 @@ def substring_strip_ds(
       many docs per group — never one Python call per doc)."""
 
     def df_partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids_idx = np.arange(len(texts), dtype=np.int64)
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=len(toks))
-        n_grams = np.maximum(lens - k + 1, 0)
-        total = int(n_grams.sum())
-        if total == 0:
-            return pa.table(
-                {
-                    "gram": pa.array([], pa.string()),
-                    "df_partial": pa.array([], pa.int64()),
-                }
-            )
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
-        base = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        doc_of_gram = np.repeat(ids_idx, n_grams)
-        first = np.concatenate(([0], np.cumsum(n_grams)[:-1]))
-        starts = np.arange(total) - np.repeat(first, n_grams)
-        idx = np.repeat(base[doc_of_gram] + starts, k) + np.tile(
-            np.arange(k, dtype=np.int64), total
-        )
-        lists = pa.ListArray.from_arrays(
-            pa.array(np.arange(total + 1, dtype=np.int64) * k, pa.int32()),
-            pa.array(flat[idx], pa.string()),
-        )
-        t = pa.table(
-            {"di": pa.array(doc_of_gram), "gram": pc.binary_join(lists, " ")}
-        )
+        doc, _, grams = ts.token_windows(ts.ws_tokens(batch.column(text_col)), k)
+        t = pa.table({"di": pa.array(doc), "gram": grams})
         d = t.group_by(["di", "gram"]).aggregate([])  # per-doc distinct
         g = d.group_by("gram").aggregate([("di", "count")])
         return pa.table(
@@ -1193,34 +1109,19 @@ def substring_strip_ds(
     def strip(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col)
         fs = ray.get(freq_ref)
-        texts = batch.column(text_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=len(toks))
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
-        base = np.concatenate(([0], np.cumsum(lens)[:-1]))
+        toks = ts.ws_tokens(batch.column(text_col))
+        lens, flat = ts.flat_tokens(toks)
+        base = np.cumsum(lens) - lens
         # +1/-1 sweep over flat token index space; doc boundaries are safe
         # because a gram never crosses a doc (windows stay within lens)
         delta = np.zeros(len(flat) + 1, dtype=np.int64)
-        n_grams = np.maximum(lens - k + 1, 0)
-        total = int(n_grams.sum())
-        if total and len(fs):
-            doc_of_gram = np.repeat(np.arange(len(toks)), n_grams)
-            first = np.concatenate(([0], np.cumsum(n_grams)[:-1]))
-            starts = np.arange(total) - np.repeat(first, n_grams)
-            gidx = np.repeat(base[doc_of_gram] + starts, k) + np.tile(
-                np.arange(k, dtype=np.int64), total
-            )
-            lists = pa.ListArray.from_arrays(
-                pa.array(np.arange(total + 1, dtype=np.int64) * k, pa.int32()),
-                pa.array(flat[gidx], pa.string()),
-            )
-            grams = (
-                pc.binary_join(lists, " ").to_numpy(zero_copy_only=False).astype(str)
-            )
+        doc, start, grams = ts.token_windows(toks, k)
+        if len(doc) and len(fs):
+            grams = grams.to_numpy(zero_copy_only=False).astype(str)
             pos = np.searchsorted(fs, grams)
             pos = np.minimum(pos, len(fs) - 1)
             hit = fs[pos] == grams
-            starts_abs = (base[doc_of_gram] + starts)[hit]
+            starts_abs = (base[doc] + start)[hit]
             np.add.at(delta, starts_abs, 1)
             np.add.at(delta, starts_abs + k, -1)
         covered = np.cumsum(delta[:-1]) > 0
@@ -1231,9 +1132,7 @@ def substring_strip_ds(
         offs = pa.array(
             np.concatenate(([0], np.cumsum(kept_counts))).astype(np.int32)
         )
-        kept_lists = pa.ListArray.from_arrays(
-            offs, pa.array(flat[kept], pa.string())
-        )
+        kept_lists = pa.ListArray.from_arrays(offs, flat.filter(pa.array(kept)))
         return pa.table(
             {
                 id_col: ids,
@@ -1262,30 +1161,13 @@ def _substring_strip_cogroup(
     id_type = _id_type(docs, id_col)
 
     def gram_pos_stage(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column(id_col)
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=len(toks))
-        n_grams = np.maximum(lens - k + 1, 0)
-        total = int(n_grams.sum())
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
-        base = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        doc_of_gram = np.repeat(np.arange(len(toks)), n_grams)
-        first = np.concatenate(([0], np.cumsum(n_grams)[:-1]))
-        starts = np.arange(total) - np.repeat(first, n_grams)
-        idx = np.repeat(base[doc_of_gram] + starts, k) + np.tile(
-            np.arange(k, dtype=np.int64), total
-        )
-        lists = pa.ListArray.from_arrays(
-            pa.array(np.arange(total + 1, dtype=np.int64) * k, pa.int32()),
-            pa.array(flat[idx], pa.string()),
-        )
+        doc, start, grams = ts.token_windows(ts.ws_tokens(batch.column(text_col)), k)
         return pa.table(
             {
-                id_col: ids.take(pa.array(doc_of_gram, pa.int64())),
-                "pos": pa.array(starts, pa.int64()),  # 0-based token index
-                "gram": pc.binary_join(lists, " "),
-                "is_freq": pa.array(np.zeros(total, dtype=bool)),
+                id_col: batch.column(id_col).take(pa.array(doc)),
+                "pos": pa.array(start),  # 0-based token index
+                "gram": grams,
+                "is_freq": pa.array(np.zeros(len(doc), dtype=bool)),
             }
         )
 
@@ -1366,11 +1248,10 @@ def _substring_strip_cogroup(
         ids_np = np.asarray(drows.column(id_col).to_pylist(), dtype=object)
         order = np.argsort(ids_np.astype(str), kind="stable")
         ids_sorted = ids_np[order]
-        texts = np.asarray(drows.column(text_col).to_pylist(), dtype=object)[order]
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=len(toks))
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
-        base = np.concatenate(([0], np.cumsum(lens)[:-1]))
+        lens, flat = ts.flat_tokens(
+            ts.ws_tokens(drows.column(text_col).take(pa.array(order)))
+        )
+        base = np.cumsum(lens) - lens
         delta = np.zeros(len(flat) + 1, dtype=np.int64)
         crows = group.filter(pa.array(~is_doc))
         if crows.num_rows:
@@ -1387,9 +1268,7 @@ def _substring_strip_cogroup(
         offs = pa.array(
             np.concatenate(([0], np.cumsum(kept_counts))).astype(np.int32)
         )
-        kept_lists = pa.ListArray.from_arrays(
-            offs, pa.array(flat[kept], pa.string())
-        )
+        kept_lists = pa.ListArray.from_arrays(offs, flat.filter(pa.array(kept)))
         return pa.table(
             {
                 id_col: pa.array(ids_sorted.tolist(), id_type),
@@ -1432,30 +1311,12 @@ def substring_runs_ds(
     of g grams is a run of ``g + k - 1`` tokens."""
 
     def gram_stage(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column(id_col)
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=len(toks))
-        n_grams = np.maximum(lens - k + 1, 0)
-        total = int(n_grams.sum())
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
-        base = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        doc_of_gram = np.repeat(np.arange(len(toks)), n_grams)
-        first = np.concatenate(([0], np.cumsum(n_grams)[:-1]))
-        starts = np.arange(total) - np.repeat(first, n_grams)
-        idx = np.repeat(base[doc_of_gram] + starts, k) + np.tile(
-            np.arange(k, dtype=np.int64), total
-        )
-        values = pa.array(flat[idx], pa.string())
-        lists = pa.ListArray.from_arrays(
-            pa.array(np.arange(total + 1, dtype=np.int64) * k, pa.int32()),
-            values,
-        )
+        doc, start, grams = ts.token_windows(ts.ws_tokens(batch.column(text_col)), k)
         return pa.table(
             {
-                id_col: ids.take(pa.array(doc_of_gram, pa.int64())),
-                "pos": pa.array(starts + 1, pa.int64()),  # 1-based, as the SQL twin
-                "gram": pc.binary_join(lists, " "),
+                id_col: batch.column(id_col).take(pa.array(doc)),
+                "pos": pa.array(start + 1),  # 1-based, as the SQL twin
+                "gram": grams,
             }
         )
 
@@ -2836,14 +2697,9 @@ def _token_count_partials(
     one row per distinct token per block."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"token": pa.array([], pa.string()), count_col: pa.array([], pa.int64())}
-        )
-        # all-Arrow tokenize: ws_tokens matches str.split(" ") exactly
-        # (empty text -> [""], doubled spaces -> "" tokens), no Python loop
+        # ws_tokens splits exactly like Python on one space (empty text
+        # -> [""], doubled spaces -> "" tokens), so a batch always has a token
         flat = pc.list_flatten(ts.ws_tokens(batch.column(text_col)))
-        if len(flat) == 0:
-            return empty
         g = pa.table({"token": flat}).group_by("token").aggregate([("token", "count")])
         return pa.table(
             {
@@ -3029,22 +2885,10 @@ def jaccard_join_ds(
 
     def tokset_stage(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        empty = pa.table(
-            {
-                id_col: pa.array([], batch.column(id_col).type),
-                "toks": pa.array([], pa.list_(pa.string())),
-                "sz": pa.array([], pa.int64()),
-            }
-        )
-        if n == 0:
-            return empty
-        texts = batch.column(text_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=n)
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
+        lens, flat = ts.flat_tokens(ts.ws_tokens(batch.column(text_col)))
         di = np.repeat(np.arange(n, dtype=np.int64), lens)
         g = (
-            pa.table({"di": pa.array(di), "token": pa.array(flat, pa.string())})
+            pa.table({"di": pa.array(di), "token": flat})
             .group_by(["di", "token"])
             .aggregate([])
         )
@@ -3276,9 +3120,9 @@ def collocations_ds(
     a SQL oracle reproduces every row exactly (documented bound:
     ``n_xy * N * 1_000_000 < 2**63``).
 
-    Scale shape: per-batch Arrow bigram-count combiner (split + one
-    ``group_by`` per block, pairs formed by offset arithmetic on the
-    flattened token array — no per-doc Python) -> ONE
+    Scale shape: per-batch Arrow bigram-count combiner (one k=2
+    ``textstats.token_windows`` + one ``group_by`` per block, each
+    counted bigram split back into its pair — no per-doc Python) -> ONE
     ``groupby(w1, w2)`` over combined rows, materialized once. The
     marginals n_x / n_y derive from the pair table itself (two more
     combiner+groupby passes over it), come to the driver through
@@ -3287,39 +3131,15 @@ def collocations_ds(
     scoring is one streaming probe pass over the pair table."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "w1": pa.array([], pa.string()),
-                "w2": pa.array([], pa.string()),
-                "n_partial": pa.array([], pa.int64()),
-            }
-        )
-        lists = ts.ws_tokens(batch.column(text_col))
-        lens = (
-            pc.list_value_length(lists).to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        flat = pc.list_flatten(lists)
-        total = int(lens.sum())
-        if total < 2:
-            return empty
-        # bigram start positions: every flat index except each doc's last
-        keep = np.ones(total, dtype=bool)
-        keep[np.cumsum(lens) - 1] = False
-        idx = np.flatnonzero(keep)
-        if len(idx) == 0:
-            return empty
-        w1 = flat.take(pa.array(idx, pa.int64()))
-        w2 = flat.take(pa.array(idx + 1, pa.int64()))
-        g = (
-            pa.table({"w1": w1, "w2": w2})
-            .group_by(["w1", "w2"])
-            .aggregate([("w1", "count")])
-        )
+        _, _, grams = ts.token_windows(ts.ws_tokens(batch.column(text_col)), 2)
+        g = pa.table({"gram": grams}).group_by("gram").aggregate([("gram", "count")])
+        # a token holds no space, so each gram splits back into its pair
+        pair = pc.split_pattern(g.column("gram"), " ", max_splits=1)
         return pa.table(
             {
-                "w1": g.column("w1"),
-                "w2": g.column("w2"),
-                "n_partial": g.column("w1_count").cast(pa.int64()),
+                "w1": pc.list_element(pair, 0),
+                "w2": pc.list_element(pair, 1),
+                "n_partial": g.column("gram_count").cast(pa.int64()),
             }
         )
 
@@ -3606,50 +3426,6 @@ def kmeans_ds(
 # ---------- fuzzy string join (edit distance <= 1, SymSpell blocking) ----------
 
 
-def _ed1_verify(qs: np.ndarray, ws: np.ndarray, width: int = 24) -> np.ndarray:
-    """Vectorized Levenshtein==1 check for candidate string pairs
-    (ASCII; both sides shorter than ``width``). Equal-length pairs pass
-    iff exactly one byte differs; length-diff-1 pairs pass iff the
-    matching prefix + matching suffix of the shorter string cover it
-    entirely (the one-insertion rule). No per-pair Python: both sides
-    pack into fixed-width uint8 matrices and every rule is numpy."""
-    n = len(qs)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    A = np.frombuffer(
-        np.asarray(qs, dtype=f"S{width}").tobytes(), np.uint8
-    ).reshape(n, width)
-    B = np.frombuffer(
-        np.asarray(ws, dtype=f"S{width}").tobytes(), np.uint8
-    ).reshape(n, width)
-    la = (A != 0).sum(axis=1)
-    lb = (B != 0).sum(axis=1)
-    out = np.zeros(n, dtype=bool)
-    same = la == lb
-    if same.any():
-        out[same] = (A[same] != B[same]).sum(axis=1) == 1
-    diff1 = np.abs(la - lb) == 1
-    if diff1.any():
-        # orient so S is the shorter side, L the longer
-        ashort = la < lb
-        S = np.where(ashort[:, None], A, B)[diff1]
-        L = np.where(ashort[:, None], B, A)[diff1]
-        ls = np.minimum(la, lb)[diff1]
-        m = len(S)
-        w = np.arange(width)
-        # prefix match length (first mismatch always exists: L[ls] != 0 == S[ls])
-        p = np.argmax(S != L, axis=1)
-        # right-align both sides, then count matching trailing bytes
-        lls = ls + 1  # length of L
-        src_s = w[None, :] - (width - ls)[:, None]
-        src_l = w[None, :] - (width - lls)[:, None]
-        RS = np.where(src_s >= 0, S[np.arange(m)[:, None], np.clip(src_s, 0, None)], 0)
-        RL = np.where(src_l >= 0, L[np.arange(m)[:, None], np.clip(src_l, 0, None)], 0)
-        q = np.argmax((RS != RL)[:, ::-1], axis=1)
-        out[diff1] = np.minimum(p, ls) + np.minimum(q, ls) >= ls
-    return out
-
-
 def fuzzy_join_ds(
     queries: Dataset,
     dictionary: Dataset,
@@ -3663,8 +3439,9 @@ def fuzzy_join_ds(
     Levenshtein distance <= 1 — the spell-correction / entity-resolution
     lookup (SymSpell / FastSS deletion-neighborhood blocking, a public
     method). Queries must be DISTINCT strings; dictionary carries one
-    row per token with a count payload. ASCII strings only (byte-level
-    == character-level edits; both sides must be < 24 bytes).
+    row per token with a count payload. Edits count code points, so
+    non-ASCII strings join too (DuckDB's ``levenshtein`` counts bytes and
+    agrees only on ASCII); strings over ``max_token_len`` are skipped.
 
     Blocking is 100%-recall for ED<=1: each string emits itself plus its
     single-character-deletion variants, and two strings within one edit
@@ -3680,9 +3457,10 @@ def fuzzy_join_ds(
     strings (vocab-bounded, like the md5 gram hashing elsewhere), both
     sides shuffle ONCE as a tagged union through ``exchange.bucket_map``
     on the variant (bounded group count), in-bucket candidate expansion is offset
-    arithmetic (no per-segment Python), and verification is the
-    vectorized :func:`_ed1_verify`. ``max_bucket_pairs`` fails loud on a
-    pathological vocabulary instead of silently dropping candidates."""
+    arithmetic (no per-segment Python), and verification is
+    ``textstats.levenshtein <= 1``, vectorized across pairs.
+    ``max_bucket_pairs`` fails loud on a pathological vocabulary instead
+    of silently dropping candidates."""
 
     def _variants(tok: str) -> List[str]:
         # dict.fromkeys dedups (repeated chars make equal deletions —
@@ -3794,7 +3572,7 @@ def fuzzy_join_ds(
         cand = ~eqm
         ok = np.zeros(total, dtype=bool)
         if cand.any():
-            ok[cand] = _ed1_verify(qt[cand].astype(str), wt[cand].astype(str))
+            ok[cand] = ts.levenshtein(qt[cand], wt[cand]) <= 1
         keep = keep_exact | ok
         return pa.table(
             {
@@ -4349,23 +4127,10 @@ def simpson_diversity_ds(
 
     def fn(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], batch.column(id_col).type),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "n_distinct": pa.array([], pa.int64()),
-                    "sum_c2": pa.array([], pa.int64()),
-                    "simpson_e6": pa.array([], pa.int64()),
-                }
-            )
-        texts = batch.column(text_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=n)
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
+        lens, flat = ts.flat_tokens(ts.ws_tokens(batch.column(text_col)))
         di = np.repeat(np.arange(n, dtype=np.int64), lens)
         g = (
-            pa.table({"di": pa.array(di), "term": pa.array(flat, pa.string())})
+            pa.table({"di": pa.array(di), "term": flat})
             .group_by(["di", "term"])
             .aggregate([("term", "count")])
         )
@@ -4483,7 +4248,6 @@ def bm25_topk_ds(
     2^63; production beyond that switches the scorer to float64 ordering
     with the same candidate dataflow)."""
     q = sorted(set(query_terms))
-    qarr = np.asarray(q, dtype=object)
     empty = pa.table(
         {
             id_col: pa.array([], pa.int64()),
@@ -4492,21 +4256,19 @@ def bm25_topk_ds(
         }
     )
 
+    def term_docs(batch: pa.Table) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each doc's token count, and the doc and ``q`` index of every
+        token that is a query term."""
+        lens, flat = ts.flat_tokens(ts.ws_tokens(batch.column(text_col)))
+        qi = pc.fill_null(pc.index_in(flat, value_set=pa.array(q, pa.string())), -1)
+        qi = qi.to_numpy()
+        hit = qi >= 0
+        return lens, np.repeat(np.arange(len(lens), dtype=np.int64), lens)[hit], qi[hit]
+
     def stats_partial(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        texts = batch.column(text_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=n)
-        flat = (
-            np.concatenate([np.asarray(t, dtype=object) for t in toks])
-            if n
-            else np.empty(0, dtype=object)
-        )
-        di = np.repeat(np.arange(n, dtype=np.int64), lens)
-        dfs = []
-        for term in q:
-            hit_docs = np.unique(di[flat == term])
-            dfs.append(len(hit_docs))
+        lens, di, qi = term_docs(batch)
+        dfs = [len(np.unique(di[qi == i])) for i in range(len(q))]
         return pa.table(
             {
                 "n_docs": pa.array([n], pa.int64()),
@@ -4538,23 +4300,17 @@ def bm25_topk_ds(
             "bm25_topk integer scorer exceeds int64 headroom at this corpus "
             "size; switch to the float64-ordering scorer for production"
         )
-    consts = ray.put((np.asarray(qarr, dtype=object), df, N, A))
+    consts = ray.put((df, N, A))
 
     def score_topk(batch: pa.Table) -> pa.Table:
-        qa, dfv, n_docs, avgdl = ray.get(consts)
+        dfv, n_docs, avgdl = ray.get(consts)
         n = batch.num_rows
-        if n == 0:
-            return empty
-        texts = batch.column(text_col).to_pylist()
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=n)
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
-        di = np.repeat(np.arange(n, dtype=np.int64), lens)
+        lens, di, qi = term_docs(batch)
         score = np.zeros(n, dtype=np.int64)
         n_hit = np.zeros(n, dtype=np.int64)
-        for i in range(len(qa)):
-            tf = np.bincount(di[flat == qa[i]], minlength=n).astype(np.int64)
+        for i in range(len(q)):
+            tf = np.bincount(di[qi == i], minlength=n).astype(np.int64)
             hit = tf > 0
             if not hit.any():
                 continue
@@ -4609,34 +4365,13 @@ def bpe_pairs_ds(
     -> driver top-k of that tiny table. Documents never shuffle; only
     (word, n) and (pair, n) combined rows move."""
 
-    def word_freqs(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        flat = (
-            np.concatenate([np.asarray(t, dtype=object) for t in toks])
-            if texts
-            else np.empty(0, dtype=object)
-        )
-        uw, cnt = np.unique(flat.astype(str), return_counts=True)
-        return pa.table(
-            {
-                "word": pa.array(uw, pa.string()),
-                "f": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    vocab = (
-        docs.select_columns([id_col, text_col])
-        .map_batches(word_freqs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("word")
-        .aggregate(Sum("f"))
-    )
+    vocab = _token_count_partials(docs, text_col, "f").groupby("token").aggregate(Sum("f"))
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         empty = pa.table(
             {"pair": pa.array([], pa.string()), "n_p": pa.array([], pa.int64())}
         )
-        words = batch.column("word").to_pylist()
+        words = batch.column("token").to_pylist()
         f = batch.column("sum(f)").to_numpy(zero_copy_only=False).astype(np.int64)
         lens = np.fromiter((len(w) for w in words), np.int64, count=len(words))
         joined = "".join(words)
@@ -4764,66 +4499,30 @@ def surprisal_ds(
     length in the SQL twin. Output: token count, total bits, and the
     mean bits in e3.
 
-    Scale shape: per-batch partial term counts -> ONE vocab-sized
-    ``groupby(term)`` -> sorted-vocab broadcast through
+    Scale shape: per-batch partial term counts (``_token_count_partials``)
+    -> ONE vocab-sized ``groupby(term)`` -> vocab broadcast through
     ``collect_small`` (Heaps'-law bounded) -> streaming scoring
-    pass, one searchsorted + one bincount per batch."""
-
-    def term_partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        flat = (
-            np.concatenate([np.asarray(t, dtype=object) for t in toks])
-            if texts
-            else np.empty(0, dtype=object)
-        )
-        uw, cnt = np.unique(flat.astype(str), return_counts=True)
-        return pa.table(
-            {
-                "term": pa.array(uw, pa.string()),
-                "c": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
+    pass, one ``index_in`` probe + one segment sum per batch."""
 
     vocab = collect_small(
-        docs.select_columns([id_col, text_col])
-        .map_batches(term_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("term")
-        .aggregate(Sum("c")),
+        _token_count_partials(docs, text_col, "c").groupby("token").aggregate(Sum("c")),
         "vocabulary",
-        {"term": pa.string(), "sum(c)": pa.int64()},
+        {"token": pa.string(), "sum(c)": pa.int64()},
     )
-    terms = vocab.column("term").to_numpy(zero_copy_only=False).astype(str)
     counts = vocab.column("sum(c)").to_numpy()
-    order = np.argsort(terms, kind="stable")
-    terms, counts = terms[order], counts[order]
     total = int(counts.sum())
     if total >= (1 << 53):
         raise ValueError("token total exceeds exact-float64 log2 range")
-    ref = ray.put((terms, counts, total))
+    ref = ray.put((vocab.column("token").combine_chunks(), counts, total))
 
     def score(batch: pa.Table) -> pa.Table:
         vt, vc, T = ray.get(ref)
         n = batch.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], batch.column(id_col).type),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "surprisal_bits": pa.array([], pa.int64()),
-                    "mean_bits_e3": pa.array([], pa.int64()),
-                }
-            )
-        texts = batch.column(text_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        lens = np.fromiter((len(t) for t in toks), np.int64, count=n)
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks]).astype(
-            str
-        )
+        lens, flat = ts.flat_tokens(ts.ws_tokens(batch.column(text_col)))
         di = np.repeat(np.arange(n, dtype=np.int64), lens)
-        pos = np.searchsorted(vt, flat)
+        pos = pc.index_in(flat, value_set=vt).to_numpy()
         q = T // vc[pos]  # every token exists in the vocab by construction
-        bits = (np.frexp(q.astype(np.float64))[1] - 1).astype(np.int64)
+        bits = _log2_floor(q)
         sb = np.zeros(n, np.int64)
         np.add.at(sb, di, bits)
         return pa.table(
@@ -5197,23 +4896,79 @@ def apportion_quota_ds(
     return ray.data.from_arrow(out)
 
 
-def _sorted_gram_counts(grams: Dataset) -> Tuple[np.ndarray, ...]:
-    """Collect tagged ``(g, k, sum(c))`` gram counts (``k`` 1 for
-    unigrams, 2 for bigrams) and split them into ``(unigrams, counts,
-    bigrams, counts)``, each gram array sorted for ``searchsorted``."""
+def _gram_counts(docs: Dataset, text_col: str) -> Tuple:
+    """The corpus unigram and bigram counts of ``docs``' whitespace
+    tokens, collected as ``(unigrams, counts, bigrams, counts)``: Arrow
+    string arrays for ``pc.index_in`` probes and int64 counts. Each batch
+    emits tagged ``(g, k, c)`` partials (``k`` 1 for unigrams, 2 for
+    bigrams) into one Heaps'-bounded ``groupby(g, k)``."""
+
+    def partial(batch: pa.Table) -> pa.Table:
+        toks = ts.ws_tokens(batch.column(text_col))
+        _, uni = ts.flat_tokens(toks)
+        _, _, big = ts.token_windows(toks, 2)
+        kind = np.repeat(np.array([1, 2], np.int64), [len(uni), len(big)])
+        g = (
+            pa.table({"g": pa.concat_arrays([uni, big]), "k": pa.array(kind)})
+            .group_by(["g", "k"])
+            .aggregate([("g", "count")])
+        )
+        return pa.table(
+            {"g": g.column("g"), "k": g.column("k"), "c": g.column("g_count").cast(pa.int64())}
+        )
+
     vocab = collect_small(
-        grams,
+        docs.select_columns([text_col])
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby(["g", "k"])
+        .aggregate(Sum("c")),
         "gram vocabulary",
         {"g": pa.string(), "k": pa.int64(), "sum(c)": pa.int64()},
     )
-    g = vocab.column("g").to_numpy(zero_copy_only=False).astype(str)
-    kind = vocab.column("k").to_numpy()
-    c = vocab.column("sum(c)").to_numpy()
     out = []
     for k in (1, 2):
-        o = np.argsort(g[kind == k], kind="stable")
-        out += [g[kind == k][o], c[kind == k][o]]
+        sel = pc.equal(vocab.column("k"), k)
+        out += [
+            vocab.column("g").filter(sel).combine_chunks(),
+            vocab.column("sum(c)").filter(sel).to_numpy(),
+        ]
     return tuple(out)
+
+
+def _log2_floor(q: np.ndarray) -> np.ndarray:
+    """``floor(log2(q))`` for integer ``q >= 1`` (0 below), exact below
+    2^53: the float64 exponent."""
+    return (np.frexp(np.maximum(q, 1).astype(np.float64))[1] - 1).astype(np.int64)
+
+
+def _bigram_bits(
+    batch: pa.Table, text_col: str, id_col: str, vocab: Tuple, bits_of, bits_col: str
+) -> pa.Table:
+    """Score every doc of ``batch`` with at least two tokens by its
+    bigrams in one pass: ``bits_of(c1, c2, u_hit, b_hit)`` gives each
+    bigram's bits from the count of its first token and its own count
+    (1 where ``vocab`` lacks them), summed per doc."""
+    u_t, u_c, b_t, b_c = vocab
+    toks = ts.ws_tokens(batch.column(text_col))
+    lens, flat = ts.flat_tokens(toks)
+    doc, start, bg = ts.token_windows(toks, 2)
+    prev = flat.take(pa.array((np.cumsum(lens) - lens)[doc] + start))
+    ui = pc.fill_null(pc.index_in(prev, value_set=u_t), -1).to_numpy()
+    bi = pc.fill_null(pc.index_in(bg, value_set=b_t), -1).to_numpy()
+    # index -1 (unseen) reads the appended count 1
+    c1, c2 = np.append(u_c, 1)[ui], np.append(b_c, 1)[bi]
+    bits = bits_of(c1, c2, ui >= 0, bi >= 0)
+    has = lens >= 2
+    nb = lens[has] - 1
+    sb = np.bincount(doc, weights=bits, minlength=len(lens)).astype(np.int64)[has]
+    return pa.table(
+        {
+            id_col: batch.column(id_col).filter(pa.array(has)).cast(pa.int64()),
+            "n_bigrams": pa.array(nb),
+            bits_col: pa.array(sb),
+            "mean_bits_e3": pa.array(1000 * sb // nb),
+        }
+    )
 
 
 def bigram_surprisal_ds(
@@ -5233,92 +4988,18 @@ def bigram_surprisal_ds(
     no row (they have no transitions), matching the SQL join semantics.
 
     Scale shape: ONE tagged partial pass emits combined per-block
-    unigram and bigram counts (disjoint key domains — tokens are
-    space-split, bigram keys contain a space) -> one Heaps'-bounded
-    ``groupby(gram)`` -> sorted-vocab broadcast (``collect_small``) -> streaming
-    scoring pass (two searchsorted probes per batch)."""
+    unigram and bigram counts (``_gram_counts``) -> one Heaps'-bounded
+    ``groupby(gram)`` -> vocab broadcast (``collect_small``) -> streaming
+    scoring pass (one k=2 ``token_windows`` and two ``index_in`` probes
+    per batch)."""
 
-    def gram_partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        uni: List[np.ndarray] = []
-        big: List[np.ndarray] = []
-        for t in toks:
-            a = np.asarray(t, dtype=object)
-            uni.append(a)
-            if len(t) >= 2:
-                big.append(
-                    np.char.add(
-                        np.char.add(a[:-1].astype(str), " "), a[1:].astype(str)
-                    ).astype(object)
-                )
-        parts = []
-        for arrs, kind in ((uni, 1), (big, 2)):
-            if arrs:
-                flat = np.concatenate(arrs).astype(str)
-                ug, cnt = np.unique(flat, return_counts=True)
-                parts.append(
-                    pa.table(
-                        {
-                            "g": pa.array(ug.astype(object), pa.string()),
-                            "k": pa.array(
-                                np.full(len(ug), kind, dtype=np.int64)
-                            ),
-                            "c": pa.array(cnt.astype(np.int64)),
-                        }
-                    )
-                )
-        if not parts:
-            return pa.table(
-                {
-                    "g": pa.array([], pa.string()),
-                    "k": pa.array([], pa.int64()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        return pa.concat_tables(parts)
-
-    ref = ray.put(
-        _sorted_gram_counts(
-            docs.select_columns([id_col, text_col])
-            .map_batches(gram_partial, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby(["g", "k"])
-            .aggregate(Sum("c"))
-        )
-    )
+    ref = ray.put(_gram_counts(docs, text_col))
 
     def score(batch: pa.Table) -> pa.Table:
-        u_t, u_c, b_t, b_c = ray.get(ref)
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column(id_col)
-        toks = [(t or "").split(" ") for t in texts]
-        out_id: List[int] = []
-        nb_l: List[int] = []
-        bits_l: List[int] = []
-        for i, t in enumerate(toks):
-            if len(t) < 2:
-                continue
-            a = np.asarray(t, dtype=object).astype(str)
-            prev = a[:-1]
-            bg = np.char.add(np.char.add(prev, " "), a[1:])
-            c1 = u_c[np.searchsorted(u_t, prev)]
-            c2 = b_c[np.searchsorted(b_t, bg)]
-            q = c1 // c2
-            bits = int((np.frexp(q.astype(np.float64))[1] - 1).sum())
-            out_id.append(ids[i].as_py())
-            nb_l.append(len(t) - 1)
-            bits_l.append(bits)
-        nb = np.asarray(nb_l, dtype=np.int64)
-        sb = np.asarray(bits_l, dtype=np.int64)
-        return pa.table(
-            {
-                id_col: pa.array(out_id, pa.int64()),
-                "n_bigrams": pa.array(nb),
-                "bigram_bits": pa.array(sb),
-                "mean_bits_e3": pa.array(
-                    1000 * sb // np.maximum(nb, 1) if len(nb) else nb
-                ),
-            }
+        # c2 <= c1: every bigram of the corpus is in the vocabulary
+        return _bigram_bits(
+            batch, text_col, id_col, ray.get(ref),
+            lambda c1, c2, u_hit, b_hit: _log2_floor(c1 // c2), "bigram_bits",
         )
 
     return docs.select_columns([id_col, text_col]).map_batches(
@@ -5524,7 +5205,7 @@ def dup_histogram_ds(
 
     def digest_partial(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()
-        h = pa.array(ts.md5_hex([t or "" for t in texts]).tolist(), pa.string())
+        h = pa.array(ts.md5_hex(texts).tolist(), pa.string())
         t = pa.table(
             {"h": h, "n": pa.array(np.ones(len(texts), dtype=np.int64))}
         )
@@ -5586,33 +5267,16 @@ def term_coverage_ds(
     the full vocabulary never reaches the driver."""
     kmax = max(ks)
 
-    def term_partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        if not texts:
-            return pa.table(
-                {"term": pa.array([], pa.string()), "c": pa.array([], pa.int64())}
-            )
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks]).astype(str)
-        uw, cnt = np.unique(flat, return_counts=True)
-        return pa.table(
-            {
-                "term": pa.array(uw.astype(object), pa.string()),
-                "c": pa.array(cnt.astype(np.int64)),
-            }
-        )
-
     vocab = (
-        docs.select_columns([text_col])
-        .map_batches(term_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("term")
+        _token_count_partials(docs, text_col, "c")
+        .groupby("token")
         .aggregate(Sum("c"))
         .materialize()  # one row per distinct term; reused twice below
     )
     total = int(vocab.sum("sum(c)") or 0)
 
     def topk_partial(batch: pa.Table) -> pa.Table:
-        terms = np.asarray(batch.column("term").to_pylist(), dtype=object).astype(str)
+        terms = np.asarray(batch.column("token").to_pylist(), dtype=object).astype(str)
         c = batch.column("sum(c)").to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((terms, -c))[:kmax]
         return pa.table(
@@ -5724,10 +5388,10 @@ def backoff_surprisal_ds(
         seen unigram:  2 + floor(log2(T // c1(prev)))
         unseen:        2 + floor(log2(T))
 
-    Scale shape: the train pass reuses the tagged uni+bigram combiner ->
-    Heaps'-bounded groupby -> sorted-array broadcast (``collect_small``); the
-    score pass streams the odd docs with searchsorted membership probes —
-    no shuffle of either split."""
+    Scale shape: the train pass reuses the tagged uni+bigram combiner
+    (``_gram_counts``) -> Heaps'-bounded groupby -> broadcast
+    (``collect_small``); the score pass streams the odd docs with
+    ``index_in`` membership probes — no shuffle of either split."""
 
     def is_even(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).cast(pa.int64())
@@ -5737,99 +5401,25 @@ def backoff_surprisal_ds(
         ids = batch.column(id_col).cast(pa.int64())
         return batch.filter(pc.equal(pc.bit_wise_and(ids, pa.scalar(1)), pa.scalar(1)))
 
-    def gram_partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        toks = [(t or "").split(" ") for t in texts]
-        uni: List[np.ndarray] = []
-        big: List[np.ndarray] = []
-        for t in toks:
-            a = np.asarray(t, dtype=object)
-            uni.append(a)
-            if len(t) >= 2:
-                big.append(
-                    np.char.add(
-                        np.char.add(a[:-1].astype(str), " "), a[1:].astype(str)
-                    ).astype(object)
-                )
-        parts = []
-        for arrs, kind in ((uni, 1), (big, 2)):
-            if arrs:
-                flat = np.concatenate(arrs).astype(str)
-                ug, cnt = np.unique(flat, return_counts=True)
-                parts.append(
-                    pa.table(
-                        {
-                            "g": pa.array(ug.astype(object), pa.string()),
-                            "k": pa.array(np.full(len(ug), kind, dtype=np.int64)),
-                            "c": pa.array(cnt.astype(np.int64)),
-                        }
-                    )
-                )
-        if not parts:
-            return pa.table(
-                {
-                    "g": pa.array([], pa.string()),
-                    "k": pa.array([], pa.int64()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        return pa.concat_tables(parts)
-
-    train = docs.select_columns([id_col, text_col]).map_batches(
-        is_even, batch_format="pyarrow", zero_copy_batch=True
+    vocab = _gram_counts(
+        docs.select_columns([id_col, text_col]).map_batches(
+            is_even, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        text_col,
     )
-    ut, uc, bt, bc = _sorted_gram_counts(
-        train.map_batches(gram_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["g", "k"])
-        .aggregate(Sum("c"))
-    )
-    T = int(uc.sum())
-    ref = ray.put((ut, uc, bt, bc, T))
+    T = int(vocab[1].sum())
+    t_bits = int(_log2_floor(np.array([T]))[0])
+    ref = ray.put(vocab)
 
-    def _bits(q: np.ndarray) -> np.ndarray:
-        return (np.frexp(np.maximum(q, 1).astype(np.float64))[1] - 1).astype(np.int64)
+    def bits_of(c1, c2, u_hit, b_hit):
+        return np.where(
+            b_hit,
+            _log2_floor(c1 // c2),
+            np.where(u_hit, 2 + _log2_floor(T // c1), 2 + t_bits),
+        )
 
     def score(batch: pa.Table) -> pa.Table:
-        u_t, u_c, b_t, b_c, T_tr = ray.get(ref)
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column(id_col)
-        out_id: List[int] = []
-        nb_l: List[int] = []
-        bits_l: List[int] = []
-        t_bits = int(np.frexp(float(max(T_tr, 1)))[1] - 1)
-        for i, raw in enumerate(texts):
-            t = (raw or "").split(" ")
-            if len(t) < 2:
-                continue
-            a = np.asarray(t, dtype=object).astype(str)
-            prev = a[:-1]
-            bg = np.char.add(np.char.add(prev, " "), a[1:])
-            upos = np.searchsorted(u_t, prev)
-            u_hit = (upos < len(u_t)) & (u_t[np.minimum(upos, len(u_t) - 1)] == prev)
-            bpos = np.searchsorted(b_t, bg)
-            b_hit = (bpos < len(b_t)) & (b_t[np.minimum(bpos, len(b_t) - 1)] == bg)
-            c1 = np.where(u_hit, u_c[np.minimum(upos, len(u_c) - 1)], 1)
-            c2 = np.where(b_hit, b_c[np.minimum(bpos, len(b_c) - 1)], 1)
-            bits = np.where(
-                b_hit,
-                _bits(c1 // np.maximum(c2, 1)),
-                np.where(u_hit, 2 + _bits(T_tr // np.maximum(c1, 1)), 2 + t_bits),
-            )
-            out_id.append(ids[i].as_py())
-            nb_l.append(len(t) - 1)
-            bits_l.append(int(bits.sum()))
-        nb = np.asarray(nb_l, dtype=np.int64)
-        sb = np.asarray(bits_l, dtype=np.int64)
-        return pa.table(
-            {
-                id_col: pa.array(out_id, pa.int64()),
-                "n_bigrams": pa.array(nb),
-                "backoff_bits": pa.array(sb),
-                "mean_bits_e3": pa.array(
-                    1000 * sb // np.maximum(nb, 1) if len(nb) else nb
-                ),
-            }
-        )
+        return _bigram_bits(batch, text_col, id_col, ray.get(ref), bits_of, "backoff_bits")
 
     return (
         docs.select_columns([id_col, text_col])
@@ -7741,6 +7331,12 @@ def stratified_kfold_ds(
     )
 
 
+def _first_tokens(texts: pa.ChunkedArray, n: int) -> pa.ChunkedArray:
+    """Each text cut to its first ``n`` whitespace tokens (a null reads
+    as ``""``)."""
+    return pc.binary_join(pc.list_slice(ts.ws_tokens(texts), 0, n), " ")
+
+
 def syndication_histogram_ds(
     docs: Dataset,
     text_col: str = "text",
@@ -7760,12 +7356,12 @@ def syndication_histogram_ds(
     effective_tokens shuffle) → tiny histogram groupby."""
 
     def tag(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
+        texts = batch.column(text_col)
         if key_tokens is not None:
             # template-opening key: families keyed on the first k tokens
             # (whole-text exact dups rarely cross sources; shared openings do)
-            texts = [" ".join((t or "").split(" ")[:key_tokens]) for t in texts]
-        h = pa.array(ts.md5_hex(texts).tolist(), pa.string())
+            texts = _first_tokens(texts, key_tokens)
+        h = pa.array(ts.md5_hex(texts.to_pylist()).tolist(), pa.string())
         t = pa.table({"d": h, "src": batch.column(source_col)})
         g = t.group_by(["d", "src"]).aggregate([("src", "count")])
         return pa.table(
@@ -8188,16 +7784,16 @@ def fold_leakage_ds(
     # docs side and attach them to the folds by doc id
 
     def digests(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
+        texts = batch.column(text_col)
         if key_tokens is not None:
             # template-family key (see syndication_histogram_ds): exact
             # whole-text dups rarely straddle folds on a clean corpus;
             # shared openings are the realistic leakage unit
-            texts = [" ".join((t or "").split(" ")[:key_tokens]) for t in texts]
+            texts = _first_tokens(texts, key_tokens)
         return pa.table(
             {
                 "did": batch.column(id_col).cast(pa.int64()),
-                "d": pa.array(ts.md5_hex(texts).tolist(), pa.string()),
+                "d": pa.array(ts.md5_hex(texts.to_pylist()).tolist(), pa.string()),
             }
         )
 
@@ -8302,15 +7898,7 @@ def hash_collision_audit_ds(
     def gram_partial(batch: pa.Table) -> pa.Table:
         out = set()
         for t in batch.column(text_col).to_pylist():
-            toks = (t or "").split(" ")
-            if len(toks) < shingle_k:
-                if toks and toks != [""]:
-                    out.add(" ".join(toks))
-            else:
-                out.update(
-                    " ".join(toks[i : i + shingle_k])
-                    for i in range(len(toks) - shingle_k + 1)
-                )
+            out.update(ts.shingles(t, shingle_k))
         return pa.table({"g": pa.array(sorted(out), pa.string())})
 
     grams = docs.select_columns([text_col]).map_batches(
@@ -8430,27 +8018,14 @@ def minimizer_sketch_ds(
             "n_minimizers": pa.array(np.zeros(nb, np.int64)),
             "min_xor": pa.array(np.zeros(nb, np.int64)),
         }
-        if nb == 0:
-            return pa.table(empty_cols)
-        toks = ts.ws_tokens(batch.column(text_col))
-        n_tok = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        lens = np.maximum(n_tok - 1, 0).astype(np.int64)  # shingles per doc
-        m = int(lens.sum())
+        # bigram shingles, doc-major: pos is the 0-based shingle pos in doc
+        doc_of, pos, grams = ts.token_windows(ts.ws_tokens(batch.column(text_col)), 2)
+        m = len(doc_of)
         if m == 0:
             return pa.table(empty_cols)
-        # flat bigram shingles: tok[i] + ' ' + tok[i+1] within each doc
-        flat_tok = np.asarray(pc.list_flatten(toks).to_pylist(), dtype=object)
-        tok_base = np.concatenate([[0], np.cumsum(n_tok)[:-1]]).astype(np.int64)
-        sh_base = np.concatenate([[0], np.cumsum(lens)[:-1]]).astype(np.int64)
-        doc_of = np.repeat(np.arange(nb), lens)
-        pos = np.arange(m) - sh_base[doc_of]  # 0-based shingle pos in doc
-        left = flat_tok[tok_base[doc_of] + pos]
-        right = flat_tok[tok_base[doc_of] + pos + 1]
-        h = np.fromiter(
-            (ts.md5_u64(a + " " + b) for a, b in zip(left, right)),
-            np.uint64,
-            count=m,
-        )
+        lens = np.bincount(doc_of, minlength=nb)  # shingles per doc
+        sh_base = np.cumsum(lens) - lens
+        h = np.fromiter((ts.md5_u64(g) for g in grams.to_pylist()), np.uint64, count=m)
         # sentinel-pad w-1 slots after each doc segment, then ONE
         # sliding-window min over the padded flat array
         pad = w - 1
@@ -8894,9 +8469,9 @@ def edit_distance_join_ds(
     into ``tau + 1`` equal segments; any pair within distance tau shares
     at least one segment, with the survivor's position shifted by at
     most tau. Docs INDEX their exact segments and PROBE every segment
-    window shifted by -tau..tau; a candidate is verified with an exact
-    Levenshtein DP vectorized ACROSS pairs (one (pairs x width) numpy
-    sweep, no per-pair Python DP).
+    window shifted by -tau..tau; a candidate is verified with the exact
+    code-point Levenshtein DP of ``textstats.levenshtein``, vectorized
+    ACROSS pairs (no per-pair Python DP).
 
     Scale shape: the only exchange, an ``exchange.bucket_map`` on the
     segment hash, moves (segment hash, role, id, prefix) rows; in-bucket
@@ -8945,31 +8520,6 @@ def edit_distance_join_ds(
                 "pfx": pa.array(out_pfx, pa.string()),
             }
         )
-
-    def _lev_vectorized(a_str: np.ndarray, b_str: np.ndarray) -> np.ndarray:
-        """Exact Levenshtein between fixed-width string rows, DP
-        vectorized across the pair axis."""
-        n = a_str.size
-        a = a_str.astype(f"U{width}").view(np.uint32).reshape(n, width)
-        b = b_str.astype(f"U{width}").view(np.uint32).reshape(n, width)
-        prev = np.broadcast_to(
-            np.arange(width + 1, dtype=np.int64), (n, width + 1)
-        ).copy()
-        col = np.arange(1, width + 1, dtype=np.int64)
-        for i in range(1, width + 1):
-            sub = prev[:, :-1] + (a[:, i - 1 : i] != b)
-            dele = prev[:, 1:] + 1
-            m = np.minimum(sub, dele)
-            # running-min insertion pass: cur[j] = min(cur[j-1]+1, m[j])
-            t = np.concatenate(
-                (np.full((n, 1), i, np.int64), m - col[None, :]), axis=1
-            )
-            run = np.minimum.accumulate(t, axis=1)
-            cur = np.empty_like(prev)
-            cur[:, 0] = i
-            cur[:, 1:] = run[:, 1:] + col[None, :]
-            prev = cur
-        return prev[:, -1]
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
         kh = group.column("kh").to_numpy(zero_copy_only=False)
@@ -9020,7 +8570,7 @@ def edit_distance_join_ds(
         keep[1:] = (a_doc2[1:] != a_doc2[:-1]) | (b_doc2[1:] != b_doc2[:-1])
         a_doc2, b_doc2 = a_doc2[keep], b_doc2[keep]
         a_pfx2, b_pfx2 = a_pfx2[keep], b_pfx2[keep]
-        dist = _lev_vectorized(a_pfx2, b_pfx2)
+        dist = ts.levenshtein(a_pfx2, b_pfx2)
         ok = dist <= tau
         if not ok.any():
             return pa.table({})

@@ -9,6 +9,12 @@ result on a zero-row corpus, never raise.
 
 Usage:
     python scripts/empty_corpus_sweep.py [--only q1,q2] [--src SF_DIR]
+        [--rows N [--edge-texts]]
+
+``--edge-texts`` (with ``--rows N``, N >= 4) overwrites the ``text`` of
+the first four ``documents`` rows with the texts the testdata never
+holds: a null, an empty string, doubled/leading/trailing spaces and
+non-ASCII words (``EDGE_TEXTS``).
 
 Owns its Ray session (script mode, per CLAUDE.md).
 """
@@ -26,11 +32,17 @@ import pyarrow.parquet as pq
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def make_empty_corpus(src: str, dst: str, rows: int = 0) -> None:
+EDGE_TEXTS = [None, "", "  a  b ", "café naïve 日本語 café cafe naive"]
+
+
+def make_empty_corpus(
+    src: str, dst: str, rows: int = 0, edge_texts: bool = False
+) -> None:
     """Write a degenerate clone of every table: zero rows (schema only)
     when ``rows == 0``, else the first ``rows`` real rows — the n=1 case
     exercises the n<2 branches (singleton groups, variance-of-one,
-    no-pair similarity) that empty tables skip entirely."""
+    no-pair similarity) that empty tables skip entirely. ``edge_texts``
+    puts ``EDGE_TEXTS`` in the first ``documents`` rows."""
     os.makedirs(dst, exist_ok=True)
     for f in sorted(os.listdir(src)):
         if f.endswith(".parquet"):
@@ -38,8 +50,13 @@ def make_empty_corpus(src: str, dst: str, rows: int = 0) -> None:
                 sch = pq.read_schema(os.path.join(src, f))
                 pq.write_table(sch.empty_table(), os.path.join(dst, f))
             else:
-                t = pq.read_table(os.path.join(src, f))
-                pq.write_table(t.slice(0, rows), os.path.join(dst, f))
+                t = pq.read_table(os.path.join(src, f)).slice(0, rows)
+                if edge_texts and f == "documents.parquet":
+                    i = t.schema.get_field_index("text")
+                    field = t.schema.field(i)
+                    texts = EDGE_TEXTS + t.column(i).to_pylist()[len(EDGE_TEXTS) :]
+                    t = t.set_column(i, field, pa.array(texts, field.type))
+                pq.write_table(t, os.path.join(dst, f))
 
 
 def main() -> int:
@@ -50,9 +67,16 @@ def main() -> int:
     ap.add_argument(
         "--rows", type=int, default=0, help="0 = empty tables; N = first N rows"
     )
+    ap.add_argument(
+        "--edge-texts",
+        action="store_true",
+        help="with --rows N >= 4: the first four documents get EDGE_TEXTS",
+    )
     args = ap.parse_args()
+    if args.edge_texts and args.rows < len(EDGE_TEXTS):
+        ap.error(f"--edge-texts needs --rows >= {len(EDGE_TEXTS)}")
 
-    make_empty_corpus(args.src, args.dst, rows=args.rows)
+    make_empty_corpus(args.src, args.dst, rows=args.rows, edge_texts=args.edge_texts)
 
     import ray
 

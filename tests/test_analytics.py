@@ -918,7 +918,11 @@ def test_rand_projection_hand_computed(ray_session):
 
 
 def test_levenshtein_matches_reference_cases():
-    from pdfplumber_ray.pipelines.analytics import _levenshtein
+    """``dup_edit_audit_ds``'s distance kernel, ``textstats.levenshtein``."""
+    from pdfplumber_ray.functions.textstats import levenshtein
+
+    def _levenshtein(a, b):
+        return int(levenshtein([a], [b])[0])
 
     assert _levenshtein("kitten", "sitting") == 3
     assert _levenshtein("", "abc") == 3

@@ -763,3 +763,29 @@ def test_no_map_groups_in_sources_or_driver():
         if isinstance(n, ast.Attribute) and n.attr == "map_groups"
     ]
     assert bad == []
+
+
+def test_one_tokenizer_and_window_kernel():
+    """Whitespace tokens come from ``textstats.ws_tokens`` and k-token
+    windows from ``textstats.token_windows``: no ``.split(" ")`` call in
+    ``pipelines/`` or ``__ray_entry__.py``, and no ``np.char.add``
+    string building in ``pipelines/``."""
+    trees = list(_pipeline_trees()) + [
+        ("__ray_entry__.py", ast.parse(open(ENTRY).read()))
+    ]
+    bad = []
+    for f, tree in trees:
+        for n in ast.walk(tree):
+            if (
+                isinstance(n, ast.Call)
+                and getattr(n.func, "attr", None) == "split"
+                and [ast.unparse(a) for a in n.args] == ["' '"]
+            ):
+                bad.append(f"{f}:{n.lineno} .split(' ')")
+            if (
+                f != "__ray_entry__.py"
+                and isinstance(n, ast.Attribute)
+                and ast.unparse(n) == "np.char.add"
+            ):
+                bad.append(f"{f}:{n.lineno} np.char.add")
+    assert bad == []
