@@ -6,6 +6,10 @@ new cluster starts wherever the gap to the *previous sorted value* exceeds
 increase with value. ``cluster_objects`` in the reference dedups values
 through a set before clustering (clustering.py:30); on sorted arrays chained
 gaps over duplicates are zero, so the vectorized form below is equivalent.
+
+:func:`connected_components` is the one graph-grouping kernel: table
+topology, text-line grouping and every corpus family resolution
+(``exchange.components``) label their nodes with it.
 """
 
 from __future__ import annotations
@@ -86,3 +90,23 @@ def cluster_means(
     sums = np.bincount(ids, weights=values)
     counts = np.bincount(ids)
     return (sums / counts)[ids]
+
+
+def connected_components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Connected components of ``n`` nodes joined by the pairs ``(a, b)``:
+    each node's label is its component's smallest node. Min-label hooking
+    of roots with pointer jumping; labels only fall, so it ends when every
+    pair has one label."""
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        if (la == lb).all():
+            return label
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped

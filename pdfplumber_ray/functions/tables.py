@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..config import LayoutConfig, TableConfig, WordConfig, validate_directions
-from .clustering import cluster_groups, cluster_means
+from .clustering import cluster_groups, cluster_means, connected_components
 from .geometry import (
     Bbox,
     ObjArrays,
@@ -417,26 +417,6 @@ def cells_group(inter: Intersections) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return inter.page[tl], boxes, corners
 
 
-def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Connected components of ``n`` nodes joined by the pairs ``(a, b)``:
-    each node's label is its component's smallest node. Min-label hooking
-    of roots with pointer jumping; labels only fall, so it ends when every
-    pair has one label."""
-    label = np.arange(n)
-    while True:
-        la, lb = label[a], label[b]
-        if (la == lb).all():
-            return label
-        low = np.minimum(la, lb)
-        np.minimum.at(label, la, low)
-        np.minimum.at(label, lb, low)
-        while True:
-            jumped = label[label]
-            if (jumped == label).all():
-                break
-            label = jumped
-
-
 def _tables(
     page: np.ndarray, boxes: np.ndarray, corners: np.ndarray, n_pages: int
 ) -> List[List[List[Bbox]]]:
@@ -449,7 +429,7 @@ def _tables(
     if not page.shape[0]:
         return out
     n_ids = int(corners.max()) + 1
-    label = _components(
+    label = connected_components(
         np.repeat(corners[:, 0], 3), corners[:, 1:].reshape(-1), n_ids
     )[corners[:, 0]]
     # a table's first row in (label, top, x0) order holds its min (top, x0)

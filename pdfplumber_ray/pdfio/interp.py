@@ -99,6 +99,12 @@ class _TState:
         self.matrix: Matrix = MATRIX_IDENTITY
         self.linematrix: Point = (0.0, 0.0)
 
+    def copy(self) -> "_TState":
+        t = _TState.__new__(_TState)
+        for name in _TState.__slots__:
+            setattr(t, name, getattr(self, name))
+        return t
+
 
 def _num(v: Any, default: float = 0.0) -> float:
     c = v.__class__
@@ -233,7 +239,7 @@ class PageInterpreter:
         content = self.page.content_bytes()
         self.gs = _GState(self.base_ctm)
         self.ts = _TState()
-        self.gstack: List[_GState] = []
+        self.gstack: List[Tuple[_GState, _TState]] = []
         self.execute(content, self.page.resources, depth=0)
 
     # ---- helpers ----
@@ -692,10 +698,11 @@ class PageInterpreter:
             if isinstance(s, bytes):
                 self._render_string([s])
         elif op == "q":
-            self.gstack.append(gs.copy())
+            # pdfminer's do_q saves the text state with the graphics state
+            self.gstack.append((gs.copy(), ts.copy()))
         elif op == "Q":
             if self.gstack:
-                self.gs = self.gstack.pop()
+                self.gs, self.ts = self.gstack.pop()
         elif op == "re":
             x, y, w, h = [_num(v) for v in pop(4)]
             p = self._path()

@@ -39,6 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from ..functions.clustering import connected_components
+
 
 @dataclass
 class LAParams:
@@ -259,28 +263,19 @@ def group_lines_to_boxes(
     lines: List[_Line], laparams: LAParams
 ) -> List[List[_Line]]:
     """Connected components over the neighbor relation (published
-    group_textlines)."""
+    group_textlines), each in line order, ordered by their first line."""
     idx = {id(ln): i for i, ln in enumerate(lines)}
-    parent = list(range(len(lines)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for ln in lines:
-        i = idx[id(ln)]
-        for nb in _find_neighbors(ln, lines, laparams.line_margin):
-            union(i, idx[id(nb)])
+    pairs = [
+        (i, idx[id(nb)])
+        for i, ln in enumerate(lines)
+        for nb in _find_neighbors(ln, lines, laparams.line_margin)
+    ]
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    # a component's label is its first line's index
+    label = connected_components(a, b, len(lines)).tolist()
     groups: Dict[int, List[_Line]] = {}
-    for ln in lines:
-        groups.setdefault(find(idx[id(ln)]), []).append(ln)
+    for ln, lab in zip(lines, label):
+        groups.setdefault(lab, []).append(ln)
     return list(groups.values())
 
 

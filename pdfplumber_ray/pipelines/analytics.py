@@ -38,6 +38,7 @@ from .exchange import (
     _anchor_schema,
     bucket_map,
     collect_small,
+    components,
     run_pairs,
     segment_runs,
 )
@@ -2672,11 +2673,7 @@ def cdc_families_ds(
 
     Scale shape: CDC chunker partials -> ONE ``exchange.bucket_map`` on
     the chunk hash (bounded groups) -> per-chunk star edges to the minimum doc ->
-    hash-min label propagation with pointer doubling
-    (:func:`corpus_ops._min_label_propagation`, O(log diameter)
-    rounds)."""
-    from .corpus_ops import _min_label_propagation
-
+    connected components (``exchange.components``)."""
     out_schema = pa.schema([(id_col, pa.int64()), ("family_id", pa.int64())])
     chunker = _cdc_chunk_partials(id_col, text_col, mask)
 
@@ -2711,8 +2708,7 @@ def cdc_families_ds(
         return ray.data.from_arrow(
             pa.table({f.name: pa.array([], f.type) for f in out_schema})
         )
-    labels = _min_label_propagation(pairs, "a", "b")
-    return labels.map_batches(
+    return components(pairs, "a", "b").map_batches(
         lambda b: pa.table(
             {id_col: b.column("node"), "family_id": b.column("label")}
         ),

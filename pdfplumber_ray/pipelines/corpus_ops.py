@@ -27,7 +27,6 @@ Scale design notes:
 
 from __future__ import annotations
 
-import logging
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,6 +45,7 @@ from .exchange import (
     bucket_map,
     capped_pairs,
     collect_small,
+    components,
     fits_broadcast,
     run_pairs,
     segment_runs,
@@ -54,8 +54,6 @@ from .exchange import (
 from .extract import stage_map_batches
 
 Dataset = ray.data.Dataset
-
-_LOG = logging.getLogger(__name__)
 
 # ---------- text analysis ----------
 
@@ -78,10 +76,10 @@ def quality_ds(docs: Dataset, text_col: str = "text", id_col: str = "doc_id") ->
     """Quality-signal metrics; integer counts so SQL oracles match exactly."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        n_chars = pa.array(
-            np.fromiter((len(t) for t in texts), dtype=np.int64, count=len(texts))
-        )
+        col = batch.column(text_col)
+        texts = col.to_pylist()
+        # code points, like len(); a null text reads as ""
+        n_chars = pc.utf8_length(pc.fill_null(col, "")).cast(pa.int64())
         n_words = pa.array(ts.ws_token_count(texts))
         n_punct = pa.array(ts.punct_count(texts))
         sw = ts.stopword_counts(texts)
@@ -1788,273 +1786,6 @@ def pack_sequences_ds(
     return tok.groupby("bucket").map_groups(pack, batch_format="pyarrow")
 
 
-def _segment_min_lab(
-    key: np.ndarray, labf: np.ndarray, lab_valid: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared in-bucket kernel: sort rows by key with each key segment's
-    minimal VALID lab first, return (order, per-sorted-row segment index,
-    segment-start positions, per-segment first-row-valid mask). One
-    lexsort + boundary scan — no per-key Python."""
-    inv = ~lab_valid  # valid rows sort first within a key segment
-    order = np.lexsort((labf, inv, key))
-    ks = key[order]
-    new = np.concatenate(([True], ks[1:] != ks[:-1]))
-    starts = np.flatnonzero(new)
-    seg_id = np.cumsum(new) - 1
-    first_valid = lab_valid[order][starts]
-    return order, seg_id, starts, first_valid
-
-
-def _label_shortcut(labels: Dataset, id_type: pa.DataType) -> Dataset:
-    """Pointer-doubling step: label[node] <- label[label[node]] over
-    ``id_type`` node ids. One ``exchange.bucket_map`` on the key over 2x
-    node count rows; in-bucket resolution is
-    a single lexsort + segment gather. NEVER ``groupby(key).map_groups``
-    per node — a graph has millions of near-singleton key groups and the
-    per-group Python overhead dominates (the CLAUDE.md map_groups trap;
-    measured 20+ min vs seconds on the sf0.01 co-purchase graph). Every
-    label value is itself a node (hash-min with self-loops guarantees
-    it), so each key segment carries exactly one definition row; a key
-    with no definition defensively keeps itself."""
-
-    def refs_and_defs(b: pa.Table) -> pa.Table:
-        # one pass emits both row kinds — a self-union here would double
-        # the block count every pointer-doubling round (exponential task
-        # growth across propagation iterations)
-        refs = pa.table(
-            {
-                "key": b.column("label"),
-                "node": b.column("node"),
-                "lab": pa.nulls(b.num_rows, b.column("label").type),
-            }
-        )
-        defs = pa.table(
-            {
-                "key": b.column("node"),
-                "node": pa.nulls(b.num_rows, b.column("node").type),
-                "lab": b.column("label"),
-            }
-        )
-        return pa.concat_tables([refs, defs]).combine_chunks()
-
-    def resolve(group: pa.Table) -> pa.Table:
-        key_col = group.column("key")
-        node_col, lab_col = group.column("node"), group.column("lab")
-        key = key_col.to_numpy(zero_copy_only=False)
-        node_valid = pc.is_valid(node_col).to_numpy(zero_copy_only=False)
-        lab_valid = pc.is_valid(lab_col).to_numpy(zero_copy_only=False)
-        # coalesce with key only to get a dense same-typed array; the
-        # validity masks gate every use of the filled values
-        nodef = pc.coalesce(node_col, key_col).to_numpy(zero_copy_only=False)
-        labf = pc.coalesce(lab_col, key_col).to_numpy(zero_copy_only=False)
-        if key.dtype == object:  # string ids: lexsort needs unicode dtype
-            key, labf, nodef = key.astype(str), labf.astype(str), nodef.astype(str)
-        order, seg_id, starts, first_valid = _segment_min_lab(
-            key, labf, lab_valid
-        )
-        ks, labs = key[order], labf[order]
-        seg_lab = np.where(first_valid, labs[starts], ks[starts])
-        row_lab = seg_lab[seg_id]
-        nv = node_valid[order]
-        return pa.table({"node": nodef[order][nv], "label": row_lab[nv]})
-
-    return bucket_map(
-        labels.map_batches(
-            refs_and_defs, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "key",
-        resolve,
-        {"node": id_type, "label": id_type},
-    )
-
-
-def _min_label_propagation(
-    pairs: Dataset,
-    a_col: str,
-    b_col: str,
-    max_iters: int = 64,
-    stats: Optional[Dict] = None,
-) -> Dataset:
-    """Distributed connected components over a pair dataset: hash-min label
-    propagation (iterated ``groupby().min()`` to fixpoint) with a
-    pointer-doubling shortcut each round, so rounds are bounded by
-    O(log(component diameter)) rather than the diameter itself. Returns
-    (node, label) with label = the component's minimum id. Nothing ever
-    materializes on the driver — per iteration the shuffle moves one row
-    per directed edge plus one per node. Convergence is detected by a
-    checksum aggregate over the label assignment; exiting via the
-    iteration cap without converging logs a warning and records
-    ``stats['converged']=False`` (pass a ``stats`` dict to observe
-    iteration count / convergence)."""
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        a, b = batch.column(a_col), batch.column(b_col)
-        return pa.concat_tables(
-            [pa.table({"src": a, "dst": b}), pa.table({"src": b, "dst": a})]
-        ).combine_chunks()
-
-    edges = pairs.select_columns([a_col, b_col]).map_batches(
-        to_edges, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()  # reused every iteration; size = 2x pair count
-
-    # initial label: min over self + neighbors
-    def add_self_loops(batch: pa.Table) -> pa.Table:
-        src, dst = batch.column("src"), batch.column("dst")
-        return pa.concat_tables(
-            [pa.table({"src": src, "dst": dst}), pa.table({"src": src, "dst": src})]
-        ).combine_chunks()
-
-    labels = (
-        edges.map_batches(add_self_loops, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("src")
-        .aggregate(Min("dst"))
-        .map_batches(
-            lambda b: pa.table({"node": b.column("src"), "label": b.column("min(dst)")}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .materialize()
-    )
-
-    def checksum(lab: Dataset) -> int:
-        """Order-independent fixpoint detector over the (node, label)
-        assignment. Integer ids (the scale path) use a vectorized
-        splitmix64-style mix summed per batch with uint64 wraparound —
-        no per-row Python in the propagation loop; non-integer ids fall
-        back to per-row md5 (small-corpus path only). Each batch reduces
-        to ONE partial row, and one global ``Sum`` folds them."""
-        import hashlib
-
-        def h(batch: pa.Table) -> pa.Table:
-            node_col, lab_col = batch.column("node"), batch.column("label")
-            if pa.types.is_integer(node_col.type):
-                n = node_col.to_numpy(zero_copy_only=False).astype(np.uint64)
-                l = lab_col.to_numpy(zero_copy_only=False).astype(np.uint64)
-                with np.errstate(over="ignore"):
-                    x = n * np.uint64(0x9E3779B97F4A7C15) + np.uint64(1)
-                    x ^= l * np.uint64(0xD1B54A32D192ED03)
-                    x ^= x >> np.uint64(30)
-                    x *= np.uint64(0xBF58476D1CE4E5B9)
-                    x ^= x >> np.uint64(27)
-                    x *= np.uint64(0x94D049BB133111EB)
-                    x ^= x >> np.uint64(31)
-                    part = int(x.sum(dtype=np.uint64))
-            else:
-                part = 0
-                for nd, lb in zip(node_col.to_pylist(), lab_col.to_pylist()):
-                    part = (
-                        part
-                        + int.from_bytes(
-                            hashlib.md5(f"{nd}|{lb}".encode()).digest()[:8], "big"
-                        )
-                    ) & 0xFFFFFFFFFFFFFFFF
-            # 32-bit halves: their sums over the blocks cannot overflow int64
-            return pa.table({"hi": [part >> 32], "lo": [part & 0xFFFFFFFF]})
-
-        sums = lab.map_batches(
-            h, batch_format="pyarrow", zero_copy_batch=True
-        ).aggregate(Sum("hi"), Sum("lo"))
-        return ((sums["sum(hi)"] << 32) + sums["sum(lo)"]) & 0xFFFFFFFFFFFFFFFF
-
-    id_type = _id_type(edges, "src")
-    # block-count governor: the per-round union (labels ∪ edge messages)
-    # and shuffles otherwise DOUBLE the labels block count every
-    # iteration — exponential task growth that stalls the loop after ~5
-    # rounds even on tiny graphs. Repartition each round's result back to
-    # a block count proportional to the edge set (labels has ≤ 2x edge
-    # rows, so edge blocks are the right scale proxy on a real cluster).
-    n_parts = max(8, edges.num_blocks())
-    labels = labels.repartition(n_parts).materialize()
-    prev = checksum(labels)
-    iters = 0
-    converged = False
-    for _ in range(max_iters):
-        # one propagation round: each node's label flows to its neighbors,
-        # then every node keeps the minimum candidate (self label included).
-        # Co-location of a node's label row with its outgoing edges is ONE
-        # exchange.bucket_map on src with a vectorized lexsort +
-        # segment-gather inside the bucket — never a per-node map_groups
-        # (the CLAUDE.md near-singleton-group trap).
-        tagged_labels = labels.map_batches(
-            lambda b: pa.table(
-                {
-                    "src": b.column("node"),
-                    "dst": b.column("node"),
-                    "label": b.column("label"),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        null_label = edges.map_batches(
-            lambda b: pa.table(
-                {
-                    "src": b.column("src"),
-                    "dst": b.column("dst"),
-                    "label": pa.nulls(b.num_rows, b.column("src").type),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-        def send(group: pa.Table) -> pa.Table:
-            src_col, lab_col = group.column("src"), group.column("label")
-            src = src_col.to_numpy(zero_copy_only=False)
-            dst = group.column("dst").to_numpy(zero_copy_only=False)
-            lab_valid = pc.is_valid(lab_col).to_numpy(zero_copy_only=False)
-            labf = pc.coalesce(lab_col, src_col).to_numpy(zero_copy_only=False)
-            if src.dtype == object:  # string ids (small-corpus path)
-                src, dst, labf = src.astype(str), dst.astype(str), labf.astype(str)
-            order, seg_id, starts, first_valid = _segment_min_lab(
-                src, labf, lab_valid
-            )
-            # every src has its own label row, so segments lacking a valid
-            # label cannot occur; drop them defensively (Min skips nulls)
-            row_lab = labf[order][starts][seg_id]
-            keep = first_valid[seg_id]
-            return pa.table({"node": dst[order][keep], "label": row_lab[keep]})
-
-        msgs = bucket_map(
-            tagged_labels.union(null_label),
-            "src",
-            send,
-            {"node": id_type, "label": id_type},
-        )
-        propagated = msgs.groupby("node").aggregate(Min("label")).map_batches(
-            lambda b: pa.table(
-                {"node": b.column("node"), "label": b.column("min(label)")}
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        # pointer doubling: jump each node straight to its label's label —
-        # halves the remaining distance to the component minimum per round.
-        # Repartition back to n_parts BEFORE materializing: without it the
-        # union + shuffle block fan-out compounds across iterations.
-        new_labels = (
-            _label_shortcut(propagated, id_type).repartition(n_parts).materialize()
-        )
-        iters += 1
-        cur = checksum(new_labels)
-        labels = new_labels
-        if cur == prev:
-            converged = True
-            break
-        prev = cur
-    if not converged:
-        _LOG.warning(
-            "min-label propagation exited via the %d-iteration cap without "
-            "reaching the checksum fixpoint — canonical ids may be wrong for "
-            "components with very large diameter; raise max_iters",
-            max_iters,
-        )
-    if stats is not None:
-        stats["iterations"] = iters
-        stats["converged"] = converged
-    return labels
-
-
 def dedup_resolution_ds(
     pairs: Dataset,
     docs: Dataset,
@@ -2066,61 +1797,14 @@ def dedup_resolution_ds(
     maps to the smallest id in its connected component (itself when it has
     no duplicate).
 
-    Two paths with identical output contracts, picked by the pair set's
-    row count (``exchange.fits_broadcast``):
-
-    * **driver union-find** (the pair set fits): collect the pairs,
-      resolve locally, broadcast the label map via ``ray.put``.
-    * **distributed min-label propagation** (it does not; a 30-50% dup
-      rate makes the pair set billions of rows): iterated
-      ``groupby().min()`` to fixpoint — see ``_min_label_propagation``.
-
-    Either way the ``(node, label)`` set attaches to docs through one
-    left ``exchange.attach``, with ``canonical_id = coalesce(label, id)``;
-    the attach keeps the label set off the driver when it does not fit.
-
-    The pair set is materialized ONCE first so the chosen path reads
-    blocks instead of re-executing the (possibly expensive) upstream
-    lineage a second time."""
-    pairs = pairs.materialize()
-    if not fits_broadcast(pairs):
-        labels = _min_label_propagation(pairs, a_col, b_col)
-    else:
-        parent: Dict = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        for row in collect_small(
-            pairs.select_columns([a_col, b_col]), "pair set"
-        ).to_pylist():
-            ra, rb = find(row[a_col]), find(row[b_col])
-            if ra != rb:
-                lo, hi = (ra, rb) if str(ra) <= str(rb) else (rb, ra)
-                parent[hi] = lo
-        labels_d = {x: find(x) for x in list(parent)}
-        # normalize to the component minimum
-        comp: Dict = {}
-        for x, r in labels_d.items():
-            root = find(r)
-            comp.setdefault(root, []).append(x)
-        canon = {}
-        for root, members in comp.items():
-            m = min(members + [root])
-            for x in members + [root]:
-                canon[x] = m
-        id_type = _id_type(pairs, a_col)
-        labels = ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array(list(canon), id_type),
-                    "label": pa.array(list(canon.values()), id_type),
-                }
-            )
-        )
+    The pairs' components come from ``exchange.components``, which
+    resolves them on the driver when they fit and by distributed min-label
+    propagation when they do not (a 30-50% dup rate makes the pair set
+    billions of rows). The ``(node, label)`` set attaches to docs through
+    one left ``exchange.attach``, with ``canonical_id = coalesce(label,
+    id)``; the attach keeps the label set off the driver when it does not
+    fit."""
+    labels = components(pairs, a_col, b_col)
 
     def label(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col)
@@ -7532,8 +7216,8 @@ def semantic_families_ds(
 ) -> Dataset:
     """Semantic near-dup FAMILIES — the end-to-end composition of three
     engine primitives: reciprocal k-NN pairs (high-precision similarity
-    evidence) → distributed hash-min label propagation (the dedup
-    resolution kernel, O(log diameter) rounds) → family sizes. One row
+    evidence) → connected components (``exchange.components``, the dedup
+    resolution kernel) → family sizes. One row
     per vector that has at least one mutual edge: ``(vec_id, family,
     n_members)`` with family = the component's minimum member id —
     exactly the cluster table a SemDeDup-style keep-one policy consumes.
@@ -7553,7 +7237,7 @@ def semantic_families_ds(
     pairs = pairs.materialize()
     if pairs.count() == 0:
         return ray.data.from_arrow(empty)
-    labels = _min_label_propagation(pairs, "x", "y").materialize()
+    labels = components(pairs, "x", "y").materialize()
 
     def size_partial(batch: pa.Table) -> pa.Table:
         lab, cnt = np.unique(

@@ -38,6 +38,13 @@ strategy from the row counts it observes: when the dataset fits, the
 side is first cut to the dataset's keys in one streaming pass; the side
 is then broadcast when it fits, else both co-group through
 :func:`bucket_map`. Operators choose no join strategy.
+
+Every family resolution (dedup clusters, semantic and CDC families) is
+:func:`components`: pairs that fit are collected and labelled by
+``clustering.connected_components``, the one components kernel; larger
+pair sets run :func:`_min_label_propagation`, whose two joins per round
+are :func:`attach` calls. Outside this module only ``substring_strip_ds``
+asks :func:`fits_broadcast`.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+from ray.data.aggregate import Min, Sum
+
+from ..functions.clustering import connected_components
 
 _LOG = logging.getLogger(__name__)
 
@@ -296,13 +306,14 @@ def _arrow_schema(ds: ray.data.Dataset) -> Optional[pa.Schema]:
 
 def _key_values(col) -> Tuple[np.ndarray, np.ndarray]:
     """A key column as a sortable numpy array (integer and all-null keys
-    as int64, any other key as str) and its validity mask."""
+    as int64, any other key as an object array of str) and its validity
+    mask. Never numpy's fixed-width ``U`` dtype: it drops trailing NULs,
+    so ``"c\\x00"`` would match ``"c"``."""
     valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
     if pa.types.is_integer(col.type) or pa.types.is_null(col.type):
         keys = pc.fill_null(col, 0).cast(pa.int64(), safe=False)
         return keys.to_numpy(zero_copy_only=False), valid
-    keys = pc.fill_null(col.cast(pa.string()), "").to_numpy(zero_copy_only=False)
-    return keys.astype(str), valid
+    return pc.fill_null(col.cast(pa.string()), "").to_numpy(zero_copy_only=False), valid
 
 
 def _index(side: pa.Table, key: str) -> Tuple[np.ndarray, pa.Table]:
@@ -455,3 +466,150 @@ def attach(
         named = side.rename_columns({n: n + sfx for n in payload}) if sfx else side
         ds = _attach_cogroup(ds, named, key, side_on, how)
     return ds
+
+
+# Propagation rounds :func:`_min_label_propagation` runs before it stops
+# short of the fixpoint; pointer doubling needs O(log diameter) of them.
+MAX_LABEL_ROUNDS = 64
+
+
+def _label_checksum(labels: ray.data.Dataset) -> int:
+    """Order-independent fixpoint detector over a (node, label) assignment.
+    Integer ids (the scale path) use a vectorized splitmix64-style mix
+    summed per batch with uint64 wraparound; other ids fall back to
+    per-row md5. Each batch reduces to one partial row, and one global
+    ``Sum`` folds them: nothing is collected."""
+
+    def h(batch: pa.Table) -> pa.Table:
+        node_col, lab_col = batch.column("node"), batch.column("label")
+        if pa.types.is_integer(node_col.type):
+            n = node_col.to_numpy(zero_copy_only=False).astype(np.uint64)
+            l = lab_col.to_numpy(zero_copy_only=False).astype(np.uint64)
+            with np.errstate(over="ignore"):
+                x = n * np.uint64(0x9E3779B97F4A7C15) + np.uint64(1)
+                x ^= l * np.uint64(0xD1B54A32D192ED03)
+                part = int(_mix64(x).sum(dtype=np.uint64))
+        else:
+            part = 0
+            for nd, lb in zip(node_col.to_pylist(), lab_col.to_pylist()):
+                digest = hashlib.md5(f"{nd}|{lb}".encode()).digest()
+                part = (part + int.from_bytes(digest[:8], "big")) & 0xFFFFFFFFFFFFFFFF
+        # 32-bit halves: their sums over the blocks cannot overflow int64
+        return pa.table({"hi": [part >> 32], "lo": [part & 0xFFFFFFFF]})
+
+    sums = labels.map_batches(h, batch_format="pyarrow", zero_copy_batch=True).aggregate(
+        Sum("hi"), Sum("lo")
+    )
+    return ((sums["sum(hi)"] << 32) + sums["sum(lo)"]) & 0xFFFFFFFFFFFFFFFF
+
+
+def _min_label_propagation(
+    pairs: ray.data.Dataset, a: str, b: str, stats: Optional[Dict] = None
+) -> ray.data.Dataset:
+    """:func:`components` for a pair set that does not fit: hash-min label
+    propagation with pointer doubling, so the rounds are bounded by
+    O(log(component diameter)) rather than the diameter itself. Each
+    round sends every node's label along its edges (one :func:`attach` of
+    the labels to the edges: a broadcast while the nodes fit, a co-group
+    when they do not), keeps each node's minimum candidate (one
+    ``groupby().aggregate(Min)``), then jumps each node to its label's
+    label (one left :func:`attach` of the labels to themselves). The
+    fixpoint is a checksum aggregate over the labels; leaving through
+    ``MAX_LABEL_ROUNDS`` without it logs a warning. A ``stats`` dict
+    receives ``iterations`` and ``converged``."""
+
+    def to_edges(batch: pa.Table) -> pa.Table:
+        x, y = batch.column(a), batch.column(b)
+        return pa.concat_tables(
+            [pa.table({"src": x, "dst": y}), pa.table({"src": y, "dst": x})]
+        ).combine_chunks()
+
+    def to_labels(batch: pa.Table) -> pa.Table:
+        return pa.table({"node": batch.column(0), "label": batch.column(1)})
+
+    def min_label(ds: ray.data.Dataset) -> ray.data.Dataset:
+        return ds.groupby("node").aggregate(Min("label")).map_batches(
+            to_labels, batch_format="pyarrow", zero_copy_batch=True
+        )
+
+    # reused every round; 2x the pair count
+    edges = pairs.map_batches(to_edges, batch_format="pyarrow", zero_copy_batch=True).materialize()
+    # the initial label is the minimum over a node and its neighbours
+    seeds = edges.map_batches(to_labels, batch_format="pyarrow", zero_copy_batch=True)
+    selves = edges.map_batches(
+        lambda t: pa.table({"node": t.column("src"), "label": t.column("src")}),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    # block-count governor: the union and the shuffles of a round would
+    # otherwise double the labels' block count every round, exponential
+    # task growth that stalls the loop after a few rounds
+    n_parts = max(8, edges.num_blocks())
+    labels = min_label(seeds.union(selves)).repartition(n_parts).materialize()
+    prev = _label_checksum(labels)
+    iters, converged = 0, False
+    for _ in range(MAX_LABEL_ROUNDS):
+        msgs = attach(edges, labels, "src", "node").map_batches(
+            lambda t: pa.table({"node": t.column("dst"), "label": t.column("label")}),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+        propagated = min_label(msgs.union(labels)).materialize()
+        # pointer doubling: halves each node's distance to its minimum
+        jumps = propagated.rename_columns({"node": "key", "label": "jump"})
+        labels = (
+            attach(propagated, jumps, "label", "key", "left")
+            .map_batches(
+                lambda t: pa.table(
+                    {"node": t.column("node"), "label": pc.coalesce(t.column("jump"), t.column("label"))}
+                ),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            )
+            .repartition(n_parts)
+            .materialize()
+        )
+        iters += 1
+        cur = _label_checksum(labels)
+        if cur == prev:
+            converged = True
+            break
+        prev = cur
+    if not converged:
+        _LOG.warning(
+            "min-label propagation stopped after MAX_LABEL_ROUNDS=%d rounds "
+            "without reaching its fixpoint: labels of components with a very "
+            "large diameter may not be their minimum",
+            MAX_LABEL_ROUNDS,
+        )
+    if stats is not None:
+        stats["iterations"] = iters
+        stats["converged"] = converged
+    return labels
+
+
+def components(pairs: ray.data.Dataset, a: str, b: str) -> ray.data.Dataset:
+    """Connected components of the graph whose edges are ``pairs``'
+    ``(a, b)`` rows: one ``(node, label)`` row per id the pairs name,
+    ``label`` being its component's minimum id in Arrow order (numeric
+    for integers, code point for strings).
+
+    The one place that picks how components are found, from the pair
+    count: pairs that fit (:func:`fits_broadcast`) are collected, mapped
+    to dense ids and labelled by ``clustering.connected_components`` on
+    the driver; otherwise :func:`_min_label_propagation` resolves them
+    without a collect. A pair set with no rows and no columns gives no
+    rows of int64 ids."""
+    pairs = pairs.materialize()
+    if not fits_broadcast(pairs):
+        return _min_label_propagation(pairs, a, b)
+    schema = _arrow_schema(pairs)  # None: no rows and no columns
+    t = collect_small(
+        pairs, "pair set", {c: schema.field(c).type if schema else pa.int64() for c in (a, b)}
+    )
+    ends = t.column(a), t.column(b)
+    nodes = pc.unique(pa.chunked_array(ends[0].chunks + ends[1].chunks, ends[0].type))
+    nodes = nodes.take(pc.array_sort_indices(nodes))
+    a_idx, b_idx = (pc.index_in(e, value_set=nodes).to_numpy() for e in ends)
+    label = connected_components(a_idx, b_idx, len(nodes))
+    return ray.data.from_arrow(pa.table({"node": nodes, "label": nodes.take(label)}))

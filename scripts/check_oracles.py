@@ -68,7 +68,7 @@ def main() -> int:
         wall = statistics.median(walls)
         got = runs[0]
         if name not in oracles:
-            print(f"{name}: rows-only ({len(got)} rows, {wall:.1f}s)")
+            print(f"{name}: rows-only ({len(got)} rows, {wall * 1000:.0f} ms)")
             continue
         want = con.sql(oracles[name]).df()
         cols = sorted(want.columns)
@@ -82,7 +82,7 @@ def main() -> int:
             ok = g.shape == w.shape and g.equals(w)
             if not ok:
                 break
-        print(f"{name}: {'MATCH' if ok else 'MISMATCH'} ({len(g)} rows, {wall:.1f}s)")
+        print(f"{name}: {'MATCH' if ok else 'MISMATCH'} ({len(g)} rows, {wall * 1000:.0f} ms)")
         if not ok:
             failures += 1
             if g.shape == w.shape:

@@ -104,6 +104,18 @@ def test_token_stats_oracle(docs_ds):
     )
 
 
+def test_quality_reads_null_text_as_empty(ray_session):
+    """A null text scores as ``""``; ``n_chars`` counts code points."""
+    docs = pa.table(
+        {"doc_id": pa.array([1, 2, 3], pa.int64()), "text": [None, "", "café 日本 the."]}
+    )
+    out = co.quality_ds(ray.data.from_arrow(docs)).to_pandas().sort_values("doc_id")
+    assert out.n_chars.tolist() == [0, 0, 12]
+    assert out.n_words.tolist() == [0, 0, 3]
+    assert out.n_punct.tolist() == [0, 0, 1]
+    assert str(out.n_chars.dtype) == "int64"
+
+
 def test_ann_brute_matches_numpy(docs_ds, ray_session):
     import pyarrow.parquet as pq
 
@@ -316,6 +328,20 @@ def _spy(monkeypatch, *names):
     return calls
 
 
+def _cogroup_keys(monkeypatch):
+    """The key of each ``exchange._attach_cogroup`` call, in call order:
+    which attaches co-grouped, the family-resolution loop's own included."""
+    keys = []
+    real = exchange._attach_cogroup
+
+    def spy(ds, side, on, *a, **k):
+        keys.append(on)
+        return real(ds, side, on, *a, **k)
+
+    monkeypatch.setattr(exchange, "_attach_cogroup", spy)
+    return keys
+
+
 def _resolved(pairs_t, docs_t):
     return (
         co.dedup_resolution_ds(
@@ -331,12 +357,13 @@ def test_dedup_resolution_distributed_matches_driver(ray_session, monkeypatch):
     """The min-label-propagation fixpoint (scale path) and driver
     union-find (small-N fast path) must produce identical canonical
     labels — including a multi-hop chain component (a-b, b-c, c-d)."""
-    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_cogroup")
+    calls = _spy(monkeypatch, "_min_label_propagation")
+    keys = _cogroup_keys(monkeypatch)
     drv = _resolved(_DUP_PAIRS, _DUP_DOCS)
-    assert calls == []
+    assert calls == [] and keys == []
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 15)
     dist = _resolved(_DUP_PAIRS, _DUP_DOCS)
-    assert calls == ["_min_label_propagation"]
+    assert calls == ["_min_label_propagation"] and keys == []
     assert drv.equals(dist)
     got = dict(zip(drv.doc_id, drv.canonical_id))
     assert got[4] == 1 and got[3] == 1 and got[2] == 1 and got[1] == 1
@@ -351,10 +378,12 @@ def test_dedup_resolution_cogroup_label_attach(ray_session, monkeypatch):
     identical to the driver union-find path — including docs with no
     duplicates and chain components, and buckets holding many nodes."""
     drv = _resolved(_DUP_PAIRS, _DUP_DOCS)
-    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_cogroup")
+    calls = _spy(monkeypatch, "_min_label_propagation")
+    keys = _cogroup_keys(monkeypatch)
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 13)
     cg = _resolved(_DUP_PAIRS, _DUP_DOCS)
-    assert calls == ["_min_label_propagation", "_attach_cogroup"]
+    assert calls == ["_min_label_propagation"]
+    assert keys[-1] == "doc_id" and keys.count("doc_id") == 1
     assert drv.equals(cg)
     # 2,100 labelled nodes in 700 three-node chains, 2,500 docs: most of
     # the exchange buckets resolve several nodes at once
@@ -366,8 +395,10 @@ def test_dedup_resolution_cogroup_label_attach(ray_session, monkeypatch):
         }
     )
     big_docs = pa.table({"doc_id": pa.array(range(n_docs), pa.int64())})
+    del keys[:]
     out = _resolved(big_pairs, big_docs)
-    assert calls[2:] == ["_min_label_propagation", "_attach_cogroup"]
+    assert calls[1:] == ["_min_label_propagation"]
+    assert keys[-1] == "doc_id" and keys.count("doc_id") == 1
     assert out.doc_id.tolist() == list(range(n_docs))
     assert out.canonical_id.tolist() == [
         3 * (x // 3) if x < 3 * n_chain else x for x in range(n_docs)
@@ -380,10 +411,12 @@ def test_dedup_resolution_cogroup_string_ids(ray_session, monkeypatch):
         pa.table({"doc_a": pa.array(["b", "c"]), "doc_b": pa.array(["c", "a"])})
     )
     docs = ray.data.from_arrow(pa.table({"doc_id": pa.array(["a", "b", "c", "z"])}))
-    calls = _spy(monkeypatch, "_attach_cogroup")
+    calls = _spy(monkeypatch, "_min_label_propagation")
+    keys = _cogroup_keys(monkeypatch)
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 1)  # 2 pairs, 3 labels
     out = co.dedup_resolution_ds(pairs, docs).to_pandas()
-    assert calls == ["_attach_cogroup"]
+    assert calls == ["_min_label_propagation"]
+    assert keys[-1] == "doc_id" and keys.count("doc_id") == 1
     got = dict(zip(out.doc_id, out.canonical_id))
     assert got == {"a": "a", "b": "a", "c": "a", "z": "z"}
 
@@ -401,10 +434,11 @@ def test_dedup_resolution_distributed_string_ids(ray_session, monkeypatch):
     docs = ray.data.from_arrow(
         pa.table({"doc_id": pa.array(["a", "b", "c", "d", "z"])})
     )
-    calls = _spy(monkeypatch, "_min_label_propagation", "_attach_cogroup")
+    calls = _spy(monkeypatch, "_min_label_propagation")
+    keys = _cogroup_keys(monkeypatch)
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 5)
     out = co.dedup_resolution_ds(pairs, docs).to_pandas()
-    assert calls == ["_min_label_propagation"]
+    assert calls == ["_min_label_propagation"] and keys == []
     got = dict(zip(out.doc_id, out.canonical_id))
     assert got == {"a": "a", "b": "a", "c": "a", "d": "a", "z": "z"}
 
@@ -424,7 +458,7 @@ def test_min_label_long_chain_log_rounds(ray_session):
         )
     )
     stats = {}
-    labels = co._min_label_propagation(pairs, "doc_a", "doc_b", stats=stats).to_pandas()
+    labels = exchange._min_label_propagation(pairs, "doc_a", "doc_b", stats=stats).to_pandas()
     assert stats["converged"]
     assert stats["iterations"] <= int(np.ceil(np.log2(n))) + 3
     assert len(labels) == n
@@ -2584,10 +2618,10 @@ def test_semantic_families_hash_join_matches_broadcast(ray_session, monkeypatch)
         )
 
     bc = families()
-    joins = _spy(monkeypatch, "_attach_cogroup")
+    keys = _cogroup_keys(monkeypatch)
     monkeypatch.setattr(exchange, "MAX_BROADCAST_ROWS", 1)  # 2 families
     hj = families()
-    assert joins == ["_attach_cogroup"]
+    assert keys[-1] == "family" and keys.count("family") == 1
     assert len(bc) == 4 and bc.equals(hj)
 
 

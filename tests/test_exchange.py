@@ -628,7 +628,12 @@ ATTACH_CASES = {
 
 def _attach_sides(case, key_type):
     ds_keys, side_keys = ATTACH_CASES[case]
-    as_key = (lambda k: k) if key_type == "int" else (lambda k: None if k is None else f"k{k}")
+    as_key = {
+        "int": lambda k: k,
+        "string": lambda k: None if k is None else f"k{k}",
+        # keys that differ only by trailing NULs stay distinct
+        "nul_string": lambda k: None if k is None else "k" + "\x00" * k,
+    }[key_type]
     typ = pa.int64() if key_type == "int" else pa.string()
     ds = pa.table(
         {
@@ -664,7 +669,7 @@ ATTACH_PATHS = {
 
 
 @pytest.mark.parametrize("how", ["inner", "left"])
-@pytest.mark.parametrize("key_type", ["int", "string"])
+@pytest.mark.parametrize("key_type", ["int", "string", "nul_string"])
 @pytest.mark.parametrize("case", sorted(ATTACH_CASES))
 def test_attach_paths_agree(ray_session, monkeypatch, case, key_type, how):
     """Broadcast after the semi-join reduction, broadcast of the whole side
@@ -718,7 +723,7 @@ def test_attach_several_keys(ray_session, monkeypatch, how):
 # the join helpers that exchange.attach replaced
 GONE_JOINS = ("hash_join_ds", "broadcast_join_ds", "_attach_labels_cogroup", "_semi_join_collect")
 # the compute-strategy choices (not attaches) that may ask fits_broadcast
-FITS_BROADCAST_CALLERS = {"dedup_resolution_ds", "substring_strip_ds"}
+FITS_BROADCAST_CALLERS = {"substring_strip_ds"}
 PACKAGE = os.path.dirname(PIPELINES)
 
 
@@ -733,7 +738,7 @@ def _package_trees():
 
 def test_attach_is_the_one_join():
     """No join helper but ``exchange.attach`` is defined, and outside
-    ``exchange.py`` only the two compute-strategy choices call
+    ``exchange.py`` only the one compute-strategy choice left there calls
     ``fits_broadcast``: every attach picks its strategy in one place."""
     bad = []
     for f, tree in _package_trees():
@@ -749,6 +754,39 @@ def test_attach_is_the_one_join():
                 ):
                     caller = getattr(top, "name", "<module>")
                     bad.append(f"{f}:{n.lineno} fits_broadcast in {caller}")
+    assert bad == []
+
+
+# the components helpers that exchange.components and its attach loop replaced
+GONE_COMPONENTS = ("_label_shortcut", "_segment_min_lab")
+
+
+def test_components_is_the_one_resolution():
+    """Families resolve only through ``exchange.components``: the old
+    propagation helpers are gone, only ``components`` calls the
+    distributed loop, and no function defines its own nested
+    ``find``/``union`` union-find."""
+    bad = []
+    for f, tree in _package_trees():
+        for top in tree.body:
+            name = getattr(top, "name", "<module>")
+            for n in ast.walk(top):
+                if isinstance(n, ast.FunctionDef) and n.name in GONE_COMPONENTS:
+                    bad.append(f"{f}:{n.lineno} defines {n.name}")
+                if (
+                    isinstance(n, ast.Call)
+                    and getattr(n.func, "id", getattr(n.func, "attr", None)) == "_min_label_propagation"
+                    and (f, name) != (os.path.join("pipelines", "exchange.py"), "components")
+                ):
+                    bad.append(f"{f}:{n.lineno} _min_label_propagation in {name}")
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for inner in ast.walk(n):
+                        if (
+                            inner is not n
+                            and isinstance(inner, ast.FunctionDef)
+                            and inner.name in ("find", "union")
+                        ):
+                            bad.append(f"{f}:{inner.lineno} {name} nests {inner.name}")
     assert bad == []
 
 

@@ -80,3 +80,14 @@ def test_vertical_decodes_through_reader():
     ch = rows[0]["chars"]
     assert "".join(c["text"] for c in ch) == "一二三四"
     assert all(c["upright"] for c in ch)
+
+
+def test_q_restores_text_state():
+    """``Q`` restores the text state saved by ``q`` with the graphics
+    state (pdfminer's ``do_q`` pushes ``textstate.copy()``): the ``Tf``
+    inside ``q … Q`` does not outlive it."""
+    content = b"BT /F1 24 Tf ET q BT /F1 10 Tf ET Q BT 1 0 0 1 400 700 Tm <0001> Tj ET"
+    doc = PDFDocument(make_vertical_pdf(content))
+    it = PageInterpreter(doc, doc.pages()[0])
+    it.run()
+    assert [c["size"] for c in it.chars] == [pytest.approx(24.0)]
