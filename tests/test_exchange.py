@@ -722,7 +722,7 @@ def test_attach_several_keys(ray_session, monkeypatch, how):
 
 # the join helpers that exchange.attach replaced
 GONE_JOINS = ("hash_join_ds", "broadcast_join_ds", "_attach_labels_cogroup", "_semi_join_collect")
-# the compute-strategy choices (not attaches) that may ask fits_broadcast
+# the compute-strategy choice (not an attach) that may ask fits_broadcast
 FITS_BROADCAST_CALLERS = {"substring_strip_ds"}
 PACKAGE = os.path.dirname(PIPELINES)
 
@@ -738,8 +738,8 @@ def _package_trees():
 
 def test_attach_is_the_one_join():
     """No join helper but ``exchange.attach`` is defined, and outside
-    ``exchange.py`` only the one compute-strategy choice left there calls
-    ``fits_broadcast``: every attach picks its strategy in one place."""
+    ``exchange.py`` only the one compute-strategy choice,
+    ``substring_strip_ds``, calls ``fits_broadcast``: every attach picks its strategy in one place."""
     bad = []
     for f, tree in _package_trees():
         for top in tree.body:
